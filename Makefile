@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check alloc-guard doc-check scenario-check snapshot-check verify bench bench-micro bench-campaign bench-signing bench-dataplane bench-load bench-control bench-setup reference reference-pki
+.PHONY: all build test race vet fmt-check alloc-guard doc-check scenario-check snapshot-check bench-smoke fuzz-smoke verify bench bench-micro bench-campaign bench-signing bench-dataplane bench-load bench-control bench-setup reference reference-pki
 
 all: build
 
@@ -76,7 +76,21 @@ snapshot-check:
 	$(GO) test -count=1 -run 'TestSnapshotWarmStartByteIdentical|TestSnapshotFileRoundTrip' ./internal/core ./internal/experiments
 	@echo "snapshot-check: OK"
 
-verify: build race alloc-guard vet fmt-check doc-check scenario-check snapshot-check
+# bench/ is its own module (sciera/bench), so the root `go test ./...`
+# never sees its tests: every workload once at smoke scale, the output
+# check and the -compare rules (~3 s).
+bench-smoke:
+	cd bench && $(GO) test ./...
+
+# Native fuzz targets on the control service's untrusted-input boundary
+# (request bytes in, response bytes at the daemon), a few seconds each
+# on top of the checked-in corpus under internal/control/testdata/fuzz.
+# A failure leaves its reproducer there; `go test` replays it.
+fuzz-smoke:
+	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzServiceHandle$$' -fuzztime 3s
+	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzDecodeSegments$$' -fuzztime 3s
+
+verify: build race alloc-guard vet fmt-check doc-check scenario-check snapshot-check bench-smoke fuzz-smoke
 	@echo "verify: OK"
 
 bench: bench-micro bench-campaign bench-signing bench-dataplane bench-load bench-control bench-setup

@@ -31,6 +31,14 @@ const DefaultMaxExtraLen = 3
 type Entry struct {
 	Seg    *segment.Segment
 	RecvIf uint16
+	// Route is Seg.RouteID(), hashed once by NewEntry: ranking and
+	// deduplication compare it on every insert and selection.
+	Route string
+}
+
+// NewEntry wraps a received beacon, computing its route identity.
+func NewEntry(seg *segment.Segment, recvIf uint16) *Entry {
+	return &Entry{Seg: seg, RecvIf: recvIf, Route: seg.RouteID()}
 }
 
 // Store keeps the best beacons per origin core AS. It is safe for
@@ -68,50 +76,46 @@ func (s *Store) Insert(seg *segment.Segment, recvIf uint16) bool {
 	if seg.Len() == 0 {
 		return false
 	}
-	id := seg.RouteID()
+	e := NewEntry(seg, recvIf)
 	origin := seg.FirstIA()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.seen[id] {
+	if s.seen[e.Route] {
 		return false
 	}
-	entries := append(s.byOrigin[origin], &Entry{Seg: seg, RecvIf: recvIf})
-	sortEntries(entries)
+	// The per-origin list is kept ranked, so the new beacon is placed by
+	// binary search.
+	entries := s.byOrigin[origin]
+	at := sort.Search(len(entries), func(i int) bool { return !entryLess(entries[i], e) })
+	entries = append(entries, nil)
+	copy(entries[at+1:], entries[at:])
+	entries[at] = e
 	// Enforce the per-origin count limit and the relative length
-	// window (entries are sorted shortest-first).
-	accepted := true
-	maxLen := entries[0].Seg.Len() + s.extraLen
-	kept := entries[:0]
-	for _, e := range entries {
-		if len(kept) >= s.limit || e.Seg.Len() > maxLen {
-			if e.Seg.RouteID() == id {
-				accepted = false
-			} else {
-				delete(s.seen, e.Seg.RouteID())
-			}
-			continue
-		}
-		kept = append(kept, e)
+	// window: entries are ranked shortest-first, so the survivors are a
+	// prefix.
+	keep := min(len(entries), s.limit)
+	for entries[keep-1].Seg.Len() > entries[0].Seg.Len()+s.extraLen {
+		keep--
 	}
-	s.byOrigin[origin] = kept
-	if accepted {
-		s.seen[id] = true
+	for _, evicted := range entries[keep:] {
+		delete(s.seen, evicted.Route) // a no-op for the new beacon itself
 	}
-	return accepted
+	s.byOrigin[origin] = entries[:keep]
+	if at < keep {
+		s.seen[e.Route] = true
+	}
+	return at < keep
 }
 
-// sortEntries ranks beacons: shorter AS paths first, then by the stable
+// entryLess ranks beacons: shorter AS paths first, then by the stable
 // route identifier so selection is deterministic across re-beaconing.
 // Keeping several short-but-distinct beacons (rather than one) is what
 // preserves multipath choice.
-func sortEntries(entries []*Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i].Seg, entries[j].Seg
-		if a.Len() != b.Len() {
-			return a.Len() < b.Len()
-		}
-		return a.RouteID() < b.RouteID()
-	})
+func entryLess(a, b *Entry) bool {
+	if a.Seg.Len() != b.Seg.Len() {
+		return a.Seg.Len() < b.Seg.Len()
+	}
+	return a.Route < b.Route
 }
 
 // Best returns the stored beacons for one origin, best first.

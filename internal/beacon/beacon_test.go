@@ -2,6 +2,8 @@ package beacon
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"sciera/internal/addr"
@@ -15,7 +17,11 @@ var (
 	leaf   = addr.MustParseIA("71-10")
 )
 
-func key(ia addr.IA) scrypto.HopKey { return scrypto.DeriveHopKey([]byte(ia.String()), 0) }
+// key returns the AS's prepared hop-key CMAC (a 16-byte key cannot fail).
+func key(ia addr.IA) *scrypto.CMAC {
+	m, _ := scrypto.NewHopCMAC(scrypto.DeriveHopKey([]byte(ia.String()), 0))
+	return m
+}
 
 // makeSeg builds origin -> mid (-> leaf if long) with a distinguishing
 // origin egress interface so the routes differ (selection deduplicates
@@ -154,6 +160,135 @@ func TestStorePerOriginLimits(t *testing.T) {
 	}
 	if s.Len() != 6 {
 		t.Errorf("total = %d", s.Len())
+	}
+}
+
+// oracleStore is Store.Insert as it was before entries carried their
+// route ID: append, re-sort the whole per-origin list hashing RouteID
+// inside every comparison, then filter. It is the reference the
+// binary-search Insert is checked against.
+type oracleStore struct {
+	limit, extraLen int
+	byOrigin        map[addr.IA][]*Entry
+	seen            map[string]bool
+}
+
+func (s *oracleStore) Insert(seg *segment.Segment, recvIf uint16) bool {
+	if seg.Len() == 0 {
+		return false
+	}
+	id := seg.RouteID()
+	origin := seg.FirstIA()
+	if s.seen[id] {
+		return false
+	}
+	entries := append(s.byOrigin[origin], &Entry{Seg: seg, RecvIf: recvIf})
+	sort.Slice(entries, func(i, j int) bool {
+		a, b := entries[i].Seg, entries[j].Seg
+		if a.Len() != b.Len() {
+			return a.Len() < b.Len()
+		}
+		return a.RouteID() < b.RouteID()
+	})
+	accepted := true
+	maxLen := entries[0].Seg.Len() + s.extraLen
+	kept := entries[:0]
+	for _, e := range entries {
+		if len(kept) >= s.limit || e.Seg.Len() > maxLen {
+			if e.Seg.RouteID() == id {
+				accepted = false
+			} else {
+				delete(s.seen, e.Seg.RouteID())
+			}
+			continue
+		}
+		kept = append(kept, e)
+	}
+	s.byOrigin[origin] = kept
+	if accepted {
+		s.seen[id] = true
+	}
+	return accepted
+}
+
+// TestStoreInsertMatchesOracle drives the store and the sort-everything
+// oracle with the same randomized beacon sequences — two origins,
+// lengths spread wider than the length window so shorter arrivals evict
+// the tail, repeated routes under fresh accumulators, limits from 1 to
+// the default — and requires the same verdict after every insert and the
+// same kept beacons in the same order.
+func TestStoreInsertMatchesOracle(t *testing.T) {
+	origins := []addr.IA{origin, addr.MustParseIA("71-3")}
+	for _, limit := range []int{1, 3, 8, DefaultBestPerOrigin} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			store := NewStore(limit)
+			oracle := &oracleStore{limit: limit, extraLen: DefaultMaxExtraLen,
+				byOrigin: make(map[addr.IA][]*Entry), seen: make(map[string]bool)}
+			var accepted, evicted, window, rejected int
+			for step := 0; step < 400; step++ {
+				// Long beacons first, then a one-hop beacon that pushes
+				// them all out of the length window, then any length.
+				hops := 1 + rng.Intn(7)
+				if step < 100 {
+					hops = 5 + rng.Intn(3)
+				} else if step == 100 {
+					hops = 1
+				}
+				from := origins[rng.Intn(len(origins))]
+				// Few distinct interface IDs, so routes repeat.
+				seg, err := segment.Originate(100, uint16(rng.Intn(1<<16)), from, uint16(1+rng.Intn(3)), mid, 5, 63, key(from))
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := mid
+				for h := 1; h < hops; h++ {
+					next := addr.MustIA(71, addr.AS(100+h))
+					e := segment.ASEntry{IA: at, Next: next, Ingress: uint16(1 + rng.Intn(2)), Egress: uint16(1 + rng.Intn(2)), ExpTime: 63}
+					if err := seg.Extend(e, key(at)); err != nil {
+						t.Fatal(err)
+					}
+					at = next
+				}
+				recvIf := uint16(1 + rng.Intn(4))
+				prior := store.Best(from)
+				got, want := store.Insert(seg, recvIf), oracle.Insert(seg, recvIf)
+				if got != want {
+					t.Fatalf("limit %d seed %d step %d: Insert = %v, oracle %v", limit, seed, step, got, want)
+				}
+				switch {
+				case !got:
+					rejected++
+				case len(prior) > 0 && prior[len(prior)-1].Seg.Len() > seg.Len()+DefaultMaxExtraLen:
+					accepted, window = accepted+1, window+1 // the new shortest pushed the tail out of the window
+				case len(store.Best(from)) == len(prior):
+					accepted, evicted = accepted+1, evicted+1 // displaced one at the limit
+				default:
+					accepted++
+				}
+				for _, o := range origins {
+					kept, ref := store.Best(o), oracle.byOrigin[o]
+					if len(kept) != len(ref) {
+						t.Fatalf("limit %d seed %d step %d: %d kept for %v, oracle %d", limit, seed, step, len(kept), o, len(ref))
+					}
+					for i := range kept {
+						if kept[i].Seg != ref[i].Seg || kept[i].RecvIf != ref[i].RecvIf {
+							t.Fatalf("limit %d seed %d step %d: entry %d for %v differs from oracle", limit, seed, step, i, o)
+						}
+						if kept[i].Route != kept[i].Seg.RouteID() {
+							t.Fatalf("limit %d seed %d step %d: stored route ID is stale", limit, seed, step)
+						}
+					}
+				}
+				if len(store.seen) != len(oracle.seen) {
+					t.Fatalf("limit %d seed %d step %d: seen set %d, oracle %d", limit, seed, step, len(store.seen), len(oracle.seen))
+				}
+			}
+			if evicted == 0 || window == 0 || rejected == 0 {
+				t.Fatalf("limit %d seed %d: %d accepts, of which %d evicted at the limit and %d through the length window, %d rejects; want all kinds",
+					limit, seed, accepted, evicted, window, rejected)
+			}
+		}
 	}
 }
 

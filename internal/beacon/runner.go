@@ -122,6 +122,9 @@ type Runner struct {
 	// signature memo makes repeat prefixes (the common case in beacon
 	// fan-out) cost one hash instead of one ECDSA verify per entry.
 	verifier *segment.Verifier
+	// macs holds one prepared hop-key CMAC per AS for the duration of a
+	// Run: every hop and peer MAC an AS computes reuses its key schedule.
+	macs map[addr.IA]*scrypto.CMAC
 }
 
 // flight is one beacon crossing one link: the segment as prepared by the
@@ -155,8 +158,9 @@ func (r *Runner) Run() (*Registry, error) {
 	if r.ExpTime == 0 {
 		r.ExpTime = 63
 	}
+	ases := r.Topo.ASes()
 	if r.MaxRounds == 0 {
-		r.MaxRounds = len(r.Topo.ASes()) + 2
+		r.MaxRounds = len(ases) + 2
 	}
 	if r.Metrics == nil {
 		r.Metrics = &RunnerMetrics{}
@@ -173,10 +177,16 @@ func (r *Runner) Run() (*Registry, error) {
 		Core: pathdb.New(),
 		Down: pathdb.New(),
 	}
-	for _, as := range r.Topo.ASes() {
+	r.macs = make(map[addr.IA]*scrypto.CMAC, len(ases))
+	for _, as := range ases {
 		if !as.Core {
 			reg.Up[as.IA] = pathdb.New()
 		}
+		mac, err := scrypto.NewHopCMAC(r.Keys(as.IA))
+		if err != nil {
+			return nil, err
+		}
+		r.macs[as.IA] = mac
 	}
 	if err := r.runCore(reg); err != nil {
 		return nil, err
@@ -192,7 +202,7 @@ func (r *Runner) originate(origin addr.IA, l *topology.Link) (*segment.Segment, 
 	local, _ := l.Local(origin)
 	remote, _ := l.Other(origin)
 	seg, err := segment.Originate(r.Timestamp, uint16(r.Rng.Intn(1<<16)), origin,
-		local.IfID, remote.IA, l.LatencyMS, r.ExpTime, r.Keys(origin))
+		local.IfID, remote.IA, l.LatencyMS, r.ExpTime, r.macs[origin])
 	if err != nil {
 		return nil, err
 	}
@@ -308,14 +318,14 @@ func (r *Runner) pruneGroups(flights []flight, recvIf []uint16, accepted []bool,
 		}
 		entries := make([]*Entry, len(idxs))
 		for j, i := range idxs {
-			entries[j] = &Entry{Seg: flights[i].seg, RecvIf: recvIf[i]}
+			entries[j] = NewEntry(flights[i].seg, recvIf[i])
 		}
-		keep := make(map[string]bool, k)
+		keep := make(map[*Entry]bool, k)
 		for _, e := range SelectBestK(entries, k) {
-			keep[e.Seg.RouteID()] = true
+			keep[e] = true
 		}
-		for _, i := range idxs {
-			if !keep[flights[i].seg.RouteID()] {
+		for j, i := range idxs {
+			if !keep[entries[j]] {
 				accepted[i] = false
 				r.Metrics.Pruned.Inc()
 			}
@@ -341,7 +351,7 @@ func (r *Runner) extend(seg *segment.Segment, at addr.IA, inIf uint16, out *topo
 	if info, ok := r.Topo.AS(at); ok {
 		e.MTU = info.MTU
 	}
-	if err := ext.Extend(e, r.Keys(at)); err != nil {
+	if err := ext.Extend(e, r.macs[at]); err != nil {
 		return nil, err
 	}
 	// Advertise peering links so the combinator can build peer
@@ -354,23 +364,19 @@ func (r *Runner) extend(seg *segment.Segment, at addr.IA, inIf uint16, out *topo
 		}
 		local, _ := pl.Local(at)
 		remote, _ := pl.Other(at)
-		mac, err := scrypto.ComputeHopMAC(r.Keys(at), scrypto.HopMACInput{
-			Beta:        ext.BetaFinal(),
-			Timestamp:   ext.Timestamp,
-			ExpTime:     r.ExpTime,
-			ConsIngress: local.IfID,
-			ConsEgress:  appended.Egress,
-		})
-		if err != nil {
-			return nil, err
-		}
 		appended.Peers = append(appended.Peers, segment.PeerEntry{
 			Peer:          remote.IA,
 			PeerIf:        remote.IfID,
 			LocalIf:       local.IfID,
 			LinkLatencyMS: pl.LatencyMS,
 			ExpTime:       r.ExpTime,
-			MAC:           mac,
+			MAC: scrypto.HopMAC(r.macs[at], scrypto.HopMACInput{
+				Beta:        ext.BetaFinal(),
+				Timestamp:   ext.Timestamp,
+				ExpTime:     r.ExpTime,
+				ConsIngress: local.IfID,
+				ConsEgress:  appended.Egress,
+			}),
 		})
 	}
 	if r.Signers != nil {

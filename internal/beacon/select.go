@@ -1,6 +1,10 @@
 package beacon
 
-import "sciera/internal/segment"
+import (
+	"sort"
+
+	"sciera/internal/segment"
+)
 
 // DefaultPropagateBestK bounds how many same-origin beacons one AS
 // re-propagates per beaconing round. Core beaconing over a dense mesh
@@ -27,7 +31,7 @@ func SelectBestK(entries []*Entry, k int) []*Entry {
 		return entries
 	}
 	cand := append([]*Entry(nil), entries...)
-	sortEntries(cand)
+	sort.Slice(cand, func(i, j int) bool { return entryLess(cand[i], cand[j]) })
 	selected := cand[:1:1]
 	cand = cand[1:]
 	for len(selected) < k {

@@ -14,7 +14,7 @@ import (
 // routeSeg builds a beacon-like segment visiting the given ASes.
 func routeSeg(t *testing.T, ts uint32, beta uint16, ias ...addr.IA) *segment.Segment {
 	t.Helper()
-	key := scrypto.DeriveHopKey([]byte("sel"), 0)
+	key, _ := scrypto.NewHopCMAC(scrypto.DeriveHopKey([]byte("sel"), 0))
 	s, err := segment.Originate(ts, beta, ias[0], 1, ias[1], 5, 63, key)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestSelectBestK(t *testing.T) {
 	disjoint := routeSeg(t, 100, 4, origin, ia(6), ia(7), ia(4)) // avoids 3
 
 	entries := []*Entry{
-		{Seg: overlapB}, {Seg: disjoint}, {Seg: short}, {Seg: overlapA},
+		NewEntry(overlapB, 0), NewEntry(disjoint, 0), NewEntry(short, 0), NewEntry(overlapA, 0),
 	}
 	if got := SelectBestK(entries, 4); len(got) != 4 || &got[0] != &entries[0] {
 		t.Fatal("group within the bound must pass through unchanged")

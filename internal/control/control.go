@@ -26,6 +26,7 @@ import (
 	"sciera/internal/cppki"
 	"sciera/internal/segment"
 	"sciera/internal/simnet"
+	"sciera/internal/telemetry"
 )
 
 // Request is a control-service RPC request.
@@ -65,6 +66,38 @@ type Response struct {
 	CACert []byte `json:"ca_cert,omitempty"`
 }
 
+// Metrics counts what control services answer. One set of cells is
+// shared by every service of a network, so the totals are network-wide.
+type Metrics struct {
+	// Paths, TRC, Renew and Unknown count decoded requests by type.
+	Paths, TRC, Renew, Unknown telemetry.Counter
+	// NotModified counts "paths" requests answered without segments.
+	NotModified telemetry.Counter
+	// Ups, Cores and Downs count segments encoded into "paths" answers.
+	Ups, Cores, Downs telemetry.Counter
+	// ResponseBytes counts reply bytes handed to the transport.
+	ResponseBytes telemetry.Counter
+}
+
+// Register adopts the cells into a registry.
+func (m *Metrics) Register(reg *telemetry.Registry) {
+	requests := func(typ string, c *telemetry.Counter) {
+		reg.RegisterCounter("sciera_control_requests_total", "control-service requests decoded, by type", c, telemetry.L("type", typ))
+	}
+	requests("paths", &m.Paths)
+	requests("trc", &m.TRC)
+	requests("renew", &m.Renew)
+	requests("unknown", &m.Unknown)
+	reg.RegisterCounter("sciera_control_not_modified_total", "paths requests answered NotModified (no segments encoded)", &m.NotModified)
+	served := func(kind string, c *telemetry.Counter) {
+		reg.RegisterCounter("sciera_control_segments_served_total", "segments encoded into paths answers, by kind", c, telemetry.L("kind", kind))
+	}
+	served("up", &m.Ups)
+	served("core", &m.Cores)
+	served("down", &m.Downs)
+	reg.RegisterCounter("sciera_control_response_bytes_total", "reply bytes sent by control services", &m.ResponseBytes)
+}
+
 // Service is a control service instance for one AS.
 type Service struct {
 	IA addr.IA
@@ -76,6 +109,8 @@ type Service struct {
 	// CA optionally enables certificate renewal (core ASes that run
 	// the ISD CA).
 	CA *ca.CA
+	// Metrics receives the service's counters; nil allocates private ones.
+	Metrics *Metrics
 
 	conn simnet.Conn
 }
@@ -84,6 +119,9 @@ type Service struct {
 func (s *Service) Start(net simnet.Network, at netip.AddrPort) error {
 	if s.Registry == nil {
 		return errors.New("control: Registry required")
+	}
+	if s.Metrics == nil {
+		s.Metrics = &Metrics{}
 	}
 	conn, err := net.Listen(at, s.handle)
 	if err != nil {
@@ -109,6 +147,7 @@ func (s *Service) handle(raw []byte, from netip.AddrPort) {
 	if err != nil {
 		return
 	}
+	s.Metrics.ResponseBytes.Add(uint64(len(out)))
 	_ = s.conn.Send(out, from)
 }
 
@@ -116,8 +155,10 @@ func (s *Service) serve(req *Request) *Response {
 	resp := &Response{ID: req.ID}
 	switch req.Type {
 	case "paths":
+		s.Metrics.Paths.Inc()
 		s.servePaths(req, resp)
 	case "trc":
+		s.Metrics.TRC.Inc()
 		trc, ok := s.TRCs.Get(req.ISD)
 		if !ok {
 			resp.Error = fmt.Sprintf("no TRC for ISD %d", req.ISD)
@@ -130,6 +171,7 @@ func (s *Service) serve(req *Request) *Response {
 		}
 		resp.TRC = b
 	case "renew":
+		s.Metrics.Renew.Inc()
 		if s.CA == nil {
 			resp.Error = "this control service runs no CA"
 			return resp
@@ -142,6 +184,7 @@ func (s *Service) serve(req *Request) *Response {
 		resp.ASCert = chain.AS.Raw
 		resp.CACert = chain.CA.Raw
 	default:
+		s.Metrics.Unknown.Inc()
 		resp.Error = fmt.Sprintf("unknown request type %q", req.Type)
 	}
 	return resp
@@ -181,35 +224,43 @@ func (s *Service) PathsGen() uint64 {
 	return s.pathsGen(s.Registry())
 }
 
+// servePaths answers a lookup with the segments beacon.Registry.Lookup
+// selects for (this AS, req.Dst): the requester's up segments, the down
+// segments ending at the destination, and the core segments that can
+// join the two (the local CS consults core CSes; in this in-process
+// infrastructure the registry is that federation). A segment that fails
+// to encode fails the request — a partial set would be combined and
+// cached by the daemon as if it were complete.
 func (s *Service) servePaths(req *Request, resp *Response) {
 	reg := s.Registry()
 	resp.Gen = s.pathsGen(reg)
 	if req.Gen != 0 && req.Gen == resp.Gen {
 		// The requester combined exactly these stores already.
+		s.Metrics.NotModified.Inc()
 		resp.NotModified = true
 		return
 	}
+	ups, cores, downs := reg.Lookup(s.IA, req.Dst)
+	var err error
 	encode := func(segs []*segment.Segment) []json.RawMessage {
-		out := make([]json.RawMessage, 0, len(segs))
-		for _, seg := range segs {
-			b, err := seg.Encode()
-			if err == nil {
-				out = append(out, b)
+		out := make([]json.RawMessage, len(segs))
+		for i, seg := range segs {
+			b, e := seg.Encode()
+			if e != nil && err == nil {
+				err = fmt.Errorf("encoding segment %s: %w", seg.ID(), e)
 			}
+			out[i] = b
 		}
 		return out
 	}
-	// Up segments of the requesting AS (this service's AS).
-	if db, ok := reg.Up[s.IA]; ok {
-		resp.Ups = encode(db.All())
+	resp.Ups, resp.Cores, resp.Downs = encode(ups), encode(cores), encode(downs)
+	if err != nil {
+		*resp = Response{ID: req.ID, Error: err.Error()}
+		return
 	}
-	// Core segments between all cores (local CS consults core CSes; in
-	// this in-process infrastructure the registry is that federation).
-	resp.Cores = encode(reg.Core.All())
-	// Down segments terminating at the destination.
-	if !req.Dst.IsZero() {
-		resp.Downs = encode(reg.Down.Get(0, req.Dst))
-	}
+	s.Metrics.Ups.Add(uint64(len(ups)))
+	s.Metrics.Cores.Add(uint64(len(cores)))
+	s.Metrics.Downs.Add(uint64(len(downs)))
 }
 
 // Client queries a control service. It correlates responses by request

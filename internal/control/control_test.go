@@ -2,6 +2,7 @@ package control
 
 import (
 	"crypto/x509"
+	"math"
 	"net/netip"
 	"testing"
 	"time"
@@ -21,9 +22,13 @@ var (
 	leafIA = addr.MustParseIA("71-10")
 )
 
-func key(ia addr.IA) scrypto.HopKey { return scrypto.DeriveHopKey([]byte(ia.String()), 0) }
+// key returns the AS's prepared hop-key CMAC (a 16-byte key cannot fail).
+func key(ia addr.IA) *scrypto.CMAC {
+	m, _ := scrypto.NewHopCMAC(scrypto.DeriveHopKey([]byte(ia.String()), 0))
+	return m
+}
 
-func testRegistry(t *testing.T) *beacon.Registry {
+func testRegistry(t testing.TB) *beacon.Registry {
 	t.Helper()
 	seg1, err := segment.Originate(100, 1, coreIA, 1, leafIA, 5, 63, key(coreIA))
 	if err != nil {
@@ -42,7 +47,7 @@ func testRegistry(t *testing.T) *beacon.Registry {
 	return reg
 }
 
-func startService(t *testing.T, sim *simnet.Sim, ia addr.IA, reg *beacon.Registry, trcs *cppki.Store, issuer *ca.CA) *Service {
+func startService(t testing.TB, sim *simnet.Sim, ia addr.IA, reg *beacon.Registry, trcs *cppki.Store, issuer *ca.CA) *Service {
 	t.Helper()
 	svc := &Service{IA: ia, Registry: func() *beacon.Registry { return reg }, TRCs: trcs, CA: issuer}
 	if err := svc.Start(sim, netip.AddrPort{}); err != nil {
@@ -81,6 +86,81 @@ func TestPathsRequest(t *testing.T) {
 	segs, err := DecodeSegments(got.Ups)
 	if err != nil || len(segs) != 1 || segs[0].LastIA() != leafIA {
 		t.Fatalf("decode: %v %v", segs, err)
+	}
+}
+
+// TestPathsRequestEncodeFailure: a stored segment that cannot be
+// serialized (JSON has no NaN) fails the whole request. Dropping it and
+// answering with the rest — the old behaviour — hands the daemon a
+// partial segment set it would combine and cache as if complete.
+func TestPathsRequestEncodeFailure(t *testing.T) {
+	sim := simnet.NewSim(time.Unix(0, 0))
+	reg := testRegistry(t)
+	bad, err := segment.Originate(100, 2, coreIA, 3, leafIA, math.NaN(), 63, key(coreIA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.Extend(segment.ASEntry{IA: leafIA, Ingress: 4, ExpTime: 63}, key(leafIA)); err != nil {
+		t.Fatal(err)
+	}
+	reg.Down.Insert(bad)
+	svc := startService(t, sim, leafIA, reg, cppki.NewStore(), nil)
+	defer svc.Close()
+	cli, _ := NewClient(sim, svc.Addr(), netip.AddrPort{})
+	defer cli.Close()
+
+	var got *Response
+	cli.Do(&Request{Type: "paths", Dst: leafIA}, func(r *Response, err error) { got = r })
+	sim.RunFor(time.Second)
+	if got == nil || got.Error == "" {
+		t.Fatalf("unencodable segment did not fail the request: %+v", got)
+	}
+	if len(got.Ups)+len(got.Cores)+len(got.Downs) != 0 || got.Gen != 0 {
+		t.Fatalf("failed request still carries segments or a generation: %+v", got)
+	}
+	if n := svc.Metrics.Ups.Load() + svc.Metrics.Downs.Load(); n != 0 {
+		t.Errorf("failed request counted %d served segments", n)
+	}
+}
+
+// TestServiceMetrics: requests are counted by type, a conditional fetch
+// that matches counts as NotModified and serves nothing, and reply bytes
+// accumulate.
+func TestServiceMetrics(t *testing.T) {
+	sim := simnet.NewSim(time.Unix(0, 0))
+	svc := startService(t, sim, leafIA, testRegistry(t), cppki.NewStore(), nil)
+	defer svc.Close()
+	cli, _ := NewClient(sim, svc.Addr(), netip.AddrPort{})
+	defer cli.Close()
+
+	do := func(req *Request) *Response {
+		var got *Response
+		cli.Do(req, func(r *Response, err error) { got = r })
+		sim.RunFor(time.Second)
+		if got == nil {
+			t.Fatalf("no response to %+v", req)
+		}
+		return got
+	}
+	first := do(&Request{Type: "paths", Dst: leafIA})
+	m := svc.Metrics
+	bytesAfterFirst := m.ResponseBytes.Load()
+	if m.Paths.Load() != 1 || m.Ups.Load() != 1 || m.Downs.Load() != 1 || m.Cores.Load() != 0 || bytesAfterFirst == 0 {
+		t.Fatalf("after one lookup: paths=%d ups=%d cores=%d downs=%d bytes=%d",
+			m.Paths.Load(), m.Ups.Load(), m.Cores.Load(), m.Downs.Load(), bytesAfterFirst)
+	}
+	if again := do(&Request{Type: "paths", Dst: leafIA, Gen: first.Gen}); !again.NotModified {
+		t.Fatal("conditional fetch at the current generation not answered NotModified")
+	}
+	if m.Paths.Load() != 2 || m.NotModified.Load() != 1 || m.Ups.Load() != 1 || m.Downs.Load() != 1 {
+		t.Fatalf("after NotModified: paths=%d not_modified=%d ups=%d downs=%d",
+			m.Paths.Load(), m.NotModified.Load(), m.Ups.Load(), m.Downs.Load())
+	}
+	do(&Request{Type: "trc", ISD: 71})
+	do(&Request{Type: "renew"})
+	do(&Request{Type: "bogus"})
+	if m.TRC.Load() != 1 || m.Renew.Load() != 1 || m.Unknown.Load() != 1 || m.ResponseBytes.Load() <= bytesAfterFirst {
+		t.Fatalf("trc=%d renew=%d unknown=%d bytes=%d", m.TRC.Load(), m.Renew.Load(), m.Unknown.Load(), m.ResponseBytes.Load())
 	}
 }
 

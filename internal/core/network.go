@@ -28,7 +28,6 @@ import (
 	"sciera/internal/router"
 	"sciera/internal/scmp"
 	"sciera/internal/scrypto"
-	"sciera/internal/segment"
 	"sciera/internal/simnet"
 	"sciera/internal/telemetry"
 	"sciera/internal/topology"
@@ -247,11 +246,16 @@ func BuildWarm(topo *topology.Topology, transport simnet.Network, opts Options) 
 
 // startControlServices runs one control service per AS on the underlay.
 func (n *Network) startControlServices() error {
+	metrics := &control.Metrics{}
+	if n.telem != nil {
+		metrics.Register(n.telem)
+	}
 	for _, as := range n.Topo.ASes() {
 		svc := &control.Service{
 			IA:       as.IA,
 			Registry: n.Registry,
 			TRCs:     n.trcs,
+			Metrics:  metrics,
 		}
 		if err := svc.Start(n.Transport, n.HostAddr()); err != nil {
 			return err
@@ -672,13 +676,8 @@ func (n *Network) Paths(src, dst addr.IA) []*combinator.Path {
 	}
 	n.pathsMu.Unlock()
 
-	var upSegs []*segment.Segment
-	if upDB != nil {
-		upSegs = upDB.All()
-	}
-	downs := reg.Down.Get(0, dst)
-	cores := reg.Core.All()
-	paths := combinator.Combine(src, dst, upSegs, cores, downs)
+	ups, cores, downs := reg.Lookup(src, dst)
+	paths := combinator.Combine(src, dst, ups, cores, downs)
 
 	n.pathsMu.Lock()
 	if n.pathsReg == reg {

@@ -14,7 +14,7 @@ func cloneSeg(t *testing.T, ts uint32, beta uint16) *segment.Segment {
 	t.Helper()
 	ia1 := mustIA(t, "71-1")
 	ia2 := mustIA(t, "71-2")
-	key := scrypto.DeriveHopKey([]byte("clone-test"), 0)
+	key, _ := scrypto.NewHopCMAC(scrypto.DeriveHopKey([]byte("clone-test"), 0))
 	seg, err := segment.Originate(ts, beta, ia1, 1, ia2, 1.0, 63, key)
 	if err != nil {
 		t.Fatal(err)

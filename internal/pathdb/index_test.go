@@ -15,7 +15,7 @@ import (
 // multi-segment buckets) are common.
 func randSeg(t *testing.T, rng *rand.Rand) *segment.Segment {
 	t.Helper()
-	key := scrypto.DeriveHopKey([]byte("k"), 0)
+	key, _ := scrypto.NewHopCMAC(scrypto.DeriveHopKey([]byte("k"), 0))
 	ia := func() addr.IA {
 		return addr.MustIA(addr.ISD(64+rng.Intn(3)), addr.AS(1+rng.Intn(6)))
 	}
@@ -123,7 +123,7 @@ func TestGetSortedByID(t *testing.T) {
 // wildcard components: they bypass the index but must still be found
 // (merged in ID order) by every query they match.
 func TestWeirdEndpointSegments(t *testing.T) {
-	key := scrypto.DeriveHopKey([]byte("k"), 0)
+	key, _ := scrypto.NewHopCMAC(scrypto.DeriveHopKey([]byte("k"), 0))
 	db := New()
 	w, err := segment.Originate(100, 1, addr.MustIA(71, 0), 1, addr.MustIA(71, 9), 5, 63, key)
 	if err != nil {
@@ -198,7 +198,7 @@ func BenchmarkGetScan(b *testing.B) {
 func benchGet(b *testing.B, get func(*DB, addr.IA, addr.IA) int) {
 	rng := rand.New(rand.NewSource(1))
 	db := New()
-	key := scrypto.DeriveHopKey([]byte("k"), 0)
+	key, _ := scrypto.NewHopCMAC(scrypto.DeriveHopKey([]byte("k"), 0))
 	for i := 0; i < 2000; i++ {
 		from := addr.MustIA(addr.ISD(64+rng.Intn(3)), addr.AS(1+rng.Intn(40)))
 		to := addr.MustIA(addr.ISD(64+rng.Intn(3)), addr.AS(1+rng.Intn(40)))

@@ -17,7 +17,7 @@ var (
 
 func seg(t *testing.T, ts uint32, from, to addr.IA) *segment.Segment {
 	t.Helper()
-	key := scrypto.DeriveHopKey([]byte("k"), 0)
+	key, _ := scrypto.NewHopCMAC(scrypto.DeriveHopKey([]byte("k"), 0))
 	s, err := segment.Originate(ts, 1, from, 1, to, 5, 63, key)
 	if err != nil {
 		t.Fatal(err)

@@ -111,9 +111,12 @@ var (
 )
 
 // Originate creates a new segment at a core AS. egress is the interface
-// the PCB leaves on, next the neighbor it is sent to.
+// the PCB leaves on, next the neighbor it is sent to. mac is the origin
+// AS's prepared hop-key CMAC (scrypto.NewHopCMAC): beaconing computes
+// thousands of hop MACs per AS, so the key schedule is the caller's to
+// pay once.
 func Originate(ts uint32, beta0 uint16, origin addr.IA, egress uint16, next addr.IA,
-	linkLatencyMS float64, expTime uint8, key scrypto.HopKey) (*Segment, error) {
+	linkLatencyMS float64, expTime uint8, mac *scrypto.CMAC) (*Segment, error) {
 	s := &Segment{Timestamp: ts, Beta0: beta0}
 	if err := s.append(ASEntry{
 		IA:            origin,
@@ -121,15 +124,16 @@ func Originate(ts uint32, beta0 uint16, origin addr.IA, egress uint16, next addr
 		Egress:        egress,
 		ExpTime:       expTime,
 		LinkLatencyMS: linkLatencyMS,
-	}, key); err != nil {
+	}, mac); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
 // Extend appends an AS entry; the entry's MAC is computed at the current
-// accumulator. For a terminating entry, leave Egress and Next zero.
-func (s *Segment) Extend(e ASEntry, key scrypto.HopKey) error {
+// accumulator with the extending AS's prepared hop-key CMAC. For a
+// terminating entry, leave Egress and Next zero.
+func (s *Segment) Extend(e ASEntry, mac *scrypto.CMAC) error {
 	if len(s.ASEntries) == 0 {
 		return ErrEmpty
 	}
@@ -141,25 +145,21 @@ func (s *Segment) Extend(e ASEntry, key scrypto.HopKey) error {
 	if e.Ingress == 0 {
 		return fmt.Errorf("%w: non-origin entry needs an ingress interface", ErrBadEntry)
 	}
-	return s.append(e, key)
+	return s.append(e, mac)
 }
 
-func (s *Segment) append(e ASEntry, key scrypto.HopKey) error {
+func (s *Segment) append(e ASEntry, mac *scrypto.CMAC) error {
 	beta, err := s.betaAt(len(s.ASEntries))
 	if err != nil {
 		return err
 	}
-	mac, err := scrypto.ComputeHopMAC(key, scrypto.HopMACInput{
+	e.MAC = scrypto.HopMAC(mac, scrypto.HopMACInput{
 		Beta:        beta,
 		Timestamp:   s.Timestamp,
 		ExpTime:     e.ExpTime,
 		ConsIngress: e.Ingress,
 		ConsEgress:  e.Egress,
 	})
-	if err != nil {
-		return err
-	}
-	e.MAC = mac
 	e.Signature = nil
 	s.ASEntries = append(s.ASEntries, e)
 	return nil

@@ -22,22 +22,28 @@ func keyOf(ia addr.IA) scrypto.HopKey {
 
 func keyFor(ia addr.IA) (scrypto.HopKey, bool) { return keyOf(ia), true }
 
+// macOf returns the AS's prepared hop-key CMAC (a 16-byte key cannot fail).
+func macOf(ia addr.IA) *scrypto.CMAC {
+	m, _ := scrypto.NewHopCMAC(keyOf(ia))
+	return m
+}
+
 // buildSeg constructs core -> mid -> leaf.
 func buildSeg(t *testing.T) *Segment {
 	t.Helper()
-	s, err := Originate(1000, 0x42, coreIA, 1, midIA, 20, 63, keyOf(coreIA))
+	s, err := Originate(1000, 0x42, coreIA, 1, midIA, 20, 63, macOf(coreIA))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Extend(ASEntry{
 		IA: midIA, Next: leafIA, Ingress: 2, Egress: 3,
 		LinkLatencyMS: 10, ExpTime: 63,
-	}, keyOf(midIA)); err != nil {
+	}, macOf(midIA)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Extend(ASEntry{
 		IA: leafIA, Ingress: 4, ExpTime: 63,
-	}, keyOf(leafIA)); err != nil {
+	}, macOf(leafIA)); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -94,20 +100,20 @@ func TestMACVerification(t *testing.T) {
 }
 
 func TestExtendValidation(t *testing.T) {
-	s, err := Originate(1, 1, coreIA, 1, midIA, 5, 63, keyOf(coreIA))
+	s, err := Originate(1, 1, coreIA, 1, midIA, 5, 63, macOf(coreIA))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Wrong AS (previous entry points to midIA).
-	if err := s.Extend(ASEntry{IA: leafIA, Ingress: 1}, keyOf(leafIA)); err == nil {
+	if err := s.Extend(ASEntry{IA: leafIA, Ingress: 1}, macOf(leafIA)); err == nil {
 		t.Error("extension by wrong AS accepted")
 	}
 	// Missing ingress interface.
-	if err := s.Extend(ASEntry{IA: midIA}, keyOf(midIA)); err == nil {
+	if err := s.Extend(ASEntry{IA: midIA}, macOf(midIA)); err == nil {
 		t.Error("extension without ingress accepted")
 	}
 	var empty Segment
-	if err := empty.Extend(ASEntry{IA: midIA, Ingress: 1}, keyOf(midIA)); err == nil {
+	if err := empty.Extend(ASEntry{IA: midIA, Ingress: 1}, macOf(midIA)); err == nil {
 		t.Error("extending empty segment accepted")
 	}
 }
@@ -209,20 +215,20 @@ func TestSignatures(t *testing.T) {
 		return &cppki.Signer{IA: ia, Key: key, Chain: cppki.Chain{AS: cert, CA: caCert}}
 	}
 
-	s, err := Originate(uint32(now.Unix()), 7, coreIA, 1, midIA, 5, 63, keyOf(coreIA))
+	s, err := Originate(uint32(now.Unix()), 7, coreIA, 1, midIA, 5, 63, macOf(coreIA))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SignLast(signerFor(coreIA)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Extend(ASEntry{IA: midIA, Next: leafIA, Ingress: 2, Egress: 3, ExpTime: 63}, keyOf(midIA)); err != nil {
+	if err := s.Extend(ASEntry{IA: midIA, Next: leafIA, Ingress: 2, Egress: 3, ExpTime: 63}, macOf(midIA)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SignLast(signerFor(midIA)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Extend(ASEntry{IA: leafIA, Ingress: 4, ExpTime: 63}, keyOf(leafIA)); err != nil {
+	if err := s.Extend(ASEntry{IA: leafIA, Ingress: 4, ExpTime: 63}, macOf(leafIA)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SignLast(signerFor(leafIA)); err != nil {
@@ -277,10 +283,10 @@ func TestTypeString(t *testing.T) {
 }
 
 func BenchmarkExtend(b *testing.B) {
-	key := keyOf(midIA)
+	key := macOf(midIA)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := Originate(1, 1, coreIA, 1, midIA, 5, 63, keyOf(coreIA))
+		s, err := Originate(1, 1, coreIA, 1, midIA, 5, 63, macOf(coreIA))
 		if err != nil {
 			b.Fatal(err)
 		}

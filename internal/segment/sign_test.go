@@ -45,20 +45,19 @@ func legacySignPayload(s *Segment, i int) ([]byte, error) {
 // that appears in the canonical payload.
 func goldenSegment(t *testing.T) *Segment {
 	t.Helper()
-	key := func(ia addr.IA) scrypto.HopKey { return scrypto.DeriveHopKey([]byte(ia.String()), 0) }
 	a, b, c := addr.MustParseIA("71-1"), addr.MustParseIA("71-2"), addr.MustParseIA("71-2:0:3b")
-	s, err := Originate(500, 7, a, 2, b, 12.5, 63, key(a))
+	s, err := Originate(500, 7, a, 2, b, 12.5, 63, macOf(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Extend(ASEntry{IA: b, Next: c, Ingress: 4, Egress: 9, ExpTime: 63, LinkLatencyMS: 3.25, MTU: 1472}, key(b)); err != nil {
+	if err := s.Extend(ASEntry{IA: b, Next: c, Ingress: 4, Egress: 9, ExpTime: 63, LinkLatencyMS: 3.25, MTU: 1472}, macOf(b)); err != nil {
 		t.Fatal(err)
 	}
 	s.ASEntries[1].Peers = []PeerEntry{{
 		Peer: addr.MustParseIA("71-9"), PeerIf: 3, LocalIf: 8,
 		LinkLatencyMS: 1.5, ExpTime: 63, MAC: [scrypto.HopMACLen]byte{1, 2, 3},
 	}}
-	if err := s.Extend(ASEntry{IA: c, Ingress: 1, ExpTime: 63, MTU: 9000}, key(c)); err != nil {
+	if err := s.Extend(ASEntry{IA: c, Ingress: 1, ExpTime: 63, MTU: 9000}, macOf(c)); err != nil {
 		t.Fatal(err)
 	}
 	// A present signature must be stripped from the payload.
@@ -127,13 +126,12 @@ func signedTestSegment(t testing.TB, entries int) (*Segment, *cppki.Store, time.
 		}
 		return &cppki.Signer{IA: ia, Key: key, Chain: cppki.Chain{AS: cert, CA: caCert}}
 	}
-	key := func(ia addr.IA) scrypto.HopKey { return scrypto.DeriveHopKey([]byte(ia.String()), 0) }
 	ias := make([]addr.IA, entries)
 	ias[0] = core
 	for i := 1; i < entries; i++ {
 		ias[i] = addr.MustParseIA(fmt.Sprintf("71-%d", i+1))
 	}
-	s, err := Originate(uint32(now.Unix()), 7, ias[0], 2, ias[1], 1, 63, key(ias[0]))
+	s, err := Originate(uint32(now.Unix()), 7, ias[0], 2, ias[1], 1, 63, macOf(ias[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +144,7 @@ func signedTestSegment(t testing.TB, entries int) (*Segment, *cppki.Store, time.
 			e.Next = ias[i+1]
 			e.Egress = 2
 		}
-		if err := s.Extend(e, key(ias[i])); err != nil {
+		if err := s.Extend(e, macOf(ias[i])); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.SignLast(signerFor(ias[i])); err != nil {
@@ -192,7 +190,6 @@ func TestVerifierMemoTamper(t *testing.T) {
 func TestCloneForExtendAliasing(t *testing.T) {
 	s := goldenSegment(t)
 	s.ASEntries[0].Signature = nil
-	key := func(ia addr.IA) scrypto.HopKey { return scrypto.DeriveHopKey([]byte(ia.String()), 0) }
 	next1, next2 := addr.MustParseIA("71-100"), addr.MustParseIA("71-101")
 	s.ASEntries[len(s.ASEntries)-1].Next = next1
 
@@ -202,7 +199,7 @@ func TestCloneForExtendAliasing(t *testing.T) {
 	}
 
 	ext1 := s.CloneForExtend()
-	if err := ext1.Extend(ASEntry{IA: next1, Ingress: 5, ExpTime: 63}, key(next1)); err != nil {
+	if err := ext1.Extend(ASEntry{IA: next1, Ingress: 5, ExpTime: 63}, macOf(next1)); err != nil {
 		t.Fatal(err)
 	}
 	tail := &ext1.ASEntries[len(ext1.ASEntries)-1]
@@ -211,7 +208,7 @@ func TestCloneForExtendAliasing(t *testing.T) {
 	// A sibling extension from the same parent gets its own tail slot:
 	// the capacity clamp forces both appends to copy into fresh arrays.
 	ext2 := s.CloneForExtend()
-	if err := ext2.Extend(ASEntry{IA: next1, Next: next2, Ingress: 6, Egress: 7, ExpTime: 63}, key(next1)); err != nil {
+	if err := ext2.Extend(ASEntry{IA: next1, Next: next2, Ingress: 6, Egress: 7, ExpTime: 63}, macOf(next1)); err != nil {
 		t.Fatal(err)
 	}
 

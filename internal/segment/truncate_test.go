@@ -104,11 +104,11 @@ func TestTruncateChainsCompose(t *testing.T) {
 // timestamp and accumulator must keep it, while ID changes.
 func TestRouteIDStableAcrossRebeacon(t *testing.T) {
 	build := func(ts uint32, beta uint16) *Segment {
-		s, err := Originate(ts, beta, coreIA, 1, midIA, 20, 63, keyOf(coreIA))
+		s, err := Originate(ts, beta, coreIA, 1, midIA, 20, 63, macOf(coreIA))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Extend(ASEntry{IA: midIA, Ingress: 2, ExpTime: 63}, keyOf(midIA)); err != nil {
+		if err := s.Extend(ASEntry{IA: midIA, Ingress: 2, ExpTime: 63}, macOf(midIA)); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -122,11 +122,11 @@ func TestRouteIDStableAcrossRebeacon(t *testing.T) {
 		t.Error("ID identical despite different timestamp/accumulator")
 	}
 	// A different interface means a different route.
-	c, err := Originate(1000, 0x42, coreIA, 7, midIA, 20, 63, keyOf(coreIA))
+	c, err := Originate(1000, 0x42, coreIA, 7, midIA, 20, 63, macOf(coreIA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Extend(ASEntry{IA: midIA, Ingress: 2, ExpTime: 63}, keyOf(midIA)); err != nil {
+	if err := c.Extend(ASEntry{IA: midIA, Ingress: 2, ExpTime: 63}, macOf(midIA)); err != nil {
 		t.Fatal(err)
 	}
 	if a.RouteID() == c.RouteID() {
@@ -138,14 +138,14 @@ func TestRouteIDStableAcrossRebeacon(t *testing.T) {
 // truncation invariant holds at every index (testing/quick).
 func TestTruncatePropertyRandomBetas(t *testing.T) {
 	prop := func(beta uint16, ts uint32) bool {
-		s, err := Originate(ts, beta, coreIA, 1, midIA, 20, 63, keyOf(coreIA))
+		s, err := Originate(ts, beta, coreIA, 1, midIA, 20, 63, macOf(coreIA))
 		if err != nil {
 			return false
 		}
-		if err := s.Extend(ASEntry{IA: midIA, Next: leafIA, Ingress: 2, Egress: 3, ExpTime: 63}, keyOf(midIA)); err != nil {
+		if err := s.Extend(ASEntry{IA: midIA, Next: leafIA, Ingress: 2, Egress: 3, ExpTime: 63}, macOf(midIA)); err != nil {
 			return false
 		}
-		if err := s.Extend(ASEntry{IA: leafIA, Ingress: 4, ExpTime: 63}, keyOf(leafIA)); err != nil {
+		if err := s.Extend(ASEntry{IA: leafIA, Ingress: 4, ExpTime: 63}, macOf(leafIA)); err != nil {
 			return false
 		}
 		for i := 0; i < s.Len(); i++ {
