@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check alloc-guard doc-check scenario-check snapshot-check bench-smoke fuzz-smoke verify bench bench-micro bench-campaign bench-signing bench-dataplane bench-load bench-control bench-setup reference reference-pki
+.PHONY: all build test race vet fmt-check alloc-guard doc-check scenario-check snapshot-check bench-smoke fuzz-smoke verify bench bench-compare bench-micro loc reference reference-pki
 
 all: build
 
@@ -82,63 +82,37 @@ snapshot-check:
 bench-smoke:
 	cd bench && $(GO) test ./...
 
-# Native fuzz targets on the control service's untrusted-input boundary
-# (request bytes in, response bytes at the daemon), a few seconds each
-# on top of the checked-in corpus under internal/control/testdata/fuzz.
+# Native fuzz targets, a few seconds each on top of the checked-in
+# corpora under internal/*/testdata/fuzz: the control service's
+# untrusted-input boundary (request bytes in, response bytes at the
+# daemon) and the burst fast-path decode against the full decoder.
 # A failure leaves its reproducer there; `go test` replays it.
 fuzz-smoke:
 	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzServiceHandle$$' -fuzztime 3s
 	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzDecodeSegments$$' -fuzztime 3s
+	$(GO) test ./internal/slayers -run '^$$' -fuzz '^FuzzDecodeSameFlow$$' -fuzztime 3s
 
 verify: build race alloc-guard vet fmt-check doc-check scenario-check snapshot-check bench-smoke fuzz-smoke
 	@echo "verify: OK"
 
-bench: bench-micro bench-campaign bench-signing bench-dataplane bench-load bench-control bench-setup
+# The repo's one benchmark (bench/README.md, BENCHMARK.json): four
+# workloads, end-to-end metrics, simulated output checked against
+# bench/expected. Extra flags: make bench ARGS='--workload forward-chain'.
+bench:
+	$(GO) run -C bench . $(ARGS)
 
-# Replica warm-start: N independent convergences (cold) vs one
-# convergence + N copy-on-write snapshot clones (warm) on a generated
-# 200-AS topology, snapshot-cloned campaigns byte-identity-checked at
-# 1/2/4/8 workers, warm setup speedup gated at >= 5x; refreshes
-# BENCH_setup.json.
-bench-setup:
-	$(GO) run ./cmd/campaignbench -setup -out BENCH_setup.json
+# Noise-aware verdict on two result files written by `make bench` at
+# two commits (bench/README.md, "-compare"); exits non-zero on a
+# regression. Paths are taken relative to the repo root.
+bench-compare:
+	$(GO) run -C bench . -compare $(abspath $(OLD)) $(abspath $(NEW))
 
 bench-micro:
 	$(GO) test -run xxx -bench . -benchmem . ./internal/simnet ./internal/combinator ./internal/segment ./internal/beacon
 
-# Times the full-scale measurement campaign at one worker and at
-# NumCPU workers, checks the figure outputs are byte-identical, and
-# refreshes BENCH_campaign.json.
-bench-campaign:
-	$(GO) run ./cmd/campaignbench -out BENCH_campaign.json
-
-# The signed-control-plane ablation: the full campaign with and without
-# -pki, byte-identity asserted, signed/unsigned wall ratio checked
-# against the 1.3x budget; refreshes BENCH_signing.json.
-bench-signing:
-	$(GO) run ./cmd/campaignbench -signing -workers 1 -out BENCH_signing.json
-
-# Batched data-plane pps at batch=1/8/32 against the single-packet
-# baseline (>= 5x at batch=32 asserted), plus the mixed-burst
-# determinism cross-check at several batch-worker counts; refreshes
-# BENCH_dataplane.json.
-bench-dataplane:
-	$(GO) run ./cmd/dataplanebench -out BENCH_dataplane.json
-
-# The million-endpoint flow-level load run: open-loop traffic holding
-# >100k flows in flight from >2M simulated endpoints, run once per
-# scheduler (binary heap vs calendar queue) with exact workload
-# agreement asserted; refreshes BENCH_load.json.
-bench-load:
-	$(GO) run ./cmd/loadbench -out BENCH_load.json
-
-# Control-plane scale-out on generated 50/100/200-AS topologies:
-# path-lookup latency in scan / indexed / memoized-warm modes (warm
-# must beat the linear-scan baseline by >= 5x at 200 ASes) plus the
-# best-K-vs-unbounded beacon round ablation; refreshes
-# BENCH_control.json.
-bench-control:
-	$(GO) run ./cmd/controlbench -out BENCH_control.json
+# Non-test Go lines outside bench/: the figure deletion PRs quote.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # Regenerates the committed reference run; diff must be empty.
 reference:

@@ -184,16 +184,11 @@ func benchNet(b *testing.B, useDispatcher bool) (*core.Network, *simnet.Sim, add
 // benchNetOpts is benchNet with the telemetry ablation switch exposed
 // (the instrumented-vs-uninstrumented overhead comparison).
 func benchNetOpts(b *testing.B, useDispatcher, noTelemetry bool) (*core.Network, *simnet.Sim, addr.IA, addr.IA) {
-	return benchNetCore(b, core.Options{
+	b.Helper()
+	opts := core.Options{
 		Seed: 1, UseDispatcher: useDispatcher, IntraASDelay: time.Nanosecond,
 		NoTelemetry: noTelemetry,
-	})
-}
-
-// benchNetCore builds the two-AS benchmark data plane with fully
-// caller-chosen network options.
-func benchNetCore(b *testing.B, opts core.Options) (*core.Network, *simnet.Sim, addr.IA, addr.IA) {
-	b.Helper()
+	}
 	topo := topology.New()
 	a := addr.MustParseIA("71-1")
 	z := addr.MustParseIA("71-2")
@@ -343,19 +338,15 @@ func benchForward(b *testing.B, noTelemetry bool) {
 // at each router, which shares one decode/MAC/path verdict across the
 // burst and emits one egress batch. batch=1 degenerates to the
 // per-packet path and is the baseline the batch sizes are judged
-// against (the pps metric); workers>1 additionally fans checksum
-// pre-verification across the strided worker pool.
+// against (the pps metric).
 func BenchmarkRouterForwardingBatch(b *testing.B) {
 	for _, batch := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) { benchForwardBatch(b, batch, 0) })
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) { benchForwardBatch(b, batch) })
 	}
-	b.Run("batch=32/workers=4", func(b *testing.B) { benchForwardBatch(b, 32, 4) })
 }
 
-func benchForwardBatch(b *testing.B, batch, workers int) {
-	n, sim, a, z := benchNetCore(b, core.Options{
-		Seed: 1, IntraASDelay: time.Nanosecond, RouterBatchWorkers: workers,
-	})
+func benchForwardBatch(b *testing.B, batch int) {
+	n, sim, a, z := benchNet(b, false)
 	defer n.Close()
 	sink := 0
 	recv, err := sim.Listen(netip.AddrPortFrom(sim.AllocAddr(), 40000), func([]byte, netip.AddrPort) { sink++ })

@@ -16,8 +16,6 @@
 //	experiments -telemetry-report t.json # digest dump file(s) instead
 //	experiments -all -snapshot s.json    # persist/reuse the converged-state
 //	                                     # snapshot (restart-and-resume)
-//	experiments -all -cold-start         # every worker converges its own
-//	                                     # replica (warm-start ablation)
 //
 // Scenario selection (see docs/scenarios.md):
 //
@@ -55,7 +53,6 @@ func main() {
 		workers  = flag.Int("workers", runtime.NumCPU(), "parallel campaign workers (output is byte-identical for any count)")
 		pki      = flag.Bool("pki", false, "sign and verify the control plane (output is byte-identical, wall time higher)")
 		scen     = flag.String("scenario", "", "scenario to run on: builtin name, gen:<spec>, or file path (default: sciera)")
-		cold     = flag.Bool("cold-start", false, "force every campaign worker to converge independently (warm-start ablation; same bytes out)")
 		snapPath = flag.String("snapshot", "", "persist/reuse the campaign's converged-state snapshot at this path (load if present, else converge once and write)")
 		listScen = flag.Bool("list-scenarios", false, "list builtin scenario names")
 		dumpScen = flag.Bool("scenario-dump", false, "print the resolved, validated scenario as canonical JSON and exit")
@@ -88,7 +85,7 @@ func main() {
 	cfg := experiments.Config{
 		Seed: *seed, Quick: *quick, TelemetryPath: *telem,
 		Workers: *workers, WithPKI: *pki, Scenario: s,
-		ColdStart: *cold, SnapshotPath: *snapPath,
+		SnapshotPath: *snapPath,
 	}
 	switch {
 	case *rep != "":

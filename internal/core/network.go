@@ -82,11 +82,6 @@ type Options struct {
 	// exposition, trace sampling and the per-wire queue probing — the
 	// uninstrumented arm of the overhead ablation.
 	NoTelemetry bool
-	// RouterBatchWorkers fans checksum pre-verification of large ingress
-	// bursts across this many workers in every router. Results are
-	// consumed in arrival order (strided assignment), so any value —
-	// including 0/1, which verify inline — produces byte-identical runs.
-	RouterBatchWorkers int
 }
 
 // Network is a fully assembled SCION network.
@@ -577,7 +572,6 @@ func (n *Network) routerConfig(ia addr.IA) router.Config {
 		Key:           n.keys[ia],
 		Net:           n.Transport,
 		UseDispatcher: n.Opts.UseDispatcher,
-		BatchWorkers:  n.Opts.RouterBatchWorkers,
 		LinkUp: func(ifID uint16) bool {
 			l, ok := n.Topo.LinkAt(topology.LinkEnd{IA: ia, IfID: ifID})
 			return ok && n.Topo.LinkUp(l.ID)

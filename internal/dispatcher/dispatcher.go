@@ -157,7 +157,7 @@ func (d *Dispatcher) handleBatch(pkts [][]byte, from []netip.AddrPort) {
 		for i < len(pkts) && len(pkts[i]) == len(raw) && bytes.Equal(pkts[i][:hl], raw[:hl]) {
 			b := pkts[i]
 			i++
-			if err := proc.pkt.DecodeSameFlow(b, hl, false); err != nil {
+			if err := proc.pkt.DecodeSameFlow(b, hl); err != nil {
 				d.dropUndecodable()
 				continue
 			}

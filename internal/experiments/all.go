@@ -83,28 +83,6 @@ func dispatch(w io.Writer, name string, cfg Config, ds *multiping.Dataset, n *co
 	return nil
 }
 
-// RunCampaignFigures runs the measurement campaign and renders only the
-// figures derived from its dataset (Figures 5-9 and 10a). This is the
-// unit cmd/campaignbench times: the campaign dominates a full run's
-// cost, and its figure output is exactly what must stay byte-identical
-// across worker counts.
-func RunCampaignFigures(w io.Writer, cfg Config) error {
-	s := cfg.scn()
-	ds, n, err := RunCampaign(cfg)
-	if err != nil {
-		return err
-	}
-	defer n.Close()
-	duration, interval, _ := cfg.campaign()
-	Figure5(w, ds)
-	Figure6(w, s, ds)
-	Figure7(w, s, ds)
-	Figure8(w, s, ds)
-	Figure9(w, s, ds, duration, interval)
-	Figure10a(w, ds)
-	return nil
-}
-
 // RunAll executes every experiment, sharing one measurement campaign
 // across the figures that need it.
 func RunAll(w io.Writer, cfg Config) error {

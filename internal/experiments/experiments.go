@@ -50,24 +50,11 @@ type Config struct {
 	// admits, so figure output is byte-identical with or without it —
 	// only wall time changes (the signed-overhead ablation).
 	WithPKI bool
-	// RouterBatchWorkers fans router checksum pre-verification of large
-	// ingress bursts across N workers per router (core.Options
-	// RouterBatchWorkers). Verdicts are consumed in arrival order, so
-	// any value produces byte-identical campaigns — only wall time
-	// changes. 0 or 1 verifies inline.
-	RouterBatchWorkers int
-	// ColdStart forces every campaign worker to converge its own
-	// private replica independently — the pre-snapshot behavior, kept
-	// as the warm-start ablation arm. By default a multi-worker
-	// campaign converges one reference replica, snapshots it, and
-	// constructs all workers by copy-on-write cloning (see shard.go);
-	// both paths are byte-identical.
-	ColdStart bool
 	// SnapshotPath, when set, persists the campaign's converged-state
 	// snapshot: if the file exists it is loaded (restart-and-resume —
 	// no replica converges at all), otherwise the reference replica
 	// converges once and the snapshot is written there. Forces the
-	// warm-start path even at one worker. Ignored with ColdStart.
+	// warm-start path even at one worker.
 	SnapshotPath string
 }
 
@@ -107,10 +94,9 @@ func BuildNetworkOpts(seed int64, withPKI bool) (*core.Network, *simnet.Sim, err
 // is built with; cold builds and warm clones must agree on them.
 func (c Config) netOptions(s *scenario.Scenario) core.Options {
 	return core.Options{
-		Seed:               c.Seed,
-		BestPerOrigin:      s.Campaign.BestPerOrigin,
-		WithPKI:            c.WithPKI,
-		RouterBatchWorkers: c.RouterBatchWorkers,
+		Seed:          c.Seed,
+		BestPerOrigin: s.Campaign.BestPerOrigin,
+		WithPKI:       c.WithPKI,
 	}
 }
 

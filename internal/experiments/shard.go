@@ -60,8 +60,7 @@ type shardResult struct {
 // converges (or a snapshot file loads, with cfg.SnapshotPath), and all
 // workers clone from the snapshot copy-on-write. A single-worker run
 // without a snapshot path converges directly — there is nothing to
-// amortize. cfg.ColdStart forces independent convergence everywhere
-// (the ablation arm); both paths are byte-identical.
+// amortize; both paths are byte-identical.
 func runShardedCampaign(cfg Config, campaignCfg multiping.Config) (*multiping.Dataset, *core.Network, error) {
 	pairs := multiping.AllPairs(campaignCfg.Vantage, campaignCfg.Targets)
 	if len(pairs) == 0 {
@@ -70,7 +69,7 @@ func runShardedCampaign(cfg Config, campaignCfg multiping.Config) (*multiping.Da
 	shards := planShards(pairs, cfg.Workers)
 
 	var snap *core.Snapshot
-	if !cfg.ColdStart && (len(shards) > 1 || cfg.SnapshotPath != "") {
+	if len(shards) > 1 || cfg.SnapshotPath != "" {
 		var err error
 		if snap, err = campaignSnapshot(cfg, pairs); err != nil {
 			return nil, nil, err

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 
 	"sciera/internal/multiping"
@@ -17,7 +20,7 @@ func renderCampaign(t *testing.T, c Config) (*multiping.Dataset, string) {
 	t.Helper()
 	ds, n, err := RunCampaign(c)
 	if err != nil {
-		t.Fatalf("campaign (workers=%d cold=%v snap=%q): %v", c.Workers, c.ColdStart, c.SnapshotPath, err)
+		t.Fatalf("campaign (workers=%d snap=%q): %v", c.Workers, c.SnapshotPath, err)
 	}
 	defer n.Close()
 	duration, interval, _ := c.campaign()
@@ -52,8 +55,9 @@ func sameDataset(t *testing.T, label string, got, want *multiping.Dataset) {
 // and a generated topology, a campaign whose replicas are (a) cloned
 // in-memory from a converged reference, (b) cloned from a snapshot the
 // run just serialized to disk, and (c) cloned from that snapshot file
-// loaded cold (restart-and-resume, nothing converges at all) must all
-// be byte-identical to the fully cold independent-convergence run.
+// loaded cold at 1 and at 8 workers (restart-and-resume, nothing
+// converges at all) must all be byte-identical to the one-worker run
+// that converges directly.
 func TestSnapshotWarmStartByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many quick campaigns")
@@ -74,14 +78,14 @@ func TestSnapshotWarmStartByteIdentical(t *testing.T) {
 			t.Run(tc.name, func(t *testing.T) {
 				base := Config{Seed: seed, Quick: true, Scenario: tc.scn}
 
+				// One worker and no snapshot path converges directly.
 				cold := base
-				cold.ColdStart = true
 				cold.Workers = 1
 				goldenDS, goldenOut := renderCampaign(t, cold)
 
 				// In-memory warm start (the multi-worker default).
 				warm := base
-				warm.Workers = 3
+				warm.Workers = 4
 				ds, out := renderCampaign(t, warm)
 				sameDataset(t, "warm in-memory", ds, goldenDS)
 				if out != goldenOut {
@@ -103,19 +107,49 @@ func TestSnapshotWarmStartByteIdentical(t *testing.T) {
 					t.Fatalf("snapshot file not written: %v", err)
 				}
 
-				// Load: second run finds the file and clones every replica
+				// Load: later runs find the file and clone every replica
 				// from it — no convergence anywhere, still byte-identical.
-				// Single worker on purpose: the snapshot path forces the
-				// warm path even at w=1.
-				loaded := base
-				loaded.Workers = 1
-				loaded.SnapshotPath = snapPath
-				ds, out = renderCampaign(t, loaded)
-				sameDataset(t, "warm load", ds, goldenDS)
-				if out != goldenOut {
-					t.Fatal("snapshot-loading run figures differ from cold golden")
+				// One worker on purpose: the snapshot path forces the warm
+				// path even at w=1.
+				for _, workers := range []int{1, 8} {
+					loaded := base
+					loaded.Workers = workers
+					loaded.SnapshotPath = snapPath
+					ds, out = renderCampaign(t, loaded)
+					sameDataset(t, "warm load", ds, goldenDS)
+					if out != goldenOut {
+						t.Fatalf("snapshot-loading run at %d workers: figures differ from cold golden", workers)
+					}
 				}
 			})
 		}
+	}
+}
+
+// TestCampaignSnapshotStatError pins which stat failure means "no
+// snapshot yet": a path whose parent is a regular file cannot be
+// examined at all (ENOTDIR), so the campaign must stop on that error
+// instead of converging as if the file were merely absent. The
+// scenario cannot build, so a run that went on to converge reports the
+// scenario's error instead.
+func TestCampaignSnapshotStatError(t *testing.T) {
+	parent := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(parent, []byte("x"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Seed: 1, Quick: true,
+		Scenario:     &scenario.Scenario{Links: []scenario.Link{{Name: "l", Type: "no-such-type"}}},
+		SnapshotPath: filepath.Join(parent, "campaign.snapshot.json"),
+	}
+	snap, err := campaignSnapshot(cfg, nil)
+	if snap != nil || !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("campaignSnapshot = (%v, %v), want the ENOTDIR stat error", snap, err)
+	}
+
+	// Plain absence still converges: here that is the build error.
+	cfg.SnapshotPath = filepath.Join(t.TempDir(), "absent.json")
+	if _, err := campaignSnapshot(cfg, nil); err == nil || !strings.Contains(err.Error(), "no-such-type") {
+		t.Fatalf("absent snapshot: err = %v, want the scenario build error", err)
 	}
 }

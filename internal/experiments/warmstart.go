@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 
 	"sciera/internal/addr"
@@ -17,13 +20,6 @@ import (
 // copy-on-write cloning from it. Byte-identity at any worker count is
 // preserved: see the determinism argument in internal/core/snapshot.go
 // and docs/architecture.md.
-
-// BuildReplica constructs one campaign-ready replica the cold way —
-// full independent convergence (the pre-snapshot path). Exported for
-// the setup benchmark's baseline arm and the ColdStart ablation.
-func BuildReplica(cfg Config) (*core.Network, []multiping.IncidentEvent, error) {
-	return buildCampaignNetwork(cfg)
-}
 
 // ConvergeReference converges one reference replica, primes its path
 // combination memo over the given probe pairs, captures the snapshot,
@@ -70,11 +66,17 @@ func CloneReplica(cfg Config, snap *core.Snapshot) (*core.Network, []multiping.I
 // from: loaded from cfg.SnapshotPath when the file exists
 // (restart-and-resume — nothing converges at all), otherwise captured
 // from a freshly converged reference replica and, when a path is set,
-// persisted there for the next run.
+// persisted there for the next run. Only "no such file" takes the
+// converge-and-write branch: a snapshot that exists but cannot be
+// reached is an error, not a reason to reconverge silently.
 func campaignSnapshot(cfg Config, pairs []multiping.ProbePair) (*core.Snapshot, error) {
 	if cfg.SnapshotPath != "" {
-		if _, err := os.Stat(cfg.SnapshotPath); err == nil {
+		_, err := os.Stat(cfg.SnapshotPath)
+		if err == nil {
 			return core.LoadSnapshotFile(cfg.SnapshotPath)
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("experiments: snapshot: %w", err)
 		}
 	}
 	snap, err := ConvergeReference(cfg, pairs)

@@ -169,10 +169,11 @@ func (c *Conn) handleUDP(pkt *slayers.Packet) {
 		c.mu.Unlock()
 	}
 	msg := Message{Payload: append([]byte(nil), pkt.Payload...), From: src}
+	// Close closes recvq under c.mu, so the closed check and the send
+	// must share one critical section; the send never blocks.
 	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	defer c.mu.Unlock()
+	if c.closed {
 		return
 	}
 	select {

@@ -467,3 +467,33 @@ func TestAutoInitPrefersSharedDaemon(t *testing.T) {
 		t.Fatalf("host = %+v", h)
 	}
 }
+
+// TestCloseDuringDelivery closes a socket while the event loop is still
+// delivering to it: the close must neither race with the receive-queue
+// send nor let it hit the closed channel. Meaningful under -race.
+func TestCloseDuringDelivery(t *testing.T) {
+	sim := simnet.NewSim(time.Unix(0, 0))
+	n := buildNet(t, sim, core.Options{Seed: 1})
+	defer n.Close()
+	stop := live(sim)
+	defer stop()
+
+	h := hostIn(t, n, lA)
+	a, _ := h.ListenUDP(0)
+	defer a.Close()
+	for round := 0; round < 50; round++ {
+		b, err := h.ListenUDP(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if _, err := a.WriteTo([]byte("x"), b.LocalAddr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := b.ReadFromTimeout(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		b.Close() // the rest of the burst is still arriving
+	}
+}

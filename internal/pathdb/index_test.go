@@ -84,7 +84,7 @@ func TestIndexedGetMatchesLinearScan(t *testing.T) {
 			for _, first := range queryShapes(pick.FirstIA()) {
 				for _, last := range queryShapes(pick.LastIA()) {
 					got := ids(db.Get(first, last))
-					want := ids(db.GetScan(first, last))
+					want := ids(db.scanLocked(first, last))
 					if len(got) != len(want) {
 						t.Fatalf("seed %d: Get(%v,%v) = %d segs, scan = %d",
 							seed, first, last, len(got), len(want))
@@ -138,7 +138,7 @@ func TestWeirdEndpointSegments(t *testing.T) {
 	db.Insert(seg(t, 100, coreIA, leafIA))
 	for _, q := range [][2]addr.IA{{0, 0}, {addr.MustIA(71, 0), 0}} {
 		got := ids(db.Get(q[0], q[1]))
-		want := ids(db.GetScan(q[0], q[1]))
+		want := ids(db.scanLocked(q[0], q[1]))
 		if len(got) != len(want) {
 			t.Fatalf("Get(%v,%v) = %d, scan = %d", q[0], q[1], len(got), len(want))
 		}
@@ -192,7 +192,7 @@ func BenchmarkGetIndexed(b *testing.B) {
 }
 
 func BenchmarkGetScan(b *testing.B) {
-	benchGet(b, func(db *DB, first, last addr.IA) int { return len(db.GetScan(first, last)) })
+	benchGet(b, func(db *DB, first, last addr.IA) int { return len(db.scanLocked(first, last)) })
 }
 
 func benchGet(b *testing.B, get func(*DB, addr.IA, addr.IA) int) {

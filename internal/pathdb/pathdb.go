@@ -262,17 +262,11 @@ func (db *DB) Get(first, last addr.IA) []*segment.Segment {
 	return out
 }
 
-// GetScan is the linear-scan reference lookup: it filters every stored
-// segment with the same wildcard matching as Get and sorts the result
-// by segment ID. Property tests and the heap-vs-indexed benchmark
-// ablation compare against it; Get itself only takes this path for the
-// one query shape the index does not cover.
-func (db *DB) GetScan(first, last addr.IA) []*segment.Segment {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.scanLocked(first, last)
-}
-
+// scanLocked filters every stored segment with the same wildcard
+// matching as Get and sorts the result by segment ID. Get takes it for
+// the one query shape the index does not cover (AS-only wildcard); the
+// property tests hold the index to it on every shape. Callers hold
+// db.mu.
 func (db *DB) scanLocked(first, last addr.IA) []*segment.Segment {
 	var ids []string
 	for id, s := range db.segs {

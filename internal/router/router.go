@@ -112,14 +112,6 @@ type Config struct {
 	// models one. Consulted only for sampled (traced) packets; nil
 	// reports no queueing.
 	QueueDelay func(from, to netip.AddrPort) time.Duration
-	// BatchWorkers sizes the burst pre-verification pool: the L4
-	// checksums of a delivered burst are verified in parallel, strided
-	// across workers (worker w takes packets w, w+N, w+2N, ...), and the
-	// sequential pipeline then consumes verdict i for packet i in
-	// arrival order — the same strided-determinism trick as the beacon
-	// verify pool, so forwarding output is byte-identical at any worker
-	// count. 0 or 1 verifies inline on the event-loop goroutine.
-	BatchWorkers int
 }
 
 // iface is one external interface: a dedicated underlay socket (as in
@@ -152,11 +144,6 @@ type Router struct {
 	// serialization scratch reused across packets (SNIPPETS exemplar).
 	procs sync.Pool
 
-	// csumCh feeds the strided checksum pre-verification workers (nil
-	// when BatchWorkers <= 1); workerWG tracks their shutdown on Close.
-	csumCh   chan csumJob
-	workerWG sync.WaitGroup
-
 	metrics *Metrics
 	reg     *telemetry.Registry
 	trace   *telemetry.TraceRing
@@ -169,18 +156,15 @@ type Router struct {
 // instance keyed with the AS's hop key, and a scratch buffer for
 // serializing router-originated packets. The batch fields are the
 // burst fast path's reusable scratch: the reference packet's original
-// header image, the coalesced egress burst, per-packet checksum
-// verdicts, and the fan-out WaitGroup.
+// header image and the coalesced egress burst.
 type packetProcessor struct {
 	pkt slayers.Packet
 	mac *scrypto.CMAC
 	buf []byte
 
-	refHdr   []byte
-	wires    [][]byte
-	dests    []netip.AddrPort
-	verdicts []uint8
-	wg       sync.WaitGroup
+	refHdr []byte
+	wires  [][]byte
+	dests  []netip.AddrPort
 }
 
 // New binds the router's internal socket.
@@ -217,13 +201,6 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("router %v: %w", cfg.IA, err)
 	}
 	r.conn = conn
-	if cfg.BatchWorkers > 1 {
-		r.csumCh = make(chan csumJob, cfg.BatchWorkers)
-		for i := 0; i < cfg.BatchWorkers; i++ {
-			r.workerWG.Add(1)
-			go r.csumWorker()
-		}
-	}
 	return r, nil
 }
 
@@ -294,10 +271,10 @@ func (r *Router) InterfaceAddr(ifID uint16) (netip.AddrPort, bool) {
 	return it.conn.LocalAddr(), true
 }
 
-// Close detaches all sockets, clears the interface table and stops the
-// pre-verification workers. It is idempotent — a second Close returns
-// nil — and subsequent AddInterface/ConnectInterface calls fail with
-// ErrClosed, so no new socket can be bound on a dead router.
+// Close detaches all sockets and clears the interface table. It is
+// idempotent — a second Close returns nil — and subsequent
+// AddInterface/ConnectInterface calls fail with ErrClosed, so no new
+// socket can be bound on a dead router.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -305,10 +282,6 @@ func (r *Router) Close() error {
 		return nil
 	}
 	r.closed = true
-	if r.csumCh != nil {
-		close(r.csumCh)
-		r.workerWG.Wait()
-	}
 	for id, it := range r.ifaces {
 		_ = it.conn.Close()
 		delete(r.ifaces, id)
@@ -386,67 +359,6 @@ func (r *Router) emit(d decision) {
 	}
 }
 
-// Checksum verdicts produced by the pre-verification workers.
-const (
-	csumOK uint8 = iota + 1
-	csumBad
-)
-
-// csumJob is one stride of a burst handed to a pre-verification worker:
-// verify packets offset, offset+stride, ... and record verdicts at the
-// packets' own indices, so the consumer can walk them in arrival order.
-type csumJob struct {
-	pkts     [][]byte
-	verdicts []uint8
-	offset   int
-	stride   int
-	wg       *sync.WaitGroup
-}
-
-func (r *Router) csumWorker() {
-	defer r.workerWG.Done()
-	for job := range r.csumCh {
-		for i := job.offset; i < len(job.pkts); i += job.stride {
-			if slayers.VerifyChecksum(job.pkts[i]) == nil {
-				job.verdicts[i] = csumOK
-			} else {
-				job.verdicts[i] = csumBad
-			}
-		}
-		job.wg.Done()
-	}
-}
-
-// minParallelBurst is the burst size below which fanning checksums out
-// to workers costs more than it saves.
-const minParallelBurst = 8
-
-// preverify fans the burst's checksum verification out across the
-// worker pool, strided so verdict i always belongs to packet i
-// regardless of worker count — the sequential pipeline consumes them
-// in arrival order, keeping output byte-identical at any pool size.
-// Returns nil when verification should happen inline (no pool, or the
-// burst is too small to amortize the fan-out).
-func (r *Router) preverify(proc *packetProcessor, pkts [][]byte) []uint8 {
-	if r.csumCh == nil || len(pkts) < minParallelBurst {
-		return nil
-	}
-	if cap(proc.verdicts) < len(pkts) {
-		proc.verdicts = make([]uint8, len(pkts))
-	}
-	verdicts := proc.verdicts[:len(pkts)]
-	w := r.cfg.BatchWorkers
-	if w > len(pkts) {
-		w = len(pkts)
-	}
-	proc.wg.Add(w)
-	for s := 0; s < w; s++ {
-		r.csumCh <- csumJob{pkts: pkts, verdicts: verdicts, offset: s, stride: w, wg: &proc.wg}
-	}
-	proc.wg.Wait()
-	return verdicts
-}
-
 // handleBatch processes one delivered burst. Every buffer is owned by
 // this call for its duration (simnet.BatchHandler contract): the fast
 // path patches packets in place and sends them onward before returning.
@@ -466,7 +378,6 @@ func (r *Router) handleBatch(pkts [][]byte, inIf uint16, origin originKind) {
 	r.metrics.Received.Add(uint64(len(pkts)))
 	proc := r.procs.Get().(*packetProcessor)
 	defer r.procs.Put(proc)
-	verdicts := r.preverify(proc, pkts)
 
 	i := 0
 	for i < len(pkts) {
@@ -493,7 +404,7 @@ func (r *Router) handleBatch(pkts [][]byte, inIf uint16, origin originKind) {
 			i++
 			continue
 		}
-		i = r.runBurst(proc, pkts, i, hl, d, verdicts, inIf)
+		i = r.runBurst(proc, pkts, i, hl, d, inIf)
 	}
 }
 
@@ -504,7 +415,7 @@ func (r *Router) handleBatch(pkts [][]byte, inIf uint16, origin originKind) {
 // was patched in place), which is copied over each follower so the
 // whole run leaves with identical path state, exactly as per-packet
 // processing would have produced.
-func (r *Router) runBurst(proc *packetProcessor, pkts [][]byte, lead, hl int, d decision, verdicts []uint8, inIf uint16) int {
+func (r *Router) runBurst(proc *packetProcessor, pkts [][]byte, lead, hl int, d decision, inIf uint16) int {
 	leader := pkts[lead]
 	patched := leader[:hl]
 	conn := r.conn
@@ -522,21 +433,9 @@ func (r *Router) runBurst(proc *packetProcessor, pkts [][]byte, lead, hl int, d 
 		if len(b) != len(leader) || !bytes.Equal(b[:hl], proc.refHdr) {
 			break
 		}
-		verified := false
-		if verdicts != nil {
-			if verdicts[j] == csumBad {
-				// Same accounting as the Decode failure this would be on
-				// the per-packet path.
-				r.metrics.ParseFailures.Add(1)
-				if r.trace.Sample() {
-					r.tracePacket(telemetry.VerdictParseErr, inIf, 0, 0, 0)
-				}
-				j++
-				continue
-			}
-			verified = true
-		}
-		if err := proc.pkt.DecodeSameFlow(b, hl, verified); err != nil {
+		if err := proc.pkt.DecodeSameFlow(b, hl); err != nil {
+			// Same accounting as the Decode failure this would be on
+			// the per-packet path.
 			r.metrics.ParseFailures.Add(1)
 			if r.trace.Sample() {
 				r.tracePacket(telemetry.VerdictParseErr, inIf, 0, 0, 0)

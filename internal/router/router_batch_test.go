@@ -40,18 +40,6 @@ func TestRouterLifecycle(t *testing.T) {
 	if err := r.ConnectInterface(1, netip.MustParseAddrPort("10.0.0.1:1")); !errors.Is(err, ErrClosed) {
 		t.Errorf("ConnectInterface after Close = %v, want ErrClosed", err)
 	}
-	// A router with a worker pool shuts it down on Close without hanging
-	// or panicking, and stays just as closed.
-	rw, err := New(Config{IA: asB, Key: key(asB), Net: sim, BatchWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rw.Close(); err != nil {
-		t.Fatalf("second Close with workers = %v, want nil", err)
-	}
 }
 
 // TestSCMPErrorQuotingSCMPRoutedToApp covers the localPort branch where
@@ -335,19 +323,20 @@ func TestAlertBurstAnswersEachProbe(t *testing.T) {
 	}
 }
 
-// burstCampaign pushes one deterministic 40-packet mixed burst (two
-// flow shapes, several corrupted checksums, one undecodable runt)
-// through an A->B pair configured with the given pre-verification
-// worker count, and returns a transcript of everything the far-side
+// burstCampaign pushes 40 deterministic mixed packets (three sizes,
+// every seventh with a corrupted checksum, one undecodable runt at the
+// tail) through an A->B pair — as one SendBatch, or one Send at a time
+// with the simulator drained in between so no two ever share a
+// delivery — and returns a transcript of everything the far-side
 // application observed plus the routers' counters.
-func burstCampaign(t *testing.T, workers int) string {
+func burstCampaign(t *testing.T, batched bool) string {
 	t.Helper()
 	sim := simnet.NewSim(time.Unix(0, 0))
-	ra, err := New(Config{IA: asA, Key: key(asA), Net: sim, BatchWorkers: workers})
+	ra, err := New(Config{IA: asA, Key: key(asA), Net: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := New(Config{IA: asB, Key: key(asB), Net: sim, BatchWorkers: workers})
+	rb, err := New(Config{IA: asB, Key: key(asB), Net: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,9 +381,14 @@ func burstCampaign(t *testing.T, workers int) string {
 	pkts := make([][]byte, n)
 	dests := make([]netip.AddrPort, n)
 	for i := 0; i < n; i++ {
+		// Runs of two and three same-size packets; a different
+		// TotalLen breaks a run.
 		plen := 64
-		if i%3 == 2 {
-			plen = 200 // second flow shape: different TotalLen breaks the run
+		switch {
+		case i%5 == 4:
+			plen = 1200
+		case i%3 == 2:
+			plen = 200
 		}
 		raw := mk(i, plen)
 		if i%7 == 0 {
@@ -404,10 +398,19 @@ func burstCampaign(t *testing.T, workers int) string {
 		dests[i] = ra.LocalAddr()
 	}
 	pkts[n-1] = []byte("runt") // undecodable tail
-	if err := src.SendBatch(pkts, dests); err != nil {
-		t.Fatal(err)
+	if batched {
+		if err := src.SendBatch(pkts, dests); err != nil {
+			t.Fatal(err)
+		}
+		sim.Run()
+	} else {
+		for i, pkt := range pkts {
+			if err := src.Send(pkt, dests[i]); err != nil {
+				t.Fatal(err)
+			}
+			sim.Run()
+		}
 	}
-	sim.Run()
 	_ = recv
 	fmt.Fprintf(&log, "A: fwd=%d parse=%d recv=%d\n",
 		ra.Metrics().Forwarded.Load(), ra.Metrics().ParseFailures.Load(), ra.Metrics().Received.Load())
@@ -416,19 +419,25 @@ func burstCampaign(t *testing.T, workers int) string {
 	return log.String()
 }
 
-// TestBatchWorkerCountDeterminism is the strided-determinism guarantee
-// for the data plane: the far-side application must observe the exact
-// same bytes in the exact same order — and the routers the same
-// counters — whether checksum pre-verification runs inline or fanned
-// out across any number of workers.
-func TestBatchWorkerCountDeterminism(t *testing.T) {
-	ref := burstCampaign(t, 0)
-	if !strings.Contains(ref, "fwd=") || len(strings.Split(ref, "\n")) < 10 {
-		t.Fatalf("reference campaign too small:\n%s", ref)
+// TestMixedBurstMatchesSingles holds the burst fast path to the
+// per-packet pipeline: one SendBatch of the mixed burst and the same
+// packets sent one at a time must give the far-side application the
+// exact same bytes in the exact same order, and both routers the same
+// counters.
+func TestMixedBurstMatchesSingles(t *testing.T) {
+	singles := strings.Split(burstCampaign(t, false), "\n")
+	// 6 corrupted checksums and the runt fail at A; B sees the rest.
+	if n := len(singles); n != 36 || singles[n-3] != "A: fwd=33 parse=7 recv=40" ||
+		singles[n-2] != "B: del=33 parse=0 recv=33" {
+		t.Fatalf("per-packet reference is not the expected mix: %d lines, counters %q", n, singles[len(singles)-3:])
 	}
-	for _, workers := range []int{2, 3, 8} {
-		if got := burstCampaign(t, workers); got != ref {
-			t.Errorf("workers=%d diverged:\n--- inline ---\n%s--- workers ---\n%s", workers, ref, got)
+	burst := strings.Split(burstCampaign(t, true), "\n")
+	if len(burst) != len(singles) {
+		t.Fatalf("burst transcript has %d lines, singles %d; counters %q", len(burst), len(singles), burst[len(burst)-3:])
+	}
+	for i := range singles {
+		if burst[i] != singles[i] {
+			t.Fatalf("line %d diverged:\n singles: %.160s\n burst:   %.160s", i, singles[i], burst[i])
 		}
 	}
 }

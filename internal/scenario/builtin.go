@@ -74,8 +74,8 @@ func init() {
 	Register("loadbench", loadbenchScenario)
 }
 
-// loadbenchScenario is the two-AS core pair cmd/loadbench historically
-// hard-coded: a single 1 ms circuit carrying the million-endpoint
+// loadbenchScenario is the two-AS core pair the bench/ load-flows
+// workload runs on: a single 1 ms circuit carrying the million-endpoint
 // open-loop workload in both directions.
 func loadbenchScenario() (*Scenario, error) {
 	iaA := addr.MustParseIA("71-1")

@@ -10,9 +10,9 @@
 // internal/sciera), scenario JSON files on disk, and the seeded
 // deterministic generator for synthetic multi-ISD topologies of
 // hundreds of ASes (generate.go). Every consumer — the experiment
-// suite, cmd/experiments, cmd/loadbench, cmd/multiping — runs unchanged
-// on any validated scenario, which is what turns the single paper
-// reproduction into a benchmark suite.
+// suite, cmd/experiments, cmd/multiping, the bench/ workloads — runs
+// unchanged on any validated scenario, which is what turns the single
+// paper reproduction into a benchmark suite.
 package scenario
 
 import (
@@ -234,7 +234,7 @@ type TrafficPair struct {
 	Dst addr.IA `json:"dst"`
 }
 
-// Traffic parameterizes the flow-level traffic engine (cmd/loadbench).
+// Traffic parameterizes the flow-level traffic engine (internal/traffic).
 type Traffic struct {
 	Pairs              []TrafficPair `json:"pairs"`
 	EndpointsPerSource int           `json:"endpoints_per_source"`

@@ -140,8 +140,8 @@ func Scenario() (*scenario.Scenario, error) {
 	}
 
 	// A modest open-loop load between the Amsterdam and Daejeon cores,
-	// so the traffic engine (cmd/loadbench -scenario sciera) has a
-	// workload to replay on the real deployment topology.
+	// so the traffic engine has a workload to replay on the real
+	// deployment topology.
 	s.Traffic = &scenario.Traffic{
 		Pairs: []scenario.TrafficPair{
 			{Src: ia("71-2:0:3e"), Dst: ia("71-2:0:3b")},

@@ -5,12 +5,10 @@ import (
 )
 
 // scheduler is the pending-event priority queue behind a Sim. Delivery
-// order is defined by (at, seq) alone — see eventQueue.Less — and every
-// implementation must realize exactly that order, so the choice of
-// scheduler can never change what a simulation observes, only how fast
-// it runs. The Sim routes every event operation through this interface;
-// nothing outside this file may touch the underlying containers
-// directly (that coupling is what used to make the heap irreplaceable).
+// order is defined by (at, seq) alone — see eventQueue.Less. The Sim
+// runs on the calendar queue; the interface exists so the tests can put
+// the binary-heap oracle (sched_test.go) behind the same Sim and require
+// the identical delivery transcript.
 type scheduler interface {
 	// Push inserts a pending event.
 	Push(e *event)
@@ -27,74 +25,6 @@ type scheduler interface {
 	// Len reports the number of pending events.
 	Len() int
 }
-
-// SchedulerKind selects a Sim's pending-event queue implementation.
-type SchedulerKind int
-
-const (
-	// SchedulerCalendar is the default: a calendar queue (bucketed
-	// time wheel) with O(1) amortized push/pop, falling back to a
-	// binary heap for events beyond the wheel's horizon. It keeps
-	// millions of pending events cheap — the regime the flow-level
-	// traffic engine operates in.
-	SchedulerCalendar SchedulerKind = iota
-	// SchedulerHeap is the classic binary heap: O(log n) push/pop.
-	// Kept as the ablation baseline and the reference implementation
-	// the calendar queue is property-tested against.
-	SchedulerHeap
-)
-
-func (k SchedulerKind) String() string {
-	switch k {
-	case SchedulerCalendar:
-		return "calendar"
-	case SchedulerHeap:
-		return "heap"
-	default:
-		return "scheduler(?)"
-	}
-}
-
-func newScheduler(kind SchedulerKind) scheduler {
-	if kind == SchedulerHeap {
-		return &heapScheduler{}
-	}
-	return newCalendarScheduler()
-}
-
-// heapScheduler wraps the container/heap eventQueue behind the
-// scheduler interface.
-type heapScheduler struct {
-	q eventQueue
-}
-
-func (h *heapScheduler) Push(e *event) {
-	heap.Push(&h.q, e)
-}
-
-func (h *heapScheduler) Pop() *event {
-	if len(h.q) == 0 {
-		return nil
-	}
-	return heap.Pop(&h.q).(*event)
-}
-
-func (h *heapScheduler) Peek() *event {
-	if len(h.q) == 0 {
-		return nil
-	}
-	return h.q[0]
-}
-
-func (h *heapScheduler) Remove(e *event) bool {
-	if e.idx < 0 || e.idx >= len(h.q) || h.q[e.idx] != e {
-		return false
-	}
-	heap.Remove(&h.q, e.idx)
-	return true
-}
-
-func (h *heapScheduler) Len() int { return len(h.q) }
 
 // calendarScheduler is a calendar queue (Brown 1988): a circular array
 // of time buckets, each `width` nanoseconds wide, holding the events of

@@ -1,12 +1,49 @@
 package simnet
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
 )
+
+// heapScheduler is the classic binary heap behind the scheduler
+// interface: O(log n) push/pop over the same eventQueue the calendar
+// queue overflows into. It is the reference the calendar queue is
+// checked against, at the queue level and under a whole Sim.
+type heapScheduler struct {
+	q eventQueue
+}
+
+func (h *heapScheduler) Push(e *event) {
+	heap.Push(&h.q, e)
+}
+
+func (h *heapScheduler) Pop() *event {
+	if len(h.q) == 0 {
+		return nil
+	}
+	return heap.Pop(&h.q).(*event)
+}
+
+func (h *heapScheduler) Peek() *event {
+	if len(h.q) == 0 {
+		return nil
+	}
+	return h.q[0]
+}
+
+func (h *heapScheduler) Remove(e *event) bool {
+	if e.idx < 0 || e.idx >= len(h.q) || h.q[e.idx] != e {
+		return false
+	}
+	heap.Remove(&h.q, e.idx)
+	return true
+}
+
+func (h *heapScheduler) Len() int { return len(h.q) }
 
 // TestSchedulerEquivalence property-checks the calendar queue against
 // the binary heap at the scheduler level: the same randomized (seeded)
@@ -19,8 +56,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			hp := newScheduler(SchedulerHeap)
-			cal := newScheduler(SchedulerCalendar)
+			var hp, cal scheduler = &heapScheduler{}, newCalendarScheduler()
 
 			base := time.Unix(0, 0)
 			var seq uint64
@@ -123,11 +159,12 @@ func TestSchedulerEquivalence(t *testing.T) {
 
 // simTranscript runs a small but adversarial network workload — mixed
 // unicast/burst sends over a jittery latency function, rescheduling
-// timers, mid-run cancels — on the given scheduler and returns the
-// full delivery transcript.
-func simTranscript(t *testing.T, kind SchedulerKind) []string {
+// timers, mid-run cancels — on a Sim over the given scheduler and
+// returns the full delivery transcript.
+func simTranscript(t *testing.T, events scheduler) []string {
 	t.Helper()
-	s := NewSimWithScheduler(time.Unix(0, 0), kind)
+	s := NewSim(time.Unix(0, 0))
+	s.events = events
 	// Deterministic pseudo-latency: spreads deliveries over microseconds
 	// to days, with duplicates (same delay for every 5th size).
 	s.Latency = func(from, to netip.AddrPort, size int, now time.Time) (time.Duration, bool) {
@@ -195,8 +232,8 @@ func simTranscript(t *testing.T, kind SchedulerKind) []string {
 // delivery transcripts (payloads, senders, virtual timestamps, timer
 // interleavings).
 func TestSimSchedulerEquivalence(t *testing.T) {
-	hp := simTranscript(t, SchedulerHeap)
-	cal := simTranscript(t, SchedulerCalendar)
+	hp := simTranscript(t, &heapScheduler{})
+	cal := simTranscript(t, newCalendarScheduler())
 	if len(hp) != len(cal) {
 		t.Fatalf("transcript lengths differ: heap=%d calendar=%d", len(hp), len(cal))
 	}
@@ -253,10 +290,16 @@ func TestCalendarSchedulerZeroAlloc(t *testing.T) {
 // ablation behind the calendar queue: the heap's log(n) shows as a
 // rising per-op cost, the calendar queue's stays flat.
 func BenchmarkSchedulerChurn(b *testing.B) {
-	for _, kind := range []SchedulerKind{SchedulerHeap, SchedulerCalendar} {
+	for _, kind := range []struct {
+		name string
+		new  func() scheduler
+	}{
+		{"heap", func() scheduler { return &heapScheduler{} }},
+		{"calendar", func() scheduler { return newCalendarScheduler() }},
+	} {
 		for _, population := range []int{1024, 65536, 1048576} {
-			b.Run(fmt.Sprintf("%v/pending=%d", kind, population), func(b *testing.B) {
-				s := newScheduler(kind)
+			b.Run(fmt.Sprintf("%v/pending=%d", kind.name, population), func(b *testing.B) {
+				s := kind.new()
 				base := time.Unix(0, 0)
 				rng := rand.New(rand.NewSource(1))
 				var seq uint64

@@ -38,10 +38,8 @@ type Sim struct {
 	Latency LatencyFunc
 
 	mu sync.Mutex
-	// events is the pending-event queue. Every push, pop, peek and
-	// cancel goes through the scheduler interface so the binary heap
-	// and the calendar queue are interchangeable — both realize the
-	// identical (at, seq) delivery order.
+	// events is the pending-event queue: the calendar queue, behind
+	// the scheduler interface so the tests can substitute the heap.
 	events scheduler
 	// peakPending is the high-water mark of pending events, the load
 	// metric the calendar queue exists to keep cheap; processed counts
@@ -79,21 +77,11 @@ type binding struct {
 	bh BatchHandler
 }
 
-// NewSim creates a simulator starting at the given time, using the
-// default calendar-queue scheduler (see SchedulerKind).
+// NewSim creates a simulator starting at the given time.
 func NewSim(start time.Time) *Sim {
-	return NewSimWithScheduler(start, SchedulerCalendar)
-}
-
-// NewSimWithScheduler creates a simulator with an explicit pending-event
-// queue implementation. The choice never affects what a simulation
-// observes — both schedulers realize the identical (at, seq) order,
-// property-tested in TestSchedulerEquivalence — only how fast large
-// event populations are handled.
-func NewSimWithScheduler(start time.Time, kind SchedulerKind) *Sim {
 	return &Sim{
 		now:      start,
-		events:   newScheduler(kind),
+		events:   newCalendarScheduler(),
 		handlers: make(map[netip.AddrPort]binding),
 		nextHost: 1,
 		nextPort: make(map[netip.Addr]uint16),
@@ -645,8 +633,8 @@ func (s *Sim) PeakPending() int {
 }
 
 // ProcessedEvents reports the number of events executed so far —
-// combined with wall time it yields the scheduler's events/sec, the
-// load benchmark's ablation metric.
+// combined with wall time it yields the scheduler's events/sec
+// (bench/'s simnet.events_per_s).
 func (s *Sim) ProcessedEvents() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,7 +2,6 @@ package slayers
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 )
 
@@ -14,57 +13,11 @@ func scmpEchoPacket() *Packet {
 	return p
 }
 
-// TestVerifyChecksumMatchesDecode verifies the raw-bytes checksum check
-// agrees with the full decoder: valid packets pass, any flipped payload
-// or address bit fails, and malformed length fields are rejected before
-// the fold.
-func TestVerifyChecksumMatchesDecode(t *testing.T) {
-	for _, mk := range []func() *Packet{udpPacket, scmpEchoPacket} {
-		p := mk()
-		raw, err := p.Serialize(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := VerifyChecksum(raw); err != nil {
-			t.Fatalf("valid packet rejected: %v", err)
-		}
-		// Flip one payload bit: decode and VerifyChecksum must agree.
-		bad := append([]byte(nil), raw...)
-		bad[len(bad)-1] ^= 0x01
-		var q Packet
-		if VerifyChecksum(bad) == nil {
-			t.Error("corrupted payload passed VerifyChecksum")
-		}
-		if q.Decode(bad) == nil {
-			t.Error("corrupted payload passed Decode")
-		}
-		// Flip an address byte: the pseudo-header must cover it.
-		bad = append(bad[:0], raw...)
-		bad[30] ^= 0x01 // inside DstHost
-		if VerifyChecksum(bad) == nil {
-			t.Error("redirected packet passed VerifyChecksum")
-		}
-	}
-	if err := VerifyChecksum(make([]byte, 10)); !errors.Is(err, ErrTruncated) {
-		t.Errorf("short buffer: %v, want ErrTruncated", err)
-	}
-	p := udpPacket()
-	raw, _ := p.Serialize(nil)
-	if err := VerifyChecksum(raw[:len(raw)-4]); !errors.Is(err, ErrBadLength) {
-		t.Errorf("inconsistent TotalLen: %v, want ErrBadLength", err)
-	}
-	raw2 := append([]byte(nil), raw...)
-	raw2[2] = 99 // unknown NextHdr
-	if err := VerifyChecksum(raw2); !errors.Is(err, ErrUnknownProto) {
-		t.Errorf("unknown proto: %v, want ErrUnknownProto", err)
-	}
-}
-
 // TestDecodeSameFlowMatchesDecode verifies the burst fast-path decode:
 // after a full Decode of a reference packet, DecodeSameFlow on a
 // same-header sibling must yield exactly the L4 view a full Decode
 // would — for UDP and SCMP flows alike — including rejecting a
-// corrupted checksum unless the caller pre-verified it.
+// corrupted checksum.
 func TestDecodeSameFlowMatchesDecode(t *testing.T) {
 	ref := udpPacket()
 	rawRef, err := ref.Serialize(nil)
@@ -89,7 +42,7 @@ func TestDecodeSameFlowMatchesDecode(t *testing.T) {
 	if !bytes.Equal(rawRef[:hl], rawSib[:hl]) {
 		t.Fatal("test setup: sibling header image differs")
 	}
-	if err := p.DecodeSameFlow(rawSib, hl, false); err != nil {
+	if err := p.DecodeSameFlow(rawSib, hl); err != nil {
 		t.Fatal(err)
 	}
 	var full Packet
@@ -103,18 +56,10 @@ func TestDecodeSameFlowMatchesDecode(t *testing.T) {
 		t.Errorf("payload = %q, want %q", p.Payload, full.Payload)
 	}
 
-	// Corrupted sibling: caught unless pre-verified (the pre-verifier is
-	// then responsible — VerifyChecksum catches the same corruption).
 	bad := append([]byte(nil), rawSib...)
 	bad[len(bad)-2] ^= 0x40
-	if err := p.DecodeSameFlow(bad, hl, false); err == nil {
+	if err := p.DecodeSameFlow(bad, hl); err == nil {
 		t.Error("corrupted sibling passed DecodeSameFlow")
-	}
-	if err := VerifyChecksum(bad); err == nil {
-		t.Error("corrupted sibling passed VerifyChecksum")
-	}
-	if err := p.DecodeSameFlow(bad, hl, true); err != nil {
-		t.Errorf("csumVerified decode failed: %v", err)
 	}
 
 	// SCMP flow: echo siblings share the header; identifiers differ.
@@ -129,7 +74,7 @@ func TestDecodeSameFlowMatchesDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	hlS := CmnHdrLen + q.Hdr.Path.Len()
-	if err := q.DecodeSameFlow(rawSibS, hlS, false); err != nil {
+	if err := q.DecodeSameFlow(rawSibS, hlS); err != nil {
 		t.Fatal(err)
 	}
 	if q.SCMP == nil || q.SCMP.Identifier != 40002 || q.SCMP.SeqNo != 9 {

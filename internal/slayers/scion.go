@@ -329,45 +329,6 @@ func (p *Packet) Decode(b []byte) error {
 	return nil
 }
 
-// VerifyChecksum validates the L4 checksum of a serialized packet
-// straight from the wire bytes, without decoding anything. It performs
-// the same shape checks Decode would (length-field consistency, known
-// L4 protocol) and then folds the pseudo-header directly from the raw
-// header bytes. It is safe to call concurrently on distinct buffers —
-// the router's burst pre-verification fans it out across workers while
-// the decoded header state stays with the sequential pipeline.
-func VerifyChecksum(b []byte) error {
-	if len(b) < CmnHdrLen {
-		return ErrTruncated
-	}
-	if b[0] != Version {
-		return fmt.Errorf("%w: %d", ErrBadVersion, b[0])
-	}
-	totalLen := int(binary.BigEndian.Uint16(b[4:6]))
-	hdrLen := int(binary.BigEndian.Uint16(b[6:8]))
-	if hdrLen < CmnHdrLen || hdrLen > totalLen || totalLen != len(b) {
-		return fmt.Errorf("%w: hdr=%d total=%d buf=%d", ErrBadLength, hdrLen, totalLen, len(b))
-	}
-	proto := b[2]
-	if proto != ProtoUDP && proto != ProtoSCMP {
-		return fmt.Errorf("%w: %d", ErrUnknownProto, proto)
-	}
-	l4 := b[hdrLen:totalLen]
-	// The pseudo-header from raw bytes: wire order is DstIA, SrcIA,
-	// DstHost, SrcHost; the pseudo-header wants Src before Dst.
-	var ph [52]byte
-	copy(ph[0:8], b[16:24])
-	copy(ph[8:16], b[8:16])
-	copy(ph[16:32], b[40:56])
-	copy(ph[32:48], b[24:40])
-	binary.BigEndian.PutUint16(ph[48:50], uint16(len(l4)))
-	ph[51] = proto
-	if got := checksum(ph, l4); got != 0 {
-		return fmt.Errorf("slayers: checksum mismatch (%#04x)", got)
-	}
-	return nil
-}
-
 // DecodeSameFlow decodes only the L4 section of b into p, reusing the
 // header state already in p from a previous full Decode of a packet
 // with a byte-identical header image. The caller guarantees (typically
@@ -376,11 +337,8 @@ func VerifyChecksum(b []byte) error {
 // received and that len(b) equals its total length; the addresses and
 // NextHdr in p.Hdr are then valid for b too and feed the checksum
 // pseudo-header, while the path state is not consulted at all (it may
-// have advanced past the reference decode). With csumVerified set the
-// checksum is skipped — the router's batch path pre-verifies a burst's
-// checksums in parallel with VerifyChecksum before consuming verdicts
-// in order.
-func (p *Packet) DecodeSameFlow(b []byte, hdrLen int, csumVerified bool) error {
+// have advanced past the reference decode).
+func (p *Packet) DecodeSameFlow(b []byte, hdrLen int) error {
 	if hdrLen < CmnHdrLen || hdrLen > len(b) {
 		return ErrTruncated
 	}
@@ -391,14 +349,12 @@ func (p *Packet) DecodeSameFlow(b []byte, hdrLen int, csumVerified bool) error {
 		if len(l4) < udpHdrLen {
 			return ErrTruncated
 		}
-		if !csumVerified {
-			if !p.phValid {
-				p.phScratch = pseudoHeader(&p.Hdr, ProtoUDP, len(l4))
-				p.phSum, p.phValid = sum16(p.phScratch[:], 0), true
-			}
-			if got := foldChecksum(sum16(l4, p.phSum)); got != 0 {
-				return fmt.Errorf("slayers: UDP checksum mismatch (%#04x)", got)
-			}
+		if !p.phValid {
+			p.phScratch = pseudoHeader(&p.Hdr, ProtoUDP, len(l4))
+			p.phSum, p.phValid = sum16(p.phScratch[:], 0), true
+		}
+		if got := foldChecksum(sum16(l4, p.phSum)); got != 0 {
+			return fmt.Errorf("slayers: UDP checksum mismatch (%#04x)", got)
 		}
 		p.udpScratch.SrcPort = binary.BigEndian.Uint16(l4[0:2])
 		p.udpScratch.DstPort = binary.BigEndian.Uint16(l4[2:4])
@@ -408,14 +364,12 @@ func (p *Packet) DecodeSameFlow(b []byte, hdrLen int, csumVerified bool) error {
 		p.UDP = &p.udpScratch
 		p.Payload = l4[udpHdrLen:]
 	case ProtoSCMP:
-		if !csumVerified {
-			if !p.phValid {
-				p.phScratch = pseudoHeader(&p.Hdr, ProtoSCMP, len(l4))
-				p.phSum, p.phValid = sum16(p.phScratch[:], 0), true
-			}
-			if got := foldChecksum(sum16(l4, p.phSum)); got != 0 {
-				return fmt.Errorf("slayers: SCMP checksum mismatch (%#04x)", got)
-			}
+		if !p.phValid {
+			p.phScratch = pseudoHeader(&p.Hdr, ProtoSCMP, len(l4))
+			p.phSum, p.phValid = sum16(p.phScratch[:], 0), true
+		}
+		if got := foldChecksum(sum16(l4, p.phSum)); got != 0 {
+			return fmt.Errorf("slayers: SCMP checksum mismatch (%#04x)", got)
 		}
 		n, err := p.scmpScratch.decodeFrom(l4)
 		if err != nil {

@@ -87,7 +87,8 @@ func TestPatchSeqMatchesReserialize(t *testing.T) {
 		if !bytes.Equal(patched, direct) {
 			t.Fatalf("trial %d: patched serialization differs from direct (seq %d -> %d)", trial, seq0, seq1)
 		}
-		if err := slayers.VerifyChecksum(patched); err != nil {
+		var dec slayers.Packet
+		if err := dec.Decode(patched); err != nil {
 			t.Fatalf("trial %d: patched packet fails checksum: %v", trial, err)
 		}
 	}
