@@ -34,9 +34,10 @@ fmt-check:
 # allocates), so verify runs them separately without it. Covers the
 # router fast path (single-packet and batched), the simulator, the
 # warm chain-cache verify path, the daemon's warm combine-cache
-# lookup, and path lookups on a snapshot-cloned replica.
+# lookup, path lookups on a snapshot-cloned replica, and the campaign's
+# probe path (a bound per probe, not zero: TestCampaignProbeAllocs).
 alloc-guard:
-	$(GO) test -count=1 -run ZeroAlloc . ./internal/simnet ./internal/cppki ./internal/daemon ./internal/core
+	$(GO) test -count=1 -run 'ZeroAlloc|ProbeAllocs' . ./internal/simnet ./internal/cppki ./internal/daemon ./internal/core
 
 # Every internal package must carry a godoc package comment: the
 # architecture guide (docs/architecture.md) leans on them as the

@@ -216,3 +216,28 @@ func TestRouterForwardingBatchZeroAlloc(t *testing.T) {
 		t.Error("telemetry counters did not advance")
 	}
 }
+
+// TestCampaignProbeAllocs guards the campaign's probe path end to end:
+// a steady-state round on the SCIERA deployment — every vantage pair,
+// no incident, no full probe — covers the IP baseline, the pinger, the
+// routers, the responder and the record slots. What is left to allocate
+// per probe is its timeout: the timer event, its cancel function and
+// the closure carrying the sequence number (3.15 per probe measured;
+// the fraction is the round's own timer and record growth).
+func TestCampaignProbeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; run without -race")
+	}
+	const maxPerProbe = 4
+	camp, probes := steadyCampaign(t)
+	perRound := testing.AllocsPerRun(20, func() {
+		if _, err := camp.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perProbe := perRound / float64(probes)
+	t.Logf("%.2f allocs per probe (%d probes per round)", perProbe, probes)
+	if perProbe > maxPerProbe {
+		t.Errorf("steady-state campaign round: %.2f allocs per probe, want <= %d", perProbe, maxPerProbe)
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -573,13 +574,14 @@ func BenchmarkMultipingRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ipRTT := sciera.IPBaseline(ipTopo).RTTms
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		camp, err := multiping.NewCampaign(n, multiping.Config{
 			Vantage:  sciera.VantageASes(),
 			Interval: time.Minute,
 			Duration: time.Minute,
-			IPRTT:    func(s, d addr.IA) float64 { return sciera.IPRTTms(ipTopo, s, d) },
+			IPRTT:    ipRTT,
 			Seed:     int64(i),
 		})
 		if err != nil {
@@ -590,6 +592,67 @@ func BenchmarkMultipingRound(b *testing.B) {
 		}
 		camp.Close()
 	}
+}
+
+// steadyCampaign returns a campaign on the SCIERA deployment, all
+// vantage pairs, whose Run is exactly one measurement round, already
+// run once: the full probes are done, so every further Run is one
+// steady-state round (no incident, no full probe) of probes echoes.
+func steadyCampaign(tb testing.TB) (camp *multiping.Campaign, probes uint64) {
+	tb.Helper()
+	topo, err := sciera.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sim := simnet.NewSim(time.Unix(1_737_000_000, 0))
+	n, err := core.Build(topo, sim, core.Options{Seed: 42, BestPerOrigin: 14})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { n.Close() })
+	ipTopo, err := sciera.BuildIPPlane()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	camp, err = multiping.NewCampaign(n, multiping.Config{
+		Vantage:  sciera.VantageASes(),
+		Interval: time.Minute,
+		Duration: time.Minute,
+		IPRTT:    sciera.IPBaseline(ipTopo).RTTms,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(camp.Close)
+	ds, err := camp.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if ds.Probes == 0 || len(ds.PathCounts) == 0 {
+		tb.Fatalf("warm-up round: %d probes, %d full probes", ds.Probes, len(ds.PathCounts))
+	}
+	return camp, ds.Probes
+}
+
+// BenchmarkCampaignRound measures one steady-state campaign round per
+// iteration and reports it per probe: the timing that goes with
+// TestCampaignProbeAllocs' allocation count.
+func BenchmarkCampaignRound(b *testing.B) {
+	camp, probes := steadyCampaign(b)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := camp.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	total := float64(probes) * float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/probe")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/total, "allocs/probe")
 }
 
 // BenchmarkPanWriteTo measures the application-library send path

@@ -59,7 +59,7 @@ func main() {
 	if s.IPPlane != nil {
 		ipTopo, err := s.BuildIPPlane()
 		fatal(err)
-		ipRTT = func(src, dst addr.IA) float64 { return s.IPRTTms(ipTopo, src, dst) }
+		ipRTT = s.IPBaseline(ipTopo).RTTms
 	}
 
 	fmt.Fprintf(os.Stderr, "running %d-day campaign on scenario %q from %d vantage ASes (virtual time)...\n",

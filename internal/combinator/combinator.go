@@ -69,14 +69,15 @@ func Disjointness(p, q *Path) float64 {
 	if total == 0 {
 		return 1
 	}
-	inP := make(map[PathInterface]bool, len(p.Interfaces))
-	for _, i := range p.Interfaces {
-		inP[i] = true
-	}
+	// A path has a handful of interfaces: comparing the two slices
+	// directly beats building a set, and allocates nothing.
 	shared := 0
 	for _, i := range q.Interfaces {
-		if inP[i] {
-			shared++
+		for _, j := range p.Interfaces {
+			if i == j {
+				shared++
+				break
+			}
 		}
 	}
 	// Interfaces shared appear in both paths: count both occurrences.

@@ -379,3 +379,54 @@ func BenchmarkCombine(b *testing.B) {
 	}
 	_ = topo
 }
+
+// disjointnessMap is the set-building Disjointness this package shipped
+// before the direct slice comparison, kept as the oracle.
+func disjointnessMap(p, q *Path) float64 {
+	total := len(p.Interfaces) + len(q.Interfaces)
+	if total == 0 {
+		return 1
+	}
+	inP := make(map[PathInterface]bool, len(p.Interfaces))
+	for _, i := range p.Interfaces {
+		inP[i] = true
+	}
+	shared := 0
+	for _, i := range q.Interfaces {
+		if inP[i] {
+			shared++
+		}
+	}
+	return float64(total-2*shared) / float64(total)
+}
+
+// TestDisjointnessMatchesMapOracle compares the two on seeded random
+// paths drawn from a small interface pool, so that shared interfaces,
+// interfaces repeated within one path, identical paths and empty paths
+// all occur.
+func TestDisjointnessMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	randPath := func() *Path {
+		p := &Path{}
+		for n := rng.Intn(9); n > 0; n-- {
+			p.Interfaces = append(p.Interfaces, PathInterface{
+				IA:   addr.MustIA(71, addr.AS(1+rng.Intn(4))),
+				IfID: uint16(1 + rng.Intn(3)),
+			})
+		}
+		return p
+	}
+	for i := 0; i < 5000; i++ {
+		p, q := randPath(), randPath()
+		if i%10 == 0 {
+			q = p
+		}
+		if got, want := Disjointness(p, q), disjointnessMap(p, q); got != want {
+			t.Fatalf("Disjointness(%v, %v) = %v, map oracle %v", p.Interfaces, q.Interfaces, got, want)
+		}
+	}
+	p, q := randPath(), randPath()
+	if allocs := testing.AllocsPerRun(100, func() { Disjointness(p, q) }); allocs != 0 {
+		t.Errorf("Disjointness allocates %.0f times per call", allocs)
+	}
+}

@@ -207,7 +207,7 @@ func RunCampaign(cfg Config) (*multiping.Dataset, *core.Network, error) {
 		Vantage:    vantage,
 		Interval:   interval,
 		Duration:   duration,
-		IPRTT:      func(src, dst addr.IA) float64 { return s.IPRTTms(ipTopo, src, dst) },
+		IPRTT:      s.IPBaseline(ipTopo).RTTms,
 		StallModel: true,
 		Seed:       cfg.Seed,
 	}

@@ -14,6 +14,7 @@ package multiping
 
 import (
 	"fmt"
+	"net/netip"
 	"sort"
 	"time"
 
@@ -131,7 +132,10 @@ type Config struct {
 	// Incidents to replay (link outages/flaps) and links activated
 	// mid-campaign.
 	Incidents []IncidentEvent
-	// IPRTT returns the baseline RTT in ms for a pair (required).
+	// IPRTT returns the baseline RTT in ms for a pair (required). It is
+	// asked once per record, and the shard workers of a partitioned
+	// campaign share it: it must be cheap and safe for concurrent use
+	// (topology.BGPBaseline is both).
 	IPRTT func(src, dst addr.IA) float64
 	// StallModel reproduces the tool's hourly ICMP stalls: sources
 	// stall for 15-30 minutes after the start of some hours; those
@@ -253,11 +257,25 @@ type PathCountSample struct {
 
 // pairState tracks per-pair probing state.
 type pairState struct {
+	pinger  *scmp.Pinger
+	dstHost netip.Addr // the destination's responder
+
 	paths     []*combinator.Path // current full-probe result
 	probe     [numPathTypes]*combinator.Path
 	rtts      *pan.RTTRecorder
 	failsLast int
 	dirty     bool
+
+	// rec is the pair's record of the round that began at roundStart:
+	// round opens it, the probe callbacks fill it, finalise appends it
+	// to the dataset. A reply to a probe of an earlier round (one that
+	// outlived its interval) was not sent at roundStart and stays out.
+	rec        Record
+	roundStart time.Time
+	// onReply are the probe callbacks, one per path type, bound once;
+	// sentFP is the fingerprint of the path each last probed.
+	onReply [numPathTypes]func(time.Duration, error)
+	sentFP  [numPathTypes]string
 }
 
 // Campaign executes a multiping measurement run.
@@ -269,9 +287,10 @@ type Campaign struct {
 	pingers    map[addr.IA]*scmp.Pinger
 	responders map[addr.IA]*scmp.Responder
 	// pairList is the campaign's probe pairs in canonical order (the
-	// full enumeration, or this worker's shard of it).
+	// full enumeration, or this worker's shard of it); pairs holds
+	// their state at the same indices.
 	pairList []ProbePair
-	pairs    map[[2]addr.IA]*pairState
+	pairs    []pairState
 	data     *Dataset
 
 	// Telemetry cells, resolved once at campaign setup (per probe path
@@ -311,8 +330,12 @@ func NewCampaign(n *core.Network, cfg Config) (*Campaign, error) {
 		pingers:    make(map[addr.IA]*scmp.Pinger),
 		responders: make(map[addr.IA]*scmp.Responder),
 		pairList:   pairList,
-		pairs:      make(map[[2]addr.IA]*pairState),
+		pairs:      make([]pairState, len(pairList)),
 		data:       &Dataset{},
+	}
+	if cfg.Duration > 0 {
+		rounds := int((cfg.Duration + cfg.Interval - 1) / cfg.Interval)
+		c.data.Records = make([]Record, 0, rounds*len(pairList))
 	}
 	reg := n.Telemetry()
 	if reg == nil {
@@ -329,7 +352,7 @@ func NewCampaign(n *core.Network, cfg Config) (*Campaign, error) {
 	// Pingers and responders only for the ASes this campaign's pair
 	// list actually touches: a shard worker sets up its own ASes, not
 	// the whole vantage set.
-	for _, pr := range pairList {
+	for i, pr := range pairList {
 		if _, ok := c.pingers[pr.Src]; !ok {
 			p, err := n.NewPinger(pr.Src)
 			if err != nil {
@@ -344,7 +367,15 @@ func NewCampaign(n *core.Network, cfg Config) (*Campaign, error) {
 			}
 			c.responders[pr.Dst] = r
 		}
-		c.pairs[[2]addr.IA{pr.Src, pr.Dst}] = &pairState{rtts: pan.NewRTTRecorder(), dirty: true}
+		st := &c.pairs[i]
+		st.pinger = c.pingers[pr.Src]
+		st.dstHost = c.responders[pr.Dst].Addr().Addr()
+		st.rtts = pan.NewRTTRecorder()
+		st.dirty = true
+		for pt := Shortest; pt < numPathTypes; pt++ {
+			pt := pt
+			st.onReply[pt] = func(rtt time.Duration, err error) { c.probeDone(st, pt, rtt, err) }
+		}
 	}
 	return c, nil
 }
@@ -378,8 +409,8 @@ func (c *Campaign) Run() (*Dataset, error) {
 			if err := c.Net.RefreshControlPlane(); err != nil {
 				return nil, err
 			}
-			for _, st := range c.pairs {
-				st.dirty = true
+			for i := range c.pairs {
+				c.pairs[i].dirty = true
 			}
 		}
 		c.round(t)
@@ -388,63 +419,71 @@ func (c *Campaign) Run() (*Dataset, error) {
 	return c.data, nil
 }
 
-// round performs one measurement interval.
+// round performs one measurement interval: every pair's record is
+// opened and its probes sent, and one event just before the interval
+// ends (after the probes resolved) appends the records.
 func (c *Campaign) round(t time.Duration) {
-	for _, pr := range c.pairList {
-		src, dst := pr.Src, pr.Dst
-		stalled := c.stalledNow(src, t)
-		st := c.pairs[[2]addr.IA{src, dst}]
+	now := c.sim.Now()
+	for i := range c.pairList {
+		pr, st := &c.pairList[i], &c.pairs[i]
 		// Full path probe when dirty or after failures (the tool's
 		// trigger: two or more failed pings).
 		if st.dirty || st.failsLast >= 2 {
-			c.fullProbe(t, pr, st)
+			c.fullProbe(t, *pr, st)
 		}
-		rec := Record{
-			T: t, Src: src, Dst: dst, Seq: uint64(pr.Index),
+		st.roundStart = now
+		st.rec = Record{
+			T: t, Src: pr.Src, Dst: pr.Dst, Seq: uint64(pr.Index),
 			SCIONRTTms:  -1,
 			RTTms:       [3]float64{-1, -1, -1},
 			ActivePaths: len(st.paths),
-			IPRTTms:     c.Cfg.IPRTT(src, dst),
-			IPMissing:   stalled,
+			IPRTTms:     c.Cfg.IPRTT(pr.Src, pr.Dst),
+			IPMissing:   c.stalledNow(pr.Src, t),
 		}
-		fails := 0
+		// A path type without a path counts as failed; lost probes add
+		// to the count as they resolve, some before Ping returns.
+		st.failsLast = 0
 		for pt := Shortest; pt < numPathTypes; pt++ {
 			path := st.probe[pt]
 			if path == nil {
-				fails++
+				st.failsLast++
 				continue
 			}
-			ptCopy := pt
-			fp := path.Fingerprint
+			st.sentFP[pt] = path.Fingerprint
 			c.data.Probes++
 			c.probes.Inc()
-			c.pingers[src].Ping(dst, c.responders[dst].Addr().Addr(), path, c.Cfg.PingTimeout,
-				func(rtt time.Duration, err error) {
-					if err != nil {
-						st.failsLast++
-						c.lost[ptCopy].Inc()
-						return
-					}
-					ms := float64(rtt) / float64(time.Millisecond)
-					c.rttHist[ptCopy].Observe(ms)
-					st.rtts.Observe(fp, rtt)
-					rec.RTTms[ptCopy] = ms
-					if rec.SCIONRTTms < 0 || ms < rec.SCIONRTTms {
-						rec.SCIONRTTms = ms
-						rec.BestPath = ptCopy
-					}
-					rec.SCIONOK++
-				})
+			st.pinger.Ping(pr.Dst, st.dstHost, path, c.Cfg.PingTimeout, st.onReply[pt])
 		}
-		st.failsLast = fails
-		// Finalize the record once all probes resolved (after the
-		// interval's events drain); schedule just before interval end.
-		recPtr := &rec
-		stRef := st
-		c.sim.AfterFunc(c.Cfg.Interval-time.Millisecond, func() {
-			_ = stRef
-			c.data.Records = append(c.data.Records, *recPtr)
-		})
+	}
+	c.sim.AfterFunc(c.Cfg.Interval-time.Millisecond, c.finalise)
+}
+
+// probeDone is the callback of pair st's probe over path type pt.
+func (c *Campaign) probeDone(st *pairState, pt PathType, rtt time.Duration, err error) {
+	if err != nil {
+		st.failsLast++
+		c.lost[pt].Inc()
+		return
+	}
+	ms := float64(rtt) / float64(time.Millisecond)
+	c.rttHist[pt].Observe(ms)
+	st.rtts.Observe(st.sentFP[pt], rtt)
+	if !c.sim.Now().Add(-rtt).Equal(st.roundStart) {
+		return
+	}
+	rec := &st.rec
+	rec.RTTms[pt] = ms
+	if rec.SCIONRTTms < 0 || ms < rec.SCIONRTTms {
+		rec.SCIONRTTms = ms
+		rec.BestPath = pt
+	}
+	rec.SCIONOK++
+}
+
+// finalise appends the round's records in pair order.
+func (c *Campaign) finalise() {
+	for i := range c.pairs {
+		c.data.Records = append(c.data.Records, c.pairs[i].rec)
 	}
 }
 

@@ -18,6 +18,27 @@ import (
 func smallCampaign(t testing.TB, hours int, stall bool, incidents []multiping.IncidentEvent,
 	vantage []addr.IA) (*core.Network, *multiping.Dataset) {
 	t.Helper()
+	n, camp := newCampaign(t, multiping.Config{
+		Vantage:    vantage,
+		Interval:   5 * time.Minute,
+		Duration:   time.Duration(hours) * time.Hour,
+		Incidents:  incidents,
+		StallModel: stall,
+		Seed:       1,
+	})
+	defer camp.Close()
+	ds, err := camp.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, ds
+}
+
+// newCampaign prepares a campaign over the real SCIERA topology; cfg's
+// vantage set defaults to four sites on four continents and its IP
+// baseline to the SCIERA IP plane.
+func newCampaign(t testing.TB, cfg multiping.Config) (*core.Network, *multiping.Campaign) {
+	t.Helper()
 	topo, err := sciera.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -31,32 +52,20 @@ func smallCampaign(t testing.TB, hours int, stall bool, incidents []multiping.In
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vantage == nil {
-		vantage = []addr.IA{
+	if cfg.Vantage == nil {
+		cfg.Vantage = []addr.IA{
 			addr.MustParseIA("71-20965"),  // GEANT
 			addr.MustParseIA("71-2:0:3b"), // KISTI DJ
 			addr.MustParseIA("71-225"),    // UVa
 			addr.MustParseIA("71-2:0:5c"), // UFMS
 		}
 	}
-	camp, err := multiping.NewCampaign(n, multiping.Config{
-		Vantage:    vantage,
-		Interval:   5 * time.Minute,
-		Duration:   time.Duration(hours) * time.Hour,
-		Incidents:  incidents,
-		IPRTT:      func(src, dst addr.IA) float64 { return sciera.IPRTTms(ipTopo, src, dst) },
-		StallModel: stall,
-		Seed:       1,
-	})
+	cfg.IPRTT = sciera.IPBaseline(ipTopo).RTTms
+	camp, err := multiping.NewCampaign(n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer camp.Close()
-	ds, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n, ds
+	return n, camp
 }
 
 func TestCampaignProducesPlausibleRTTs(t *testing.T) {
@@ -226,6 +235,65 @@ func TestPairRatiosAndTimeSeries(t *testing.T) {
 		if b.Mean <= 0 {
 			t.Errorf("bucket %v mean = %v", b.Start, b.Mean)
 		}
+	}
+}
+
+// TestLateRepliesStayOutOfLaterRounds runs rounds 20 ms apart between
+// sites well over 100 ms apart, so every reply arrives rounds after the
+// record of its own round was appended. Such a reply belongs to no open
+// record: every record must come out empty, one per pair per round, in
+// pair order.
+func TestLateRepliesStayOutOfLaterRounds(t *testing.T) {
+	const rounds = 50
+	n, camp := newCampaign(t, multiping.Config{
+		Vantage:  []addr.IA{addr.MustParseIA("71-2:0:3b"), addr.MustParseIA("71-2:0:5c")}, // KISTI DJ, UFMS
+		Interval: 20 * time.Millisecond,
+		Duration: rounds * 20 * time.Millisecond,
+	})
+	defer n.Close()
+	defer camp.Close()
+	ds, err := camp.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.Records) != 2*rounds || ds.Probes != 3*2*rounds {
+		t.Fatalf("%d records, %d probes; want %d and %d", len(ds.Records), ds.Probes, 2*rounds, 3*2*rounds)
+	}
+	for i, r := range ds.Records {
+		if r.T != time.Duration(i/2)*20*time.Millisecond || r.Seq != uint64(i%2) {
+			t.Fatalf("record %d is (T %v, seq %d): not in round-then-pair order", i, r.T, r.Seq)
+		}
+		if r.SCIONOK != 0 || r.SCIONRTTms != -1 || r.RTTms != [3]float64{-1, -1, -1} {
+			t.Fatalf("record %d took a reply sent in an earlier round: %+v", i, r)
+		}
+	}
+	if lost := n.TelemetrySnapshot().Total("sciera_multiping_lost_total"); lost != 0 {
+		t.Errorf("%v probes counted lost; the replies were late, not lost", lost)
+	}
+}
+
+// TestSynchronousProbeFailuresCount: probes that fail inside Ping (here
+// because the sockets are closed) fail before round returns, and must
+// count toward the two-failures trigger like any other — every round
+// after such a round starts with a full probe.
+func TestSynchronousProbeFailuresCount(t *testing.T) {
+	const rounds = 4
+	n, camp := newCampaign(t, multiping.Config{
+		Vantage:  []addr.IA{addr.MustParseIA("71-20965"), addr.MustParseIA("71-225")},
+		Interval: time.Minute,
+		Duration: rounds * time.Minute,
+	})
+	defer n.Close()
+	camp.Close()
+	ds, err := camp.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.PathCounts) != 2*rounds {
+		t.Errorf("%d full probes over %d rounds of failing probes, want one per pair per round (%d)", len(ds.PathCounts), rounds, 2*rounds)
+	}
+	if got := ds.SuccessRatio(); got != 0 {
+		t.Errorf("success ratio %v with closed sockets", got)
 	}
 }
 

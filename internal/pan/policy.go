@@ -105,23 +105,32 @@ func (m MostDisjoint) Order(paths []*combinator.Path) []*combinator.Path {
 	if len(refs) == 0 && len(paths) > 0 {
 		refs = []*combinator.Path{paths[0]}
 	}
-	score := func(p *combinator.Path) float64 {
+	// Each path is scored once, against every reference; the sort then
+	// compares scores.
+	type scored struct {
+		path  *combinator.Path
+		score float64
+	}
+	byScore := make([]scored, len(paths))
+	for i, p := range paths {
 		min := 2.0
 		for _, r := range refs {
 			if d := combinator.Disjointness(p, r); d < min {
 				min = d
 			}
 		}
-		return min
+		byScore[i] = scored{p, min}
 	}
-	out := append([]*combinator.Path(nil), paths...)
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := score(out[i]), score(out[j])
-		if si != sj {
-			return si > sj
+	sort.SliceStable(byScore, func(i, j int) bool {
+		if byScore[i].score != byScore[j].score {
+			return byScore[i].score > byScore[j].score
 		}
-		return out[i].Fingerprint < out[j].Fingerprint
+		return byScore[i].path.Fingerprint < byScore[j].path.Fingerprint
 	})
+	out := make([]*combinator.Path, len(paths))
+	for i, s := range byScore {
+		out[i] = s.path
+	}
 	return out
 }
 

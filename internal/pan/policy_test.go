@@ -1,6 +1,8 @@
 package pan
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -173,5 +175,74 @@ func TestModeStrings(t *testing.T) {
 	}
 	if Mode(9).String() == "" {
 		t.Error("unknown mode should format")
+	}
+}
+
+// orderPerComparison is the MostDisjoint.Order this package shipped
+// before scores were computed once per path: the comparator rescored
+// both paths on every comparison. Kept as the oracle.
+func orderPerComparison(m MostDisjoint, paths []*combinator.Path) []*combinator.Path {
+	refs := m.References
+	if len(refs) == 0 && len(paths) > 0 {
+		refs = []*combinator.Path{paths[0]}
+	}
+	score := func(p *combinator.Path) float64 {
+		min := 2.0
+		for _, r := range refs {
+			if d := combinator.Disjointness(p, r); d < min {
+				min = d
+			}
+		}
+		return min
+	}
+	out := append([]*combinator.Path(nil), paths...)
+	sort.SliceStable(out, func(i, j int) bool {
+		si, sj := score(out[i]), score(out[j])
+		if si != sj {
+			return si > sj
+		}
+		return out[i].Fingerprint < out[j].Fingerprint
+	})
+	return out
+}
+
+// TestMostDisjointMatchesPerComparisonOracle orders seeded random path
+// sets both ways. Interfaces come from a small pool, so scores tie often;
+// some sets repeat a path (equal score and fingerprint: stability
+// decides), some have no references, some are empty.
+func TestMostDisjointMatchesPerComparisonOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	randPath := func() *combinator.Path {
+		p := &combinator.Path{}
+		for n := rng.Intn(7); n > 0; n-- {
+			itf := combinator.PathInterface{IA: addr.MustIA(71, addr.AS(1+rng.Intn(4))), IfID: uint16(1 + rng.Intn(3))}
+			p.Interfaces = append(p.Interfaces, itf)
+			p.Fingerprint += itf.String() + ">"
+		}
+		return p
+	}
+	for round := 0; round < 500; round++ {
+		paths := make([]*combinator.Path, rng.Intn(30))
+		for i := range paths {
+			if i > 0 && rng.Intn(5) == 0 {
+				dup := *paths[rng.Intn(i)] // same interfaces, distinct object
+				paths[i] = &dup
+				continue
+			}
+			paths[i] = randPath()
+		}
+		var m MostDisjoint
+		for n := rng.Intn(3); n > 0 && len(paths) > 0; n-- {
+			m.References = append(m.References, paths[rng.Intn(len(paths))])
+		}
+		got, want := m.Order(paths), orderPerComparison(m, paths)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d paths ordered, oracle %d", round, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("round %d (%d paths, %d refs): position %d differs from the oracle", round, len(paths), len(m.References), i)
+			}
+		}
 	}
 }

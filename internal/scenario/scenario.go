@@ -522,14 +522,13 @@ func (s *Scenario) BuildIPPlane() (*topology.Topology, error) {
 	return topo, nil
 }
 
-// IPRTTms computes the BGP-routed round-trip time between two sites on
-// the scenario's IP plane, in milliseconds, including per-hop
-// forwarding cost. It returns +Inf when unreachable.
-func (s *Scenario) IPRTTms(ipTopo *topology.Topology, src, dst addr.IA) float64 {
+// IPBaseline returns the BGP-routed RTT baseline over the scenario's IP
+// plane (as built by BuildIPPlane), with the scenario's per-hop
+// forwarding cost.
+func (s *Scenario) IPBaseline(ipTopo *topology.Topology) *topology.BGPBaseline {
 	perHop := 0.15
 	if s.IPPlane != nil && s.IPPlane.PerHopMS > 0 {
 		perHop = s.IPPlane.PerHopMS
 	}
-	r := ipTopo.ShortestRoute(src, dst, topology.BGPWeight)
-	return r.RTT(perHop)
+	return topology.NewBGPBaseline(ipTopo, perHop)
 }

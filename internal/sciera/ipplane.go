@@ -134,10 +134,11 @@ func BuildIPPlane() (*topology.Topology, error) {
 	return topo, nil
 }
 
-// IPRTTms computes the BGP-routed round-trip time between two sites on
-// the IP plane, in milliseconds, including per-hop forwarding cost.
-// It returns +Inf when unreachable.
-func IPRTTms(ipTopo *topology.Topology, src, dst addr.IA) float64 {
-	r := ipTopo.ShortestRoute(src, dst, topology.BGPWeight)
-	return r.RTT(0.15)
+// ipPerHopMS is the per-hop forwarding cost of the IP plane's RTT model.
+const ipPerHopMS = 0.15
+
+// IPBaseline returns the BGP-routed RTT baseline between sites on the
+// IP plane (as built by BuildIPPlane).
+func IPBaseline(ipTopo *topology.Topology) *topology.BGPBaseline {
+	return topology.NewBGPBaseline(ipTopo, ipPerHopMS)
 }

@@ -123,7 +123,7 @@ func Scenario() (*scenario.Scenario, error) {
 		DualHomeRegions: []string{Europe.String(), NorthAmerica.String()},
 		AccessDetour:    1.03,
 		AccessExtraMS:   0.3,
-		PerHopMS:        0.15,
+		PerHopMS:        ipPerHopMS,
 	}
 	for _, h := range ipHubs() {
 		plane.Hubs = append(plane.Hubs, scenario.IPHub{Name: h.Name, IA: h.IA, Lat: h.Lat, Lon: h.Lon})

@@ -123,13 +123,14 @@ func TestScenarioMatchesTables(t *testing.T) {
 			t.Errorf("IP link %d: %q/%v != %q/%v", i, gil[i].Name, gil[i].LatencyMS, wil[i].Name, wil[i].LatencyMS)
 		}
 	}
+	wantBase, gotBase := IPBaseline(wantIP), s.IPBaseline(gotIP)
 	for _, src := range vant {
 		for _, dst := range vant {
 			if src == dst {
 				continue
 			}
-			w := IPRTTms(wantIP, src, dst)
-			g := s.IPRTTms(gotIP, src, dst)
+			w := wantBase.RTTms(src, dst)
+			g := gotBase.RTTms(src, dst)
 			if w != g && !(math.IsInf(w, 1) && math.IsInf(g, 1)) {
 				t.Errorf("IP RTT %s->%s: %v != %v", src, dst, g, w)
 			}

@@ -2,6 +2,7 @@ package sciera
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -164,6 +165,7 @@ func TestIPPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := IPBaseline(ipTopo)
 	// Every site pair is reachable with a plausible RTT.
 	sites := VantageASes()
 	for _, a := range sites {
@@ -171,7 +173,7 @@ func TestIPPlane(t *testing.T) {
 			if a == b {
 				continue
 			}
-			rtt := IPRTTms(ipTopo, a, b)
+			rtt := base.RTTms(a, b)
 			if math.IsInf(rtt, 1) {
 				t.Errorf("%v -> %v unreachable on IP plane", a, b)
 				continue
@@ -185,13 +187,60 @@ func TestIPPlane(t *testing.T) {
 	}
 	// Geographically close pairs are fast: GEANT (Frankfurt) to SIDN
 	// (Arnhem) should be well under 30ms RTT.
-	if rtt := IPRTTms(ipTopo, ia("71-20965"), ia("71-1140")); rtt > 30 {
+	if rtt := base.RTTms(ia("71-20965"), ia("71-1140")); rtt > 30 {
 		t.Errorf("GEANT-SIDN IP RTT = %v ms", rtt)
 	}
 	// Antipodal pairs are slow: Daejeon to UFMS well over 150ms.
-	if rtt := IPRTTms(ipTopo, ia("71-2:0:3b"), ia("71-2:0:5c")); rtt < 150 {
+	if rtt := base.RTTms(ia("71-2:0:3b"), ia("71-2:0:5c")); rtt < 150 {
 		t.Errorf("DJ-UFMS IP RTT = %v ms", rtt)
 	}
+}
+
+// TestIPBaselineMatchesFreshRoutes holds the memoised baseline against
+// the code it replaced — a fresh BGP-weighted Dijkstra per question —
+// for every ordered site pair before, during and after a flap of each
+// transit trunk on the IP plane, asked from two goroutines at once as
+// the shard workers of a campaign do.
+func TestIPBaselineMatchesFreshRoutes(t *testing.T) {
+	ipTopo, err := BuildIPPlane()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := IPBaseline(ipTopo)
+	sites := VantageASes()
+	check := func(when string) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, a := range sites {
+					for _, b := range sites {
+						want := ipTopo.ShortestRoute(a, b, topology.BGPWeight).RTT(ipPerHopMS)
+						if got := base.RTTms(a, b); got != want {
+							t.Errorf("%s: IP RTT %v -> %v = %v, fresh route %v", when, a, b, got, want)
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	check("before")
+	for _, l := range ipTopo.Links() {
+		if l.Type != topology.LinkCore {
+			continue
+		}
+		if err := ipTopo.SetLinkUp(l.ID, false); err != nil {
+			t.Fatal(err)
+		}
+		check(l.Name + " down")
+		if err := ipTopo.SetLinkUp(l.ID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after")
 }
 
 func TestPoPsTable(t *testing.T) {

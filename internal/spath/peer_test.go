@@ -1,6 +1,7 @@
 package spath
 
 import (
+	"reflect"
 	"testing"
 
 	"sciera/internal/scrypto"
@@ -179,5 +180,42 @@ func TestCurrentAccessorErrors(t *testing.T) {
 	p.CurrINF = 99
 	if _, err := p.CurrentInfo(); err == nil {
 		t.Error("CurrentInfo out of range succeeded")
+	}
+}
+
+// TestReverseFromCurrentIntoReuses: one Path reused for reply after
+// reply — from every position, longest first so stale hops would show,
+// then from an empty path — holds what a fresh ReverseFromCurrent
+// returns, leaves the source untouched, and allocates nothing once its
+// slices have grown.
+func TestReverseFromCurrentIntoReuses(t *testing.T) {
+	var reply Path
+	for pos := 4; pos >= 0; pos-- {
+		p := samplePath(t)
+		for i := 0; i < pos; i++ {
+			if err := p.IncHop(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := p.Copy()
+		want, err := ReverseFromCurrent(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ReverseFromCurrentInto(&reply, p); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&reply, want) {
+			t.Errorf("pos %d: reused path %+v, fresh %+v", pos, reply, want)
+		}
+		if !reflect.DeepEqual(p, before) {
+			t.Errorf("pos %d: source path modified", pos)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = ReverseFromCurrentInto(&reply, p) }); allocs != 0 {
+			t.Errorf("pos %d: %.0f allocations into a warm path", pos, allocs)
+		}
+	}
+	if err := ReverseFromCurrentInto(&reply, &Path{}); err != nil || !reply.IsEmpty() || reply.Validate() != nil {
+		t.Errorf("empty source: err %v, reply %+v", err, reply)
 	}
 }

@@ -13,14 +13,25 @@ package spath
 // back to the source without any path lookup. The caller must have
 // processed (VerifyHop) the current hop before reversing.
 func ReverseFromCurrent(p *Path) (*Path, error) {
-	if p.IsEmpty() {
-		return &Path{}, nil
-	}
-	if err := p.Validate(); err != nil {
+	t := &Path{}
+	if err := ReverseFromCurrentInto(t, p); err != nil {
 		return nil, err
 	}
+	return t, nil
+}
+
+// ReverseFromCurrentInto is ReverseFromCurrent writing the return path
+// into t, whose slices are reused: an endpoint that answers packet after
+// packet keeps one Path for its replies. t must not alias p.
+func ReverseFromCurrentInto(t, p *Path) error {
+	*t = Path{Infos: t.Infos[:0], Hops: t.Hops[:0]}
+	if p.IsEmpty() {
+		return nil
+	}
+	if err := p.Validate(); err != nil {
+		return err
+	}
 	// Truncate: keep segments 0..CurrINF and hops 0..CurrHF.
-	t := &Path{}
 	t.Infos = append(t.Infos, p.Infos[:p.CurrINF+1]...)
 	t.Hops = append(t.Hops, p.Hops[:p.CurrHF+1]...)
 	// Recompute segment lengths: full lengths for all but the last
@@ -37,10 +48,7 @@ func ReverseFromCurrent(p *Path) (*Path, error) {
 	t.CurrINF = p.CurrINF
 	t.CurrHF = p.CurrHF
 	if err := t.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := t.Reverse(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return t.Reverse()
 }

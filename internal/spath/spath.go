@@ -349,10 +349,10 @@ func (p *Path) IncHop() error {
 	return nil
 }
 
-// Reverse turns the path around for the return direction: hop fields are
-// reversed globally, segments swap order, ConsDir flips, and the current
-// pointers reset to the first hop. Reverse is an involution up to the
-// current pointers.
+// Reverse turns the path around for the return direction, in place: hop
+// fields are reversed globally, segments swap order, ConsDir flips, and
+// the current pointers reset to the first hop. Reverse is an involution
+// up to the current pointers.
 func (p *Path) Reverse() error {
 	if p.IsEmpty() {
 		return nil
@@ -360,32 +360,20 @@ func (p *Path) Reverse() error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	// Reverse segment order.
-	segs := p.NumSegments()
-	newInfos := make([]InfoField, 0, segs)
-	newHops := make([]HopField, 0, len(p.Hops))
-	var newLens [3]uint8
-	off := len(p.Hops)
-	for i := segs - 1; i >= 0; i-- {
-		l := int(p.SegLens[i])
-		start := off - l
-		// Hops within a segment reverse too, because the whole hop
-		// sequence reverses.
-		for j := start + l - 1; j >= start; j-- {
-			newHops = append(newHops, p.Hops[j])
-		}
-		inf := p.Infos[i]
-		inf.ConsDir = !inf.ConsDir
-		newInfos = append(newInfos, inf)
-		newLens[segs-1-i] = uint8(l)
-		off = start
+	// Validate guarantees the segments are the first len(Infos) entries
+	// of SegLens. Reversing the hop sequence as a whole reverses both
+	// the segment order and the hops within each segment.
+	segs := len(p.Infos)
+	for i, j := 0, segs-1; i < j; i, j = i+1, j-1 {
+		p.Infos[i], p.Infos[j] = p.Infos[j], p.Infos[i]
+		p.SegLens[i], p.SegLens[j] = p.SegLens[j], p.SegLens[i]
 	}
-	// Fix hop order: we iterated segments from last to first and hops
-	// within each from last to first — which is exactly the global
-	// reversal; nothing more to do.
-	p.Infos = newInfos
-	p.Hops = newHops
-	p.SegLens = newLens
+	for i := range p.Infos {
+		p.Infos[i].ConsDir = !p.Infos[i].ConsDir
+	}
+	for i, j := 0, len(p.Hops)-1; i < j; i, j = i+1, j-1 {
+		p.Hops[i], p.Hops[j] = p.Hops[j], p.Hops[i]
+	}
 	p.CurrINF = 0
 	p.CurrHF = 0
 	return nil

@@ -3,6 +3,7 @@ package topology
 import (
 	"container/heap"
 	"math"
+	"sync"
 
 	"sciera/internal/addr"
 )
@@ -126,6 +127,47 @@ func (r *Route) RTT(perHopMS float64) float64 {
 		return math.Inf(1)
 	}
 	return 2 * (r.LatencyMS + float64(r.Hops)*perHopMS)
+}
+
+// BGPBaseline is the IP plane's baseline: the round-trip time of the
+// BGP-selected route (BGPWeight) between two sites, per-hop forwarding
+// cost included. Routes are memoised per ordered pair against the
+// topology's link generation, so Dijkstra runs once per pair per
+// link-state change however often a pair is asked for. Safe for
+// concurrent use.
+type BGPBaseline struct {
+	topo     *Topology
+	perHopMS float64
+
+	mu  sync.Mutex
+	gen uint64
+	rtt map[[2]addr.IA]float64
+}
+
+// NewBGPBaseline returns the baseline over an IP-plane topology.
+func NewBGPBaseline(t *Topology, perHopMS float64) *BGPBaseline {
+	return &BGPBaseline{topo: t, perHopMS: perHopMS, rtt: make(map[[2]addr.IA]float64)}
+}
+
+// RTTms returns the BGP-routed round-trip time from src to dst in
+// milliseconds, +Inf when dst is unreachable.
+func (b *BGPBaseline) RTTms(src, dst addr.IA) float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	// A change that lands after this load and before the Dijkstra
+	// below leaves a newer answer filed under the older generation;
+	// the next call sees the bump and drops it.
+	if gen := b.topo.LinkGeneration(); gen != b.gen {
+		b.gen = gen
+		clear(b.rtt)
+	}
+	key := [2]addr.IA{src, dst}
+	ms, ok := b.rtt[key]
+	if !ok {
+		ms = b.topo.ShortestRoute(src, dst, BGPWeight).RTT(b.perHopMS)
+		b.rtt[key] = ms
+	}
+	return ms
 }
 
 // Connected reports whether every AS pair can reach each other over

@@ -123,6 +123,10 @@ type Topology struct {
 	byIA   map[addr.IA][]*Link
 	byIf   map[LinkEnd]*Link
 	nextIf map[addr.IA]uint16
+	// linkGen counts link-state changes: AddLink and every SetLinkUp
+	// that flips a link bump it, so anything derived from the up-link
+	// graph (BGPBaseline's routes) can tell when it went stale.
+	linkGen atomic.Uint64
 }
 
 // New creates an empty topology.
@@ -251,6 +255,7 @@ func (t *Topology) AddLink(a, b LinkEnd, typ LinkType, latencyMS float64, name s
 	t.byIA[b.IA] = append(t.byIA[b.IA], l)
 	t.byIf[a] = l
 	t.byIf[b] = l
+	t.linkGen.Add(1)
 	return l, nil
 }
 
@@ -307,9 +312,15 @@ func (t *Topology) SetLinkUp(id int, up bool) error {
 	if id < 0 || id >= len(t.links) {
 		return fmt.Errorf("%w: %d", ErrUnknownLink, id)
 	}
-	t.links[id].up.Store(up)
+	if t.links[id].up.Swap(up) != up {
+		t.linkGen.Add(1)
+	}
 	return nil
 }
+
+// LinkGeneration returns a counter that changes whenever the set of up
+// links does.
+func (t *Topology) LinkGeneration() uint64 { return t.linkGen.Load() }
 
 // LinkUp reports link state.
 func (t *Topology) LinkUp(id int) bool {

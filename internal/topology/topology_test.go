@@ -308,3 +308,52 @@ func BenchmarkShortestRoute(b *testing.B) {
 		}
 	}
 }
+
+// TestBGPBaselineFollowsLinkState: the memoised baseline must answer
+// what a fresh Dijkstra answers after every kind of link-state change,
+// including the ones that cut a site off (+Inf) and AddLink.
+func TestBGPBaselineFollowsLinkState(t *testing.T) {
+	topo := diamond(t)
+	base := NewBGPBaseline(topo, 0.15)
+	ases := []addr.IA{core1, core2, core3, leafA, leafB, leafC}
+	check := func(when string) {
+		t.Helper()
+		for pass := 0; pass < 2; pass++ { // second pass is answered from the memo
+			for _, a := range ases {
+				for _, b := range ases {
+					want := topo.ShortestRoute(a, b, BGPWeight).RTT(0.15)
+					if got := base.RTTms(a, b); got != want {
+						t.Errorf("%s, pass %d: RTTms(%v, %v) = %v, fresh route %v", when, pass, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+	check("initial")
+	gen := topo.LinkGeneration()
+	var leafCUplink int
+	for _, l := range topo.LinksOf(leafC) {
+		leafCUplink = l.ID
+	}
+	if err := topo.SetLinkUp(leafCUplink, true); err != nil {
+		t.Fatal(err)
+	}
+	if topo.LinkGeneration() != gen {
+		t.Error("SetLinkUp that changed nothing bumped the link generation")
+	}
+	if err := topo.SetLinkUp(leafCUplink, false); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(base.RTTms(leafA, leafC), 1) {
+		t.Error("cut-off site still reachable in the baseline")
+	}
+	check("leafC cut off")
+	if _, err := topo.AddLink(LinkEnd{IA: leafB}, LinkEnd{IA: leafC}, LinkPeer, 1, ""); err != nil {
+		t.Fatal(err)
+	}
+	check("after AddLink")
+	if err := topo.SetLinkUp(leafCUplink, true); err != nil {
+		t.Fatal(err)
+	}
+	check("restored")
+}
