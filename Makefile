@@ -22,8 +22,10 @@ test:
 race:
 	$(GO) test -race -timeout 40m ./...
 
+# bench/ is its own module; the root ./... never sees it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -33,11 +35,12 @@ fmt-check:
 # The allocation guards skip under -race (its instrumentation
 # allocates), so verify runs them separately without it. Covers the
 # router fast path (single-packet and batched), the simulator, the
-# warm chain-cache verify path, the daemon's warm combine-cache
-# lookup, path lookups on a snapshot-cloned replica, and the campaign's
-# probe path (a bound per probe, not zero: TestCampaignProbeAllocs).
+# warm chain-cache verify path, the daemon's NotModified re-confirm,
+# memoized path lookups on a registry, its clone and a snapshot-cloned
+# replica, and the campaign's probe path (a bound per probe, not zero:
+# TestCampaignProbeAllocs).
 alloc-guard:
-	$(GO) test -count=1 -run 'ZeroAlloc|ProbeAllocs' . ./internal/simnet ./internal/cppki ./internal/daemon ./internal/core
+	$(GO) test -count=1 -run 'ZeroAlloc|ProbeAllocs' . ./internal/simnet ./internal/cppki ./internal/daemon ./internal/beacon ./internal/core
 
 # Every internal package must carry a godoc package comment: the
 # architecture guide (docs/architecture.md) leans on them as the

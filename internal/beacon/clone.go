@@ -13,17 +13,29 @@ import (
 // cloning the registry is all a converged-state snapshot needs to hand
 // a new replica the full control-plane view without re-beaconing.
 //
-// The clone's stores carry fresh identities, so their Stamp tokens
-// never alias the original's; memoized path combinations keyed on
-// stamps must be re-keyed against the clone's own stores.
+// The clone's stores carry fresh identities, so its tokens never alias
+// the original's: memoized combinations still valid on the original are
+// carried over under the clone's own tokens (a replica cloned from a
+// warmed reference resolves its pairs without combining once).
 func (reg *Registry) Clone() *Registry {
+	// Holding memoMu across the store clones keeps entries from being
+	// replaced meanwhile, so an entry whose token still matches afterwards
+	// was combined from exactly the state the clone shares.
+	reg.memoMu.Lock()
+	defer reg.memoMu.Unlock()
 	c := &Registry{
 		Up:   make(map[addr.IA]*pathdb.DB, len(reg.Up)),
 		Core: reg.Core.CloneShared(),
 		Down: reg.Down.CloneShared(),
+		memo: make(map[[2]addr.IA]memoEntry, len(reg.memo)),
 	}
 	for ia, db := range reg.Up {
 		c.Up[ia] = db.CloneShared()
+	}
+	for k, e := range reg.memo {
+		if e.token == reg.Token(k[0]) {
+			c.memo[k] = memoEntry{token: c.Token(k[0]), paths: e.paths}
+		}
 	}
 	return c
 }

@@ -1,12 +1,81 @@
 package beacon
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"slices"
 	"sort"
 
 	"sciera/internal/addr"
+	"sciera/internal/combinator"
 	"sciera/internal/segment"
 )
+
+// Token is the one validity rule of path resolution: the change stamps
+// of the three stores a lookup from one source AS reads. Two equal
+// tokens mean Lookup selects, and Combine returns, the same thing.
+// Stamps fold in each store's process-unique identity, so a token moves
+// on in-place mutation and never matches across registries (a refresh
+// publishes a new one) or between a registry and its clone.
+type Token struct{ up, core, down uint64 }
+
+// Token reads the validity token for lookups from src. It is the only
+// reader of the three stamps: the memo behind Paths and the control
+// service's Gen/NotModified answer both go through it.
+func (reg *Registry) Token(src addr.IA) Token {
+	t := Token{core: reg.Core.Stamp(), down: reg.Down.Stamp()}
+	if db := reg.Up[src]; db != nil {
+		t.up = db.Stamp()
+	}
+	return t
+}
+
+// Gen folds the token into the one word "paths" responses carry on the
+// wire. Never 0 — daemons use 0 for "nothing cached".
+func (t Token) Gen() uint64 {
+	h := fnv.New64a()
+	var buf [24]byte
+	binary.BigEndian.PutUint64(buf[0:], t.up)
+	binary.BigEndian.PutUint64(buf[8:], t.core)
+	binary.BigEndian.PutUint64(buf[16:], t.down)
+	h.Write(buf[:])
+	return max(h.Sum64(), 1)
+}
+
+// memoEntry is one memoized path combination, valid while its source's
+// token is unchanged.
+type memoEntry struct {
+	token Token
+	paths []*combinator.Path
+}
+
+// Paths resolves src to dst: Combine over the segments Lookup selects
+// (paths sorted by hops, then latency), memoized per pair against the
+// source's Token. The memo lives and dies with the registry, so a
+// control-plane refresh — which publishes a new registry — starts from
+// an empty one by construction. Callers share the returned slice and
+// must not mutate it (path policies copy before reordering).
+func (reg *Registry) Paths(src, dst addr.IA) []*combinator.Path {
+	token, key := reg.Token(src), [2]addr.IA{src, dst}
+	reg.memoMu.Lock()
+	e, ok := reg.memo[key]
+	reg.memoMu.Unlock()
+	if ok && e.token == token {
+		return e.paths
+	}
+	// The token was read before the segments: a store mutated in between
+	// leaves an entry that fails its next check, never a stale one that
+	// passes.
+	ups, cores, downs := reg.Lookup(src, dst)
+	paths := combinator.Combine(src, dst, ups, cores, downs)
+	reg.memoMu.Lock()
+	if reg.memo == nil {
+		reg.memo = make(map[[2]addr.IA]memoEntry)
+	}
+	reg.memo[key] = memoEntry{token: token, paths: paths}
+	reg.memoMu.Unlock()
+	return paths
+}
 
 // Lookup selects the segments a path lookup from src to dst combines:
 // src's up segments, the down segments ending at dst, and exactly the
@@ -18,7 +87,7 @@ import (
 // stays untouched however large the topology. Cores come back in
 // segment-ID order, a subsequence of Core.All(), which makes Combine's
 // output identical to combining the whole store. Both lookup planes
-// (core.Network.Paths and the control service) select through here.
+// (Paths and the control service) select through here.
 //
 // A zero dst names no destination: no down segments, every core segment.
 func (reg *Registry) Lookup(src, dst addr.IA) (ups, cores, downs []*segment.Segment) {

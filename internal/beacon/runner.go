@@ -96,8 +96,6 @@ type Runner struct {
 	RegisterBestK int
 	// MaxRounds bounds propagation (default: #ASes + 2).
 	MaxRounds int
-	// ExpTime is the relative hop expiry (default 63 ≈ 6h).
-	ExpTime uint8
 	// Rng drives beta0 randomization; required for determinism.
 	Rng *rand.Rand
 	// Metrics receives beaconing counters; nil allocates private ones.
@@ -127,6 +125,10 @@ type Runner struct {
 	macs map[addr.IA]*scrypto.CMAC
 }
 
+// hopExpTime is the relative expiry every hop field is issued with
+// (63 ≈ 6h).
+const hopExpTime = 63
+
 // flight is one beacon crossing one link: the segment as prepared by the
 // sender, the link it crosses, and the receiving AS.
 type flight struct {
@@ -147,6 +149,11 @@ type Registry struct {
 	// Down holds down segments registered at the core path server
 	// infrastructure, keyed by (origin core, leaf).
 	Down *pathdb.DB
+
+	// memo holds the combinations Paths has resolved (lookup.go); the
+	// zero value is an empty memo.
+	memoMu sync.Mutex
+	memo   map[[2]addr.IA]memoEntry
 }
 
 // Run performs core beaconing and intra-ISD (down) beaconing to a fixed
@@ -154,9 +161,6 @@ type Registry struct {
 func (r *Runner) Run() (*Registry, error) {
 	if r.Rng == nil {
 		return nil, fmt.Errorf("beacon: Runner requires an explicit Rng")
-	}
-	if r.ExpTime == 0 {
-		r.ExpTime = 63
 	}
 	ases := r.Topo.ASes()
 	if r.MaxRounds == 0 {
@@ -202,7 +206,7 @@ func (r *Runner) originate(origin addr.IA, l *topology.Link) (*segment.Segment, 
 	local, _ := l.Local(origin)
 	remote, _ := l.Other(origin)
 	seg, err := segment.Originate(r.Timestamp, uint16(r.Rng.Intn(1<<16)), origin,
-		local.IfID, remote.IA, l.LatencyMS, r.ExpTime, r.macs[origin])
+		local.IfID, remote.IA, l.LatencyMS, hopExpTime, r.macs[origin])
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +344,7 @@ func (r *Runner) extend(seg *segment.Segment, at addr.IA, inIf uint16, out *topo
 	// capacity clamp makes Extend's append copy into an owned array, so
 	// sibling extensions of one received beacon never alias.
 	ext := seg.CloneForExtend()
-	e := segment.ASEntry{IA: at, Ingress: inIf, ExpTime: r.ExpTime}
+	e := segment.ASEntry{IA: at, Ingress: inIf, ExpTime: hopExpTime}
 	if out != nil {
 		local, _ := out.Local(at)
 		remote, _ := out.Other(at)
@@ -369,11 +373,11 @@ func (r *Runner) extend(seg *segment.Segment, at addr.IA, inIf uint16, out *topo
 			PeerIf:        remote.IfID,
 			LocalIf:       local.IfID,
 			LinkLatencyMS: pl.LatencyMS,
-			ExpTime:       r.ExpTime,
+			ExpTime:       hopExpTime,
 			MAC: scrypto.HopMAC(r.macs[at], scrypto.HopMACInput{
 				Beta:        ext.BetaFinal(),
 				Timestamp:   ext.Timestamp,
-				ExpTime:     r.ExpTime,
+				ExpTime:     hopExpTime,
 				ConsIngress: local.IfID,
 				ConsEgress:  appended.Egress,
 			}),

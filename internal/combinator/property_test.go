@@ -1,4 +1,4 @@
-package combinator
+package combinator_test
 
 import (
 	"fmt"
@@ -8,6 +8,7 @@ import (
 
 	"sciera/internal/addr"
 	"sciera/internal/beacon"
+	. "sciera/internal/combinator"
 	"sciera/internal/topology"
 )
 

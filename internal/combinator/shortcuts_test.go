@@ -1,4 +1,4 @@
-package combinator
+package combinator_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 
 	"sciera/internal/addr"
 	"sciera/internal/beacon"
+	. "sciera/internal/combinator"
 	"sciera/internal/spath"
 	"sciera/internal/topology"
 )

@@ -11,11 +11,9 @@
 package control
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"sync"
 	"time"
@@ -54,9 +52,10 @@ type Response struct {
 	Downs []json.RawMessage `json:"downs,omitempty"`
 
 	// Gen is the generation token of the segment stores this "paths"
-	// response was served from (never 0). NotModified reports that the
-	// stores still match the request's Gen; the segment lists are
-	// omitted and the requester's cached combination remains valid.
+	// response was served from (beacon.Token.Gen, never 0). NotModified
+	// reports that the stores still match the request's Gen; the segment
+	// lists are omitted and the requester's cached combination remains
+	// valid.
 	Gen         uint64 `json:"gen,omitempty"`
 	NotModified bool   `json:"not_modified,omitempty"`
 
@@ -190,40 +189,6 @@ func (s *Service) serve(req *Request) *Response {
 	return resp
 }
 
-// pathsGen derives the generation token for "paths" responses from the
-// change stamps of the three segment stores a lookup reads. Stamps fold
-// in each store's process-unique identity, so the token changes both on
-// in-place mutation and when a control-plane refresh swaps the whole
-// registry. Never 0 — daemons use 0 for "nothing cached".
-func (s *Service) pathsGen(reg *beacon.Registry) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	var up uint64
-	if db, ok := reg.Up[s.IA]; ok {
-		up = db.Stamp()
-	}
-	put(up)
-	put(reg.Core.Stamp())
-	put(reg.Down.Stamp())
-	g := h.Sum64()
-	if g == 0 {
-		g = 1
-	}
-	return g
-}
-
-// PathsGen returns the generation token "paths" responses currently
-// carry for this AS. Warm-start restores use it to pre-seed daemon
-// combine memos so a daemon's first conditional fetch per destination
-// resolves NotModified.
-func (s *Service) PathsGen() uint64 {
-	return s.pathsGen(s.Registry())
-}
-
 // servePaths answers a lookup with the segments beacon.Registry.Lookup
 // selects for (this AS, req.Dst): the requester's up segments, the down
 // segments ending at the destination, and the core segments that can
@@ -233,7 +198,7 @@ func (s *Service) PathsGen() uint64 {
 // cached by the daemon as if it were complete.
 func (s *Service) servePaths(req *Request, resp *Response) {
 	reg := s.Registry()
-	resp.Gen = s.pathsGen(reg)
+	resp.Gen = reg.Token(s.IA).Gen()
 	if req.Gen != 0 && req.Gen == resp.Gen {
 		// The requester combined exactly these stores already.
 		s.Metrics.NotModified.Inc()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sciera/internal/addr"
-	"sciera/internal/control"
 	"sciera/internal/router"
 	"sciera/internal/scrypto"
 	"sciera/internal/topology"
@@ -51,13 +50,9 @@ func (n *Network) AttachAS(info topology.ASInfo, uplinks []UplinkSpec) error {
 	// through the online CA flow (package ca via the control service);
 	// the orchestrator drives that renewal separately.
 
-	// Control service.
-	svc := &control.Service{IA: ia, Registry: n.Registry, TRCs: n.trcs}
-	if err := svc.Start(n.Transport, n.HostAddr()); err != nil {
+	if err := n.startControlService(ia); err != nil {
 		return err
 	}
-	n.services[ia] = svc
-
 	return n.refreshControlPlane()
 }
 

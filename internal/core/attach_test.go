@@ -60,6 +60,17 @@ func TestAttachASRuntime(t *testing.T) {
 	if len(src.recv) != 1 || string(src.recv[0].Payload) != "welcome aboard" {
 		t.Fatalf("delivery to attached AS failed (%d packets)", len(src.recv))
 	}
+
+	// The attached AS's control service counts on the network's shared
+	// cells: a daemon lookup it serves moves sciera_control_requests_total.
+	requests := func() float64 { return n.TelemetrySnapshot().Total("sciera_control_requests_total") }
+	served := requests()
+	if len(daemonFingerprints(t, n, sim, newIA, lC)) == 0 {
+		t.Fatal("daemon in the attached AS resolved no paths")
+	}
+	if got := requests(); got != served+1 {
+		t.Errorf("control requests after a lookup served by the attached AS = %v, want %v", got, served+1)
+	}
 }
 
 // TestAttachASErrors exercises the failure modes of runtime attachment.

@@ -54,13 +54,6 @@ type Options struct {
 	// BestPerOrigin bounds beacon stores (beacon.DefaultBestPerOrigin
 	// when zero). Larger values surface more path diversity.
 	BestPerOrigin int
-	// PropagateBestK bounds per-round same-origin beacon re-propagation
-	// (beacon.DefaultPropagateBestK when zero, unbounded when negative).
-	// Keeps core beaconing sub-quadratic on large generated topologies.
-	PropagateBestK int
-	// RegisterBestK bounds per-origin segment registration (the beacon
-	// store bound when zero, unbounded when negative).
-	RegisterBestK int
 	// UseDispatcher configures routers to deliver through the legacy
 	// shared dispatcher port (Section 4.8 ablation).
 	UseDispatcher bool
@@ -117,40 +110,20 @@ type Network struct {
 
 	// telem/trace are the network-wide metric registry and packet-trace
 	// ring (nil with Options.NoTelemetry). beaconMetrics persists across
-	// control-plane refreshes so beacon counters accumulate.
-	telem         *telemetry.Registry
-	trace         *telemetry.TraceRing
-	beaconMetrics *beacon.RunnerMetrics
-	queueHist     *telemetry.Histogram
+	// control-plane refreshes so beacon counters accumulate;
+	// controlMetrics is shared by every AS's control service, built in or
+	// attached at runtime, so sciera_control_* is network-wide.
+	telem          *telemetry.Registry
+	trace          *telemetry.TraceRing
+	beaconMetrics  *beacon.RunnerMetrics
+	controlMetrics control.Metrics
+	queueHist      *telemetry.Histogram
 	// busyUntil tracks each directed wire's transmit-queue horizon. It
 	// is written by the simulator's latency model (inside the sim lock)
 	// and read by the routers' QueueDelay hook (outside it); busyMu is
 	// always the innermost lock, so there is no ordering cycle.
 	busyMu    sync.Mutex
 	busyUntil map[wireKey]time.Time
-
-	// pathsMu guards the memoized Combine results. pathsReg pins the
-	// registry epoch the cache was built against: a control-plane refresh
-	// publishes a new registry (and fresh path DBs), which empties the
-	// cache wholesale instead of letting stale (src, dst) keys linger.
-	pathsMu    sync.Mutex
-	pathsReg   *beacon.Registry
-	pathsCache map[[2]addr.IA]pathsCacheEntry
-
-	// warmPaths/warmReg carry the snapshot's memoized combinations past
-	// InstallSnapshot so NewDaemon can pre-seed daemon combine memos —
-	// but only while the installed registry is still current (warmReg
-	// pins the epoch). Written once at install, before any campaign
-	// concurrency starts; read-only afterwards.
-	warmPaths map[[2]addr.IA][]*combinator.Path
-	warmReg   *beacon.Registry
-}
-
-// pathsCacheEntry is one memoized path combination, valid while the
-// stamps of the three backing segment stores are unchanged.
-type pathsCacheEntry struct {
-	up, core, down uint64
-	paths          []*combinator.Path
 }
 
 // newNetwork initializes the network shell — struct, telemetry wiring
@@ -241,22 +214,25 @@ func BuildWarm(topo *topology.Topology, transport simnet.Network, opts Options) 
 
 // startControlServices runs one control service per AS on the underlay.
 func (n *Network) startControlServices() error {
-	metrics := &control.Metrics{}
 	if n.telem != nil {
-		metrics.Register(n.telem)
+		n.controlMetrics.Register(n.telem)
 	}
 	for _, as := range n.Topo.ASes() {
-		svc := &control.Service{
-			IA:       as.IA,
-			Registry: n.Registry,
-			TRCs:     n.trcs,
-			Metrics:  metrics,
-		}
-		if err := svc.Start(n.Transport, n.HostAddr()); err != nil {
+		if err := n.startControlService(as.IA); err != nil {
 			return err
 		}
-		n.services[as.IA] = svc
 	}
+	return nil
+}
+
+// startControlService runs one AS's control service on the network's
+// shared metric cells.
+func (n *Network) startControlService(ia addr.IA) error {
+	svc := &control.Service{IA: ia, Registry: n.Registry, TRCs: n.trcs, Metrics: &n.controlMetrics}
+	if err := svc.Start(n.Transport, n.HostAddr()); err != nil {
+		return err
+	}
+	n.services[ia] = svc
 	return nil
 }
 
@@ -287,22 +263,6 @@ func (n *Network) NewDaemon(ia addr.IA) (*daemon.Daemon, error) {
 	}
 	if n.telem != nil {
 		d.RegisterTelemetry(n.telem)
-	}
-	// On a warm-started network, pre-seed the daemon's combine memo
-	// with the snapshot's combinations for this AS — the daemon's first
-	// fetch per destination then resolves NotModified against a warm
-	// memo instead of decoding and recombining every segment. Valid
-	// only while the installed registry is still the current one (an
-	// incident refresh moves the generation token, and the service
-	// would simply serve fresh segments as usual).
-	if n.warmPaths != nil && n.Registry() == n.warmReg {
-		if gen := svc.PathsGen(); gen != 0 {
-			for k, paths := range n.warmPaths {
-				if k[0] == ia {
-					d.WarmCombine(k[1], gen, paths)
-				}
-			}
-		}
 	}
 	return d, nil
 }
@@ -409,14 +369,12 @@ func (n *Network) refreshControlPlane() error {
 		}
 	}
 	runner := &beacon.Runner{
-		Topo:           n.Topo,
-		Keys:           func(ia addr.IA) scrypto.HopKey { return n.keys[ia] },
-		Timestamp:      uint32(n.Opts.Now.Unix()),
-		BestPerOrigin:  n.Opts.BestPerOrigin,
-		PropagateBestK: n.Opts.PropagateBestK,
-		RegisterBestK:  n.Opts.RegisterBestK,
-		Rng:            n.rng,
-		Metrics:        n.beaconMetrics,
+		Topo:          n.Topo,
+		Keys:          func(ia addr.IA) scrypto.HopKey { return n.keys[ia] },
+		Timestamp:     uint32(n.Opts.Now.Unix()),
+		BestPerOrigin: n.Opts.BestPerOrigin,
+		Rng:           n.rng,
+		Metrics:       n.beaconMetrics,
 	}
 	if n.Opts.WithPKI {
 		runner.Signers = func(ia addr.IA) *cppki.Signer { return n.signers[ia] }
@@ -640,45 +598,13 @@ func (n *Network) Registry() *beacon.Registry {
 	return n.registry
 }
 
-// Paths performs a path lookup from src to dst: up segments from the
-// source AS, core segments, down segments to the destination, combined
-// into end-to-end paths (sorted by hops, then latency).
-//
-// Combinations are memoized per (src, dst) against the stamps of the
-// backing segment stores, so the campaign hot path (every probe
-// interval re-resolves its pair) pays Combine once per control-plane
-// state instead of once per call. Callers share the returned slice and
-// must not mutate it — path policies already copy before reordering.
+// Paths resolves src to dst on the current registry, which memoizes
+// the combination (beacon.Registry.Paths). The campaign asks on full
+// probes only — 4,366 lookups for 233,568 probes per campaign-sciera
+// repetition — so what the memo saves is a Combine per full probe, not
+// per probe. Callers share the returned slice and must not mutate it.
 func (n *Network) Paths(src, dst addr.IA) []*combinator.Path {
-	reg := n.Registry()
-	upDB := reg.Up[src]
-	var upStamp uint64
-	if upDB != nil {
-		upStamp = upDB.Stamp()
-	}
-	coreStamp, downStamp := reg.Core.Stamp(), reg.Down.Stamp()
-	key := [2]addr.IA{src, dst}
-	n.pathsMu.Lock()
-	if n.pathsReg == reg {
-		if e, ok := n.pathsCache[key]; ok && e.up == upStamp && e.core == coreStamp && e.down == downStamp {
-			n.pathsMu.Unlock()
-			return e.paths
-		}
-	} else {
-		n.pathsReg = reg
-		n.pathsCache = make(map[[2]addr.IA]pathsCacheEntry)
-	}
-	n.pathsMu.Unlock()
-
-	ups, cores, downs := reg.Lookup(src, dst)
-	paths := combinator.Combine(src, dst, ups, cores, downs)
-
-	n.pathsMu.Lock()
-	if n.pathsReg == reg {
-		n.pathsCache[key] = pathsCacheEntry{up: upStamp, core: coreStamp, down: downStamp, paths: paths}
-	}
-	n.pathsMu.Unlock()
-	return paths
+	return n.Registry().Paths(src, dst)
 }
 
 // SetLinkUp changes a link's state and refreshes the control plane.

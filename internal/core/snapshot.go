@@ -1,9 +1,10 @@
 package core
 
 // Converged-state snapshots: after one reference replica converges, its
-// entire control-plane state — segment registries, trust material,
-// memoized path combinations, beacon counters, and the position of the
-// seeded control-plane RNG — is captured into an immutable Snapshot.
+// entire control-plane state — segment registries (with the path
+// combinations they have memoized), trust material, beacon counters, and
+// the position of the seeded control-plane RNG — is captured into an
+// immutable Snapshot.
 // Worker replicas are then constructed by copy-on-write cloning
 // (BuildWarm + InstallSnapshot) instead of re-running beaconing, which
 // is what makes sharded-campaign setup O(1) in the worker count.
@@ -30,7 +31,6 @@ import (
 
 	"sciera/internal/addr"
 	"sciera/internal/beacon"
-	"sciera/internal/combinator"
 	"sciera/internal/cppki"
 	"sciera/internal/pathdb"
 	"sciera/internal/segment"
@@ -93,11 +93,11 @@ type BeaconCounters struct {
 
 // Snapshot is an immutable capture of a converged network's
 // control-plane state. In-memory snapshots share the reference
-// replica's segment objects, trust material and memoized combinations
-// by reference (all immutable or concurrency-safe); the serializable
-// form (WriteFile/LoadSnapshotFile) carries segments and counters but
-// omits trust material (private keys never leave the process) and the
-// derivable combination memo.
+// replica's registry (segments and memoized combinations) and trust
+// material by reference (all immutable or concurrency-safe); the
+// serializable form (WriteFile/LoadSnapshotFile) carries segments and
+// counters but omits trust material (private keys never leave the
+// process) and the derivable combination memo.
 type Snapshot struct {
 	// Seed, WithPKI, ASes and Links fingerprint the configuration the
 	// snapshot was taken under; InstallSnapshot refuses a mismatch.
@@ -109,15 +109,11 @@ type Snapshot struct {
 	// state advances convergence consumed. Clones fast-forward to it.
 	RandDraws uint64
 	// Registry is the reference replica's converged segment registry;
-	// each InstallSnapshot clones it copy-on-write.
+	// each InstallSnapshot clones it copy-on-write, memo included.
 	Registry *beacon.Registry
 	// Trust is the shared trust bundle (nil for snapshots loaded from
 	// disk, or unsigned networks; loaded PKI snapshots re-provision).
 	Trust *cppki.TrustMaterial
-	// Paths carries the memoized path combinations captured from the
-	// reference (WarmPaths primes them); clones re-stamp the entries
-	// against their own cloned stores.
-	Paths map[[2]addr.IA][]*combinator.Path
 	// Beacon holds the counter values at capture time; VerifyLatency is
 	// the reference's verification-latency histogram (nil unsigned),
 	// merged into each clone's fresh histogram.
@@ -132,9 +128,9 @@ func newVerifyLatencyHistogram() *telemetry.Histogram {
 	return telemetry.NewHistogram(0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10)
 }
 
-// WarmPaths primes the memoized path combinations for the given
-// (src, dst) pairs, so a Snapshot taken afterwards carries them and
-// every clone starts with a fully warm lookup memo.
+// WarmPaths primes the registry's memoized path combinations for the
+// given (src, dst) pairs, so every replica cloned from a Snapshot of
+// this network starts with a fully warm lookup memo.
 func (n *Network) WarmPaths(pairs [][2]addr.IA) {
 	for _, p := range pairs {
 		n.Paths(p[0], p[1])
@@ -173,23 +169,6 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 		}
 		s.VerifyLatency = m.VerifyLatency
 	}
-	// Capture the memoized combinations still valid against the current
-	// stores (WarmPaths just primed them, so normally all of them).
-	n.pathsMu.Lock()
-	if n.pathsReg == reg && len(n.pathsCache) > 0 {
-		coreStamp, downStamp := reg.Core.Stamp(), reg.Down.Stamp()
-		s.Paths = make(map[[2]addr.IA][]*combinator.Path, len(n.pathsCache))
-		for k, e := range n.pathsCache {
-			var upStamp uint64
-			if db := reg.Up[k[0]]; db != nil {
-				upStamp = db.Stamp()
-			}
-			if e.up == upStamp && e.core == coreStamp && e.down == downStamp {
-				s.Paths[k] = e.paths
-			}
-		}
-	}
-	n.pathsMu.Unlock()
 	return s, nil
 }
 
@@ -197,9 +176,8 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 // converged control-plane state: the registry is installed as a
 // copy-on-write clone, trust material is adopted (or, for snapshots
 // loaded from disk under WithPKI, re-provisioned), beacon counters are
-// restored into fresh private cells, the seeded RNG fast-forwards to
-// the recorded position, and the combination memo is re-stamped against
-// the clone's own stores. The network's topology must match the
+// restored into fresh private cells, and the seeded RNG fast-forwards
+// to the recorded position. The network's topology must match the
 // snapshot's (same seed, PKI mode, AS and link counts) — callers add
 // runtime links before installing.
 func (n *Network) InstallSnapshot(snap *Snapshot) error {
@@ -239,9 +217,9 @@ func (n *Network) InstallSnapshot(snap *Snapshot) error {
 		}
 	}
 
-	// Registry: copy-on-write clone, plus the empty per-AS up-segment
-	// stores beaconing would have created (on-disk snapshots omit
-	// segmentless ASes).
+	// Registry: copy-on-write clone (carrying the reference's memoized
+	// combinations), plus the empty per-AS up-segment stores beaconing
+	// would have created (on-disk snapshots omit segmentless ASes).
 	reg := snap.Registry.Clone()
 	for _, as := range n.Topo.ASes() {
 		if !as.Core && reg.Up[as.IA] == nil {
@@ -282,27 +260,6 @@ func (n *Network) InstallSnapshot(snap *Snapshot) error {
 	n.mu.Lock()
 	n.registry = reg
 	n.mu.Unlock()
-
-	// Combination memo, re-stamped against the clone's own stores
-	// (stamps fold in store identity and are never shared or
-	// serialized).
-	if len(snap.Paths) > 0 {
-		coreStamp, downStamp := reg.Core.Stamp(), reg.Down.Stamp()
-		cache := make(map[[2]addr.IA]pathsCacheEntry, len(snap.Paths))
-		for k, paths := range snap.Paths {
-			var upStamp uint64
-			if db := reg.Up[k[0]]; db != nil {
-				upStamp = db.Stamp()
-			}
-			cache[k] = pathsCacheEntry{up: upStamp, core: coreStamp, down: downStamp, paths: paths}
-		}
-		n.pathsMu.Lock()
-		n.pathsReg = reg
-		n.pathsCache = cache
-		n.pathsMu.Unlock()
-		n.warmPaths = snap.Paths
-		n.warmReg = reg
-	}
 	return nil
 }
 

@@ -107,11 +107,11 @@ func TestSnapshotCloneServesIdenticalPaths(t *testing.T) {
 	}
 
 	// Segment objects are shared, not copied; the stores are not.
-	coldReg, warmReg := cold.Registry(), warm.Registry()
-	if coldReg == warmReg {
+	coldReg, cloneReg := cold.Registry(), warm.Registry()
+	if coldReg == cloneReg {
 		t.Fatal("clone shares the registry object itself")
 	}
-	coldCore, warmCore := coldReg.Core.All(), warmReg.Core.All()
+	coldCore, warmCore := coldReg.Core.All(), cloneReg.Core.All()
 	if len(coldCore) == 0 || len(coldCore) != len(warmCore) {
 		t.Fatalf("core store: %d vs %d segments", len(coldCore), len(warmCore))
 	}
@@ -120,7 +120,7 @@ func TestSnapshotCloneServesIdenticalPaths(t *testing.T) {
 			t.Fatal("clone copied core segment objects")
 		}
 	}
-	if coldReg.Core.Stamp() == warmReg.Core.Stamp() {
+	if coldReg.Core.Stamp() == cloneReg.Core.Stamp() {
 		t.Fatal("clone core stamp aliases the reference's")
 	}
 	if snap.RandDraws == 0 {
@@ -315,13 +315,13 @@ func TestClonedPathsZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Paths) == 0 {
-		t.Fatal("snapshot carries no warmed combinations")
-	}
 	warm := buildWarmNet(t)
 	defer warm.Close()
 	if err := warm.InstallSnapshot(snap); err != nil {
 		t.Fatal(err)
+	}
+	if &warm.Paths(lA, lC)[0] != &cold.Paths(lA, lC)[0] {
+		t.Fatal("clone recombined a pair the reference had warmed")
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		warm.Paths(lA, lC)

@@ -19,7 +19,7 @@ func TestDaemonCombineCacheZeroAlloc(t *testing.T) {
 	}
 	dst := addr.MustParseIA("71-11")
 	now := time.Unix(1_700_000_000, 0)
-	d := &Daemon{combine: map[addr.IA]combineEntry{
+	d := &Daemon{paths: map[addr.IA]pathEntry{
 		dst: {
 			gen:    7,
 			paths:  []*combinator.Path{{Src: addr.MustParseIA("71-10"), Dst: dst, Fingerprint: "p"}},
@@ -27,7 +27,7 @@ func TestDaemonCombineCacheZeroAlloc(t *testing.T) {
 		},
 	}}
 	allocs := testing.AllocsPerRun(1000, func() {
-		paths, ok := d.combineWarm(dst, 7, now)
+		paths, ok := d.confirm(dst, 7, now)
 		if !ok || len(paths) != 1 {
 			t.Fatal("warm hit missed")
 		}

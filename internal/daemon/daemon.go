@@ -41,19 +41,14 @@ type Daemon struct {
 	net  simnet.Network
 	cli  *control.Client
 
-	// CacheTTL bounds how long combined paths are served from cache
-	// (default 60s, well below segment expiry).
+	// CacheTTL bounds how long combined paths are served without asking
+	// the control service again (default 60s, well below segment expiry).
 	CacheTTL time.Duration
 
-	mu    sync.Mutex
-	trcs  *cppki.Store
-	cache map[addr.IA]cacheEntry
-	// combine memoizes the Combine result per destination, keyed by the
-	// control service's segment-store generation token. It outlives the
-	// TTL cache: when the TTL lapses but the stores are unchanged, the
-	// service answers NotModified and the memoized combination is served
-	// without re-decoding or recombining a single segment.
-	combine map[addr.IA]combineEntry
+	mu   sync.Mutex
+	trcs *cppki.Store
+	// paths is the daemon's one path cache, an entry per destination.
+	paths map[addr.IA]pathEntry
 	// inflight coalesces concurrent lookups for the same destination
 	// into one control-service fetch: the first caller owns the fetch,
 	// later callers park their callbacks here and are answered when it
@@ -63,10 +58,10 @@ type Daemon struct {
 	// lookups/hits/coalesced are telemetry cells so Stats() and a
 	// registered /metrics endpoint read the same numbers.
 	lookups, hits, coalesced telemetry.Counter
-	// cHits/cMisses/cInvalidations count combine-cache outcomes: lookups
-	// resolved from the memoized combination, lookups that had to
-	// recombine, and entries dropped because a backing segment expired
-	// or the store generation moved on.
+	// cHits/cMisses/cInvalidations count what a fetch did to the entry:
+	// re-confirmed it on NotModified (no recombination), had to
+	// recombine, or found it dead because a backing segment expired or
+	// the store generation moved on.
 	cHits, cMisses, cInvalidations telemetry.Counter
 }
 
@@ -82,19 +77,19 @@ func (d *Daemon) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.RegisterCounter("sciera_daemon_combine_cache_invalidations_total", "memoized combinations dropped on segment expiry or generation change", &d.cInvalidations, l)
 }
 
-type cacheEntry struct {
-	paths   []*combinator.Path
-	expires time.Time
-}
-
-// combineEntry is one memoized path combination: valid while the control
-// service still serves generation gen and no backing segment has
-// expired (expiry is the earliest path expiry; serving the entry before
-// that instant equals recombining and filtering afresh).
-type combineEntry struct {
-	gen    uint64
-	paths  []*combinator.Path
-	expiry time.Time
+// pathEntry is one destination's combined paths. It is served as is
+// while the control service confirmed it within CacheTTL; after that the
+// daemon asks again, echoing gen, and a NotModified answer re-confirms
+// the entry without decoding or recombining a segment. Past expiry (the
+// earliest path expiry; serving before that instant equals recombining
+// and filtering afresh) the entry is dropped and fetched in full.
+type pathEntry struct {
+	paths []*combinator.Path
+	// gen is the control service's token for the segment stores paths
+	// were combined from (0: none, never echoed).
+	gen       uint64
+	expiry    time.Time
+	confirmed time.Time
 }
 
 // New creates a daemon and its control-service client.
@@ -109,8 +104,7 @@ func New(net simnet.Network, info Info, clientAddr netip.AddrPort) (*Daemon, err
 		cli:      cli,
 		CacheTTL: time.Minute,
 		trcs:     cppki.NewStore(),
-		cache:    make(map[addr.IA]cacheEntry),
-		combine:  make(map[addr.IA]combineEntry),
+		paths:    make(map[addr.IA]pathEntry),
 		inflight: make(map[addr.IA][]func([]*combinator.Path, error)),
 	}, nil
 }
@@ -149,11 +143,11 @@ func (d *Daemon) PathsAsync(dst addr.IA, cb func([]*combinator.Path, error)) {
 	now := d.net.Now()
 	d.mu.Lock()
 	d.lookups.Inc()
-	if e, ok := d.cache[dst]; ok && now.Before(e.expires) {
+	e, cached := d.paths[dst]
+	if cached && now.Before(e.confirmed.Add(d.CacheTTL)) {
 		d.hits.Inc()
-		paths := e.paths
 		d.mu.Unlock()
-		cb(paths, nil)
+		cb(e.paths, nil)
 		return
 	}
 	if dst == d.info.LocalIA {
@@ -170,17 +164,14 @@ func (d *Daemon) PathsAsync(dst addr.IA, cb func([]*combinator.Path, error)) {
 		return
 	}
 	d.inflight[dst] = append(make([]func([]*combinator.Path, error), 0, 1), cb)
-	// Resolve which combine-cache generation to echo to the control
-	// service. An entry whose earliest path expiry has passed is stale
-	// even if the stores are unchanged — drop it and fetch in full.
-	gen := uint64(0)
-	if e, ok := d.combine[dst]; ok {
-		if now.Before(e.expiry) {
-			gen = e.gen
-		} else {
-			delete(d.combine, dst)
-			d.cInvalidations.Inc()
-		}
+	// Echo the lapsed entry's generation to the control service — unless
+	// its earliest path expiry has passed: it is stale even if the stores
+	// are unchanged, so drop it and fetch in full.
+	gen := e.gen
+	if cached && !now.Before(e.expiry) {
+		gen = 0
+		delete(d.paths, dst)
+		d.cInvalidations.Inc()
 	}
 	d.mu.Unlock()
 
@@ -188,46 +179,46 @@ func (d *Daemon) PathsAsync(dst addr.IA, cb func([]*combinator.Path, error)) {
 }
 
 // fetch queries the control service for dst's segments, echoing the
-// memoized combination's generation token. A NotModified verdict
-// resolves against the combine cache (zero segment decodes, zero
-// recombination); anything else recombines and re-memoizes.
+// cached entry's generation token. A NotModified verdict re-confirms
+// the entry (zero segment decodes, zero recombination); anything else
+// recombines and replaces it.
 func (d *Daemon) fetch(dst addr.IA, gen uint64) {
 	d.cli.Do(&control.Request{Type: "paths", Dst: dst, Gen: gen}, func(resp *control.Response, err error) {
 		if err != nil {
-			d.finishLookup(dst, nil, err, false)
+			d.finishLookup(dst, nil, err)
 			return
 		}
 		if resp.Error != "" {
-			d.finishLookup(dst, nil, fmt.Errorf("daemon: control service: %s", resp.Error), false)
+			d.finishLookup(dst, nil, fmt.Errorf("daemon: control service: %s", resp.Error))
 			return
 		}
 		if resp.NotModified {
-			if paths, ok := d.combineWarm(dst, gen, d.net.Now()); ok {
-				d.finishLookup(dst, paths, nil, true)
+			if gen == 0 {
+				d.finishLookup(dst, nil, fmt.Errorf("daemon: control service answered NotModified to an unconditional request"))
+				return
+			}
+			if paths, ok := d.confirm(dst, gen, d.net.Now()); ok {
+				d.finishLookup(dst, paths, nil)
 				return
 			}
 			// The entry vanished (flush, or expiry crossed while the
 			// request was on the wire): retry unconditionally.
-			if gen != 0 {
-				d.fetch(dst, 0)
-				return
-			}
-			d.finishLookup(dst, nil, fmt.Errorf("daemon: control service answered NotModified to an unconditional request"), false)
+			d.fetch(dst, 0)
 			return
 		}
 		ups, err := control.DecodeSegments(resp.Ups)
 		if err != nil {
-			d.finishLookup(dst, nil, err, false)
+			d.finishLookup(dst, nil, err)
 			return
 		}
 		cores, err := control.DecodeSegments(resp.Cores)
 		if err != nil {
-			d.finishLookup(dst, nil, err, false)
+			d.finishLookup(dst, nil, err)
 			return
 		}
 		downs, err := control.DecodeSegments(resp.Downs)
 		if err != nil {
-			d.finishLookup(dst, nil, err, false)
+			d.finishLookup(dst, nil, err)
 			return
 		}
 		d.cMisses.Inc()
@@ -240,56 +231,35 @@ func (d *Daemon) fetch(dst addr.IA, gen uint64) {
 				fresh = append(fresh, p)
 			}
 		}
-		d.storeCombine(dst, resp.Gen, fresh, now)
-		d.finishLookup(dst, fresh, nil, true)
+		d.store(dst, resp.Gen, fresh, now)
+		d.finishLookup(dst, fresh, nil)
 	})
 }
 
-// combineWarm resolves a NotModified verdict against the memoized
-// combination: the entry must still exist, carry the echoed generation,
-// and not have crossed its earliest path expiry. The hit path performs
-// no allocation (guarded by TestDaemonCombineCacheZeroAlloc).
-func (d *Daemon) combineWarm(dst addr.IA, gen uint64, now time.Time) ([]*combinator.Path, bool) {
+// confirm resolves a NotModified verdict against the cached entry: it
+// must still exist, carry the echoed generation, and not have crossed
+// its earliest path expiry. The hit path performs no allocation
+// (guarded by TestDaemonCombineCacheZeroAlloc).
+func (d *Daemon) confirm(dst addr.IA, gen uint64, now time.Time) ([]*combinator.Path, bool) {
 	d.mu.Lock()
-	e, ok := d.combine[dst]
+	defer d.mu.Unlock()
+	e, ok := d.paths[dst]
 	if !ok || e.gen != gen || !now.Before(e.expiry) {
 		if ok {
-			delete(d.combine, dst)
+			delete(d.paths, dst)
 			d.cInvalidations.Inc()
 		}
-		d.mu.Unlock()
 		return nil, false
 	}
 	d.cHits.Inc()
-	paths := e.paths
-	d.mu.Unlock()
-	return paths, true
+	e.confirmed = now
+	d.paths[dst] = e
+	return e.paths, true
 }
 
-// WarmCombine pre-seeds the combine memo for dst with an
-// already-combined path set served at store generation gen, filtering
-// expired paths exactly as a fresh fetch would (into a private slice —
-// the input may be shared across replicas and is never mutated). A
-// warm-started network calls it at daemon creation so the daemon's
-// first conditional fetch per destination resolves NotModified against
-// this entry instead of decoding and recombining every segment.
-func (d *Daemon) WarmCombine(dst addr.IA, gen uint64, paths []*combinator.Path) {
-	now := d.net.Now()
-	fresh := make([]*combinator.Path, 0, len(paths))
-	for _, p := range paths {
-		if p.Expiry.After(now) {
-			fresh = append(fresh, p)
-		}
-	}
-	d.storeCombine(dst, gen, fresh, now)
-}
-
-// storeCombine memoizes a freshly combined (and expiry-filtered) path
-// set under the control service's generation token.
-func (d *Daemon) storeCombine(dst addr.IA, gen uint64, paths []*combinator.Path, now time.Time) {
-	if gen == 0 {
-		return
-	}
+// store caches a freshly combined (and expiry-filtered) path set under
+// the control service's generation token.
+func (d *Daemon) store(dst addr.IA, gen uint64, paths []*combinator.Path, now time.Time) {
 	// Earliest backing expiry; an entry with no paths stays valid until
 	// the generation moves (an expired empty set is still empty).
 	expiry := now.Add(1000 * 24 * time.Hour)
@@ -299,21 +269,18 @@ func (d *Daemon) storeCombine(dst addr.IA, gen uint64, paths []*combinator.Path,
 		}
 	}
 	d.mu.Lock()
-	if old, ok := d.combine[dst]; ok && old.gen != gen {
+	if old, ok := d.paths[dst]; ok && old.gen != 0 && old.gen != gen {
 		d.cInvalidations.Inc()
 	}
-	d.combine[dst] = combineEntry{gen: gen, paths: paths, expiry: expiry}
+	d.paths[dst] = pathEntry{paths: paths, gen: gen, expiry: expiry, confirmed: now}
 	d.mu.Unlock()
 }
 
-// finishLookup resolves a singleflight fetch: caches the result when it
-// succeeded, then answers the owning caller and every coalesced waiter.
-// Callbacks run outside d.mu (they may re-enter PathsAsync).
-func (d *Daemon) finishLookup(dst addr.IA, paths []*combinator.Path, err error, cacheIt bool) {
+// finishLookup resolves a singleflight fetch: answers the owning caller
+// and every coalesced waiter. Callbacks run outside d.mu (they may
+// re-enter PathsAsync).
+func (d *Daemon) finishLookup(dst addr.IA, paths []*combinator.Path, err error) {
 	d.mu.Lock()
-	if cacheIt {
-		d.cache[dst] = cacheEntry{paths: paths, expires: d.net.Now().Add(d.CacheTTL)}
-	}
 	waiters := d.inflight[dst]
 	delete(d.inflight, dst)
 	d.mu.Unlock()
@@ -335,13 +302,12 @@ func (d *Daemon) Paths(dst addr.IA) ([]*combinator.Path, error) {
 	return res.paths, res.err
 }
 
-// FlushCache clears cached paths and memoized combinations (e.g. after
-// an SCMP interface-down revocation makes cached paths suspect).
+// FlushCache clears the path cache (e.g. after an SCMP interface-down
+// revocation makes cached paths suspect).
 func (d *Daemon) FlushCache() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.cache = make(map[addr.IA]cacheEntry)
-	d.combine = make(map[addr.IA]combineEntry)
+	d.paths = make(map[addr.IA]pathEntry)
 }
 
 // FetchTRCAsync retrieves and verifies the TRC for an ISD from the
@@ -364,13 +330,15 @@ func (d *Daemon) FetchTRCAsync(isd addr.ISD, cb func(*cppki.TRC, error)) {
 		}
 		now := d.net.Now()
 		d.mu.Lock()
-		defer d.mu.Unlock()
 		if _, ok := d.trcs.Get(isd); ok {
-			if err := d.trcs.Update(trc, now); err != nil {
-				cb(nil, err)
-				return
-			}
-		} else if err := d.trcs.AddTrusted(trc, now); err != nil {
+			err = d.trcs.Update(trc, now)
+		} else {
+			err = d.trcs.AddTrusted(trc, now)
+		}
+		d.mu.Unlock()
+		// Like finishLookup's, the callback runs outside d.mu: it may
+		// re-enter the daemon.
+		if err != nil {
 			cb(nil, err)
 			return
 		}

@@ -261,3 +261,41 @@ func TestInfoAccessors(t *testing.T) {
 		t.Errorf("daemon with zero CS addr should still construct: %v", err)
 	}
 }
+
+// TestFetchTRCCallbackMayReenter: the TRC callback runs outside the
+// daemon's lock, like every lookup callback, so it may call back into
+// the daemon — here a path lookup chained onto a fetched TRC.
+func TestFetchTRCCallbackMayReenter(t *testing.T) {
+	sim := simnet.NewSim(time.Now())
+	n := buildNet(t, sim, core.Options{Seed: 1, WithPKI: true})
+	defer n.Close()
+	d, _ := n.NewDaemon(lA)
+	defer d.Close()
+
+	finished := make(chan int, 1)
+	go func() {
+		resolved := 0
+		d.FetchTRCAsync(71, func(_ *cppki.TRC, err error) {
+			if err != nil {
+				t.Errorf("TRC fetch: %v", err)
+			}
+			d.FlushCache()
+			d.PathsAsync(lB, func(p []*combinator.Path, err error) {
+				if err != nil {
+					t.Errorf("chained lookup: %v", err)
+				}
+				resolved = len(p)
+			})
+		})
+		sim.RunFor(10 * time.Second)
+		finished <- resolved
+	}()
+	select {
+	case resolved := <-finished:
+		if resolved == 0 {
+			t.Fatal("the lookup chained onto the TRC callback resolved no paths")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("TRC callback re-entering the daemon deadlocked")
+	}
+}
