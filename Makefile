@@ -37,10 +37,11 @@ fmt-check:
 # router fast path (single-packet and batched), the simulator, the
 # warm chain-cache verify path, the daemon's NotModified re-confirm,
 # memoized path lookups on a registry, its clone and a snapshot-cloned
-# replica, and the campaign's probe path (a bound per probe, not zero:
-# TestCampaignProbeAllocs).
+# replica, the campaign's probe path (a bound per probe, not zero:
+# TestCampaignProbeAllocs) and a control-plane refresh on the churn
+# topology (a bound per refresh: TestRefreshAllocs).
 alloc-guard:
-	$(GO) test -count=1 -run 'ZeroAlloc|ProbeAllocs' . ./internal/simnet ./internal/cppki ./internal/daemon ./internal/beacon ./internal/core
+	$(GO) test -count=1 -run 'ZeroAlloc|ProbeAllocs|RefreshAllocs' . ./internal/simnet ./internal/cppki ./internal/daemon ./internal/beacon ./internal/core
 
 # Every internal package must carry a godoc package comment: the
 # architecture guide (docs/architecture.md) leans on them as the
@@ -89,12 +90,14 @@ bench-smoke:
 # Native fuzz targets, a few seconds each on top of the checked-in
 # corpora under internal/*/testdata/fuzz: the control service's
 # untrusted-input boundary (request bytes in, response bytes at the
-# daemon) and the burst fast-path decode against the full decoder.
+# daemon), the burst fast-path decode against the full decoder, and the
+# beacon store's admission rule against its insert.
 # A failure leaves its reproducer there; `go test` replays it.
 fuzz-smoke:
 	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzServiceHandle$$' -fuzztime 3s
 	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzDecodeSegments$$' -fuzztime 3s
 	$(GO) test ./internal/slayers -run '^$$' -fuzz '^FuzzDecodeSameFlow$$' -fuzztime 3s
+	$(GO) test ./internal/beacon -run '^$$' -fuzz '^FuzzStoreAdmit$$' -fuzztime 3s
 
 verify: build race alloc-guard vet fmt-check doc-check scenario-check snapshot-check bench-smoke fuzz-smoke
 	@echo "verify: OK"

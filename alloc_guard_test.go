@@ -241,3 +241,26 @@ func TestCampaignProbeAllocs(t *testing.T) {
 		t.Errorf("steady-state campaign round: %.2f allocs per probe, want <= %d", perProbe, maxPerProbe)
 	}
 }
+
+// TestRefreshAllocs guards what a control-plane refresh allocates on the
+// benchmark's churn topology. A beacon is built only when a store admits
+// it, and of ~23 k candidates per refresh the stores admit ~4 k: 66.4 k
+// allocations measured, where the flood that built every candidate at
+// its sender made 316.4 k on the same test. The bound is the measurement
+// plus 10 %, well under half of that.
+func TestRefreshAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; run without -race")
+	}
+	const maxPerRefresh = 73_000
+	n := churnNetwork(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := n.RefreshControlPlane(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per refresh", allocs)
+	if allocs > maxPerRefresh {
+		t.Errorf("control-plane refresh: %.0f allocs, want <= %d", allocs, maxPerRefresh)
+	}
+}

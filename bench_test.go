@@ -510,6 +510,41 @@ func BenchmarkBeaconing(b *testing.B) {
 	}
 }
 
+// churnNetwork builds the benchmark's control-churn topology (200 ASes,
+// 3 ISDs, 8 cores each) with the control plane converged once.
+func churnNetwork(tb testing.TB) *core.Network {
+	tb.Helper()
+	s, err := scenario.Resolve("gen:isds=3,ases=200,cores=8,seed=1")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	topo, err := s.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, err := core.Build(topo, simnet.NewSim(s.Campaign.Start()),
+		core.Options{Seed: 42, BestPerOrigin: s.Campaign.BestPerOrigin})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { n.Close() })
+	return n
+}
+
+// BenchmarkRefresh measures one control-plane refresh on the churn
+// topology: what every link flap of the control-churn workload pays, and
+// the timing that goes with TestRefreshAllocs' allocation count.
+func BenchmarkRefresh(b *testing.B) {
+	n := churnNetwork(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := n.RefreshControlPlane(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBeaconDiversity ablates the BestPerOrigin selection knob
 // (DESIGN.md "the Figure 8 diversity knob"): control-plane convergence
 // cost and resulting path diversity at 4/8/16/32 beacons per origin.

@@ -73,38 +73,69 @@ func NewStore(limit int) *Store {
 // replaces nothing and is not re-propagated, keeping selection — and
 // therefore the network's path sets — stable across beacon intervals.
 func (s *Store) Insert(seg *segment.Segment, recvIf uint16) bool {
-	if seg.Len() == 0 {
-		return false
-	}
-	e := NewEntry(seg, recvIf)
-	origin := seg.FirstIA()
+	return s.InsertEntry(NewEntry(seg, recvIf))
+}
+
+// InsertEntry is Insert for a beacon whose route is already hashed.
+func (s *Store) InsertEntry(e *Entry) bool {
+	origin := e.Seg.FirstIA()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.seen[e.Route] {
+	at, ok := s.admitLocked(origin, e.Seg.Len(), e.Route)
+	if !ok {
 		return false
 	}
-	// The per-origin list is kept ranked, so the new beacon is placed by
-	// binary search.
-	entries := s.byOrigin[origin]
-	at := sort.Search(len(entries), func(i int) bool { return !entryLess(entries[i], e) })
-	entries = append(entries, nil)
+	entries := append(s.byOrigin[origin], nil)
 	copy(entries[at+1:], entries[at:])
 	entries[at] = e
 	// Enforce the per-origin count limit and the relative length
 	// window: entries are ranked shortest-first, so the survivors are a
-	// prefix.
+	// prefix (which admission has checked the new beacon is in).
 	keep := min(len(entries), s.limit)
 	for entries[keep-1].Seg.Len() > entries[0].Seg.Len()+s.extraLen {
 		keep--
 	}
 	for _, evicted := range entries[keep:] {
-		delete(s.seen, evicted.Route) // a no-op for the new beacon itself
+		delete(s.seen, evicted.Route)
 	}
 	s.byOrigin[origin] = entries[:keep]
-	if at < keep {
-		s.seen[e.Route] = true
+	s.seen[e.Route] = true
+	return true
+}
+
+// Admits reports exactly what Insert would return for a beacon of the
+// given origin, AS-hop length and route ID, without needing the beacon:
+// its route is not stored, it ranks by (length, route) inside the
+// per-origin limit, and it is within the length window of the shortest
+// beacon kept. A store only tightens — entries only get better, the
+// window only shrinks, an evicted route ranks beyond what is kept — so a
+// beacon refused now is refused after any further inserts
+// (FuzzStoreAdmit): the runner builds, signs and verifies only what a
+// store admits.
+func (s *Store) Admits(origin addr.IA, length int, route string) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.admitLocked(origin, length, route)
+	return ok
+}
+
+// admitLocked is the admission rule: the rank the beacon would take in
+// its origin's list, and whether that rank survives the limit and the
+// length window. Callers hold s.mu.
+func (s *Store) admitLocked(origin addr.IA, length int, route string) (at int, ok bool) {
+	if length == 0 || s.seen[route] {
+		return 0, false
 	}
-	return at < keep
+	// The per-origin list is kept ranked, so the beacon is placed by
+	// binary search.
+	entries := s.byOrigin[origin]
+	at = sort.Search(len(entries), func(i int) bool {
+		if n := entries[i].Seg.Len(); n != length {
+			return n > length
+		}
+		return entries[i].Route >= route
+	})
+	return at, at < s.limit && (at == 0 || length <= entries[0].Seg.Len()+s.extraLen)
 }
 
 // entryLess ranks beacons: shorter AS paths first, then by the stable

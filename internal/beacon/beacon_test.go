@@ -304,3 +304,66 @@ func ExampleStore() {
 	fmt.Println(s.Len())
 	// Output: 0
 }
+
+// fuzzBeacon maps three bytes onto a bare (unMACed) beacon: one of two
+// origins, one to eight AS hops over a fixed AS chain, and interface IDs
+// drawn from a few values so that routes repeat. Origin and length are
+// properties of the route, as they are of every real beacon.
+func fuzzBeacon(b0, b1, b2 byte) *segment.Segment {
+	from := []addr.IA{origin, addr.MustParseIA("71-3")}[b0&1]
+	hops := 1 + int(b0>>1)%8
+	seg := &segment.Segment{Timestamp: 100, ASEntries: []segment.ASEntry{{IA: from, Egress: 1 + uint16(b1%4)}}}
+	for h := 1; h < hops; h++ {
+		seg.ASEntries = append(seg.ASEntries, segment.ASEntry{
+			IA: addr.MustIA(71, addr.AS(100+h)), Ingress: 1 + uint16(b2>>h)&1, Egress: 1 + uint16(b1>>h)&1,
+		})
+	}
+	return seg
+}
+
+// FuzzStoreAdmit checks the two properties beaconing rests on. Over any
+// beacon sequence, Admits — asked with origin, length and route alone —
+// answers what Insert then returns, which is what the sort-everything
+// oracle returns, and the two keep the same beacons. And a candidate a
+// store has refused stays refused whatever is inserted afterwards: that
+// is what lets the runner screen a round's candidates against the store
+// as the round starts and sign and verify only the rest.
+func FuzzStoreAdmit(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 0, 0, 0, 0, 0})                                 // a duplicate at limit 1
+	f.Add(uint8(1), []byte{10, 1, 0, 10, 2, 0, 10, 3, 0, 8, 0, 0})            // the limit displaces, then a shorter beacon
+	f.Add(uint8(2), []byte{14, 0, 0, 14, 1, 0, 12, 0, 0, 0, 0, 0, 14, 0, 0})  // a one-hop beacon closes the length window
+	f.Add(uint8(5), []byte{3, 7, 9, 5, 1, 1, 3, 7, 9, 2, 0, 0, 13, 200, 100}) // both origins
+	f.Fuzz(func(t *testing.T, limit uint8, data []byte) {
+		lim := 1 + int(limit%6)
+		store := NewStore(lim)
+		oracle := &oracleStore{limit: lim, extraLen: DefaultMaxExtraLen,
+			byOrigin: make(map[addr.IA][]*Entry), seen: make(map[string]bool)}
+		var refused []*Entry
+		for i := 0; i+2 < len(data) && i < 3*64; i += 3 {
+			e := NewEntry(fuzzBeacon(data[i], data[i+1], data[i+2]), 1)
+			from := e.Seg.FirstIA()
+			admits := store.Admits(from, e.Seg.Len(), e.Route)
+			got, want := store.InsertEntry(e), oracle.Insert(e.Seg, 1)
+			if admits != got || got != want {
+				t.Fatalf("step %d: Admits %v, Insert %v, oracle %v", i/3, admits, got, want)
+			}
+			kept, ref := store.Best(from), oracle.byOrigin[from]
+			if len(kept) != len(ref) {
+				t.Fatalf("step %d: %d kept, oracle %d", i/3, len(kept), len(ref))
+			}
+			for j := range kept {
+				if kept[j].Seg != ref[j].Seg {
+					t.Fatalf("step %d: entry %d differs from oracle", i/3, j)
+				}
+			}
+			if !got {
+				refused = append(refused, e)
+			}
+			for _, r := range refused {
+				if store.Admits(r.Seg.FirstIA(), r.Seg.Len(), r.Route) {
+					t.Fatalf("step %d: refused beacon %s (%d hops) became admissible", i/3, r.Route, r.Seg.Len())
+				}
+			}
+		}
+	})
+}

@@ -103,11 +103,12 @@ func (reg *Registry) Lookup(src, dst addr.IA) (ups, cores, downs []*segment.Segm
 		seg *segment.Segment
 	}
 	var sel []keyed
+	add := func(id string, s *segment.Segment) { sel = append(sel, keyed{id, s}) }
 	for _, a := range joints(src, ups) {
 		for _, b := range joints(dst, downs) {
-			for _, s := range append(reg.Core.Get(a, b), reg.Core.Get(b, a)...) {
-				sel = append(sel, keyed{s.ID(), s})
-			}
+			// The store hands out the ID it files each segment under.
+			reg.Core.Visit(a, b, add)
+			reg.Core.Visit(b, a, add)
 		}
 	}
 	// Two sides that share a core AS select some pairs twice; a stored

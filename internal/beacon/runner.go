@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,7 +23,9 @@ import (
 type RunnerMetrics struct {
 	// Originated counts PCBs created at core ASes.
 	Originated telemetry.Counter
-	// Propagated counts beacon extensions sent onward to a neighbor.
+	// Propagated counts beacon extensions sent onward to a neighbor:
+	// candidates put in flight, whether or not the receiver's store then
+	// admits them (only admitted ones are ever built).
 	Propagated telemetry.Counter
 	// Filtered counts candidate extensions suppressed by policy: loop
 	// avoidance, the no-commercial-transit rule, down links, and
@@ -35,12 +38,16 @@ type RunnerMetrics struct {
 	Registered telemetry.Counter
 	// Verified counts received beacons whose signatures verified on
 	// receipt (verify-on-receipt runs only when the runner has TRCs).
+	// Only beacons the receiving store could still admit at the start of
+	// the round are built, signed and verified, so this counts admissible
+	// beacons, not every candidate sent.
 	Verified telemetry.Counter
 	// VerifyFailed counts received beacons dropped because signature
 	// verification failed.
 	VerifyFailed telemetry.Counter
 	// VerifyLatency optionally records per-beacon verification wall time
-	// in milliseconds; nil disables the measurement.
+	// in milliseconds, one observation per admissible beacon (Verified +
+	// VerifyFailed); nil disables the measurement.
 	VerifyLatency *telemetry.Histogram
 }
 
@@ -100,10 +107,10 @@ type Runner struct {
 	Rng *rand.Rand
 	// Metrics receives beaconing counters; nil allocates private ones.
 	Metrics *RunnerMetrics
-	// TRCs enables verify-on-receipt: when set (alongside Signers), every
+	// TRCs enables verify-on-receipt: when set (alongside Signers), a
 	// received beacon's entry signatures are verified against the ISD TRC
-	// before it is admitted to a beacon store, and unverifiable beacons
-	// are dropped. Matches the deployment, where an AS never extends a
+	// before it enters a beacon store, and unverifiable beacons are
+	// dropped. Matches the deployment, where an AS never extends a
 	// beacon it cannot verify.
 	TRCs *cppki.Store
 	// Chains optionally memoizes verified certificate chains across
@@ -120,21 +127,114 @@ type Runner struct {
 	// signature memo makes repeat prefixes (the common case in beacon
 	// fan-out) cost one hash instead of one ECDSA verify per entry.
 	verifier *segment.Verifier
-	// macs holds one prepared hop-key CMAC per AS for the duration of a
-	// Run: every hop and peer MAC an AS computes reuses its key schedule.
-	macs map[addr.IA]*scrypto.CMAC
+	// view is the topology as this Run reads it, taken once.
+	view map[addr.IA]*asView
 }
 
 // hopExpTime is the relative expiry every hop field is issued with
 // (63 ≈ 6h).
 const hopExpTime = 63
 
-// flight is one beacon crossing one link: the segment as prepared by the
-// sender, the link it crosses, and the receiving AS.
+// asView is what a run reads of one AS. Run takes it from the topology
+// once — one pass over the AS and link lists — so the flood itself never
+// takes the topology lock, and a link flapping mid-run cannot show two
+// states to one run.
+type asView struct {
+	core, commercial bool
+	mtu              uint16
+	// coreLinks and childLinks are the AS's up core links and up links
+	// to its children, in topology link order. downChildren counts the
+	// child links that are down: a beacon that would cross one is
+	// Filtered.
+	coreLinks, childLinks []*topology.Link
+	downChildren          uint64
+	// peers are the peer entries the AS advertises over its up peering
+	// links, complete but for the MAC, which depends on the beacon.
+	peers []segment.PeerEntry
+	// mac is the AS's prepared hop-key CMAC: every hop and peer MAC it
+	// computes during the run reuses the key schedule.
+	mac *scrypto.CMAC
+}
+
+// snapshot reads the topology into r.view.
+func (r *Runner) snapshot() error {
+	ases := r.Topo.ASes()
+	r.view = make(map[addr.IA]*asView, len(ases))
+	for _, as := range ases {
+		mac, err := scrypto.NewHopCMAC(r.Keys(as.IA))
+		if err != nil {
+			return err
+		}
+		r.view[as.IA] = &asView{core: as.Core, commercial: as.Commercial, mtu: as.MTU, mac: mac}
+	}
+	for _, l := range r.Topo.Links() {
+		a, b := r.view[l.A.IA], r.view[l.B.IA]
+		switch {
+		case l.Type == topology.LinkParent && !l.Up():
+			a.downChildren++
+		case !l.Up():
+		case l.Type == topology.LinkParent:
+			a.childLinks = append(a.childLinks, l)
+		case l.Type == topology.LinkCore:
+			a.coreLinks = append(a.coreLinks, l)
+			b.coreLinks = append(b.coreLinks, l)
+		case l.Type == topology.LinkPeer:
+			a.peers = append(a.peers, peerEntry(l.A, l.B, l.LatencyMS))
+			b.peers = append(b.peers, peerEntry(l.B, l.A, l.LatencyMS))
+		}
+	}
+	return nil
+}
+
+func peerEntry(local, remote topology.LinkEnd, latencyMS float64) segment.PeerEntry {
+	return segment.PeerEntry{Peer: remote.IA, PeerIf: remote.IfID, LocalIf: local.IfID,
+		LinkLatencyMS: latencyMS, ExpTime: hopExpTime}
+}
+
+// flight is one beacon crossing one link. Origination builds its beacon
+// outright; every later flight is a candidate: the beacon as the sender
+// stores it plus the entry the sender would append, which is only built
+// once the receiver's store admits it.
 type flight struct {
-	seg *segment.Segment
-	l   *topology.Link
-	to  addr.IA
+	// seg is the originated beacon when from is zero, otherwise the
+	// parent beacon, which from received on interface inIf and would
+	// extend over l.
+	seg  *segment.Segment
+	from addr.IA
+	inIf uint16
+	l    *topology.Link
+	to   addr.IA
+}
+
+// candidate is what a receiver knows of a flight's beacon before anyone
+// has built it — all a store's admission rule asks about.
+type candidate struct {
+	origin addr.IA
+	length int
+	route  string
+	recvIf uint16
+}
+
+// candidate derives the flight's admission facts; the route ID is hashed
+// here, once, and carried into the stored Entry.
+func (f flight) candidate() (candidate, error) {
+	sender := f.from
+	if sender == 0 {
+		sender = f.seg.LastIA()
+	}
+	out, _ := f.l.Local(sender)
+	in, _ := f.l.Other(sender)
+	if in.IA != f.to {
+		return candidate{}, fmt.Errorf("beacon: internal: flight misrouted")
+	}
+	c := candidate{origin: f.seg.FirstIA(), length: f.seg.Len(), recvIf: in.IfID}
+	if f.from == 0 {
+		c.route = f.seg.RouteID()
+	} else {
+		c.length++
+		c.route = f.seg.ExtendedRouteID(f.from, f.inIf, out.IfID)
+	}
+	return c, nil
 }
 
 // Registry holds the outcome of a beaconing run: the segment databases
@@ -162,9 +262,11 @@ func (r *Runner) Run() (*Registry, error) {
 	if r.Rng == nil {
 		return nil, fmt.Errorf("beacon: Runner requires an explicit Rng")
 	}
-	ases := r.Topo.ASes()
+	if err := r.snapshot(); err != nil {
+		return nil, err
+	}
 	if r.MaxRounds == 0 {
-		r.MaxRounds = len(ases) + 2
+		r.MaxRounds = len(r.view) + 2
 	}
 	if r.Metrics == nil {
 		r.Metrics = &RunnerMetrics{}
@@ -181,16 +283,10 @@ func (r *Runner) Run() (*Registry, error) {
 		Core: pathdb.New(),
 		Down: pathdb.New(),
 	}
-	r.macs = make(map[addr.IA]*scrypto.CMAC, len(ases))
-	for _, as := range ases {
-		if !as.Core {
-			reg.Up[as.IA] = pathdb.New()
+	for ia, as := range r.view {
+		if !as.core {
+			reg.Up[ia] = pathdb.New()
 		}
-		mac, err := scrypto.NewHopCMAC(r.Keys(as.IA))
-		if err != nil {
-			return nil, err
-		}
-		r.macs[as.IA] = mac
 	}
 	if err := r.runCore(reg); err != nil {
 		return nil, err
@@ -201,35 +297,285 @@ func (r *Runner) Run() (*Registry, error) {
 	return reg, nil
 }
 
+// runCore floods core PCBs across the core mesh. Every core AS
+// accumulates beacons from every other core origin; terminating a beacon
+// registers a core segment origin→self.
+func (r *Runner) runCore(reg *Registry) error {
+	var segs []*segment.Segment
+	err := r.flood(true,
+		func(as *asView) ([]*topology.Link, uint64) { return as.coreLinks, 0 },
+		// No-commercial-transit policy (Section 4.9): a beacon originated
+		// by a commercial provider may terminate at another commercial
+		// provider, but the academic network never advertises paths that
+		// would carry commercial-to-commercial transit. Such a beacon is
+		// registrable where it is but not extended further toward
+		// commercial peers.
+		func(origin, next *asView) bool { return origin.commercial && next.commercial },
+		func(_ addr.IA, terms []*segment.Segment) { segs = append(segs, terms...) })
+	reg.Core.InsertAll(segs)
+	return err
+}
+
+// runDown floods intra-ISD PCBs from core ASes down parent links. Every
+// non-core AS registers terminated beacons locally (up segments) and at
+// the origin core's path server (down segments) — in this whole-network
+// driver both registries are views over the same segment set.
+func (r *Runner) runDown(reg *Registry) error {
+	var segs []*segment.Segment
+	err := r.flood(false,
+		func(as *asView) ([]*topology.Link, uint64) { return as.childLinks, as.downChildren },
+		func(origin, next *asView) bool { return false },
+		func(ia addr.IA, terms []*segment.Segment) {
+			reg.Up[ia].InsertAll(terms)
+			segs = append(segs, terms...)
+		})
+	reg.Down.InsertAll(segs)
+	return err
+}
+
+// flood runs one beaconing process to its fixed point: every core AS
+// originates over the links out gives it, the core (or, for intra-ISD
+// beaconing, the non-core) ASes receive, and each round every receiver
+// admits, selects and re-propagates over its own out links, except
+// toward an AS already on the path or one refuse rules out for the
+// beacon's origin. out also says how many of the AS's links of that kind
+// are down; a beacon that would cross one counts as Filtered. What each
+// store holds at the end is terminated and handed to register, one call
+// per AS — a registry is loaded, not inserted into.
+//
+// A beacon is built when a store admits it. A flight names the parent
+// beacon and the link; the receiver hashes the candidate's route and
+// asks its store, in flight order, whether it would keep it — and only
+// then is the extension made (cloned, MACed, peer entries, signature).
+// The counters and every registry are those of a flood that builds each
+// candidate at the sender (the eagerRun oracle in the tests).
+func (r *Runner) flood(core bool,
+	out func(*asView) (up []*topology.Link, down uint64),
+	refuse func(origin, next *asView) bool,
+	register func(at addr.IA, terms []*segment.Segment)) error {
+	stores := make(map[addr.IA]*Store)
+	var origins []addr.IA
+	for ia, as := range r.view {
+		if as.core == core {
+			stores[ia] = NewStore(r.BestPerOrigin)
+		}
+		if as.core {
+			origins = append(origins, ia)
+		}
+	}
+	slices.Sort(origins)
+
+	// Origination: one PCB per link direction, in AS then link order —
+	// the order the Rng is drawn in.
+	var flights []flight
+	for _, origin := range origins {
+		links, down := out(r.view[origin])
+		r.Metrics.Filtered.Add(down)
+		for _, l := range links {
+			seg, err := r.originate(origin, l)
+			if err != nil {
+				return err
+			}
+			r.Metrics.Originated.Inc()
+			other, _ := l.Other(origin)
+			flights = append(flights, flight{seg: seg, l: l, to: other.IA})
+		}
+	}
+
+	for round := 0; round < r.MaxRounds && len(flights) > 0; round++ {
+		cands := make([]candidate, len(flights))
+		for i, f := range flights {
+			c, err := f.candidate()
+			if err != nil {
+				return err
+			}
+			cands[i] = c
+		}
+		// Verify-on-receipt: build, sign and verify what the stores could
+		// still admit as the round starts. A store only tightens within a
+		// round, so that is a superset of what the in-order pass below
+		// admits, and it can be verified in parallel ahead of it.
+		var built []*segment.Segment
+		var verdicts []error
+		if r.verifier != nil {
+			built = make([]*segment.Segment, len(flights))
+			for i, f := range flights {
+				if c := cands[i]; stores[f.to].Admits(c.origin, c.length, c.route) {
+					seg, err := r.build(f)
+					if err != nil {
+						return err
+					}
+					built[i] = seg
+				}
+			}
+			verdicts = r.verifyBuilt(built)
+		}
+		// Insert phase, in flight order: a verified (or unchecked)
+		// candidate the store admits is built and stored; acceptances are
+		// grouped by (receiver, origin) for best-K selection.
+		entries := make([]*Entry, len(flights))
+		groups := make(map[groupKey][]int)
+		for i, f := range flights {
+			c, store := cands[i], stores[f.to]
+			if built != nil && built[i] != nil {
+				if verdicts[i] != nil {
+					r.Metrics.VerifyFailed.Inc()
+					continue
+				}
+				r.Metrics.Verified.Inc()
+			}
+			if !store.Admits(c.origin, c.length, c.route) {
+				r.Metrics.Filtered.Inc()
+				continue
+			}
+			var seg *segment.Segment
+			if built != nil {
+				seg = built[i]
+			} else {
+				var err error
+				if seg, err = r.build(f); err != nil {
+					return err
+				}
+			}
+			if seg == nil {
+				return fmt.Errorf("beacon: internal: store admits a beacon it refused earlier in the round")
+			}
+			entries[i] = &Entry{Seg: seg, RecvIf: c.recvIf, Route: c.route}
+			store.InsertEntry(entries[i])
+			g := groupKey{f.to, c.origin}
+			groups[g] = append(groups[g], i)
+		}
+		// Selection phase: bound what each AS floods onward per origin.
+		r.pruneGroups(entries, groups)
+		// Extension phase: the survivors go out over every other eligible
+		// link, in the original flight order.
+		next := make([]flight, 0, len(flights))
+		for i, f := range flights {
+			e := entries[i]
+			if e == nil {
+				continue
+			}
+			links, down := out(r.view[f.to])
+			r.Metrics.Filtered.Add(down)
+			for _, l := range links {
+				if l.ID == f.l.ID {
+					continue
+				}
+				other, _ := l.Other(f.to)
+				if e.Seg.ContainsIA(other.IA) || refuse(r.view[cands[i].origin], r.view[other.IA]) {
+					r.Metrics.Filtered.Inc()
+					continue
+				}
+				r.Metrics.Propagated.Inc()
+				next = append(next, flight{seg: e.Seg, from: f.to, inIf: e.RecvIf, l: l, to: other.IA})
+			}
+		}
+		flights = next
+	}
+
+	// Registration: terminate every stored beacon into a segment. Stored
+	// beacons were verified on receipt (when enabled); the terminating
+	// extension is the registering AS's own, so no re-verify.
+	for ia, store := range stores {
+		var terms []*segment.Segment
+		for _, es := range store.All() {
+			for _, e := range SelectBestK(es, r.registerK()) {
+				term, err := r.extend(e.Seg, ia, e.RecvIf, nil)
+				if err != nil {
+					return err
+				}
+				r.Metrics.Registered.Inc()
+				terms = append(terms, term)
+			}
+		}
+		register(ia, terms)
+	}
+	return nil
+}
+
 // originate creates a fresh PCB leaving origin over link l.
 func (r *Runner) originate(origin addr.IA, l *topology.Link) (*segment.Segment, error) {
 	local, _ := l.Local(origin)
 	remote, _ := l.Other(origin)
 	seg, err := segment.Originate(r.Timestamp, uint16(r.Rng.Intn(1<<16)), origin,
-		local.IfID, remote.IA, l.LatencyMS, hopExpTime, r.macs[origin])
+		local.IfID, remote.IA, l.LatencyMS, hopExpTime, r.view[origin].mac)
 	if err != nil {
 		return nil, err
 	}
-	if r.Signers != nil {
-		if signer := r.Signers(origin); signer != nil {
-			if err := seg.SignLast(signer); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return seg, nil
+	return seg, r.signLast(seg, origin)
 }
 
-// verifyFlights checks the signatures of every in-flight beacon for a
-// round, fanned out over a bounded worker pool. Verdict i is always for
-// flight i, and the caller consumes verdicts in flight order, so the
-// admitted beacon set — and therefore every registry — is identical at
-// any worker count.
-func (r *Runner) verifyFlights(flights []flight) []error {
-	verdicts := make([]error, len(flights))
+// signLast signs the entry ia just appended, when the run signs at all.
+func (r *Runner) signLast(seg *segment.Segment, ia addr.IA) error {
+	if r.Signers != nil {
+		if signer := r.Signers(ia); signer != nil {
+			return seg.SignLast(signer)
+		}
+	}
+	return nil
+}
+
+// build turns an admitted flight into the beacon its receiver stores.
+func (r *Runner) build(f flight) (*segment.Segment, error) {
+	if f.from == 0 {
+		return f.seg, nil
+	}
+	return r.extend(f.seg, f.from, f.inIf, f.l)
+}
+
+// extend appends the entry of 'at' to a received beacon and prepares it
+// to leave over link out (or terminate if out is nil).
+func (r *Runner) extend(seg *segment.Segment, at addr.IA, inIf uint16, out *topology.Link) (*segment.Segment, error) {
+	as := r.view[at]
+	// Copy-on-write: the clone shares the parent's entry array; the
+	// capacity clamp makes Extend's append copy into an owned array, so
+	// sibling extensions of one received beacon never alias.
+	ext := seg.CloneForExtend()
+	e := segment.ASEntry{IA: at, Ingress: inIf, ExpTime: hopExpTime, MTU: as.mtu}
+	if out != nil {
+		local, _ := out.Local(at)
+		remote, _ := out.Other(at)
+		e.Egress = local.IfID
+		e.Next = remote.IA
+		e.LinkLatencyMS = out.LatencyMS
+	}
+	if err := ext.Extend(e, as.mac); err != nil {
+		return nil, err
+	}
+	// Advertise peering links so the combinator can build peer
+	// shortcuts. The peer-crossing MAC covers the accumulator after
+	// this AS's own entry.
+	if len(as.peers) > 0 {
+		appended := &ext.ASEntries[len(ext.ASEntries)-1]
+		appended.Peers = slices.Clone(as.peers)
+		beta := ext.BetaFinal()
+		for i := range appended.Peers {
+			p := &appended.Peers[i]
+			p.MAC = scrypto.HopMAC(as.mac, scrypto.HopMACInput{
+				Beta:        beta,
+				Timestamp:   ext.Timestamp,
+				ExpTime:     hopExpTime,
+				ConsIngress: p.LocalIf,
+				ConsEgress:  appended.Egress,
+			})
+		}
+	}
+	return ext, r.signLast(ext, at)
+}
+
+// verifyBuilt checks the signatures of every beacon built for a round
+// (nil slots are candidates no store would admit), fanned out over a
+// bounded worker pool. Verdict i is always for flight i, and the caller
+// consumes verdicts in flight order, so the admitted beacon set — and
+// therefore every registry — is identical at any worker count.
+func (r *Runner) verifyBuilt(built []*segment.Segment) []error {
+	verdicts := make([]error, len(built))
 	verify := func(i int) {
+		if built[i] == nil {
+			return
+		}
 		start := time.Now()
-		verdicts[i] = r.verifier.Verify(flights[i].seg)
+		verdicts[i] = r.verifier.Verify(built[i])
 		if r.Metrics.VerifyLatency != nil {
 			r.Metrics.VerifyLatency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 		}
@@ -238,11 +584,11 @@ func (r *Runner) verifyFlights(flights []flight) []error {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > len(flights) {
-		w = len(flights)
+	if w > len(built) {
+		w = len(built)
 	}
 	if w <= 1 {
-		for i := range flights {
+		for i := range built {
 			verify(i)
 		}
 		return verdicts
@@ -252,27 +598,13 @@ func (r *Runner) verifyFlights(flights []flight) []error {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			for i := s; i < len(flights); i += w {
+			for i := s; i < len(built); i += w {
 				verify(i)
 			}
 		}(s)
 	}
 	wg.Wait()
 	return verdicts
-}
-
-// admit applies the round's verification verdict for flight i, counting
-// the outcome. It reports whether the beacon may enter the store.
-func (r *Runner) admit(verdicts []error, i int) bool {
-	if verdicts == nil {
-		return true
-	}
-	if verdicts[i] != nil {
-		r.Metrics.VerifyFailed.Inc()
-		return false
-	}
-	r.Metrics.Verified.Inc()
-	return true
 }
 
 // groupKey identifies one best-K selection group: the beacons one AS
@@ -306,12 +638,12 @@ func (r *Runner) registerK() int {
 	}
 }
 
-// pruneGroups clears the accepted bit of beacons beyond the best-K
+// pruneGroups drops (sets to nil) the accepted beacons beyond the best-K
 // propagation bound, per (receiving AS, origin) group. Groups at or
 // under the bound are untouched, so on topologies that never exceed it
 // (the SCIERA reference graph) the propagation schedule is bit-identical
 // to unbounded flooding.
-func (r *Runner) pruneGroups(flights []flight, recvIf []uint16, accepted []bool, groups map[groupKey][]int) {
+func (r *Runner) pruneGroups(entries []*Entry, groups map[groupKey][]int) {
 	k := r.propagateK()
 	if k <= 0 {
 		return
@@ -320,288 +652,19 @@ func (r *Runner) pruneGroups(flights []flight, recvIf []uint16, accepted []bool,
 		if len(idxs) <= k {
 			continue
 		}
-		entries := make([]*Entry, len(idxs))
+		group := make([]*Entry, len(idxs))
 		for j, i := range idxs {
-			entries[j] = NewEntry(flights[i].seg, recvIf[i])
+			group[j] = entries[i]
 		}
 		keep := make(map[*Entry]bool, k)
-		for _, e := range SelectBestK(entries, k) {
+		for _, e := range SelectBestK(group, k) {
 			keep[e] = true
 		}
-		for j, i := range idxs {
-			if !keep[entries[j]] {
-				accepted[i] = false
+		for _, i := range idxs {
+			if !keep[entries[i]] {
+				entries[i] = nil
 				r.Metrics.Pruned.Inc()
 			}
 		}
 	}
-}
-
-// extend appends the entry of 'at' to a received beacon and prepares it
-// to leave over link out (or terminate if out is nil).
-func (r *Runner) extend(seg *segment.Segment, at addr.IA, inIf uint16, out *topology.Link) (*segment.Segment, error) {
-	// Copy-on-write: the clone shares the parent's entry array; the
-	// capacity clamp makes Extend's append copy into an owned array, so
-	// sibling extensions of one received beacon never alias.
-	ext := seg.CloneForExtend()
-	e := segment.ASEntry{IA: at, Ingress: inIf, ExpTime: hopExpTime}
-	if out != nil {
-		local, _ := out.Local(at)
-		remote, _ := out.Other(at)
-		e.Egress = local.IfID
-		e.Next = remote.IA
-		e.LinkLatencyMS = out.LatencyMS
-	}
-	if info, ok := r.Topo.AS(at); ok {
-		e.MTU = info.MTU
-	}
-	if err := ext.Extend(e, r.macs[at]); err != nil {
-		return nil, err
-	}
-	// Advertise peering links so the combinator can build peer
-	// shortcuts. The peer-crossing MAC covers the accumulator after
-	// this AS's own entry.
-	appended := &ext.ASEntries[len(ext.ASEntries)-1]
-	for _, pl := range r.Topo.UpLinksOf(at) {
-		if pl.Type != topology.LinkPeer {
-			continue
-		}
-		local, _ := pl.Local(at)
-		remote, _ := pl.Other(at)
-		appended.Peers = append(appended.Peers, segment.PeerEntry{
-			Peer:          remote.IA,
-			PeerIf:        remote.IfID,
-			LocalIf:       local.IfID,
-			LinkLatencyMS: pl.LatencyMS,
-			ExpTime:       hopExpTime,
-			MAC: scrypto.HopMAC(r.macs[at], scrypto.HopMACInput{
-				Beta:        ext.BetaFinal(),
-				Timestamp:   ext.Timestamp,
-				ExpTime:     hopExpTime,
-				ConsIngress: local.IfID,
-				ConsEgress:  appended.Egress,
-			}),
-		})
-	}
-	if r.Signers != nil {
-		if signer := r.Signers(at); signer != nil {
-			if err := ext.SignLast(signer); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return ext, nil
-}
-
-// runCore floods core PCBs across the core mesh. Every core AS
-// accumulates beacons from every other core origin; terminating a beacon
-// registers a core segment origin→self.
-func (r *Runner) runCore(reg *Registry) error {
-	cores := r.Topo.CoreASes()
-	stores := make(map[addr.IA]*Store, len(cores))
-	for _, ia := range cores {
-		stores[ia] = NewStore(r.BestPerOrigin)
-	}
-
-	var flights []flight
-
-	commercial := func(ia addr.IA) bool {
-		info, ok := r.Topo.AS(ia)
-		return ok && info.Commercial
-	}
-
-	// Origination: one PCB per core link direction.
-	for _, origin := range cores {
-		for _, l := range r.Topo.UpLinksOf(origin) {
-			if l.Type != topology.LinkCore {
-				continue
-			}
-			seg, err := r.originate(origin, l)
-			if err != nil {
-				return err
-			}
-			r.Metrics.Originated.Inc()
-			other, _ := l.Other(origin)
-			flights = append(flights, flight{seg: seg, l: l, to: other.IA})
-		}
-	}
-
-	for round := 0; round < r.MaxRounds && len(flights) > 0; round++ {
-		var verdicts []error
-		if r.verifier != nil {
-			verdicts = r.verifyFlights(flights)
-		}
-		// Insert phase: admit every verified flight into its receiver's
-		// store, grouping acceptances by (receiver, origin) for best-K
-		// selection. Store inserts run in flight order, exactly as the
-		// interleaved loop did.
-		accepted := make([]bool, len(flights))
-		recvIf := make([]uint16, len(flights))
-		groups := make(map[groupKey][]int)
-		for i, f := range flights {
-			inEnd, _ := f.l.Other(f.seg.ASEntries[len(f.seg.ASEntries)-1].IA)
-			if inEnd.IA != f.to {
-				return fmt.Errorf("beacon: internal: flight misrouted")
-			}
-			recvIf[i] = inEnd.IfID
-			if !r.admit(verdicts, i) {
-				continue
-			}
-			if !stores[f.to].Insert(f.seg, inEnd.IfID) {
-				r.Metrics.Filtered.Inc()
-				continue
-			}
-			accepted[i] = true
-			groups[groupKey{f.to, f.seg.FirstIA()}] = append(groups[groupKey{f.to, f.seg.FirstIA()}], i)
-		}
-		// Selection phase: bound what each AS floods onward per origin.
-		r.pruneGroups(flights, recvIf, accepted, groups)
-		// Extension phase: propagate the survivors over every other up
-		// core link whose far end is not already on the path, in the
-		// original flight order.
-		var next []flight
-		for i, f := range flights {
-			if !accepted[i] {
-				continue
-			}
-			for _, l := range r.Topo.UpLinksOf(f.to) {
-				if l.Type != topology.LinkCore || l.ID == f.l.ID {
-					continue
-				}
-				other, _ := l.Other(f.to)
-				if f.seg.ContainsIA(other.IA) {
-					r.Metrics.Filtered.Inc()
-					continue
-				}
-				// No-commercial-transit policy (Section 4.9): a beacon
-				// originated by a commercial provider may terminate at
-				// another commercial provider, but the academic
-				// network never advertises paths that would carry
-				// commercial-to-commercial transit. Such a beacon is
-				// registrable at f.to but not extended further toward
-				// commercial peers.
-				if commercial(f.seg.FirstIA()) && commercial(other.IA) {
-					r.Metrics.Filtered.Inc()
-					continue
-				}
-				ext, err := r.extend(f.seg, f.to, recvIf[i], l)
-				if err != nil {
-					return err
-				}
-				r.Metrics.Propagated.Inc()
-				next = append(next, flight{seg: ext, l: l, to: other.IA})
-			}
-		}
-		flights = next
-	}
-
-	// Registration: terminate every stored beacon into a core segment.
-	// Stored beacons were verified on receipt (when enabled); the
-	// terminating extension is the registering AS's own, so no re-verify.
-	for ia, store := range stores {
-		for _, es := range store.All() {
-			for _, e := range SelectBestK(es, r.registerK()) {
-				term, err := r.extend(e.Seg, ia, e.RecvIf, nil)
-				if err != nil {
-					return err
-				}
-				r.Metrics.Registered.Inc()
-				reg.Core.Insert(term)
-			}
-		}
-	}
-	return nil
-}
-
-// runDown floods intra-ISD PCBs from core ASes down parent links. Every
-// non-core AS registers terminated beacons locally (up segments) and at
-// the origin core's path server (down segments) — in this whole-network
-// driver both registries are views over the same segment set.
-func (r *Runner) runDown(reg *Registry) error {
-	var flights []flight
-	stores := make(map[addr.IA]*Store)
-	for _, as := range r.Topo.ASes() {
-		if !as.Core {
-			stores[as.IA] = NewStore(r.BestPerOrigin)
-		}
-	}
-
-	for _, origin := range r.Topo.CoreASes() {
-		for _, l := range r.Topo.Children(origin) {
-			if !r.Topo.LinkUp(l.ID) {
-				r.Metrics.Filtered.Inc()
-				continue
-			}
-			seg, err := r.originate(origin, l)
-			if err != nil {
-				return err
-			}
-			r.Metrics.Originated.Inc()
-			flights = append(flights, flight{seg: seg, l: l, to: l.B.IA})
-		}
-	}
-
-	for round := 0; round < r.MaxRounds && len(flights) > 0; round++ {
-		var verdicts []error
-		if r.verifier != nil {
-			verdicts = r.verifyFlights(flights)
-		}
-		// Same three phases as runCore: insert, best-K selection per
-		// (receiver, origin), then extension in original flight order.
-		accepted := make([]bool, len(flights))
-		recvIf := make([]uint16, len(flights))
-		groups := make(map[groupKey][]int)
-		for i, f := range flights {
-			local, _ := f.l.Local(f.to)
-			recvIf[i] = local.IfID
-			if !r.admit(verdicts, i) {
-				continue
-			}
-			if !stores[f.to].Insert(f.seg, local.IfID) {
-				r.Metrics.Filtered.Inc()
-				continue
-			}
-			accepted[i] = true
-			groups[groupKey{f.to, f.seg.FirstIA()}] = append(groups[groupKey{f.to, f.seg.FirstIA()}], i)
-		}
-		r.pruneGroups(flights, recvIf, accepted, groups)
-		var next []flight
-		for i, f := range flights {
-			if !accepted[i] {
-				continue
-			}
-			for _, l := range r.Topo.Children(f.to) {
-				if !r.Topo.LinkUp(l.ID) {
-					r.Metrics.Filtered.Inc()
-					continue
-				}
-				if f.seg.ContainsIA(l.B.IA) {
-					r.Metrics.Filtered.Inc()
-					continue
-				}
-				ext, err := r.extend(f.seg, f.to, recvIf[i], l)
-				if err != nil {
-					return err
-				}
-				r.Metrics.Propagated.Inc()
-				next = append(next, flight{seg: ext, l: l, to: l.B.IA})
-			}
-		}
-		flights = next
-	}
-
-	for ia, store := range stores {
-		for _, es := range store.All() {
-			for _, e := range SelectBestK(es, r.registerK()) {
-				term, err := r.extend(e.Seg, ia, e.RecvIf, nil)
-				if err != nil {
-					return err
-				}
-				r.Metrics.Registered.Inc()
-				reg.Up[ia].Insert(term)
-				reg.Down.Insert(term)
-			}
-		}
-	}
-	return nil
 }

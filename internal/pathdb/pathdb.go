@@ -15,7 +15,9 @@
 package pathdb
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +39,8 @@ type entry struct {
 	id  string
 	seg *segment.Segment
 }
+
+func compareEntries(a, b entry) int { return strings.Compare(a.id, b.id) }
 
 // pairKey is one of the nine index buckets a segment is filed under:
 // each side is the exact endpoint IA, its ISD-wildcard form
@@ -159,8 +163,13 @@ func keysOf(first, last addr.IA) [9]pairKey {
 	return out
 }
 
-// insertSorted files e into es keeping segment-ID order.
+// insertSorted files e into es keeping segment-ID order. An entry
+// that sorts last is appended outright: a load in ID order (InsertAll)
+// never searches and never moves anything.
 func insertSorted(es []entry, e entry) []entry {
+	if n := len(es); n == 0 || es[n-1].id < e.id {
+		return append(es, e)
+	}
 	i := sort.Search(len(es), func(i int) bool { return es[i].id >= e.id })
 	es = append(es, entry{})
 	copy(es[i+1:], es[i:])
@@ -183,16 +192,47 @@ func (db *DB) Insert(seg *segment.Segment) bool {
 	if seg == nil || seg.Len() == 0 {
 		return false
 	}
-	id := seg.ID()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, ok := db.segs[id]; ok {
+	return db.insertLocked(entry{id: seg.ID(), seg: seg})
+}
+
+// InsertAll registers a batch of segments and returns how many were new
+// — the store ends up exactly as after one Insert per segment, Gen
+// included. The batch is filed in segment-ID order, so each segment
+// lands at the end of every bucket the batch has filled so far: loading
+// an empty store, as a beaconing run does, moves nothing, where inserts
+// in arrival order shift half a hash-ordered bucket nine times each.
+func (db *DB) InsertAll(segs []*segment.Segment) int {
+	es := make([]entry, 0, len(segs))
+	for _, seg := range segs {
+		if seg != nil && seg.Len() > 0 {
+			es = append(es, entry{id: seg.ID(), seg: seg})
+		}
+	}
+	// Stable: of two segments with one ID the earlier is kept, as Insert
+	// would have it.
+	slices.SortStableFunc(es, compareEntries)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	n := 0
+	for _, e := range es {
+		if db.insertLocked(e) {
+			n++
+		}
+	}
+	return n
+}
+
+// insertLocked files a new entry and advances Gen; a duplicate ID is
+// left alone and reports false. Callers hold db.mu.
+func (db *DB) insertLocked(e entry) bool {
+	if _, ok := db.segs[e.id]; ok {
 		return false
 	}
 	db.ensureOwned()
-	db.segs[id] = seg
-	e := entry{id: id, seg: seg}
-	first, last := seg.FirstIA(), seg.LastIA()
+	db.segs[e.id] = e.seg
+	first, last := e.seg.FirstIA(), e.seg.LastIA()
 	if indexable(first, last) {
 		for _, k := range keysOf(first, last) {
 			db.idx[k] = insertSorted(db.idx[k], e)
@@ -227,6 +267,33 @@ func queryKey(want addr.IA) (addr.IA, bool) {
 func (db *DB) Get(first, last addr.IA) []*segment.Segment {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	es := db.matchLocked(first, last)
+	if len(es) == 0 {
+		return nil
+	}
+	out := make([]*segment.Segment, len(es))
+	for i, e := range es {
+		out[i] = e.seg
+	}
+	return out
+}
+
+// Visit calls fn with every segment Get(first, last) returns, in the
+// same order, together with the segment ID the store files it under —
+// callers that merge several results by ID need not hash it again. fn
+// runs under the store's read lock and must not call back into db.
+func (db *DB) Visit(first, last addr.IA, fn func(id string, seg *segment.Segment)) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for _, e := range db.matchLocked(first, last) {
+		fn(e.id, e.seg)
+	}
+}
+
+// matchLocked returns the entries matching (first, last) in segment-ID
+// order. The result may be an index bucket itself: read-only, and valid
+// only while the caller holds db.mu.
+func (db *DB) matchLocked(first, last addr.IA) []entry {
 	fk, fok := queryKey(first)
 	lk, lok := queryKey(last)
 	if !fok || !lok {
@@ -234,54 +301,40 @@ func (db *DB) Get(first, last addr.IA) []*segment.Segment {
 	}
 	bucket := db.idx[pairKey{fk, lk}]
 	if len(db.weird) == 0 {
-		if len(bucket) == 0 {
-			return nil
-		}
-		out := make([]*segment.Segment, len(bucket))
-		for i, e := range bucket {
-			out[i] = e.seg
-		}
-		return out
+		return bucket
 	}
 	// Merge the (rare) unindexed segments in ID order.
-	var out []*segment.Segment
+	var out []entry
 	w := 0
 	emitWeirdBelow := func(limit string, all bool) {
 		for w < len(db.weird) && (all || db.weird[w].id < limit) {
 			if e := db.weird[w]; matches(e.seg.FirstIA(), first) && matches(e.seg.LastIA(), last) {
-				out = append(out, e.seg)
+				out = append(out, e)
 			}
 			w++
 		}
 	}
 	for _, e := range bucket {
 		emitWeirdBelow(e.id, false)
-		out = append(out, e.seg)
+		out = append(out, e)
 	}
 	emitWeirdBelow("", true)
 	return out
 }
 
 // scanLocked filters every stored segment with the same wildcard
-// matching as Get and sorts the result by segment ID. Get takes it for
-// the one query shape the index does not cover (AS-only wildcard); the
-// property tests hold the index to it on every shape. Callers hold
-// db.mu.
-func (db *DB) scanLocked(first, last addr.IA) []*segment.Segment {
-	var ids []string
+// matching as Get and sorts the result by segment ID. matchLocked takes
+// it for the one query shape the index does not cover (AS-only
+// wildcard); the property tests hold the index to it on every shape.
+// Callers hold db.mu.
+func (db *DB) scanLocked(first, last addr.IA) []entry {
+	var out []entry
 	for id, s := range db.segs {
 		if matches(s.FirstIA(), first) && matches(s.LastIA(), last) {
-			ids = append(ids, id)
+			out = append(out, entry{id, s})
 		}
 	}
-	if ids == nil {
-		return nil
-	}
-	sort.Strings(ids)
-	out := make([]*segment.Segment, len(ids))
-	for i, id := range ids {
-		out[i] = db.segs[id]
-	}
+	slices.SortFunc(out, compareEntries)
 	return out
 }
 

@@ -227,19 +227,10 @@ func (s *Segment) EntryFor(ia addr.IA) *ASEntry {
 // ID returns a stable identifier derived from the interface sequence and
 // timestamp.
 func (s *Segment) ID() string {
-	h := sha256.New()
-	var b [8]byte
-	binary.BigEndian.PutUint32(b[:4], s.Timestamp)
-	binary.BigEndian.PutUint16(b[4:6], s.Beta0)
-	h.Write(b[:6])
-	for _, e := range s.ASEntries {
-		binary.BigEndian.PutUint64(b[:], uint64(e.IA))
-		h.Write(b[:])
-		binary.BigEndian.PutUint16(b[:2], e.Ingress)
-		binary.BigEndian.PutUint16(b[2:4], e.Egress)
-		h.Write(b[:4])
-	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
+	var stack [6 + 8*routeHopLen]byte
+	buf := binary.BigEndian.AppendUint32(stack[:0], s.Timestamp)
+	buf = binary.BigEndian.AppendUint16(buf, s.Beta0)
+	return hashID(appendRoute(buf, s.ASEntries))
 }
 
 // RouteID identifies the segment by its AS/interface route alone —
@@ -248,16 +239,40 @@ func (s *Segment) ID() string {
 // deduplicates by RouteID so control-plane refreshes keep path sets
 // stable when the topology hasn't changed.
 func (s *Segment) RouteID() string {
-	h := sha256.New()
-	var b [8]byte
-	for _, e := range s.ASEntries {
-		binary.BigEndian.PutUint64(b[:], uint64(e.IA))
-		h.Write(b[:])
-		binary.BigEndian.PutUint16(b[:2], e.Ingress)
-		binary.BigEndian.PutUint16(b[2:4], e.Egress)
-		h.Write(b[:4])
+	var stack [8 * routeHopLen]byte
+	return hashID(appendRoute(stack[:0], s.ASEntries))
+}
+
+// ExtendedRouteID is the RouteID the segment would have after an entry
+// (ia, ingress, egress) is appended: a receiver ranks a beacon by it
+// before anyone has built the extension.
+func (s *Segment) ExtendedRouteID(ia addr.IA, ingress, egress uint16) string {
+	var stack [8 * routeHopLen]byte
+	return hashID(appendHop(appendRoute(stack[:0], s.ASEntries), ia, ingress, egress))
+}
+
+// routeHopLen is what one AS entry contributes to the hashed route; the
+// ID functions hash from a stack buffer sized for typical segments.
+const routeHopLen = 12
+
+func appendRoute(buf []byte, entries []ASEntry) []byte {
+	for i := range entries {
+		buf = appendHop(buf, entries[i].IA, entries[i].Ingress, entries[i].Egress)
 	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
+	return buf
+}
+
+func appendHop(buf []byte, ia addr.IA, ingress, egress uint16) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(ia))
+	buf = binary.BigEndian.AppendUint16(buf, ingress)
+	return binary.BigEndian.AppendUint16(buf, egress)
+}
+
+func hashID(b []byte) string {
+	sum := sha256.Sum256(b)
+	var out [16]byte
+	hex.Encode(out[:], sum[:8])
+	return string(out[:])
 }
 
 // HopFields returns the hop fields in construction order.
@@ -293,8 +308,9 @@ func (s *Segment) Expiry() time.Time {
 			minExp = e.ExpTime
 		}
 	}
+	// Widened before the +1: ExpTime 255 is the 24 h maximum, not zero.
 	const unit = 337.5 // seconds
-	return time.Unix(int64(s.Timestamp), 0).Add(time.Duration(float64(minExp+1) * unit * float64(time.Second)))
+	return time.Unix(int64(s.Timestamp), 0).Add(time.Duration((float64(minExp) + 1) * unit * float64(time.Second)))
 }
 
 // VerifyMACs recomputes the accumulator chain and checks every hop MAC

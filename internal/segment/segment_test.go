@@ -184,6 +184,39 @@ func TestExpiry(t *testing.T) {
 	}
 }
 
+// TestExpiryMaxExpTime: ExpTime 255 is the 24 h maximum. The +1 used to
+// be taken in uint8, wrapping to 0, so such a segment expired at its own
+// timestamp and pathdb.DeleteExpired dropped it at birth.
+func TestExpiryMaxExpTime(t *testing.T) {
+	s := buildSeg(t)
+	for i := range s.ASEntries {
+		s.ASEntries[i].ExpTime = 255
+	}
+	created := time.Unix(1000, 0)
+	if want := created.Add(256 * 337500 * time.Millisecond); !s.Expiry().Equal(want) {
+		t.Errorf("expiry at ExpTime 255 = %v, want %v", s.Expiry(), want)
+	}
+	// The minimum over hops still rules, and 63 is unchanged.
+	s.ASEntries[1].ExpTime = 63
+	if want := created.Add(6 * time.Hour); !s.Expiry().Equal(want) {
+		t.Errorf("expiry with one hop at 63 = %v, want %v", s.Expiry(), want)
+	}
+}
+
+// TestExtendedRouteID: the route ID computed ahead of an extension is
+// the one the built extension reports, beyond the stack buffer too.
+func TestExtendedRouteID(t *testing.T) {
+	s := &Segment{Timestamp: 1, ASEntries: []ASEntry{{IA: coreIA, Egress: 1, Next: midIA}}}
+	for i := 0; i < 12; i++ {
+		next := ASEntry{IA: addr.IA(100 + i), Ingress: uint16(2 + i), Egress: uint16(50 + i)}
+		ahead := s.ExtendedRouteID(next.IA, next.Ingress, next.Egress)
+		s.ASEntries = append(s.ASEntries, next)
+		if got := s.RouteID(); got != ahead {
+			t.Fatalf("len %d: ExtendedRouteID %s, built RouteID %s", s.Len(), ahead, got)
+		}
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	s := buildSeg(t)
 	s.ASEntries[0].Peers = []PeerEntry{{Peer: midIA, LocalIf: 9}}
