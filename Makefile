@@ -34,7 +34,7 @@ fmt-check:
 
 # The allocation guards skip under -race (its instrumentation
 # allocates), so verify runs them separately without it. Covers the
-# router fast path (single-packet and batched), the simulator, the
+# router fast path (runs of one and of 32), the simulator, the
 # warm chain-cache verify path, the daemon's NotModified re-confirm,
 # memoized path lookups on a registry, its clone and a snapshot-cloned
 # replica, the campaign's probe path (a bound per probe, not zero:
@@ -90,14 +90,17 @@ bench-smoke:
 # Native fuzz targets, a few seconds each on top of the checked-in
 # corpora under internal/*/testdata/fuzz: the control service's
 # untrusted-input boundary (request bytes in, response bytes at the
-# daemon), the burst fast-path decode against the full decoder, and the
-# beacon store's admission rule against its insert.
+# daemon), the burst fast-path decode against the full decoder, the
+# beacon store's admission rule against its insert, and the router's
+# forwarding rules (decide) on arbitrary path bytes: no panic, one
+# header one verdict, no pass with a MAC or SegID bit flipped.
 # A failure leaves its reproducer there; `go test` replays it.
 fuzz-smoke:
 	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzServiceHandle$$' -fuzztime 3s
 	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzDecodeSegments$$' -fuzztime 3s
 	$(GO) test ./internal/slayers -run '^$$' -fuzz '^FuzzDecodeSameFlow$$' -fuzztime 3s
 	$(GO) test ./internal/beacon -run '^$$' -fuzz '^FuzzStoreAdmit$$' -fuzztime 3s
+	$(GO) test ./internal/router -run '^$$' -fuzz '^FuzzDecide$$' -fuzztime 3s
 
 verify: build race alloc-guard vet fmt-check doc-check scenario-check snapshot-check bench-smoke fuzz-smoke
 	@echo "verify: OK"

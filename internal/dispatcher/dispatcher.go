@@ -241,18 +241,8 @@ func demuxPort(pkt *slayers.Packet) (uint16, bool) {
 			slayers.SCMPTracerouteRequest, slayers.SCMPTracerouteReply:
 			return pkt.SCMP.Identifier, true
 		default:
-			// SCMP error: demux on the quoted packet's source port. The
-			// quote may be truncated, so parse tolerantly.
-			var quoted slayers.Packet
-			if err := quoted.DecodeTruncated(pkt.Payload); err != nil {
-				return 0, false
-			}
-			if quoted.UDP != nil {
-				return quoted.UDP.SrcPort, true
-			}
-			if quoted.SCMP != nil {
-				return quoted.SCMP.Identifier, true
-			}
+			// SCMP error: demux on the quoted packet's source port.
+			return slayers.QuotedPort(pkt.Payload)
 		}
 	}
 	return 0, false

@@ -39,6 +39,23 @@ func TestTelemetryDumpAndReport(t *testing.T) {
 	if len(snap.Trace) == 0 {
 		t.Error("no trace entries in the dump")
 	}
+	// Conservation per router over the whole campaign, incidents
+	// included: whatever a router took in or originated ended in exactly
+	// one outcome counter.
+	for _, as := range n.Topo.ASes() {
+		r, ok := n.Router(as.IA)
+		if !ok {
+			t.Fatalf("no router for %v", as.IA)
+		}
+		m := r.Metrics()
+		in := m.Received.Load() + m.SCMPSent.Load()
+		out := m.Forwarded.Load() + m.Delivered.Load() + m.Answered.Load() +
+			m.MACFailures.Load() + m.IngressDrops.Load() + m.NoRouteDrops.Load() +
+			m.LinkDownDrops.Load() + m.ParseFailures.Load()
+		if in != out {
+			t.Errorf("router %v: %d packets in, %d accounted for", as.IA, in, out)
+		}
+	}
 
 	var b strings.Builder
 	TelemetryReport(&b, snap)

@@ -9,6 +9,16 @@
 // It is written against simnet.Network and runs identically on the
 // discrete-event simulator and on real loopback UDP sockets.
 //
+// A packet's fate is a function of its header, the interface it arrived
+// on and the hop key: decide (decide.go) computes it from the decoded
+// packet alone — no router, lock, socket or counter. Everything the
+// router then does about a verdict lives in one shell here: route
+// resolves an egress against the interface table, leave is the single
+// exit (end-host port, wire image, account, enqueue, originate),
+// account is the only function that touches the counters and the trace
+// ring, and every packet — a lone one is a run of one — leaves through
+// the processor's egress burst and one flush.
+//
 // The forwarding path is allocation-free in steady state: decode state,
 // the MAC instance and serialization scratch live in pooled packet
 // processors (one sync.Pool per router), and a forwarded packet is
@@ -56,11 +66,15 @@ const scmpQuoteLen = 512
 
 // Metrics counts router events; all fields are atomic
 // (telemetry.Counter keeps atomic.Uint64's Add/Load surface and lets the
-// same cells double as registered metric series).
+// same cells double as registered metric series). Every packet the
+// router takes in or originates ends in exactly one outcome:
+// Received + SCMPSent = Forwarded + Delivered + Answered + the five
+// drop counters.
 type Metrics struct {
 	Received      telemetry.Counter
 	Forwarded     telemetry.Counter
 	Delivered     telemetry.Counter
+	Answered      telemetry.Counter
 	MACFailures   telemetry.Counter
 	IngressDrops  telemetry.Counter
 	NoRouteDrops  telemetry.Counter
@@ -71,11 +85,11 @@ type Metrics struct {
 
 // register adopts the metric cells into a registry under the router
 // metric names, labeled with the owning AS.
-func (m *Metrics) register(reg *telemetry.Registry, ia addr.IA) {
-	l := telemetry.L("ia", ia.String())
+func (m *Metrics) register(reg *telemetry.Registry, l telemetry.Label) {
 	reg.RegisterCounter("sciera_router_received_total", "packets received by the router", &m.Received, l)
 	reg.RegisterCounter("sciera_router_forwarded_total", "packets forwarded to a neighbor AS", &m.Forwarded, l)
 	reg.RegisterCounter("sciera_router_delivered_total", "packets delivered to AS-local hosts", &m.Delivered, l)
+	reg.RegisterCounter("sciera_router_answered_total", "traceroute probes answered by the router", &m.Answered, l)
 	reg.RegisterCounter("sciera_router_mac_failures_total", "packets dropped for hop-field MAC failure", &m.MACFailures, l)
 	reg.RegisterCounter("sciera_router_ingress_drops_total", "packets dropped for ingress interface mismatch", &m.IngressDrops, l)
 	reg.RegisterCounter("sciera_router_noroute_drops_total", "packets dropped with no usable route", &m.NoRouteDrops, l)
@@ -153,18 +167,17 @@ type Router struct {
 // packetProcessor bundles everything the forwarding pipeline needs per
 // packet so that steady-state processing allocates nothing: the decoded
 // layer structs (whose path slices DecodeFromBytes reuses), one CMAC
-// instance keyed with the AS's hop key, and a scratch buffer for
-// serializing router-originated packets. The batch fields are the
-// burst fast path's reusable scratch: the reference packet's original
-// header image and the coalesced egress burst.
+// instance keyed with the AS's hop key, a scratch buffer for
+// serializing router-originated packets, and the egress burst: what is
+// queued to leave on conn at the next flush.
 type packetProcessor struct {
 	pkt slayers.Packet
 	mac *scrypto.CMAC
 	buf []byte
 
-	refHdr []byte
-	wires  [][]byte
-	dests  []netip.AddrPort
+	conn  simnet.Conn
+	wires [][]byte
+	dests []netip.AddrPort
 }
 
 // New binds the router's internal socket.
@@ -172,7 +185,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Net == nil {
 		return nil, errors.New("router: Config.Net required")
 	}
-	if _, err := scrypto.NewHopCMAC(cfg.Key); err != nil {
+	mac, err := scrypto.NewHopCMAC(cfg.Key)
+	if err != nil {
 		return nil, fmt.Errorf("router %v: %w", cfg.IA, err)
 	}
 	r := &Router{
@@ -184,16 +198,18 @@ func New(cfg Config) (*Router, error) {
 		iaLabel: telemetry.L("ia", cfg.IA.String()),
 	}
 	r.procs.New = func() any {
-		mac, _ := scrypto.NewHopCMAC(cfg.Key) // key validated in New
+		mac, _ := scrypto.NewHopCMAC(cfg.Key) // key validated above
 		return &packetProcessor{mac: mac}
 	}
+	// The instance that validated the key serves the first packets.
+	r.procs.Put(&packetProcessor{mac: mac})
 	if r.metrics == nil {
 		r.metrics = &Metrics{}
 	}
 	if r.reg == nil {
 		r.reg = telemetry.NewRegistry()
 	}
-	r.metrics.register(r.reg, cfg.IA)
+	r.metrics.register(r.reg, r.iaLabel)
 	conn, err := cfg.Net.ListenBatch(cfg.LocalAddr, func(pkts [][]byte, from []netip.AddrPort) {
 		r.handleBatch(pkts, 0, originInternal)
 	})
@@ -216,13 +232,21 @@ func (r *Router) Metrics() *Metrics { return r.metrics }
 
 // AddInterface creates the underlay socket for a local interface and
 // returns its address (the L2 circuit endpoint the neighbor sends to).
-// The lock is held across the bind so no socket can be created on a
-// router that a concurrent Close has already torn down.
+// Interface 0 is refused — the pipeline reserves it for "AS-internal" —
+// and so is an ID the router already has. The lock is held across the
+// bind so no socket can be created on a router that a concurrent Close
+// has already torn down.
 func (r *Router) AddInterface(ifID uint16) (netip.AddrPort, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return netip.AddrPort{}, fmt.Errorf("router %v if %d: %w", r.cfg.IA, ifID, ErrClosed)
+	}
+	if ifID == 0 {
+		return netip.AddrPort{}, fmt.Errorf("router %v: interface 0 is reserved for AS-internal traffic", r.cfg.IA)
+	}
+	if _, dup := r.ifaces[ifID]; dup {
+		return netip.AddrPort{}, fmt.Errorf("router %v: interface %d already exists", r.cfg.IA, ifID)
 	}
 	conn, err := r.cfg.Net.ListenBatch(netip.AddrPortFrom(r.conn.LocalAddr().Addr(), 0),
 		func(pkts [][]byte, from []netip.AddrPort) {
@@ -296,418 +320,229 @@ func (r *Router) linkUp(ifID uint16) bool {
 	return r.cfg.LinkUp(ifID)
 }
 
-// tracePacket records one sampled packet observation. Callers guard with
-// r.trace.Sample() so the unsampled majority pays one atomic add and
-// nothing else; a nil ring never samples.
-func (r *Router) tracePacket(verdict telemetry.TraceVerdict, ingress, egress uint16, hop uint8, queue time.Duration) {
-	r.trace.Record(telemetry.TraceEntry{
-		TimeNS:  r.cfg.Net.Now().UnixNano(),
-		IA:      uint64(r.cfg.IA),
-		Ingress: ingress,
-		Egress:  egress,
-		Hop:     hop,
-		Verdict: verdict,
-		QueueNS: int64(queue),
-	})
-}
-
-// origin classifies where a packet entered the router.
-type originKind int
-
-const (
-	originInternal originKind = iota // AS-internal host or service
-	originExternal                   // neighbor border router
-	originSelf                       // generated by this router (SCMP)
-)
-
-// decisionKind classifies what the forwarding pipeline decided for one
-// packet.
-type decisionKind uint8
-
-const (
-	kindDrop    decisionKind = iota // nothing leaves (drop, or SCMP already injected)
-	kindForward                     // wire goes out an external interface
-	kindDeliver                     // wire goes to an AS-local end host
-)
-
-// decision is the outcome of the pipeline for one packet: the verdict,
-// the resolved egress interface (forward) or end-host address
-// (deliver), and the facts the burst fast path needs to replay the
-// verdict on same-flow siblings — the egress/hop index for per-packet
-// accounting, and whether a router-alert hop was examined (alert
-// handling depends on L4 content, so alerted packets never share
-// verdicts).
-type decision struct {
-	kind   decisionKind
-	out    *iface
-	wire   []byte
-	to     netip.AddrPort
-	egress uint16
-	hopIdx uint8
-	alert  bool
-}
-
-// emit performs the send a decision calls for. It is separate from the
-// decision logic so the batch path can coalesce a burst's sends into
-// one SendBatch instead.
-func (r *Router) emit(d decision) {
-	switch d.kind {
-	case kindForward:
-		_ = d.out.conn.Send(d.wire, d.out.remote)
-	case kindDeliver:
-		_ = r.conn.Send(d.wire, d.to)
-	}
-}
-
 // handleBatch processes one delivered burst. Every buffer is owned by
-// this call for its duration (simnet.BatchHandler contract): the fast
-// path patches packets in place and sends them onward before returning.
+// this call for its duration (simnet.BatchHandler contract): packets are
+// patched in place and sent onward before returning.
 //
-// The burst fast path: the first packet of a run (the "leader") takes
-// the full pipeline — decode, ingress check, MAC verification, path
-// advance, egress resolution — and each follower whose header image is
-// byte-identical to the leader's as received provably shares every one
-// of those verdicts (the ingress check, MAC inputs, path transitions
-// and egress all derive from header bytes alone), so it only needs an
-// L4 decode plus the leader's patched header copied over it. One
-// pooled processor, one ifaces lookup and one egress SendBatch serve
-// the whole run. Runs end at the first differing header; leaders whose
-// packets dropped, or that examined a router-alert hop (alert handling
-// depends on L4 content), never start one.
+// The burst is cut into runs of packets that arrived with one header
+// image. The first packet of a run, its leader, is decided in full —
+// decode, decide, route, leave. A follower provably shares every
+// header-derived verdict (ingress check, MAC inputs, path transitions
+// and egress all follow from header bytes alone), so it needs only an
+// L4 decode and the leader's patched header copied over its own. A lone
+// packet is a run of one; every run leaves by one flush. A leader that
+// did not leave, or that examined a router-alert hop, shares nothing:
+// the next packet leads a run of its own.
 func (r *Router) handleBatch(pkts [][]byte, inIf uint16, origin originKind) {
 	r.metrics.Received.Add(uint64(len(pkts)))
 	proc := r.procs.Get().(*packetProcessor)
 	defer r.procs.Put(proc)
 
-	i := 0
-	for i < len(pkts) {
+	for i := 0; i < len(pkts); {
 		raw := pkts[i]
+		i++
 		if err := proc.pkt.Decode(raw); err != nil {
-			r.metrics.ParseFailures.Add(1)
-			if r.trace.Sample() {
-				r.tracePacket(telemetry.VerdictParseErr, inIf, 0, 0, 0)
-			}
-			i++
+			r.account(&decision{verdict: telemetry.VerdictParseErr}, inIf, nil)
 			continue
 		}
-		// The original header image must be captured before process
-		// patches the path state into raw in place.
+		// A packet is compared with its predecessor as received —
+		// before leave patches the leader's path state into raw, and
+		// before a follower takes the leader's header.
 		hl := slayers.CmnHdrLen + proc.pkt.Hdr.Path.Len()
-		canBurst := i+1 < len(pkts) &&
-			len(pkts[i+1]) == len(raw) && bytes.Equal(pkts[i+1][:hl], raw[:hl])
-		if canBurst {
-			proc.refHdr = append(proc.refHdr[:0], raw[:hl]...)
+		more := i < len(pkts) && sameHeader(pkts[i], raw, hl)
+		d, out := r.route(&proc.pkt, decide(&proc.pkt, proc.mac, r.cfg.IA, inIf, origin))
+		if r.leave(proc, &proc.pkt, raw, inIf, d, out) && !d.alert {
+			// Followers leave with the leader's path state, exactly as
+			// deciding each in full would have produced.
+			patched, conn := raw[:hl], proc.conn
+			for more {
+				b := pkts[i]
+				i++
+				more = i < len(pkts) && sameHeader(pkts[i], b, hl)
+				if err := proc.pkt.DecodeSameFlow(b, hl); err != nil {
+					r.account(&decision{verdict: telemetry.VerdictParseErr}, inIf, nil)
+					continue
+				}
+				var to netip.AddrPort
+				if out != nil {
+					to = out.remote
+				} else if port, ok := r.localPort(&proc.pkt); ok {
+					to = netip.AddrPortFrom(proc.pkt.Hdr.DstHost, port)
+				} else {
+					// No port for this L4: the leader's exit takes it
+					// from here (b is quoted as received — unpatched).
+					r.leave(proc, &proc.pkt, b, inIf, d, nil)
+					proc.bind(conn) // the error left on a socket of its own
+					continue
+				}
+				copy(b[:hl], patched)
+				r.account(&d, inIf, out)
+				proc.enqueue(b, to)
+			}
 		}
-		d := r.process(proc, &proc.pkt, raw, inIf, origin)
-		if d.kind == kindDrop || d.alert || !canBurst {
-			r.emit(d)
-			i++
-			continue
-		}
-		i = r.runBurst(proc, pkts, i, hl, d, inIf)
+		proc.flush()
 	}
 }
 
-// runBurst extends the leader's decision d across same-flow followers
-// starting at pkts[lead+1] and flushes the coalesced egress burst; it
-// returns the index of the first packet not consumed. patched is the
-// leader's post-process header image (aliasing its buffer — the path
-// was patched in place), which is copied over each follower so the
-// whole run leaves with identical path state, exactly as per-packet
-// processing would have produced.
-func (r *Router) runBurst(proc *packetProcessor, pkts [][]byte, lead, hl int, d decision, inIf uint16) int {
-	leader := pkts[lead]
-	patched := leader[:hl]
-	conn := r.conn
-	if d.kind == kindForward {
-		conn = d.out.conn
-	}
-	proc.wires = append(proc.wires[:0], d.wire)
-	proc.dests = append(proc.dests[:0], d.to)
-	if d.kind == kindForward {
-		proc.dests[0] = d.out.remote
-	}
-	j := lead + 1
-	for j < len(pkts) {
-		b := pkts[j]
-		if len(b) != len(leader) || !bytes.Equal(b[:hl], proc.refHdr) {
-			break
-		}
-		if err := proc.pkt.DecodeSameFlow(b, hl); err != nil {
-			// Same accounting as the Decode failure this would be on
-			// the per-packet path.
-			r.metrics.ParseFailures.Add(1)
-			if r.trace.Sample() {
-				r.tracePacket(telemetry.VerdictParseErr, inIf, 0, 0, 0)
-			}
-			j++
-			continue
-		}
-		switch d.kind {
-		case kindForward:
-			copy(b[:hl], patched)
-			r.metrics.Forwarded.Add(1)
-			d.out.fwd.Inc()
-			if r.trace.Sample() {
-				var qd time.Duration
-				if r.cfg.QueueDelay != nil {
-					qd = r.cfg.QueueDelay(d.out.conn.LocalAddr(), d.out.remote)
-				}
-				r.tracePacket(telemetry.VerdictForwarded, inIf, d.egress, d.hopIdx, qd)
-			}
-			proc.wires = append(proc.wires, b)
-			proc.dests = append(proc.dests, d.out.remote)
-		case kindDeliver:
-			port, ok := r.localPort(&proc.pkt)
-			if !ok {
-				// Flush what has accumulated so the SCMP error keeps its
-				// per-packet position in the send order, then take the
-				// usual error path (quote b as received — unpatched).
-				r.flushBurst(proc, conn)
-				r.metrics.NoRouteDrops.Add(1)
-				if r.trace.Sample() {
-					r.tracePacket(telemetry.VerdictNoRoute, inIf, 0, d.hopIdx, 0)
-				}
-				r.sendSCMPError(proc, &proc.pkt, b, &slayers.SCMP{
-					Type: slayers.SCMPDestinationUnreachable,
-					Code: slayers.CodePortUnreach,
-				})
-				j++
-				continue
-			}
-			copy(b[:hl], patched)
-			r.metrics.Delivered.Add(1)
-			if r.trace.Sample() {
-				r.tracePacket(telemetry.VerdictDelivered, inIf, 0, d.hopIdx, 0)
-			}
-			proc.wires = append(proc.wires, b)
-			proc.dests = append(proc.dests, netip.AddrPortFrom(proc.pkt.Hdr.DstHost, port))
-		}
-		j++
-	}
-	r.flushBurst(proc, conn)
-	return j
+// sameHeader reports whether a arrived with the header image of b: same
+// length, same bytes up to hl, the end of the path.
+func sameHeader(a, b []byte, hl int) bool {
+	return len(a) == len(b) && bytes.Equal(a[:hl], b[:hl])
 }
 
-// flushBurst sends the accumulated egress burst with one SendBatch —
-// one scheduling pass on the transport — and resets the scratch.
-func (r *Router) flushBurst(proc *packetProcessor, conn simnet.Conn) {
-	if len(proc.wires) == 0 {
+// route resolves a Forwarded verdict against the interface table: an
+// unknown or unconnected egress is NoRoute, a down circuit LinkDown
+// (each owing the source an SCMP error); otherwise the path moves to
+// the next hop and the egress interface is returned. Any other verdict
+// passes through.
+func (r *Router) route(pkt *slayers.Packet, d decision) (decision, *iface) {
+	if d.verdict != telemetry.VerdictForwarded || d.answer {
+		return d, nil
+	}
+	r.mu.RLock()
+	out, ok := r.ifaces[d.egress]
+	r.mu.RUnlock()
+	if !ok || !out.remote.IsValid() {
+		d.verdict = telemetry.VerdictNoRoute
+		d.scmp = slayers.SCMP{Type: slayers.SCMPDestinationUnreachable, Code: slayers.CodeNoRoute}
+		return d, nil
+	}
+	if !r.linkUp(d.egress) {
+		d.verdict = telemetry.VerdictLinkDown
+		d.scmp = slayers.SCMP{Type: slayers.SCMPExternalInterfaceDown, IA: r.cfg.IA, IfID: uint64(d.egress)}
+		return d, out
+	}
+	if err := pkt.Hdr.Path.IncHop(); err != nil {
+		return decision{verdict: telemetry.VerdictParseErr}, nil
+	}
+	return d, out
+}
+
+// leave is the single exit: it resolves the end-host port of a
+// Delivered packet, produces the wire image, accounts for the verdict,
+// queues the packet on the processor's egress burst and originates the
+// SCMP message the router owes, if any. raw is the buffer pkt was
+// decoded from (nil for router-originated packets). It reports whether
+// the packet left as decided.
+func (r *Router) leave(proc *packetProcessor, pkt *slayers.Packet, raw []byte, inIf uint16, d decision, out *iface) bool {
+	var conn simnet.Conn
+	var to netip.AddrPort
+	switch {
+	case d.answer:
+	case d.verdict == telemetry.VerdictForwarded:
+		conn, to = out.conn, out.remote
+	case d.verdict == telemetry.VerdictDelivered:
+		if port, ok := r.localPort(pkt); ok {
+			conn, to = r.conn, netip.AddrPortFrom(pkt.Hdr.DstHost, port)
+		} else {
+			d.verdict = telemetry.VerdictNoRoute
+			d.scmp = slayers.SCMP{Type: slayers.SCMPDestinationUnreachable, Code: slayers.CodePortUnreach}
+		}
+	}
+	var wire []byte
+	if conn != nil {
+		var err error
+		if wire, err = r.wireImage(proc, pkt, raw); err != nil {
+			d, conn = decision{verdict: telemetry.VerdictParseErr}, nil
+		}
+	}
+	r.account(&d, inIf, out)
+	if conn != nil {
+		proc.bind(conn)
+		proc.enqueue(wire, to)
+	}
+	if d.scmp.Type != 0 {
+		r.originate(proc, pkt, raw, d.scmp)
+	}
+	return conn != nil
+}
+
+// account is the only place a verdict reaches the counters, the
+// per-interface cells and the trace ring. out is the egress interface
+// of a Forwarded or LinkDown verdict. Tracing costs the unsampled
+// majority one atomic add; a nil ring never samples.
+func (r *Router) account(d *decision, inIf uint16, out *iface) {
+	m := r.metrics
+	if d.answer {
+		// Not traced: the reply is, when it leaves.
+		m.Answered.Add(1)
 		return
 	}
-	_ = conn.SendBatch(proc.wires, proc.dests)
-	proc.wires = proc.wires[:0]
-	proc.dests = proc.dests[:0]
+	switch d.verdict {
+	case telemetry.VerdictForwarded:
+		m.Forwarded.Add(1)
+		out.fwd.Inc()
+	case telemetry.VerdictDelivered:
+		m.Delivered.Add(1)
+	case telemetry.VerdictMACFail:
+		m.MACFailures.Add(1)
+		r.mu.RLock()
+		if in, ok := r.ifaces[inIf]; ok {
+			in.macFail.Inc()
+		}
+		r.mu.RUnlock()
+	case telemetry.VerdictIngressDrop:
+		m.IngressDrops.Add(1)
+	case telemetry.VerdictNoRoute:
+		m.NoRouteDrops.Add(1)
+	case telemetry.VerdictLinkDown:
+		m.LinkDownDrops.Add(1)
+		out.drops.Inc()
+	case telemetry.VerdictParseErr:
+		m.ParseFailures.Add(1)
+	}
+	if r.trace.Sample() {
+		// Queue delay is only measured for the sampled minority: the
+		// hook reads the transport's per-wire busy horizon.
+		var qd time.Duration
+		if d.verdict == telemetry.VerdictForwarded && r.cfg.QueueDelay != nil {
+			qd = r.cfg.QueueDelay(out.conn.LocalAddr(), out.remote)
+		}
+		r.trace.Record(telemetry.TraceEntry{
+			TimeNS:  r.cfg.Net.Now().UnixNano(),
+			IA:      uint64(r.cfg.IA),
+			Ingress: inIf,
+			Egress:  d.egress,
+			Hop:     d.hopIdx,
+			Verdict: d.verdict,
+			QueueNS: int64(qd),
+		})
+	}
 }
 
-// process runs the forwarding pipeline and returns what it decided —
-// the send itself is the caller's job (emit for a single packet,
-// runBurst's coalesced SendBatch for a burst). pkt is the decoded
-// packet and raw the buffer it was decoded from (nil for
-// router-originated packets, which have no wire image yet). inIf is the
-// arrival interface (meaningful only for originExternal).
-func (r *Router) process(proc *packetProcessor, pkt *slayers.Packet, raw []byte, inIf uint16, origin originKind) decision {
-	// Empty path: AS-local delivery only.
-	if pkt.Hdr.Path.IsEmpty() {
-		if pkt.Hdr.DstIA == r.cfg.IA && origin != originExternal {
-			return r.deliverLocal(proc, pkt, raw, inIf)
-		}
-		r.metrics.NoRouteDrops.Add(1)
-		if r.trace.Sample() {
-			r.tracePacket(telemetry.VerdictNoRoute, inIf, 0, 0, 0)
-		}
-		return decision{}
+// bind names the socket the egress burst leaves on from here on; what
+// is queued for another socket is sent first.
+func (p *packetProcessor) bind(conn simnet.Conn) {
+	if conn != p.conn {
+		p.flush()
+		p.conn = conn
 	}
+}
 
-	first := true
-	alerted := false
-	for {
-		info, err := pkt.Hdr.Path.CurrentInfo()
-		if err != nil {
-			r.metrics.ParseFailures.Add(1)
-			if r.trace.Sample() {
-				r.tracePacket(telemetry.VerdictParseErr, inIf, 0, 0, 0)
-			}
-			return decision{}
-		}
-		hop, err := pkt.Hdr.Path.CurrentHop()
-		if err != nil {
-			r.metrics.ParseFailures.Add(1)
-			if r.trace.Sample() {
-				r.tracePacket(telemetry.VerdictParseErr, inIf, 0, 0, 0)
-			}
-			return decision{}
-		}
-		hopIdx := uint8(pkt.Hdr.Path.CurrHF)
-		if hop.RouterAlert {
-			alerted = true
-		}
+// enqueue appends a packet to the egress burst.
+func (p *packetProcessor) enqueue(wire []byte, to netip.AddrPort) {
+	p.wires = append(p.wires, wire)
+	p.dests = append(p.dests, to)
+}
 
-		// Ingress check on the first processed hop. Self-originated
-		// packets (SCMP replies on a mid-flight reversed path) skip it:
-		// their first hop legitimately carries the interface the
-		// original packet arrived on.
-		if first {
-			wantIn := spath.DataIngress(info, hop)
-			switch origin {
-			case originExternal:
-				if wantIn != inIf {
-					r.metrics.IngressDrops.Add(1)
-					if r.trace.Sample() {
-						r.tracePacket(telemetry.VerdictIngressDrop, inIf, 0, hopIdx, 0)
-					}
-					return decision{}
-				}
-			case originInternal:
-				if wantIn != 0 {
-					r.metrics.IngressDrops.Add(1)
-					if r.trace.Sample() {
-						r.tracePacket(telemetry.VerdictIngressDrop, inIf, 0, hopIdx, 0)
-					}
-					return decision{}
-				}
-			}
-			first = false
-		}
-
-		// MAC verification. Peer-crossing hops (the boundary hops of a
-		// Peer-flagged segment) verify against the accumulator as-is;
-		// normal hops run the fold/advance algebra.
-		peerCross := info.Peer &&
-			((info.ConsDir && pkt.Hdr.Path.IsFirstHopOfSegment()) ||
-				(!info.ConsDir && pkt.Hdr.Path.IsLastHopOfSegment()))
-		valid := false
-		if peerCross {
-			valid = spath.VerifyPeerHopWith(proc.mac, info, hop)
-		} else {
-			valid = spath.VerifyHopWith(proc.mac, info, hop)
-		}
-		if !valid {
-			r.metrics.MACFailures.Add(1)
-			if origin == originExternal {
-				r.mu.RLock()
-				if in, ok := r.ifaces[inIf]; ok {
-					in.macFail.Inc()
-				}
-				r.mu.RUnlock()
-			}
-			if r.trace.Sample() {
-				r.tracePacket(telemetry.VerdictMACFail, inIf, 0, hopIdx, 0)
-			}
-			r.sendSCMPError(proc, pkt, raw, &slayers.SCMP{
-				Type:    slayers.SCMPParameterProblem,
-				Pointer: uint16(pkt.Hdr.Path.CurrHF),
-			})
-			return decision{}
-		}
-
-		// Traceroute: answer router-alert hops addressed to us.
-		if hop.RouterAlert && pkt.SCMP != nil && pkt.SCMP.Type == slayers.SCMPTracerouteRequest {
-			r.answerTraceroute(proc, pkt, spath.DataIngress(info, hop))
-			return decision{}
-		}
-
-		egress := spath.DataEgress(info, hop)
-		if pkt.Hdr.Path.IsLastHop() {
-			if egress == 0 && pkt.Hdr.DstIA == r.cfg.IA {
-				d := r.deliverLocal(proc, pkt, raw, inIf)
-				d.alert = alerted
-				return d
-			}
-			r.metrics.NoRouteDrops.Add(1)
-			if r.trace.Sample() {
-				r.tracePacket(telemetry.VerdictNoRoute, inIf, egress, hopIdx, 0)
-			}
-			if egress == 0 {
-				r.sendSCMPError(proc, pkt, raw, &slayers.SCMP{
-					Type: slayers.SCMPDestinationUnreachable,
-					Code: slayers.CodeNoRoute,
-				})
-			}
-			return decision{}
-		}
-		if pkt.Hdr.Path.IsLastHopOfSegment() && !(peerCross && egress != 0) {
-			// Segment crossover (XOVER): the next segment's first hop
-			// belongs to this AS too. This covers core joints (egress
-			// 0) and non-core shortcuts, where the next hop decides the
-			// true egress. A peer-crossing hop with an egress instead
-			// forwards over the peering link: the far side of the link
-			// starts the next segment.
-			if err := pkt.Hdr.Path.IncHop(); err != nil {
-				r.metrics.ParseFailures.Add(1)
-				return decision{}
-			}
-			continue
-		}
-		if egress == 0 {
-			// A non-terminal, non-boundary hop without an egress is
-			// malformed.
-			r.metrics.NoRouteDrops.Add(1)
-			if r.trace.Sample() {
-				r.tracePacket(telemetry.VerdictNoRoute, inIf, 0, hopIdx, 0)
-			}
-			return decision{}
-		}
-
-		// Forward out of egress: one ifaces lookup — shared by the whole
-		// burst when this packet leads one.
-		r.mu.RLock()
-		out, ok := r.ifaces[egress]
-		r.mu.RUnlock()
-		if !ok || !out.remote.IsValid() {
-			r.metrics.NoRouteDrops.Add(1)
-			if r.trace.Sample() {
-				r.tracePacket(telemetry.VerdictNoRoute, inIf, egress, hopIdx, 0)
-			}
-			r.sendSCMPError(proc, pkt, raw, &slayers.SCMP{
-				Type: slayers.SCMPDestinationUnreachable,
-				Code: slayers.CodeNoRoute,
-			})
-			return decision{}
-		}
-		if !r.linkUp(egress) {
-			r.metrics.LinkDownDrops.Add(1)
-			out.drops.Inc()
-			if r.trace.Sample() {
-				r.tracePacket(telemetry.VerdictLinkDown, inIf, egress, hopIdx, 0)
-			}
-			r.sendSCMPError(proc, pkt, raw, &slayers.SCMP{
-				Type: slayers.SCMPExternalInterfaceDown,
-				IA:   addr.IA(r.cfg.IA),
-				IfID: uint64(egress),
-			})
-			return decision{}
-		}
-		if err := pkt.Hdr.Path.IncHop(); err != nil {
-			r.metrics.ParseFailures.Add(1)
-			return decision{}
-		}
-		wire, err := r.wireImage(proc, pkt, raw)
-		if err != nil {
-			r.metrics.ParseFailures.Add(1)
-			return decision{}
-		}
-		r.metrics.Forwarded.Add(1)
-		out.fwd.Inc()
-		if r.trace.Sample() {
-			// Queue delay is only measured for the sampled minority: the
-			// hook reads the transport's per-wire busy horizon.
-			var qd time.Duration
-			if r.cfg.QueueDelay != nil {
-				qd = r.cfg.QueueDelay(out.conn.LocalAddr(), out.remote)
-			}
-			r.tracePacket(telemetry.VerdictForwarded, inIf, egress, hopIdx, qd)
-		}
-		return decision{kind: kindForward, out: out, wire: wire, egress: egress, hopIdx: hopIdx, alert: alerted}
+// flush sends the queued egress burst with one SendBatch — one
+// scheduling pass on the transport — and resets the scratch.
+func (p *packetProcessor) flush() {
+	if len(p.wires) == 0 {
+		return
 	}
+	_ = p.conn.SendBatch(p.wires, p.dests)
+	p.wires = p.wires[:0]
+	p.dests = p.dests[:0]
 }
 
 // wireImage produces the outgoing bytes for pkt. On the fast path (the
 // packet arrived on the wire) only the path pointers and SegID
 // accumulators changed, so the received buffer is patched in place —
 // zero copies, zero allocations. Router-originated packets (raw == nil)
-// are serialized into the processor's reusable scratch buffer, which
-// Send's copy-on-send semantics let us reuse immediately afterwards.
+// are serialized into the processor's scratch buffer, which stays
+// untouched until the packet is flushed (originate flushes on both
+// sides of its reply).
 func (r *Router) wireImage(proc *packetProcessor, pkt *slayers.Packet, raw []byte) ([]byte, error) {
 	if raw != nil {
 		if err := pkt.PatchPath(raw); err != nil {
@@ -723,42 +558,9 @@ func (r *Router) wireImage(proc *packetProcessor, pkt *slayers.Packet, raw []byt
 	return out, nil
 }
 
-// deliverLocal resolves delivery of the packet to the destination end
-// host over the intra-AS underlay: directly to the application's UDP
-// port in dispatcherless mode, or to the shared dispatcher port. The
-// returned decision carries the wire image and underlay destination;
-// the caller emits it (or batches it into a burst).
-func (r *Router) deliverLocal(proc *packetProcessor, pkt *slayers.Packet, raw []byte, inIf uint16) decision {
-	port, ok := r.localPort(pkt)
-	if !ok {
-		r.metrics.NoRouteDrops.Add(1)
-		if r.trace.Sample() {
-			r.tracePacket(telemetry.VerdictNoRoute, inIf, 0, uint8(pkt.Hdr.Path.CurrHF), 0)
-		}
-		r.sendSCMPError(proc, pkt, raw, &slayers.SCMP{
-			Type: slayers.SCMPDestinationUnreachable,
-			Code: slayers.CodePortUnreach,
-		})
-		return decision{}
-	}
-	wire, err := r.wireImage(proc, pkt, raw)
-	if err != nil {
-		r.metrics.ParseFailures.Add(1)
-		return decision{}
-	}
-	r.metrics.Delivered.Add(1)
-	if r.trace.Sample() {
-		r.tracePacket(telemetry.VerdictDelivered, inIf, 0, uint8(pkt.Hdr.Path.CurrHF), 0)
-	}
-	return decision{
-		kind:   kindDeliver,
-		wire:   wire,
-		to:     netip.AddrPortFrom(pkt.Hdr.DstHost, port),
-		hopIdx: uint8(pkt.Hdr.Path.CurrHF),
-	}
-}
-
-// localPort determines the underlay port for local delivery.
+// localPort determines the underlay port for local delivery: the
+// application's own UDP port in dispatcherless mode, or the shared
+// dispatcher port.
 func (r *Router) localPort(pkt *slayers.Packet) (uint16, bool) {
 	if r.cfg.UseDispatcher {
 		return DispatcherPort, true
@@ -778,94 +580,57 @@ func (r *Router) localPort(pkt *slayers.Packet) (uint16, bool) {
 			return pkt.SCMP.Identifier, true
 		default:
 			// Error message: route to the offending packet's source
-			// port, parsed from the quote. The quote is truncated to
-			// scmpQuoteLen bytes, so a strict decode would reject
-			// errors quoting large packets — parse tolerantly, only as
-			// far as the L4 ports require.
-			var quoted slayers.Packet
-			if err := quoted.DecodeTruncated(pkt.Payload); err != nil {
-				return 0, false
-			}
-			if quoted.UDP != nil {
-				return quoted.UDP.SrcPort, true
-			}
-			if quoted.SCMP != nil {
-				return quoted.SCMP.Identifier, true
-			}
-			return 0, false
+			// port, parsed from the quote.
+			return slayers.QuotedPort(pkt.Payload)
 		}
 	}
 	return 0, false
 }
 
-// sendSCMPError originates an SCMP error back to the packet's source,
-// quoting the offending packet. Errors are never sent in response to
-// SCMP errors (ICMP's classic amplification guard).
-func (r *Router) sendSCMPError(proc *packetProcessor, offending *slayers.Packet, raw []byte, scmp *slayers.SCMP) {
-	if offending.SCMP != nil && offending.SCMP.Type.IsError() {
+// originate sends the source of pkt the SCMP message the router owes
+// it — an error quoting pkt, or a traceroute reply — through the same
+// decide, route and leave as any packet. Errors are never sent in
+// response to SCMP errors (ICMP's classic amplification guard). What is
+// queued is flushed first, and the message right after, so it keeps the
+// place in the send order that deciding packet by packet gives it. msg
+// is taken by value and copied to the heap here, on the rare path, so
+// that no decision escapes on the common one.
+func (r *Router) originate(proc *packetProcessor, pkt *slayers.Packet, raw []byte, msg slayers.SCMP) {
+	if msg.Type.IsError() && pkt.SCMP != nil && pkt.SCMP.Type.IsError() {
 		return
 	}
-	rev, err := spath.ReverseFromCurrent(&offending.Hdr.Path)
+	rev, err := spath.ReverseFromCurrent(&pkt.Hdr.Path)
 	if err != nil {
 		return
 	}
-	// Quote the offending packet as received when its wire image is at
-	// hand; packets originated by this router are serialized first.
-	quote := raw
-	if quote == nil {
-		quote, err = offending.Serialize(nil)
-		if err != nil {
-			return
+	reply := &slayers.Packet{
+		Hdr: slayers.SCION{
+			DstIA:   pkt.Hdr.SrcIA,
+			SrcIA:   r.cfg.IA,
+			DstHost: pkt.Hdr.SrcHost,
+			SrcHost: r.conn.LocalAddr().Addr(),
+			Path:    *rev,
+		},
+		SCMP: &msg,
+	}
+	if msg.Type.IsError() {
+		// Quote the offending packet as received when its wire image is
+		// at hand; packets originated by this router are serialized
+		// first.
+		quote := raw
+		if quote == nil {
+			if quote, err = pkt.Serialize(nil); err != nil {
+				return
+			}
 		}
+		if len(quote) > scmpQuoteLen {
+			quote = quote[:scmpQuoteLen]
+		}
+		reply.Payload = quote
 	}
-	if len(quote) > scmpQuoteLen {
-		quote = quote[:scmpQuoteLen]
-	}
-	reply := &slayers.Packet{
-		Hdr: slayers.SCION{
-			DstIA:   offending.Hdr.SrcIA,
-			SrcIA:   r.cfg.IA,
-			DstHost: offending.Hdr.SrcHost,
-			SrcHost: r.conn.LocalAddr().Addr(),
-			Path:    *rev,
-		},
-		SCMP:    scmp,
-		Payload: quote,
-	}
+	proc.flush()
 	r.metrics.SCMPSent.Add(1)
-	r.inject(proc, reply)
-}
-
-// answerTraceroute responds to a router-alerted traceroute request.
-func (r *Router) answerTraceroute(proc *packetProcessor, req *slayers.Packet, ifID uint16) {
-	rev, err := spath.ReverseFromCurrent(&req.Hdr.Path)
-	if err != nil {
-		return
-	}
-	reply := &slayers.Packet{
-		Hdr: slayers.SCION{
-			DstIA:   req.Hdr.SrcIA,
-			SrcIA:   r.cfg.IA,
-			DstHost: req.Hdr.SrcHost,
-			SrcHost: r.conn.LocalAddr().Addr(),
-			Path:    *rev,
-		},
-		SCMP: &slayers.SCMP{
-			Type:       slayers.SCMPTracerouteReply,
-			Identifier: req.SCMP.Identifier,
-			SeqNo:      req.SCMP.SeqNo,
-			IA:         r.cfg.IA,
-			IfID:       uint64(ifID),
-		},
-	}
-	r.metrics.SCMPSent.Add(1)
-	r.inject(proc, reply)
-}
-
-// inject runs a router-originated packet through the forwarding
-// pipeline and emits the result. The packet has no wire image yet
-// (raw == nil): if it leaves the router it is serialized into the
-// processor's scratch buffer.
-func (r *Router) inject(proc *packetProcessor, pkt *slayers.Packet) {
-	r.emit(r.process(proc, pkt, nil, 0, originSelf))
+	d, out := r.route(reply, decide(reply, proc.mac, r.cfg.IA, 0, originSelf))
+	r.leave(proc, reply, nil, 0, d, out)
+	proc.flush()
 }

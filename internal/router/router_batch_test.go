@@ -342,6 +342,7 @@ func burstCampaign(t *testing.T, batched bool) string {
 	}
 	defer ra.Close()
 	defer rb.Close()
+	t.Cleanup(func() { checkConserved(t, ra); checkConserved(t, rb) })
 	aAddr, _ := ra.AddInterface(1)
 	bAddr, _ := rb.AddInterface(1)
 	_ = ra.ConnectInterface(1, bAddr)

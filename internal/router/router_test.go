@@ -44,7 +44,23 @@ func twoAS(t *testing.T, sim *simnet.Sim, useDispatcher bool) (*Router, *Router)
 	if err := rb.ConnectInterface(1, aAddr); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { checkConserved(t, ra); checkConserved(t, rb) })
 	return ra, rb
+}
+
+// checkConserved holds a router to its conservation identity: every
+// packet it took in or originated ended in exactly one outcome counter.
+func checkConserved(t *testing.T, r *Router) {
+	t.Helper()
+	m := r.Metrics()
+	in := m.Received.Load() + m.SCMPSent.Load()
+	out := m.Forwarded.Load() + m.Delivered.Load() + m.Answered.Load() +
+		m.MACFailures.Load() + m.IngressDrops.Load() + m.NoRouteDrops.Load() +
+		m.LinkDownDrops.Load() + m.ParseFailures.Load()
+	if in != out {
+		t.Errorf("router %v: %d packets in (received %d + originated %d), %d accounted for",
+			r.IA(), in, m.Received.Load(), m.SCMPSent.Load(), out)
+	}
 }
 
 // corePath builds a one-segment core path A -> B with valid MACs.
@@ -454,5 +470,54 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if r.IA() != asA {
 		t.Error("IA mismatch")
+	}
+}
+
+// TestAddInterfaceRejectsDuplicateAndZero: a second AddInterface with
+// an ID the router has must not re-point the interface (nor leak the
+// first socket), and interface 0 — "AS-internal" to the pipeline — is
+// never external. The interface set up first keeps its address and
+// still forwards after the refused calls.
+func TestAddInterfaceRejectsDuplicateAndZero(t *testing.T) {
+	sim := simnet.NewSim(time.Unix(0, 0))
+	ra, rb := twoAS(t, sim, false)
+	defer ra.Close()
+	defer rb.Close()
+
+	before, _ := ra.InterfaceAddr(1)
+	if addr, err := ra.AddInterface(1); err == nil {
+		t.Errorf("duplicate interface accepted, bound %v", addr)
+	}
+	if addr, err := ra.AddInterface(0); err == nil {
+		t.Errorf("interface 0 accepted, bound %v", addr)
+	}
+	if _, ok := ra.InterfaceAddr(0); ok {
+		t.Error("interface 0 exists after the refused call")
+	}
+	if after, _ := ra.InterfaceAddr(1); after != before {
+		t.Errorf("interface 1 moved from %v to %v", before, after)
+	}
+
+	src := listen(t, sim, netip.AddrPort{})
+	dst := listen(t, sim, netip.AddrPort{})
+	pkt := &slayers.Packet{
+		Hdr: slayers.SCION{
+			DstIA: asB, SrcIA: asA,
+			DstHost: dst.conn.LocalAddr().Addr(),
+			SrcHost: src.conn.LocalAddr().Addr(),
+			Path:    corePath(t),
+		},
+		UDP: &slayers.UDP{SrcPort: src.conn.LocalAddr().Port(), DstPort: dst.conn.LocalAddr().Port()},
+	}
+	raw, err := pkt.Serialize(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.conn.Send(raw, ra.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	if len(dst.pkts) != 1 {
+		t.Fatalf("delivered %d packets over interface 1, want 1", len(dst.pkts))
 	}
 }

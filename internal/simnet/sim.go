@@ -63,9 +63,10 @@ type Sim struct {
 	// Timer events are never pooled: their cancel closures outlive the
 	// firing and would otherwise cancel a recycled event.
 	evPool sync.Pool
-	// batch* are the reusable scratch slices for coalesced delivery to
-	// batch-bound destinations; only the event-loop goroutine touches
-	// them, between popping a burst and recycling its events.
+	// batch* are the reusable scratch slices for delivery to batch-bound
+	// destinations (the events coalesced behind the popped one, and the
+	// handler's arguments); only the event-loop goroutine touches them,
+	// between popping a burst and recycling its events.
 	batchEvs  []*event
 	batchPkts [][]byte
 	batchFrom []netip.AddrPort
@@ -85,36 +86,40 @@ func NewSim(start time.Time) *Sim {
 		handlers: make(map[netip.AddrPort]binding),
 		nextHost: 1,
 		nextPort: make(map[netip.Addr]uint16),
-		evPool:   sync.Pool{New: func() any { return new(event) }},
+		evPool: sync.Pool{New: func() any {
+			e := new(event)
+			e.pkts = e.one[:0]
+			return e
+		}},
 	}
 }
 
-// event is either a timer (fn != nil) or a packet delivery (fn == nil,
-// pkt/from/to set).
+// event is either a timer (fn != nil) or a delivery (fn == nil): a run
+// of datagrams from one sender to one destination with one delivery
+// time — one queue entry, one pop and one handler resolution however
+// long the run. A lone datagram is a run of one.
 type event struct {
 	at  time.Time
 	seq uint64
 	fn  func()
-	// Packet-delivery fields. pkt is the simulator-owned copy of the
-	// datagram; its backing array is recycled after the handler returns.
-	pkt      []byte
+	// pkts holds the simulator-owned copies of the run's datagrams;
+	// the backing arrays, including those retained beyond len(pkts), are
+	// recycled with the event after the handler returns. one is its
+	// initial backing, so a run of one allocates nothing beside the
+	// event.
+	pkts     [][]byte
+	one      [1][]byte
 	from, to netip.AddrPort
-	idx      int
-	// pkts, when non-empty, makes this a merged delivery event: a run of
-	// same-sender same-destination datagrams with one delivery time,
-	// scheduled by SendBatch as one heap entry (one push, one pop, one
-	// handler resolution for the whole run). Element backing arrays are
-	// recycled with the event, like pkt.
-	pkts [][]byte
 	// slot is the event's wheel-bucket slot while resident in a
 	// calendar scheduler, -1 otherwise; idx is its position while in a
 	// binary heap. Each scheduler maintains its own field.
+	idx  int
 	slot int64
 	// cancelled timers stay in the queue but do nothing.
 	cancelled bool
 }
 
-// appendPkt adds a copy of pkt to a merged delivery event, reusing the
+// appendPkt adds a copy of pkt to a delivery event, reusing the
 // per-slot buffers a recycled event retains beyond len(pkts).
 func (e *event) appendPkt(pkt []byte) {
 	if len(e.pkts) < cap(e.pkts) {
@@ -185,7 +190,7 @@ func (s *Sim) Listen(preferred netip.AddrPort, h Handler) (Conn, error) {
 
 // ListenBatch implements Network. Deliveries to a batch-bound address
 // that are consecutive in (timestamp, seq) order are coalesced into one
-// handler call (see Step).
+// handler call (see deliverRun).
 func (s *Sim) ListenBatch(preferred netip.AddrPort, h BatchHandler) (Conn, error) {
 	return s.listen(preferred, binding{bh: h})
 }
@@ -290,26 +295,16 @@ type simConn struct {
 
 func (c *simConn) LocalAddr() netip.AddrPort { return c.addr }
 
+// Send implements Conn: a burst of one.
 func (c *simConn) Send(pkt []byte, to netip.AddrPort) error {
-	s := c.sim
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	s.sendLocked(c.addr, pkt, to)
-	return nil
+	pkts, dests := [1][]byte{pkt}, [1]netip.AddrPort{to}
+	return c.SendBatch(pkts[:], dests[:])
 }
 
 // SendBatch implements Conn: the whole burst is scheduled under one
-// lock acquisition (and one closed check), in order, with the same
-// per-datagram semantics as Send. Runs of consecutive datagrams that
-// share a destination and a delivery time are merged into one heap
-// event, so a burst costs one push/pop/handler-resolution instead of
-// one per packet; the run boundaries are exactly where per-packet
-// scheduling would have produced a different delivery time or
-// destination, so execution order — and therefore every downstream
-// observation — is identical to per-packet sends.
+// lock acquisition (and one closed check), in order, cut where the
+// destination changes. A broadcast datagram goes to every listener on
+// the port, each in a delivery event of its own.
 func (c *simConn) SendBatch(pkts [][]byte, dests []netip.AddrPort) error {
 	if len(pkts) != len(dests) {
 		return fmt.Errorf("simnet: SendBatch: %d packets, %d destinations", len(pkts), len(dests))
@@ -320,83 +315,76 @@ func (c *simConn) SendBatch(pkts [][]byte, dests []netip.AddrPort) error {
 	if c.closed {
 		return ErrClosed
 	}
-	i := 0
-	for i < len(pkts) {
+	for i := 0; i < len(pkts); {
 		to := dests[i]
+		n := 1
 		if to.Addr() == BroadcastAddr {
-			// Fan-out duplicates the datagram across listeners; merging
-			// does not apply.
-			s.sendLocked(c.addr, pkts[i], to)
-			i++
-			continue
+			for _, l := range s.listenersLocked(c.addr, to.Port()) {
+				s.deliverLocked(c.addr, l, pkts[i:i+1])
+			}
+		} else {
+			for i+n < len(pkts) && dests[i+n] == to {
+				n++
+			}
+			s.deliverLocked(c.addr, to, pkts[i:i+n])
 		}
-		var run *event
-		var runAt time.Time
-		for i < len(pkts) && dests[i] == to {
-			pkt := pkts[i]
-			i++
-			delay := time.Duration(0)
-			deliver := true
-			if s.Latency != nil {
-				delay, deliver = s.Latency(c.addr, to, len(pkt), s.now)
-			}
-			if !deliver {
-				s.dropped.Inc()
-				continue // loss is silent; the run continues either side
-			}
-			at := s.now.Add(delay)
-			if run == nil || !at.Equal(runAt) {
-				// Delivery time changed (e.g. a busy capped wire spacing
-				// packets out): the merged run ends where per-packet
-				// events would stop coinciding.
-				run = s.newDeliveryLocked(c.addr, to, at)
-				runAt = at
-			}
-			run.appendPkt(pkt)
-			s.inflight.Inc()
-		}
+		i += n
 	}
 	return nil
 }
 
-// newDeliveryLocked allocates (or recycles) a merged delivery event and
-// schedules it; packets are appended by the caller.
-func (s *Sim) newDeliveryLocked(from, to netip.AddrPort, at time.Time) *event {
-	e := s.evPool.Get().(*event)
-	e.at = at
-	e.seq = s.seq
-	s.seq++
-	e.fn = nil
-	e.cancelled = false
-	e.pkt = e.pkt[:0]
-	e.pkts = e.pkts[:0]
-	e.from, e.to = from, to
-	s.pushLocked(e)
-	return e
+// deliverLocked schedules datagrams from one sender to one destination,
+// copying each into a pooled buffer (the sender keeps ownership of its
+// own). Consecutive datagrams with one delivery time go into one
+// delivery event; a run ends exactly where scheduling each datagram on
+// its own would have produced a different delivery time (a busy capped
+// wire spaces packets out), so execution order — and therefore every
+// downstream observation — is that of one event per datagram. A lost
+// datagram is silent, and the run continues either side of it. This is
+// the only place a datagram is scheduled; the caller holds s.mu.
+func (s *Sim) deliverLocked(from, to netip.AddrPort, pkts [][]byte) {
+	var run *event
+	for _, pkt := range pkts {
+		delay := time.Duration(0)
+		deliver := true
+		if s.Latency != nil {
+			delay, deliver = s.Latency(from, to, len(pkt), s.now)
+		}
+		if !deliver {
+			s.dropped.Inc()
+			continue
+		}
+		at := s.now.Add(delay)
+		if run == nil || !at.Equal(run.at) {
+			run = s.evPool.Get().(*event)
+			run.at = at
+			run.seq = s.seq
+			s.seq++
+			run.pkts = run.pkts[:0]
+			run.from, run.to = from, to
+			s.pushLocked(run)
+		}
+		run.appendPkt(pkt)
+		s.inflight.Inc()
+	}
 }
 
-// sendLocked schedules one datagram from `from`; the caller holds s.mu.
-func (s *Sim) sendLocked(from netip.AddrPort, pkt []byte, to netip.AddrPort) {
-	if to.Addr() == BroadcastAddr {
-		// Fan out to every listener on the port except the sender.
-		// Destinations are sorted before scheduling so the delivery
-		// events get run-independent sequence numbers — map iteration
-		// order must never leak into the event order.
-		dests := s.bcast[:0]
-		for dest := range s.handlers {
-			if dest.Port() != to.Port() || dest == from {
-				continue
-			}
-			dests = append(dests, dest)
+// listenersLocked returns every listener on the port except the sender,
+// sorted, so that a broadcast's delivery events get run-independent
+// sequence numbers — map iteration order must never leak into the event
+// order. The result is scratch, valid until the next call; the caller
+// holds s.mu.
+func (s *Sim) listenersLocked(from netip.AddrPort, port uint16) []netip.AddrPort {
+	dests := s.bcast[:0]
+	for dest := range s.handlers {
+		if dest.Port() != port || dest == from {
+			continue
 		}
-		slices.SortFunc(dests, compareAddrPort)
-		s.bcast = dests
-		for _, dest := range dests {
-			s.deliverLocked(pkt, from, dest)
-		}
-		return
+		dests = append(dests, dest)
 	}
-	s.deliverLocked(pkt, from, to)
+	slices.SortFunc(dests, compareAddrPort)
+	s.bcast = dests
+	return dests
 }
 
 func compareAddrPort(a, b netip.AddrPort) int {
@@ -404,32 +392,6 @@ func compareAddrPort(a, b netip.AddrPort) int {
 		return c
 	}
 	return int(a.Port()) - int(b.Port())
-}
-
-// deliverLocked schedules delivery of one datagram, copying it into a
-// pooled buffer (the sender keeps ownership of pkt); the caller holds
-// s.mu.
-func (s *Sim) deliverLocked(pkt []byte, from, to netip.AddrPort) {
-	delay := time.Duration(0)
-	deliver := true
-	if s.Latency != nil {
-		delay, deliver = s.Latency(from, to, len(pkt), s.now)
-	}
-	if !deliver {
-		s.dropped.Inc()
-		return // datagram semantics: loss is silent
-	}
-	s.inflight.Inc()
-	e := s.evPool.Get().(*event)
-	e.at = s.now.Add(delay)
-	e.seq = s.seq
-	s.seq++
-	e.fn = nil
-	e.cancelled = false
-	e.pkt = append(e.pkt[:0], pkt...)
-	e.pkts = e.pkts[:0] // a recycled merged event becomes single-delivery
-	e.from, e.to = from, to
-	s.pushLocked(e)
 }
 
 func (c *simConn) Close() error {
@@ -465,95 +427,72 @@ func (s *Sim) Step() bool {
 			fn()
 			return true
 		}
-		// Packet delivery: resolve the handler and account for the
-		// outcome in the same locked section. A conn that closed
-		// between send and delivery loses the datagram — counted as
-		// dropped so Stats() conserves datagrams.
-		b := s.handlers[e.to]
-		if b.bh != nil {
-			s.deliverBatchLocked(e, b.bh)
-			return true
-		}
-		if n := len(e.pkts); n > 0 {
-			// Merged run delivered to a per-packet listener: one lock
-			// round-trip and one event for the run, then the handler is
-			// invoked once per datagram, in order.
-			s.inflight.Add(-int64(n))
-			if b.h == nil {
-				s.dropped.Add(uint64(n))
-			} else {
-				s.delivered.Add(uint64(n))
-			}
-			s.mu.Unlock()
-			if b.h != nil {
-				for _, pkt := range e.pkts {
-					b.h(pkt, e.from)
-				}
-			}
-			s.evPool.Put(e)
-			return true
-		}
-		s.inflight.Dec()
-		if b.h == nil {
-			s.dropped.Inc()
-		} else {
-			s.delivered.Inc()
-		}
-		s.mu.Unlock()
-		if b.h != nil {
-			b.h(e.pkt, e.from)
-		}
-		// The handler has returned and must not have retained e.pkt;
-		// recycle the event together with its buffer.
-		s.evPool.Put(e)
+		s.deliverRun(e)
 		return true
 	}
 }
 
-// deliverBatchLocked coalesces the popped delivery event e with every
-// immediately following event in (timestamp, seq) order that is also a
-// delivery to the same batch-bound destination, and hands the burst to
-// the batch handler as one call with one lock round-trip. Coalescing
-// stops at the first intervening timer or foreign-destination event, so
-// the burst is exactly a run of deliveries nothing else could have
-// interleaved — per-packet execution would have observed the identical
-// order, which is what keeps batch-bound runs byte-identical to
-// unbatched ones. Called with s.mu held; unlocks before the handler.
-func (s *Sim) deliverBatchLocked(e *event, bh BatchHandler) {
-	evs := append(s.batchEvs[:0], e)
-	for {
-		top := s.events.Peek()
-		if top == nil || top.fn != nil || top.to != e.to || !top.at.Equal(e.at) {
-			break
+// deliverRun hands the popped delivery event e to whatever is bound at
+// its destination. For a batch-bound destination it first coalesces e
+// with every immediately following event in (timestamp, seq) order that
+// is also a delivery there, and the handler gets the whole burst in one
+// call. Coalescing stops at the first intervening timer or
+// foreign-destination event, so the burst is exactly a run of
+// deliveries nothing else could have interleaved — delivering them one
+// by one would have observed the identical order, which is what keeps
+// batch-bound runs byte-identical to unbatched ones. A per-packet
+// handler is invoked once per datagram, in order. A conn that closed
+// between send and delivery loses the datagrams — counted as dropped so
+// Stats() conserves them. Called with s.mu held; unlocks before the
+// handler.
+func (s *Sim) deliverRun(e *event) {
+	b := s.handlers[e.to]
+	n := len(e.pkts)
+	more := s.batchEvs[:0]
+	if b.bh != nil {
+		for {
+			top := s.events.Peek()
+			if top == nil || top.fn != nil || top.to != e.to || !top.at.Equal(e.at) {
+				break
+			}
+			more = append(more, s.events.Pop())
+			n += len(top.pkts)
 		}
-		evs = append(evs, s.events.Pop())
 	}
-	pkts := s.batchPkts[:0]
-	froms := s.batchFrom[:0]
-	for _, ev := range evs {
-		if len(ev.pkts) > 0 { // merged run: expand in order
-			for _, p := range ev.pkts {
-				pkts = append(pkts, p)
+	s.inflight.Add(-int64(n))
+	if b.bh == nil && b.h == nil {
+		s.dropped.Add(uint64(n))
+	} else {
+		s.delivered.Add(uint64(n))
+	}
+	s.mu.Unlock()
+	switch {
+	case b.bh != nil:
+		pkts, froms := append(s.batchPkts[:0], e.pkts...), s.batchFrom[:0]
+		for range e.pkts {
+			froms = append(froms, e.from)
+		}
+		for _, ev := range more {
+			pkts = append(pkts, ev.pkts...)
+			for range ev.pkts {
 				froms = append(froms, ev.from)
 			}
-			continue
 		}
-		pkts = append(pkts, ev.pkt)
-		froms = append(froms, ev.from)
+		b.bh(pkts, froms)
+		s.batchPkts, s.batchFrom = pkts[:0], froms[:0]
+	case b.h != nil:
+		for _, pkt := range e.pkts {
+			b.h(pkt, e.from)
+		}
 	}
-	s.inflight.Add(-int64(len(pkts)))
-	s.delivered.Add(uint64(len(pkts)))
-	s.mu.Unlock()
-	bh(pkts, froms)
 	// The handler has returned and must not have retained any buffer;
-	// recycle the whole burst and keep the scratch capacity.
-	for i, ev := range evs {
+	// recycle the events together with their buffers.
+	s.evPool.Put(e)
+	for i, ev := range more {
 		s.evPool.Put(ev)
-		evs[i] = nil
+		more[i] = nil
 	}
-	s.batchEvs = evs[:0]
-	s.batchPkts = pkts[:0]
-	s.batchFrom = froms[:0]
+	s.batchEvs = more[:0]
 }
 
 // Run drains all events (use with care: periodic timers run forever;

@@ -455,6 +455,25 @@ func (p *Packet) DecodeTruncated(b []byte) error {
 	return nil
 }
 
+// QuotedPort returns the underlay port an SCMP error message belongs
+// to: the UDP source port, or the SCMP identifier, of the offending
+// packet quoted in the error's payload. Routers cap the quote at 512
+// bytes, so a strict decode would reject errors quoting large packets —
+// the quote is parsed tolerantly, only as far as the L4 ports require.
+func QuotedPort(quote []byte) (uint16, bool) {
+	var quoted Packet
+	if err := quoted.DecodeTruncated(quote); err != nil {
+		return 0, false
+	}
+	switch {
+	case quoted.UDP != nil:
+		return quoted.UDP.SrcPort, true
+	case quoted.SCMP != nil:
+		return quoted.SCMP.Identifier, true
+	}
+	return 0, false
+}
+
 // pseudoHeader builds the checksum pseudo-header binding L4 data to the
 // SCION addresses, preventing redirection of checksummed payloads.
 func pseudoHeader(h *SCION, proto uint8, l4Len int) [52]byte {
