@@ -61,9 +61,10 @@ doc-check:
 	echo "doc-check: OK"
 
 # Scenario hygiene (docs/scenarios.md): every committed scenario file
-# must load and validate; scenarios/sciera.json must stay in sync with
-# the builtin it mirrors; and a 1-day quick campaign must run end to end
-# on a freshly generated multi-ISD topology.
+# must load and validate; scenarios/sciera.json must equal the builtin's
+# canonical dump (go test ./internal/sciera holds the same pin); both
+# builtins dump through the CLI; and a 1-day quick campaign must run end
+# to end on a freshly generated multi-ISD topology.
 scenario-check:
 	@for f in scenarios/*.json; do \
 		$(GO) run ./cmd/experiments -scenario-dump -scenario "$$f" > /dev/null || exit 1; \
@@ -71,6 +72,7 @@ scenario-check:
 	done
 	@$(GO) run ./cmd/experiments -scenario-dump -scenario sciera | diff -u scenarios/sciera.json - \
 		|| { echo "scenario-check: scenarios/sciera.json is out of sync with the builtin (regenerate with -scenario-dump)"; exit 1; }
+	@$(GO) run ./cmd/experiments -scenario-dump -scenario loadbench > /dev/null
 	@$(GO) run ./cmd/experiments -quick -run fig5 -scenario gen:isds=3,ases=100,seed=1 > /dev/null
 	@echo "scenario-check: OK"
 
@@ -91,9 +93,14 @@ bench-smoke:
 # corpora under internal/*/testdata/fuzz: the control service's
 # untrusted-input boundary (request bytes in, response bytes at the
 # daemon), the burst fast-path decode against the full decoder, the
-# beacon store's admission rule against its insert, and the router's
+# beacon store's admission rule against its insert, the router's
 # forwarding rules (decide) on arbitrary path bytes: no panic, one
-# header one verdict, no pass with a MAC or SegID bit flipped.
+# header one verdict, no pass with a MAC or SegID bit flipped; and the
+# scenario loader (seeded in code from scenarios/sciera.json, a small
+# generated scenario and the validation table's rejected rows): no
+# panic, what loads dumps to a fixed point and its builders return. The
+# 30 KB seed would spend the default minute per minimization, hence the
+# bound.
 # A failure leaves its reproducer there; `go test` replays it.
 fuzz-smoke:
 	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzServiceHandle$$' -fuzztime 3s
@@ -101,6 +108,7 @@ fuzz-smoke:
 	$(GO) test ./internal/slayers -run '^$$' -fuzz '^FuzzDecodeSameFlow$$' -fuzztime 3s
 	$(GO) test ./internal/beacon -run '^$$' -fuzz '^FuzzStoreAdmit$$' -fuzztime 3s
 	$(GO) test ./internal/router -run '^$$' -fuzz '^FuzzDecide$$' -fuzztime 3s
+	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzLoadScenario$$' -fuzztime 3s -fuzzminimizetime 20x
 
 verify: build race alloc-guard vet fmt-check doc-check scenario-check snapshot-check bench-smoke fuzz-smoke
 	@echo "verify: OK"

@@ -253,7 +253,7 @@ func TestRefreshAllocs(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; run without -race")
 	}
 	const maxPerRefresh = 73_000
-	n := churnNetwork(t)
+	n := churnNetwork(t, false)
 	allocs := testing.AllocsPerRun(5, func() {
 		if err := n.RefreshControlPlane(); err != nil {
 			t.Fatal(err)

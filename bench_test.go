@@ -27,7 +27,7 @@ import (
 	"sciera/internal/multiping"
 	"sciera/internal/pan"
 	"sciera/internal/scenario"
-	"sciera/internal/sciera"
+	_ "sciera/internal/sciera" // registers the builtin "sciera" scenario
 	"sciera/internal/simnet"
 	"sciera/internal/slayers"
 	"sciera/internal/topology"
@@ -38,7 +38,8 @@ import (
 var quickCfg = experiments.Config{Seed: 42, Quick: true}
 
 // benchScn is the builtin reference scenario the figure benchmarks
-// render from (registered by the sciera import above).
+// and the network benchmarks build from (registered by the sciera
+// import above).
 var benchScn = scenario.MustBuiltin("sciera")
 
 func BenchmarkTable1_PoPs(b *testing.B) {
@@ -511,8 +512,9 @@ func BenchmarkBeaconing(b *testing.B) {
 }
 
 // churnNetwork builds the benchmark's control-churn topology (200 ASes,
-// 3 ISDs, 8 cores each) with the control plane converged once.
-func churnNetwork(tb testing.TB) *core.Network {
+// 3 ISDs, 8 cores each) with the control plane converged once, signed
+// and verified when withPKI.
+func churnNetwork(tb testing.TB, withPKI bool) *core.Network {
 	tb.Helper()
 	s, err := scenario.Resolve("gen:isds=3,ases=200,cores=8,seed=1")
 	if err != nil {
@@ -523,7 +525,7 @@ func churnNetwork(tb testing.TB) *core.Network {
 		tb.Fatal(err)
 	}
 	n, err := core.Build(topo, simnet.NewSim(s.Campaign.Start()),
-		core.Options{Seed: 42, BestPerOrigin: s.Campaign.BestPerOrigin})
+		core.Options{Seed: 42, BestPerOrigin: s.Campaign.BestPerOrigin, WithPKI: withPKI})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -533,15 +535,24 @@ func churnNetwork(tb testing.TB) *core.Network {
 
 // BenchmarkRefresh measures one control-plane refresh on the churn
 // topology: what every link flap of the control-churn workload pays, and
-// the timing that goes with TestRefreshAllocs' allocation count.
+// the timing that goes with TestRefreshAllocs' allocation count. The
+// signed arm signs and verifies every beacon entry (core.Options
+// WithPKI); run with -cpu 1,2 it is the beacon verify pool's record.
 func BenchmarkRefresh(b *testing.B) {
-	n := churnNetwork(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.RefreshControlPlane(); err != nil {
-			b.Fatal(err)
-		}
+	for _, arm := range []struct {
+		name    string
+		withPKI bool
+	}{{"unsigned", false}, {"signed", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			n := churnNetwork(b, arm.withPKI)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := n.RefreshControlPlane(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -553,7 +564,7 @@ func BenchmarkBeaconDiversity(b *testing.B) {
 	dst := addr.MustParseIA("71-2:0:5c") // UFMS
 	for _, k := range []int{4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("best=%d", k), func(b *testing.B) {
-			topo, err := sciera.Build()
+			topo, err := benchScn.Build()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -579,7 +590,7 @@ func BenchmarkBeaconDiversity(b *testing.B) {
 // BenchmarkSCIERABringup measures the full network-in-a-box build.
 func BenchmarkSCIERABringup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		topo, err := sciera.Build()
+		topo, err := benchScn.Build()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -595,7 +606,7 @@ func BenchmarkSCIERABringup(b *testing.B) {
 // BenchmarkMultipingRound measures one measurement interval of the
 // campaign across all vantage pairs.
 func BenchmarkMultipingRound(b *testing.B) {
-	topo, err := sciera.Build()
+	topo, err := benchScn.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -605,15 +616,15 @@ func BenchmarkMultipingRound(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer n.Close()
-	ipTopo, err := sciera.BuildIPPlane()
+	ipTopo, err := benchScn.BuildIPPlane()
 	if err != nil {
 		b.Fatal(err)
 	}
-	ipRTT := sciera.IPBaseline(ipTopo).RTTms
+	ipRTT := benchScn.IPBaseline(ipTopo).RTTms
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		camp, err := multiping.NewCampaign(n, multiping.Config{
-			Vantage:  sciera.VantageASes(),
+			Vantage:  benchScn.Vantage,
 			Interval: time.Minute,
 			Duration: time.Minute,
 			IPRTT:    ipRTT,
@@ -635,7 +646,7 @@ func BenchmarkMultipingRound(b *testing.B) {
 // steady-state round (no incident, no full probe) of probes echoes.
 func steadyCampaign(tb testing.TB) (camp *multiping.Campaign, probes uint64) {
 	tb.Helper()
-	topo, err := sciera.Build()
+	topo, err := benchScn.Build()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -645,15 +656,15 @@ func steadyCampaign(tb testing.TB) (camp *multiping.Campaign, probes uint64) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { n.Close() })
-	ipTopo, err := sciera.BuildIPPlane()
+	ipTopo, err := benchScn.BuildIPPlane()
 	if err != nil {
 		tb.Fatal(err)
 	}
 	camp, err = multiping.NewCampaign(n, multiping.Config{
-		Vantage:  sciera.VantageASes(),
+		Vantage:  benchScn.Vantage,
 		Interval: time.Minute,
 		Duration: time.Minute,
-		IPRTT:    sciera.IPBaseline(ipTopo).RTTms,
+		IPRTT:    benchScn.IPBaseline(ipTopo).RTTms,
 	})
 	if err != nil {
 		tb.Fatal(err)

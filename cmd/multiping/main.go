@@ -32,7 +32,7 @@ func main() {
 		days        = flag.Int("days", 0, "campaign length in days (0: the scenario's campaign length)")
 		interval    = flag.Duration("interval", 5*time.Minute, "measurement interval")
 		seed        = flag.Int64("seed", 42, "seed")
-		best        = flag.Int("best", 14, "beacons kept per origin in the control plane")
+		best        = flag.Int("best", 0, "beacons kept per origin in the control plane (0: the scenario's)")
 		stall       = flag.Bool("stall", true, "reproduce the tool's hourly ICMP stalls")
 		scen        = flag.String("scenario", "", "scenario to measure: builtin name, gen:<spec>, or file path (default: sciera)")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics on this TCP address while the campaign runs")
@@ -44,6 +44,9 @@ func main() {
 	fatal(err)
 	if *days <= 0 {
 		*days = s.Campaign.Days
+	}
+	if *best <= 0 {
+		*best = s.Campaign.BestPerOrigin
 	}
 
 	topo, err := s.Build()

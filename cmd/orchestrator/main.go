@@ -19,7 +19,8 @@ import (
 	"sciera/internal/core"
 	"sciera/internal/cppki"
 	"sciera/internal/orchestrator"
-	"sciera/internal/sciera"
+	"sciera/internal/scenario"
+	_ "sciera/internal/sciera" // registers the builtin "sciera" scenario
 	"sciera/internal/simnet"
 )
 
@@ -51,10 +52,11 @@ func main() {
 
 	// Bring up SCIERA on the simulator (virtual time lets the demo
 	// fast-forward through days of renewals in milliseconds).
-	topo, err := sciera.Build()
+	s := scenario.MustBuiltin("sciera")
+	topo, err := s.Build()
 	fatal(err)
 	sim := simnet.NewSim(time.Now())
-	n, err := core.Build(topo, sim, core.Options{Seed: *seed, BestPerOrigin: 8})
+	n, err := core.Build(topo, sim, core.Options{Seed: *seed, BestPerOrigin: s.Campaign.BestPerOrigin})
 	fatal(err)
 	defer n.Close()
 	o := orchestrator.New(n)
@@ -89,19 +91,16 @@ func main() {
 	// Simulate a week of operation with one incident.
 	fmt.Println("simulating 7 days of operation with a mid-week circuit outage...")
 	sim.RunFor(3 * 24 * time.Hour)
-	if id, ok := sciera.LinkIDByName(n.Topo, "RNP-UFMS (VLAN1)"); ok {
-		_ = n.Topo.SetLinkUp(id, false)
+	setUFMSUplinks := func(up bool) {
+		for _, name := range []string{"RNP-UFMS (VLAN1)", "RNP-UFMS (VLAN2)"} {
+			if id, ok := n.Topo.LinkIDByName(name); ok {
+				_ = n.Topo.SetLinkUp(id, up)
+			}
+		}
 	}
-	if id, ok := sciera.LinkIDByName(n.Topo, "RNP-UFMS (VLAN2)"); ok {
-		_ = n.Topo.SetLinkUp(id, false)
-	}
+	setUFMSUplinks(false)
 	sim.RunFor(6 * time.Hour)
-	if id, ok := sciera.LinkIDByName(n.Topo, "RNP-UFMS (VLAN1)"); ok {
-		_ = n.Topo.SetLinkUp(id, true)
-	}
-	if id, ok := sciera.LinkIDByName(n.Topo, "RNP-UFMS (VLAN2)"); ok {
-		_ = n.Topo.SetLinkUp(id, true)
-	}
+	setUFMSUplinks(true)
 	sim.RunFor(4*24*time.Hour - 6*time.Hour)
 
 	fmt.Printf("\ncertificate renewals over the week: %d\n", r.Renewals())

@@ -27,7 +27,8 @@ import (
 	"sciera/internal/core"
 	"sciera/internal/dispatcher"
 	"sciera/internal/pan"
-	"sciera/internal/sciera"
+	"sciera/internal/scenario"
+	_ "sciera/internal/sciera" // registers the builtin "sciera" scenario
 	"sciera/internal/scmp"
 	"sciera/internal/simnet"
 )
@@ -45,8 +46,9 @@ func main() {
 	)
 	flag.Parse()
 
+	s := scenario.MustBuiltin("sciera")
 	if *topoFlag {
-		printTopo()
+		printTopo(s)
 		return
 	}
 	if *showpaths == "" && *ping == "" && *trace == "" && *metricsAddr == "" && *telemDump == "" {
@@ -54,17 +56,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	topo, err := sciera.Build()
+	topo, err := s.Build()
 	fatal(err)
 	underlay := simnet.NewUDPNet()
 	defer underlay.Close()
-	fmt.Fprintln(os.Stderr, "building the SCIERA network on loopback UDP (29 ASes)...")
-	n, err := core.Build(topo, underlay, core.Options{Seed: *seed, BestPerOrigin: 14})
+	fmt.Fprintf(os.Stderr, "building the SCIERA network on loopback UDP (%d ASes)...\n", len(s.ASes))
+	n, err := core.Build(topo, underlay, core.Options{Seed: *seed, BestPerOrigin: s.Campaign.BestPerOrigin})
 	fatal(err)
 	defer n.Close()
 
 	if *metricsAddr != "" || *telemDump != "" {
-		cleanup := startObservability(n, underlay)
+		cleanup := startObservability(n, underlay, s.Vantage)
 		defer cleanup()
 	}
 	var srvDone func()
@@ -143,13 +145,12 @@ func main() {
 // whole stack: a dispatcher on its own loopback host (127.0.0.1:30041
 // belongs to the SCMP responders) and an end-host daemon doing a warm
 // and a cached path lookup.
-func startObservability(n *core.Network, underlay *simnet.UDPNet) func() {
+func startObservability(n *core.Network, underlay *simnet.UDPNet, vantage []addr.IA) func() {
 	disp, err := dispatcher.Start(underlay, netip.MustParseAddr("127.0.0.2"))
 	fatal(err)
 	disp.RegisterTelemetry(n.Telemetry())
 	disp.Trace = n.TraceRing()
 
-	vantage := sciera.VantageASes()
 	d, err := n.NewDaemon(vantage[0])
 	fatal(err)
 	if _, err := d.Paths(vantage[1]); err == nil {
@@ -222,20 +223,20 @@ func parsePair(s string) (addr.IA, addr.IA) {
 	return src, dst
 }
 
-func printTopo() {
+func printTopo(s *scenario.Scenario) {
 	fmt.Println("SCIERA deployment (Figure 1):")
-	for _, s := range sciera.Sites() {
+	for _, a := range s.ASes {
 		role := "    "
-		if s.Core {
+		if a.Core {
 			role = "CORE"
 		}
 		joined := "under construction"
-		if !s.Joined.IsZero() {
-			joined = s.Joined.Format("2006-01")
+		if a.Joined != "" {
+			joined = a.Joined
 		}
-		fmt.Printf("  %s %-18s %-12s %-5s joined %s\n", role, s.Name, s.IA, s.Region, joined)
+		fmt.Printf("  %s %-18s %-12s %-5s joined %s\n", role, a.Name, a.IA, a.Region, joined)
 	}
-	topo, err := sciera.Build()
+	topo, err := s.Build()
 	fatal(err)
 	fmt.Printf("\n%d circuits:\n", len(topo.Links()))
 	for _, l := range topo.Links() {

@@ -81,13 +81,7 @@ func (c Config) campaign() (duration, interval time.Duration, vantage []addr.IA)
 
 // BuildNetwork constructs the SCIERA network on a fresh simulator.
 func BuildNetwork(seed int64) (*core.Network, *simnet.Sim, error) {
-	return BuildNetworkOpts(seed, false)
-}
-
-// BuildNetworkOpts is BuildNetwork with the signed control plane
-// optionally enabled.
-func BuildNetworkOpts(seed int64, withPKI bool) (*core.Network, *simnet.Sim, error) {
-	return buildNetworkCfg(Config{Seed: seed, WithPKI: withPKI})
+	return buildNetworkCfg(Config{Seed: seed})
 }
 
 // netOptions assembles the core.Options a campaign or figure network
@@ -146,27 +140,7 @@ func buildCampaignNetwork(cfg Config) (*core.Network, []multiping.IncidentEvent,
 // instead — the snapshot was captured after that very refresh.
 func applyCampaignCalendar(cfg Config, n *core.Network) ([]multiping.IncidentEvent, error) {
 	s := cfg.scn()
-	resolve := n.Topo.LinkIDByName
-	incs := s.Incidents
-	plain := make([]struct {
-		Name         string
-		Links        []string
-		Start        time.Duration
-		Duration     time.Duration
-		FlapPeriod   time.Duration
-		FlapDowntime time.Duration
-	}, len(incs))
-	for i, inc := range incs {
-		plain[i] = struct {
-			Name         string
-			Links        []string
-			Start        time.Duration
-			Duration     time.Duration
-			FlapPeriod   time.Duration
-			FlapDowntime time.Duration
-		}{inc.Name, inc.Links, inc.Start(), inc.Duration(), inc.FlapPeriod(), inc.FlapDowntime()}
-	}
-	events, err := multiping.BuildEvents(n.Topo, resolve, plain)
+	events, err := multiping.BuildEvents(n.Topo.LinkIDByName, s.Incidents)
 	if err != nil {
 		return nil, err
 	}

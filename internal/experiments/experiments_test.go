@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"sciera/internal/multiping"
-	"sciera/internal/sciera"
+	"sciera/internal/scenario"
 )
 
 var cfg = Config{Seed: 7, Quick: true}
@@ -266,7 +266,8 @@ func TestCampaignDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n43.Close()
-	src, dst := sciera.VantageASes()[0], sciera.VantageASes()[1]
+	vantage := scenario.MustBuiltin("sciera").Vantage
+	src, dst := vantage[0], vantage[1]
 	p42, p43 := n42.Paths(src, dst), n43.Paths(src, dst)
 	if len(p42) == 0 || len(p43) == 0 {
 		t.Fatal("no paths for accumulator comparison")

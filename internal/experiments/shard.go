@@ -62,7 +62,7 @@ type shardResult struct {
 // without a snapshot path converges directly — there is nothing to
 // amortize; both paths are byte-identical.
 func runShardedCampaign(cfg Config, campaignCfg multiping.Config) (*multiping.Dataset, *core.Network, error) {
-	pairs := multiping.AllPairs(campaignCfg.Vantage, campaignCfg.Targets)
+	pairs := multiping.AllPairs(campaignCfg.Vantage)
 	if len(pairs) == 0 {
 		return nil, nil, fmt.Errorf("experiments: campaign has no probe pairs")
 	}

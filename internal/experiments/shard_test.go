@@ -10,7 +10,7 @@ import (
 
 func TestPlanShards(t *testing.T) {
 	_, _, vantage := Config{Quick: true}.campaign()
-	pairs := multiping.AllPairs(vantage, nil)
+	pairs := multiping.AllPairs(vantage)
 	if len(pairs) != len(vantage)*(len(vantage)-1) {
 		t.Fatalf("pair count = %d, want %d", len(pairs), len(vantage)*(len(vantage)-1))
 	}

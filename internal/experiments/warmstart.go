@@ -96,7 +96,7 @@ func campaignSnapshot(cfg Config, pairs []multiping.ProbePair) (*core.Snapshot, 
 // what the setup benchmark warms the reference over.
 func (c Config) ProbePairs() []multiping.ProbePair {
 	_, _, vantage := c.campaign()
-	return multiping.AllPairs(vantage, nil)
+	return multiping.AllPairs(vantage)
 }
 
 // probePairKeys projects probe pairs onto the (src, dst) keys the path

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sciera/internal/addr"
+	"sciera/internal/scenario"
 )
 
 // resolveFrom builds a name->id resolver over a fixed table.
@@ -15,24 +16,15 @@ func resolveFrom(tbl map[string]int) func(string) (int, bool) {
 	}
 }
 
-type incidentSpec = struct {
-	Name         string
-	Links        []string
-	Start        time.Duration
-	Duration     time.Duration
-	FlapPeriod   time.Duration
-	FlapDowntime time.Duration
-}
-
 // TestBuildEventsOutage checks the simple down/up pair for a plain
 // outage window across multiple circuits.
 func TestBuildEventsOutage(t *testing.T) {
 	resolve := resolveFrom(map[string]int{"dj-sg": 4, "hk-sg": 9})
-	events, err := BuildEvents(nil, resolve, []incidentSpec{{
-		Name:     "cable cut",
-		Links:    []string{"dj-sg", "hk-sg"},
-		Start:    24 * time.Hour,
-		Duration: 48 * time.Hour,
+	events, err := BuildEvents(resolve, []scenario.Incident{{
+		Name:          "cable cut",
+		Links:         []string{"dj-sg", "hk-sg"},
+		StartHours:    24,
+		DurationHours: 48,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -57,13 +49,13 @@ func TestBuildEventsOutage(t *testing.T) {
 // period, honoring the explicit downtime, plus the final restore.
 func TestBuildEventsFlap(t *testing.T) {
 	resolve := resolveFrom(map[string]int{"bridges": 7})
-	events, err := BuildEvents(nil, resolve, []incidentSpec{{
-		Name:         "bridges flap",
-		Links:        []string{"bridges"},
-		Start:        time.Hour,
-		Duration:     4 * time.Hour,
-		FlapPeriod:   2 * time.Hour,
-		FlapDowntime: 30 * time.Minute,
+	events, err := BuildEvents(resolve, []scenario.Incident{{
+		Name:              "bridges flap",
+		Links:             []string{"bridges"},
+		StartHours:        1,
+		DurationHours:     4,
+		FlapPeriodHours:   2,
+		FlapDowntimeHours: 0.5,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -92,13 +84,12 @@ func TestBuildEventsFlap(t *testing.T) {
 // the period; unknown links error out.
 func TestBuildEventsDefaults(t *testing.T) {
 	resolve := resolveFrom(map[string]int{"x": 1})
-	events, err := BuildEvents(nil, resolve, []incidentSpec{{
-		Name:       "flappy",
-		Links:      []string{"x"},
-		Start:      0,
-		Duration:   2 * time.Hour,
-		FlapPeriod: time.Hour,
-		// FlapDowntime unset -> period/2.
+	events, err := BuildEvents(resolve, []scenario.Incident{{
+		Name:            "flappy",
+		Links:           []string{"x"},
+		DurationHours:   2,
+		FlapPeriodHours: 1,
+		// FlapDowntimeHours unset -> period/2.
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +98,7 @@ func TestBuildEventsDefaults(t *testing.T) {
 		t.Errorf("default downtime up event = %+v", events[1])
 	}
 
-	if _, err := BuildEvents(nil, resolve, []incidentSpec{{
+	if _, err := BuildEvents(resolve, []scenario.Incident{{
 		Name:  "broken",
 		Links: []string{"nope"},
 	}}); err == nil {
@@ -119,13 +110,12 @@ func TestBuildEventsDefaults(t *testing.T) {
 // incident end is clamped to the window.
 func TestBuildEventsDowntimeClamped(t *testing.T) {
 	resolve := resolveFrom(map[string]int{"x": 1})
-	events, err := BuildEvents(nil, resolve, []incidentSpec{{
-		Name:         "tail flap",
-		Links:        []string{"x"},
-		Start:        0,
-		Duration:     90 * time.Minute,
-		FlapPeriod:   time.Hour,
-		FlapDowntime: 45 * time.Minute,
+	events, err := BuildEvents(resolve, []scenario.Incident{{
+		Name:              "tail flap",
+		Links:             []string{"x"},
+		DurationHours:     1.5,
+		FlapPeriodHours:   1,
+		FlapDowntimeHours: 0.75,
 	}})
 	if err != nil {
 		t.Fatal(err)

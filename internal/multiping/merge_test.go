@@ -48,7 +48,7 @@ func TestMergeOrderInvariant(t *testing.T) {
 	for _, s := range []string{"71-1", "71-2", "71-2:0:3b", "71-10", "71-11"} {
 		ases = append(ases, addr.MustParseIA(s))
 	}
-	pairs := multiping.AllPairs(ases, nil)
+	pairs := multiping.AllPairs(ases)
 
 	for trial := 0; trial < 50; trial++ {
 		golden := randomDataset(rng, pairs, 1+rng.Intn(8))
@@ -105,7 +105,7 @@ func TestMergeOrderInvariant(t *testing.T) {
 // a worker owns zero pairs or a shard saw no reachable rounds.
 func TestMergeNilAndEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	pairs := multiping.AllPairs([]addr.IA{addr.MustParseIA("71-1"), addr.MustParseIA("71-2")}, nil)
+	pairs := multiping.AllPairs([]addr.IA{addr.MustParseIA("71-1"), addr.MustParseIA("71-2")})
 	golden := randomDataset(rng, pairs, 3)
 
 	d := &multiping.Dataset{}

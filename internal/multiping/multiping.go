@@ -22,10 +22,10 @@ import (
 	"sciera/internal/combinator"
 	"sciera/internal/core"
 	"sciera/internal/pan"
+	"sciera/internal/scenario"
 	"sciera/internal/scmp"
 	"sciera/internal/simnet"
 	"sciera/internal/telemetry"
-	"sciera/internal/topology"
 )
 
 // PathType labels the three probe paths.
@@ -93,15 +93,12 @@ type ProbePair struct {
 }
 
 // AllPairs enumerates the canonical probe-pair order of a campaign:
-// vantage-major, target-minor, self-pairs skipped. Shard planners
-// partition this list; Index survives the partitioning.
-func AllPairs(vantage, targets []addr.IA) []ProbePair {
-	if len(targets) == 0 {
-		targets = vantage
-	}
-	out := make([]ProbePair, 0, len(vantage)*len(targets))
+// every vantage AS pings every other, source-major, self-pairs skipped.
+// Shard planners partition this list; Index survives the partitioning.
+func AllPairs(vantage []addr.IA) []ProbePair {
+	out := make([]ProbePair, 0, len(vantage)*len(vantage))
 	for _, src := range vantage {
-		for _, dst := range targets {
+		for _, dst := range vantage {
 			if src == dst {
 				continue
 			}
@@ -113,15 +110,13 @@ func AllPairs(vantage, targets []addr.IA) []ProbePair {
 
 // Config parameterizes a campaign.
 type Config struct {
-	// Vantage ASes run the tool; Targets are pinged (default: vantage
-	// set itself).
+	// Vantage ASes run the tool and ping each other.
 	Vantage []addr.IA
-	Targets []addr.IA
 	// Pairs restricts the campaign to a subset of the canonical pair
 	// enumeration — one shard of a partitioned campaign. Nil probes
-	// every (vantage, target) pair. Pairs must carry the Index values
-	// AllPairs assigned over the full vantage/target sets, or merged
-	// shard datasets will not reproduce the unsharded record order.
+	// every ordered vantage pair. Pairs must carry the Index values
+	// AllPairs assigned over the full vantage set, or merged shard
+	// datasets will not reproduce the unsharded record order.
 	Pairs []ProbePair
 	// Interval between measurement rounds (the tool pings at 1 Hz and
 	// aggregates per minute; one round per interval samples the same
@@ -147,9 +142,10 @@ type Config struct {
 	// metadata); the measurements themselves are topology-determined —
 	// see the campaign-determinism test in internal/experiments.
 	Seed int64
-	// PingTimeout bounds each probe (default 3s).
-	PingTimeout time.Duration
 }
+
+// pingTimeout bounds each probe.
+const pingTimeout = 3 * time.Second
 
 // IncidentEvent is a scheduled link state change.
 type IncidentEvent struct {
@@ -159,43 +155,34 @@ type IncidentEvent struct {
 	Name   string
 }
 
-// BuildEvents flattens outage/flap windows into link state changes.
-func BuildEvents(topo *topology.Topology, resolve func(name string) (int, bool),
-	incidents []struct {
-		Name         string
-		Links        []string
-		Start        time.Duration
-		Duration     time.Duration
-		FlapPeriod   time.Duration
-		FlapDowntime time.Duration
-	}) ([]IncidentEvent, error) {
+// BuildEvents flattens a scenario's outage/flap windows into link state
+// changes; resolve maps a circuit name to its link ID.
+func BuildEvents(resolve func(name string) (int, bool), incidents []scenario.Incident) ([]IncidentEvent, error) {
 	var out []IncidentEvent
 	for _, inc := range incidents {
+		start, period := inc.Start(), inc.FlapPeriod()
+		stop := start + inc.Duration()
 		for _, name := range inc.Links {
 			id, ok := resolve(name)
 			if !ok {
 				return nil, fmt.Errorf("multiping: unknown link %q in incident %q", name, inc.Name)
 			}
-			if inc.FlapPeriod <= 0 {
+			if period <= 0 {
 				out = append(out,
-					IncidentEvent{At: inc.Start, LinkID: id, Up: false, Name: inc.Name},
-					IncidentEvent{At: inc.Start + inc.Duration, LinkID: id, Up: true, Name: inc.Name},
+					IncidentEvent{At: start, LinkID: id, Up: false, Name: inc.Name},
+					IncidentEvent{At: stop, LinkID: id, Up: true, Name: inc.Name},
 				)
 				continue
 			}
-			down := inc.FlapDowntime
-			if down <= 0 || down >= inc.FlapPeriod {
-				down = inc.FlapPeriod / 2
+			down := inc.FlapDowntime()
+			if down <= 0 || down >= period {
+				down = period / 2
 			}
-			for t := inc.Start; t < inc.Start+inc.Duration; t += inc.FlapPeriod {
+			for t := start; t < stop; t += period {
 				out = append(out, IncidentEvent{At: t, LinkID: id, Up: false, Name: inc.Name})
-				end := t + down
-				if end > inc.Start+inc.Duration {
-					end = inc.Start + inc.Duration
-				}
-				out = append(out, IncidentEvent{At: end, LinkID: id, Up: true, Name: inc.Name})
+				out = append(out, IncidentEvent{At: min(t+down, stop), LinkID: id, Up: true, Name: inc.Name})
 			}
-			out = append(out, IncidentEvent{At: inc.Start + inc.Duration, LinkID: id, Up: true, Name: inc.Name})
+			out = append(out, IncidentEvent{At: stop, LinkID: id, Up: true, Name: inc.Name})
 		}
 	}
 	return out, nil
@@ -310,18 +297,12 @@ func NewCampaign(n *core.Network, cfg Config) (*Campaign, error) {
 	if cfg.IPRTT == nil {
 		return nil, fmt.Errorf("multiping: Config.IPRTT required")
 	}
-	if len(cfg.Targets) == 0 {
-		cfg.Targets = cfg.Vantage
-	}
 	pairList := cfg.Pairs
 	if pairList == nil {
-		pairList = AllPairs(cfg.Vantage, cfg.Targets)
+		pairList = AllPairs(cfg.Vantage)
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Minute
-	}
-	if cfg.PingTimeout <= 0 {
-		cfg.PingTimeout = 3 * time.Second
 	}
 	c := &Campaign{
 		Net:        n,
@@ -452,7 +433,7 @@ func (c *Campaign) round(t time.Duration) {
 			st.sentFP[pt] = path.Fingerprint
 			c.data.Probes++
 			c.probes.Inc()
-			st.pinger.Ping(pr.Dst, st.dstHost, path, c.Cfg.PingTimeout, st.onReply[pt])
+			st.pinger.Ping(pr.Dst, st.dstHost, path, pingTimeout, st.onReply[pt])
 		}
 	}
 	c.sim.AfterFunc(c.Cfg.Interval-time.Millisecond, c.finalise)

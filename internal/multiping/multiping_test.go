@@ -9,7 +9,8 @@ import (
 	"sciera/internal/addr"
 	"sciera/internal/core"
 	"sciera/internal/multiping"
-	"sciera/internal/sciera"
+	"sciera/internal/scenario"
+	_ "sciera/internal/sciera" // registers the builtin "sciera" scenario
 	"sciera/internal/simnet"
 )
 
@@ -39,7 +40,8 @@ func smallCampaign(t testing.TB, hours int, stall bool, incidents []multiping.In
 // baseline to the SCIERA IP plane.
 func newCampaign(t testing.TB, cfg multiping.Config) (*core.Network, *multiping.Campaign) {
 	t.Helper()
-	topo, err := sciera.Build()
+	s := scenario.MustBuiltin("sciera")
+	topo, err := s.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func newCampaign(t testing.TB, cfg multiping.Config) (*core.Network, *multiping.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ipTopo, err := sciera.BuildIPPlane()
+	ipTopo, err := s.BuildIPPlane()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func newCampaign(t testing.TB, cfg multiping.Config) (*core.Network, *multiping.
 			addr.MustParseIA("71-2:0:5c"), // UFMS
 		}
 	}
-	cfg.IPRTT = sciera.IPBaseline(ipTopo).RTTms
+	cfg.IPRTT = s.IPBaseline(ipTopo).RTTms
 	camp, err := multiping.NewCampaign(n, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,13 +120,13 @@ func TestCampaignPathCounts(t *testing.T) {
 }
 
 func TestCampaignWithIncident(t *testing.T) {
-	topo, err := sciera.Build()
+	topo, err := scenario.MustBuiltin("sciera").Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var incidents []multiping.IncidentEvent
 	for _, name := range []string{"KREONET DJ-SG", "KREONET HK-SG"} {
-		linkID, ok := sciera.LinkIDByName(topo, name)
+		linkID, ok := topo.LinkIDByName(name)
 		if !ok {
 			t.Fatalf("link %q not found", name)
 		}
@@ -298,7 +300,7 @@ func TestSynchronousProbeFailuresCount(t *testing.T) {
 }
 
 func TestCampaignValidation(t *testing.T) {
-	topo, _ := sciera.Build()
+	topo, _ := scenario.MustBuiltin("sciera").Build()
 	sim := simnet.NewSim(time.Unix(0, 0))
 	n, err := core.Build(topo, sim, core.Options{Seed: 7})
 	if err != nil {

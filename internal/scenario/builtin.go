@@ -16,7 +16,7 @@ import (
 
 var (
 	builtinMu  sync.Mutex
-	builtins   = map[string]func() (*Scenario, error){}
+	builtins   = map[string]func() *Scenario{}
 	builtinOrd []string
 )
 
@@ -24,7 +24,7 @@ var (
 // constructor returns an unnormalized scenario; the registry finishes
 // it (normalize + validate) on every lookup. Register panics on a
 // duplicate name — that is a programming error, not an input error.
-func Register(name string, build func() (*Scenario, error)) {
+func Register(name string, build func() *Scenario) {
 	builtinMu.Lock()
 	defer builtinMu.Unlock()
 	if _, dup := builtins[name]; dup {
@@ -42,10 +42,7 @@ func Builtin(name string) (*Scenario, bool) {
 	if !ok {
 		return nil, false
 	}
-	s, err := build()
-	if err != nil {
-		panic(fmt.Sprintf("scenario: builtin %q failed to build: %v", name, err))
-	}
+	s := build()
 	if err := Finish(s); err != nil {
 		panic(fmt.Sprintf("scenario: builtin %q failed validation: %v", name, err))
 	}
@@ -77,7 +74,7 @@ func init() {
 // loadbenchScenario is the two-AS core pair the bench/ load-flows
 // workload runs on: a single 1 ms circuit carrying the million-endpoint
 // open-loop workload in both directions.
-func loadbenchScenario() (*Scenario, error) {
+func loadbenchScenario() *Scenario {
 	iaA := addr.MustParseIA("71-1")
 	iaZ := addr.MustParseIA("71-2")
 	return &Scenario{
@@ -105,5 +102,5 @@ func loadbenchScenario() (*Scenario, error) {
 			IntraASDelayUS:     1,
 			Seed:               42,
 		},
-	}, nil
+	}
 }

@@ -6,13 +6,15 @@
 // set, the incident schedule, the commercial-Internet baseline plane,
 // and the traffic-engine parameters. Scenarios come from three sources,
 // all funneled through the same strict loader: built-in registrations
-// (the SCIERA reference deployment registers itself from
-// internal/sciera), scenario JSON files on disk, and the seeded
-// deterministic generator for synthetic multi-ISD topologies of
-// hundreds of ASes (generate.go). Every consumer — the experiment
-// suite, cmd/experiments, cmd/multiping, the bench/ workloads — runs
-// unchanged on any validated scenario, which is what turns the single
-// paper reproduction into a benchmark suite.
+// (the SCIERA reference deployment is data in internal/sciera, written
+// in this package's types, and registers itself), scenario JSON files
+// on disk, and the seeded deterministic generator for synthetic
+// multi-ISD topologies of hundreds of ASes (generate.go). Every
+// consumer — the experiment suite, the cmd/ binaries, the bench/
+// workloads — comes through Resolve / MustBuiltin and builds with the
+// scenario's own Build, BuildIPPlane and IPBaseline (there is no other
+// builder), so each runs unchanged on any validated scenario, which is
+// what turns the single paper reproduction into a benchmark suite.
 package scenario
 
 import (

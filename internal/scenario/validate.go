@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"sciera/internal/addr"
 )
@@ -13,8 +14,10 @@ import (
 // unique non-empty link names, links between known ASes, core links
 // between core ASes, a connected SCION graph in which every non-core AS
 // is down-reachable from the core, at least one core AS per ISD, a
-// vantage set (≥2, all known), and incidents that target known base
-// links with sane windows.
+// vantage set (≥2, all known), incidents that target known base links
+// with sane windows, coordinates on the globe, and no negative or
+// non-finite knob — a negative interval or detour must not silently
+// become some consumer's fallback.
 func (s *Scenario) Validate() error {
 	if s.Version != Version {
 		return fmt.Errorf("scenario %q: unsupported version %d (want %d)", s.Name, s.Version, Version)
@@ -35,6 +38,9 @@ func (s *Scenario) Validate() error {
 		}
 		if _, dup := byIA[a.IA]; dup {
 			return fmt.Errorf("scenario %q: duplicate AS %s", s.Name, a.IA)
+		}
+		if off := offGlobe(a.Lat, a.Lon); off != "" {
+			return fmt.Errorf("scenario %q: AS %s: %s", s.Name, a.IA, off)
 		}
 		byIA[a.IA] = a
 		allISDs[a.IA.ISD()] = true
@@ -90,8 +96,14 @@ func (s *Scenario) Validate() error {
 		default:
 			return fmt.Errorf("scenario %q: link %q: unknown type %q", s.Name, l.Name, l.Type)
 		}
-		if l.LatencyMS <= 0 {
-			return fmt.Errorf("scenario %q: link %q: non-positive latency %g ms", s.Name, l.Name, l.LatencyMS)
+		if !positive(l.LatencyMS) {
+			return fmt.Errorf("scenario %q: link %q: latency %g ms is not positive and finite", s.Name, l.Name, l.LatencyMS)
+		}
+		if l.Detour < 0 {
+			return fmt.Errorf("scenario %q: link %q: negative detour %g", s.Name, l.Name, l.Detour)
+		}
+		if l.BandwidthMbps < 0 {
+			return fmt.Errorf("scenario %q: link %q: negative bandwidth_mbps %g", s.Name, l.Name, l.BandwidthMbps)
 		}
 		return nil
 	}
@@ -109,7 +121,7 @@ func (s *Scenario) Validate() error {
 		}
 	}
 
-	if err := s.checkConnectivity(byIA); err != nil {
+	if err := s.checkConnectivity(); err != nil {
 		return err
 	}
 
@@ -142,8 +154,20 @@ func (s *Scenario) Validate() error {
 	if s.Campaign.Days <= 0 {
 		return fmt.Errorf("scenario %q: campaign days must be positive, got %d", s.Name, s.Campaign.Days)
 	}
+	if s.Campaign.QuickDays < 0 {
+		return fmt.Errorf("scenario %q: negative quick_days %d", s.Name, s.Campaign.QuickDays)
+	}
 	if s.Campaign.QuickDays > s.Campaign.Days {
 		return fmt.Errorf("scenario %q: quick days %d exceed campaign days %d", s.Name, s.Campaign.QuickDays, s.Campaign.Days)
+	}
+	if !positive(s.Campaign.IntervalMinutes) {
+		return fmt.Errorf("scenario %q: interval_minutes must be positive, got %g", s.Name, s.Campaign.IntervalMinutes)
+	}
+	if !positive(s.Campaign.QuickIntervalMinutes) {
+		return fmt.Errorf("scenario %q: quick_interval_minutes must be positive, got %g", s.Name, s.Campaign.QuickIntervalMinutes)
+	}
+	if s.Campaign.BestPerOrigin < 0 {
+		return fmt.Errorf("scenario %q: negative best_per_origin %d", s.Name, s.Campaign.BestPerOrigin)
 	}
 
 	// Incidents may only target base links: a new link's outage window
@@ -206,7 +230,7 @@ func (s *Scenario) Validate() error {
 // links as undirected) and that every non-core AS is reachable from
 // some core AS walking parent links downward — the beaconing reach
 // condition: an AS outside that set never learns a path.
-func (s *Scenario) checkConnectivity(byIA map[addr.IA]AS) error {
+func (s *Scenario) checkConnectivity() error {
 	adj := make(map[addr.IA][]addr.IA, len(s.ASes))
 	down := make(map[addr.IA][]addr.IA, len(s.ASes))
 	for _, l := range s.Links {
@@ -266,13 +290,36 @@ func (s *Scenario) checkConnectivity(byIA map[addr.IA]AS) error {
 				s.Name, a.IA)
 		}
 	}
-	_ = byIA
 	return nil
+}
+
+// positive reports a finite value above zero (a derived latency or a
+// doubled interval can overflow to +Inf, which no dump can carry).
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// offGlobe names the coordinate that is off the globe, or returns "".
+func offGlobe(lat, lon float64) string {
+	if !(lat >= -90 && lat <= 90) {
+		return fmt.Sprintf("latitude %g outside [-90, 90]", lat)
+	}
+	if !(lon >= -180 && lon <= 180) {
+		return fmt.Sprintf("longitude %g outside [-180, 180]", lon)
+	}
+	return ""
 }
 
 func (s *Scenario) validateIPPlane(p *IPPlane, byIA map[addr.IA]AS) error {
 	if len(p.Hubs) == 0 {
 		return fmt.Errorf("scenario %q: IP plane with no hubs", s.Name)
+	}
+	if p.AccessDetour < 0 {
+		return fmt.Errorf("scenario %q: IP plane: negative access_detour %g", s.Name, p.AccessDetour)
+	}
+	if p.AccessExtraMS < 0 {
+		return fmt.Errorf("scenario %q: IP plane: negative access_extra_ms %g", s.Name, p.AccessExtraMS)
+	}
+	if p.PerHopMS < 0 {
+		return fmt.Errorf("scenario %q: IP plane: negative per_hop_ms %g", s.Name, p.PerHopMS)
 	}
 	hubNames := make(map[string]bool, len(p.Hubs))
 	hubIAs := make(map[addr.IA]bool, len(p.Hubs))
@@ -290,6 +337,9 @@ func (s *Scenario) validateIPPlane(p *IPPlane, byIA map[addr.IA]AS) error {
 		hubIAs[h.IA] = true
 		if _, clash := byIA[h.IA]; clash {
 			return fmt.Errorf("scenario %q: IP hub %q IA %s collides with a scenario AS", s.Name, h.Name, h.IA)
+		}
+		if off := offGlobe(h.Lat, h.Lon); off != "" {
+			return fmt.Errorf("scenario %q: IP hub %q: %s", s.Name, h.Name, off)
 		}
 	}
 	hubAdj := make(map[string][]string, len(p.Hubs))

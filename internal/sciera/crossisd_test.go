@@ -13,7 +13,7 @@ import (
 // reachable from the SCIERA ISD over the inter-ISD core link, and the
 // paths verify end to end.
 func TestCrossISDPaths(t *testing.T) {
-	topo, err := Build()
+	topo, err := deployment().Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,66 +1,47 @@
 package sciera
 
-import (
-	"time"
+import "sciera/internal/scenario"
 
-	"sciera/internal/topology"
-)
-
-// PoP is a SCIERA point of presence (Table 1).
-type PoP struct {
-	Location        string
-	PeeringNRENs    []string
-	PartnerNetworks []string
-}
-
-// PoPs reproduces Table 1.
-func PoPs() []PoP {
-	return []PoP{
-		{"Amsterdam, NL", []string{"GEANT", "KREONET"}, []string{"Netherlight"}},
-		{"Ashburn, US", []string{"BRIDGES"}, []string{"Internet2", "MARIA"}},
-		{"Chicago, US", []string{"KREONET"}, []string{"Internet2", "StarLight"}},
-		{"Daejeon, KR", []string{"KREONET"}, []string{"KISTI"}},
-		{"Frankfurt, DE", []string{"GEANT"}, nil},
-		{"Geneva, CH", []string{"GEANT"}, []string{"CERN", "SWITCH"}},
-		{"Hong Kong, HK", []string{"KREONET"}, []string{"CSTNet", "HARNET"}},
-		{"Jacksonville, US", []string{"RNP"}, []string{"Internet2", "AtlanticWave"}},
-		{"Jeddah, SA", []string{"GEANT", "KREONET"}, []string{"KAUST"}},
-		{"Lisbon, PT", []string{"GEANT", "RNP"}, []string{"RedCLARA"}},
-		{"London, GB", []string{"GEANT", "WACREN"}, []string{"AfricaConnect"}},
-		{"Madrid, ES", []string{"GEANT", "RNP"}, []string{"RedCLARA"}},
-		{"McLean, US", []string{"BRIDGES"}, []string{"Internet2", "WIX"}},
-		{"Paris, FR", []string{"GEANT"}, []string{"SWITCH"}},
-		{"Seattle, US", []string{"KREONET"}, []string{"Internet2", "PacificWave"}},
-		{"Singapore, SG", []string{"GEANT", "KREONET"}, []string{"SingAREN"}},
+// pops reproduces Table 1.
+func pops() []scenario.PoP {
+	return []scenario.PoP{
+		{Location: "Amsterdam, NL", PeeringNRENs: []string{"GEANT", "KREONET"}, PartnerNetworks: []string{"Netherlight"}},
+		{Location: "Ashburn, US", PeeringNRENs: []string{"BRIDGES"}, PartnerNetworks: []string{"Internet2", "MARIA"}},
+		{Location: "Chicago, US", PeeringNRENs: []string{"KREONET"}, PartnerNetworks: []string{"Internet2", "StarLight"}},
+		{Location: "Daejeon, KR", PeeringNRENs: []string{"KREONET"}, PartnerNetworks: []string{"KISTI"}},
+		{Location: "Frankfurt, DE", PeeringNRENs: []string{"GEANT"}},
+		{Location: "Geneva, CH", PeeringNRENs: []string{"GEANT"}, PartnerNetworks: []string{"CERN", "SWITCH"}},
+		{Location: "Hong Kong, HK", PeeringNRENs: []string{"KREONET"}, PartnerNetworks: []string{"CSTNet", "HARNET"}},
+		{Location: "Jacksonville, US", PeeringNRENs: []string{"RNP"}, PartnerNetworks: []string{"Internet2", "AtlanticWave"}},
+		{Location: "Jeddah, SA", PeeringNRENs: []string{"GEANT", "KREONET"}, PartnerNetworks: []string{"KAUST"}},
+		{Location: "Lisbon, PT", PeeringNRENs: []string{"GEANT", "RNP"}, PartnerNetworks: []string{"RedCLARA"}},
+		{Location: "London, GB", PeeringNRENs: []string{"GEANT", "WACREN"}, PartnerNetworks: []string{"AfricaConnect"}},
+		{Location: "Madrid, ES", PeeringNRENs: []string{"GEANT", "RNP"}, PartnerNetworks: []string{"RedCLARA"}},
+		{Location: "McLean, US", PeeringNRENs: []string{"BRIDGES"}, PartnerNetworks: []string{"Internet2", "WIX"}},
+		{Location: "Paris, FR", PeeringNRENs: []string{"GEANT"}, PartnerNetworks: []string{"SWITCH"}},
+		{Location: "Seattle, US", PeeringNRENs: []string{"KREONET"}, PartnerNetworks: []string{"Internet2", "PacificWave"}},
+		{Location: "Singapore, SG", PeeringNRENs: []string{"GEANT", "KREONET"}, PartnerNetworks: []string{"SingAREN"}},
 	}
 }
 
-// Incident is one operational event of the measurement window
-// (Section 5.4's outlier explanations and Figure 7's spikes). Offsets
-// are relative to the campaign start; Links name circuits from Links().
-type Incident struct {
-	Name     string
-	Links    []string
-	Start    time.Duration // offset into the campaign
-	Duration time.Duration
-	// Flapping incidents cycle with this period (zero: solid outage)...
-	FlapPeriod time.Duration
-	// ...staying down for FlapDowntime at the start of each cycle
-	// (defaults to half the period).
-	FlapDowntime time.Duration
-}
+// campaignDays is the paper's measurement window length; day is one
+// of them in the scenario's unit, hours.
+const (
+	campaignDays = 20
+	day          = 24.0
+)
 
-// CampaignDays is the paper's measurement window length.
-const CampaignDays = 20
-
-// Incidents reproduces the disclosed events; the campaign runs roughly
-// Jan 15 – Feb 4 in paper time, so day offsets map Jan 21 to day 6,
-// Jan 25 to day 10 and Feb 6 lies just past the end (we keep its
-// preceding churn). The Korea–Singapore cable cut predates the window
-// and holds for its entirety.
-func Incidents() []Incident {
-	day := 24 * time.Hour
-	return []Incident{
+// incidents reproduces the disclosed operational events of the
+// measurement window (Section 5.4's outlier explanations and Figure 7's
+// spikes); offsets are hours from campaign start and Links name
+// circuits of links(). The campaign runs roughly Jan 15 – Feb 4 in
+// paper time, so day offsets map Jan 21 to day 6, Jan 25 to day 10 and
+// Feb 6 lies just past the end (we keep its preceding churn). The
+// Korea–Singapore cable cut predates the window and holds for its
+// entirety. A flapping incident cycles with FlapPeriodHours, down for
+// FlapDowntimeHours at the start of each cycle.
+func incidents() []scenario.Incident {
+	return []scenario.Incident{
 		{
 			// Submarine cable cut: the Korea/Hong Kong-Singapore
 			// corridor shares a cable system, so both the direct
@@ -73,10 +54,10 @@ func Incidents() []Incident {
 			// so the full direct-path diversity is observed before it
 			// collapses — producing Figure 9's large median deviation
 			// for the Daejeon-Singapore pair.
-			Name:     "KR-SG submarine cable cut",
-			Links:    []string{"KREONET DJ-SG", "KREONET HK-SG"},
-			Start:    4 * day,
-			Duration: (CampaignDays - 4) * day,
+			Name:          "KR-SG submarine cable cut",
+			Links:         []string{"KREONET DJ-SG", "KREONET HK-SG"},
+			StartHours:    4 * day,
+			DurationHours: (campaignDays - 4) * day,
 		},
 		{
 			// BRIDGES instabilities: the transatlantic circuit of the
@@ -84,21 +65,20 @@ func Incidents() []Incident {
 			// window; traffic reroutes over the Chicago Internet2
 			// interconnect on longer paths (elevated RTTs, the paper's
 			// second Figure 6 outlier — not a disconnection).
-			Name:         "BRIDGES routing instabilities",
-			Links:        []string{"GEANT-BRIDGES"},
-			Start:        2 * day,
-			Duration:     14 * day,
-			FlapPeriod:   48 * time.Hour,
-			FlapDowntime: 5 * time.Hour,
+			Name:              "BRIDGES routing instabilities",
+			Links:             []string{"GEANT-BRIDGES"},
+			StartHours:        2 * day,
+			DurationHours:     14 * day,
+			FlapPeriodHours:   48,
+			FlapDowntimeHours: 5,
 		},
 		{
 			// The RNP-Internet2 circuit is down during the window, so
 			// UFMS reaches North America through GEANT (the third
 			// outlier set of Figure 6).
-			Name:     "RNP-Internet2 circuit outage (UFMS detours via GEANT)",
-			Links:    []string{"BRIDGES-RNP (Internet2/AtlanticWave)"},
-			Start:    0,
-			Duration: CampaignDays * day,
+			Name:          "RNP-Internet2 circuit outage (UFMS detours via GEANT)",
+			Links:         []string{"BRIDGES-RNP (Internet2/AtlanticWave)"},
+			DurationHours: campaignDays * day,
 		},
 		{
 			// Jan 21: maintenance affecting several links at once.
@@ -108,54 +88,26 @@ func Incidents() []Incident {
 				"KREONET AMS-CHG",
 				"GEANT-SWITCH (Geneva)",
 			},
-			Start:    6 * day,
-			Duration: 18 * time.Hour,
+			StartHours:    6 * day,
+			DurationHours: 18,
 		},
 		{
 			// Jan 22-24: post-maintenance churn.
-			Name:         "post-maintenance churn",
-			Links:        []string{"GEANT-KISTI@AMS"},
-			Start:        7 * day,
-			Duration:     2 * day,
-			FlapPeriod:   12 * time.Hour,
-			FlapDowntime: 4 * time.Hour,
+			Name:              "post-maintenance churn",
+			Links:             []string{"GEANT-KISTI@AMS"},
+			StartHours:        7 * day,
+			DurationHours:     2 * day,
+			FlapPeriodHours:   12,
+			FlapDowntimeHours: 4,
 		},
 		{
 			// Feb 6 spike equivalents: node upgrades near the end.
-			Name:         "node upgrades",
-			Links:        []string{"KREONET CHG-STL", "GEANT-BRIDGES"},
-			Start:        18 * day,
-			Duration:     2 * day,
-			FlapPeriod:   16 * time.Hour,
-			FlapDowntime: 5 * time.Hour,
-		},
-	}
-}
-
-// NewLinks lists circuits that come up mid-campaign (Jan 25: "several
-// new links between EU and US became available"). They are built into
-// the topology but held down until Activate.
-type NewLink struct {
-	Spec     LinkSpec
-	Activate time.Duration
-}
-
-// MidCampaignLinks returns the EU-US circuits activated on day 10.
-func MidCampaignLinks() []NewLink {
-	day := 24 * time.Hour
-	// The new circuits parallel existing EU-US corridors (additional
-	// capacity/redundancy on trunks that already exist), so they add
-	// resilience without reshaping the per-pair path-count maxima.
-	return []NewLink{
-		{
-			Spec: LinkSpec{A: ia("71-20965"), B: ia("71-2:0:35"),
-				Type: topology.LinkCore, Name: "GEANT-BRIDGES (new circuit)", ExtraMS: 4},
-			Activate: 10 * day,
-		},
-		{
-			Spec: LinkSpec{A: ia("71-20965"), B: ia("71-2:0:3e"),
-				Type: topology.LinkCore, Name: "GEANT-KISTI@AMS (new circuit)", ExtraMS: 2},
-			Activate: 10 * day,
+			Name:              "node upgrades",
+			Links:             []string{"KREONET CHG-STL", "GEANT-BRIDGES"},
+			StartHours:        18 * day,
+			DurationHours:     2 * day,
+			FlapPeriodHours:   16,
+			FlapDowntimeHours: 5,
 		},
 	}
 }

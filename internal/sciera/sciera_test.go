@@ -8,20 +8,35 @@ import (
 
 	"sciera/internal/addr"
 	"sciera/internal/core"
+	"sciera/internal/scenario"
 	"sciera/internal/simnet"
 	"sciera/internal/topology"
 )
 
+// deployment is the builtin as every consumer reaches it.
+func deployment() *scenario.Scenario { return scenario.MustBuiltin("sciera") }
+
 func TestSitesConsistent(t *testing.T) {
+	d := deployment()
 	seen := make(map[addr.IA]bool)
 	cores := 0
-	for _, s := range Sites() {
+	for _, s := range d.ASes {
 		if seen[s.IA] {
 			t.Errorf("duplicate IA %v", s.IA)
 		}
 		seen[s.IA] = true
 		if s.Name == "" || (s.Lat == 0 && s.Lon == 0) {
 			t.Errorf("site %v incomplete: %+v", s.IA, s)
+		}
+		switch s.Region {
+		case eu, na, asia, sa, af:
+		default:
+			t.Errorf("site %s has unknown region %q", s.Name, s.Region)
+		}
+		switch s.Kind {
+		case coreBackbone, nrenAttach, leafVLAN, leafNewVLAN:
+		default:
+			t.Errorf("site %s has unknown deployment kind %q", s.Name, s.Kind)
 		}
 		if s.Core {
 			cores++
@@ -43,21 +58,22 @@ func TestSitesConsistent(t *testing.T) {
 	if len(Figure8ASes()) != 9 {
 		t.Errorf("figure 8 ASes = %d, want 9", len(Figure8ASes()))
 	}
-	if _, ok := SiteByIA(ia("71-20965")); !ok {
+	if _, ok := d.ASByIA(ia("71-20965")); !ok {
 		t.Error("GEANT missing")
 	}
-	if _, ok := SiteByIA(ia("99-1")); ok {
+	if _, ok := d.ASByIA(ia("99-1")); ok {
 		t.Error("phantom site found")
 	}
 }
 
 func TestBuildTopology(t *testing.T) {
-	topo, err := Build()
+	d := deployment()
+	topo, err := d.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(topo.ASes()); got != len(Sites()) {
-		t.Errorf("ASes = %d, want %d", got, len(Sites()))
+	if got := len(topo.ASes()); got != len(d.ASes) {
+		t.Errorf("ASes = %d, want %d", got, len(d.ASes))
 	}
 	// The four Singapore-Amsterdam circuits are parallel links.
 	sgams := 0
@@ -75,16 +91,16 @@ func TestBuildTopology(t *testing.T) {
 		t.Errorf("SG-AMS circuits = %d, want 4", sgams)
 	}
 	// Every incident references a real link.
-	for _, inc := range Incidents() {
+	for _, inc := range d.Incidents {
 		for _, name := range inc.Links {
-			if _, ok := LinkIDByName(topo, name); !ok {
+			if _, ok := topo.LinkIDByName(name); !ok {
 				t.Errorf("incident %q references unknown link %q", inc.Name, name)
 			}
 		}
 	}
 	// Transpacific latency sanity: Daejeon-Seattle is ~8000 km, so the
 	// circuit should be 50-90 ms one way.
-	id, ok := LinkIDByName(topo, "KREONET STL-DJ")
+	id, ok := topo.LinkIDByName("KREONET STL-DJ")
 	if !ok {
 		t.Fatal("STL-DJ link missing")
 	}
@@ -96,7 +112,7 @@ func TestBuildTopology(t *testing.T) {
 }
 
 func TestDeploymentPathDiversity(t *testing.T) {
-	topo, err := Build()
+	topo, err := deployment().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +177,12 @@ func TestDeploymentPathDiversity(t *testing.T) {
 }
 
 func TestIPPlane(t *testing.T) {
-	ipTopo, err := BuildIPPlane()
+	d := deployment()
+	ipTopo, err := d.BuildIPPlane()
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := IPBaseline(ipTopo)
+	base := d.IPBaseline(ipTopo)
 	// Every site pair is reachable with a plausible RTT.
 	sites := VantageASes()
 	for _, a := range sites {
@@ -202,11 +219,12 @@ func TestIPPlane(t *testing.T) {
 // transit trunk on the IP plane, asked from two goroutines at once as
 // the shard workers of a campaign do.
 func TestIPBaselineMatchesFreshRoutes(t *testing.T) {
-	ipTopo, err := BuildIPPlane()
+	d := deployment()
+	ipTopo, err := d.BuildIPPlane()
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := IPBaseline(ipTopo)
+	base := d.IPBaseline(ipTopo)
 	sites := VantageASes()
 	check := func(when string) {
 		t.Helper()
@@ -217,7 +235,7 @@ func TestIPBaselineMatchesFreshRoutes(t *testing.T) {
 				defer wg.Done()
 				for _, a := range sites {
 					for _, b := range sites {
-						want := ipTopo.ShortestRoute(a, b, topology.BGPWeight).RTT(ipPerHopMS)
+						want := ipTopo.ShortestRoute(a, b, topology.BGPWeight).RTT(d.IPPlane.PerHopMS)
 						if got := base.RTTms(a, b); got != want {
 							t.Errorf("%s: IP RTT %v -> %v = %v, fresh route %v", when, a, b, got, want)
 						}
@@ -244,7 +262,7 @@ func TestIPBaselineMatchesFreshRoutes(t *testing.T) {
 }
 
 func TestPoPsTable(t *testing.T) {
-	pops := PoPs()
+	pops := deployment().PoPs
 	if len(pops) != 16 {
 		t.Errorf("PoPs = %d, want 16 (Table 1)", len(pops))
 	}
@@ -257,15 +275,16 @@ func TestPoPsTable(t *testing.T) {
 
 func TestTimelineOrdered(t *testing.T) {
 	var first, last time.Time
-	for _, s := range Sites() {
-		if s.Joined.IsZero() {
+	for _, s := range deployment().ASes {
+		joined, ok := s.JoinedTime()
+		if !ok {
 			continue
 		}
-		if first.IsZero() || s.Joined.Before(first) {
-			first = s.Joined
+		if first.IsZero() || joined.Before(first) {
+			first = joined
 		}
-		if s.Joined.After(last) {
-			last = s.Joined
+		if joined.After(last) {
+			last = joined
 		}
 		if s.Effort <= 0 || s.Effort > 10 {
 			t.Errorf("%s effort = %v", s.Name, s.Effort)
@@ -277,13 +296,13 @@ func TestTimelineOrdered(t *testing.T) {
 }
 
 func TestMidCampaignLinks(t *testing.T) {
-	for _, nl := range MidCampaignLinks() {
-		if _, ok := SiteByIA(nl.Spec.A); !ok {
-			t.Errorf("new link %q references unknown AS", nl.Spec.Name)
+	d := deployment()
+	for _, nl := range d.NewLinks {
+		if _, ok := d.ASByIA(nl.A); !ok {
+			t.Errorf("new link %q references unknown AS", nl.Name)
 		}
-		if nl.Activate <= 0 {
-			t.Errorf("new link %q has no activation time", nl.Spec.Name)
+		if nl.Activate() <= 0 {
+			t.Errorf("new link %q has no activation time", nl.Name)
 		}
 	}
-	_ = topology.LinkCore
 }

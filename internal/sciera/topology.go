@@ -1,34 +1,16 @@
 package sciera
 
-import (
-	"fmt"
+import "sciera/internal/scenario"
 
-	"sciera/internal/addr"
-	"sciera/internal/topology"
-)
-
-// LinkSpec declares one SCIERA circuit.
-type LinkSpec struct {
-	A, B addr.IA
-	Type topology.LinkType
-	// Name labels the physical circuit.
-	Name string
-	// ExtraMS adds cable-detour latency beyond the geodesic estimate.
-	ExtraMS float64
-	// Detour overrides the default cable-detour factor (0 = default:
-	// 1.25 for core circuits, 1.6 for last-mile circuits). Direct
-	// transoceanic NREN trunks (EllaLink, AtlanticWave) run close to
-	// the geodesic.
-	Detour float64
-}
-
-// Links lists the deployment's circuits (Figure 1 plus the textual
+// links lists the deployment's circuits (Figure 1 plus the textual
 // descriptions in Section 3.2 and Appendix C). Parallel entries are
 // genuine parallel circuits (e.g. the four Singapore–Amsterdam links).
-func Links() []LinkSpec {
-	core := topology.LinkCore
-	parent := topology.LinkParent
-	return []LinkSpec{
+// ExtraMS is cable-detour latency beyond the geodesic estimate; Detour
+// overrides the default detour factor where a direct transoceanic NREN
+// trunk (EllaLink, AtlanticWave) runs close to the geodesic.
+func links() []scenario.Link {
+	const core, parent = scenario.LinkCore, scenario.LinkParent
+	return []scenario.Link{
 		// Transatlantic / inter-core backbone.
 		{A: ia("71-20965"), B: ia("71-2:0:35"), Type: core, Name: "GEANT-BRIDGES"},
 		{A: ia("71-20965"), B: ia("71-2:0:3e"), Type: core, Name: "GEANT-KISTI@AMS"},
@@ -102,57 +84,17 @@ func Links() []LinkSpec {
 	}
 }
 
-// Build constructs the SCION-plane topology with geodesic latencies.
-func Build() (*topology.Topology, error) {
-	topo := topology.New()
-	sites := Sites()
-	for _, s := range sites {
-		if err := topo.AddAS(topology.ASInfo{
-			IA: s.IA, Core: s.Core, Name: s.Name, Lat: s.Lat, Lon: s.Lon,
-		}); err != nil {
-			return nil, err
-		}
+// newLinks lists the circuits that come up mid-campaign (Jan 25 is day
+// 10: "several new links between EU and US became available"). They are
+// built into the topology but held down until their activation. The
+// new circuits parallel existing EU-US corridors (additional
+// capacity/redundancy on trunks that already exist), so they add
+// resilience without reshaping the per-pair path-count maxima.
+func newLinks() []scenario.NewLink {
+	return []scenario.NewLink{
+		{Link: scenario.Link{A: ia("71-20965"), B: ia("71-2:0:35"), Type: scenario.LinkCore,
+			Name: "GEANT-BRIDGES (new circuit)", ExtraMS: 4}, ActivateHours: 10 * day},
+		{Link: scenario.Link{A: ia("71-20965"), B: ia("71-2:0:3e"), Type: scenario.LinkCore,
+			Name: "GEANT-KISTI@AMS (new circuit)", ExtraMS: 2}, ActivateHours: 10 * day},
 	}
-	for _, l := range Links() {
-		a, okA := SiteByIA(l.A)
-		b, okB := SiteByIA(l.B)
-		if !okA || !okB {
-			return nil, fmt.Errorf("sciera: link %q references unknown AS", l.Name)
-		}
-		// Academic L2 circuits detour through NREN PoPs rather than
-		// following geodesics: core circuits ride shared backbones
-		// (mild detour), last-mile circuits hairpin through exchange
-		// points (stronger detour).
-		detour := 1.25
-		if l.Type == topology.LinkParent {
-			detour = 1.6
-		}
-		if l.Detour > 0 {
-			detour = l.Detour
-		}
-		lat := topology.GeoLatencyMS(a.Lat, a.Lon, b.Lat, b.Lon)*detour + l.ExtraMS
-		if lat < 0.3 {
-			lat = 0.3 // metro circuits still have equipment latency
-		}
-		if _, err := topo.AddLink(
-			topology.LinkEnd{IA: l.A}, topology.LinkEnd{IA: l.B},
-			l.Type, lat, l.Name,
-		); err != nil {
-			return nil, fmt.Errorf("sciera: link %q: %w", l.Name, err)
-		}
-	}
-	if err := topo.Validate(); err != nil {
-		return nil, err
-	}
-	return topo, nil
-}
-
-// LinkIDByName resolves a circuit by name (for the incident calendar).
-func LinkIDByName(topo *topology.Topology, name string) (int, bool) {
-	for _, l := range topo.Links() {
-		if l.Name == name {
-			return l.ID, true
-		}
-	}
-	return 0, false
 }
