@@ -38,8 +38,9 @@ fmt-check:
 # warm chain-cache verify path, the daemon's NotModified re-confirm,
 # memoized path lookups on a registry, its clone and a snapshot-cloned
 # replica, the campaign's probe path (a bound per probe, not zero:
-# TestCampaignProbeAllocs) and a control-plane refresh on the churn
-# topology (a bound per refresh: TestRefreshAllocs).
+# TestCampaignProbeAllocs) and a control-plane refresh after a core
+# flap on the churn topology (a bound per refresh and arm — warm
+# unsigned, warm signed, cold: TestRefreshAllocs).
 alloc-guard:
 	$(GO) test -count=1 -run 'ZeroAlloc|ProbeAllocs|RefreshAllocs' . ./internal/simnet ./internal/cppki ./internal/daemon ./internal/beacon ./internal/core
 
@@ -78,9 +79,10 @@ scenario-check:
 
 # Snapshot round-trip hygiene: snapshot -> serialize -> load -> clone
 # must reproduce the cold campaign byte for byte, across seeds and on
-# both the builtin and a generated scenario.
+# both the builtin and a generated scenario; a file of the previous
+# format version is refused by version number.
 snapshot-check:
-	$(GO) test -count=1 -run 'TestSnapshotWarmStartByteIdentical|TestSnapshotFileRoundTrip' ./internal/core ./internal/experiments
+	$(GO) test -count=1 -run 'TestSnapshotWarmStartByteIdentical|TestSnapshotFileRoundTrip|TestSnapshotOldVersionRefused' ./internal/core ./internal/experiments
 	@echo "snapshot-check: OK"
 
 # bench/ is its own module (sciera/bench), so the root `go test ./...`
@@ -93,7 +95,10 @@ bench-smoke:
 # corpora under internal/*/testdata/fuzz: the control service's
 # untrusted-input boundary (request bytes in, response bytes at the
 # daemon), the burst fast-path decode against the full decoder, the
-# beacon store's admission rule against its insert, the router's
+# beacon store's admission rule against its insert, a control-plane
+# refresh from what the last one kept against a cold run after an
+# arbitrary sequence of link flaps, attachments and new peerings, the
+# router's
 # forwarding rules (decide) on arbitrary path bytes: no panic, one
 # header one verdict, no pass with a MAC or SegID bit flipped; and the
 # scenario loader (seeded in code from scenarios/sciera.json, a small
@@ -107,6 +112,7 @@ fuzz-smoke:
 	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzDecodeSegments$$' -fuzztime 3s
 	$(GO) test ./internal/slayers -run '^$$' -fuzz '^FuzzDecodeSameFlow$$' -fuzztime 3s
 	$(GO) test ./internal/beacon -run '^$$' -fuzz '^FuzzStoreAdmit$$' -fuzztime 3s
+	$(GO) test ./internal/beacon -run '^$$' -fuzz '^FuzzRefreshAfterFlaps$$' -fuzztime 3s
 	$(GO) test ./internal/router -run '^$$' -fuzz '^FuzzDecide$$' -fuzztime 3s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzLoadScenario$$' -fuzztime 3s -fuzzminimizetime 20x
 

@@ -243,24 +243,29 @@ func TestCampaignProbeAllocs(t *testing.T) {
 }
 
 // TestRefreshAllocs guards what a control-plane refresh allocates on the
-// benchmark's churn topology. A beacon is built only when a store admits
-// it, and of ~23 k candidates per refresh the stores admit ~4 k: 66.4 k
-// allocations measured, where the flood that built every candidate at
-// its sender made 316.4 k on the same test. The bound is the measurement
-// plus 10 %, well under half of that.
+// benchmark's churn topology after one core circuit flapped (the arms of
+// BenchmarkRefresh). The flood decides about all ~23 k candidates again
+// every time; what the bounds guard is how much of what it admits it
+// builds. cold — nothing kept, every admitted beacon built — made
+// 66.4 k allocations when every refresh was one (53.8 k now), and the
+// bound holds it within 10 % of that. unsigned and signed start from
+// what the previous refresh kept and build only the beacons whose route
+// is new (24.3 k and 51.6 k measured): their bounds are the measurement
+// plus 10 %, and a change that loses the kept map, or stops consulting
+// it, lands at cold's figure or, signed, at twenty times it.
 func TestRefreshAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race")
 	}
-	const maxPerRefresh = 73_000
-	n := churnNetwork(t, false)
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := n.RefreshControlPlane(); err != nil {
-			t.Fatal(err)
+	bounds := map[string]float64{"cold": 73_000, "unsigned": 26_700, "signed": 56_800}
+	for _, arm := range refreshArms {
+		flap := flapRefresher(t, churnSpec, arm)
+		flap()
+		flap()
+		allocs := testing.AllocsPerRun(10, flap)
+		t.Logf("%s: %.0f allocs per refresh", arm.name, allocs)
+		if allocs > bounds[arm.name] {
+			t.Errorf("%s refresh after a core flap: %.0f allocs, want <= %.0f", arm.name, allocs, bounds[arm.name])
 		}
-	})
-	t.Logf("%.0f allocs per refresh", allocs)
-	if allocs > maxPerRefresh {
-		t.Errorf("control-plane refresh: %.0f allocs, want <= %d", allocs, maxPerRefresh)
 	}
 }

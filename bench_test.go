@@ -14,12 +14,14 @@ package main
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"net/netip"
 	"runtime"
 	"testing"
 	"time"
 
 	"sciera/internal/addr"
+	"sciera/internal/beacon"
 	"sciera/internal/combinator"
 	"sciera/internal/core"
 	"sciera/internal/dispatcher"
@@ -495,28 +497,20 @@ func BenchmarkPathLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkBeaconing measures a full control-plane convergence over the
-// SCIERA topology (what RefreshControlPlane costs after each incident).
+// BenchmarkBeaconing is BenchmarkRefresh on the SCIERA deployment: one
+// refresh after one core circuit flapped, what each link event of the
+// incident calendar costs a campaign, unsigned and signed.
 func BenchmarkBeaconing(b *testing.B) {
-	n, _, err := experiments.BuildNetwork(42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer n.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.RefreshControlPlane(); err != nil {
-			b.Fatal(err)
-		}
+	for _, arm := range refreshArms[:2] {
+		b.Run(arm.name, func(b *testing.B) { benchFlaps(b, "sciera", arm) })
 	}
 }
 
-// churnNetwork builds the benchmark's control-churn topology (200 ASes,
-// 3 ISDs, 8 cores each) with the control plane converged once, signed
-// and verified when withPKI.
-func churnNetwork(tb testing.TB, withPKI bool) *core.Network {
+// benchNetwork builds a scenario's network with the control plane
+// converged once, signed and verified when withPKI.
+func benchNetwork(tb testing.TB, spec string, withPKI bool) *core.Network {
 	tb.Helper()
-	s, err := scenario.Resolve("gen:isds=3,ases=200,cores=8,seed=1")
+	s, err := scenario.Resolve(spec)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -533,26 +527,84 @@ func churnNetwork(tb testing.TB, withPKI bool) *core.Network {
 	return n
 }
 
-// BenchmarkRefresh measures one control-plane refresh on the churn
-// topology: what every link flap of the control-churn workload pays, and
-// the timing that goes with TestRefreshAllocs' allocation count. The
-// signed arm signs and verifies every beacon entry (core.Options
-// WithPKI); run with -cpu 1,2 it is the beacon verify pool's record.
+// churnSpec is the benchmark's control-churn topology: 200 ASes, 3 ISDs,
+// 8 cores each.
+const churnSpec = "gen:isds=3,ases=200,cores=8,seed=1"
+
+// coldRun converges n's topology from nothing (beacon.Runner.Run: a
+// refresh with nothing kept), leaving n's own registry alone.
+func coldRun(n *core.Network) error {
+	_, err := (&beacon.Runner{Topo: n.Topo, Keys: n.Key,
+		Timestamp: uint32(n.Opts.Now.Unix()), BestPerOrigin: n.Opts.BestPerOrigin}).Run()
+	return err
+}
+
+// refreshArm is one arm of BenchmarkRefresh and TestRefreshAllocs.
+type refreshArm struct {
+	name          string
+	withPKI, cold bool
+}
+
+var refreshArms = []refreshArm{{"unsigned", false, false}, {"signed", true, false}, {"cold", false, true}}
+
+// flapRefresher builds a scenario's network and returns its next link
+// event with the refresh that follows: a seeded core circuit goes down,
+// the next call brings it back up, the one after picks another — what
+// the control-churn workload does. Re-running an unchanged topology
+// would find every beacon kept and measure a map lookup. The cold arm
+// flips the link on the topology alone and converges from nothing,
+// which is also what the first refresh after a load from disk pays.
+func flapRefresher(tb testing.TB, spec string, arm refreshArm) func() {
+	n := benchNetwork(tb, spec, arm.withPKI)
+	var circuits []*topology.Link
+	for _, l := range n.Topo.Links() {
+		if l.Type == topology.LinkCore {
+			circuits = append(circuits, l)
+		}
+	}
+	rng := rand.New(rand.NewSource(42))
+	var down *topology.Link
+	return func() {
+		l, up := down, true
+		if down = nil; l == nil {
+			l, up = circuits[rng.Intn(len(circuits))], false
+			down = l
+		}
+		var err error
+		if !arm.cold {
+			err = n.SetLinkUp(l.ID, up)
+		} else if err = n.Topo.SetLinkUp(l.ID, up); err == nil {
+			err = coldRun(n)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// benchFlaps times one refresh per iteration, each after one link event.
+func benchFlaps(b *testing.B, spec string, arm refreshArm) {
+	flap := flapRefresher(b, spec, arm)
+	flap() // the first refresh after convergence, then steady state
+	flap()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flap()
+	}
+}
+
+// BenchmarkRefresh measures one control-plane refresh after one core
+// circuit flapped on the churn topology: what every link event of the
+// control-churn workload pays, and the timing that goes with
+// TestRefreshAllocs' allocation counts. unsigned and signed start from
+// what the previous refresh kept; signed signs and verifies every beacon
+// entry it builds (core.Options WithPKI), and signed/unsigned per flap
+// is the ratio ROADMAP item 2 targets (within 3x). cold builds
+// everything, as every refresh did before beacons were kept.
 func BenchmarkRefresh(b *testing.B) {
-	for _, arm := range []struct {
-		name    string
-		withPKI bool
-	}{{"unsigned", false}, {"signed", true}} {
-		b.Run(arm.name, func(b *testing.B) {
-			n := churnNetwork(b, arm.withPKI)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := n.RefreshControlPlane(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for _, arm := range refreshArms {
+		b.Run(arm.name, func(b *testing.B) { benchFlaps(b, churnSpec, arm) })
 	}
 }
 
@@ -577,7 +629,7 @@ func BenchmarkBeaconDiversity(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := n.RefreshControlPlane(); err != nil {
+				if err := coldRun(n); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -119,23 +119,41 @@ func (s *Store) Admits(origin addr.IA, length int, route string) bool {
 	return ok
 }
 
+// lengthAdmits is the part of the admission rule that needs no route: a
+// beacon ranks after every shorter one, so it is out when those alone
+// fill the limit, or when the shortest puts it beyond the length window.
+// False means Admits is false whatever the route, now and after any
+// further inserts, so the runner refuses such a candidate before hashing
+// its route.
+func (s *Store) lengthAdmits(entries []*Entry, length int) bool {
+	n := len(entries)
+	if length == 0 {
+		return false
+	}
+	if n == 0 {
+		return true
+	}
+	return length <= entries[0].Seg.Len()+s.extraLen && (n < s.limit || entries[n-1].Seg.Len() >= length)
+}
+
 // admitLocked is the admission rule: the rank the beacon would take in
 // its origin's list, and whether that rank survives the limit and the
-// length window. Callers hold s.mu.
+// length window. Callers hold s.mu, or own the store outright as a
+// Runner owns the stores of its run.
 func (s *Store) admitLocked(origin addr.IA, length int, route string) (at int, ok bool) {
-	if length == 0 || s.seen[route] {
+	entries := s.byOrigin[origin]
+	if !s.lengthAdmits(entries, length) || s.seen[route] {
 		return 0, false
 	}
 	// The per-origin list is kept ranked, so the beacon is placed by
 	// binary search.
-	entries := s.byOrigin[origin]
 	at = sort.Search(len(entries), func(i int) bool {
 		if n := entries[i].Seg.Len(); n != length {
 			return n > length
 		}
 		return entries[i].Route >= route
 	})
-	return at, at < s.limit && (at == 0 || length <= entries[0].Seg.Len()+s.extraLen)
+	return at, at < s.limit
 }
 
 // entryLess ranks beacons: shorter AS paths first, then by the stable

@@ -292,10 +292,10 @@ func TestStoreInsertMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestRunnerRequiresRng(t *testing.T) {
+func TestRunnerRequiresTopo(t *testing.T) {
 	r := &Runner{}
 	if _, err := r.Run(); err == nil {
-		t.Error("Run without Rng accepted")
+		t.Error("Run without a topology and keys accepted")
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 // Clone returns a copy-on-write clone of the registry: every segment
 // store is cloned with pathdb.CloneShared, so the clone shares the
 // original's immutable segments (and index containers) until either
-// side mutates. The registry IS the terminal beacon state of a
-// converged network — beacon stores are ephemeral per Runner.Run — so
-// cloning the registry is all a converged-state snapshot needs to hand
-// a new replica the full control-plane view without re-beaconing.
+// side mutates. With them goes what the registry's run kept (shared,
+// read-only): a replica cloned from a converged reference serves the
+// full control-plane view without beaconing, and its first refresh
+// builds only what changed, as the reference's would.
 //
 // The clone's stores carry fresh identities, so its tokens never alias
 // the original's: memoized combinations still valid on the original are
@@ -28,6 +28,7 @@ func (reg *Registry) Clone() *Registry {
 		Core: reg.Core.CloneShared(),
 		Down: reg.Down.CloneShared(),
 		memo: make(map[[2]addr.IA]memoEntry, len(reg.memo)),
+		kept: reg.kept,
 	}
 	for ia, db := range reg.Up {
 		c.Up[ia] = db.CloneShared()

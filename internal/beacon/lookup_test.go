@@ -1,7 +1,6 @@
 package beacon
 
 import (
-	"math/rand"
 	"testing"
 
 	"sciera/internal/addr"
@@ -11,7 +10,7 @@ import (
 // with different sources.
 func memoRegistry(t *testing.T) (*Registry, [][2]addr.IA) {
 	t.Helper()
-	reg, err := (&Runner{Topo: runnerTopo(t), Keys: rkey, Timestamp: 500, Rng: rand.New(rand.NewSource(3))}).Run()
+	reg, err := (&Runner{Topo: runnerTopo(t), Keys: rkey, Timestamp: 500}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

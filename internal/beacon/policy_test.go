@@ -1,7 +1,6 @@
 package beacon
 
 import (
-	"math/rand"
 	"testing"
 
 	"sciera/internal/addr"
@@ -36,7 +35,7 @@ func TestNoCommercialTransit(t *testing.T) {
 	link(academic, commB, topology.LinkCore)
 	link(academic, leaf, topology.LinkParent)
 
-	r := &Runner{Topo: topo, Keys: rkey, Timestamp: 9, Rng: rand.New(rand.NewSource(2))}
+	r := &Runner{Topo: topo, Keys: rkey, Timestamp: 9}
 	reg, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +73,7 @@ func TestNoCommercialTransit(t *testing.T) {
 	linkOpen(commA, academic, topology.LinkCore)
 	linkOpen(academic, commB, topology.LinkCore)
 	linkOpen(academic, leaf, topology.LinkParent)
-	r2 := &Runner{Topo: open, Keys: rkey, Timestamp: 9, Rng: rand.New(rand.NewSource(2))}
+	r2 := &Runner{Topo: open, Keys: rkey, Timestamp: 9}
 	reg2, err := r2.Run()
 	if err != nil {
 		t.Fatal(err)

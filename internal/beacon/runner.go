@@ -1,8 +1,9 @@
 package beacon
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math/rand"
+	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -36,19 +37,23 @@ type RunnerMetrics struct {
 	Pruned telemetry.Counter
 	// Registered counts beacons terminated into registered segments.
 	Registered telemetry.Counter
-	// Verified counts received beacons whose signatures verified on
+	// Verified counts freshly built beacons whose signatures verified on
 	// receipt (verify-on-receipt runs only when the runner has TRCs).
 	// Only beacons the receiving store could still admit at the start of
-	// the round are built, signed and verified, so this counts admissible
-	// beacons, not every candidate sent.
+	// the round are built at all, and one the previous run kept carries
+	// that run's verdict: under the PKI a warm run's count is at most a
+	// cold run's, while the five flood counters above are equal.
 	Verified telemetry.Counter
 	// VerifyFailed counts received beacons dropped because signature
-	// verification failed.
+	// verification failed; never kept, they are built and fail every run.
 	VerifyFailed telemetry.Counter
 	// VerifyLatency optionally records per-beacon verification wall time
-	// in milliseconds, one observation per admissible beacon (Verified +
-	// VerifyFailed); nil disables the measurement.
+	// in milliseconds, one observation per Verified + VerifyFailed; nil
+	// disables the measurement.
 	VerifyLatency *telemetry.Histogram
+	// Built counts beacons and terminated segments constructed, Reused
+	// those taken as the previous run left them; a cold run reuses none.
+	Built, Reused telemetry.Counter
 }
 
 // Register adopts the cells into a registry.
@@ -60,6 +65,8 @@ func (m *RunnerMetrics) Register(reg *telemetry.Registry) {
 	reg.RegisterCounter("sciera_beacon_registered_total", "beacons terminated into registered segments", &m.Registered)
 	reg.RegisterCounter("sciera_beacon_verified_total", "received beacons whose signatures verified on receipt", &m.Verified)
 	reg.RegisterCounter("sciera_beacon_verify_failed_total", "received beacons dropped on signature verification failure", &m.VerifyFailed)
+	reg.RegisterCounter("sciera_beacon_built_total", "beacons and terminated segments constructed by a run", &m.Built)
+	reg.RegisterCounter("sciera_beacon_reused_total", "beacons and terminated segments kept from the previous run", &m.Reused)
 	if m.VerifyLatency != nil {
 		reg.RegisterHistogram("sciera_beacon_verify_latency_ms", "per-beacon signature verification wall time (ms)", m.VerifyLatency)
 	}
@@ -103,8 +110,6 @@ type Runner struct {
 	RegisterBestK int
 	// MaxRounds bounds propagation (default: #ASes + 2).
 	MaxRounds int
-	// Rng drives beta0 randomization; required for determinism.
-	Rng *rand.Rand
 	// Metrics receives beaconing counters; nil allocates private ones.
 	Metrics *RunnerMetrics
 	// TRCs enables verify-on-receipt: when set (alongside Signers), a
@@ -123,12 +128,13 @@ type Runner struct {
 	// the segment origination timestamp.
 	VerifyAt time.Time
 
-	// verifier is built per Run when verify-on-receipt is enabled; its
-	// signature memo makes repeat prefixes (the common case in beacon
-	// fan-out) cost one hash instead of one ECDSA verify per entry.
+	// verifier is built per Run when verify-on-receipt is enabled.
 	verifier *segment.Verifier
 	// view is the topology as this Run reads it, taken once.
 	view map[addr.IA]*asView
+	// prev is what the previous run kept (empty on a cold run), only
+	// read; next is what this run uses, left on its registry.
+	prev, next *kept
 }
 
 // hopExpTime is the relative expiry every hop field is issued with
@@ -142,6 +148,8 @@ const hopExpTime = 63
 type asView struct {
 	core, commercial bool
 	mtu              uint16
+	key              scrypto.HopKey
+	signer           *cppki.Signer // nil when the run does not sign
 	// coreLinks and childLinks are the AS's up core links and up links
 	// to its children, in topology link order. downChildren counts the
 	// child links that are down: a beacon that would cross one is
@@ -161,11 +169,15 @@ func (r *Runner) snapshot() error {
 	ases := r.Topo.ASes()
 	r.view = make(map[addr.IA]*asView, len(ases))
 	for _, as := range ases {
-		mac, err := scrypto.NewHopCMAC(r.Keys(as.IA))
-		if err != nil {
+		v := &asView{core: as.Core, commercial: as.Commercial, mtu: as.MTU, key: r.Keys(as.IA)}
+		var err error
+		if v.mac, err = scrypto.NewHopCMAC(v.key); err != nil {
 			return err
 		}
-		r.view[as.IA] = &asView{core: as.Core, commercial: as.Commercial, mtu: as.MTU, mac: mac}
+		if r.Signers != nil {
+			v.signer = r.Signers(as.IA)
+		}
+		r.view[as.IA] = v
 	}
 	for _, l := range r.Topo.Links() {
 		a, b := r.view[l.A.IA], r.view[l.B.IA]
@@ -191,7 +203,7 @@ func peerEntry(local, remote topology.LinkEnd, latencyMS float64) segment.PeerEn
 		LinkLatencyMS: latencyMS, ExpTime: hopExpTime}
 }
 
-// flight is one beacon crossing one link. Origination builds its beacon
+// flight is one beacon crossing one link. Origination resolves its beacon
 // outright; every later flight is a candidate: the beacon as the sender
 // stores it plus the entry the sender would append, which is only built
 // once the receiver's store admits it.
@@ -201,40 +213,18 @@ type flight struct {
 	// extend over l.
 	seg  *segment.Segment
 	from addr.IA
-	inIf uint16
 	l    *topology.Link
 	to   addr.IA
-}
-
-// candidate is what a receiver knows of a flight's beacon before anyone
-// has built it — all a store's admission rule asks about.
-type candidate struct {
-	origin addr.IA
-	length int
-	route  string
-	recvIf uint16
-}
-
-// candidate derives the flight's admission facts; the route ID is hashed
-// here, once, and carried into the stored Entry.
-func (f flight) candidate() (candidate, error) {
-	sender := f.from
-	if sender == 0 {
-		sender = f.seg.LastIA()
-	}
-	out, _ := f.l.Local(sender)
-	in, _ := f.l.Other(sender)
-	if in.IA != f.to {
-		return candidate{}, fmt.Errorf("beacon: internal: flight misrouted")
-	}
-	c := candidate{origin: f.seg.FirstIA(), length: f.seg.Len(), recvIf: in.IfID}
-	if f.from == 0 {
-		c.route = f.seg.RouteID()
-	} else {
-		c.length++
-		c.route = f.seg.ExtendedRouteID(f.from, f.inIf, out.IfID)
-	}
-	return c, nil
+	// length and route are the AS-hop length and route ID of the beacon
+	// the receiver would store. The route is known at origination,
+	// otherwise hashed once the receiver's store admits the length, and
+	// carried into the stored Entry and the kept map.
+	length       int
+	route        string
+	inIf, recvIf uint16
+	// fresh marks an originated beacon built by this run, which no one
+	// has verified yet.
+	fresh bool
 }
 
 // Registry holds the outcome of a beaconing run: the segment databases
@@ -254,13 +244,72 @@ type Registry struct {
 	// zero value is an empty memo.
 	memoMu sync.Mutex
 	memo   map[[2]addr.IA]memoEntry
+
+	// kept is what the registry's run built or reused, read by the run
+	// that starts from it (RunFrom) and shared, never written, by its
+	// clones. Nil on a registry assembled from a file.
+	kept *kept
+}
+
+// kept is what one run leaves for the next. A beacon is a function of
+// its route once the rest of what its bytes depend on is fixed: the
+// timestamp and each AS's hop key (beta0, every MAC), MTU, signer and
+// advertised peer entries. kept records those beside the beacons, so the
+// next run can tell whether link state is all that moved since.
+type kept struct {
+	timestamp uint32
+	view      map[addr.IA]*asView
+	// trcs (each ISD's TRC; an update replaces the pointer) and verifyAt
+	// are what the beacons were verified against; nil and zero if none.
+	trcs     map[addr.ISD]*cppki.TRC
+	verifyAt time.Time
+	// beacons holds by route ID every beacon the run stored, or built
+	// and found verified; one that failed verification is never here.
+	// terms holds every segment the run registered, by the route ID of
+	// the stored beacon it terminates.
+	beacons map[string]*segment.Segment
+	terms   map[string]term
+}
+
+// term is a registered segment with the ID it is filed under.
+type term struct {
+	id  string
+	seg *segment.Segment
+}
+
+// holds reports whether what k's run built is what r's would build for
+// the same routes: same timestamp and verification, and no AS of r's
+// view differing from k's in what a beacon's bytes carry. Link state is
+// not among that; an AS k never saw is on none of its routes.
+func (k *kept) holds(r *Runner, trcs map[addr.ISD]*cppki.TRC, verifyAt time.Time) bool {
+	if k == nil || k.timestamp != r.Timestamp || !k.verifyAt.Equal(verifyAt) || !maps.Equal(k.trcs, trcs) {
+		return false
+	}
+	for ia, as := range r.view {
+		if was, ok := k.view[ia]; ok && (was.key != as.key || was.signer != as.signer ||
+			was.mtu != as.mtu || !slices.Equal(was.peers, as.peers)) {
+			return false
+		}
+	}
+	return true
 }
 
 // Run performs core beaconing and intra-ISD (down) beaconing to a fixed
 // point and returns the resulting registries.
-func (r *Runner) Run() (*Registry, error) {
-	if r.Rng == nil {
-		return nil, fmt.Errorf("beacon: Runner requires an explicit Rng")
+func (r *Runner) Run() (*Registry, error) { return r.RunFrom(nil) }
+
+// RunFrom is Run for a network whose last run left prev (nil for none).
+// The flood decides everything again — same flights, order, admissions
+// and counters as Run — but builds only the beacons and segments prev's
+// run did not: the rest are taken as that run left them, MACs,
+// signatures and verification verdict included. Each store of the
+// result is prev's own when the run registered the same segments there,
+// otherwise a clone of it synced by difference; prev is never modified.
+// When more than link state moved since prev's run (kept.holds), prev is
+// ignored and the run is Run.
+func (r *Runner) RunFrom(prev *Registry) (*Registry, error) {
+	if r.Topo == nil || r.Keys == nil {
+		return nil, fmt.Errorf("beacon: Runner requires a Topo and Keys")
 	}
 	if err := r.snapshot(); err != nil {
 		return nil, err
@@ -271,37 +320,62 @@ func (r *Runner) Run() (*Registry, error) {
 	if r.Metrics == nil {
 		r.Metrics = &RunnerMetrics{}
 	}
+	var (
+		verifyAt time.Time
+		trcs     map[addr.ISD]*cppki.TRC
+	)
 	if r.TRCs != nil {
-		at := r.VerifyAt
-		if at.IsZero() {
-			at = time.Unix(int64(r.Timestamp), 0)
+		verifyAt = r.VerifyAt
+		if verifyAt.IsZero() {
+			verifyAt = time.Unix(int64(r.Timestamp), 0)
 		}
-		r.verifier = segment.NewVerifier(r.TRCs, r.Chains, at)
-	}
-	reg := &Registry{
-		Up:   make(map[addr.IA]*pathdb.DB),
-		Core: pathdb.New(),
-		Down: pathdb.New(),
-	}
-	for ia, as := range r.view {
-		if !as.core {
-			reg.Up[ia] = pathdb.New()
+		r.verifier = &segment.Verifier{TRCs: r.TRCs, Chains: r.Chains, At: verifyAt}
+		trcs = make(map[addr.ISD]*cppki.TRC)
+		for _, isd := range r.TRCs.ISDs() {
+			trcs[isd], _ = r.TRCs.Get(isd)
 		}
 	}
-	if err := r.runCore(reg); err != nil {
+	if prev == nil || !prev.kept.holds(r, trcs, verifyAt) {
+		prev = &Registry{kept: &kept{}}
+	}
+	r.prev = prev.kept
+	r.next = &kept{timestamp: r.Timestamp, trcs: trcs, verifyAt: verifyAt, view: r.view,
+		beacons: make(map[string]*segment.Segment, len(r.prev.beacons)),
+		terms:   make(map[string]term, len(r.prev.terms))}
+	reg := &Registry{Up: make(map[addr.IA]*pathdb.DB), kept: r.next}
+	if err := r.runCore(reg, prev); err != nil {
 		return nil, err
 	}
-	if err := r.runDown(reg); err != nil {
+	if err := r.runDown(reg, prev); err != nil {
 		return nil, err
 	}
 	return reg, nil
 }
 
+// file returns the store holding exactly terms: prev itself or a clone
+// synced by difference (pathdb.Synced), bulk-loaded when there is none.
+func file(prev *pathdb.DB, terms []term) *pathdb.DB {
+	if prev == nil {
+		segs := make([]*segment.Segment, len(terms))
+		for i, t := range terms {
+			segs[i] = t.seg
+		}
+		db := pathdb.New()
+		db.InsertAll(segs)
+		return db
+	}
+	want := make(map[string]*segment.Segment, len(terms))
+	for _, t := range terms {
+		want[t.id] = t.seg
+	}
+	return prev.Synced(want)
+}
+
 // runCore floods core PCBs across the core mesh. Every core AS
 // accumulates beacons from every other core origin; terminating a beacon
 // registers a core segment origin→self.
-func (r *Runner) runCore(reg *Registry) error {
-	var segs []*segment.Segment
+func (r *Runner) runCore(reg, prev *Registry) error {
+	var all []term
 	err := r.flood(true,
 		func(as *asView) ([]*topology.Link, uint64) { return as.coreLinks, 0 },
 		// No-commercial-transit policy (Section 4.9): a beacon originated
@@ -311,8 +385,8 @@ func (r *Runner) runCore(reg *Registry) error {
 		// registrable where it is but not extended further toward
 		// commercial peers.
 		func(origin, next *asView) bool { return origin.commercial && next.commercial },
-		func(_ addr.IA, terms []*segment.Segment) { segs = append(segs, terms...) })
-	reg.Core.InsertAll(segs)
+		func(_ addr.IA, terms []term) { all = append(all, terms...) })
+	reg.Core = file(prev.Core, all)
 	return err
 }
 
@@ -320,16 +394,16 @@ func (r *Runner) runCore(reg *Registry) error {
 // non-core AS registers terminated beacons locally (up segments) and at
 // the origin core's path server (down segments) — in this whole-network
 // driver both registries are views over the same segment set.
-func (r *Runner) runDown(reg *Registry) error {
-	var segs []*segment.Segment
+func (r *Runner) runDown(reg, prev *Registry) error {
+	var all []term
 	err := r.flood(false,
 		func(as *asView) ([]*topology.Link, uint64) { return as.childLinks, as.downChildren },
 		func(origin, next *asView) bool { return false },
-		func(ia addr.IA, terms []*segment.Segment) {
-			reg.Up[ia].InsertAll(terms)
-			segs = append(segs, terms...)
+		func(ia addr.IA, terms []term) {
+			reg.Up[ia] = file(prev.Up[ia], terms)
+			all = append(all, terms...)
 		})
-	reg.Down.InsertAll(segs)
+	reg.Down = file(prev.Down, all)
 	return err
 }
 
@@ -343,16 +417,18 @@ func (r *Runner) runDown(reg *Registry) error {
 // store holds at the end is terminated and handed to register, one call
 // per AS — a registry is loaded, not inserted into.
 //
-// A beacon is built when a store admits it. A flight names the parent
-// beacon and the link; the receiver hashes the candidate's route and
-// asks its store, in flight order, whether it would keep it — and only
-// then is the extension made (cloned, MACed, peer entries, signature).
-// The counters and every registry are those of a flood that builds each
-// candidate at the sender (the eagerRun oracle in the tests).
+// A beacon is built when a store admits it and the previous run did not
+// keep it. A flight names the parent beacon and the link; the receiver
+// asks its store, in flight order, whether it would keep the candidate —
+// by length first, by the route (hashed then) if that does not settle it
+// — and only then is the extension made (cloned, MACed, peer entries,
+// signature) or found in r.prev. The counters and every registry are
+// those of a flood that builds each candidate at the sender (the
+// eagerRun oracle in the tests).
 func (r *Runner) flood(core bool,
 	out func(*asView) (up []*topology.Link, down uint64),
 	refuse func(origin, next *asView) bool,
-	register func(at addr.IA, terms []*segment.Segment)) error {
+	register func(at addr.IA, terms []term)) error {
 	stores := make(map[addr.IA]*Store)
 	var origins []addr.IA
 	for ia, as := range r.view {
@@ -365,91 +441,118 @@ func (r *Runner) flood(core bool,
 	}
 	slices.Sort(origins)
 
-	// Origination: one PCB per link direction, in AS then link order —
-	// the order the Rng is drawn in.
-	var flights []flight
+	// Origination: one PCB per link direction, in AS then link order.
+	// flights and next swap every round and entries is reused: a round
+	// runs to ten thousand candidates, and allocating them anew was most
+	// of what a warm run allocated.
+	var (
+		flights, next []flight
+		entries       []*Entry
+	)
 	for _, origin := range origins {
 		links, down := out(r.view[origin])
 		r.Metrics.Filtered.Add(down)
 		for _, l := range links {
-			seg, err := r.originate(origin, l)
+			f, err := r.originate(origin, l)
 			if err != nil {
 				return err
 			}
 			r.Metrics.Originated.Inc()
-			other, _ := l.Other(origin)
-			flights = append(flights, flight{seg: seg, l: l, to: other.IA})
+			flights = append(flights, f)
 		}
 	}
 
 	for round := 0; round < r.MaxRounds && len(flights) > 0; round++ {
-		cands := make([]candidate, len(flights))
-		for i, f := range flights {
-			c, err := f.candidate()
-			if err != nil {
-				return err
+		// admits asks the flight's store, as it stands, whether it would
+		// keep the candidate (Store.Admits, minus the lock: no one else
+		// has the run's stores). One refused by its length alone never
+		// has its route hashed.
+		admits := func(f *flight) bool {
+			store, origin := stores[f.to], f.seg.FirstIA()
+			if !store.lengthAdmits(store.byOrigin[origin], f.length) {
+				return false
 			}
-			cands[i] = c
+			if f.route == "" {
+				out, _ := f.l.Local(f.from)
+				f.route = f.seg.ExtendedRouteID(f.from, f.inIf, out.IfID)
+			}
+			_, ok := store.admitLocked(origin, f.length, f.route)
+			return ok
 		}
-		// Verify-on-receipt: build, sign and verify what the stores could
-		// still admit as the round starts. A store only tightens within a
-		// round, so that is a superset of what the in-order pass below
-		// admits, and it can be verified in parallel ahead of it.
-		var built []*segment.Segment
+		// Verify-on-receipt: resolve what the stores could still admit as
+		// the round starts and verify what of it had to be built. A store
+		// only tightens within a round, so that is a superset of what the
+		// in-order pass below admits, verified in parallel ahead of it.
+		var segs, fresh []*segment.Segment
 		var verdicts []error
 		if r.verifier != nil {
-			built = make([]*segment.Segment, len(flights))
-			for i, f := range flights {
-				if c := cands[i]; stores[f.to].Admits(c.origin, c.length, c.route) {
-					seg, err := r.build(f)
-					if err != nil {
-						return err
-					}
-					built[i] = seg
+			segs = make([]*segment.Segment, len(flights))
+			fresh = make([]*segment.Segment, len(flights))
+			for i := range flights {
+				if !admits(&flights[i]) {
+					continue
+				}
+				seg, isNew, err := r.build(&flights[i])
+				if err != nil {
+					return err
+				}
+				if segs[i] = seg; isNew {
+					fresh[i] = seg
 				}
 			}
-			verdicts = r.verifyBuilt(built)
+			verdicts = r.verifyBuilt(fresh)
 		}
 		// Insert phase, in flight order: a verified (or unchecked)
 		// candidate the store admits is built and stored; acceptances are
 		// grouped by (receiver, origin) for best-K selection.
-		entries := make([]*Entry, len(flights))
+		entries = append(entries[:0], make([]*Entry, len(flights))...)
 		groups := make(map[groupKey][]int)
-		for i, f := range flights {
-			c, store := cands[i], stores[f.to]
-			if built != nil && built[i] != nil {
+		for i := range flights {
+			f := &flights[i]
+			if fresh != nil && fresh[i] != nil {
 				if verdicts[i] != nil {
 					r.Metrics.VerifyFailed.Inc()
 					continue
 				}
 				r.Metrics.Verified.Inc()
 			}
-			if !store.Admits(c.origin, c.length, c.route) {
+			if segs != nil && segs[i] != nil {
+				r.next.beacons[f.route] = segs[i]
+			}
+			if !admits(f) {
 				r.Metrics.Filtered.Inc()
 				continue
 			}
 			var seg *segment.Segment
-			if built != nil {
-				seg = built[i]
+			if segs != nil {
+				seg = segs[i]
 			} else {
 				var err error
-				if seg, err = r.build(f); err != nil {
+				if seg, _, err = r.build(f); err != nil {
 					return err
 				}
+				r.next.beacons[f.route] = seg
 			}
 			if seg == nil {
 				return fmt.Errorf("beacon: internal: store admits a beacon it refused earlier in the round")
 			}
-			entries[i] = &Entry{Seg: seg, RecvIf: c.recvIf, Route: c.route}
-			store.InsertEntry(entries[i])
-			g := groupKey{f.to, c.origin}
+			entries[i] = &Entry{Seg: seg, RecvIf: f.recvIf, Route: f.route}
+			stores[f.to].InsertEntry(entries[i])
+			g := groupKey{f.to, seg.FirstIA()}
 			groups[g] = append(groups[g], i)
 		}
 		// Selection phase: bound what each AS floods onward per origin.
 		r.pruneGroups(entries, groups)
 		// Extension phase: the survivors go out over every other eligible
 		// link, in the original flight order.
-		next := make([]flight, 0, len(flights))
+		fanout := 0
+		for i, e := range entries {
+			if e != nil {
+				links, _ := out(r.view[flights[i].to])
+				fanout += len(links)
+			}
+		}
+		next = slices.Grow(next[:0], fanout)
 		for i, f := range flights {
 			e := entries[i]
 			if e == nil {
@@ -462,30 +565,38 @@ func (r *Runner) flood(core bool,
 					continue
 				}
 				other, _ := l.Other(f.to)
-				if e.Seg.ContainsIA(other.IA) || refuse(r.view[cands[i].origin], r.view[other.IA]) {
+				if e.Seg.ContainsIA(other.IA) || refuse(r.view[e.Seg.FirstIA()], r.view[other.IA]) {
 					r.Metrics.Filtered.Inc()
 					continue
 				}
 				r.Metrics.Propagated.Inc()
-				next = append(next, flight{seg: e.Seg, from: f.to, inIf: e.RecvIf, l: l, to: other.IA})
+				next = append(next, flight{seg: e.Seg, from: f.to, inIf: e.RecvIf, l: l,
+					to: other.IA, recvIf: other.IfID, length: e.Seg.Len() + 1})
 			}
 		}
-		flights = next
+		flights, next = next, flights
 	}
 
-	// Registration: terminate every stored beacon into a segment. Stored
-	// beacons were verified on receipt (when enabled); the terminating
-	// extension is the registering AS's own, so no re-verify.
+	// Registration: terminate every stored beacon into a segment, unless
+	// the previous run did. Stored beacons were verified on receipt (when
+	// enabled); the terminating entry is the AS's own, so no re-verify.
 	for ia, store := range stores {
-		var terms []*segment.Segment
+		var terms []term
 		for _, es := range store.All() {
 			for _, e := range SelectBestK(es, r.registerK()) {
-				term, err := r.extend(e.Seg, ia, e.RecvIf, nil)
-				if err != nil {
-					return err
+				t, ok := r.prev.terms[e.Route]
+				if ok {
+					r.Metrics.Reused.Inc()
+				} else {
+					seg, err := r.extend(e.Seg, ia, e.RecvIf, nil)
+					if err != nil {
+						return err
+					}
+					t = term{id: seg.ID(), seg: seg}
 				}
+				r.next.terms[e.Route] = t
 				r.Metrics.Registered.Inc()
-				terms = append(terms, term)
+				terms = append(terms, t)
 			}
 		}
 		register(ia, terms)
@@ -493,40 +604,71 @@ func (r *Runner) flood(core bool,
 	return nil
 }
 
-// originate creates a fresh PCB leaving origin over link l.
-func (r *Runner) originate(origin addr.IA, l *topology.Link) (*segment.Segment, error) {
+// originBeta0 derives a PCB's initial accumulator: the first two bytes
+// of the origin's hop-key CMAC over (timestamp, egress interface). Drawn
+// from a random stream it made every run's beacons new ones; derived, a
+// beacon is a function of its route. Bytes 12-15 are zero in every hop
+// MAC input, so this block is none.
+func originBeta0(mac *scrypto.CMAC, ts uint32, egress uint16) uint16 {
+	var in, out [16]byte
+	binary.BigEndian.PutUint32(in[0:4], ts)
+	binary.BigEndian.PutUint16(in[14:16], egress)
+	mac.SumInto(&out, in[:])
+	return binary.BigEndian.Uint16(out[:2])
+}
+
+// originate resolves the PCB leaving origin over link l — kept by the
+// previous run, or created now — as the flight that carries it.
+func (r *Runner) originate(origin addr.IA, l *topology.Link) (flight, error) {
 	local, _ := l.Local(origin)
 	remote, _ := l.Other(origin)
-	seg, err := segment.Originate(r.Timestamp, uint16(r.Rng.Intn(1<<16)), origin,
-		local.IfID, remote.IA, l.LatencyMS, hopExpTime, r.view[origin].mac)
-	if err != nil {
-		return nil, err
+	// The route of a one-entry beacon, before there is a beacon.
+	f := flight{l: l, to: remote.IA, recvIf: remote.IfID, length: 1,
+		route: new(segment.Segment).ExtendedRouteID(origin, 0, local.IfID)}
+	if seg, ok := r.prev.beacons[f.route]; ok {
+		r.Metrics.Reused.Inc()
+		f.seg = seg
+		return f, nil
 	}
-	return seg, r.signLast(seg, origin)
+	as := r.view[origin]
+	seg, err := segment.Originate(r.Timestamp, originBeta0(as.mac, r.Timestamp, local.IfID), origin,
+		local.IfID, remote.IA, l.LatencyMS, hopExpTime, as.mac)
+	if err != nil {
+		return f, err
+	}
+	r.Metrics.Built.Inc()
+	f.seg, f.fresh = seg, true
+	return f, r.signLast(seg, origin)
 }
 
 // signLast signs the entry ia just appended, when the run signs at all.
 func (r *Runner) signLast(seg *segment.Segment, ia addr.IA) error {
-	if r.Signers != nil {
-		if signer := r.Signers(ia); signer != nil {
-			return seg.SignLast(signer)
-		}
+	if signer := r.view[ia].signer; signer != nil {
+		return seg.SignLast(signer)
 	}
 	return nil
 }
 
-// build turns an admitted flight into the beacon its receiver stores.
-func (r *Runner) build(f flight) (*segment.Segment, error) {
+// build turns an admitted flight into the beacon its receiver stores:
+// the one the previous run kept under that route, or a new extension
+// (fresh: no one has verified it).
+func (r *Runner) build(f *flight) (seg *segment.Segment, fresh bool, err error) {
 	if f.from == 0 {
-		return f.seg, nil
+		return f.seg, f.fresh, nil
 	}
-	return r.extend(f.seg, f.from, f.inIf, f.l)
+	if seg, ok := r.prev.beacons[f.route]; ok {
+		r.Metrics.Reused.Inc()
+		return seg, false, nil
+	}
+	seg, err = r.extend(f.seg, f.from, f.inIf, f.l)
+	return seg, true, err
 }
 
 // extend appends the entry of 'at' to a received beacon and prepares it
 // to leave over link out (or terminate if out is nil).
 func (r *Runner) extend(seg *segment.Segment, at addr.IA, inIf uint16, out *topology.Link) (*segment.Segment, error) {
 	as := r.view[at]
+	r.Metrics.Built.Inc()
 	// Copy-on-write: the clone shares the parent's entry array; the
 	// capacity clamp makes Extend's append copy into an owned array, so
 	// sibling extensions of one received beacon never alias.
@@ -563,8 +705,10 @@ func (r *Runner) extend(seg *segment.Segment, at addr.IA, inIf uint16, out *topo
 	return ext, r.signLast(ext, at)
 }
 
-// verifyBuilt checks the signatures of every beacon built for a round
-// (nil slots are candidates no store would admit), fanned out over a
+// verifyBuilt checks the signature on the entry just appended to every
+// beacon built for a round (nil slots are candidates no store would
+// admit, or beacons the previous run kept; the prefix of a built one is
+// a stored beacon, verified when it was received), fanned out over a
 // bounded worker pool. Verdict i is always for flight i, and the caller
 // consumes verdicts in flight order, so the admitted beacon set — and
 // therefore every registry — is identical at any worker count.
@@ -575,7 +719,7 @@ func (r *Runner) verifyBuilt(built []*segment.Segment) []error {
 			return
 		}
 		start := time.Now()
-		verdicts[i] = r.verifier.Verify(built[i])
+		verdicts[i] = r.verifier.VerifyLast(built[i])
 		if r.Metrics.VerifyLatency != nil {
 			r.Metrics.VerifyLatency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 		}

@@ -68,7 +68,6 @@ func TestRunnerFullCoverage(t *testing.T) {
 		Topo:      topo,
 		Keys:      rkey,
 		Timestamp: 500,
-		Rng:       rand.New(rand.NewSource(3)),
 	}
 	reg, err := r.Run()
 	if err != nil {
@@ -115,7 +114,7 @@ func TestRunnerRespectsLinkState(t *testing.T) {
 	for _, l := range topo.LinksOf(rlB) {
 		_ = topo.SetLinkUp(l.ID, false)
 	}
-	r := &Runner{Topo: topo, Keys: rkey, Timestamp: 1, Rng: rand.New(rand.NewSource(1))}
+	r := &Runner{Topo: topo, Keys: rkey, Timestamp: 1}
 	reg, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +154,6 @@ func TestRunnerWithSigners(t *testing.T) {
 		Keys:      rkey,
 		Signers:   func(ia addr.IA) *cppki.Signer { return signers[ia] },
 		Timestamp: uint32(time.Now().Unix()),
-		Rng:       rand.New(rand.NewSource(9)),
 	}
 	reg, err := r.Run()
 	if err != nil {
@@ -179,13 +177,12 @@ func TestRunnerBoundedRounds(t *testing.T) {
 		Keys:      rkey,
 		Timestamp: 1,
 		MaxRounds: 1, // starves propagation
-		Rng:       rand.New(rand.NewSource(1)),
 	}
 	reg, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := &Runner{Topo: topo, Keys: rkey, Timestamp: 1, Rng: rand.New(rand.NewSource(1))}
+	full := &Runner{Topo: topo, Keys: rkey, Timestamp: 1}
 	fullReg, err := full.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +261,7 @@ func (r *eager) sign(seg *segment.Segment, ia addr.IA) error {
 func (r *eager) originate(origin addr.IA, l *topology.Link) (*segment.Segment, error) {
 	local, _ := l.Local(origin)
 	remote, _ := l.Other(origin)
-	seg, err := segment.Originate(r.Timestamp, uint16(r.Rng.Intn(1<<16)), origin,
+	seg, err := segment.Originate(r.Timestamp, originBeta0(r.macs[origin], r.Timestamp, local.IfID), origin,
 		local.IfID, remote.IA, l.LatencyMS, hopExpTime, r.macs[origin])
 	if err != nil {
 		return nil, err
@@ -563,7 +560,7 @@ func floodCounters(m *RunnerMetrics) [5]uint64 {
 }
 
 // TestFloodMatchesEagerOracle holds the admit-before-extend flood to the
-// eager one it replaced: from the same Rng seed, byte-identical Core,
+// eager one it replaced: byte-identical Core,
 // Down and Up stores and equal Originated/Propagated/Filtered/Pruned/
 // Registered — on the SCIERA topology, a 60-AS generated one and the
 // benchmark's 200-AS churn topology, each with commercial cores, across
@@ -614,7 +611,7 @@ func TestFloodMatchesEagerOracle(t *testing.T) {
 					when := fmt.Sprintf("%s step %d best=%d k=%d", tc.spec, step, best, k)
 					run := func(flood func(*Runner) (*Registry, error)) (*Registry, *RunnerMetrics) {
 						r := &Runner{Topo: topo, Keys: rkey, Timestamp: 1000, BestPerOrigin: best,
-							PropagateBestK: k, Rng: rand.New(rand.NewSource(int64(step))), Metrics: &RunnerMetrics{}}
+							PropagateBestK: k, Metrics: &RunnerMetrics{}}
 						reg, err := flood(r)
 						if err != nil {
 							t.Fatalf("%s: %v", when, err)
@@ -652,8 +649,8 @@ func TestSignedFloodMatchesEagerOracle(t *testing.T) {
 		r := &Runner{
 			Topo: topo, Keys: rkey, Signers: signers, BestPerOrigin: 1,
 			TRCs: trcs, Chains: cppki.NewChainCache(), VerifyAt: now,
-			Timestamp: uint32(now.Unix()), Rng: rand.New(rand.NewSource(9)),
-			Metrics: &RunnerMetrics{VerifyLatency: telemetry.NewHistogram(0.01, 0.1, 1, 10)},
+			Timestamp: uint32(now.Unix()),
+			Metrics:   &RunnerMetrics{VerifyLatency: telemetry.NewHistogram(0.01, 0.1, 1, 10)},
 		}
 		reg, err := flood(r)
 		if err != nil {

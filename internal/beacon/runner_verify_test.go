@@ -2,7 +2,6 @@ package beacon
 
 import (
 	"crypto/x509"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -117,7 +116,7 @@ func TestRunnerVerifyOnReceipt(t *testing.T) {
 
 	signedOnly := &Runner{
 		Topo: topo, Keys: rkey, Signers: signers,
-		Timestamp: uint32(now.Unix()), Rng: rand.New(rand.NewSource(9)),
+		Timestamp: uint32(now.Unix()),
 	}
 	baseline, err := signedOnly.Run()
 	if err != nil {
@@ -128,8 +127,8 @@ func TestRunnerVerifyOnReceipt(t *testing.T) {
 	verified := &Runner{
 		Topo: topo, Keys: rkey, Signers: signers,
 		TRCs: trcs, Chains: cppki.NewChainCache(), VerifyAt: now,
-		Timestamp: uint32(now.Unix()), Rng: rand.New(rand.NewSource(9)),
-		Metrics: metrics,
+		Timestamp: uint32(now.Unix()),
+		Metrics:   metrics,
 	}
 	reg, err := verified.Run()
 	if err != nil {
@@ -160,8 +159,8 @@ func TestRunnerRejectsUnverifiableAS(t *testing.T) {
 	r := &Runner{
 		Topo: topo, Keys: rkey, Signers: signers,
 		TRCs: trcs, Chains: cppki.NewChainCache(), VerifyAt: now,
-		Timestamp: uint32(now.Unix()), Rng: rand.New(rand.NewSource(9)),
-		Metrics: metrics,
+		Timestamp: uint32(now.Unix()),
+		Metrics:   metrics,
 	}
 	reg, err := r.Run()
 	if err != nil {
@@ -195,7 +194,7 @@ func TestRunnerVerifyWorkerDeterminism(t *testing.T) {
 			Topo: topo, Keys: rkey, Signers: signers,
 			TRCs: trcs, Chains: cppki.NewChainCache(), VerifyAt: now,
 			VerifyWorkers: workers,
-			Timestamp:     uint32(now.Unix()), Rng: rand.New(rand.NewSource(4)),
+			Timestamp:     uint32(now.Unix()),
 		}
 		reg, err := r.Run()
 		if err != nil {
@@ -226,7 +225,7 @@ func BenchmarkSignedBeaconRun(b *testing.B) {
 			r := &Runner{
 				Topo: topo, Keys: rkey, Signers: signers,
 				TRCs: trcs, VerifyAt: now,
-				Timestamp: uint32(now.Unix()), Rng: rand.New(rand.NewSource(7)),
+				Timestamp: uint32(now.Unix()),
 			}
 			if chains != nil {
 				r.Chains = chains()

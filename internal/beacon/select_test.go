@@ -131,8 +131,8 @@ func TestBestKDeterminismAcrossWorkers(t *testing.T) {
 			Topo: topo, Keys: rkey, Signers: signers,
 			TRCs: trcs, Chains: cppki.NewChainCache(), VerifyAt: now,
 			VerifyWorkers: workers, PropagateBestK: 2, RegisterBestK: 6,
-			Timestamp: uint32(now.Unix()), Rng: rand.New(rand.NewSource(11)),
-			Metrics: metrics,
+			Timestamp: uint32(now.Unix()),
+			Metrics:   metrics,
 		}
 		reg, err := r.Run()
 		if err != nil {
@@ -155,8 +155,8 @@ func TestBestKDeterminismAcrossWorkers(t *testing.T) {
 		Topo: topo, Keys: rkey, Signers: signers,
 		TRCs: trcs, Chains: cppki.NewChainCache(), VerifyAt: now,
 		PropagateBestK: -1, RegisterBestK: -1,
-		Timestamp: uint32(now.Unix()), Rng: rand.New(rand.NewSource(11)),
-		Metrics: &RunnerMetrics{},
+		Timestamp: uint32(now.Unix()),
+		Metrics:   &RunnerMetrics{},
 	}
 	if _, err := unbounded.Run(); err != nil {
 		t.Fatal(err)

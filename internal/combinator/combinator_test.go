@@ -59,7 +59,6 @@ func testNet(t testing.TB) (*topology.Topology, *beacon.Registry) {
 		Topo:      topo,
 		Keys:      keyOf,
 		Timestamp: 1000,
-		Rng:       rand.New(rand.NewSource(7)),
 	}
 	reg, err := r.Run()
 	if err != nil {

@@ -82,7 +82,6 @@ func randomNet(seed int64) (*topology.Topology, *beacon.Registry, []addr.IA, err
 		Topo:      topo,
 		Keys:      keyOf,
 		Timestamp: 1000,
-		Rng:       rng,
 	}
 	reg, err := r.Run()
 	if err != nil {

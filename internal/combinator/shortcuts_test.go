@@ -1,7 +1,6 @@
 package combinator_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"sciera/internal/addr"
@@ -153,7 +152,6 @@ func shortcutNet(t testing.TB) (*topology.Topology, *beacon.Registry, addr.IA, a
 		Topo:      topo,
 		Keys:      keyOf,
 		Timestamp: 1000,
-		Rng:       rand.New(rand.NewSource(11)),
 	}
 	reg, err := r.Run()
 	if err != nil {

@@ -13,7 +13,6 @@ package core
 import (
 	"crypto/x509"
 	"fmt"
-	"math/rand"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -48,8 +47,8 @@ func parseCert(der []byte) (*x509.Certificate, error) {
 
 // Options tunes network construction.
 type Options struct {
-	// Seed drives all randomized control-plane choices; fixed seeds
-	// give reproducible networks.
+	// Seed derives every AS's hop key, and through it each beacon's
+	// initial accumulator; fixed seeds give reproducible networks.
 	Seed int64
 	// BestPerOrigin bounds beacon stores (beacon.DefaultBestPerOrigin
 	// when zero). Larger values surface more path diversity.
@@ -101,12 +100,6 @@ type Network struct {
 	// chains memoizes verified certificate chains across all refreshes
 	// and (in sharded campaigns) across replicas of this network.
 	chains *cppki.ChainCache
-	rng    *rand.Rand
-	// rngSrc is the counting wrapper under rng: a pure pass-through
-	// that tallies generator state advances, so a converged-state
-	// snapshot can record the RNG position and a warm-started clone can
-	// fast-forward to it (see snapshot.go).
-	rngSrc *countingSource
 
 	// telem/trace are the network-wide metric registry and packet-trace
 	// ring (nil with Options.NoTelemetry). beaconMetrics persists across
@@ -133,7 +126,6 @@ func newNetwork(topo *topology.Topology, transport simnet.Network, opts Options)
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
-	src := newCountingSource(opts.Seed)
 	n := &Network{
 		Topo:      topo,
 		Transport: transport,
@@ -143,8 +135,6 @@ func newNetwork(topo *topology.Topology, transport simnet.Network, opts Options)
 		keys:      make(map[addr.IA]scrypto.HopKey),
 		signers:   make(map[addr.IA]*cppki.Signer),
 		trcs:      cppki.NewStore(),
-		rng:       rand.New(src),
-		rngSrc:    src,
 	}
 	if n.Opts.Now.IsZero() {
 		n.Opts.Now = transport.Now()
@@ -194,8 +184,8 @@ func Build(topo *topology.Topology, transport simnet.Network, opts Options) (*Ne
 // and port allocation) is identical, because PKI provisioning and
 // beaconing never touch the transport — but no PKI is provisioned and
 // no beaconing runs. The returned network serves no paths until
-// InstallSnapshot supplies the registry, trust material and RNG
-// position; callers add runtime links (AddRuntimeLink) in between,
+// InstallSnapshot supplies the registry and trust material; callers add
+// runtime links (AddRuntimeLink) in between,
 // mirroring the cold build calendar, so the topology matches the
 // snapshot's at install time.
 func BuildWarm(topo *topology.Topology, transport simnet.Network, opts Options) (*Network, error) {
@@ -358,6 +348,10 @@ func (n *Network) provisionPKI() error {
 // state. The live network does this periodically; the simulator calls
 // RefreshControlPlane after every topology event (link failure,
 // maintenance), which models the next beaconing interval converging.
+// The run starts from the published registry: it decides everything
+// again and builds only what that registry's run did not
+// (beacon.Runner.RunFrom), and readers of the old registry never see it
+// change.
 func (n *Network) refreshControlPlane() error {
 	if n.beaconMetrics == nil {
 		n.beaconMetrics = &beacon.RunnerMetrics{}
@@ -373,7 +367,6 @@ func (n *Network) refreshControlPlane() error {
 		Keys:          func(ia addr.IA) scrypto.HopKey { return n.keys[ia] },
 		Timestamp:     uint32(n.Opts.Now.Unix()),
 		BestPerOrigin: n.Opts.BestPerOrigin,
-		Rng:           n.rng,
 		Metrics:       n.beaconMetrics,
 	}
 	if n.Opts.WithPKI {
@@ -382,7 +375,7 @@ func (n *Network) refreshControlPlane() error {
 		runner.Chains = n.chains
 		runner.VerifyAt = n.Opts.Now
 	}
-	reg, err := runner.Run()
+	reg, err := runner.RunFrom(n.Registry())
 	if err != nil {
 		return err
 	}
@@ -607,10 +600,15 @@ func (n *Network) Paths(src, dst addr.IA) []*combinator.Path {
 	return n.Registry().Paths(src, dst)
 }
 
-// SetLinkUp changes a link's state and refreshes the control plane.
+// SetLinkUp changes a link's state and refreshes the control plane; a
+// link already in that state is no event and refreshes nothing.
 func (n *Network) SetLinkUp(linkID int, up bool) error {
+	before := n.Topo.LinkGeneration()
 	if err := n.Topo.SetLinkUp(linkID, up); err != nil {
 		return err
+	}
+	if n.Topo.LinkGeneration() == before {
+		return nil
 	}
 	return n.refreshControlPlane()
 }

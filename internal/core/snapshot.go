@@ -2,9 +2,8 @@ package core
 
 // Converged-state snapshots: after one reference replica converges, its
 // entire control-plane state — segment registries (with the path
-// combinations they have memoized), trust material, beacon counters, and
-// the position of the seeded control-plane RNG — is captured into an
-// immutable Snapshot.
+// combinations they have memoized and the beacons their run kept), trust
+// material and beacon counters — is captured into an immutable Snapshot.
 // Worker replicas are then constructed by copy-on-write cloning
 // (BuildWarm + InstallSnapshot) instead of re-running beaconing, which
 // is what makes sharded-campaign setup O(1) in the worker count.
@@ -13,20 +12,20 @@ package core
 // cloned replica is byte-identical to an independently converged one
 // because (1) the registry clone shares the very segment objects the
 // reference converged to, and pathdb result order is a property of the
-// store (ID-sorted), so every lookup answers identically; (2) the only
-// consumer of the seeded RNG is beacon origination, and the counting
-// source lets the clone fast-forward to the reference's exact position,
-// so mid-campaign incident refreshes replay the same draws; (3) hop
-// keys are re-derived from (seed, IA) and trust material is shared (or,
-// for on-disk snapshots, re-provisioned from crypto/rand, which never
-// feeds figure output); and (4) PKI provisioning and beaconing perform
-// no transport operations, so the warm build allocates the same
-// simulated addresses and ports in the same order as a cold one.
+// store (ID-sorted), so every lookup answers identically; (2) a beacon
+// is a function of its route, the timestamp and the hop keys — nothing
+// is drawn — so a mid-campaign incident refresh on the clone builds the
+// registry the reference's would, whether it starts from the kept
+// beacons (in-memory snapshots share them) or from none (on-disk ones);
+// (3) hop keys are re-derived from (seed, IA) and trust material is
+// shared (or, for on-disk snapshots, re-provisioned from crypto/rand,
+// which never feeds figure output); and (4) PKI provisioning and
+// beaconing perform no transport operations, so the warm build allocates
+// the same simulated addresses and ports in the same order as a cold one.
 
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"sciera/internal/addr"
@@ -37,45 +36,10 @@ import (
 	"sciera/internal/telemetry"
 )
 
-// SnapshotVersion is the on-disk snapshot format version.
-const SnapshotVersion = 1
-
-// countingSource wraps the seeded math/rand source, counting generator
-// state advances. It is a pure pass-through — the wrapped source
-// produces the exact byte stream it would unwrapped (it implements
-// rand.Source64, so rand.Rand takes the same Uint64 path) — which keeps
-// every existing seeded run byte-identical. Each Int63/Uint64 call
-// advances the underlying generator state exactly once, so the count
-// identifies the generator position independent of which method was
-// called, and a clone can fast-forward by discarding that many draws.
-type countingSource struct {
-	src   rand.Source64
-	count uint64
-}
-
-// newCountingSource seeds a counting source. rand.NewSource's result
-// implements Source64 (guaranteed since Go 1.8).
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-}
-
-func (c *countingSource) Int63() int64 {
-	c.count++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.count++
-	return c.src.Uint64()
-}
-
-func (c *countingSource) Seed(seed int64) {
-	c.count = 0
-	c.src.Seed(seed)
-}
-
-// Count returns how many times the generator state has advanced.
-func (c *countingSource) Count() uint64 { return c.count }
+// SnapshotVersion is the on-disk snapshot format version. Version 1
+// recorded a position in a seeded RNG stream (rand_draws) that beacon
+// origination no longer draws from; LoadSnapshotFile refuses it.
+const SnapshotVersion = 2
 
 // BeaconCounters holds the cumulative beacon runner counter values at
 // snapshot time. Clones restore them into fresh private cells, so a
@@ -89,6 +53,8 @@ type BeaconCounters struct {
 	Registered   uint64 `json:"registered"`
 	Verified     uint64 `json:"verified"`
 	VerifyFailed uint64 `json:"verify_failed"`
+	Built        uint64 `json:"built"`
+	Reused       uint64 `json:"reused"`
 }
 
 // Snapshot is an immutable capture of a converged network's
@@ -97,7 +63,8 @@ type BeaconCounters struct {
 // material by reference (all immutable or concurrency-safe); the
 // serializable form (WriteFile/LoadSnapshotFile) carries segments and
 // counters but omits trust material (private keys never leave the
-// process) and the derivable combination memo.
+// process), the derivable combination memo and the kept beacons, so the
+// first refresh after a load from disk builds everything.
 type Snapshot struct {
 	// Seed, WithPKI, ASes and Links fingerprint the configuration the
 	// snapshot was taken under; InstallSnapshot refuses a mismatch.
@@ -105,11 +72,9 @@ type Snapshot struct {
 	WithPKI bool
 	ASes    int
 	Links   int
-	// RandDraws is the seeded control-plane RNG position: how many
-	// state advances convergence consumed. Clones fast-forward to it.
-	RandDraws uint64
 	// Registry is the reference replica's converged segment registry;
-	// each InstallSnapshot clones it copy-on-write, memo included.
+	// each InstallSnapshot clones it copy-on-write, memo and kept
+	// beacons included.
 	Registry *beacon.Registry
 	// Trust is the shared trust bundle (nil for snapshots loaded from
 	// disk, or unsigned networks; loaded PKI snapshots re-provision).
@@ -147,12 +112,11 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("core: snapshot of an unconverged network")
 	}
 	s := &Snapshot{
-		Seed:      n.Opts.Seed,
-		WithPKI:   n.Opts.WithPKI,
-		ASes:      len(n.Topo.ASes()),
-		Links:     len(n.Topo.Links()),
-		RandDraws: n.rngSrc.Count(),
-		Registry:  reg,
+		Seed:     n.Opts.Seed,
+		WithPKI:  n.Opts.WithPKI,
+		ASes:     len(n.Topo.ASes()),
+		Links:    len(n.Topo.Links()),
+		Registry: reg,
 	}
 	if n.Opts.WithPKI {
 		s.Trust = &cppki.TrustMaterial{TRCs: n.trcs, Signers: n.signers, Chains: n.chains}
@@ -166,6 +130,8 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 			Registered:   m.Registered.Load(),
 			Verified:     m.Verified.Load(),
 			VerifyFailed: m.VerifyFailed.Load(),
+			Built:        m.Built.Load(),
+			Reused:       m.Reused.Load(),
 		}
 		s.VerifyLatency = m.VerifyLatency
 	}
@@ -176,8 +142,7 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 // converged control-plane state: the registry is installed as a
 // copy-on-write clone, trust material is adopted (or, for snapshots
 // loaded from disk under WithPKI, re-provisioned), beacon counters are
-// restored into fresh private cells, and the seeded RNG fast-forwards
-// to the recorded position. The network's topology must match the
+// restored into fresh private cells. The network's topology must match the
 // snapshot's (same seed, PKI mode, AS and link counts) — callers add
 // runtime links before installing.
 func (n *Network) InstallSnapshot(snap *Snapshot) error {
@@ -196,13 +161,10 @@ func (n *Network) InstallSnapshot(snap *Snapshot) error {
 	if n.Registry() != nil {
 		return fmt.Errorf("core: network already converged (InstallSnapshot requires BuildWarm)")
 	}
-	if got := n.rngSrc.Count(); got != 0 {
-		return fmt.Errorf("core: warm network consumed %d RNG draws before install", got)
-	}
 
 	// Trust: share the reference's material, or provision fresh for
-	// snapshots loaded from disk (PKI material never feeds the seeded
-	// RNG or figure output, so a fresh PKI preserves byte-identity).
+	// snapshots loaded from disk (PKI material never feeds figure
+	// output, so a fresh PKI preserves byte-identity).
 	// The shared chain cache's telemetry cells are deliberately not
 	// re-registered into this replica's registry: they are owned by the
 	// reference capture, and registering shared cells in every clone
@@ -238,6 +200,8 @@ func (n *Network) InstallSnapshot(snap *Snapshot) error {
 	n.beaconMetrics.Registered.Add(snap.Beacon.Registered)
 	n.beaconMetrics.Verified.Add(snap.Beacon.Verified)
 	n.beaconMetrics.VerifyFailed.Add(snap.Beacon.VerifyFailed)
+	n.beaconMetrics.Built.Add(snap.Beacon.Built)
+	n.beaconMetrics.Reused.Add(snap.Beacon.Reused)
 	if n.Opts.WithPKI {
 		n.beaconMetrics.VerifyLatency = newVerifyLatencyHistogram()
 		if snap.VerifyLatency != nil {
@@ -248,13 +212,6 @@ func (n *Network) InstallSnapshot(snap *Snapshot) error {
 	}
 	if n.telem != nil {
 		n.beaconMetrics.Register(n.telem)
-	}
-
-	// Fast-forward the seeded RNG to the reference's position, so the
-	// next consumer (an incident-triggered refresh) draws exactly what
-	// it would on an independently converged replica.
-	for n.rngSrc.Count() < snap.RandDraws {
-		n.rngSrc.Uint64()
 	}
 
 	n.mu.Lock()
@@ -271,16 +228,15 @@ func (n *Network) InstallSnapshot(snap *Snapshot) error {
 // store order (ID-sorted, a property of pathdb), map keys sort under
 // encoding/json — so identical state produces identical bytes.
 type snapshotFile struct {
-	Version   int                 `json:"version"`
-	Seed      int64               `json:"seed"`
-	WithPKI   bool                `json:"with_pki"`
-	ASes      int                 `json:"ases"`
-	Links     int                 `json:"links"`
-	RandDraws uint64              `json:"rand_draws"`
-	Beacon    BeaconCounters      `json:"beacon_counters"`
-	Core      []json.RawMessage   `json:"core_segments"`
-	Down      []json.RawMessage   `json:"down_segments"`
-	Up        map[string][]string `json:"up_segments"`
+	Version int                 `json:"version"`
+	Seed    int64               `json:"seed"`
+	WithPKI bool                `json:"with_pki"`
+	ASes    int                 `json:"ases"`
+	Links   int                 `json:"links"`
+	Beacon  BeaconCounters      `json:"beacon_counters"`
+	Core    []json.RawMessage   `json:"core_segments"`
+	Down    []json.RawMessage   `json:"down_segments"`
+	Up      map[string][]string `json:"up_segments"`
 }
 
 // WriteFile serializes the snapshot to path in the canonical,
@@ -290,14 +246,13 @@ type snapshotFile struct {
 // derivable from the registries.
 func (s *Snapshot) WriteFile(path string) error {
 	f := snapshotFile{
-		Version:   SnapshotVersion,
-		Seed:      s.Seed,
-		WithPKI:   s.WithPKI,
-		ASes:      s.ASes,
-		Links:     s.Links,
-		RandDraws: s.RandDraws,
-		Beacon:    s.Beacon,
-		Up:        make(map[string][]string),
+		Version: SnapshotVersion,
+		Seed:    s.Seed,
+		WithPKI: s.WithPKI,
+		ASes:    s.ASes,
+		Links:   s.Links,
+		Beacon:  s.Beacon,
+		Up:      make(map[string][]string),
 	}
 	encode := func(segs []*segment.Segment) ([]json.RawMessage, error) {
 		out := make([]json.RawMessage, 0, len(segs))
@@ -388,12 +343,11 @@ func LoadSnapshotFile(path string) (*Snapshot, error) {
 		reg.Up[ia] = db
 	}
 	return &Snapshot{
-		Seed:      f.Seed,
-		WithPKI:   f.WithPKI,
-		ASes:      f.ASes,
-		Links:     f.Links,
-		RandDraws: f.RandDraws,
-		Beacon:    f.Beacon,
-		Registry:  reg,
+		Seed:     f.Seed,
+		WithPKI:  f.WithPKI,
+		ASes:     f.ASes,
+		Links:    f.Links,
+		Beacon:   f.Beacon,
+		Registry: reg,
 	}, nil
 }

@@ -1,13 +1,14 @@
 package core
 
 import (
-	"math/rand"
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"sciera/internal/addr"
+	"sciera/internal/pathdb"
 	"sciera/internal/simnet"
 )
 
@@ -41,43 +42,6 @@ func samePaths(t *testing.T, a, b *Network, src, dst addr.IA) {
 	for i := range pa {
 		if pa[i] != pb[i] {
 			t.Fatalf("%v->%v path %d: %q vs %q", src, dst, i, pa[i], pb[i])
-		}
-	}
-}
-
-// TestCountingSourcePassThrough: the counting source produces the exact
-// stream the bare seeded source would (so wrapping it changed no seeded
-// run), and its count identifies the generator position.
-func TestCountingSourcePassThrough(t *testing.T) {
-	counted := rand.New(newCountingSource(42))
-	plain := rand.New(rand.NewSource(42))
-	for i := 0; i < 1000; i++ {
-		if a, b := counted.Intn(1<<16), plain.Intn(1<<16); a != b {
-			t.Fatalf("draw %d: counted %d, plain %d", i, a, b)
-		}
-	}
-}
-
-// TestCountingSourceFastForward: a fresh source that discards draws
-// until it reaches a recorded count continues with exactly the draws
-// the original source would produce next — the clone RNG-alignment
-// mechanism.
-func TestCountingSourceFastForward(t *testing.T) {
-	ref := newCountingSource(7)
-	refRng := rand.New(ref)
-	for i := 0; i < 137; i++ {
-		refRng.Intn(1 << 16)
-	}
-	mark := ref.Count()
-
-	clone := newCountingSource(7)
-	cloneRng := rand.New(clone)
-	for clone.Count() < mark {
-		clone.Uint64()
-	}
-	for i := 0; i < 100; i++ {
-		if a, b := refRng.Intn(1<<16), cloneRng.Intn(1<<16); a != b {
-			t.Fatalf("post-fast-forward draw %d: ref %d, clone %d", i, a, b)
 		}
 	}
 }
@@ -123,15 +87,47 @@ func TestSnapshotCloneServesIdenticalPaths(t *testing.T) {
 	if coldReg.Core.Stamp() == cloneReg.Core.Stamp() {
 		t.Fatal("clone core stamp aliases the reference's")
 	}
-	if snap.RandDraws == 0 {
-		t.Fatal("convergence consumed no RNG draws — counting source unwired?")
+}
+
+// sameRegistryBytes requires two networks' registries to hold the same
+// segment IDs with the same encoded bytes in every store.
+func sameRegistryBytes(t *testing.T, a, b *Network) {
+	t.Helper()
+	ra, rb := a.Registry(), b.Registry()
+	same := func(name string, x, y *pathdb.DB) {
+		t.Helper()
+		xs, ys := x.All(), y.All()
+		if len(xs) == 0 || len(xs) != len(ys) {
+			t.Fatalf("%s: %d segments vs %d", name, len(xs), len(ys))
+		}
+		for i := range xs {
+			xb, _ := xs[i].Encode()
+			yb, _ := ys[i].Encode()
+			if xs[i].ID() != ys[i].ID() || !bytes.Equal(xb, yb) {
+				t.Fatalf("%s segment %d differs:\n%s\n%s", name, i, xb, yb)
+			}
+		}
+	}
+	same("Core", ra.Core, rb.Core)
+	same("Down", ra.Down, rb.Down)
+	if len(ra.Up) != len(rb.Up) {
+		t.Fatalf("%d up stores vs %d", len(ra.Up), len(rb.Up))
+	}
+	for ia, db := range ra.Up {
+		if rb.Up[ia] == nil || db.Len() != rb.Up[ia].Len() {
+			t.Fatalf("up store of %v differs", ia)
+		}
+		if db.Len() > 0 {
+			same("Up["+ia.String()+"]", db, rb.Up[ia])
+		}
 	}
 }
 
 // TestSnapshotCloneRefreshMatchesReference: after install, a refresh on
-// the clone (what a mid-campaign incident triggers) draws exactly what
-// a refresh on the reference draws — the RNG fast-forward at work — and
-// both end in identical path state.
+// the clone (what a mid-campaign incident triggers) builds byte for byte
+// the registry a refresh on the reference builds — a beacon is a
+// function of its route, so there is no stream position to align — both
+// when the link state is as captured and after a flap on each side.
 func TestSnapshotCloneRefreshMatchesReference(t *testing.T) {
 	cold := buildNet(t, simnet.NewSim(time.Unix(0, 0)))
 	defer cold.Close()
@@ -154,10 +150,13 @@ func TestSnapshotCloneRefreshMatchesReference(t *testing.T) {
 	for _, pair := range [][2]addr.IA{{lA, lC}, {c1, c3}} {
 		samePaths(t, cold, warm, pair[0], pair[1])
 	}
-	if cold.rngSrc.Count() != warm.rngSrc.Count() {
-		t.Fatalf("RNG positions diverged: reference %d, clone %d",
-			cold.rngSrc.Count(), warm.rngSrc.Count())
+	sameRegistryBytes(t, cold, warm)
+	for _, n := range []*Network{cold, warm} {
+		if err := n.SetLinkUp(0, false); err != nil {
+			t.Fatal(err)
+		}
 	}
+	sameRegistryBytes(t, cold, warm)
 }
 
 // TestSnapshotFileRoundTrip: snapshot -> serialize -> load -> install
@@ -218,9 +217,8 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 		}
 	}
 
-	if loaded.RandDraws != snap.RandDraws || loaded.Beacon != snap.Beacon {
-		t.Fatalf("loaded metadata differs: draws %d/%d, counters %+v vs %+v",
-			loaded.RandDraws, snap.RandDraws, loaded.Beacon, snap.Beacon)
+	if loaded.Beacon != snap.Beacon {
+		t.Fatalf("loaded counters differ: %+v vs %+v", loaded.Beacon, snap.Beacon)
 	}
 
 	warm := buildWarmNet(t)

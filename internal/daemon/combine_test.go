@@ -7,6 +7,7 @@ import (
 	"sciera/internal/combinator"
 	"sciera/internal/core"
 	"sciera/internal/simnet"
+	"sciera/internal/topology"
 )
 
 // TestCombineCacheNotModified: when the TTL cache lapses but the
@@ -55,9 +56,14 @@ func TestCombineCacheNotModified(t *testing.T) {
 		}
 	}
 
-	// A control-plane refresh publishes fresh stores: the echoed
+	// A control-plane refresh after a second core circuit came up
+	// publishes a changed core store (one that changed nothing would
+	// publish the same stores, and stay NotModified): the echoed
 	// generation no longer matches, the service sends full segments,
 	// and the stale memo is replaced (counted as an invalidation).
+	if _, err := n.AddRuntimeLink(c1, c2, topology.LinkCore, 25, "second-trunk"); err != nil {
+		t.Fatal(err)
+	}
 	if err := n.RefreshControlPlane(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +144,10 @@ func TestPathEntryLifecycle(t *testing.T) {
 		{"within the TTL the entry is served as is", nil, 1, counters{2, 1, 0, 0, 1, 0}},
 		{"TTL lapsed, stores unchanged: NotModified re-confirms", func() { sim.RunFor(time.Minute) }, 1, counters{3, 1, 0, 1, 1, 0}},
 		{"the re-confirmed entry is served within the TTL again", nil, 1, counters{4, 2, 0, 1, 1, 0}},
-		{"a refresh moves the generation: recombine, old entry invalidated", func() {
+		{"a refresh after a new core circuit moves the generation: recombine, old entry invalidated", func() {
+			if _, err := n.AddRuntimeLink(c1, c2, topology.LinkCore, 25, "second-trunk"); err != nil {
+				t.Fatal(err)
+			}
 			if err := n.RefreshControlPlane(); err != nil {
 				t.Fatal(err)
 			}

@@ -115,6 +115,45 @@ func (db *DB) CloneShared() *DB {
 	}
 }
 
+// Synced returns a store holding exactly want (each segment under its
+// ID): db itself — same store, same Stamp — when that is what db holds,
+// otherwise a CloneShared of db with only the differing IDs removed and
+// inserted. db is left as it was either way, so a control-plane refresh
+// republishes, token and all, the stores a link event did not change.
+func (db *DB) Synced(want map[string]*segment.Segment) *DB {
+	db.mu.RLock()
+	same := len(want) == len(db.segs)
+	if same {
+		for id := range want {
+			if _, ok := db.segs[id]; !ok {
+				same = false
+				break
+			}
+		}
+	}
+	db.mu.RUnlock()
+	if same {
+		return db
+	}
+	c := db.CloneShared()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Ranges over the map shared with db while removeLocked edits the
+	// owned copy, as DeleteExpired does.
+	for id, seg := range c.segs {
+		if _, ok := want[id]; !ok {
+			c.removeLocked(id, seg)
+			c.gen++
+		}
+	}
+	for id, seg := range want {
+		if seg != nil && seg.Len() > 0 {
+			c.insertLocked(entry{id: id, seg: seg})
+		}
+	}
+	return c
+}
+
 // ensureOwned makes the containers private before a mutation. Must be
 // called with mu held. Bucket slices are copied at exact length into
 // fresh arrays, so a sibling's in-place insertSorted/removeSorted can
@@ -371,26 +410,32 @@ func (db *DB) DeleteExpired(t time.Time) int {
 		if !s.Expiry().Before(t) {
 			continue
 		}
-		db.ensureOwned()
-		delete(db.segs, id)
-		first, last := s.FirstIA(), s.LastIA()
-		if indexable(first, last) {
-			for _, k := range keysOf(first, last) {
-				if es := removeSorted(db.idx[k], id); len(es) > 0 {
-					db.idx[k] = es
-				} else {
-					delete(db.idx, k)
-				}
-			}
-		} else {
-			db.weird = removeSorted(db.weird, id)
-		}
+		db.removeLocked(id, s)
 		n++
 	}
 	if n > 0 {
 		db.gen++
 	}
 	return n
+}
+
+// removeLocked unfiles a stored segment. Callers hold db.mu and advance
+// Gen.
+func (db *DB) removeLocked(id string, s *segment.Segment) {
+	db.ensureOwned()
+	delete(db.segs, id)
+	first, last := s.FirstIA(), s.LastIA()
+	if !indexable(first, last) {
+		db.weird = removeSorted(db.weird, id)
+		return
+	}
+	for _, k := range keysOf(first, last) {
+		if es := removeSorted(db.idx[k], id); len(es) > 0 {
+			db.idx[k] = es
+		} else {
+			delete(db.idx, k)
+		}
+	}
 }
 
 // Clear removes everything (used when recomputing control-plane state

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"sciera/internal/addr"
+	"sciera/internal/topology"
 )
 
 // Validate checks a normalized scenario for structural soundness and
@@ -13,7 +14,9 @@ import (
 // generated scenarios), so downstream code can assume: unique IAs,
 // unique non-empty link names, links between known ASes, core links
 // between core ASes, a connected SCION graph in which every non-core AS
-// is down-reachable from the core, at least one core AS per ISD, a
+// is down-reachable from the core over parent links that form no cycle
+// (topology.ParentCycle, the check the built topology runs too), at
+// least one core AS per ISD, a
 // vantage set (≥2, all known), incidents that target known base links
 // with sane windows, coordinates on the globe, and no negative or
 // non-finite knob — a negative interval or detour must not silently
@@ -233,12 +236,25 @@ func (s *Scenario) Validate() error {
 func (s *Scenario) checkConnectivity() error {
 	adj := make(map[addr.IA][]addr.IA, len(s.ASes))
 	down := make(map[addr.IA][]addr.IA, len(s.ASes))
+	// everDown adds the parent links that activate mid-campaign: one that
+	// closes a cycle then is as wrong as one that closes it at build time.
+	everDown := make(map[addr.IA][]addr.IA, len(s.ASes))
 	for _, l := range s.Links {
 		adj[l.A] = append(adj[l.A], l.B)
 		adj[l.B] = append(adj[l.B], l.A)
 		if l.Type == LinkParent {
 			down[l.A] = append(down[l.A], l.B)
+			everDown[l.A] = append(everDown[l.A], l.B)
 		}
+	}
+	for _, nl := range s.NewLinks {
+		if nl.Type == LinkParent {
+			everDown[nl.A] = append(everDown[nl.A], nl.B)
+		}
+	}
+	if parent, child, ok := topology.ParentCycle(everDown); ok {
+		return fmt.Errorf("scenario %q: parent cycle through %s (%s) and %s (%s)",
+			s.Name, s.ASName(parent), parent, s.ASName(child), child)
 	}
 
 	visited := make(map[addr.IA]bool, len(s.ASes))

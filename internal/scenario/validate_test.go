@@ -40,6 +40,14 @@ var hostileKnobs = []struct {
 	// geodesic times the detour both overflow to +Inf.
 	{"interval overflows when doubled", "quick_interval_minutes", func(s *Scenario) { s.Campaign.IntervalMinutes = 1e308 }},
 	{"detour overflows the latency", "not positive and finite", func(s *Scenario) { s.Links[0].Detour = 1e308 }},
+	// Not a knob but the same kind of gap: every AS still hangs off a
+	// core, so this loaded, and only the built topology refused it.
+	{"parent cycle below the cores", "parent cycle through lf (5-4) and tr (5-3)", func(s *Scenario) {
+		s.Links = append(s.Links, Link{Name: "lf-tr", A: s.ASes[3].IA, B: s.ASes[2].IA, Type: LinkParent})
+	}},
+	{"parent cycle closed by a new link", "parent cycle", func(s *Scenario) {
+		s.NewLinks = append(s.NewLinks, NewLink{Link: Link{Name: "lf-tr", A: s.ASes[3].IA, B: s.ASes[2].IA, Type: LinkParent}, ActivateHours: 1})
+	}},
 }
 
 func TestValidateRejectsHostileKnobs(t *testing.T) {
@@ -56,8 +64,9 @@ func TestValidateRejectsHostileKnobs(t *testing.T) {
 
 // FuzzLoadScenario holds the one door every scenario comes through to
 // hostile bytes: Load never panics; whatever it accepts dumps, reloads
-// and dumps again to the same bytes; and the builders return (an error
-// is an answer, a panic is not).
+// and dumps again to the same bytes; what Validate accepts, Build
+// builds; and the IP-plane builder returns (an error is an answer, a
+// panic is not).
 func FuzzLoadScenario(f *testing.F) {
 	committed, err := os.ReadFile("../../scenarios/sciera.json")
 	if err != nil {
@@ -90,7 +99,9 @@ func FuzzLoadScenario(f *testing.F) {
 		if err := RoundTrip(s); err != nil {
 			t.Fatal(err)
 		}
-		_, _ = s.Build()
+		if _, err := s.Build(); err != nil {
+			t.Fatalf("Validate accepted a scenario Build refuses: %v", err)
+		}
 		if s.IPPlane != nil {
 			_, _ = s.BuildIPPlane()
 		}

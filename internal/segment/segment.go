@@ -234,8 +234,8 @@ func (s *Segment) ID() string {
 }
 
 // RouteID identifies the segment by its AS/interface route alone —
-// stable across re-beaconing (unlike ID, which also hashes the
-// timestamp and the randomized accumulator). Beacon selection ranks and
+// stable across re-beaconing at a new timestamp (unlike ID, which also
+// hashes the timestamp and the accumulator derived from it). Beacon selection ranks and
 // deduplicates by RouteID so control-plane refreshes keep path sets
 // stable when the topology hasn't changed.
 func (s *Segment) RouteID() string {

@@ -159,7 +159,17 @@ func memoKey(want []byte, e *ASEntry) [sha256.Size]byte {
 
 // Verify checks every entry's signature. Unsigned entries fail with
 // ErrNotSigned, any mismatch with ErrBadSig.
-func (v *Verifier) Verify(s *Segment) error {
+func (v *Verifier) Verify(s *Segment) error { return v.verifyFrom(s, 0) }
+
+// VerifyLast checks the last entry's signature only: the receipt check
+// for a beacon whose prefix the caller holds verified — beaconing extends
+// only beacons a store kept, and a store keeps only verified ones, so
+// what arrives unverified is the one entry the sender appended.
+func (v *Verifier) VerifyLast(s *Segment) error { return v.verifyFrom(s, len(s.ASEntries)-1) }
+
+// verifyFrom checks the signatures of entries from index from on; the
+// entries before it only contribute their bytes to the signed prefix.
+func (v *Verifier) verifyFrom(s *Segment, from int) error {
 	if len(s.ASEntries) == 0 {
 		return ErrEmpty
 	}
@@ -171,6 +181,9 @@ func (v *Verifier) Verify(s *Segment) error {
 		}
 		if err := b.add(e); err != nil {
 			return err
+		}
+		if i < from {
+			continue
 		}
 		want := b.payload()
 		var key [sha256.Size]byte

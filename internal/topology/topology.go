@@ -9,6 +9,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -374,39 +375,14 @@ func (t *Topology) Validate() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 
-	// Parent-graph cycle check via DFS colors.
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[addr.IA]int, len(t.ases))
-	var visit func(ia addr.IA) error
-	visit = func(ia addr.IA) error {
-		color[ia] = gray
-		for _, l := range t.byIA[ia] {
-			if l.Type != LinkParent || l.A.IA != ia {
-				continue
-			}
-			child := l.B.IA
-			switch color[child] {
-			case gray:
-				return fmt.Errorf("topology: parent cycle through %v and %v", ia, child)
-			case white:
-				if err := visit(child); err != nil {
-					return err
-				}
-			}
+	children := make(map[addr.IA][]addr.IA)
+	for _, l := range t.links {
+		if l.Type == LinkParent {
+			children[l.A.IA] = append(children[l.A.IA], l.B.IA)
 		}
-		color[ia] = black
-		return nil
 	}
-	for ia := range t.ases {
-		if color[ia] == white {
-			if err := visit(ia); err != nil {
-				return err
-			}
-		}
+	if parent, child, ok := ParentCycle(children); ok {
+		return fmt.Errorf("topology: parent cycle through %v and %v", parent, child)
 	}
 
 	// Reachability: BFS down from cores along parent links.
@@ -421,13 +397,10 @@ func (t *Topology) Validate() error {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, l := range t.byIA[cur] {
-			if l.Type != LinkParent || l.A.IA != cur {
-				continue
-			}
-			if !reached[l.B.IA] {
-				reached[l.B.IA] = true
-				queue = append(queue, l.B.IA)
+		for _, child := range children[cur] {
+			if !reached[child] {
+				reached[child] = true
+				queue = append(queue, child)
 			}
 		}
 	}
@@ -437,4 +410,43 @@ func (t *Topology) Validate() error {
 		}
 	}
 	return nil
+}
+
+// ParentCycle looks for a cycle in a parent graph given as each AS's
+// children, and reports one parent link on it. It is the one rule both
+// Validate and the scenario loader hold parent links to: beacons flow
+// down them, and a cycle has no top to start from.
+func ParentCycle(children map[addr.IA][]addr.IA) (parent, child addr.IA, found bool) {
+	const (
+		white = iota // not visited
+		gray         // on the current DFS path
+		black        // done, no cycle below
+	)
+	color := make(map[addr.IA]int, len(children))
+	var visit func(ia addr.IA) bool
+	visit = func(ia addr.IA) bool {
+		color[ia] = gray
+		for _, c := range children[ia] {
+			if color[c] == gray || (color[c] == white && visit(c)) {
+				if !found {
+					parent, child, found = ia, c, true
+				}
+				return true
+			}
+		}
+		color[ia] = black
+		return false
+	}
+	// In IA order, so the link reported does not depend on map order.
+	roots := make([]addr.IA, 0, len(children))
+	for ia := range children {
+		roots = append(roots, ia)
+	}
+	slices.Sort(roots)
+	for _, ia := range roots {
+		if color[ia] == white && visit(ia) {
+			break
+		}
+	}
+	return parent, child, found
 }
