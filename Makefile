@@ -36,8 +36,8 @@ fmt-check:
 # allocates), so verify runs them separately without it. Covers the
 # router fast path (runs of one and of 32), the simulator, the
 # warm chain-cache verify path, the daemon's NotModified re-confirm,
-# memoized path lookups on a registry, its clone and a snapshot-cloned
-# replica, the campaign's probe path (a bound per probe, not zero:
+# memoized path lookups on a registry (two stamp reads and a map probe),
+# its clone and a snapshot-cloned replica, the campaign's probe path (a bound per probe, not zero:
 # TestCampaignProbeAllocs) and a control-plane refresh after a core
 # flap on the churn topology (a bound per refresh and arm — warm
 # unsigned, warm signed, cold: TestRefreshAllocs).
@@ -79,8 +79,9 @@ scenario-check:
 
 # Snapshot round-trip hygiene: snapshot -> serialize -> load -> clone
 # must reproduce the cold campaign byte for byte, across seeds and on
-# both the builtin and a generated scenario; a file of the previous
-# format version is refused by version number.
+# both the builtin and a generated scenario; every beacon counter the
+# runner declares survives the file by name; files of format versions 1
+# and 2 are refused by version number.
 snapshot-check:
 	$(GO) test -count=1 -run 'TestSnapshotWarmStartByteIdentical|TestSnapshotFileRoundTrip|TestSnapshotOldVersionRefused' ./internal/core ./internal/experiments
 	@echo "snapshot-check: OK"

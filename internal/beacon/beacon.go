@@ -2,7 +2,8 @@
 // ASes originate path-construction beacons (PCBs), neighbors extend and
 // re-propagate them, and every AS keeps a bounded store of the best
 // beacons per origin. Terminating a stored beacon yields a registrable
-// path segment.
+// path segment; a run leaves them in a Registry of two stores, Core and
+// Down, each segment stored once.
 package beacon
 
 import (

@@ -1,12 +1,9 @@
 package beacon
 
-import (
-	"sciera/internal/addr"
-	"sciera/internal/pathdb"
-)
+import "sciera/internal/addr"
 
-// Clone returns a copy-on-write clone of the registry: every segment
-// store is cloned with pathdb.CloneShared, so the clone shares the
+// Clone returns a copy-on-write clone of the registry: both segment
+// stores are cloned with pathdb.CloneShared, so the clone shares the
 // original's immutable segments (and index containers) until either
 // side mutates. With them goes what the registry's run kept (shared,
 // read-only): a replica cloned from a converged reference serves the
@@ -24,14 +21,10 @@ func (reg *Registry) Clone() *Registry {
 	reg.memoMu.Lock()
 	defer reg.memoMu.Unlock()
 	c := &Registry{
-		Up:   make(map[addr.IA]*pathdb.DB, len(reg.Up)),
 		Core: reg.Core.CloneShared(),
 		Down: reg.Down.CloneShared(),
 		memo: make(map[[2]addr.IA]memoEntry, len(reg.memo)),
 		kept: reg.kept,
-	}
-	for ia, db := range reg.Up {
-		c.Up[ia] = db.CloneShared()
 	}
 	for k, e := range reg.memo {
 		if e.token == reg.Token(k[0]) {

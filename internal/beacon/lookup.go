@@ -12,32 +12,37 @@ import (
 )
 
 // Token is the one validity rule of path resolution: the change stamps
-// of the three stores a lookup from one source AS reads. Two equal
+// of the two stores a lookup reads. Two equal
 // tokens mean Lookup selects, and Combine returns, the same thing.
 // Stamps fold in each store's process-unique identity, so a token moves
 // on in-place mutation and never matches across registries (a refresh
 // publishes a new one) or between a registry and its clone.
-type Token struct{ up, core, down uint64 }
+type Token struct{ core, down uint64 }
 
-// Token reads the validity token for lookups from src. It is the only
-// reader of the three stamps: the memo behind Paths and the control
+// Token reads the validity token for lookups from src — the same for
+// every src, since an AS's up segments are read from Down. It is the
+// only reader of the stamps: the memo behind Paths and the control
 // service's Gen/NotModified answer both go through it.
 func (reg *Registry) Token(src addr.IA) Token {
-	t := Token{core: reg.Core.Stamp(), down: reg.Down.Stamp()}
-	if db := reg.Up[src]; db != nil {
-		t.up = db.Stamp()
+	return Token{core: reg.Core.Stamp(), down: reg.Down.Stamp()}
+}
+
+// Ups returns the up segments of ia: the registered segments that end
+// there, in segment-ID order. A wildcard names no AS and has none.
+func (reg *Registry) Ups(ia addr.IA) []*segment.Segment {
+	if ia.IsWildcard() {
+		return nil
 	}
-	return t
+	return reg.Down.Get(0, ia)
 }
 
 // Gen folds the token into the one word "paths" responses carry on the
 // wire. Never 0 — daemons use 0 for "nothing cached".
 func (t Token) Gen() uint64 {
 	h := fnv.New64a()
-	var buf [24]byte
-	binary.BigEndian.PutUint64(buf[0:], t.up)
-	binary.BigEndian.PutUint64(buf[8:], t.core)
-	binary.BigEndian.PutUint64(buf[16:], t.down)
+	var buf [16]byte
+	binary.BigEndian.PutUint64(buf[0:], t.core)
+	binary.BigEndian.PutUint64(buf[8:], t.down)
 	h.Write(buf[:])
 	return max(h.Sum64(), 1)
 }
@@ -91,9 +96,7 @@ func (reg *Registry) Paths(src, dst addr.IA) []*combinator.Path {
 //
 // A zero dst names no destination: no down segments, every core segment.
 func (reg *Registry) Lookup(src, dst addr.IA) (ups, cores, downs []*segment.Segment) {
-	if db := reg.Up[src]; db != nil {
-		ups = db.All()
-	}
+	ups = reg.Ups(src)
 	if dst.IsZero() {
 		return ups, reg.Core.Get(0, 0), nil
 	}

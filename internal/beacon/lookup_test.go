@@ -23,7 +23,7 @@ func memoRegistry(t *testing.T) (*Registry, [][2]addr.IA) {
 	return reg, pairs
 }
 
-// TestRegistryPathsZeroAlloc guards the memo's hit path — three stamp
+// TestRegistryPathsZeroAlloc guards the memo's hit path — two stamp
 // reads and one map probe, no allocation — on a registry and on its
 // clone, whose entries must be the source's own slices carried over
 // under the clone's tokens, not recombinations.
@@ -46,17 +46,17 @@ func TestRegistryPathsZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCloneDropsStaleMemo: an entry whose source's stores moved since it
-// was combined is not carried into a clone; entries of other sources are.
+// TestCloneDropsStaleMemo: an entry combined before a store moved is not
+// carried into a clone (TestRegistryPathsZeroAlloc has the converse: on
+// unmoved stores every entry is).
 func TestCloneDropsStaleMemo(t *testing.T) {
 	reg, pairs := memoRegistry(t)
-	reg.Up[rlA].Clear()
+	reg.Down.Clear()
 	clone := reg.Clone()
-	if _, ok := clone.memo[pairs[0]]; ok {
-		t.Fatalf("clone carried %v->%v although its up store changed", pairs[0][0], pairs[0][1])
-	}
-	if _, ok := clone.memo[pairs[1]]; !ok {
-		t.Fatalf("clone dropped %v->%v although none of its stores changed", pairs[1][0], pairs[1][1])
+	for _, p := range pairs {
+		if _, ok := clone.memo[p]; ok {
+			t.Fatalf("clone carried %v->%v although the down store changed", p[0], p[1])
+		}
 	}
 	if got := clone.Paths(rlA, rlB); len(got) != 0 {
 		t.Fatalf("%d paths from an AS with no up segments", len(got))
@@ -67,7 +67,7 @@ func TestCloneDropsStaleMemo(t *testing.T) {
 // snapshot loader does) memoizes like one the runner returned.
 func TestZeroRegistryMemo(t *testing.T) {
 	src, pairs := memoRegistry(t)
-	reg := &Registry{Up: src.Up, Core: src.Core, Down: src.Down}
+	reg := &Registry{Core: src.Core, Down: src.Down}
 	p := pairs[0]
 	first, again := reg.Paths(p[0], p[1]), reg.Paths(p[0], p[1])
 	if len(first) != len(src.Paths(p[0], p[1])) || len(reg.memo) != 1 || &again[0] != &first[0] {

@@ -56,19 +56,60 @@ type RunnerMetrics struct {
 	Built, Reused telemetry.Counter
 }
 
+// counters is the one declaration of the runner's counters: the metric
+// name and help each cell is exposed under. Register, Counters and
+// Restore walk it, so a counter added here is scraped, captured into
+// snapshots and restored from them with no further edit.
+var counters = []struct {
+	name, help string
+	cell       func(*RunnerMetrics) *telemetry.Counter
+}{
+	{"sciera_beacon_originated_total", "PCBs originated at core ASes",
+		func(m *RunnerMetrics) *telemetry.Counter { return &m.Originated }},
+	{"sciera_beacon_propagated_total", "beacon extensions propagated to neighbors",
+		func(m *RunnerMetrics) *telemetry.Counter { return &m.Propagated }},
+	{"sciera_beacon_filtered_total", "beacon extensions suppressed by policy or store",
+		func(m *RunnerMetrics) *telemetry.Counter { return &m.Filtered }},
+	{"sciera_beacon_pruned_total", "accepted beacons not re-propagated due to the best-K bound",
+		func(m *RunnerMetrics) *telemetry.Counter { return &m.Pruned }},
+	{"sciera_beacon_registered_total", "beacons terminated into registered segments",
+		func(m *RunnerMetrics) *telemetry.Counter { return &m.Registered }},
+	{"sciera_beacon_verified_total", "received beacons whose signatures verified on receipt",
+		func(m *RunnerMetrics) *telemetry.Counter { return &m.Verified }},
+	{"sciera_beacon_verify_failed_total", "received beacons dropped on signature verification failure",
+		func(m *RunnerMetrics) *telemetry.Counter { return &m.VerifyFailed }},
+	{"sciera_beacon_built_total", "beacons and terminated segments constructed by a run",
+		func(m *RunnerMetrics) *telemetry.Counter { return &m.Built }},
+	{"sciera_beacon_reused_total", "beacons and terminated segments kept from the previous run",
+		func(m *RunnerMetrics) *telemetry.Counter { return &m.Reused }},
+}
+
 // Register adopts the cells into a registry.
 func (m *RunnerMetrics) Register(reg *telemetry.Registry) {
-	reg.RegisterCounter("sciera_beacon_originated_total", "PCBs originated at core ASes", &m.Originated)
-	reg.RegisterCounter("sciera_beacon_propagated_total", "beacon extensions propagated to neighbors", &m.Propagated)
-	reg.RegisterCounter("sciera_beacon_filtered_total", "beacon extensions suppressed by policy or store", &m.Filtered)
-	reg.RegisterCounter("sciera_beacon_pruned_total", "accepted beacons not re-propagated due to the best-K bound", &m.Pruned)
-	reg.RegisterCounter("sciera_beacon_registered_total", "beacons terminated into registered segments", &m.Registered)
-	reg.RegisterCounter("sciera_beacon_verified_total", "received beacons whose signatures verified on receipt", &m.Verified)
-	reg.RegisterCounter("sciera_beacon_verify_failed_total", "received beacons dropped on signature verification failure", &m.VerifyFailed)
-	reg.RegisterCounter("sciera_beacon_built_total", "beacons and terminated segments constructed by a run", &m.Built)
-	reg.RegisterCounter("sciera_beacon_reused_total", "beacons and terminated segments kept from the previous run", &m.Reused)
+	for _, c := range counters {
+		reg.RegisterCounter(c.name, c.help, c.cell(m))
+	}
 	if m.VerifyLatency != nil {
 		reg.RegisterHistogram("sciera_beacon_verify_latency_ms", "per-beacon signature verification wall time (ms)", m.VerifyLatency)
+	}
+}
+
+// Counters returns every counter's value by metric name: what a
+// converged-state snapshot carries.
+func (m *RunnerMetrics) Counters() map[string]uint64 {
+	out := make(map[string]uint64, len(counters))
+	for _, c := range counters {
+		out[c.name] = c.cell(m).Load()
+	}
+	return out
+}
+
+// Restore adds values captured by Counters to the cells, so fresh
+// metrics report what the captured ones did. A name that is no counter
+// of the runner restores nothing.
+func (m *RunnerMetrics) Restore(values map[string]uint64) {
+	for _, c := range counters {
+		c.cell(m).Add(values[c.name])
 	}
 }
 
@@ -230,14 +271,14 @@ type flight struct {
 // Registry holds the outcome of a beaconing run: the segment databases
 // that the path-lookup infrastructure serves.
 type Registry struct {
-	// Up holds, per non-core AS, the up segments it registered locally
-	// (stored as Down-type segments: core → AS).
-	Up map[addr.IA]*pathdb.DB
 	// Core holds core segments (origin core → terminating core),
 	// queryable at any core control service.
 	Core *pathdb.DB
-	// Down holds down segments registered at the core path server
-	// infrastructure, keyed by (origin core, leaf).
+	// Down holds the segments non-core ASes terminated (origin core →
+	// AS). The paper has an AS register each twice, at the core path
+	// servers as a down segment and locally as an up segment; in this
+	// whole-network driver the second store could never differ from the
+	// first, so an AS's up segments are this store read by last AS (Ups).
 	Down *pathdb.DB
 
 	// memo holds the combinations Paths has resolved (lookup.go); the
@@ -342,7 +383,7 @@ func (r *Runner) RunFrom(prev *Registry) (*Registry, error) {
 	r.next = &kept{timestamp: r.Timestamp, trcs: trcs, verifyAt: verifyAt, view: r.view,
 		beacons: make(map[string]*segment.Segment, len(r.prev.beacons)),
 		terms:   make(map[string]term, len(r.prev.terms))}
-	reg := &Registry{Up: make(map[addr.IA]*pathdb.DB), kept: r.next}
+	reg := &Registry{kept: r.next}
 	if err := r.runCore(reg, prev); err != nil {
 		return nil, err
 	}
@@ -375,8 +416,7 @@ func file(prev *pathdb.DB, terms []term) *pathdb.DB {
 // accumulates beacons from every other core origin; terminating a beacon
 // registers a core segment origin→self.
 func (r *Runner) runCore(reg, prev *Registry) error {
-	var all []term
-	err := r.flood(true,
+	terms, err := r.flood(true,
 		func(as *asView) ([]*topology.Link, uint64) { return as.coreLinks, 0 },
 		// No-commercial-transit policy (Section 4.9): a beacon originated
 		// by a commercial provider may terminate at another commercial
@@ -384,26 +424,18 @@ func (r *Runner) runCore(reg, prev *Registry) error {
 		// would carry commercial-to-commercial transit. Such a beacon is
 		// registrable where it is but not extended further toward
 		// commercial peers.
-		func(origin, next *asView) bool { return origin.commercial && next.commercial },
-		func(_ addr.IA, terms []term) { all = append(all, terms...) })
-	reg.Core = file(prev.Core, all)
+		func(origin, next *asView) bool { return origin.commercial && next.commercial })
+	reg.Core = file(prev.Core, terms)
 	return err
 }
 
-// runDown floods intra-ISD PCBs from core ASes down parent links. Every
-// non-core AS registers terminated beacons locally (up segments) and at
-// the origin core's path server (down segments) — in this whole-network
-// driver both registries are views over the same segment set.
+// runDown floods intra-ISD PCBs from core ASes down parent links. What
+// every non-core AS terminates is registered once, in Down.
 func (r *Runner) runDown(reg, prev *Registry) error {
-	var all []term
-	err := r.flood(false,
+	terms, err := r.flood(false,
 		func(as *asView) ([]*topology.Link, uint64) { return as.childLinks, as.downChildren },
-		func(origin, next *asView) bool { return false },
-		func(ia addr.IA, terms []term) {
-			reg.Up[ia] = file(prev.Up[ia], terms)
-			all = append(all, terms...)
-		})
-	reg.Down = file(prev.Down, all)
+		func(origin, next *asView) bool { return false })
+	reg.Down = file(prev.Down, terms)
 	return err
 }
 
@@ -413,9 +445,9 @@ func (r *Runner) runDown(reg, prev *Registry) error {
 // admits, selects and re-propagates over its own out links, except
 // toward an AS already on the path or one refuse rules out for the
 // beacon's origin. out also says how many of the AS's links of that kind
-// are down; a beacon that would cross one counts as Filtered. What each
-// store holds at the end is terminated and handed to register, one call
-// per AS — a registry is loaded, not inserted into.
+// are down; a beacon that would cross one counts as Filtered. What the
+// stores hold at the end is terminated and returned — a registry is
+// loaded, not inserted into.
 //
 // A beacon is built when a store admits it and the previous run did not
 // keep it. A flight names the parent beacon and the link; the receiver
@@ -427,8 +459,7 @@ func (r *Runner) runDown(reg, prev *Registry) error {
 // eagerRun oracle in the tests).
 func (r *Runner) flood(core bool,
 	out func(*asView) (up []*topology.Link, down uint64),
-	refuse func(origin, next *asView) bool,
-	register func(at addr.IA, terms []term)) error {
+	refuse func(origin, next *asView) bool) ([]term, error) {
 	stores := make(map[addr.IA]*Store)
 	var origins []addr.IA
 	for ia, as := range r.view {
@@ -455,7 +486,7 @@ func (r *Runner) flood(core bool,
 		for _, l := range links {
 			f, err := r.originate(origin, l)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			r.Metrics.Originated.Inc()
 			flights = append(flights, f)
@@ -494,7 +525,7 @@ func (r *Runner) flood(core bool,
 				}
 				seg, isNew, err := r.build(&flights[i])
 				if err != nil {
-					return err
+					return nil, err
 				}
 				if segs[i] = seg; isNew {
 					fresh[i] = seg
@@ -529,12 +560,12 @@ func (r *Runner) flood(core bool,
 			} else {
 				var err error
 				if seg, _, err = r.build(f); err != nil {
-					return err
+					return nil, err
 				}
 				r.next.beacons[f.route] = seg
 			}
 			if seg == nil {
-				return fmt.Errorf("beacon: internal: store admits a beacon it refused earlier in the round")
+				return nil, fmt.Errorf("beacon: internal: store admits a beacon it refused earlier in the round")
 			}
 			entries[i] = &Entry{Seg: seg, RecvIf: f.recvIf, Route: f.route}
 			stores[f.to].InsertEntry(entries[i])
@@ -580,8 +611,8 @@ func (r *Runner) flood(core bool,
 	// Registration: terminate every stored beacon into a segment, unless
 	// the previous run did. Stored beacons were verified on receipt (when
 	// enabled); the terminating entry is the AS's own, so no re-verify.
+	var terms []term
 	for ia, store := range stores {
-		var terms []term
 		for _, es := range store.All() {
 			for _, e := range SelectBestK(es, r.registerK()) {
 				t, ok := r.prev.terms[e.Route]
@@ -590,7 +621,7 @@ func (r *Runner) flood(core bool,
 				} else {
 					seg, err := r.extend(e.Seg, ia, e.RecvIf, nil)
 					if err != nil {
-						return err
+						return nil, err
 					}
 					t = term{id: seg.ID(), seg: seg}
 				}
@@ -599,9 +630,8 @@ func (r *Runner) flood(core bool,
 				terms = append(terms, t)
 			}
 		}
-		register(ia, terms)
 	}
-	return nil
+	return terms, nil
 }
 
 // originBeta0 derives a PCB's initial accumulator: the first two bytes

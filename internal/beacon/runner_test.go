@@ -87,7 +87,7 @@ func TestRunnerFullCoverage(t *testing.T) {
 	// The second-level leaf learned up segments through its parent, and
 	// they are two-core-hop segments at least.
 	sub := addr.MustParseIA("71-20")
-	ups := reg.Up[sub].All()
+	ups := reg.Ups(sub)
 	if len(ups) == 0 {
 		t.Fatal("no up segments for the second-level leaf")
 	}
@@ -119,11 +119,11 @@ func TestRunnerRespectsLinkState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Up[rlB].Len(); got != 0 {
+	if got := len(reg.Ups(rlB)); got != 0 {
 		t.Errorf("up segments over a dead link: %d", got)
 	}
 	// Other ASes unaffected.
-	if reg.Up[rlA].Len() == 0 {
+	if len(reg.Ups(rlA)) == 0 {
 		t.Error("rlA lost segments")
 	}
 }
@@ -207,6 +207,38 @@ type eager struct {
 	verifier *segment.Verifier
 }
 
+// upLinksOf, coreASes and children read the topology the way the eager
+// flood did, per candidate; the runner reads it once per run (asView).
+func upLinksOf(topo *topology.Topology, ia addr.IA) []*topology.Link {
+	var out []*topology.Link
+	for _, l := range topo.LinksOf(ia) {
+		if l.Up() {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+func coreASes(topo *topology.Topology) []addr.IA {
+	var out []addr.IA
+	for _, as := range topo.ASes() {
+		if as.Core {
+			out = append(out, as.IA)
+		}
+	}
+	return out
+}
+
+func children(topo *topology.Topology, ia addr.IA) []*topology.Link {
+	var out []*topology.Link
+	for _, l := range topo.LinksOf(ia) {
+		if l.Type == topology.LinkParent && l.A.IA == ia {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 type eagerFlight struct {
 	seg *segment.Segment
 	l   *topology.Link
@@ -227,13 +259,10 @@ func eagerRun(r *Runner) (*Registry, error) {
 		if at.IsZero() {
 			at = time.Unix(int64(r.Timestamp), 0)
 		}
-		e.verifier = segment.NewVerifier(r.TRCs, r.Chains, at)
+		e.verifier = &segment.Verifier{TRCs: r.TRCs, Chains: r.Chains, At: at}
 	}
-	reg := &Registry{Up: make(map[addr.IA]*pathdb.DB), Core: pathdb.New(), Down: pathdb.New()}
+	reg := &Registry{Core: pathdb.New(), Down: pathdb.New()}
 	for _, as := range ases {
-		if !as.Core {
-			reg.Up[as.IA] = pathdb.New()
-		}
 		mac, err := scrypto.NewHopCMAC(r.Keys(as.IA))
 		if err != nil {
 			return nil, err
@@ -326,7 +355,7 @@ func (r *eager) extend(seg *segment.Segment, at addr.IA, inIf uint16, out *topol
 		return nil, err
 	}
 	appended := &ext.ASEntries[len(ext.ASEntries)-1]
-	for _, pl := range r.Topo.UpLinksOf(at) {
+	for _, pl := range upLinksOf(r.Topo, at) {
 		if pl.Type != topology.LinkPeer {
 			continue
 		}
@@ -351,7 +380,7 @@ func (r *eager) extend(seg *segment.Segment, at addr.IA, inIf uint16, out *topol
 }
 
 func (r *eager) runCore(reg *Registry) error {
-	cores := r.Topo.CoreASes()
+	cores := coreASes(r.Topo)
 	stores := make(map[addr.IA]*Store, len(cores))
 	for _, ia := range cores {
 		stores[ia] = NewStore(r.BestPerOrigin)
@@ -362,7 +391,7 @@ func (r *eager) runCore(reg *Registry) error {
 	}
 	var flights []eagerFlight
 	for _, origin := range cores {
-		for _, l := range r.Topo.UpLinksOf(origin) {
+		for _, l := range upLinksOf(r.Topo, origin) {
 			if l.Type != topology.LinkCore {
 				continue
 			}
@@ -401,7 +430,7 @@ func (r *eager) runCore(reg *Registry) error {
 			if !accepted[i] {
 				continue
 			}
-			for _, l := range r.Topo.UpLinksOf(f.to) {
+			for _, l := range upLinksOf(r.Topo, f.to) {
 				if l.Type != topology.LinkCore || l.ID == f.l.ID {
 					continue
 				}
@@ -447,8 +476,8 @@ func (r *eager) runDown(reg *Registry) error {
 			stores[as.IA] = NewStore(r.BestPerOrigin)
 		}
 	}
-	for _, origin := range r.Topo.CoreASes() {
-		for _, l := range r.Topo.Children(origin) {
+	for _, origin := range coreASes(r.Topo) {
+		for _, l := range children(r.Topo, origin) {
 			if !r.Topo.LinkUp(l.ID) {
 				r.Metrics.Filtered.Inc()
 				continue
@@ -484,7 +513,7 @@ func (r *eager) runDown(reg *Registry) error {
 			if !accepted[i] {
 				continue
 			}
-			for _, l := range r.Topo.Children(f.to) {
+			for _, l := range children(r.Topo, f.to) {
 				if !r.Topo.LinkUp(l.ID) {
 					r.Metrics.Filtered.Inc()
 					continue
@@ -511,7 +540,6 @@ func (r *eager) runDown(reg *Registry) error {
 					return err
 				}
 				r.Metrics.Registered.Inc()
-				reg.Up[ia].Insert(term)
 				reg.Down.Insert(term)
 			}
 		}
@@ -543,15 +571,6 @@ func sameRegistry(t *testing.T, when string, got, want *Registry) {
 	t.Helper()
 	sameStore(t, when, "Core", got.Core, want.Core)
 	sameStore(t, when, "Down", got.Down, want.Down)
-	if len(got.Up) != len(want.Up) {
-		t.Fatalf("%s: %d up stores, oracle %d", when, len(got.Up), len(want.Up))
-	}
-	for ia, db := range want.Up {
-		if got.Up[ia] == nil {
-			t.Fatalf("%s: no up store for %v", when, ia)
-		}
-		sameStore(t, when, "Up["+ia.String()+"]", got.Up[ia], db)
-	}
 }
 
 // floodCounters are the five counters both floods must agree on.
@@ -560,8 +579,7 @@ func floodCounters(m *RunnerMetrics) [5]uint64 {
 }
 
 // TestFloodMatchesEagerOracle holds the admit-before-extend flood to the
-// eager one it replaced: byte-identical Core,
-// Down and Up stores and equal Originated/Propagated/Filtered/Pruned/
+// eager one it replaced: byte-identical Core and Down stores and equal Originated/Propagated/Filtered/Pruned/
 // Registered — on the SCIERA topology, a 60-AS generated one and the
 // benchmark's 200-AS churn topology, each with commercial cores, across
 // a seeded sequence of core and parent link flaps, at three store
@@ -679,7 +697,7 @@ func TestSignedFloodMatchesEagerOracle(t *testing.T) {
 	got, gm = run((*Runner).Run, signers, trcs, now)
 	want, _ = run(eagerRun, signers, trcs, now)
 	equalFingerprints(t, registryFingerprint(want), registryFingerprint(got))
-	if n := got.Up[addr.MustParseIA("71-20")].Len(); n != 0 || gm.VerifyFailed.Load() == 0 {
+	if n := len(got.Ups(addr.MustParseIA("71-20"))); n != 0 || gm.VerifyFailed.Load() == 0 {
 		t.Errorf("child of the rogue signer registered %d up segments with %d verification failures", n, gm.VerifyFailed.Load())
 	}
 }

@@ -79,14 +79,10 @@ func routeIDs(db *pathdb.DB) []string {
 }
 
 func registryFingerprint(reg *Registry) map[string][]string {
-	fp := map[string][]string{
+	return map[string][]string{
 		"core": routeIDs(reg.Core),
 		"down": routeIDs(reg.Down),
 	}
-	for ia, db := range reg.Up {
-		fp["up/"+ia.String()] = routeIDs(db)
-	}
-	return fp
 }
 
 func equalFingerprints(t *testing.T, a, b map[string][]string) {
@@ -167,19 +163,19 @@ func TestRunnerRejectsUnverifiableAS(t *testing.T) {
 		t.Fatal(err)
 	}
 	// rlA itself still receives verified beacons from its honest parent.
-	if reg.Up[rlA].Len() == 0 {
+	if len(reg.Ups(rlA)) == 0 {
 		t.Error("rlA registered no up segments")
 	}
 	// Its child must reject everything rlA extends.
 	sub := addr.MustParseIA("71-20")
-	if got := reg.Up[sub].Len(); got != 0 {
+	if got := len(reg.Ups(sub)); got != 0 {
 		t.Errorf("child of rogue AS registered %d up segments", got)
 	}
 	if metrics.VerifyFailed.Load() == 0 {
 		t.Error("no verification failures recorded for rogue extensions")
 	}
 	// The unrelated leaf is unaffected.
-	if reg.Up[rlB].Len() == 0 {
+	if len(reg.Ups(rlB)) == 0 {
 		t.Error("rlB lost segments")
 	}
 }

@@ -100,9 +100,6 @@ func (c *warmChain) refresh(when string, keptHolds bool) {
 	var prevIDs map[*pathdb.DB][]string
 	if prev != nil {
 		prevIDs = map[*pathdb.DB][]string{prev.Core: storeIDs(prev.Core), prev.Down: storeIDs(prev.Down)}
-		for _, db := range prev.Up {
-			prevIDs[db] = storeIDs(db)
-		}
 	}
 	warm, cold := c.runner(), c.runner()
 	got, err := warm.RunFrom(prev)
@@ -130,15 +127,6 @@ func (c *warmChain) refresh(when string, keptHolds bool) {
 
 	c.sameContent(when, "Core", got.Core, want.Core)
 	c.sameContent(when, "Down", got.Down, want.Down)
-	if len(got.Up) != len(want.Up) {
-		c.t.Fatalf("%s: %d up stores, cold run %d", when, len(got.Up), len(want.Up))
-	}
-	for ia, db := range want.Up {
-		if got.Up[ia] == nil {
-			c.t.Fatalf("%s: no up store for %v", when, ia)
-		}
-		c.sameContent(when, "Up["+ia.String()+"]", got.Up[ia], db)
-	}
 	wm, cm := warm.Metrics, cold.Metrics
 	if g, w := floodCounters(wm), floodCounters(cm); g != w {
 		c.t.Fatalf("%s: originated/propagated/filtered/pruned/registered %v, cold run %v", when, g, w)
@@ -182,9 +170,6 @@ func (c *warmChain) refresh(when string, keptHolds bool) {
 	}
 	check("Core", prev.Core, got.Core)
 	check("Down", prev.Down, got.Down)
-	for ia, was := range prev.Up {
-		check("Up["+ia.String()+"]", was, got.Up[ia])
-	}
 	if keptHolds && wm.Reused.Load() == 0 {
 		c.t.Fatalf("%s: nothing reused after a link flap", when)
 	}
@@ -276,7 +261,7 @@ func newWarmChain(t *testing.T, spec string, best int, pki bool, rogue ...addr.I
 // seeded sequence of core, parent and peer link flaps, an attached AS
 // and a new peering link, the registry a run builds from what the
 // previous run kept equals the one a cold Run builds on the same link
-// state — IDs, Get order and encoded bytes of Core, Down and every Up —
+// state — IDs, Get order and encoded bytes of Core and Down —
 // with equal Originated/Propagated/Filtered/Pruned/Registered, and warm
 // Built + Reused equal to cold Built. On the SCIERA topology, a 60-AS
 // generated one and the benchmark's churn topology, at three store

@@ -8,7 +8,6 @@ import (
 	"sciera/internal/beacon"
 	. "sciera/internal/combinator"
 	"sciera/internal/scrypto"
-	"sciera/internal/segment"
 	"sciera/internal/spath"
 	"sciera/internal/topology"
 )
@@ -71,10 +70,7 @@ func testNet(t testing.TB) (*topology.Topology, *beacon.Registry) {
 // source's up segments, all core segments, and the destination's down
 // segments, then combine.
 func combineFromRegistry(reg *beacon.Registry, src, dst addr.IA, _ *topology.Topology) []*Path {
-	var ups []*segment.Segment
-	if db, ok := reg.Up[src]; ok {
-		ups = db.All()
-	}
+	ups := reg.Ups(src)
 	downs := reg.Down.Get(0, dst)
 	cores := reg.Core.All()
 	return Combine(src, dst, ups, cores, downs)
@@ -92,7 +88,7 @@ func TestRunnerProducesSegments(t *testing.T) {
 	}
 	// Up segments exist for every leaf.
 	for _, leaf := range []addr.IA{lA, lB, lC} {
-		if reg.Up[leaf].Len() == 0 {
+		if len(reg.Ups(leaf)) == 0 {
 			t.Errorf("no up segments for %v", leaf)
 		}
 	}
@@ -342,7 +338,7 @@ func verifyWalk(t testing.TB, topo *topology.Topology, p *Path) {
 
 func BenchmarkCombine(b *testing.B) {
 	topo, reg := testNet(b)
-	ups := reg.Up[lA].All()
+	ups := reg.Ups(lA)
 	cores := reg.Core.All()
 	downs := reg.Down.Get(0, lC)
 	b.ResetTimer()

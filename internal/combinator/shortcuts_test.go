@@ -264,7 +264,7 @@ func TestPeerPathMetadata(t *testing.T) {
 // peering-link crossing (lA->lB in testNet).
 func BenchmarkCombinePeer(b *testing.B) {
 	_, reg := testNet(b)
-	ups := reg.Up[lA].All()
+	ups := reg.Ups(lA)
 	cores := reg.Core.All()
 	downs := reg.Down.Get(0, lB)
 	b.ResetTimer()
@@ -280,7 +280,7 @@ func BenchmarkCombinePeer(b *testing.B) {
 // crossover (lX->lY through the shared middle AS).
 func BenchmarkCombineShortcut(b *testing.B) {
 	_, reg, _, x, y := shortcutNet(b)
-	ups := reg.Up[x].All()
+	ups := reg.Ups(x)
 	cores := reg.Core.All()
 	downs := reg.Down.Get(0, y)
 	b.ResetTimer()

@@ -37,12 +37,7 @@ func testRegistry(t testing.TB) *beacon.Registry {
 	if err := seg1.Extend(segment.ASEntry{IA: leafIA, Ingress: 2, ExpTime: 63}, key(leafIA)); err != nil {
 		t.Fatal(err)
 	}
-	reg := &beacon.Registry{
-		Up:   map[addr.IA]*pathdb.DB{leafIA: pathdb.New()},
-		Core: pathdb.New(),
-		Down: pathdb.New(),
-	}
-	reg.Up[leafIA].Insert(seg1)
+	reg := &beacon.Registry{Core: pathdb.New(), Down: pathdb.New()}
 	reg.Down.Insert(seg1)
 	return reg
 }

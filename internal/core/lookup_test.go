@@ -46,9 +46,9 @@ func buildScenarioNet(t testing.TB, spec string, seed int64) (*Network, *simnet.
 // and core→core lookups are all covered.
 func lookupEnds(n *Network, sc *scenario.Scenario) []addr.IA {
 	ends := append([]addr.IA(nil), sc.Vantage...)
-	for _, c := range n.Topo.CoreASes() {
-		if !slices.Contains(ends, c) {
-			ends = append(ends, c)
+	for _, as := range n.Topo.ASes() {
+		if as.Core && !slices.Contains(ends, as.IA) {
+			ends = append(ends, as.IA)
 		}
 	}
 	return ends
@@ -101,9 +101,13 @@ func TestLookupMatchesWholeStore(t *testing.T) {
 							if src == dst {
 								continue
 							}
+							// src's up segments, picked out of the whole
+							// store by hand.
 							var ups []*segment.Segment
-							if db := reg.Up[src]; db != nil {
-								ups = db.All()
+							for _, s := range reg.Down.All() {
+								if s.LastIA() == src {
+									ups = append(ups, s)
+								}
 							}
 							want := combinator.Combine(src, dst, ups, all, reg.Down.Get(0, dst))
 							lu, lc, ld := reg.Lookup(src, dst)
@@ -156,9 +160,9 @@ func TestLookupZeroDst(t *testing.T) {
 	defer n.Close()
 	reg := n.Registry()
 	ups, cores, downs := reg.Lookup(lA, 0)
-	if !reflect.DeepEqual(ups, reg.Up[lA].All()) || !reflect.DeepEqual(cores, reg.Core.All()) || downs != nil {
+	if len(ups) == 0 || !reflect.DeepEqual(ups, reg.Ups(lA)) || !reflect.DeepEqual(cores, reg.Core.All()) || downs != nil {
 		t.Fatalf("zero dst: %d ups, %d cores, %d downs; want %d, %d, 0",
-			len(ups), len(cores), len(downs), reg.Up[lA].Len(), reg.Core.Len())
+			len(ups), len(cores), len(downs), len(reg.Ups(lA)), reg.Core.Len())
 	}
 }
 
@@ -332,27 +336,19 @@ func (h *memoHarness) check(t *testing.T, when string, reg *beacon.Registry, pai
 }
 
 // mutate changes reg's stores in place: a donor segment inserted into
-// the core, down or an up store, or an expiry sweep at an instant that
+// the core or the down store, or an expiry sweep at an instant that
 // removes nothing, the network's own segments, or everything.
 func (h *memoHarness) mutate(rng *rand.Rand, reg *beacon.Registry) {
 	pick := func(segs []*segment.Segment) *segment.Segment { return segs[rng.Intn(len(segs))] }
-	switch rng.Intn(4) {
+	switch rng.Intn(3) {
 	case 0:
 		reg.Core.Insert(pick(h.donor.Core.All()))
 	case 1:
 		reg.Down.Insert(pick(h.donor.Down.All()))
 	case 2:
-		seg := pick(h.donor.Down.All())
-		if db := reg.Up[seg.LastIA()]; db != nil {
-			db.Insert(seg)
-		}
-	case 3:
 		at := pick(h.donor.Core.All()).Expiry().Add(time.Duration(rng.Intn(3)*60-90) * time.Minute)
 		reg.Core.DeleteExpired(at)
 		reg.Down.DeleteExpired(at)
-		if db := reg.Up[h.pairs[rng.Intn(len(h.pairs))][0]]; db != nil {
-			db.DeleteExpired(at)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -124,7 +125,9 @@ func TestRefreshStartsFromPublishedRegistry(t *testing.T) {
 
 // TestSnapshotOldVersionRefused: a version-1 file (it recorded
 // rand_draws, a position in an RNG stream nothing draws from any more)
-// is refused with an error that names both versions.
+// and a version-2 file (it listed every AS's up segments by ID beside the
+// down segments they are) are each refused with an error that names both
+// versions.
 func TestSnapshotOldVersionRefused(t *testing.T) {
 	n := buildNet(t, simnet.NewSim(time.Unix(0, 0)))
 	defer n.Close()
@@ -140,18 +143,32 @@ func TestSnapshotOldVersionRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(raw), "rand_draws") {
-		t.Fatal("snapshot file still records rand_draws")
+	for _, gone := range []string{"rand_draws", "up_segments"} {
+		if strings.Contains(string(raw), gone) {
+			t.Fatalf("snapshot file still records %s", gone)
+		}
 	}
-	old := strings.Replace(string(raw), `"version":2,`, `"version":1,"rand_draws":31,`, 1)
-	if old == string(raw) {
-		t.Fatalf("no version-2 header to rewrite in %.60s", raw)
+	var upIDs []string
+	for _, seg := range n.Registry().Ups(lA) {
+		upIDs = append(upIDs, fmt.Sprintf("%q", seg.ID()))
 	}
-	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadSnapshotFile(path)
-	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "want 2") {
-		t.Fatalf("version-1 snapshot: %v, want a refusal naming version 1 and the wanted 2", err)
+	for _, old := range []struct {
+		version string
+		header  string
+	}{
+		{"version 1", `"version":1,"rand_draws":31,`},
+		{"version 2", fmt.Sprintf(`"version":2,"up_segments":{%q:[%s]},`, lA.String(), strings.Join(upIDs, ","))},
+	} {
+		file := strings.Replace(string(raw), `"version":3,`, old.header, 1)
+		if file == string(raw) {
+			t.Fatalf("no version-3 header to rewrite in %.60s", raw)
+		}
+		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadSnapshotFile(path)
+		if err == nil || !strings.Contains(err.Error(), old.version) || !strings.Contains(err.Error(), "want 3") {
+			t.Fatalf("%s snapshot: %v, want a refusal naming %s and the wanted 3", old.version, err, old.version)
+		}
 	}
 }

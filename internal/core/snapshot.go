@@ -37,25 +37,10 @@ import (
 )
 
 // SnapshotVersion is the on-disk snapshot format version. Version 1
-// recorded a position in a seeded RNG stream (rand_draws) that beacon
-// origination no longer draws from; LoadSnapshotFile refuses it.
-const SnapshotVersion = 2
-
-// BeaconCounters holds the cumulative beacon runner counter values at
-// snapshot time. Clones restore them into fresh private cells, so a
-// warm-started replica reports the same beaconing telemetry an
-// independently converged one would.
-type BeaconCounters struct {
-	Originated   uint64 `json:"originated"`
-	Propagated   uint64 `json:"propagated"`
-	Filtered     uint64 `json:"filtered"`
-	Pruned       uint64 `json:"pruned"`
-	Registered   uint64 `json:"registered"`
-	Verified     uint64 `json:"verified"`
-	VerifyFailed uint64 `json:"verify_failed"`
-	Built        uint64 `json:"built"`
-	Reused       uint64 `json:"reused"`
-}
+// recorded a position in a seeded RNG stream beacon origination no
+// longer draws from; version 2 listed each AS's up segments by ID beside
+// the down segments they are. LoadSnapshotFile refuses both by number.
+const SnapshotVersion = 3
 
 // Snapshot is an immutable capture of a converged network's
 // control-plane state. In-memory snapshots share the reference
@@ -79,10 +64,13 @@ type Snapshot struct {
 	// Trust is the shared trust bundle (nil for snapshots loaded from
 	// disk, or unsigned networks; loaded PKI snapshots re-provision).
 	Trust *cppki.TrustMaterial
-	// Beacon holds the counter values at capture time; VerifyLatency is
-	// the reference's verification-latency histogram (nil unsigned),
-	// merged into each clone's fresh histogram.
-	Beacon        BeaconCounters
+	// Beacon holds the beacon runner's cumulative counters at capture
+	// time by metric name (beacon.RunnerMetrics.Counters); clones restore
+	// them into fresh private cells, so a warm-started replica reports
+	// the beaconing telemetry an independently converged one would.
+	// VerifyLatency is the reference's verification-latency histogram
+	// (nil unsigned), merged into each clone's fresh histogram.
+	Beacon        map[string]uint64
 	VerifyLatency *telemetry.Histogram
 }
 
@@ -122,17 +110,7 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 		s.Trust = &cppki.TrustMaterial{TRCs: n.trcs, Signers: n.signers, Chains: n.chains}
 	}
 	if m := n.beaconMetrics; m != nil {
-		s.Beacon = BeaconCounters{
-			Originated:   m.Originated.Load(),
-			Propagated:   m.Propagated.Load(),
-			Filtered:     m.Filtered.Load(),
-			Pruned:       m.Pruned.Load(),
-			Registered:   m.Registered.Load(),
-			Verified:     m.Verified.Load(),
-			VerifyFailed: m.VerifyFailed.Load(),
-			Built:        m.Built.Load(),
-			Reused:       m.Reused.Load(),
-		}
+		s.Beacon = m.Counters()
 		s.VerifyLatency = m.VerifyLatency
 	}
 	return s, nil
@@ -179,29 +157,11 @@ func (n *Network) InstallSnapshot(snap *Snapshot) error {
 		}
 	}
 
-	// Registry: copy-on-write clone (carrying the reference's memoized
-	// combinations), plus the empty per-AS up-segment stores beaconing
-	// would have created (on-disk snapshots omit segmentless ASes).
-	reg := snap.Registry.Clone()
-	for _, as := range n.Topo.ASes() {
-		if !as.Core && reg.Up[as.IA] == nil {
-			reg.Up[as.IA] = pathdb.New()
-		}
-	}
-
 	// Beacon telemetry: fresh private cells restored to the reference's
 	// values, so a clone's counters match an independently converged
 	// replica's and per-worker registries merge identically.
 	n.beaconMetrics = &beacon.RunnerMetrics{}
-	n.beaconMetrics.Originated.Add(snap.Beacon.Originated)
-	n.beaconMetrics.Propagated.Add(snap.Beacon.Propagated)
-	n.beaconMetrics.Filtered.Add(snap.Beacon.Filtered)
-	n.beaconMetrics.Pruned.Add(snap.Beacon.Pruned)
-	n.beaconMetrics.Registered.Add(snap.Beacon.Registered)
-	n.beaconMetrics.Verified.Add(snap.Beacon.Verified)
-	n.beaconMetrics.VerifyFailed.Add(snap.Beacon.VerifyFailed)
-	n.beaconMetrics.Built.Add(snap.Beacon.Built)
-	n.beaconMetrics.Reused.Add(snap.Beacon.Reused)
+	n.beaconMetrics.Restore(snap.Beacon)
 	if n.Opts.WithPKI {
 		n.beaconMetrics.VerifyLatency = newVerifyLatencyHistogram()
 		if snap.VerifyLatency != nil {
@@ -214,29 +174,27 @@ func (n *Network) InstallSnapshot(snap *Snapshot) error {
 		n.beaconMetrics.Register(n.telem)
 	}
 
+	// Registry: a copy-on-write clone, carrying the reference's memoized
+	// combinations.
 	n.mu.Lock()
-	n.registry = reg
+	n.registry = snap.Registry.Clone()
 	n.mu.Unlock()
 	return nil
 }
 
-// snapshotFile is the canonical serializable snapshot form. Up-segment
-// stores are per-AS membership lists of segment IDs into the down set:
-// beaconing registers the same terminated segment into both the local
-// up store and the global down store, and the ID reference restores
-// that sharing on load. Encoding is canonical — segments are emitted in
-// store order (ID-sorted, a property of pathdb), map keys sort under
-// encoding/json — so identical state produces identical bytes.
+// snapshotFile is the canonical serializable snapshot form. Encoding is
+// canonical — segments are emitted in store order (ID-sorted, a
+// property of pathdb), map keys sort under encoding/json — so identical
+// state produces identical bytes.
 type snapshotFile struct {
-	Version int                 `json:"version"`
-	Seed    int64               `json:"seed"`
-	WithPKI bool                `json:"with_pki"`
-	ASes    int                 `json:"ases"`
-	Links   int                 `json:"links"`
-	Beacon  BeaconCounters      `json:"beacon_counters"`
-	Core    []json.RawMessage   `json:"core_segments"`
-	Down    []json.RawMessage   `json:"down_segments"`
-	Up      map[string][]string `json:"up_segments"`
+	Version int               `json:"version"`
+	Seed    int64             `json:"seed"`
+	WithPKI bool              `json:"with_pki"`
+	ASes    int               `json:"ases"`
+	Links   int               `json:"links"`
+	Beacon  map[string]uint64 `json:"beacon_counters"`
+	Core    []json.RawMessage `json:"core_segments"`
+	Down    []json.RawMessage `json:"down_segments"`
 }
 
 // WriteFile serializes the snapshot to path in the canonical,
@@ -252,7 +210,6 @@ func (s *Snapshot) WriteFile(path string) error {
 		ASes:    s.ASes,
 		Links:   s.Links,
 		Beacon:  s.Beacon,
-		Up:      make(map[string][]string),
 	}
 	encode := func(segs []*segment.Segment) ([]json.RawMessage, error) {
 		out := make([]json.RawMessage, 0, len(segs))
@@ -272,17 +229,6 @@ func (s *Snapshot) WriteFile(path string) error {
 	if f.Down, err = encode(s.Registry.Down.All()); err != nil {
 		return err
 	}
-	for ia, db := range s.Registry.Up {
-		segs := db.All()
-		if len(segs) == 0 {
-			continue
-		}
-		ids := make([]string, len(segs))
-		for i, seg := range segs {
-			ids[i] = seg.ID()
-		}
-		f.Up[ia.String()] = ids
-	}
 	enc, err := json.Marshal(f)
 	if err != nil {
 		return err
@@ -291,9 +237,8 @@ func (s *Snapshot) WriteFile(path string) error {
 }
 
 // LoadSnapshotFile reads a snapshot written by WriteFile and rebuilds
-// the in-memory registries (re-establishing the up/down segment object
-// sharing). The result carries no trust material and no combination
-// memo; InstallSnapshot provisions and recombines as needed.
+// the in-memory registries. The result carries no trust material and no
+// combination memo; InstallSnapshot provisions and recombines as needed.
 func LoadSnapshotFile(path string) (*Snapshot, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -306,41 +251,23 @@ func LoadSnapshotFile(path string) (*Snapshot, error) {
 	if f.Version != SnapshotVersion {
 		return nil, fmt.Errorf("core: snapshot %s: version %d, want %d", path, f.Version, SnapshotVersion)
 	}
-	reg := &beacon.Registry{
-		Up:   make(map[addr.IA]*pathdb.DB),
-		Core: pathdb.New(),
-		Down: pathdb.New(),
-	}
-	for _, b := range f.Core {
-		seg, err := segment.Decode(b)
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot %s: core segment: %w", path, err)
-		}
-		reg.Core.Insert(seg)
-	}
-	byID := make(map[string]*segment.Segment, len(f.Down))
-	for _, b := range f.Down {
-		seg, err := segment.Decode(b)
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot %s: down segment: %w", path, err)
-		}
-		reg.Down.Insert(seg)
-		byID[seg.ID()] = seg
-	}
-	for iaStr, ids := range f.Up {
-		ia, err := addr.ParseIA(iaStr)
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot %s: up store %q: %w", path, iaStr, err)
-		}
+	decode := func(name string, raws []json.RawMessage) (*pathdb.DB, error) {
 		db := pathdb.New()
-		for _, id := range ids {
-			seg, ok := byID[id]
-			if !ok {
-				return nil, fmt.Errorf("core: snapshot %s: up segment %s of %s not in down set", path, id, iaStr)
+		for _, b := range raws {
+			seg, err := segment.Decode(b)
+			if err != nil {
+				return nil, fmt.Errorf("core: snapshot %s: %s segment: %w", path, name, err)
 			}
 			db.Insert(seg)
 		}
-		reg.Up[ia] = db
+		return db, nil
+	}
+	reg := &beacon.Registry{}
+	if reg.Core, err = decode("core", f.Core); err != nil {
+		return nil, err
+	}
+	if reg.Down, err = decode("down", f.Down); err != nil {
+		return nil, err
 	}
 	return &Snapshot{
 		Seed:     f.Seed,

@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"sciera/internal/addr"
+	"sciera/internal/beacon"
 	"sciera/internal/pathdb"
 	"sciera/internal/simnet"
 )
@@ -110,17 +113,6 @@ func sameRegistryBytes(t *testing.T, a, b *Network) {
 	}
 	same("Core", ra.Core, rb.Core)
 	same("Down", ra.Down, rb.Down)
-	if len(ra.Up) != len(rb.Up) {
-		t.Fatalf("%d up stores vs %d", len(ra.Up), len(rb.Up))
-	}
-	for ia, db := range ra.Up {
-		if rb.Up[ia] == nil || db.Len() != rb.Up[ia].Len() {
-			t.Fatalf("up store of %v differs", ia)
-		}
-		if db.Len() > 0 {
-			same("Up["+ia.String()+"]", db, rb.Up[ia])
-		}
-	}
 }
 
 // TestSnapshotCloneRefreshMatchesReference: after install, a refresh on
@@ -161,8 +153,10 @@ func TestSnapshotCloneRefreshMatchesReference(t *testing.T) {
 
 // TestSnapshotFileRoundTrip: snapshot -> serialize -> load -> install
 // reproduces the reference's path state, the encoding is canonical
-// (same state, same bytes), and up/down segment-object sharing is
-// re-established on load.
+// (same state, same bytes), and every beacon counter the runner
+// declares survives by name: the file knows no counter of its own, so
+// one the runner has never heard of rides through it too, and is dropped
+// only where there is no cell to restore it into.
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	cold := buildNet(t, simnet.NewSim(time.Unix(0, 0)))
 	defer cold.Close()
@@ -171,6 +165,12 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	declared := (&beacon.RunnerMetrics{}).Counters()
+	if len(snap.Beacon) != len(declared) || snap.Beacon["sciera_beacon_registered_total"] == 0 {
+		t.Fatalf("snapshot captured %d of %d declared counters: %v", len(snap.Beacon), len(declared), snap.Beacon)
+	}
+	const foreign = "sciera_beacon_added_in_this_test_total"
+	snap.Beacon[foreign] = 7
 
 	dir := t.TempDir()
 	p1 := filepath.Join(dir, "snap1.json")
@@ -200,31 +200,21 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 		t.Fatal("snapshot serialization is not canonical: round-trip changed bytes")
 	}
 
-	// Up stores reference the shared down segment objects, as beaconing
-	// would have left them.
-	for ia, db := range loaded.Registry.Up {
-		for _, seg := range db.All() {
-			found := false
-			for _, d := range loaded.Registry.Down.All() {
-				if d == seg {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("up segment %s of %v is a copy, not shared with the down store", seg.ID(), ia)
-			}
-		}
+	if strings.Contains(string(b1), "up_segments") {
+		t.Fatal("the file still lists up segments beside the down segments they are")
 	}
-
-	if loaded.Beacon != snap.Beacon {
-		t.Fatalf("loaded counters differ: %+v vs %+v", loaded.Beacon, snap.Beacon)
+	if !maps.Equal(loaded.Beacon, snap.Beacon) {
+		t.Fatalf("loaded counters differ: %v vs %v", loaded.Beacon, snap.Beacon)
 	}
 
 	warm := buildWarmNet(t)
 	defer warm.Close()
 	if err := warm.InstallSnapshot(loaded); err != nil {
 		t.Fatal(err)
+	}
+	delete(snap.Beacon, foreign)
+	if got := warm.beaconMetrics.Counters(); !maps.Equal(got, snap.Beacon) {
+		t.Fatalf("restored counters %v, captured %v", got, snap.Beacon)
 	}
 	for _, pair := range [][2]addr.IA{{lA, lC}, {lC, lA}, {c1, c3}} {
 		samePaths(t, cold, warm, pair[0], pair[1])
@@ -280,7 +270,8 @@ func TestSnapshotWithPKIShares(t *testing.T) {
 	if snap.Trust == nil || snap.Trust.TRCs == nil {
 		t.Fatal("PKI snapshot carries no trust material")
 	}
-	if snap.Beacon.Verified == 0 {
+	const verified = "sciera_beacon_verified_total"
+	if snap.Beacon[verified] == 0 {
 		t.Fatal("PKI convergence verified no beacons")
 	}
 
@@ -295,8 +286,8 @@ func TestSnapshotWithPKIShares(t *testing.T) {
 	if warm.TRCs() != cold.TRCs() {
 		t.Fatal("clone did not adopt the shared TRC store")
 	}
-	if got := warm.beaconMetrics.Verified.Load(); got != snap.Beacon.Verified {
-		t.Fatalf("clone verified counter %d, snapshot %d", got, snap.Beacon.Verified)
+	if got := warm.beaconMetrics.Verified.Load(); got != snap.Beacon[verified] {
+		t.Fatalf("clone verified counter %d, snapshot %d", got, snap.Beacon[verified])
 	}
 	samePaths(t, cold, warm, lA, lC)
 }

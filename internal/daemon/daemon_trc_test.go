@@ -20,11 +20,7 @@ import (
 // base + chained-update verification flow.
 func trcHarness(t *testing.T, sim *simnet.Sim, store *cppki.Store) *daemon.Daemon {
 	t.Helper()
-	emptyReg := &beacon.Registry{
-		Up:   map[addr.IA]*pathdb.DB{},
-		Core: pathdb.New(),
-		Down: pathdb.New(),
-	}
+	emptyReg := &beacon.Registry{Core: pathdb.New(), Down: pathdb.New()}
 	svc := &control.Service{
 		IA:       c1,
 		Registry: func() *beacon.Registry { return emptyReg },

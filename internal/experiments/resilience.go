@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 
 	"sciera/internal/addr"
 	"sciera/internal/bootstrap"
@@ -25,81 +26,37 @@ func Figure10c(w io.Writer, cfg Config) error {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Pair set: all AS pairs of the deployment.
-	scn := cfg.scn()
-	baseTopo, err := scn.Build()
+	// Pair set: all AS pairs of the deployment. The topology is only
+	// read: a removed link is one the run's removed set names.
+	topo, err := cfg.scn().Build()
 	if err != nil {
 		return err
 	}
-	var ases []addr.IA
-	for _, as := range baseTopo.ASes() {
-		ases = append(ases, as.IA)
-	}
-	nLinks := len(baseTopo.Links())
+	links := topo.Links()
+	singles := singlePaths(topo)
+	nASes := len(topo.ASes())
+	total := nASes * (nASes - 1) / 2
 	// Sample the removal fractions at 10% steps.
 	steps := 10
 	multi := make([]float64, steps+1)
 	single := make([]float64, steps+1)
 
 	for run := 0; run < runs; run++ {
-		topo, err := scn.Build()
-		if err != nil {
-			return err
-		}
-		// Precompute each pair's single path (link ID set) on the
-		// intact topology.
-		type pairKey [2]addr.IA
-		singlePaths := make(map[pairKey]map[int]bool)
-		for i, a := range ases {
-			for _, b := range ases[i+1:] {
-				r := topo.ShortestRoute(a, b, topology.LatencyWeight)
-				if r == nil {
-					continue
-				}
-				links := make(map[int]bool, len(r.Links))
-				for _, l := range r.Links {
-					links[l.ID] = true
-				}
-				singlePaths[pairKey{a, b}] = links
+		perm := rng.Perm(len(links))
+		removed := make([]bool, len(links)) // by link ID
+		gone := 0
+		for step := 0; step <= steps; step++ {
+			for ; gone < step*len(links)/steps; gone++ {
+				removed[perm[gone]] = true
 			}
-		}
-		perm := rng.Perm(nLinks)
-		removed := make(map[int]bool, nLinks)
-		record := func(step int) {
-			okMulti, okSingle, total := 0, 0, 0
-			for i, a := range ases {
-				for _, b := range ases[i+1:] {
-					total++
-					if topo.Connected(a, b) {
-						okMulti++
-					}
-					sp, had := singlePaths[pairKey{a, b}]
-					if had {
-						alive := true
-						for id := range sp {
-							if removed[id] {
-								alive = false
-								break
-							}
-						}
-						if alive {
-							okSingle++
-						}
-					}
+			okSingle := 0
+			for _, path := range singles {
+				if !slices.ContainsFunc(path, func(id int) bool { return removed[id] }) {
+					okSingle++
 				}
 			}
-			multi[step] += float64(okMulti) / float64(total)
+			multi[step] += float64(connectedPairs(links, removed)) / float64(total)
 			single[step] += float64(okSingle) / float64(total)
-		}
-		record(0)
-		for step := 1; step <= steps; step++ {
-			target := step * nLinks / steps
-			for k := len(removed); k < target; k++ {
-				id := perm[k]
-				_ = topo.SetLinkUp(id, false)
-				removed[id] = true
-			}
-			record(step)
 		}
 	}
 
@@ -113,6 +70,61 @@ func Figure10c(w io.Writer, cfg Config) error {
 	fmt.Fprintf(w, "\npaper: at 20%% removed links, ~90%% of pairs keep connectivity with\n")
 	fmt.Fprintf(w, "multipath but only ~50%% with a single path\n")
 	return nil
+}
+
+// singlePaths returns, for every AS pair with a route on the topology as
+// it stands, the link IDs of the pair's single path: the route
+// ShortestRoute(a, b, LatencyWeight) picks for a < b, read off one
+// shortest-path tree per source instead of one search per pair.
+func singlePaths(topo *topology.Topology) [][]int {
+	ases := topo.ASes()
+	var out [][]int
+	for i, a := range ases {
+		tree := topo.ShortestTree(a.IA, topology.LatencyWeight)
+		for _, b := range ases[i+1:] {
+			var path []int
+			for at := b.IA; tree[at] != nil; {
+				l := tree[at]
+				path = append(path, l.ID)
+				prev, _ := l.Other(at)
+				at = prev.IA
+			}
+			if path != nil {
+				out = append(out, path)
+			}
+		}
+	}
+	return out
+}
+
+// connectedPairs counts the AS pairs joined by links that are up and not
+// removed: one union-find labelling of the components, then every
+// component of n ASes holds n(n-1)/2 connected pairs.
+func connectedPairs(links []*topology.Link, removed []bool) int {
+	root := make(map[addr.IA]addr.IA)
+	var find func(addr.IA) addr.IA
+	find = func(ia addr.IA) addr.IA {
+		if p, ok := root[ia]; ok && p != ia {
+			root[ia] = find(p)
+			return root[ia]
+		}
+		return ia
+	}
+	for _, l := range links {
+		if l.Up() && !removed[l.ID] {
+			a, b := find(l.A.IA), find(l.B.IA)
+			root[a], root[b] = b, b
+		}
+	}
+	size := make(map[addr.IA]int)
+	for ia := range root {
+		size[find(ia)]++
+	}
+	pairs := 0
+	for _, n := range size {
+		pairs += n * (n - 1) / 2
+	}
+	return pairs
 }
 
 // Table2 reproduces the Appendix A hinting-mechanism availability

@@ -324,3 +324,47 @@ func TestVisitMatchesGet(t *testing.T) {
 		}
 	}
 }
+
+// TestScansCountsWhatTheIndexDoesNotAnswer: the three shapes keysOf
+// files — (exact, exact), (any, exact), (any, any) — never scan; every
+// other shape does, and so does every shape once the store holds a
+// segment with a wildcard endpoint, until that segment is gone again.
+func TestScansCountsWhatTheIndexDoesNotAnswer(t *testing.T) {
+	db := New()
+	db.Insert(seg(t, 100, coreIA, leafIA))
+	db.Insert(seg(t, 200, coreIA, otherIA))
+	isd := addr.MustIA(71, 0)
+	for _, q := range [][2]addr.IA{{coreIA, leafIA}, {0, leafIA}, {0, 0}, {leafIA, coreIA}} {
+		db.Get(q[0], q[1])
+		db.Visit(q[0], q[1], func(string, *segment.Segment) {})
+	}
+	if n := db.Scans(); n != 0 {
+		t.Fatalf("%d scans for indexed shapes", n)
+	}
+	unindexed := [][2]addr.IA{{coreIA, 0}, {isd, leafIA}, {0, isd}, {coreIA, isd}, {addr.MustIA(0, 1), leafIA}}
+	for _, q := range unindexed {
+		db.Get(q[0], q[1])
+	}
+	if n := db.Scans(); n != uint64(len(unindexed)) {
+		t.Fatalf("%d scans for %d unindexed shapes", n, len(unindexed))
+	}
+	if c := db.CloneShared(); c.Scans() != 0 {
+		t.Fatal("a clone starts with its source's scan count")
+	}
+
+	key, _ := scrypto.NewHopCMAC(scrypto.DeriveHopKey([]byte("k"), 0))
+	w, err := segment.Originate(1, 1, isd, 1, leafIA, 5, 63, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Insert(w)
+	before := db.Scans()
+	if got := db.Get(0, leafIA); len(got) != 2 || db.Scans() != before+1 {
+		t.Fatalf("with a wildcard-endpoint segment stored: %d segments, %d new scans; want 2 and 1", len(got), db.Scans()-before)
+	}
+	db.DeleteExpired(w.Expiry().Add(time.Second))
+	before = db.Scans()
+	if got := db.Get(0, leafIA); len(got) != 1 || db.Scans() != before {
+		t.Fatalf("after it expired: %d segments, %d new scans; want 1 and 0", len(got), db.Scans()-before)
+	}
+}

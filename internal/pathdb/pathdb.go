@@ -3,15 +3,18 @@
 // looked up with optional wildcards, exactly the <ISD-AS>-keyed
 // registration/lookup service the paper describes in Section 2.
 //
-// The store is indexed, not scanned: every segment is filed under the
-// nine (firstKey, lastKey) buckets formed by the three query shapes of
-// each endpoint — exact IA, ISD wildcard ("71-0"), and any — so a
-// lookup with any wildcard combination is a single map probe returning
-// a pre-sorted bucket. Buckets keep segments ordered by segment ID,
-// which makes Get's result order a property of the store itself rather
-// than something each caller has to re-establish, and a generation
-// counter (bumped on Insert, DeleteExpired and Clear) gives lookup
-// layers a cheap token to key memoized path combinations on.
+// The store indexes the three query shapes path lookups issue: every
+// segment is filed under (first, last), (any, last) and (any, any), so
+// "the segments between these two ASes", "the segments ending at this
+// AS" and "everything" are each a single map probe returning a
+// pre-sorted bucket. Any other wildcard combination — and every query
+// on a store holding a segment whose own endpoint is a wildcard, which
+// beaconing never produces — is answered by a linear scan with the same
+// matching rule, counted by Scans. Either way results come back ordered
+// by segment ID, which makes Get's result order a property of the store
+// itself rather than something each caller has to re-establish, and a
+// generation counter (bumped on Insert, DeleteExpired and Clear) gives
+// lookup layers a cheap token to key memoized path combinations on.
 package pathdb
 
 import (
@@ -42,9 +45,8 @@ type entry struct {
 
 func compareEntries(a, b entry) int { return strings.Compare(a.id, b.id) }
 
-// pairKey is one of the nine index buckets a segment is filed under:
-// each side is the exact endpoint IA, its ISD-wildcard form
-// (IA with AS 0), or the any-wildcard (zero IA).
+// pairKey is an index bucket: an exact endpoint IA on each side, or the
+// any-wildcard (zero IA).
 type pairKey struct{ first, last addr.IA }
 
 // DB is a concurrency-safe segment store.
@@ -54,10 +56,11 @@ type DB struct {
 	gen  uint64
 	segs map[string]*segment.Segment // by segment ID
 	idx  map[pairKey][]entry         // each bucket sorted by segment ID
-	// weird holds segments whose own endpoints contain wildcard
-	// components (never produced by beaconing); they bypass the index
-	// and are merged into every lookup by a filtered scan.
-	weird []entry
+	// weird counts stored segments whose own endpoints contain wildcard
+	// components (never produced by beaconing): they are in no bucket,
+	// so while there is one every lookup scans.
+	weird int
+	scans atomic.Uint64
 	// cow marks the containers as shared with a CloneShared sibling:
 	// the first mutation (Insert, DeleteExpired) copies the maps and
 	// bucket slices — never the segments, which are immutable — before
@@ -171,35 +174,20 @@ func (db *DB) ensureOwned() {
 		idx[k] = append([]entry(nil), es...)
 	}
 	db.segs, db.idx = segs, idx
-	db.weird = append([]entry(nil), db.weird...)
 	db.cow = false
 }
 
-// isdKey is the ISD-wildcard form of an IA (same ISD, AS zero).
-func isdKey(ia addr.IA) addr.IA {
-	k, _ := addr.NewIA(ia.ISD(), addr.WildcardAS)
-	return k
-}
-
 // indexable reports whether a segment's endpoints are plain (no
-// wildcard components), i.e. whether the nine bucket keys are distinct.
+// wildcard components, the zero IA included), i.e. whether its bucket
+// keys name it and nothing else.
 func indexable(first, last addr.IA) bool {
-	return !first.IsZero() && !first.IsWildcard() && !last.IsZero() && !last.IsWildcard()
+	return !first.IsWildcard() && !last.IsWildcard()
 }
 
-// keysOf returns the nine bucket keys of a segment's endpoint pair.
-func keysOf(first, last addr.IA) [9]pairKey {
-	fs := [3]addr.IA{first, isdKey(first), 0}
-	ls := [3]addr.IA{last, isdKey(last), 0}
-	var out [9]pairKey
-	i := 0
-	for _, f := range fs {
-		for _, l := range ls {
-			out[i] = pairKey{f, l}
-			i++
-		}
-	}
-	return out
+// keysOf returns the bucket keys of a segment's endpoint pair, one per
+// indexed query shape.
+func keysOf(first, last addr.IA) [3]pairKey {
+	return [3]pairKey{{first, last}, {0, last}, {0, 0}}
 }
 
 // insertSorted files e into es keeping segment-ID order. An entry
@@ -241,7 +229,7 @@ func (db *DB) Insert(seg *segment.Segment) bool {
 // included. The batch is filed in segment-ID order, so each segment
 // lands at the end of every bucket the batch has filled so far: loading
 // an empty store, as a beaconing run does, moves nothing, where inserts
-// in arrival order shift half a hash-ordered bucket nine times each.
+// in arrival order shift half a hash-ordered bucket three times each.
 func (db *DB) InsertAll(segs []*segment.Segment) int {
 	es := make([]entry, 0, len(segs))
 	for _, seg := range segs {
@@ -277,31 +265,15 @@ func (db *DB) insertLocked(e entry) bool {
 			db.idx[k] = insertSorted(db.idx[k], e)
 		}
 	} else {
-		db.weird = insertSorted(db.weird, e)
+		db.weird++
 	}
 	db.gen++
 	return true
 }
 
-// queryKey maps one lookup endpoint onto its bucket key form. ok is
-// false for the one shape the index does not cover (AS set, ISD
-// wildcard), which falls back to the linear reference scan.
-func queryKey(want addr.IA) (addr.IA, bool) {
-	switch {
-	case want.IsZero():
-		return 0, true
-	case want.AS() == addr.WildcardAS:
-		return want, true // already in ISD-wildcard form
-	case want.ISD() == addr.WildcardISD:
-		return 0, false // AS-only wildcard: not indexed
-	default:
-		return want, true
-	}
-}
-
 // Get returns segments whose construction-direction endpoints match
-// (first, last); addr wildcards (zero IA, or wildcard AS within an ISD)
-// match anything. Results are always sorted by segment ID — callers
+// (first, last); addr wildcards (zero IA, or a wildcard ISD or AS) match
+// anything. Results are always sorted by segment ID — callers
 // need no re-sort to make downstream processing deterministic.
 func (db *DB) Get(first, last addr.IA) []*segment.Segment {
 	db.mu.RLock()
@@ -330,42 +302,26 @@ func (db *DB) Visit(first, last addr.IA, fn func(id string, seg *segment.Segment
 }
 
 // matchLocked returns the entries matching (first, last) in segment-ID
-// order. The result may be an index bucket itself: read-only, and valid
-// only while the caller holds db.mu.
+// order: an index bucket for the shapes keysOf files — read-only, and
+// valid only while the caller holds db.mu — and a scan for the rest.
 func (db *DB) matchLocked(first, last addr.IA) []entry {
-	fk, fok := queryKey(first)
-	lk, lok := queryKey(last)
-	if !fok || !lok {
-		return db.scanLocked(first, last)
+	indexed := first.IsZero() && last.IsZero() ||
+		!last.IsWildcard() && (first.IsZero() || !first.IsWildcard())
+	if indexed && db.weird == 0 {
+		return db.idx[pairKey{first, last}]
 	}
-	bucket := db.idx[pairKey{fk, lk}]
-	if len(db.weird) == 0 {
-		return bucket
-	}
-	// Merge the (rare) unindexed segments in ID order.
-	var out []entry
-	w := 0
-	emitWeirdBelow := func(limit string, all bool) {
-		for w < len(db.weird) && (all || db.weird[w].id < limit) {
-			if e := db.weird[w]; matches(e.seg.FirstIA(), first) && matches(e.seg.LastIA(), last) {
-				out = append(out, e)
-			}
-			w++
-		}
-	}
-	for _, e := range bucket {
-		emitWeirdBelow(e.id, false)
-		out = append(out, e)
-	}
-	emitWeirdBelow("", true)
-	return out
+	db.scans.Add(1)
+	return db.scanLocked(first, last)
 }
+
+// Scans returns how many lookups this store has answered by linear scan
+// rather than from the index: zero for everything path resolution asks.
+func (db *DB) Scans() uint64 { return db.scans.Load() }
 
 // scanLocked filters every stored segment with the same wildcard
 // matching as Get and sorts the result by segment ID. matchLocked takes
-// it for the one query shape the index does not cover (AS-only
-// wildcard); the property tests hold the index to it on every shape.
-// Callers hold db.mu.
+// it for the query shapes the index does not cover; the property tests
+// hold the index to it on every shape. Callers hold db.mu.
 func (db *DB) scanLocked(first, last addr.IA) []entry {
 	var out []entry
 	for id, s := range db.segs {
@@ -426,7 +382,7 @@ func (db *DB) removeLocked(id string, s *segment.Segment) {
 	delete(db.segs, id)
 	first, last := s.FirstIA(), s.LastIA()
 	if !indexable(first, last) {
-		db.weird = removeSorted(db.weird, id)
+		db.weird--
 		return
 	}
 	for _, k := range keysOf(first, last) {
@@ -445,7 +401,7 @@ func (db *DB) Clear() {
 	defer db.mu.Unlock()
 	db.segs = make(map[string]*segment.Segment)
 	db.idx = make(map[pairKey][]entry)
-	db.weird = nil
+	db.weird = 0
 	db.cow = false // fresh containers are owned by construction
 	db.gen++
 }

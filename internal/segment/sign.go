@@ -2,12 +2,9 @@ package segment
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"sciera/internal/addr"
@@ -96,65 +93,13 @@ func (s *Segment) SignLast(signer *cppki.Signer) error {
 }
 
 // Verifier checks segment signatures against the control-plane PKI. The
-// zero value needs TRCs and At; Chains and the verification memo are
-// optional accelerators:
-//
-//   - Chains (a cppki.ChainCache) memoizes verified certificate chains,
-//     so repeat signers skip certificate parsing and chain ECDSA checks.
-//   - NewVerifier enables the signature memo: once an (entry payload,
-//     signature, chain, signer) tuple has verified, identical tuples are
-//     accepted without redoing the payload ECDSA check. In the beacon
-//     runner's fan-out the same verified prefix reaches many ASes, so
-//     only the newly appended tail entry of each received beacon pays
-//     an ECDSA verification. The memo keys on a digest of the expected
-//     canonical payload bytes — recomputed from the segment being
-//     verified, never taken from the message — so any tampered entry
-//     changes every subsequent key and falls through to (failing) full
-//     verification.
-//
-// A Verifier with the memo enabled is safe for concurrent use.
+// zero value needs TRCs and At. Chains (a cppki.ChainCache) is an
+// optional accelerator: it memoizes verified certificate chains, so
+// repeat signers skip certificate parsing and chain ECDSA checks.
 type Verifier struct {
 	TRCs   *cppki.Store
 	Chains *cppki.ChainCache
 	At     time.Time
-
-	mu   sync.RWMutex
-	seen map[[sha256.Size]byte]struct{}
-}
-
-// NewVerifier creates a Verifier with the signature memo enabled.
-func NewVerifier(trcs *cppki.Store, chains *cppki.ChainCache, at time.Time) *Verifier {
-	return &Verifier{
-		TRCs:   trcs,
-		Chains: chains,
-		At:     at,
-		seen:   make(map[[sha256.Size]byte]struct{}),
-	}
-}
-
-// memoKey digests everything a signature verdict depends on: the
-// expected canonical payload bytes, the signature, the certificate
-// chain, and the entry's claimed signer.
-func memoKey(want []byte, e *ASEntry) [sha256.Size]byte {
-	h := sha256.New()
-	var n [8]byte
-	h.Write(want)
-	binary.BigEndian.PutUint64(n[:], uint64(len(want)))
-	h.Write(n[:]) // length framing between variable-size fields
-	h.Write(e.Signature.Signature)
-	binary.BigEndian.PutUint64(n[:], uint64(len(e.Signature.Signature)))
-	h.Write(n[:])
-	h.Write(e.Signature.ASCertDER)
-	binary.BigEndian.PutUint64(n[:], uint64(len(e.Signature.ASCertDER)))
-	h.Write(n[:])
-	h.Write(e.Signature.CACertDER)
-	binary.BigEndian.PutUint64(n[:], uint64(len(e.Signature.CACertDER)))
-	h.Write(n[:])
-	binary.BigEndian.PutUint64(n[:], uint64(e.IA))
-	h.Write(n[:])
-	var k [sha256.Size]byte
-	h.Sum(k[:0])
-	return k
 }
 
 // Verify checks every entry's signature. Unsigned entries fail with
@@ -185,17 +130,6 @@ func (v *Verifier) verifyFrom(s *Segment, from int) error {
 		if i < from {
 			continue
 		}
-		want := b.payload()
-		var key [sha256.Size]byte
-		if v.seen != nil {
-			key = memoKey(want, e)
-			v.mu.RLock()
-			_, ok := v.seen[key]
-			v.mu.RUnlock()
-			if ok {
-				continue
-			}
-		}
 		trc, ok := v.TRCs.Get(e.IA.ISD())
 		if !ok {
 			return fmt.Errorf("%w: no TRC for ISD %d", ErrBadSig, e.IA.ISD())
@@ -207,13 +141,8 @@ func (v *Verifier) verifyFrom(s *Segment, from int) error {
 		if signerIA != e.IA {
 			return fmt.Errorf("%w: entry %d signed by %v", ErrBadSig, i, signerIA)
 		}
-		if !bytes.Equal(payload, want) {
+		if !bytes.Equal(payload, b.payload()) {
 			return fmt.Errorf("%w: entry %d payload mismatch", ErrBadSig, i)
-		}
-		if v.seen != nil {
-			v.mu.Lock()
-			v.seen[key] = struct{}{}
-			v.mu.Unlock()
 		}
 	}
 	return nil

@@ -57,6 +57,40 @@ func (t *Topology) ShortestRoute(src, dst addr.IA, w Weight) *Route {
 	if src == dst {
 		return &Route{Src: src, Dst: dst}
 	}
+	prevLink := t.shortestTree(src, dst, w)
+	if prevLink[dst] == nil {
+		return nil
+	}
+	// Reconstruct.
+	var rev []*Link
+	lat := 0.0
+	for cur := dst; cur != src; {
+		l := prevLink[cur]
+		rev = append(rev, l)
+		lat += l.LatencyMS
+		end, _ := l.Other(cur)
+		cur = end.IA
+	}
+	links := make([]*Link, len(rev))
+	for i := range rev {
+		links[i] = rev[len(rev)-1-i]
+	}
+	return &Route{Src: src, Dst: dst, Links: links, LatencyMS: lat, Hops: len(links)}
+}
+
+// ShortestTree is ShortestRoute from src to every AS at once: the last
+// link of the route to each AS src reaches, so following the links back
+// to src spells the route ShortestRoute returns for that pair, ties
+// included — the search is the same one, only not stopped at one
+// destination, and an AS's link is final once the search reaches it.
+func (t *Topology) ShortestTree(src addr.IA, w Weight) map[addr.IA]*Link {
+	return t.shortestTree(src, 0, w)
+}
+
+// shortestTree runs Dijkstra from src until it reaches stop (the zero
+// IA, which no AS has, for never) and returns each discovered AS's
+// incoming link; those of the ASes reached so far are final.
+func (t *Topology) shortestTree(src, stop addr.IA, w Weight) map[addr.IA]*Link {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	dist := map[addr.IA]float64{src: 0}
@@ -70,7 +104,7 @@ func (t *Topology) ShortestRoute(src, dst addr.IA, w Weight) *Route {
 
 	for q.Len() > 0 {
 		cur := heap.Pop(q).(*item)
-		if cur.ia == dst {
+		if cur.ia == stop {
 			break
 		}
 		if cur.cost > dist[cur.ia] {
@@ -100,24 +134,7 @@ func (t *Topology) ShortestRoute(src, dst addr.IA, w Weight) *Route {
 			}
 		}
 	}
-	if _, ok := dist[dst]; !ok {
-		return nil
-	}
-	// Reconstruct.
-	var rev []*Link
-	lat := 0.0
-	for cur := dst; cur != src; {
-		l := prevLink[cur]
-		rev = append(rev, l)
-		lat += l.LatencyMS
-		end, _ := l.Other(cur)
-		cur = end.IA
-	}
-	links := make([]*Link, len(rev))
-	for i := range rev {
-		links[i] = rev[len(rev)-1-i]
-	}
-	return &Route{Src: src, Dst: dst, Links: links, LatencyMS: lat, Hops: len(links)}
+	return prevLink
 }
 
 // RTT returns the round-trip time over the route in milliseconds,
@@ -168,10 +185,4 @@ func (b *BGPBaseline) RTTms(src, dst addr.IA) float64 {
 		b.rtt[key] = ms
 	}
 	return ms
-}
-
-// Connected reports whether every AS pair can reach each other over
-// currently-up links (used by the Figure 10c failure sweep).
-func (t *Topology) Connected(src, dst addr.IA) bool {
-	return t.ShortestRoute(src, dst, func(*Link) float64 { return 1 }) != nil
 }

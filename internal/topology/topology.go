@@ -188,20 +188,6 @@ func (t *Topology) ASes() []ASInfo {
 	return out
 }
 
-// CoreASes returns the core ASes sorted by IA.
-func (t *Topology) CoreASes() []addr.IA {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []addr.IA
-	for ia, a := range t.ases {
-		if a.Core {
-			out = append(out, ia)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // AddLink connects two ASes. Interface IDs of 0 are auto-assigned. For
 // LinkParent, a is the parent end. The link starts up.
 func (t *Topology) AddLink(a, b LinkEnd, typ LinkType, latencyMS float64, name string) (*Link, error) {
@@ -331,30 +317,6 @@ func (t *Topology) LinkUp(id int) bool {
 		return false
 	}
 	return t.links[id].up.Load()
-}
-
-// UpLinksOf returns the currently-up links of an AS.
-func (t *Topology) UpLinksOf(ia addr.IA) []*Link {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []*Link
-	for _, l := range t.byIA[ia] {
-		if l.up.Load() {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// Children returns the parent->child links where ia is the parent.
-func (t *Topology) Children(ia addr.IA) []*Link {
-	var out []*Link
-	for _, l := range t.LinksOf(ia) {
-		if l.Type == LinkParent && l.A.IA == ia {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // Parents returns the parent->child links where ia is the child.

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"sciera/internal/addr"
@@ -356,4 +357,50 @@ func TestBGPBaselineFollowsLinkState(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("restored")
+}
+
+// Topology readers only these tests call, kept as methods.
+
+// CoreASes returns the core ASes sorted by IA.
+func (t *Topology) CoreASes() []addr.IA {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var out []addr.IA
+	for ia, a := range t.ases {
+		if a.Core {
+			out = append(out, ia)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// UpLinksOf returns the currently-up links of an AS.
+func (t *Topology) UpLinksOf(ia addr.IA) []*Link {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var out []*Link
+	for _, l := range t.byIA[ia] {
+		if l.up.Load() {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// Children returns the parent->child links where ia is the parent.
+func (t *Topology) Children(ia addr.IA) []*Link {
+	var out []*Link
+	for _, l := range t.LinksOf(ia) {
+		if l.Type == LinkParent && l.A.IA == ia {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// Connected reports whether every AS pair can reach each other over
+// currently-up links (used by the Figure 10c failure sweep).
+func (t *Topology) Connected(src, dst addr.IA) bool {
+	return t.ShortestRoute(src, dst, func(*Link) float64 { return 1 }) != nil
 }
