@@ -40,7 +40,8 @@ fmt-check:
 # its clone and a snapshot-cloned replica, the campaign's probe path (a bound per probe, not zero:
 # TestCampaignProbeAllocs) and a control-plane refresh after a core
 # flap on the churn topology (a bound per refresh and arm — warm
-# unsigned, warm signed, cold: TestRefreshAllocs).
+# unsigned, warm signed, cold, and signed-cold, a signed convergence:
+# TestRefreshAllocs).
 alloc-guard:
 	$(GO) test -count=1 -run 'ZeroAlloc|ProbeAllocs|RefreshAllocs' . ./internal/simnet ./internal/cppki ./internal/daemon ./internal/beacon ./internal/core
 
@@ -81,9 +82,10 @@ scenario-check:
 # must reproduce the cold campaign byte for byte, across seeds and on
 # both the builtin and a generated scenario; every beacon counter the
 # runner declares survives the file by name; files of format versions 1
-# and 2 are refused by version number.
+# and 2 are refused by version number; a -pki replica installed from a
+# snapshot, in memory or from its file, serves the TRCs it adopted.
 snapshot-check:
-	$(GO) test -count=1 -run 'TestSnapshotWarmStartByteIdentical|TestSnapshotFileRoundTrip|TestSnapshotOldVersionRefused' ./internal/core ./internal/experiments
+	$(GO) test -count=1 -run 'TestSnapshotWarmStartByteIdentical|TestSnapshotFileRoundTrip|TestSnapshotOldVersionRefused|TestClonedReplicaServesTRC' ./internal/core ./internal/experiments
 	@echo "snapshot-check: OK"
 
 # bench/ is its own module (sciera/bench), so the root `go test ./...`

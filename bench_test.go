@@ -532,10 +532,15 @@ func benchNetwork(tb testing.TB, spec string, withPKI bool) *core.Network {
 const churnSpec = "gen:isds=3,ases=200,cores=8,seed=1"
 
 // coldRun converges n's topology from nothing (beacon.Runner.Run: a
-// refresh with nothing kept), leaving n's own registry alone.
+// refresh with nothing kept), signed and verified if n is, leaving n's
+// own registry alone.
 func coldRun(n *core.Network) error {
-	_, err := (&beacon.Runner{Topo: n.Topo, Keys: n.Key,
-		Timestamp: uint32(n.Opts.Now.Unix()), BestPerOrigin: n.Opts.BestPerOrigin}).Run()
+	r := &beacon.Runner{Topo: n.Topo, Keys: n.Key,
+		Timestamp: uint32(n.Opts.Now.Unix()), BestPerOrigin: n.Opts.BestPerOrigin}
+	if n.Opts.WithPKI {
+		r.Signers, r.TRCs, r.Chains, r.VerifyAt = n.Signer, n.TRCs(), n.ChainCache(), n.Opts.Now
+	}
+	_, err := r.Run()
 	return err
 }
 
@@ -545,7 +550,7 @@ type refreshArm struct {
 	withPKI, cold bool
 }
 
-var refreshArms = []refreshArm{{"unsigned", false, false}, {"signed", true, false}, {"cold", false, true}}
+var refreshArms = []refreshArm{{"unsigned", false, false}, {"signed", true, false}, {"cold", false, true}, {"signed-cold", true, true}}
 
 // flapRefresher builds a scenario's network and returns its next link
 // event with the refresh that follows: a seeded core circuit goes down,
@@ -601,7 +606,8 @@ func benchFlaps(b *testing.B, spec string, arm refreshArm) {
 // what the previous refresh kept; signed signs and verifies every beacon
 // entry it builds (core.Options WithPKI), and signed/unsigned per flap
 // is the ratio ROADMAP item 2 targets (within 3x). cold builds
-// everything, as every refresh did before beacons were kept.
+// everything, as every refresh did before beacons were kept, and
+// signed-cold signs and verifies all of it: a signed convergence.
 func BenchmarkRefresh(b *testing.B) {
 	for _, arm := range refreshArms {
 		b.Run(arm.name, func(b *testing.B) { benchFlaps(b, churnSpec, arm) })

@@ -111,8 +111,8 @@ func (s *Store) InsertEntry(e *Entry) bool {
 // beacon kept. A store only tightens — entries only get better, the
 // window only shrinks, an evicted route ranks beyond what is kept — so a
 // beacon refused now is refused after any further inserts
-// (FuzzStoreAdmit): the runner builds, signs and verifies only what a
-// store admits.
+// (FuzzStoreAdmit). The runner asks as each candidate's turn comes, and
+// builds, signs and verifies only what the store then admits.
 func (s *Store) Admits(origin addr.IA, length int, route string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -321,13 +321,12 @@ func fuzzBeacon(b0, b1, b2 byte) *segment.Segment {
 	return seg
 }
 
-// FuzzStoreAdmit checks the two properties beaconing rests on. Over any
+// FuzzStoreAdmit checks two properties of the beacon store. Over any
 // beacon sequence, Admits — asked with origin, length and route alone —
 // answers what Insert then returns, which is what the sort-everything
 // oracle returns, and the two keep the same beacons. And a candidate a
-// store has refused stays refused whatever is inserted afterwards: that
-// is what lets the runner screen a round's candidates against the store
-// as the round starts and sign and verify only the rest.
+// store has refused stays refused whatever is inserted afterwards: a
+// store only tightens.
 func FuzzStoreAdmit(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 0, 0, 0, 0, 0})                                 // a duplicate at limit 1
 	f.Add(uint8(1), []byte{10, 1, 0, 10, 2, 0, 10, 3, 0, 8, 0, 0})            // the limit displaces, then a shorter beacon

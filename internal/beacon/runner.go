@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -39,10 +38,10 @@ type RunnerMetrics struct {
 	Registered telemetry.Counter
 	// Verified counts freshly built beacons whose signatures verified on
 	// receipt (verify-on-receipt runs only when the runner has TRCs).
-	// Only beacons the receiving store could still admit at the start of
-	// the round are built at all, and one the previous run kept carries
-	// that run's verdict: under the PKI a warm run's count is at most a
-	// cold run's, while the five flood counters above are equal.
+	// Only a beacon its receiving store admits is built at all, and one
+	// the previous run kept carries that run's verdict: under the PKI a
+	// warm run's count is at most a cold run's, while the five flood
+	// counters above are equal.
 	Verified telemetry.Counter
 	// VerifyFailed counts received beacons dropped because signature
 	// verification failed; never kept, they are built and fail every run.
@@ -144,13 +143,6 @@ type Runner struct {
 	// beacons beyond the bound stay in the store — registrable, just not
 	// flooded onward.
 	PropagateBestK int
-	// RegisterBestK bounds how many stored beacons per origin an AS
-	// terminates into registered segments, selected by SelectBestK
-	// (the store bound if 0 — i.e. register everything kept — unbounded
-	// if negative).
-	RegisterBestK int
-	// MaxRounds bounds propagation (default: #ASes + 2).
-	MaxRounds int
 	// Metrics receives beaconing counters; nil allocates private ones.
 	Metrics *RunnerMetrics
 	// TRCs enables verify-on-receipt: when set (alongside Signers), a
@@ -162,9 +154,6 @@ type Runner struct {
 	// Chains optionally memoizes verified certificate chains across
 	// receipts (shared with other runners/refreshes for a warm cache).
 	Chains *cppki.ChainCache
-	// VerifyWorkers bounds the verification worker pool (GOMAXPROCS if
-	// 0). Registry contents are identical at any worker count.
-	VerifyWorkers int
 	// VerifyAt is the PKI validity instant for verification; zero means
 	// the segment origination timestamp.
 	VerifyAt time.Time
@@ -304,8 +293,8 @@ type kept struct {
 	// are what the beacons were verified against; nil and zero if none.
 	trcs     map[addr.ISD]*cppki.TRC
 	verifyAt time.Time
-	// beacons holds by route ID every beacon the run stored, or built
-	// and found verified; one that failed verification is never here.
+	// beacons holds by route ID every beacon the run stored; one that
+	// failed verification is never here.
 	// terms holds every segment the run registered, by the route ID of
 	// the stored beacon it terminates.
 	beacons map[string]*segment.Segment
@@ -354,9 +343,6 @@ func (r *Runner) RunFrom(prev *Registry) (*Registry, error) {
 	}
 	if err := r.snapshot(); err != nil {
 		return nil, err
-	}
-	if r.MaxRounds == 0 {
-		r.MaxRounds = len(r.view) + 2
 	}
 	if r.Metrics == nil {
 		r.Metrics = &RunnerMetrics{}
@@ -439,6 +425,22 @@ func (r *Runner) runDown(reg, prev *Registry) error {
 	return err
 }
 
+// admits asks the flight's store, as it stands, whether it would keep
+// the candidate (Store.Admits, minus the lock: no one else has the run's
+// stores). One refused by its length alone never has its route hashed.
+func admits(store *Store, f *flight) bool {
+	origin := f.seg.FirstIA()
+	if !store.lengthAdmits(store.byOrigin[origin], f.length) {
+		return false
+	}
+	if f.route == "" {
+		out, _ := f.l.Local(f.from)
+		f.route = f.seg.ExtendedRouteID(f.from, f.inIf, out.IfID)
+	}
+	_, ok := store.admitLocked(origin, f.length, f.route)
+	return ok
+}
+
 // flood runs one beaconing process to its fixed point: every core AS
 // originates over the links out gives it, the core (or, for intra-ISD
 // beaconing, the non-core) ASes receive, and each round every receiver
@@ -493,80 +495,38 @@ func (r *Runner) flood(core bool,
 		}
 	}
 
-	for round := 0; round < r.MaxRounds && len(flights) > 0; round++ {
-		// admits asks the flight's store, as it stands, whether it would
-		// keep the candidate (Store.Admits, minus the lock: no one else
-		// has the run's stores). One refused by its length alone never
-		// has its route hashed.
-		admits := func(f *flight) bool {
-			store, origin := stores[f.to], f.seg.FirstIA()
-			if !store.lengthAdmits(store.byOrigin[origin], f.length) {
-				return false
-			}
-			if f.route == "" {
-				out, _ := f.l.Local(f.from)
-				f.route = f.seg.ExtendedRouteID(f.from, f.inIf, out.IfID)
-			}
-			_, ok := store.admitLocked(origin, f.length, f.route)
-			return ok
-		}
-		// Verify-on-receipt: resolve what the stores could still admit as
-		// the round starts and verify what of it had to be built. A store
-		// only tightens within a round, so that is a superset of what the
-		// in-order pass below admits, verified in parallel ahead of it.
-		var segs, fresh []*segment.Segment
-		var verdicts []error
-		if r.verifier != nil {
-			segs = make([]*segment.Segment, len(flights))
-			fresh = make([]*segment.Segment, len(flights))
-			for i := range flights {
-				if !admits(&flights[i]) {
-					continue
-				}
-				seg, isNew, err := r.build(&flights[i])
-				if err != nil {
-					return nil, err
-				}
-				if segs[i] = seg; isNew {
-					fresh[i] = seg
-				}
-			}
-			verdicts = r.verifyBuilt(fresh)
-		}
-		// Insert phase, in flight order: a verified (or unchecked)
-		// candidate the store admits is built and stored; acceptances are
-		// grouped by (receiver, origin) for best-K selection.
+	// A beacon never revisits an AS, so #ASes rounds drain every flight;
+	// the bound is what the loop is allowed, not what it needs.
+	for round := 0; round < len(r.view)+2 && len(flights) > 0; round++ {
+		// Receipt, in flight order: a candidate its store admits is
+		// resolved (build), verified if this run made it and verifies at
+		// all, then stored; acceptances are grouped by (receiver, origin)
+		// for best-K selection.
 		entries = append(entries[:0], make([]*Entry, len(flights))...)
 		groups := make(map[groupKey][]int)
 		for i := range flights {
 			f := &flights[i]
-			if fresh != nil && fresh[i] != nil {
-				if verdicts[i] != nil {
+			if !admits(stores[f.to], f) {
+				r.Metrics.Filtered.Inc()
+				continue
+			}
+			seg, fresh, err := r.build(f)
+			if err != nil {
+				return nil, err
+			}
+			if fresh && r.verifier != nil {
+				start := time.Now()
+				bad := r.verifier.VerifyLast(seg)
+				if r.Metrics.VerifyLatency != nil {
+					r.Metrics.VerifyLatency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+				}
+				if bad != nil {
 					r.Metrics.VerifyFailed.Inc()
 					continue
 				}
 				r.Metrics.Verified.Inc()
 			}
-			if segs != nil && segs[i] != nil {
-				r.next.beacons[f.route] = segs[i]
-			}
-			if !admits(f) {
-				r.Metrics.Filtered.Inc()
-				continue
-			}
-			var seg *segment.Segment
-			if segs != nil {
-				seg = segs[i]
-			} else {
-				var err error
-				if seg, _, err = r.build(f); err != nil {
-					return nil, err
-				}
-				r.next.beacons[f.route] = seg
-			}
-			if seg == nil {
-				return nil, fmt.Errorf("beacon: internal: store admits a beacon it refused earlier in the round")
-			}
+			r.next.beacons[f.route] = seg
 			entries[i] = &Entry{Seg: seg, RecvIf: f.recvIf, Route: f.route}
 			stores[f.to].InsertEntry(entries[i])
 			g := groupKey{f.to, seg.FirstIA()}
@@ -614,7 +574,7 @@ func (r *Runner) flood(core bool,
 	var terms []term
 	for ia, store := range stores {
 		for _, es := range store.All() {
-			for _, e := range SelectBestK(es, r.registerK()) {
+			for _, e := range es {
 				t, ok := r.prev.terms[e.Route]
 				if ok {
 					r.Metrics.Reused.Inc()
@@ -735,52 +695,6 @@ func (r *Runner) extend(seg *segment.Segment, at addr.IA, inIf uint16, out *topo
 	return ext, r.signLast(ext, at)
 }
 
-// verifyBuilt checks the signature on the entry just appended to every
-// beacon built for a round (nil slots are candidates no store would
-// admit, or beacons the previous run kept; the prefix of a built one is
-// a stored beacon, verified when it was received), fanned out over a
-// bounded worker pool. Verdict i is always for flight i, and the caller
-// consumes verdicts in flight order, so the admitted beacon set — and
-// therefore every registry — is identical at any worker count.
-func (r *Runner) verifyBuilt(built []*segment.Segment) []error {
-	verdicts := make([]error, len(built))
-	verify := func(i int) {
-		if built[i] == nil {
-			return
-		}
-		start := time.Now()
-		verdicts[i] = r.verifier.VerifyLast(built[i])
-		if r.Metrics.VerifyLatency != nil {
-			r.Metrics.VerifyLatency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-		}
-	}
-	w := r.VerifyWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(built) {
-		w = len(built)
-	}
-	if w <= 1 {
-		for i := range built {
-			verify(i)
-		}
-		return verdicts
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < w; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := s; i < len(built); i += w {
-				verify(i)
-			}
-		}(s)
-	}
-	wg.Wait()
-	return verdicts
-}
-
 // groupKey identifies one best-K selection group: the beacons one AS
 // accepted from one origin within a single round.
 type groupKey struct{ to, origin addr.IA }
@@ -794,21 +708,6 @@ func (r *Runner) propagateK() int {
 		return DefaultPropagateBestK
 	default:
 		return r.PropagateBestK
-	}
-}
-
-// registerK resolves the effective per-origin registration bound.
-func (r *Runner) registerK() int {
-	switch {
-	case r.RegisterBestK < 0:
-		return 0
-	case r.RegisterBestK == 0:
-		if r.BestPerOrigin > 0 {
-			return r.BestPerOrigin
-		}
-		return DefaultBestPerOrigin
-	default:
-		return r.RegisterBestK
 	}
 }
 

@@ -170,29 +170,6 @@ func TestRunnerWithSigners(t *testing.T) {
 	}
 }
 
-func TestRunnerBoundedRounds(t *testing.T) {
-	topo := runnerTopo(t)
-	r := &Runner{
-		Topo:      topo,
-		Keys:      rkey,
-		Timestamp: 1,
-		MaxRounds: 1, // starves propagation
-	}
-	reg, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := &Runner{Topo: topo, Keys: rkey, Timestamp: 1}
-	fullReg, err := full.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Core.Len() >= fullReg.Core.Len() {
-		t.Errorf("bounded rounds produced %d core segments, full run %d",
-			reg.Core.Len(), fullReg.Core.Len())
-	}
-}
-
 // eager is the flood Runner.Run replaced, kept as its oracle: the sender
 // fully builds every extension (clone, hop MAC, peer MACs, signature)
 // reading the topology per candidate, the receiver verifies every
@@ -203,8 +180,9 @@ func TestRunnerBoundedRounds(t *testing.T) {
 // their own model).
 type eager struct {
 	*Runner
-	macs     map[addr.IA]*scrypto.CMAC
-	verifier *segment.Verifier
+	macs      map[addr.IA]*scrypto.CMAC
+	verifier  *segment.Verifier
+	maxRounds int
 }
 
 // upLinksOf, coreASes and children read the topology the way the eager
@@ -247,13 +225,10 @@ type eagerFlight struct {
 
 func eagerRun(r *Runner) (*Registry, error) {
 	ases := r.Topo.ASes()
-	if r.MaxRounds == 0 {
-		r.MaxRounds = len(ases) + 2
-	}
 	if r.Metrics == nil {
 		r.Metrics = &RunnerMetrics{}
 	}
-	e := &eager{Runner: r, macs: make(map[addr.IA]*scrypto.CMAC, len(ases))}
+	e := &eager{Runner: r, macs: make(map[addr.IA]*scrypto.CMAC, len(ases)), maxRounds: len(ases) + 2}
 	if r.TRCs != nil {
 		at := r.VerifyAt
 		if at.IsZero() {
@@ -404,7 +379,7 @@ func (r *eager) runCore(reg *Registry) error {
 			flights = append(flights, eagerFlight{seg: seg, l: l, to: other.IA})
 		}
 	}
-	for round := 0; round < r.MaxRounds && len(flights) > 0; round++ {
+	for round := 0; round < r.maxRounds && len(flights) > 0; round++ {
 		accepted := make([]bool, len(flights))
 		recvIf := make([]uint16, len(flights))
 		groups := make(map[groupKey][]int)
@@ -455,7 +430,7 @@ func (r *eager) runCore(reg *Registry) error {
 	}
 	for ia, store := range stores {
 		for _, es := range store.All() {
-			for _, e := range SelectBestK(es, r.registerK()) {
+			for _, e := range es {
 				term, err := r.extend(e.Seg, ia, e.RecvIf, nil)
 				if err != nil {
 					return err
@@ -490,7 +465,7 @@ func (r *eager) runDown(reg *Registry) error {
 			flights = append(flights, eagerFlight{seg: seg, l: l, to: l.B.IA})
 		}
 	}
-	for round := 0; round < r.MaxRounds && len(flights) > 0; round++ {
+	for round := 0; round < r.maxRounds && len(flights) > 0; round++ {
 		accepted := make([]bool, len(flights))
 		recvIf := make([]uint16, len(flights))
 		groups := make(map[groupKey][]int)
@@ -534,7 +509,7 @@ func (r *eager) runDown(reg *Registry) error {
 	}
 	for ia, store := range stores {
 		for _, es := range store.All() {
-			for _, e := range SelectBestK(es, r.registerK()) {
+			for _, e := range es {
 				term, err := r.extend(e.Seg, ia, e.RecvIf, nil)
 				if err != nil {
 					return err
@@ -656,7 +631,7 @@ func TestFloodMatchesEagerOracle(t *testing.T) {
 }
 
 // TestSignedFloodMatchesEagerOracle: under the PKI the flood signs and
-// verifies only what a store could still admit, the oracle everything.
+// verifies only what a store admits, the oracle everything.
 // Both register the same routes with no verification failure and agree
 // on the five flood counters (a refused candidate is Filtered either
 // way); the flood verifies fewer beacons, never more. With a signer

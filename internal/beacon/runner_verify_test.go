@@ -180,30 +180,6 @@ func TestRunnerRejectsUnverifiableAS(t *testing.T) {
 	}
 }
 
-// TestRunnerVerifyWorkerDeterminism: registry contents are independent
-// of the verification worker count.
-func TestRunnerVerifyWorkerDeterminism(t *testing.T) {
-	topo := runnerTopo(t)
-	signers, trcs, now := provisionRunnerPKI(t, topo)
-	run := func(workers int) map[string][]string {
-		r := &Runner{
-			Topo: topo, Keys: rkey, Signers: signers,
-			TRCs: trcs, Chains: cppki.NewChainCache(), VerifyAt: now,
-			VerifyWorkers: workers,
-			Timestamp:     uint32(now.Unix()),
-		}
-		reg, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return registryFingerprint(reg)
-	}
-	base := run(1)
-	for _, w := range []int{2, 4, 13} {
-		equalFingerprints(t, base, run(w))
-	}
-}
-
 // BenchmarkSignedBeaconRun compares a full beaconing run over the test
 // topology: unsigned, signed (sign-only, the previous campaign mode),
 // signed with verify-on-receipt and a per-run chain cache (the cache

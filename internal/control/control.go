@@ -103,8 +103,9 @@ type Service struct {
 	// Registry returns the current segment registry (live view of the
 	// global path-server infrastructure).
 	Registry func() *beacon.Registry
-	// TRCs serves TRC requests.
-	TRCs *cppki.Store
+	// TRCs returns the store TRC requests are answered from, read per
+	// request like the registry: what holds it may replace it.
+	TRCs func() *cppki.Store
 	// CA optionally enables certificate renewal (core ASes that run
 	// the ISD CA).
 	CA *ca.CA
@@ -158,7 +159,7 @@ func (s *Service) serve(req *Request) *Response {
 		s.servePaths(req, resp)
 	case "trc":
 		s.Metrics.TRC.Inc()
-		trc, ok := s.TRCs.Get(req.ISD)
+		trc, ok := s.TRCs().Get(req.ISD)
 		if !ok {
 			resp.Error = fmt.Sprintf("no TRC for ISD %d", req.ISD)
 			return resp

@@ -44,7 +44,7 @@ func testRegistry(t testing.TB) *beacon.Registry {
 
 func startService(t testing.TB, sim *simnet.Sim, ia addr.IA, reg *beacon.Registry, trcs *cppki.Store, issuer *ca.CA) *Service {
 	t.Helper()
-	svc := &Service{IA: ia, Registry: func() *beacon.Registry { return reg }, TRCs: trcs, CA: issuer}
+	svc := &Service{IA: ia, Registry: func() *beacon.Registry { return reg }, TRCs: func() *cppki.Store { return trcs }, CA: issuer}
 	if err := svc.Start(sim, netip.AddrPort{}); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"sciera/internal/addr"
 	"sciera/internal/router"
@@ -53,7 +52,7 @@ func (n *Network) AttachAS(info topology.ASInfo, uplinks []UplinkSpec) error {
 	if err := n.startControlService(ia); err != nil {
 		return err
 	}
-	return n.refreshControlPlane()
+	return n.RefreshControlPlane()
 }
 
 // AddRuntimeLink adds a circuit between two running ASes (a "new link
@@ -89,22 +88,4 @@ func (n *Network) AddRuntimeLink(a, b addr.IA, typ topology.LinkType, latencyMS 
 	}
 	n.addWire(aAddr, bAddr, l)
 	return l, nil
-}
-
-// RouterCount reports how many routers run (for dashboards).
-func (n *Network) RouterCount() int { return len(n.routers) }
-
-// WaitConverged is a convenience for tests: it refreshes the control
-// plane and verifies the new AS resolves paths to a probe destination.
-func (n *Network) WaitConverged(src, dst addr.IA, within time.Duration) bool {
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
-		if len(n.Paths(src, dst)) > 0 {
-			return true
-		}
-		if err := n.RefreshControlPlane(); err != nil {
-			return false
-		}
-	}
-	return len(n.Paths(src, dst)) > 0
 }

@@ -20,7 +20,6 @@ func TestAttachASRuntime(t *testing.T) {
 	n := buildNet(t, sim)
 	defer n.Close()
 
-	before := n.RouterCount()
 	newIA := addr.MustParseIA("71-2:0:99")
 	err := n.AttachAS(topology.ASInfo{IA: newIA, Name: "Newcomer"}, []UplinkSpec{
 		{Parent: c2, LatencyMS: 7, Name: "newcomer-uplink"},
@@ -28,17 +27,14 @@ func TestAttachASRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.RouterCount() != before+1 {
-		t.Errorf("router count = %d, want %d", n.RouterCount(), before+1)
+	if _, ok := n.Router(newIA); !ok {
+		t.Error("no router for attached AS")
 	}
 	if _, ok := n.ControlService(newIA); !ok {
 		t.Error("no control service for attached AS")
 	}
 	if n.Key(newIA) == (scrypto.HopKey{}) {
 		t.Error("attached AS has zero hop key")
-	}
-	if !n.WaitConverged(newIA, lC, time.Second) {
-		t.Fatal("control plane did not converge for the new AS")
 	}
 
 	// End-to-end delivery in both directions.

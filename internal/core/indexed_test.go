@@ -145,7 +145,7 @@ func TestProductionLookupsAreIndexed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := core.BuildWarm(topo, simnet.NewSim(sc.Campaign.Start()), n.Opts)
+		warm, err := core.NewShell(topo, simnet.NewSim(sc.Campaign.Start()), n.Opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,7 @@ package core
 
 import (
 	"crypto/x509"
+	"errors"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -40,11 +41,6 @@ const (
 	traceSampleEvery = 64
 )
 
-// parseCert decodes a DER certificate.
-func parseCert(der []byte) (*x509.Certificate, error) {
-	return x509.ParseCertificate(der)
-}
-
 // Options tunes network construction.
 type Options struct {
 	// Seed derives every AS's hop key, and through it each beacon's
@@ -56,10 +52,11 @@ type Options struct {
 	// UseDispatcher configures routers to deliver through the legacy
 	// shared dispatcher port (Section 4.8 ablation).
 	UseDispatcher bool
-	// WithPKI provisions a control-plane PKI per ISD, signs all beacon
-	// entries, and verifies every beacon on receipt against the ISD TRC
-	// (dropping unverifiable ones). A shared verified-chain cache keeps
-	// the cost near the unsigned path, so campaigns can run with the
+	// WithPKI provisions a control-plane PKI per ISD, signs every beacon
+	// entry, and verifies a beacon against the ISD TRC where a store
+	// admits it (dropping unverifiable ones). A shared verified-chain
+	// cache and the beacons kept across refreshes hold the cost to what
+	// EXPERIMENTS.md measures, so campaigns can run with the
 	// deployment-faithful signed control plane (-pki).
 	WithPKI bool
 	// Now stamps segments; defaults to the transport clock.
@@ -119,25 +116,34 @@ type Network struct {
 	busyUntil map[wireKey]time.Time
 }
 
-// newNetwork initializes the network shell — struct, telemetry wiring
-// and forwarding keys — everything Build and BuildWarm share before
-// their paths diverge.
-func newNetwork(topo *topology.Topology, transport simnet.Network, opts Options) (*Network, error) {
+// NewShell brings up everything of a network but its control-plane
+// state: forwarding keys, telemetry, one border router and one control
+// service per AS, in that transport-operation order (address and port
+// allocation), which no later step disturbs — PKI provisioning and
+// beaconing never touch the transport. The shell serves no paths until
+// exactly one of Converge or InstallSnapshot gives it a registry;
+// callers splice in what the topology still lacks (AddRuntimeLink) in
+// between. Build is NewShell plus Converge.
+func NewShell(topo *topology.Topology, transport simnet.Network, opts Options) (*Network, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
 	n := &Network{
-		Topo:      topo,
-		Transport: transport,
-		Opts:      opts,
-		routers:   make(map[addr.IA]*router.Router),
-		services:  make(map[addr.IA]*control.Service),
-		keys:      make(map[addr.IA]scrypto.HopKey),
-		signers:   make(map[addr.IA]*cppki.Signer),
-		trcs:      cppki.NewStore(),
+		Topo:          topo,
+		Transport:     transport,
+		Opts:          opts,
+		routers:       make(map[addr.IA]*router.Router),
+		services:      make(map[addr.IA]*control.Service),
+		keys:          make(map[addr.IA]scrypto.HopKey),
+		signers:       make(map[addr.IA]*cppki.Signer),
+		trcs:          cppki.NewStore(),
+		beaconMetrics: &beacon.RunnerMetrics{},
 	}
 	if n.Opts.Now.IsZero() {
 		n.Opts.Now = transport.Now()
+	}
+	if opts.WithPKI {
+		n.beaconMetrics.VerifyLatency = telemetry.NewHistogram(0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10)
 	}
 	if !opts.NoTelemetry {
 		n.telem = telemetry.NewRegistry()
@@ -148,58 +154,49 @@ func newNetwork(topo *topology.Topology, transport simnet.Network, opts Options)
 		if sim, ok := transport.(*simnet.Sim); ok {
 			sim.RegisterTelemetry(n.telem)
 		}
+		n.beaconMetrics.Register(n.telem)
 	}
 	for _, as := range topo.ASes() {
 		n.keys[as.IA] = scrypto.DeriveHopKey([]byte(fmt.Sprintf("as-secret-%s-%d", as.IA, opts.Seed)), 0)
 	}
+	if err := n.buildDataPlane(); err != nil {
+		return nil, err
+	}
+	if err := n.startControlServices(); err != nil {
+		return nil, err
+	}
 	return n, nil
 }
 
-// Build assembles the network: keys, PKI (optional), beaconing, routers.
+// Build assembles the network: the shell, then its own convergence.
 func Build(topo *topology.Topology, transport simnet.Network, opts Options) (*Network, error) {
-	n, err := newNetwork(topo, transport, opts)
+	n, err := NewShell(topo, transport, opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.WithPKI {
+	if err := n.Converge(); err != nil {
+		n.Close()
+		return nil, err
+	}
+	return n, nil
+}
+
+// errConverged refuses a second bring-up of one network.
+var errConverged = errors.New("core: network already has a registry (Converge and InstallSnapshot start from NewShell)")
+
+// Converge gives a shell its control-plane state by computing it: the
+// PKI is provisioned when Options.WithPKI asks, and beaconing runs once
+// over the topology as it stands.
+func (n *Network) Converge() error {
+	if n.Registry() != nil {
+		return errConverged
+	}
+	if n.Opts.WithPKI {
 		if err := n.provisionPKI(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := n.refreshControlPlane(); err != nil {
-		return nil, err
-	}
-	if err := n.buildDataPlane(); err != nil {
-		return nil, err
-	}
-	if err := n.startControlServices(); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// BuildWarm assembles a network shell for warm-starting from a
-// converged-state snapshot: keys, routers and control services come up
-// exactly as under Build — the transport-operation sequence (address
-// and port allocation) is identical, because PKI provisioning and
-// beaconing never touch the transport — but no PKI is provisioned and
-// no beaconing runs. The returned network serves no paths until
-// InstallSnapshot supplies the registry and trust material; callers add
-// runtime links (AddRuntimeLink) in between,
-// mirroring the cold build calendar, so the topology matches the
-// snapshot's at install time.
-func BuildWarm(topo *topology.Topology, transport simnet.Network, opts Options) (*Network, error) {
-	n, err := newNetwork(topo, transport, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.buildDataPlane(); err != nil {
-		return nil, err
-	}
-	if err := n.startControlServices(); err != nil {
-		return nil, err
-	}
-	return n, nil
+	return n.RefreshControlPlane()
 }
 
 // startControlServices runs one control service per AS on the underlay.
@@ -218,7 +215,7 @@ func (n *Network) startControlServices() error {
 // startControlService runs one AS's control service on the network's
 // shared metric cells.
 func (n *Network) startControlService(ia addr.IA) error {
-	svc := &control.Service{IA: ia, Registry: n.Registry, TRCs: n.trcs, Metrics: &n.controlMetrics}
+	svc := &control.Service{IA: ia, Registry: n.Registry, TRCs: n.TRCs, Metrics: &n.controlMetrics}
 	if err := svc.Start(n.Transport, n.HostAddr()); err != nil {
 		return err
 	}
@@ -321,7 +318,7 @@ func (n *Network) provisionPKI() error {
 		}
 		// Issue an AS cert per member from the first authoritative CA.
 		caMat := p.CACerts[authoritative[0]]
-		caCert, err := parseCert(caMat.Cert)
+		caCert, err := x509.ParseCertificate(caMat.Cert)
 		if err != nil {
 			return err
 		}
@@ -344,24 +341,14 @@ func (n *Network) provisionPKI() error {
 	return nil
 }
 
-// refreshControlPlane (re)runs beaconing over the current topology
+// RefreshControlPlane (re)runs beaconing over the current topology
 // state. The live network does this periodically; the simulator calls
-// RefreshControlPlane after every topology event (link failure,
-// maintenance), which models the next beaconing interval converging.
-// The run starts from the published registry: it decides everything
-// again and builds only what that registry's run did not
-// (beacon.Runner.RunFrom), and readers of the old registry never see it
-// change.
-func (n *Network) refreshControlPlane() error {
-	if n.beaconMetrics == nil {
-		n.beaconMetrics = &beacon.RunnerMetrics{}
-		if n.Opts.WithPKI {
-			n.beaconMetrics.VerifyLatency = newVerifyLatencyHistogram()
-		}
-		if n.telem != nil {
-			n.beaconMetrics.Register(n.telem)
-		}
-	}
+// it after every topology event (link failure, maintenance), which
+// models the next beaconing interval converging. The run starts from
+// the published registry: it decides everything again and builds only
+// what that registry's run did not (beacon.Runner.RunFrom), and readers
+// of the old registry never see it change.
+func (n *Network) RefreshControlPlane() error {
 	runner := &beacon.Runner{
 		Topo:          n.Topo,
 		Keys:          func(ia addr.IA) scrypto.HopKey { return n.keys[ia] },
@@ -384,9 +371,6 @@ func (n *Network) refreshControlPlane() error {
 	n.mu.Unlock()
 	return nil
 }
-
-// RefreshControlPlane recomputes segments after topology changes.
-func (n *Network) RefreshControlPlane() error { return n.refreshControlPlane() }
 
 // wireKey identifies a directed circuit by its underlay endpoints.
 type wireKey struct{ from, to netip.AddrPort }
@@ -610,7 +594,7 @@ func (n *Network) SetLinkUp(linkID int, up bool) error {
 	if n.Topo.LinkGeneration() == before {
 		return nil
 	}
-	return n.refreshControlPlane()
+	return n.RefreshControlPlane()
 }
 
 // HostAddr allocates an underlay address for an end host inside an AS.

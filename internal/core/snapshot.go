@@ -5,23 +5,24 @@ package core
 // combinations they have memoized and the beacons their run kept), trust
 // material and beacon counters — is captured into an immutable Snapshot.
 // Worker replicas are then constructed by copy-on-write cloning
-// (BuildWarm + InstallSnapshot) instead of re-running beaconing, which
-// is what makes sharded-campaign setup O(1) in the worker count.
+// (NewShell + InstallSnapshot) instead of converging (NewShell +
+// Converge), which is what makes sharded-campaign setup O(1) in the
+// worker count.
 //
-// Determinism argument (docs/architecture.md has the long form): a
+// Determinism argument (DESIGN.md decision 16): a
 // cloned replica is byte-identical to an independently converged one
 // because (1) the registry clone shares the very segment objects the
 // reference converged to, and pathdb result order is a property of the
 // store (ID-sorted), so every lookup answers identically; (2) a beacon
 // is a function of its route, the timestamp and the hop keys — nothing
-// is drawn — so a mid-campaign incident refresh on the clone builds the
-// registry the reference's would, whether it starts from the kept
-// beacons (in-memory snapshots share them) or from none (on-disk ones);
-// (3) hop keys are re-derived from (seed, IA) and trust material is
-// shared (or, for on-disk snapshots, re-provisioned from crypto/rand,
-// which never feeds figure output); and (4) PKI provisioning and
-// beaconing perform no transport operations, so the warm build allocates
-// the same simulated addresses and ports in the same order as a cold one.
+// is drawn — so a refresh builds the registry a cold run over the same
+// topology would, whether it starts from the kept beacons (in-memory
+// snapshots share them) or from none (on-disk ones); (3) hop keys are
+// re-derived from (seed, IA) and trust material is shared (or, for
+// on-disk snapshots, re-provisioned from crypto/rand, which never feeds
+// figure output); and (4) both kinds of replica are the same shell with
+// the same links spliced in, so they hold the same simulated addresses
+// and ports: converging and installing perform no transport operation.
 
 import (
 	"encoding/json"
@@ -74,13 +75,6 @@ type Snapshot struct {
 	VerifyLatency *telemetry.Histogram
 }
 
-// newVerifyLatencyHistogram allocates the per-beacon verification
-// latency histogram with the bucket layout shared by cold refreshes and
-// snapshot restores (Histogram.Merge requires identical bounds).
-func newVerifyLatencyHistogram() *telemetry.Histogram {
-	return telemetry.NewHistogram(0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10)
-}
-
 // WarmPaths primes the registry's memoized path combinations for the
 // given (src, dst) pairs, so every replica cloned from a Snapshot of
 // this network starts with a fully warm lookup memo.
@@ -109,20 +103,18 @@ func (n *Network) Snapshot() (*Snapshot, error) {
 	if n.Opts.WithPKI {
 		s.Trust = &cppki.TrustMaterial{TRCs: n.trcs, Signers: n.signers, Chains: n.chains}
 	}
-	if m := n.beaconMetrics; m != nil {
-		s.Beacon = m.Counters()
-		s.VerifyLatency = m.VerifyLatency
-	}
+	s.Beacon = n.beaconMetrics.Counters()
+	s.VerifyLatency = n.beaconMetrics.VerifyLatency
 	return s, nil
 }
 
-// InstallSnapshot makes a BuildWarm network serve a snapshot's
-// converged control-plane state: the registry is installed as a
-// copy-on-write clone, trust material is adopted (or, for snapshots
-// loaded from disk under WithPKI, re-provisioned), beacon counters are
-// restored into fresh private cells. The network's topology must match the
-// snapshot's (same seed, PKI mode, AS and link counts) — callers add
-// runtime links before installing.
+// InstallSnapshot gives a shell its control-plane state by adopting a
+// snapshot's: the registry is installed as a copy-on-write clone, trust
+// material is adopted (or, for snapshots loaded from disk under WithPKI,
+// re-provisioned), and the shell's beacon counters take the reference's
+// values. The network's topology must match the snapshot's (same seed,
+// PKI mode, AS and link counts) — callers add runtime links before
+// installing.
 func (n *Network) InstallSnapshot(snap *Snapshot) error {
 	switch {
 	case snap.Registry == nil:
@@ -137,7 +129,7 @@ func (n *Network) InstallSnapshot(snap *Snapshot) error {
 		return fmt.Errorf("core: snapshot has %d links, topology has %d", snap.Links, len(n.Topo.Links()))
 	}
 	if n.Registry() != nil {
-		return fmt.Errorf("core: network already converged (InstallSnapshot requires BuildWarm)")
+		return errConverged
 	}
 
 	// Trust: share the reference's material, or provision fresh for
@@ -157,21 +149,14 @@ func (n *Network) InstallSnapshot(snap *Snapshot) error {
 		}
 	}
 
-	// Beacon telemetry: fresh private cells restored to the reference's
-	// values, so a clone's counters match an independently converged
-	// replica's and per-worker registries merge identically.
-	n.beaconMetrics = &beacon.RunnerMetrics{}
+	// Beacon telemetry: the shell's own cells, still zero, take the
+	// reference's values, so a clone's counters match an independently
+	// converged replica's and per-worker registries merge identically.
 	n.beaconMetrics.Restore(snap.Beacon)
-	if n.Opts.WithPKI {
-		n.beaconMetrics.VerifyLatency = newVerifyLatencyHistogram()
-		if snap.VerifyLatency != nil {
-			if err := n.beaconMetrics.VerifyLatency.Merge(snap.VerifyLatency); err != nil {
-				return err
-			}
+	if snap.VerifyLatency != nil {
+		if err := n.beaconMetrics.VerifyLatency.Merge(snap.VerifyLatency); err != nil {
+			return err
 		}
-	}
-	if n.telem != nil {
-		n.beaconMetrics.Register(n.telem)
 	}
 
 	// Registry: a copy-on-write clone, carrying the reference's memoized

@@ -19,7 +19,7 @@ import (
 // buildNet: same topology, seed and sim start, no control-plane run.
 func buildWarmNet(t testing.TB) *Network {
 	t.Helper()
-	n, err := BuildWarm(buildTopo(t), simnet.NewSim(time.Unix(0, 0)), Options{Seed: 1})
+	n, err := NewShell(buildTopo(t), simnet.NewSim(time.Unix(0, 0)), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSnapshotCloneServesIdenticalPaths(t *testing.T) {
 	warm := buildWarmNet(t)
 	defer warm.Close()
 	if warm.Registry() != nil {
-		t.Fatal("BuildWarm network has a registry before install")
+		t.Fatal("shell has a registry before install")
 	}
 	if err := warm.InstallSnapshot(snap); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestInstallSnapshotRejects(t *testing.T) {
 	}
 
 	// Seed mismatch.
-	mis, err := BuildWarm(buildTopo(t), simnet.NewSim(time.Unix(0, 0)), Options{Seed: 2})
+	mis, err := NewShell(buildTopo(t), simnet.NewSim(time.Unix(0, 0)), Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestSnapshotWithPKIShares(t *testing.T) {
 		t.Fatal("PKI convergence verified no beacons")
 	}
 
-	warm, err := BuildWarm(buildTopo(t), simnet.NewSim(time.Unix(0, 0)), Options{Seed: 1, WithPKI: true})
+	warm, err := NewShell(buildTopo(t), simnet.NewSim(time.Unix(0, 0)), Options{Seed: 1, WithPKI: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,8 @@ import (
 // path every time.
 //
 // The cache is safe for concurrent use and the hit path does not
-// allocate (guarded by TestChainCacheResolveZeroAlloc); the beacon
-// verification worker pool hits it from several goroutines at once.
+// allocate (guarded by TestChainCacheResolveZeroAlloc); the replicas of
+// a sharded campaign share one and hit it from several goroutines at once.
 type ChainCache struct {
 	mu      sync.RWMutex
 	entries map[[sha256.Size]byte]*cachedChain

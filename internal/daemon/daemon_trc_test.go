@@ -24,7 +24,7 @@ func trcHarness(t *testing.T, sim *simnet.Sim, store *cppki.Store) *daemon.Daemo
 	svc := &control.Service{
 		IA:       c1,
 		Registry: func() *beacon.Registry { return emptyReg },
-		TRCs:     store,
+		TRCs:     func() *cppki.Store { return store },
 	}
 	if err := svc.Start(sim, netip.AddrPortFrom(sim.AllocAddr(), 30252)); err != nil {
 		t.Fatal(err)

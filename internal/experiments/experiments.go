@@ -85,7 +85,7 @@ func BuildNetwork(seed int64) (*core.Network, *simnet.Sim, error) {
 }
 
 // netOptions assembles the core.Options a campaign or figure network
-// is built with; cold builds and warm clones must agree on them.
+// is built with.
 func (c Config) netOptions(s *scenario.Scenario) core.Options {
 	return core.Options{
 		Seed:          c.Seed,
@@ -110,34 +110,44 @@ func buildNetworkCfg(cfg Config) (*core.Network, *simnet.Sim, error) {
 	return n, sim, nil
 }
 
-// buildCampaignNetwork constructs one campaign-ready network replica:
-// the seeded scenario network plus its incident calendar (scheduled
-// outages/flaps and the links activated mid-campaign, built into the
-// topology but held down until their activation time). Every campaign
-// worker calls this with the same seed and therefore owns an identical
-// replica — topology, beaconing and path state are seed-reproducible,
-// which is what makes pair-sharding exact.
-func buildCampaignNetwork(cfg Config) (*core.Network, []multiping.IncidentEvent, error) {
-	n, _, err := buildNetworkCfg(cfg)
+// campaignReplica constructs one campaign-ready network replica, the
+// one way there is: the scenario's network comes up as a shell, the
+// incident calendar is spliced in (scheduled outages/flaps and the links
+// activated mid-campaign, built into the topology but held down until
+// their activation time), and the control plane is then either installed
+// from snap or, with none, converged. Every campaign worker calls this
+// with the same seed and therefore owns an identical replica — topology,
+// beaconing and path state are seed-reproducible, which is what makes
+// pair-sharding exact.
+func campaignReplica(cfg Config, snap *core.Snapshot) (*core.Network, []multiping.IncidentEvent, error) {
+	s := cfg.scn()
+	topo, err := s.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	n, err := core.NewShell(topo, simnet.NewSim(s.Campaign.Start()), cfg.netOptions(s))
 	if err != nil {
 		return nil, nil, err
 	}
 	events, err := applyCampaignCalendar(cfg, n)
-	if err != nil {
-		return nil, nil, err
+	switch {
+	case err != nil:
+	case snap != nil:
+		err = n.InstallSnapshot(snap)
+	default:
+		err = n.Converge()
 	}
-	if err := n.RefreshControlPlane(); err != nil {
+	if err != nil {
+		n.Close()
 		return nil, nil, err
 	}
 	return n, events, nil
 }
 
-// applyCampaignCalendar prepares a freshly built replica for the
-// campaign: it compiles the scenario's incident calendar into events
-// and splices the mid-campaign runtime links into the topology (built
-// now, held down until their activation events). Cold builds refresh
-// the control plane afterwards; warm clones install the snapshot
-// instead — the snapshot was captured after that very refresh.
+// applyCampaignCalendar prepares a replica's shell for the campaign: it
+// compiles the scenario's incident calendar into events and splices the
+// mid-campaign runtime links into the topology (built now, held down
+// until their activation events), before any control-plane state exists.
 func applyCampaignCalendar(cfg Config, n *core.Network) ([]multiping.IncidentEvent, error) {
 	s := cfg.scn()
 	events, err := multiping.BuildEvents(n.Topo.LinkIDByName, s.Incidents)

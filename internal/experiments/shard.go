@@ -58,9 +58,9 @@ type shardResult struct {
 //
 // Replica construction is warm by default: one reference replica
 // converges (or a snapshot file loads, with cfg.SnapshotPath), and all
-// workers clone from the snapshot copy-on-write. A single-worker run
-// without a snapshot path converges directly — there is nothing to
-// amortize; both paths are byte-identical.
+// workers install the snapshot copy-on-write. A single-worker run
+// without a snapshot path is the same constructor with no snapshot — it
+// converges, there being nothing to amortize; both are byte-identical.
 func runShardedCampaign(cfg Config, campaignCfg multiping.Config) (*multiping.Dataset, *core.Network, error) {
 	pairs := multiping.AllPairs(campaignCfg.Vantage)
 	if len(pairs) == 0 {
@@ -130,22 +130,12 @@ func runShardedCampaign(cfg Config, campaignCfg multiping.Config) (*multiping.Da
 }
 
 // runShard executes one worker's slice of the campaign on a fresh
-// network replica — cloned from the snapshot when one is provided,
-// independently converged otherwise. The replica replays the full
-// incident calendar even for pairs it does not probe, so its
-// control-plane state (and the beaconing RNG consumption) matches the
-// unsharded run exactly.
+// network replica — installed from the snapshot when one is provided,
+// converged otherwise. The replica replays the full incident calendar
+// even for pairs it does not probe, so its control-plane state matches
+// the unsharded run's at every instant.
 func runShard(cfg Config, campaignCfg multiping.Config, shard []multiping.ProbePair, snap *core.Snapshot) shardResult {
-	var (
-		n      *core.Network
-		events []multiping.IncidentEvent
-		err    error
-	)
-	if snap != nil {
-		n, events, err = CloneReplica(cfg, snap)
-	} else {
-		n, events, err = buildCampaignNetwork(cfg)
-	}
+	n, events, err := campaignReplica(cfg, snap)
 	if err != nil {
 		return shardResult{err: err}
 	}

@@ -8,9 +8,13 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
+	"sciera/internal/core"
+	"sciera/internal/cppki"
 	"sciera/internal/multiping"
 	"sciera/internal/scenario"
+	"sciera/internal/simnet"
 )
 
 // renderCampaign runs the full quick campaign for a config and returns
@@ -151,5 +155,60 @@ func TestCampaignSnapshotStatError(t *testing.T) {
 	cfg.SnapshotPath = filepath.Join(t.TempDir(), "absent.json")
 	if _, err := campaignSnapshot(cfg, nil); err == nil || !strings.Contains(err.Error(), "no-such-type") {
 		t.Fatalf("absent snapshot: err = %v, want the scenario build error", err)
+	}
+}
+
+// TestClonedReplicaServesTRC: a -pki replica installed from a snapshot
+// answers TRC requests from the trust material it adopted — shared in
+// memory, re-provisioned after the file round trip — not from the empty
+// store its shell came up with. The daemon verifies what it fetches.
+func TestClonedReplicaServesTRC(t *testing.T) {
+	c := Config{Seed: 7, Quick: true, WithPKI: true}
+	snap, err := ConvergeReference(c, c.ProbePairs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "snap.json")
+	if err := snap.WriteFile(file); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.LoadSnapshotFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, vantage := c.campaign()
+	ia := vantage[0]
+	for _, tc := range []struct {
+		name string
+		snap *core.Snapshot
+	}{{"in memory", snap}, {"loaded from its file", loaded}} {
+		n, _, err := CloneReplica(c, tc.snap)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		defer n.Close()
+		d, err := n.NewDaemon(ia)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		defer d.Close()
+		var (
+			got      *cppki.TRC
+			fetchErr = errors.New("no answer")
+		)
+		d.FetchTRCAsync(ia.ISD(), func(trc *cppki.TRC, err error) { got, fetchErr = trc, err })
+		n.Transport.(*simnet.Sim).RunFor(5 * time.Second)
+		if fetchErr != nil {
+			t.Fatalf("%s: TRC of ISD %d through %v's control service: %v", tc.name, ia.ISD(), ia, fetchErr)
+		}
+		want, ok := n.TRCs().Get(ia.ISD())
+		if !ok {
+			t.Fatalf("%s: replica holds no TRC for ISD %d", tc.name, ia.ISD())
+		}
+		gb, _ := got.Encode()
+		wb, _ := want.Encode()
+		if !bytes.Equal(gb, wb) {
+			t.Errorf("%s: served TRC is not the one the replica verifies beacons against", tc.name)
+		}
 	}
 }

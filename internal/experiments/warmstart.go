@@ -9,15 +9,14 @@ import (
 	"sciera/internal/addr"
 	"sciera/internal/core"
 	"sciera/internal/multiping"
-	"sciera/internal/simnet"
 )
 
-// Campaign warm-start: instead of every sharded worker re-converging a
-// private replica (two full beaconing runs each — the dominant setup
-// cost on generated hundreds-of-AS topologies), one reference replica
+// Campaign warm-start: instead of every sharded worker converging a
+// private replica (a full beaconing run each — the dominant setup cost
+// on generated hundreds-of-AS topologies), one reference replica
 // converges, its control-plane state is captured as a core.Snapshot,
-// and every worker replica — including worker 0 — is constructed by
-// copy-on-write cloning from it. Byte-identity at any worker count is
+// and every worker replica — including worker 0 — is the same
+// constructor (campaignReplica) installing it copy-on-write. Byte-identity at any worker count is
 // preserved: see the determinism argument in internal/core/snapshot.go
 // and docs/architecture.md.
 
@@ -26,7 +25,7 @@ import (
 // and closes the replica. The snapshot is what every worker clones
 // from.
 func ConvergeReference(cfg Config, pairs []multiping.ProbePair) (*core.Snapshot, error) {
-	n, _, err := buildCampaignNetwork(cfg)
+	n, _, err := campaignReplica(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -35,31 +34,10 @@ func ConvergeReference(cfg Config, pairs []multiping.ProbePair) (*core.Snapshot,
 	return n.Snapshot()
 }
 
-// CloneReplica constructs one campaign replica from a snapshot: the
-// warm network shell comes up with the identical transport-operation
-// sequence as a cold build, the runtime-link calendar is spliced in,
-// and the snapshot is installed instead of re-converging.
+// CloneReplica constructs one campaign replica that installs snap
+// instead of converging.
 func CloneReplica(cfg Config, snap *core.Snapshot) (*core.Network, []multiping.IncidentEvent, error) {
-	s := cfg.scn()
-	topo, err := s.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	sim := simnet.NewSim(s.Campaign.Start())
-	n, err := core.BuildWarm(topo, sim, cfg.netOptions(s))
-	if err != nil {
-		return nil, nil, err
-	}
-	events, err := applyCampaignCalendar(cfg, n)
-	if err != nil {
-		n.Close()
-		return nil, nil, err
-	}
-	if err := n.InstallSnapshot(snap); err != nil {
-		n.Close()
-		return nil, nil, err
-	}
-	return n, events, nil
+	return campaignReplica(cfg, snap)
 }
 
 // campaignSnapshot resolves the snapshot a warm-started campaign clones
