@@ -55,7 +55,7 @@ func main() {
 	s := scenario.MustBuiltin("sciera")
 	topo, err := s.Build()
 	fatal(err)
-	sim := simnet.NewSim(time.Now())
+	sim := simnet.NewSim(time.Unix(1_700_000_000, 0))
 	n, err := core.Build(topo, sim, core.Options{Seed: *seed, BestPerOrigin: s.Campaign.BestPerOrigin})
 	fatal(err)
 	defer n.Close()
@@ -80,8 +80,7 @@ func main() {
 	fatal(err)
 	caCert, err := x509.ParseCertificate(p.CACerts[addr.MustParseIA("71-20965")].Cert)
 	fatal(err)
-	issuer := ca.New(addr.MustParseIA("71-20965"), caCert, p.CACerts[addr.MustParseIA("71-20965")].Key, 72*time.Hour)
-	issuer.Now = sim.Now
+	issuer := ca.New(addr.MustParseIA("71-20965"), caCert, p.CACerts[addr.MustParseIA("71-20965")].Key, 72*time.Hour, sim.Now)
 	r, err := o.ManageRenewal(cfg.IA, issuer, 6*time.Hour)
 	fatal(err)
 

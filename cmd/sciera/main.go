@@ -194,21 +194,21 @@ func runTraceroute(n *core.Network, src, dst addr.IA) {
 	pinger, err := n.NewPinger(src)
 	fatal(err)
 	defer pinger.Close()
-	done := make(chan struct{})
-	pinger.Traceroute(dst, paths[0], 3*time.Second, func(hops []scmp.Hop, err error) {
-		defer close(done)
-		fatal(err)
-		fmt.Printf("traceroute %s -> %s over %s\n", src, dst, paths[0].Fingerprint)
-		for i, h := range hops {
-			if h.IA == 0 {
-				fmt.Printf("%2d  *\n", i+1)
-				continue
+	fatal(simnet.Await(n.Transport, func(done func()) {
+		pinger.Traceroute(dst, paths[0], 3*time.Second, func(hops []scmp.Hop, err error) {
+			defer done()
+			fatal(err)
+			fmt.Printf("traceroute %s -> %s over %s\n", src, dst, paths[0].Fingerprint)
+			for i, h := range hops {
+				if h.IA == 0 {
+					fmt.Printf("%2d  *\n", i+1)
+					continue
+				}
+				fmt.Printf("%2d  %-12s if=%d  %.3f ms\n", i+1, h.IA, h.IfID,
+					float64(h.RTT)/float64(time.Millisecond))
 			}
-			fmt.Printf("%2d  %-12s if=%d  %.3f ms\n", i+1, h.IA, h.IfID,
-				float64(h.RTT)/float64(time.Millisecond))
-		}
-	})
-	<-done
+		})
+	}))
 }
 
 func parsePair(s string) (addr.IA, addr.IA) {

@@ -46,20 +46,13 @@ func main() {
 
 	// The netcat listener: with the plain net package this would be
 	// net.ListenUDP("udp", ...); the SCION version is the same shape.
-	server, err := hostB.ListenUDP(0)
+	server, err := hostB.ListenUDP(0, pan.WithHandler(func(c *pan.Conn, msg pan.Message) {
+		fmt.Printf("< %s: %s", msg.From, msg.Payload)
+		_, _ = c.WriteTo(msg.Payload, msg.From) // echo back
+	}))
 	must(err)
 	defer server.Close()
 	fmt.Printf("listening on %s\n", server.LocalAddr())
-	go func() {
-		for {
-			msg, err := server.ReadFrom()
-			if err != nil {
-				return
-			}
-			fmt.Printf("< %s: %s", msg.From, msg.Payload)
-			_, _ = server.WriteTo(msg.Payload, msg.From) // echo back
-		}
-	}()
 	if *listenOnly {
 		select {}
 	}

@@ -62,15 +62,10 @@ func main() {
 	link(campus, dep1, topology.LinkParent, 2)
 	link(campus, dep2, topology.LinkParent, 2)
 
-	sim := simnet.NewSim(time.Now())
+	sim := simnet.NewSim(time.Unix(1_700_000_000, 0))
 	n, err := core.Build(topo, sim, core.Options{Seed: 7})
 	must(err)
 	defer n.Close()
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); sim.RunLive(stop) }()
-	defer func() { close(stop); <-done }()
 
 	// --- Peering link: netA -> netB ---------------------------------
 	fmt.Println("netA -> netB (peering circuit between the networks):")
@@ -96,18 +91,11 @@ func main() {
 	dB, err := n.NewDaemon(netB)
 	must(err)
 	hostB := pan.WithDaemon(sim, dB)
-	server, err := hostB.ListenUDP(0)
+	server, err := hostB.ListenUDP(0, pan.WithHandler(func(c *pan.Conn, msg pan.Message) {
+		_, _ = c.WriteTo(append([]byte("peered: "), msg.Payload...), msg.From)
+	}))
 	must(err)
 	defer server.Close()
-	go func() {
-		for {
-			msg, err := server.ReadFrom()
-			if err != nil {
-				return
-			}
-			_, _ = server.WriteTo(append([]byte("peered: "), msg.Payload...), msg.From)
-		}
-	}()
 
 	dA, err := n.NewDaemon(netA)
 	must(err)

@@ -49,23 +49,17 @@ func main() {
 	defer n.Close()
 	fmt.Println("network up: 4 ASes, full SCION control and data plane on loopback UDP")
 
-	// 3. A server in leafB listens on a SCION/UDP socket.
+	// 3. A server in leafB listens on a SCION/UDP socket; its handler
+	// answers each datagram over the reversed path it arrived on.
 	dB, err := n.NewDaemon(leafB)
 	must(err)
 	hostB := pan.WithDaemon(net, dB)
-	server, err := hostB.ListenUDP(0)
+	server, err := hostB.ListenUDP(0, pan.WithHandler(func(c *pan.Conn, msg pan.Message) {
+		fmt.Printf("server: %q from %s\n", msg.Payload, msg.From)
+		_, _ = c.WriteTo(append([]byte("echo: "), msg.Payload...), msg.From)
+	}))
 	must(err)
 	defer server.Close()
-	go func() {
-		for {
-			msg, err := server.ReadFrom()
-			if err != nil {
-				return
-			}
-			fmt.Printf("server: %q from %s\n", msg.Payload, msg.From)
-			_, _ = server.WriteTo(append([]byte("echo: "), msg.Payload...), msg.From)
-		}
-	}()
 
 	// 4. A client in leafA inspects its paths and dials across.
 	dA, err := n.NewDaemon(leafA)

@@ -54,9 +54,6 @@ func main() {
 	n, err := core.Build(topo, sim, core.Options{Seed: 7})
 	must(err)
 	defer n.Close()
-	stop := make(chan struct{})
-	go sim.RunLive(stop)
-	defer close(stop)
 
 	// The HPC border runs a LightningFilter: only authenticated traffic
 	// from the collaboration's ISD reaches the transfer node.

@@ -46,13 +46,10 @@ func main() {
 	link(c1, bankA, topology.LinkParent)
 	link(c2, bankB, topology.LinkParent)
 
-	sim := simnet.NewSim(time.Now())
+	sim := simnet.NewSim(time.Unix(1_700_000_000, 0))
 	n, err := core.Build(topo, sim, core.Options{Seed: 3})
 	must(err)
 	defer n.Close()
-	stop := make(chan struct{})
-	go sim.RunLive(stop)
-	defer close(stop)
 
 	// One SIG per site, announcing its internal prefix to the peer.
 	dA, err := n.NewDaemon(bankA)
@@ -77,18 +74,13 @@ func main() {
 	must(err)
 	defer ledger.Close()
 
-	go func() {
-		for {
-			src, payload, err := ledger.Recv()
-			if err != nil {
-				return
-			}
-			fmt.Printf("ledger: %q from %s\n", payload, src)
-			_ = ledger.Send(src, []byte("ack:"+string(payload)))
-		}
-	}()
-
+	// Each Recv waits on the simulator, which carries the datagram
+	// through both SIGs and the SCION path in virtual time.
 	must(atm.Send(netip.MustParseAddrPort("172.16.20.9:7000"), []byte("withdrawal #42")))
+	src, payload, err := ledger.Recv()
+	must(err)
+	fmt.Printf("ledger: %q from %s\n", payload, src)
+	must(ledger.Send(src, []byte("ack:"+string(payload))))
 	_, reply, err := atm.Recv()
 	must(err)
 	fmt.Printf("atm: got %q\n", reply)

@@ -395,7 +395,7 @@ func fetchSync(t *testing.T, sim *simnet.Sim, server netip.AddrPort) (*TopologyF
 // the bootstrap fetch pipeline: garbage signed-message framing, garbage
 // topology payloads, missing and garbage TRCs.
 func TestFetchRejectsRogueServers(t *testing.T) {
-	sim := simnet.NewSim(time.Now())
+	sim := simnet.NewSim(time.Unix(1_700_000_000, 0))
 
 	// Garbage signed message.
 	srv := startRogue(t, sim, map[string][]byte{"/topology": []byte("{not json")})

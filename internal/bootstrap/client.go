@@ -83,8 +83,8 @@ type Result struct {
 }
 
 // Client performs hint discovery and configuration fetch. All
-// operations are asynchronous and single-shot; the blocking wrappers
-// require an independently driven transport.
+// operations are asynchronous and single-shot, timed on the transport
+// clock; a caller that must block waits on the transport (simnet.Await).
 type Client struct {
 	Env Env
 	// Timeout bounds each network exchange (default 1s).
@@ -142,14 +142,15 @@ func (c *Client) exchange(req []byte, target netip.AddrPort, match func([]byte) 
 	c.nextXID++
 	id := c.nextXID
 	var once sync.Once
-	var cancel func()
+	var cancel func() // set and read under c.mu
 	fire := func(pkt []byte, err error) {
 		once.Do(func() {
 			c.mu.Lock()
 			delete(c.waiters, id)
+			disarm := cancel
 			c.mu.Unlock()
-			if cancel != nil {
-				cancel()
+			if disarm != nil {
+				disarm()
 			}
 			cb(pkt, err)
 		})
@@ -159,8 +160,6 @@ func (c *Client) exchange(req []byte, target netip.AddrPort, match func([]byte) 
 			fire(pkt, nil)
 		}
 	}
-	c.mu.Unlock()
-
 	timeout := c.Timeout
 	if timeout == 0 {
 		timeout = time.Second
@@ -168,6 +167,7 @@ func (c *Client) exchange(req []byte, target netip.AddrPort, match func([]byte) 
 	cancel = c.net.AfterFunc(timeout, func() {
 		fire(nil, fmt.Errorf("bootstrap: exchange with %v timed out", target))
 	})
+	c.mu.Unlock()
 	if err := c.conn.Send(req, target); err != nil {
 		fire(nil, err)
 	}

@@ -32,25 +32,25 @@ type CA struct {
 	Key      *cppki.KeyPair
 	Validity time.Duration // validity of issued AS certs (short!)
 
-	// Now supplies the CA's clock; tests and the simulator inject
-	// virtual time here.
+	// Now is the CA's clock: the transport clock of the network it
+	// serves (virtual time on the simulator).
 	Now func() time.Time
 
 	mu     sync.Mutex
 	issued int
 }
 
-// New creates a CA from its certificate and key. Validity is the lifetime
-// of issued AS certificates; the paper reports "typically just a few
-// days" in production.
-func New(ia addr.IA, cert *x509.Certificate, key *cppki.KeyPair, validity time.Duration) *CA {
+// New creates a CA from its certificate and key, issuing on the given
+// clock. Validity is the lifetime of issued AS certificates; the paper
+// reports "typically just a few days" in production.
+func New(ia addr.IA, cert *x509.Certificate, key *cppki.KeyPair, validity time.Duration, now func() time.Time) *CA {
 	return &CA{
 		IA:       ia,
 		ISD:      ia.ISD(),
 		Cert:     cert,
 		Key:      key,
 		Validity: validity,
-		Now:      time.Now,
+		Now:      now,
 	}
 }
 
@@ -132,10 +132,10 @@ type Renewer struct {
 	count int
 }
 
-// NewRenewer creates a renewer; call Renew once to obtain the initial
-// certificate.
-func NewRenewer(ia addr.IA, key *cppki.KeyPair, issue func([]byte) (cppki.Chain, error)) *Renewer {
-	return &Renewer{IA: ia, Key: key, Issue: issue, Now: time.Now}
+// NewRenewer creates a renewer that judges validity on the given clock;
+// call Renew once to obtain the initial certificate.
+func NewRenewer(ia addr.IA, key *cppki.KeyPair, issue func([]byte) (cppki.Chain, error), now func() time.Time) *Renewer {
+	return &Renewer{IA: ia, Key: key, Issue: issue, Now: now}
 }
 
 // Chain returns the current certificate chain.

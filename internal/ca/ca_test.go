@@ -17,7 +17,8 @@ var (
 
 func newCA(t *testing.T, validity time.Duration) (*CA, *cppki.ProvisionedISD) {
 	t.Helper()
-	p, err := cppki.ProvisionISD(71, []addr.IA{caIA}, []addr.IA{caIA}, cppki.ProvisionOptions{})
+	p, err := cppki.ProvisionISD(71, []addr.IA{caIA}, []addr.IA{caIA},
+		cppki.ProvisionOptions{NotBefore: time.Now().Add(-time.Minute)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func newCA(t *testing.T, validity time.Duration) (*CA, *cppki.ProvisionedISD) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(caIA, cert, mat.Key, validity), p
+	return New(caIA, cert, mat.Key, validity, time.Now), p
 }
 
 func TestIssueFromCSR(t *testing.T) {
@@ -104,8 +105,7 @@ func TestRenewerLifecycle(t *testing.T) {
 	c.Now = clock
 
 	key, _ := cppki.GenerateKey()
-	r := NewRenewer(leafIA, key, c.Issue)
-	r.Now = clock
+	r := NewRenewer(leafIA, key, c.Issue, clock)
 
 	if !r.NeedsRenewal() {
 		t.Fatal("fresh renewer should need initial issuance")
@@ -154,8 +154,7 @@ func TestRenewerSurvivesLongOperation(t *testing.T) {
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	c.Now = clock
 	key, _ := cppki.GenerateKey()
-	r := NewRenewer(leafIA, key, c.Issue)
-	r.Now = clock
+	r := NewRenewer(leafIA, key, c.Issue, clock)
 
 	for hour := 0; hour < 24*60; hour += 6 { // 60 days, 6-hour cron
 		if _, err := r.Tick(); err != nil {
@@ -177,7 +176,7 @@ func TestRenewerPropagatesIssueErrors(t *testing.T) {
 	key, _ := cppki.GenerateKey()
 	r := NewRenewer(leafIA, key, func([]byte) (cppki.Chain, error) {
 		return cppki.Chain{}, ErrBadCSR
-	})
+	}, time.Now)
 	if err := r.Renew(); err == nil {
 		t.Error("issue error swallowed")
 	}

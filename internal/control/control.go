@@ -229,9 +229,8 @@ func (s *Service) servePaths(req *Request, resp *Response) {
 	s.Metrics.Downs.Add(uint64(len(downs)))
 }
 
-// Client queries a control service. It correlates responses by request
-// ID and supports both callback and blocking styles; the blocking style
-// requires someone else to drive a simulated transport.
+// Client queries a control service, correlating responses by request
+// ID; a caller that must block waits on the transport (simnet.Await).
 type Client struct {
 	Net simnet.Network
 	// Server is the control service's underlay address.
@@ -269,73 +268,57 @@ func (c *Client) handle(raw []byte, _ netip.AddrPort) {
 	if err := json.Unmarshal(raw, &resp); err != nil {
 		return
 	}
-	c.mu.Lock()
-	cb := c.pending[resp.ID]
-	delete(c.pending, resp.ID)
-	c.mu.Unlock()
-	if cb != nil {
-		cb(&resp, nil)
+	if fire := c.take(resp.ID); fire != nil {
+		fire(&resp, nil)
 	}
 }
 
 // Do sends a request and invokes cb exactly once with the response or a
-// timeout error.
+// timeout error. The timeout is armed, on the transport clock, before
+// the request can be answered: whoever removes the request from pending
+// — reply, timeout or send error — owns the one callback.
 func (c *Client) Do(req *Request, cb func(*Response, error)) {
 	c.mu.Lock()
 	c.nextID++
 	req.ID = c.nextID
 	id := req.ID
-
-	var once sync.Once
-	var cancel func()
-	fire := func(r *Response, err error) {
-		once.Do(func() {
-			if cancel != nil {
-				cancel()
-			}
-			cb(r, err)
-		})
-	}
-	c.pending[id] = fire
 	c.mu.Unlock()
-
 	out, err := json.Marshal(req)
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		fire(nil, err)
+		cb(nil, err)
 		return
 	}
 	timeout := c.Timeout
 	if timeout == 0 {
 		timeout = 2 * time.Second
 	}
+	var cancel func()
+	c.mu.Lock()
+	c.pending[id] = func(r *Response, err error) {
+		cancel()
+		cb(r, err)
+	}
 	cancel = c.Net.AfterFunc(timeout, func() {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		fire(nil, fmt.Errorf("control: request %d to %v timed out", id, c.Server))
+		if fire := c.take(id); fire != nil {
+			fire(nil, fmt.Errorf("control: request %d to %v timed out", id, c.Server))
+		}
 	})
+	c.mu.Unlock()
 	if err := c.conn.Send(out, c.Server); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		fire(nil, err)
+		if fire := c.take(id); fire != nil {
+			fire(nil, err)
+		}
 	}
 }
 
-// DoSync is the blocking variant; only safe when the transport runs
-// independently (UDPNet, or a simulator driven by another goroutine).
-func (c *Client) DoSync(req *Request) (*Response, error) {
-	type result struct {
-		resp *Response
-		err  error
-	}
-	ch := make(chan result, 1)
-	c.Do(req, func(r *Response, err error) { ch <- result{r, err} })
-	res := <-ch
-	return res.resp, res.err
+// take removes and returns a pending request's callback (nil once
+// another outcome took it).
+func (c *Client) take(id uint64) func(*Response, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fire := c.pending[id]
+	delete(c.pending, id)
+	return fire
 }
 
 // DecodeSegments parses the raw segments of a response group.

@@ -198,7 +198,7 @@ func TestTRCRequest(t *testing.T) {
 func TestRenewRequest(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
 	p, err := cppki.ProvisionISD(71, []addr.IA{coreIA}, []addr.IA{coreIA},
-		cppki.ProvisionOptions{NotBefore: time.Now().Add(-time.Hour)})
+		cppki.ProvisionOptions{NotBefore: sim.Now().Add(-time.Hour)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,8 @@ func TestRenewRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	issuer := ca.New(coreIA, caCert, caMat.Key, 72*time.Hour)
+	// The CA issues on the simulator's clock, and the chain verifies there.
+	issuer := ca.New(coreIA, caCert, caMat.Key, 72*time.Hour, sim.Now)
 	svc := startService(t, sim, coreIA, testRegistry(t), cppki.NewStore(), issuer)
 	defer svc.Close()
 	cli, _ := NewClient(sim, svc.Addr(), netip.AddrPort{})
@@ -233,9 +234,9 @@ func TestRenewRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	trcs := cppki.NewStore()
-	_ = trcs.AddTrusted(p.TRC, time.Now())
+	_ = trcs.AddTrusted(p.TRC, sim.Now())
 	trc, _ := trcs.Get(71)
-	if err := cppki.VerifyChain(cppki.Chain{AS: asCert, CA: caGot}, trc, leafIA, time.Now()); err != nil {
+	if err := cppki.VerifyChain(cppki.Chain{AS: asCert, CA: caGot}, trc, leafIA, sim.Now()); err != nil {
 		t.Fatalf("issued chain invalid: %v", err)
 	}
 

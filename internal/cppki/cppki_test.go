@@ -19,7 +19,7 @@ func provision(t *testing.T) *ProvisionedISD {
 	p, err := ProvisionISD(71,
 		[]addr.IA{coreA, coreB, coreC},
 		[]addr.IA{coreA, coreB},
-		ProvisionOptions{})
+		ProvisionOptions{NotBefore: time.Now().Add(-time.Minute)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestChainIssuanceAndVerify(t *testing.T) {
 	}
 	// CA not anchored: provision a different ISD and use its TRC.
 	q, err := ProvisionISD(64, []addr.IA{addr.MustParseIA("64-559")},
-		[]addr.IA{addr.MustParseIA("64-559")}, ProvisionOptions{})
+		[]addr.IA{addr.MustParseIA("64-559")}, ProvisionOptions{NotBefore: now.Add(-time.Minute)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +253,13 @@ func TestSignedMessage(t *testing.T) {
 }
 
 func TestProvisionValidation(t *testing.T) {
-	if _, err := ProvisionISD(9, nil, nil, ProvisionOptions{}); err == nil {
+	if _, err := ProvisionISD(9, nil, nil, ProvisionOptions{NotBefore: time.Now()}); err == nil {
 		t.Error("provisioning without authoritative ASes accepted")
+	}
+	// Validity starts on the provisioning network's clock, never on a
+	// default one.
+	if _, err := ProvisionISD(9, []addr.IA{coreA}, []addr.IA{coreA}, ProvisionOptions{}); err == nil {
+		t.Error("provisioning without NotBefore accepted")
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 
 // ProvisionOptions tunes ISD provisioning.
 type ProvisionOptions struct {
+	// NotBefore starts every validity period; required, and read from
+	// the clock of the network being provisioned.
 	NotBefore    time.Time
 	TRCValidity  time.Duration // default 2 years
 	RootValidity time.Duration // default 5 years
@@ -41,7 +43,7 @@ func ProvisionISD(isd addr.ISD, core, authoritative []addr.IA, opts ProvisionOpt
 		return nil, fmt.Errorf("cppki: ISD %d needs at least one authoritative AS", isd)
 	}
 	if opts.NotBefore.IsZero() {
-		opts.NotBefore = time.Now().Add(-time.Minute)
+		return nil, fmt.Errorf("cppki: ProvisionOptions.NotBefore required (the provisioning network's clock)")
 	}
 	if opts.TRCValidity == 0 {
 		opts.TRCValidity = 2 * 365 * 24 * time.Hour

@@ -289,17 +289,15 @@ func (d *Daemon) finishLookup(dst addr.IA, paths []*combinator.Path, err error) 
 	}
 }
 
-// Paths is the blocking variant of PathsAsync (see control.Client.DoSync
-// for transport caveats).
-func (d *Daemon) Paths(dst addr.IA) ([]*combinator.Path, error) {
-	type result struct {
-		paths []*combinator.Path
-		err   error
+// Paths is PathsAsync waiting on the transport for its answer
+// (simnet.Await).
+func (d *Daemon) Paths(dst addr.IA) (paths []*combinator.Path, err error) {
+	if werr := simnet.Await(d.net, func(done func()) {
+		d.PathsAsync(dst, func(p []*combinator.Path, e error) { paths, err = p, e; done() })
+	}); werr != nil {
+		return nil, werr
 	}
-	ch := make(chan result, 1)
-	d.PathsAsync(dst, func(p []*combinator.Path, err error) { ch <- result{p, err} })
-	res := <-ch
-	return res.paths, res.err
+	return paths, err
 }
 
 // FlushCache clears the path cache (e.g. after an SCMP interface-down

@@ -212,7 +212,7 @@ func TestLocalASPaths(t *testing.T) {
 }
 
 func TestFetchTRC(t *testing.T) {
-	sim := simnet.NewSim(time.Now())
+	sim := simnet.NewSim(time.Unix(1_700_000_000, 0))
 	n := buildNet(t, sim, core.Options{Seed: 1, WithPKI: true})
 	defer n.Close()
 	d, _ := n.NewDaemon(lA)
@@ -266,7 +266,7 @@ func TestInfoAccessors(t *testing.T) {
 // daemon's lock, like every lookup callback, so it may call back into
 // the daemon — here a path lookup chained onto a fetched TRC.
 func TestFetchTRCCallbackMayReenter(t *testing.T) {
-	sim := simnet.NewSim(time.Now())
+	sim := simnet.NewSim(time.Unix(1_700_000_000, 0))
 	n := buildNet(t, sim, core.Options{Seed: 1, WithPKI: true})
 	defer n.Close()
 	d, _ := n.NewDaemon(lA)

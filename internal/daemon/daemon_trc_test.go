@@ -109,8 +109,8 @@ func TestFetchTRCChainedUpdate(t *testing.T) {
 	}
 }
 
-// TestPathsBlocking covers the synchronous Paths wrapper, which needs a
-// live-driven simulator to complete the round trip.
+// TestPathsBlocking covers the synchronous Paths wrapper: it runs the
+// simulator until the control service's answer is in.
 func TestPathsBlocking(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(1_700_000_000, 0))
 	n := buildNet(t, sim, core.Options{Seed: 1})
@@ -120,11 +120,6 @@ func TestPathsBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); sim.RunLive(stop) }()
-	defer func() { close(stop); <-done }()
 
 	paths, err := d.Paths(lB)
 	if err != nil {

@@ -87,7 +87,8 @@ type Options struct {
 	Window int
 	// RTO is the retransmission timeout (default 500ms).
 	RTO time.Duration
-	// Timeout bounds the whole transfer (default 2min).
+	// Timeout bounds the whole transfer (default 2min). Both are on the
+	// transport clock.
 	Timeout time.Duration
 }
 
@@ -146,7 +147,9 @@ func selectPaths(paths []*combinator.Path, n int) []*combinator.Path {
 }
 
 // Send transfers data to a hercules receiver, striping chunks across
-// disjoint paths. It blocks; the transport must run independently.
+// disjoint paths. It waits on the transport for acknowledgements, and
+// every timeout is on the transport clock: on the simulator a transfer is
+// a deterministic function of its inputs.
 func Send(host *pan.Host, dst addr.UDPAddr, transferID uint32, data []byte, opts Options) (*Stats, error) {
 	opts.defaults()
 	conn, err := host.ListenUDP(0)
@@ -175,10 +178,9 @@ func Send(host *pan.Host, dst addr.UDPAddr, transferID uint32, data []byte, opts
 
 	// Elapsed time (and thus throughput) is measured on the transport
 	// clock — virtual time on the simulator, where link capacities are
-	// enforced. The overall timeout stays on the wall clock as a
-	// safety bound against a fully stalled transport.
+	// enforced.
 	start := host.Now()
-	wallDeadline := time.Now().Add(opts.Timeout)
+	deadline := start.Add(opts.Timeout)
 	stats := &Stats{Bytes: len(data), Chunks: total, PathsUsed: len(paths)}
 
 	chunk := func(i int) []byte {
@@ -205,7 +207,7 @@ func Send(host *pan.Host, dst addr.UDPAddr, transferID uint32, data []byte, opts
 	next := 0
 	round := 0
 	for ackedCount < total {
-		if time.Now().After(wallDeadline) {
+		if host.Now().After(deadline) {
 			return nil, fmt.Errorf("hercules: transfer timed out (%d/%d chunks)", ackedCount, total)
 		}
 		// Fill the window.
@@ -235,12 +237,8 @@ func Send(host *pan.Host, dst addr.UDPAddr, transferID uint32, data []byte, opts
 		// Drain ACKs until the window empties or a tick passes.
 		msg, err := conn.ReadFromTimeout(opts.RTO)
 		if err != nil {
-			// Nothing heard for a full RTO (wall clock): reopen the
-			// window and requalify every unacked chunk for
-			// retransmission. (The per-chunk pacing above runs on the
-			// transport clock, which freezes when a simulated network
-			// goes idle — the wall-clock read timeout is the loss
-			// detector.)
+			// Nothing heard for a full RTO: reopen the window and
+			// requalify every unacked chunk for retransmission.
 			inflight = 0
 			for i := range lastSent {
 				if !acked[i] {
@@ -286,10 +284,13 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// Receiver accepts hercules transfers.
+// Receiver accepts hercules transfers. It is its socket's handler: a
+// chunk is stored and acknowledged on the transport's event path.
 type Receiver struct {
-	conn *pan.Conn
-	done chan Result
+	conn      *pan.Conn
+	done      chan Result
+	transfers map[uint32]*inbound
+	finished  map[uint32]bool
 }
 
 // Result is a completed inbound transfer.
@@ -302,19 +303,24 @@ type Result struct {
 // Receive starts a receiver on the given SCION port. Completed
 // transfers are delivered on Results.
 func Receive(host *pan.Host, port uint16) (*Receiver, error) {
-	conn, err := host.ListenUDP(port)
+	r := &Receiver{
+		done:      make(chan Result, 4),
+		transfers: make(map[uint32]*inbound),
+		finished:  make(map[uint32]bool),
+	}
+	conn, err := host.ListenUDP(port, pan.WithHandler(r.handle))
 	if err != nil {
 		return nil, err
 	}
-	r := &Receiver{conn: conn, done: make(chan Result, 4)}
-	go r.loop()
+	r.conn = conn
 	return r, nil
 }
 
 // Addr returns the receiver's SCION address.
 func (r *Receiver) Addr() addr.UDPAddr { return r.conn.LocalAddr() }
 
-// Results delivers completed transfers.
+// Results delivers completed transfers (up to four unread; later ones
+// are dropped).
 func (r *Receiver) Results() <-chan Result { return r.done }
 
 // Close stops the receiver.
@@ -325,50 +331,42 @@ type inbound struct {
 	have   int
 }
 
-func (r *Receiver) loop() {
-	transfers := make(map[uint32]*inbound)
-	finished := make(map[uint32]bool)
-	for {
-		msg, err := r.conn.ReadFrom()
-		if err != nil {
+func (r *Receiver) handle(_ *pan.Conn, msg pan.Message) {
+	h, err := decodeHeader(msg.Payload)
+	if err != nil {
+		return
+	}
+	switch h.kind {
+	case kindData:
+		if r.finished[h.transfer] {
+			// Late duplicate after completion: re-ack everything.
+			r.sendAck(h.transfer, int(h.total), nil, msg.From)
 			return
 		}
-		h, err := decodeHeader(msg.Payload)
-		if err != nil {
-			continue
+		st := r.transfers[h.transfer]
+		if st == nil {
+			st = &inbound{chunks: make([][]byte, h.total)}
+			r.transfers[h.transfer] = st
 		}
-		switch h.kind {
-		case kindData:
-			if finished[h.transfer] {
-				// Late duplicate after completion: re-ack everything.
-				r.sendAck(h.transfer, int(h.total), nil, msg.From)
-				continue
-			}
-			st := transfers[h.transfer]
-			if st == nil {
-				st = &inbound{chunks: make([][]byte, h.total)}
-				transfers[h.transfer] = st
-			}
-			if int(h.idx) < len(st.chunks) && st.chunks[h.idx] == nil {
-				st.chunks[h.idx] = append([]byte(nil), h.payload...)
-				st.have++
-			}
-			r.sendAck(h.transfer, len(st.chunks), st, msg.From)
-			if st.have == len(st.chunks) {
-				finished[h.transfer] = true
-				var data []byte
-				for _, c := range st.chunks {
-					data = append(data, c...)
-				}
-				delete(transfers, h.transfer)
-				select {
-				case r.done <- Result{Transfer: h.transfer, Data: data, From: msg.From}:
-				default:
-				}
-			}
-		case kindFin:
-			delete(transfers, h.transfer)
+		if int(h.idx) < len(st.chunks) && st.chunks[h.idx] == nil {
+			st.chunks[h.idx] = append([]byte(nil), h.payload...)
+			st.have++
 		}
+		r.sendAck(h.transfer, len(st.chunks), st, msg.From)
+		if st.have == len(st.chunks) {
+			r.finished[h.transfer] = true
+			var data []byte
+			for _, c := range st.chunks {
+				data = append(data, c...)
+			}
+			delete(r.transfers, h.transfer)
+			select {
+			case r.done <- Result{Transfer: h.transfer, Data: data, From: msg.From}:
+			default:
+			}
+		}
+	case kindFin:
+		delete(r.transfers, h.transfer)
 	}
 }
 

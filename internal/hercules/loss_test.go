@@ -28,8 +28,6 @@ func TestLossRecovery(t *testing.T) {
 		return d, ok
 	}
 
-	stop := live(sim)
-	defer stop()
 	dA, err := n.NewDaemon(lA)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +62,7 @@ func TestLossRecovery(t *testing.T) {
 		if !bytes.Equal(res.Data, data) {
 			t.Fatal("data corrupted despite retransmissions")
 		}
-	case <-time.After(60 * time.Second):
+	default:
 		t.Fatal("transfer did not complete under loss")
 	}
 	if stats.Retransmits == 0 {

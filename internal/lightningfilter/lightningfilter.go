@@ -95,7 +95,8 @@ type Config struct {
 	// AllowedISDs optionally restricts sources to these ISDs
 	// (geofencing); empty allows all.
 	AllowedISDs []addr.ISD
-	// Now supplies the clock.
+	// Now supplies the clock (required): the transport clock of the
+	// network the filter sits in.
 	Now func() time.Time
 }
 
@@ -129,7 +130,7 @@ func New(cfg Config) (*Filter, error) {
 		cfg.MaxAge = 2 * time.Second
 	}
 	if cfg.Now == nil {
-		cfg.Now = time.Now
+		return nil, fmt.Errorf("lightningfilter: Now required")
 	}
 	return &Filter{cfg: cfg, buckets: make(map[addr.IA]*bucket)}, nil
 }

@@ -196,8 +196,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Master: master}); err == nil {
 		t.Error("filter without Local accepted")
 	}
-	if _, err := New(Config{Local: localIA}); err == nil {
+	if _, err := New(Config{Local: localIA, Now: fixedNow}); err == nil {
 		t.Error("filter without master accepted")
+	}
+	if _, err := New(Config{Local: localIA, Master: master}); err == nil {
+		t.Error("filter without a clock accepted")
 	}
 }
 

@@ -113,8 +113,7 @@ func (o *Orchestrator) ManageRenewal(ia addr.IA, issuer *ca.CA, every time.Durat
 	if err != nil {
 		return nil, err
 	}
-	r := ca.NewRenewer(ia, key, issuer.Issue)
-	r.Now = o.Net.Transport.Now
+	r := ca.NewRenewer(ia, key, issuer.Issue, o.Net.Transport.Now)
 	if err := r.Renew(); err != nil {
 		return nil, err
 	}

@@ -160,7 +160,7 @@ func TestMonitoringAlertsOnOutage(t *testing.T) {
 }
 
 func TestRenewalLoopAndDashboard(t *testing.T) {
-	sim := simnet.NewSim(time.Now())
+	sim := simnet.NewSim(time.Unix(1_700_000_000, 0))
 	n := buildNet(t, sim)
 	defer n.Close()
 	o := orchestrator.New(n)
@@ -175,8 +175,7 @@ func TestRenewalLoopAndDashboard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	issuer := ca.New(c1, caCert, caMat.Key, 48*time.Hour)
-	issuer.Now = sim.Now
+	issuer := ca.New(c1, caCert, caMat.Key, 48*time.Hour, sim.Now)
 
 	r, err := o.ManageRenewal(lA, issuer, 6*time.Hour)
 	if err != nil {

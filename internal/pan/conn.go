@@ -28,7 +28,7 @@ type Message struct {
 var (
 	ErrNoPath   = errors.New("pan: no path to destination")
 	ErrClosed   = errors.New("pan: connection closed")
-	ErrDeadline = errors.New("pan: read deadline exceeded")
+	ErrDeadline = simnet.ErrDeadline
 )
 
 // Conn is a SCION/UDP socket: a drop-in replacement for a UDP
@@ -48,9 +48,12 @@ type Conn struct {
 	replyPaths map[addr.UDPAddr]*spath.Path
 	// downPaths records fingerprints SCMP declared broken.
 	downPaths map[string]time.Time
-	recvq     chan Message
 	closed    bool
 	scmpSeq   uint16
+	// recv queues received datagrams for ReadFrom; a socket opened
+	// WithHandler hands them to serve instead.
+	recv  *simnet.Inbox[Message]
+	serve func(*Conn, Message)
 	// OnSCMPError, when set, observes SCMP errors delivered to this
 	// socket (after the selector has processed them).
 	OnSCMPError func(scmp *slayers.SCMP)
@@ -61,6 +64,12 @@ type Option func(*Conn)
 
 // WithPolicy sets the path selection policy (default Shortest).
 func WithPolicy(p Policy) Option { return func(c *Conn) { c.policy = p } }
+
+// WithHandler makes the socket a server: every received datagram is
+// handed to h, on the transport's event path, instead of being queued
+// for ReadFrom. h must not block; it may answer through c.WriteTo, which
+// replies over the datagram's reversed path without a lookup.
+func WithHandler(h func(c *Conn, msg Message)) Option { return func(c *Conn) { c.serve = h } }
 
 // WithDispatcher routes the socket's inbound traffic through the
 // legacy shared dispatcher instead of binding its own underlay port for
@@ -74,7 +83,7 @@ func (h *Host) ListenUDP(port uint16, opts ...Option) (*Conn, error) {
 		policy:     Shortest{},
 		replyPaths: make(map[addr.UDPAddr]*spath.Path),
 		downPaths:  make(map[string]time.Time),
-		recvq:      make(chan Message, 256),
+		recv:       simnet.NewInbox[Message](h.net, 256),
 	}
 	for _, o := range opts {
 		o(c)
@@ -134,8 +143,8 @@ func (c *Conn) Close() error {
 		return ErrClosed
 	}
 	c.closed = true
-	close(c.recvq)
 	c.mu.Unlock()
+	c.recv.Close()
 	if c.disp != nil {
 		c.disp.Unregister(c.local.Host.Port())
 	}
@@ -169,17 +178,11 @@ func (c *Conn) handleUDP(pkt *slayers.Packet) {
 		c.mu.Unlock()
 	}
 	msg := Message{Payload: append([]byte(nil), pkt.Payload...), From: src}
-	// Close closes recvq under c.mu, so the closed check and the send
-	// must share one critical section; the send never blocks.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+	if c.serve != nil {
+		c.serve(c, msg)
 		return
 	}
-	select {
-	case c.recvq <- msg:
-	default: // receive queue full: drop, as UDP would
-	}
+	c.recv.Put(msg) // a full queue drops, as UDP would
 }
 
 func (c *Conn) handleSCMP(pkt *slayers.Packet) {
@@ -317,27 +320,17 @@ func (c *Conn) Paths(dst addr.IA) ([]*combinator.Path, error) {
 	return c.policy.Order(paths), nil
 }
 
-// ReadFrom blocks for the next datagram (transport must be driven
-// independently; see simnet.Sim.RunLive).
-func (c *Conn) ReadFrom() (Message, error) {
-	msg, ok := <-c.recvq
-	if !ok {
-		return Message{}, ErrClosed
-	}
-	return msg, nil
-}
+// ReadFrom waits on the transport for the next datagram.
+func (c *Conn) ReadFrom() (Message, error) { return c.ReadFromTimeout(0) }
 
-// ReadFromTimeout is ReadFrom with a wall-clock deadline.
+// ReadFromTimeout is ReadFrom giving up after d (zero: never) on the
+// transport clock, with ErrDeadline.
 func (c *Conn) ReadFromTimeout(d time.Duration) (Message, error) {
-	select {
-	case msg, ok := <-c.recvq:
-		if !ok {
-			return Message{}, ErrClosed
-		}
-		return msg, nil
-	case <-time.After(d):
-		return Message{}, ErrDeadline
+	msg, err := c.recv.Get(d)
+	if errors.Is(err, simnet.ErrClosed) {
+		err = ErrClosed
 	}
+	return msg, err
 }
 
 // DialedConn is a Conn bound to one remote.

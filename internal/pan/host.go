@@ -130,6 +130,3 @@ func (h *Host) Close() error {
 	}
 	return nil
 }
-
-// pathTimeout bounds implicit lookups inside socket operations.
-const pathTimeout = 5 * time.Second

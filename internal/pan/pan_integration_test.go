@@ -52,17 +52,6 @@ func buildNet(t testing.TB, sim *simnet.Sim, opts core.Options) *core.Network {
 	return n
 }
 
-// live starts a sim driver and returns a stopper.
-func live(sim *simnet.Sim) func() {
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sim.RunLive(stop)
-	}()
-	return func() { close(stop); <-done }
-}
-
 func hostIn(t *testing.T, n *core.Network, ia addr.IA) *pan.Host {
 	t.Helper()
 	d, err := n.NewDaemon(ia)
@@ -76,30 +65,21 @@ func TestDialAndEcho(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
 	n := buildNet(t, sim, core.Options{Seed: 1})
 	defer n.Close()
-	stop := live(sim)
-	defer stop()
 
 	hA := hostIn(t, n, lA)
 	hB := hostIn(t, n, lB)
 
-	server, err := hB.ListenUDP(0)
+	// The server is its socket's handler; the client's blocking Read
+	// runs the simulator, and with it the handler, until the echo is in.
+	server, err := hB.ListenUDP(0, pan.WithHandler(func(c *pan.Conn, msg pan.Message) {
+		if _, err := c.WriteTo(append([]byte("re:"), msg.Payload...), msg.From); err != nil {
+			t.Errorf("server write: %v", err)
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-
-	// Server echo loop.
-	go func() {
-		for {
-			msg, err := server.ReadFrom()
-			if err != nil {
-				return
-			}
-			if _, err := server.WriteTo(append([]byte("re:"), msg.Payload...), msg.From); err != nil {
-				t.Errorf("server write: %v", err)
-			}
-		}
-	}()
 
 	client, err := hA.DialUDP(server.LocalAddr())
 	if err != nil {
@@ -131,8 +111,6 @@ func TestPolicyOrdering(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
 	n := buildNet(t, sim, core.Options{Seed: 1})
 	defer n.Close()
-	stop := live(sim)
-	defer stop()
 
 	hA := hostIn(t, n, lA)
 	conn, err := hA.ListenUDP(0, pan.WithPolicy(pan.Fastest{}))
@@ -186,8 +164,6 @@ func TestWriteToViaExplicitPath(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
 	n := buildNet(t, sim, core.Options{Seed: 1})
 	defer n.Close()
-	stop := live(sim)
-	defer stop()
 
 	hA := hostIn(t, n, lA)
 	hB := hostIn(t, n, lB)
@@ -217,8 +193,6 @@ func TestASInternalTraffic(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
 	n := buildNet(t, sim, core.Options{Seed: 1})
 	defer n.Close()
-	stop := live(sim)
-	defer stop()
 
 	h := hostIn(t, n, lA)
 	a, _ := h.ListenUDP(0)
@@ -238,8 +212,6 @@ func TestDispatcherMode(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
 	n := buildNet(t, sim, core.Options{Seed: 1, UseDispatcher: true})
 	defer n.Close()
-	stop := live(sim)
-	defer stop()
 
 	hA := hostIn(t, n, lA)
 	hB := hostIn(t, n, lB)
@@ -255,20 +227,13 @@ func TestDispatcherMode(t *testing.T) {
 	}
 	defer dispA.Close()
 
-	server, err := hB.ListenUDP(7777, pan.WithDispatcher(dispB))
+	server, err := hB.ListenUDP(7777, pan.WithDispatcher(dispB), pan.WithHandler(func(c *pan.Conn, msg pan.Message) {
+		_, _ = c.WriteTo(msg.Payload, msg.From)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	go func() {
-		for {
-			msg, err := server.ReadFrom()
-			if err != nil {
-				return
-			}
-			_, _ = server.WriteTo(msg.Payload, msg.From)
-		}
-	}()
 
 	client, err := hA.DialUDP(server.LocalAddr(), pan.WithDispatcher(dispA))
 	if err != nil {
@@ -292,9 +257,9 @@ func TestDispatcherMode(t *testing.T) {
 }
 
 func TestStandaloneModeBootstrapsItself(t *testing.T) {
-	// The virtual clock must carry a realistic date: certificate and
-	// TRC validity are checked against it during bootstrap.
-	sim := simnet.NewSim(time.Now())
+	// Certificates and TRCs are issued and checked on the simulator's
+	// clock, so any start date works.
+	sim := simnet.NewSim(time.Unix(1_700_000_000, 0))
 	n := buildNet(t, sim, core.Options{Seed: 1, WithPKI: true})
 	defer n.Close()
 
@@ -323,27 +288,18 @@ func TestStandaloneModeBootstrapsItself(t *testing.T) {
 	}
 	defer lan.Close()
 
-	stop := live(sim)
-	defer stop()
-
 	// The application has NO pre-installed components: AutoInit falls
-	// back to standalone and bootstraps in-process.
-	hostCh := make(chan *pan.Host, 1)
-	errCh := make(chan error, 1)
-	pan.AutoInit(sim, nil, bootstrap.Env{}, func(h *pan.Host, err error) {
-		if err != nil {
-			errCh <- err
-			return
-		}
-		hostCh <- h
-	})
+	// back to standalone and bootstraps in-process, on the simulator's
+	// clock.
 	var hA *pan.Host
-	select {
-	case hA = <-hostCh:
-	case err := <-errCh:
+	var initErr error
+	if err := simnet.Await(sim, func(done func()) {
+		pan.AutoInit(sim, nil, bootstrap.Env{}, func(h *pan.Host, err error) { hA, initErr = h, err; done() })
+	}); err != nil {
 		t.Fatal(err)
-	case <-time.After(5 * time.Second):
-		t.Fatal("standalone init timed out")
+	}
+	if initErr != nil {
+		t.Fatal(initErr)
 	}
 	defer hA.Close()
 	if hA.Mode() != pan.ModeStandalone {
@@ -378,8 +334,6 @@ func TestInstantFailover(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
 	n := buildNet(t, sim, core.Options{Seed: 1})
 	defer n.Close()
-	stop := live(sim)
-	defer stop()
 
 	hA := hostIn(t, n, lA)
 	hB := hostIn(t, n, lB)
@@ -428,16 +382,13 @@ func TestInstantFailover(t *testing.T) {
 	if err := n.RefreshControlPlane(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
 	delivered := false
-	for time.Now().Before(deadline) {
+	for try := 0; try < 10 && !delivered; try++ {
 		if _, err := client.WriteTo([]byte("failover"), server.LocalAddr()); err != nil {
 			continue
 		}
-		if msg, err := server.ReadFromTimeout(time.Second); err == nil && string(msg.Payload) == "failover" {
-			delivered = true
-			break
-		}
+		msg, err := server.ReadFromTimeout(time.Second)
+		delivered = err == nil && string(msg.Payload) == "failover"
 	}
 	if !delivered {
 		t.Fatal("no failover to the surviving circuit")
@@ -475,8 +426,6 @@ func TestCloseDuringDelivery(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
 	n := buildNet(t, sim, core.Options{Seed: 1})
 	defer n.Close()
-	stop := live(sim)
-	defer stop()
 
 	h := hostIn(t, n, lA)
 	a, _ := h.ListenUDP(0)

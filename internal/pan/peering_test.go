@@ -51,26 +51,17 @@ func TestPeeringPreferredByPolicies(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
 	n := buildPeerNet(t, sim)
 	defer n.Close()
-	stop := live(sim)
-	defer stop()
 
 	hA := hostIn(t, n, lA)
 	hB := hostIn(t, n, lB)
 
-	server, err := hB.ListenUDP(0)
+	server, err := hB.ListenUDP(0, pan.WithHandler(func(c *pan.Conn, msg pan.Message) {
+		_, _ = c.WriteTo(msg.Payload, msg.From)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	go func() {
-		for {
-			msg, err := server.ReadFrom()
-			if err != nil {
-				return
-			}
-			_, _ = server.WriteTo(msg.Payload, msg.From)
-		}
-	}()
 
 	for _, policy := range []pan.Policy{pan.Shortest{}, pan.Fastest{}} {
 		client, err := hA.DialUDP(server.LocalAddr(), pan.WithPolicy(policy))
@@ -121,8 +112,6 @@ func TestPeerLinkFailover(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
 	n := buildPeerNet(t, sim)
 	defer n.Close()
-	stop := live(sim)
-	defer stop()
 
 	hA := hostIn(t, n, lA)
 	hB := hostIn(t, n, lB)
@@ -168,16 +157,13 @@ func TestPeerLinkFailover(t *testing.T) {
 	if err := n.RefreshControlPlane(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
 	delivered := false
-	for time.Now().Before(deadline) {
+	for try := 0; try < 10 && !delivered; try++ {
 		if _, err := client.WriteTo([]byte("rerouted"), server.LocalAddr()); err != nil {
 			continue
 		}
-		if msg, err := server.ReadFromTimeout(time.Second); err == nil && string(msg.Payload) == "rerouted" {
-			delivered = true
-			break
-		}
+		msg, err := server.ReadFromTimeout(time.Second)
+		delivered = err == nil && string(msg.Payload) == "rerouted"
 	}
 	if !delivered {
 		t.Fatal("no failover from the peering circuit to the core route")

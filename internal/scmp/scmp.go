@@ -2,7 +2,7 @@
 // primitives behind `scion ping` and the scion-go-multiping measurement
 // tool (Section 5.4). The pinger is callback-based so the discrete-event
 // campaigns can run millions of probes deterministically; a blocking
-// wrapper covers interactive use.
+// wrapper that waits on the transport covers interactive use.
 package scmp
 
 import (
@@ -282,19 +282,15 @@ func (p *Pinger) Ping(dst addr.IA, dstHost netip.Addr, path *combinator.Path, ti
 	}
 }
 
-// PingSync is the blocking variant (transport must be driven
-// independently).
-func (p *Pinger) PingSync(dst addr.IA, dstHost netip.Addr, path *combinator.Path, timeout time.Duration) (time.Duration, error) {
-	type result struct {
-		rtt time.Duration
-		err error
+// PingSync is Ping waiting on the transport for its answer
+// (simnet.Await).
+func (p *Pinger) PingSync(dst addr.IA, dstHost netip.Addr, path *combinator.Path, timeout time.Duration) (rtt time.Duration, err error) {
+	if werr := simnet.Await(p.net, func(done func()) {
+		p.Ping(dst, dstHost, path, timeout, func(r time.Duration, e error) { rtt, err = r, e; done() })
+	}); werr != nil {
+		return 0, werr
 	}
-	ch := make(chan result, 1)
-	p.Ping(dst, dstHost, path, timeout, func(rtt time.Duration, err error) {
-		ch <- result{rtt, err}
-	})
-	res := <-ch
-	return res.rtt, res.err
+	return rtt, err
 }
 
 // Hop is one traceroute result.
@@ -349,7 +345,8 @@ func (p *Pinger) Traceroute(dst addr.IA, path *combinator.Path, timeout time.Dur
 		}
 
 		// Reply, timeout and send error race for the probe; the first
-		// to get here unregisters it, the rest find once spent.
+		// to get here unregisters it, the rest find once spent. cancel
+		// is set and read under p.mu.
 		var once sync.Once
 		var cancel func()
 		sentAt := p.net.Now()
@@ -357,9 +354,10 @@ func (p *Pinger) Traceroute(dst addr.IA, path *combinator.Path, timeout time.Dur
 			once.Do(func() {
 				p.mu.Lock()
 				delete(p.tracePending, seq)
+				disarm := cancel
 				p.mu.Unlock()
-				if cancel != nil {
-					cancel()
+				if disarm != nil {
+					disarm()
 				}
 				if err != nil {
 					cb(hops, err)
@@ -373,10 +371,10 @@ func (p *Pinger) Traceroute(dst addr.IA, path *combinator.Path, timeout time.Dur
 		p.tracePending[seq] = func(ia addr.IA, ifID uint64) {
 			finish(Hop{IA: ia, IfID: ifID, RTT: p.net.Now().Sub(sentAt)}, nil)
 		}
-		p.mu.Unlock()
 		cancel = p.net.AfterFunc(timeout, func() {
 			finish(Hop{}, nil) // unanswered hop
 		})
+		p.mu.Unlock()
 		if err := p.conn.Send(out, p.RouterAddr); err != nil {
 			finish(Hop{}, err)
 		}

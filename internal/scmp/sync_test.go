@@ -12,10 +12,10 @@ import (
 	"sciera/internal/topology"
 )
 
-// TestPingSyncLiveDriven runs the blocking PingSync against a
-// live-driven simulator (the mode used by real binaries like
-// cmd/sciera -ping).
-func TestPingSyncLiveDriven(t *testing.T) {
+// TestPingSyncWaitsOnTheSimulator runs the blocking PingSync (what
+// cmd/sciera -ping calls on real sockets) on the simulator: it steps the
+// simulator itself, and the RTT it reports is the path's virtual one.
+func TestPingSyncWaitsOnTheSimulator(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
 	n := buildNet(t, sim)
 	defer n.Close()
@@ -38,11 +38,6 @@ func TestPingSyncLiveDriven(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("no paths")
 	}
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); sim.RunLive(stop) }()
-	defer func() { close(stop); <-done }()
 
 	rtt, err := pinger.PingSync(lB, resp.Addr().Addr(), paths[0], 2*time.Second)
 	if err != nil {

@@ -229,7 +229,8 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestSignatures(t *testing.T) {
-	p, err := cppki.ProvisionISD(71, []addr.IA{coreIA}, []addr.IA{coreIA}, cppki.ProvisionOptions{})
+	p, err := cppki.ProvisionISD(71, []addr.IA{coreIA}, []addr.IA{coreIA},
+		cppki.ProvisionOptions{NotBefore: time.Now().Add(-time.Minute)})
 	if err != nil {
 		t.Fatal(err)
 	}

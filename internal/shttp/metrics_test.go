@@ -17,11 +17,9 @@ import (
 // carried over the SCION data plane itself, so an operator can monitor
 // an AS without out-of-band connectivity.
 func TestMetricsOverSCION(t *testing.T) {
-	sim := simnet.NewSim(time.Now())
+	sim := simnet.NewSim(time.Unix(1_700_000_000, 0))
 	n := buildNet(t, sim)
 	defer n.Close()
-	stop := live(sim)
-	defer stop()
 
 	dA, err := n.NewDaemon(lA)
 	if err != nil {

@@ -93,9 +93,10 @@ func fragment(msgID uint32, kind uint8, data []byte) []*frame {
 	return frames
 }
 
-// assembler reassembles fragmented messages.
+// assembler reassembles fragmented messages. It belongs to one reader
+// (a round trip, or a server's handler, which the transport runs on one
+// goroutine at a time), so it takes no lock.
 type assembler struct {
-	mu   sync.Mutex
 	msgs map[uint32][][]byte
 }
 
@@ -105,8 +106,6 @@ func newAssembler() *assembler {
 
 // add returns the complete message once all fragments arrived.
 func (a *assembler) add(f *frame) ([]byte, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	parts, ok := a.msgs[f.MsgID]
 	if !ok {
 		parts = make([][]byte, f.Total)
@@ -182,9 +181,11 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 				return nil, err
 			}
 		}
-		deadline := time.Now().Add(timeout)
-		for time.Now().Before(deadline) {
-			payload, err := conn.ReadFromTimeout(time.Until(deadline))
+		// The attempt's deadline is on the transport clock: reads wait
+		// on the transport, so on the simulator they advance it.
+		deadline := t.Host.Now().Add(timeout)
+		for left := timeout; left > 0; left = deadline.Sub(t.Host.Now()) {
+			payload, err := conn.ReadFromTimeout(left)
 			if err != nil {
 				break
 			}
@@ -193,33 +194,30 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 				continue
 			}
 			if msg, done := asm.add(f); done {
-				resp, err := http.ReadResponse(bufio.NewReader(bytes.NewReader(msg)), req)
-				if err != nil {
-					return nil, err
-				}
-				return resp, nil
+				return http.ReadResponse(bufio.NewReader(bytes.NewReader(msg)), req)
 			}
 		}
 	}
 	return nil, fmt.Errorf("shttp: no response from %v", dst)
 }
 
-// Server serves an http.Handler over a pan socket.
+// Server serves an http.Handler over a pan socket. It is the socket's
+// handler: a request is answered on the transport's event path as its
+// last fragment arrives, so the http.Handler must not block.
 type Server struct {
 	Handler http.Handler
 	conn    *pan.Conn
 	asm     *assembler
-	done    chan struct{}
 }
 
 // Serve starts serving on the given SCION port and returns immediately.
 func Serve(host *pan.Host, port uint16, handler http.Handler) (*Server, error) {
-	conn, err := host.ListenUDP(port)
+	s := &Server{Handler: handler, asm: newAssembler()}
+	conn, err := host.ListenUDP(port, pan.WithHandler(s.handle))
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{Handler: handler, conn: conn, asm: newAssembler(), done: make(chan struct{})}
-	go s.loop()
+	s.conn = conn
 	return s, nil
 }
 
@@ -227,43 +225,31 @@ func Serve(host *pan.Host, port uint16, handler http.Handler) (*Server, error) {
 func (s *Server) Addr() addr.UDPAddr { return s.conn.LocalAddr() }
 
 // Close stops the server.
-func (s *Server) Close() error {
-	close(s.done)
-	return s.conn.Close()
-}
+func (s *Server) Close() error { return s.conn.Close() }
 
-func (s *Server) loop() {
-	for {
-		msg, err := s.conn.ReadFrom()
-		if err != nil {
-			return
-		}
-		f, err := decodeFrame(msg.Payload)
-		if err != nil || f.Kind != kindRequest {
-			continue
-		}
-		raw, done := s.asm.add(f)
-		if !done {
-			continue
-		}
-		go s.respond(f.MsgID, raw, msg.From)
+// handle reassembles request fragments and answers a complete request.
+func (s *Server) handle(conn *pan.Conn, msg pan.Message) {
+	f, err := decodeFrame(msg.Payload)
+	if err != nil || f.Kind != kindRequest {
+		return
 	}
-}
-
-func (s *Server) respond(msgID uint32, raw []byte, to addr.UDPAddr) {
+	raw, done := s.asm.add(f)
+	if !done {
+		return
+	}
 	req, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(raw)))
 	if err != nil {
 		return
 	}
-	req.RemoteAddr = to.String()
+	req.RemoteAddr = msg.From.String()
 	rec := newRecorder()
 	s.Handler.ServeHTTP(rec, req)
 	respBytes, err := rec.dump()
 	if err != nil {
 		return
 	}
-	for _, f := range fragment(msgID, kindResponse, respBytes) {
-		if _, err := s.conn.WriteTo(f.encode(), to); err != nil {
+	for _, out := range fragment(f.MsgID, kindResponse, respBytes) {
+		if _, err := conn.WriteTo(out.encode(), msg.From); err != nil {
 			return
 		}
 	}

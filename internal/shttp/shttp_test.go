@@ -45,18 +45,10 @@ func buildNet(t testing.TB, sim *simnet.Sim) *core.Network {
 	return n
 }
 
-func live(sim *simnet.Sim) func() {
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); sim.RunLive(stop) }()
-	return func() { close(stop); <-done }
-}
-
 func setup(t *testing.T) (*pan.Host, *pan.Host, func()) {
 	t.Helper()
-	sim := simnet.NewSim(time.Now())
+	sim := simnet.NewSim(time.Unix(1_700_000_000, 0))
 	n := buildNet(t, sim)
-	stop := live(sim)
 	dA, err := n.NewDaemon(lA)
 	if err != nil {
 		t.Fatal(err)
@@ -65,11 +57,7 @@ func setup(t *testing.T) (*pan.Host, *pan.Host, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanup := func() {
-		stop()
-		n.Close()
-	}
-	return pan.WithDaemon(sim, dA), pan.WithDaemon(sim, dB), cleanup
+	return pan.WithDaemon(sim, dA), pan.WithDaemon(sim, dB), func() { n.Close() }
 }
 
 func TestGETAcrossASes(t *testing.T) {

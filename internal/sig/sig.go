@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"sciera/internal/addr"
+	"sciera/internal/combinator"
 	"sciera/internal/pan"
 	"sciera/internal/simnet"
 )
@@ -85,6 +86,7 @@ type Gateway struct {
 	// LocalIA is the AS this SIG serves.
 	LocalIA addr.IA
 
+	host   *pan.Host
 	scion  *pan.Conn
 	legacy simnet.Conn
 
@@ -94,22 +96,19 @@ type Gateway struct {
 	// (the intra-AS delivery table; a production SIG just routes).
 	hosts map[netip.Addr]netip.AddrPort
 
-	// outq decouples the transport handler (which must not block) from
-	// encapsulation, whose path lookup may wait on the control plane.
-	outq chan []byte
-	done chan struct{}
-
 	metrics Metrics
 }
 
 // New starts a gateway: host is the AS's SCION environment, and the
 // legacy side binds a datagram endpoint local IP applications send to.
+// Both sides are handlers; neither runs a goroutine.
 func New(host *pan.Host, transport simnet.Network) (*Gateway, error) {
 	g := &Gateway{
 		LocalIA: host.LocalIA(),
+		host:    host,
 		hosts:   make(map[netip.Addr]netip.AddrPort),
 	}
-	sc, err := host.ListenUDP(TunnelPort)
+	sc, err := host.ListenUDP(TunnelPort, pan.WithHandler(g.handleSCION))
 	if err != nil {
 		return nil, fmt.Errorf("sig: %w", err)
 	}
@@ -120,10 +119,6 @@ func New(host *pan.Host, transport simnet.Network) (*Gateway, error) {
 		return nil, fmt.Errorf("sig: %w", err)
 	}
 	g.legacy = legacy
-	g.outq = make(chan []byte, 256)
-	g.done = make(chan struct{})
-	go g.scionLoop()
-	go g.encapLoop()
 	return g, nil
 }
 
@@ -138,7 +133,6 @@ func (g *Gateway) Metrics() *Metrics { return &g.metrics }
 
 // Close stops the gateway.
 func (g *Gateway) Close() error {
-	close(g.done)
 	_ = g.legacy.Close()
 	return g.scion.Close()
 }
@@ -177,70 +171,55 @@ func (g *Gateway) lookup(ip netip.Addr) (addr.UDPAddr, bool) {
 // handleLegacy accepts one IP datagram at the tunnel ingress. The
 // datagram must carry a frame header naming the logical IP source and
 // destination (the simulated legacy plane's addressing); a production
-// SIG reads the IP header instead. Encapsulation happens on the worker
-// goroutine: the handler runs on the transport's event path and must
-// not block on path lookups.
-func (g *Gateway) handleLegacy(pkt []byte, from netip.AddrPort) {
-	if _, _, _, err := decodeFrame(pkt); err != nil {
+// SIG reads the IP header instead. It is encapsulated toward the remote
+// SIG over the shortest path, once the daemon has one: the lookup is
+// asynchronous because a handler must not block.
+func (g *Gateway) handleLegacy(pkt []byte, _ netip.AddrPort) {
+	_, dst, _, err := decodeFrame(pkt)
+	if err != nil {
 		g.metrics.Malformed.Add(1)
 		return
 	}
-	select {
-	case g.outq <- append([]byte(nil), pkt...):
-	default: // ingress queue full: drop, as a saturated SIG would
+	remote, ok := g.lookup(dst.Addr())
+	if !ok {
+		g.metrics.NoRoute.Add(1)
+		return
 	}
-}
-
-// encapLoop performs route lookup and SCION transmission.
-func (g *Gateway) encapLoop() {
-	for {
-		select {
-		case <-g.done:
-			return
-		case pkt := <-g.outq:
-			_, dst, _, err := decodeFrame(pkt)
-			if err != nil {
-				g.metrics.Malformed.Add(1)
-				continue
+	frame := append([]byte(nil), pkt...)
+	g.host.Daemon().PathsAsync(remote.IA, func(paths []*combinator.Path, err error) {
+		if err == nil {
+			if ordered := (pan.Shortest{}).Order(paths); len(ordered) > 0 {
+				_, err = g.scion.WriteToVia(frame, remote, ordered[0])
+			} else {
+				err = pan.ErrNoPath
 			}
-			remote, ok := g.lookup(dst.Addr())
-			if !ok {
-				g.metrics.NoRoute.Add(1)
-				continue
-			}
-			if _, err := g.scion.WriteTo(pkt, remote); err != nil {
-				g.metrics.NoRoute.Add(1)
-				continue
-			}
-			g.metrics.Encapsulated.Add(1)
 		}
-	}
-}
-
-// scionLoop decapsulates tunnel traffic toward local hosts.
-func (g *Gateway) scionLoop() {
-	for {
-		msg, err := g.scion.ReadFrom()
 		if err != nil {
-			return
-		}
-		_, dst, _, err := decodeFrame(msg.Payload)
-		if err != nil {
-			g.metrics.Malformed.Add(1)
-			continue
-		}
-		g.mu.RLock()
-		at, ok := g.hosts[dst.Addr()]
-		g.mu.RUnlock()
-		if !ok {
 			g.metrics.NoRoute.Add(1)
-			continue
+			return
 		}
-		if err := g.legacy.Send(msg.Payload, at); err != nil {
-			continue
-		}
-		g.metrics.Decapsulated.Add(1)
+		g.metrics.Encapsulated.Add(1)
+	})
+}
+
+// handleSCION decapsulates tunnel traffic toward local hosts.
+func (g *Gateway) handleSCION(_ *pan.Conn, msg pan.Message) {
+	_, dst, _, err := decodeFrame(msg.Payload)
+	if err != nil {
+		g.metrics.Malformed.Add(1)
+		return
 	}
+	g.mu.RLock()
+	at, ok := g.hosts[dst.Addr()]
+	g.mu.RUnlock()
+	if !ok {
+		g.metrics.NoRoute.Add(1)
+		return
+	}
+	if err := g.legacy.Send(msg.Payload, at); err != nil {
+		return
+	}
+	g.metrics.Decapsulated.Add(1)
 }
 
 // Client is a legacy IP application endpoint: it knows nothing about
@@ -251,18 +230,15 @@ type Client struct {
 	sig netip.AddrPort
 
 	conn simnet.Conn
-	rq   chan []byte
+	rq   *simnet.Inbox[[]byte]
 }
 
 // NewClient attaches a legacy host with the given IP, registering it at
 // its local gateway.
 func NewClient(transport simnet.Network, g *Gateway, ip netip.Addr) (*Client, error) {
-	c := &Client{IP: ip, sig: g.LegacyAddr(), rq: make(chan []byte, 64)}
+	c := &Client{IP: ip, sig: g.LegacyAddr(), rq: simnet.NewInbox[[]byte](transport, 64)}
 	conn, err := transport.Listen(netip.AddrPort{}, func(pkt []byte, _ netip.AddrPort) {
-		select {
-		case c.rq <- append([]byte(nil), pkt...):
-		default:
-		}
+		c.rq.Put(append([]byte(nil), pkt...))
 	})
 	if err != nil {
 		return nil, err
@@ -281,12 +257,12 @@ func (c *Client) Send(dst netip.AddrPort, payload []byte) error {
 	return c.conn.Send(frame, c.sig)
 }
 
-// Recv blocks for the next datagram, returning the logical IP source
-// and the payload.
+// Recv waits on the transport for the next datagram, returning the
+// logical IP source and the payload.
 func (c *Client) Recv() (netip.AddrPort, []byte, error) {
-	pkt, ok := <-c.rq
-	if !ok {
-		return netip.AddrPort{}, nil, errors.New("sig: client closed")
+	pkt, err := c.rq.Get(0)
+	if err != nil {
+		return netip.AddrPort{}, nil, fmt.Errorf("sig: client: %w", err)
 	}
 	src, _, payload, err := decodeFrame(pkt)
 	if err != nil {
@@ -297,6 +273,6 @@ func (c *Client) Recv() (netip.AddrPort, []byte, error) {
 
 // Close detaches the client.
 func (c *Client) Close() error {
-	close(c.rq)
+	c.rq.Close()
 	return c.conn.Close()
 }

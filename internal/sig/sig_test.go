@@ -48,20 +48,12 @@ func buildNet(t testing.TB, sim *simnet.Sim) *core.Network {
 	return n
 }
 
-func live(sim *simnet.Sim) func() {
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); sim.RunLive(stop) }()
-	return func() { close(stop); <-done }
-}
-
 // setup wires two SIGs serving 192.168.10.0/24 (in lA) and
 // 192.168.20.0/24 (in lB).
 func setup(t *testing.T) (*sig.Gateway, *sig.Gateway, *simnet.Sim, func()) {
 	t.Helper()
 	sim := simnet.NewSim(time.Unix(0, 0))
 	n := buildNet(t, sim)
-	stop := live(sim)
 
 	dA, err := n.NewDaemon(lA)
 	if err != nil {
@@ -84,7 +76,6 @@ func setup(t *testing.T) (*sig.Gateway, *sig.Gateway, *simnet.Sim, func()) {
 	cleanup := func() {
 		gwA.Close()
 		gwB.Close()
-		stop()
 		n.Close()
 	}
 	return gwA, gwB, sim, cleanup
@@ -157,13 +148,7 @@ func TestLongestPrefixWins(t *testing.T) {
 	if err := alice.Send(netip.MustParseAddrPort("192.168.20.9:1"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if gwA.Metrics().NoRoute.Load() > 0 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	sim.RunFor(time.Second)
 	if gwA.Metrics().NoRoute.Load() == 0 {
 		t.Error("specific route not honoured")
 	}
@@ -184,10 +169,7 @@ func TestUnroutableAndMalformed(t *testing.T) {
 	if err := alice.Send(netip.MustParseAddrPort("10.9.9.9:1"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && gwA.Metrics().NoRoute.Load() == 0 {
-		time.Sleep(5 * time.Millisecond)
-	}
+	sim.RunFor(time.Second)
 	if gwA.Metrics().NoRoute.Load() != 1 {
 		t.Errorf("NoRoute = %d", gwA.Metrics().NoRoute.Load())
 	}
@@ -197,10 +179,7 @@ func TestUnroutableAndMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = junk.Send([]byte("not a frame"), gwA.LegacyAddr())
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && gwA.Metrics().Malformed.Load() == 0 {
-		time.Sleep(5 * time.Millisecond)
-	}
+	sim.RunFor(time.Second)
 	if gwA.Metrics().Malformed.Load() != 1 {
 		t.Errorf("Malformed = %d", gwA.Metrics().Malformed.Load())
 	}

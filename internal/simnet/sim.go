@@ -18,7 +18,8 @@ import (
 type LatencyFunc func(from, to netip.AddrPort, size int, now time.Time) (time.Duration, bool)
 
 // Sim is a single-threaded discrete-event network. All handlers and
-// timers run inside Run/RunFor on the caller's goroutine, making
+// timers run inside Run/RunFor/Wait on the caller's goroutine (one
+// goroutine drives a Sim at a time; any may send), making
 // campaigns fully deterministic: two Sims driven by the same inputs
 // execute the same events in the same order with the same sequence
 // numbers (broadcast fan-out is sorted by destination address, never
@@ -70,6 +71,10 @@ type Sim struct {
 	batchEvs  []*event
 	batchPkts [][]byte
 	batchFrom []netip.AddrPort
+	// inEvent is set while a handler or timer runs; only the goroutine
+	// driving the simulator writes it, so Wait can refuse to block
+	// inside an event.
+	inEvent bool
 }
 
 // binding is one attached listener: exactly one of h/bh is set.
@@ -421,13 +426,15 @@ func (s *Sim) Step() bool {
 		}
 		s.now = e.at
 		s.processed++
+		s.inEvent = true
 		if e.fn != nil {
 			fn := e.fn
 			s.mu.Unlock()
 			fn()
-			return true
+		} else {
+			s.deliverRun(e)
 		}
-		s.deliverRun(e)
+		s.inEvent = false
 		return true
 	}
 }
@@ -522,20 +529,23 @@ func (s *Sim) RunUntil(deadline time.Time) {
 // RunFor advances the simulation by d.
 func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.Now().Add(d)) }
 
-// RunLive processes events as they appear until stop is closed,
-// sleeping briefly when idle. It lets goroutines use blocking
-// request/response APIs over the simulator: virtual time jumps to each
-// event's timestamp as it executes. Campaigns that need strict
-// determinism should use Run/RunUntil from a single goroutine instead.
-func (s *Sim) RunLive(stop <-chan struct{}) {
+// Wait implements Network: the caller's goroutine executes events until
+// done is closed, so virtual time advances exactly as far as the awaited
+// answer needs. It returns false when the queue empties first. Waiting
+// inside a handler or timer would run events out of order under the
+// one in flight, so it panics there.
+func (s *Sim) Wait(done <-chan struct{}) bool {
+	if s.inEvent {
+		panic("simnet: Wait inside a handler or timer (handlers must not block)")
+	}
 	for {
 		select {
-		case <-stop:
-			return
+		case <-done:
+			return true
 		default:
-		}
-		if !s.Step() {
-			time.Sleep(200 * time.Microsecond)
+			if !s.Step() {
+				return false
+			}
 		}
 	}
 }

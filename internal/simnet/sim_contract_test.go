@@ -247,8 +247,8 @@ func TestHandlerMayForwardWithoutCopy(t *testing.T) {
 
 // TestConcurrentSendCloseListen is the -race stress test for the new
 // buffer-ownership and pooling rules: many goroutines listen, send,
-// mutate received buffers, and close conns while RunLive drives
-// deliveries on another goroutine.
+// mutate received buffers, and close conns while one driver goroutine
+// steps deliveries (any goroutine may send; one drives).
 func TestConcurrentSendCloseListen(t *testing.T) {
 	s := NewSim(time.Unix(0, 0))
 	stop := make(chan struct{})
@@ -256,7 +256,16 @@ func TestConcurrentSendCloseListen(t *testing.T) {
 	runDone.Add(1)
 	go func() {
 		defer runDone.Done()
-		s.RunLive(stop)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if !s.Step() {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
 	}()
 
 	var received atomic.Uint64

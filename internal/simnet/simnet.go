@@ -38,20 +38,32 @@
 // decided by (timestamp, sequence number) alone, and sequence numbers
 // are assigned in a run-independent way — in particular, broadcast
 // fan-out sorts its destination set before scheduling rather than
-// iterating a Go map. RunLive trades this guarantee for wall-clock
-// liveness and is the only exception.
+// iterating a Go map.
+//
+// # One clock
+//
+// Every deadline and timeout above this package is a transport timer
+// (AfterFunc) read against the transport clock (Now), and a blocking
+// call waits on its transport (Wait): on the simulator the caller's
+// goroutine executes events until the answer it awaits is in, so
+// blocking request/response code runs on the same deterministic event
+// loop as the campaigns and nothing else has to drive the simulator.
+// Servers are handlers, not goroutines.
 package simnet
 
 import (
+	"errors"
 	"net/netip"
+	"sync"
 	"time"
 )
 
 // Handler processes one received datagram. Handlers must not block: on
-// the simulator they run inside the event loop; on UDPNet they run on
-// the socket's read goroutine. The pkt buffer is only valid for the
-// duration of the call (see the package comment on buffer ownership);
-// handlers may mutate it in place but must copy anything they retain.
+// the simulator they run inside the event loop (a Wait from a handler
+// panics); on UDPNet they run on the socket's read goroutine. The pkt
+// buffer is only valid for the duration of the call (see the package
+// comment on buffer ownership); handlers may mutate it in place but must
+// copy anything they retain.
 type Handler func(pkt []byte, from netip.AddrPort)
 
 // BatchHandler processes a burst of datagrams delivered back-to-back:
@@ -96,4 +108,122 @@ type Network interface {
 	Now() time.Time
 	// AfterFunc schedules f after d; the returned function cancels.
 	AfterFunc(d time.Duration, f func()) (cancel func())
+	// Wait blocks until done is closed and reports whether it was. The
+	// simulator executes events in the caller's goroutine while it
+	// waits and returns false once none is left (nothing can close done
+	// any more); UDPNet just blocks.
+	Wait(done <-chan struct{}) bool
+}
+
+// Errors of the blocking helpers.
+var (
+	// ErrIdle reports that the transport ran out of events before the
+	// awaited answer arrived.
+	ErrIdle = errors.New("simnet: transport idle before the awaited answer")
+	// ErrDeadline reports an Inbox read whose timeout fired first.
+	ErrDeadline = errors.New("simnet: read deadline exceeded")
+)
+
+// Await turns an asynchronous call into a blocking one: start issues
+// the call and hands it done, which the call's callback must invoke
+// exactly once; Await waits on the transport until it has.
+func Await(n Network, start func(done func())) error {
+	ch := make(chan struct{})
+	start(func() { close(ch) })
+	if !n.Wait(ch) {
+		return ErrIdle
+	}
+	return nil
+}
+
+// Inbox is a bounded receive queue that a handler fills and a blocking
+// reader drains, waiting on the transport and timing out on its clock.
+// Safe for concurrent use.
+type Inbox[T any] struct {
+	net Network
+	max int
+
+	mu     sync.Mutex
+	q      []T
+	closed bool
+	// wake is closed, and cleared, when the state a waiting reader
+	// sleeps on changes: an item arrives, the inbox closes, or its
+	// timeout fires.
+	wake chan struct{}
+}
+
+// NewInbox creates an inbox holding at most max items.
+func NewInbox[T any](n Network, max int) *Inbox[T] {
+	return &Inbox[T]{net: n, max: max}
+}
+
+// Put enqueues v, dropping it (as a full socket buffer would) when the
+// inbox is full or closed; it never blocks.
+func (b *Inbox[T]) Put(v T) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed || len(b.q) >= b.max {
+		return
+	}
+	b.q = append(b.q, v)
+	b.wakeLocked()
+}
+
+// Close makes every pending and later Get on an empty inbox fail with
+// ErrClosed.
+func (b *Inbox[T]) Close() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = true
+	b.wakeLocked()
+}
+
+func (b *Inbox[T]) wakeLocked() {
+	if b.wake != nil {
+		close(b.wake)
+		b.wake = nil
+	}
+}
+
+// Get dequeues the oldest item, waiting on the transport for one. A
+// positive timeout bounds the wait on the transport clock (ErrDeadline);
+// zero waits until an item arrives, the inbox closes (ErrClosed) or the
+// transport goes idle (ErrIdle).
+func (b *Inbox[T]) Get(timeout time.Duration) (T, error) {
+	var zero T
+	expired := false
+	if timeout > 0 {
+		cancel := b.net.AfterFunc(timeout, func() {
+			b.mu.Lock()
+			expired = true
+			b.wakeLocked()
+			b.mu.Unlock()
+		})
+		defer cancel()
+	}
+	for {
+		b.mu.Lock()
+		switch {
+		case len(b.q) > 0:
+			v := b.q[0]
+			b.q[0] = zero
+			b.q = b.q[1:]
+			b.mu.Unlock()
+			return v, nil
+		case b.closed:
+			b.mu.Unlock()
+			return zero, ErrClosed
+		case expired:
+			b.mu.Unlock()
+			return zero, ErrDeadline
+		}
+		if b.wake == nil {
+			b.wake = make(chan struct{})
+		}
+		wake := b.wake
+		b.mu.Unlock()
+		if !b.net.Wait(wake) {
+			return zero, ErrIdle
+		}
+	}
 }

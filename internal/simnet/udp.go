@@ -60,6 +60,13 @@ func (n *UDPNet) AfterFunc(d time.Duration, f func()) func() {
 	return func() { t.Stop() }
 }
 
+// Wait implements Network: real sockets and timers run on their own
+// goroutines, so waiting is plain blocking.
+func (n *UDPNet) Wait(done <-chan struct{}) bool {
+	<-done
+	return true
+}
+
 // Close shuts down every conn created through this transport.
 func (n *UDPNet) Close() error {
 	n.mu.Lock()
