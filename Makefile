@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check alloc-guard doc-check scenario-check snapshot-check bench-smoke fuzz-smoke verify bench bench-compare bench-micro loc reference reference-pki
+.PHONY: all build test race vet fmt-check alloc-guard doc-check scenario-check snapshot-check examples-smoke bench-smoke fuzz-smoke verify bench bench-compare bench-micro loc reference reference-pki
 
 all: build
 
@@ -78,15 +78,39 @@ scenario-check:
 	@$(GO) run ./cmd/experiments -quick -run fig5 -scenario gen:isds=3,ases=100,seed=1 > /dev/null
 	@echo "scenario-check: OK"
 
-# Snapshot round-trip hygiene: snapshot -> serialize -> load -> clone
-# must reproduce the cold campaign byte for byte, across seeds and on
-# both the builtin and a generated scenario; every beacon counter the
-# runner declares survives the file by name; files of format versions 1
-# and 2 are refused by version number; a -pki replica installed from a
-# snapshot, in memory or from its file, serves the TRCs it adopted.
+# Snapshot round-trip hygiene: a campaign whose workers clone the
+# reference's snapshot in memory must reproduce the one-worker campaign
+# that converges, byte for byte, across seeds and on both the builtin
+# and a generated scenario; snapshot -> serialize -> load -> clone
+# reproduces the converged replica's paths, and every beacon counter
+# the runner declares survives the file by name; files of format
+# versions 1 and 2 are refused by version number; a -pki replica
+# installed from a snapshot, in memory or from its file, serves the
+# TRCs it adopted.
 snapshot-check:
 	$(GO) test -count=1 -run 'TestSnapshotWarmStartByteIdentical|TestSnapshotFileRoundTrip|TestSnapshotOldVersionRefused|TestClonedReplicaServesTRC' ./internal/core ./internal/experiments
 	@echo "snapshot-check: OK"
+
+# The seven example programs, each run to completion with stdin from
+# /dev/null under a timeout: a non-zero exit, or output without the
+# line the example exists to show, fails the gate. reverseproxy and
+# webclient bind UDP 443 on loopback.
+examples-smoke:
+	@check() { \
+		out=$$(timeout 120 $(GO) run ./examples/$$1 </dev/null 2>&1) \
+			|| { echo "$$out"; echo "examples-smoke: $$1 exited non-zero"; exit 1; }; \
+		echo "$$out" | grep -qF -- "$$2" \
+			|| { echo "$$out"; echo "examples-smoke: $$1 printed no line with '$$2'"; exit 1; }; \
+		echo "examples-smoke: $$1 OK"; \
+	}; \
+	check netcat 'echoed: still feels like netcat'; \
+	check peering 'PEERING'; \
+	check quickstart 'client: got "echo: hello sciera"'; \
+	check reverseproxy 'X-SCION=on'; \
+	check sciencedmz 'transfer over 4 path(s)'; \
+	check sigbridge 'atm: got "ack:withdrawal #42"'; \
+	check webclient 'HTTP/1.1 200 OK'; \
+	echo "examples-smoke: OK"
 
 # bench/ is its own module (sciera/bench), so the root `go test ./...`
 # never sees its tests: every workload once at smoke scale, the output
@@ -119,7 +143,7 @@ fuzz-smoke:
 	$(GO) test ./internal/router -run '^$$' -fuzz '^FuzzDecide$$' -fuzztime 3s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzLoadScenario$$' -fuzztime 3s -fuzzminimizetime 20x
 
-verify: build race alloc-guard vet fmt-check doc-check scenario-check snapshot-check bench-smoke fuzz-smoke
+verify: build race alloc-guard vet fmt-check doc-check scenario-check snapshot-check examples-smoke bench-smoke fuzz-smoke
 	@echo "verify: OK"
 
 # The repo's one benchmark (bench/README.md, BENCHMARK.json): four

@@ -14,8 +14,8 @@
 //	                              # (same bytes out, signed-overhead arm)
 //	experiments -all -telemetry t.json   # also dump the campaign's telemetry
 //	experiments -telemetry-report t.json # digest dump file(s) instead
-//	experiments -all -snapshot s.json    # persist/reuse the converged-state
-//	                                     # snapshot (restart-and-resume)
+//	experiments -run fig4 [-quick]       # Figure 4: end-host bootstrapping
+//	                                     # (30 runs per mechanism, 5 quick)
 //
 // Scenario selection (see docs/scenarios.md):
 //
@@ -53,7 +53,6 @@ func main() {
 		workers  = flag.Int("workers", runtime.NumCPU(), "parallel campaign workers (output is byte-identical for any count)")
 		pki      = flag.Bool("pki", false, "sign and verify the control plane (output is byte-identical, wall time higher)")
 		scen     = flag.String("scenario", "", "scenario to run on: builtin name, gen:<spec>, or file path (default: sciera)")
-		snapPath = flag.String("snapshot", "", "persist/reuse the campaign's converged-state snapshot at this path (load if present, else converge once and write)")
 		listScen = flag.Bool("list-scenarios", false, "list builtin scenario names")
 		dumpScen = flag.Bool("scenario-dump", false, "print the resolved, validated scenario as canonical JSON and exit")
 	)
@@ -85,7 +84,6 @@ func main() {
 	cfg := experiments.Config{
 		Seed: *seed, Quick: *quick, TelemetryPath: *telem,
 		Workers: *workers, WithPKI: *pki, Scenario: s,
-		SnapshotPath: *snapPath,
 	}
 	switch {
 	case *rep != "":

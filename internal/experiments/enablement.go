@@ -8,9 +8,9 @@ import (
 	"sciera/internal/stats"
 )
 
-// appDiff is the SCION-enabling diff of one case-study application,
-// mirroring Appendices E-G against this repository's library. Each is
-// exactly what the corresponding example under examples/ applies.
+// appDiff is the SCION-enabling diff of one case-study application:
+// the paper's Appendix E-G changes written against this library's API.
+// The examples under examples/ are their runnable counterparts.
 type appDiff struct {
 	App     string
 	Lang    string

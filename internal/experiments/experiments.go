@@ -32,7 +32,8 @@ type Config struct {
 	Quick bool
 	// TelemetryPath, when set, writes the measurement campaign's final
 	// telemetry snapshot (with trace ring) as JSON to this file — the
-	// -telemetry flag of cmd/experiments. The figure output on w is
+	// -telemetry flag of cmd/experiments and -telemetry-dump of
+	// cmd/multiping. The figure output on w is
 	// unaffected. With Workers > 1 the per-worker registries are merged
 	// (counters sum, histograms pool) before writing.
 	TelemetryPath string
@@ -50,12 +51,6 @@ type Config struct {
 	// admits, so figure output is byte-identical with or without it —
 	// only wall time changes (the signed-overhead ablation).
 	WithPKI bool
-	// SnapshotPath, when set, persists the campaign's converged-state
-	// snapshot: if the file exists it is loaded (restart-and-resume —
-	// no replica converges at all), otherwise the reference replica
-	// converges once and the snapshot is written there. Forces the
-	// warm-start path even at one worker.
-	SnapshotPath string
 }
 
 // scn resolves the config's scenario, defaulting to the built-in

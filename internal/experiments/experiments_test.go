@@ -209,6 +209,42 @@ func TestRunAllQuick(t *testing.T) {
 			t.Errorf("RunAll output missing %q", want)
 		}
 	}
+
+	// One dispatch: RunAll prints one section per name, in Names order,
+	// and Run(name) prints exactly that name's section. Campaign figures
+	// are checked by their header, so no campaign runs a second time.
+	var starts []int
+	for i := 0; ; {
+		j := strings.Index(out[i:], "\n=== ")
+		if j < 0 {
+			break
+		}
+		starts = append(starts, i+j)
+		i += j + 1
+	}
+	if len(starts) != len(Names) || starts[0] != 0 {
+		t.Fatalf("RunAll printed %d sections (first at byte %d), want %d from byte 0", len(starts), starts[0], len(Names))
+	}
+	for k, name := range Names {
+		end := len(out)
+		if k+1 < len(starts) {
+			end = starts[k+1]
+		}
+		section := out[starts[k]:end]
+		if campaignFigures[name] {
+			if want := "\n=== Figure " + strings.TrimPrefix(name, "fig") + ":"; !strings.HasPrefix(section, want) {
+				t.Errorf("section %d (%s) starts %.40q, want %q", k, name, section, want)
+			}
+			continue
+		}
+		var one bytes.Buffer
+		if err := Run(&one, name, cfg); err != nil {
+			t.Fatalf("Run(%q): %v", name, err)
+		}
+		if one.String() != section {
+			t.Errorf("Run(%q) is not section %d of RunAll:\n%s\nvs\n%s", name, k, one.String(), section)
+		}
+	}
 }
 
 // TestCampaignDeterminism backs EXPERIMENTS.md's central reproducibility

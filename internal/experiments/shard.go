@@ -56,11 +56,10 @@ type shardResult struct {
 // constructed through the identical snapshot/clone path, so which one
 // is returned is immaterial.
 //
-// Replica construction is warm by default: one reference replica
-// converges (or a snapshot file loads, with cfg.SnapshotPath), and all
-// workers install the snapshot copy-on-write. A single-worker run
-// without a snapshot path is the same constructor with no snapshot — it
-// converges, there being nothing to amortize; both are byte-identical.
+// With more than one worker, one reference replica converges and every
+// worker installs its snapshot copy-on-write. A single-worker run is
+// the same constructor with no snapshot — it converges, there being
+// nothing to amortize; both are byte-identical.
 func runShardedCampaign(cfg Config, campaignCfg multiping.Config) (*multiping.Dataset, *core.Network, error) {
 	pairs := multiping.AllPairs(campaignCfg.Vantage)
 	if len(pairs) == 0 {
@@ -69,9 +68,9 @@ func runShardedCampaign(cfg Config, campaignCfg multiping.Config) (*multiping.Da
 	shards := planShards(pairs, cfg.Workers)
 
 	var snap *core.Snapshot
-	if len(shards) > 1 || cfg.SnapshotPath != "" {
+	if len(shards) > 1 {
 		var err error
-		if snap, err = campaignSnapshot(cfg, pairs); err != nil {
+		if snap, err = ConvergeReference(cfg, pairs); err != nil {
 			return nil, nil, err
 		}
 	}

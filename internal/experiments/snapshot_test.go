@@ -3,10 +3,7 @@ package experiments
 import (
 	"bytes"
 	"errors"
-	"os"
 	"path/filepath"
-	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -24,7 +21,7 @@ func renderCampaign(t *testing.T, c Config) (*multiping.Dataset, string) {
 	t.Helper()
 	ds, n, err := RunCampaign(c)
 	if err != nil {
-		t.Fatalf("campaign (workers=%d snap=%q): %v", c.Workers, c.SnapshotPath, err)
+		t.Fatalf("campaign (workers=%d): %v", c.Workers, err)
 	}
 	defer n.Close()
 	duration, interval, _ := c.campaign()
@@ -56,12 +53,9 @@ func sameDataset(t *testing.T, label string, got, want *multiping.Dataset) {
 
 // TestSnapshotWarmStartByteIdentical is the snapshot round-trip
 // property test: for multiple seeds on both the builtin SCIERA scenario
-// and a generated topology, a campaign whose replicas are (a) cloned
-// in-memory from a converged reference, (b) cloned from a snapshot the
-// run just serialized to disk, and (c) cloned from that snapshot file
-// loaded cold at 1 and at 8 workers (restart-and-resume, nothing
-// converges at all) must all be byte-identical to the one-worker run
-// that converges directly.
+// and a generated topology, a four-worker campaign whose replicas are
+// cloned in memory from a converged reference must be byte-identical to
+// the one-worker run that converges directly.
 func TestSnapshotWarmStartByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many quick campaigns")
@@ -82,7 +76,7 @@ func TestSnapshotWarmStartByteIdentical(t *testing.T) {
 			t.Run(tc.name, func(t *testing.T) {
 				base := Config{Seed: seed, Quick: true, Scenario: tc.scn}
 
-				// One worker and no snapshot path converges directly.
+				// One worker converges directly.
 				cold := base
 				cold.Workers = 1
 				goldenDS, goldenOut := renderCampaign(t, cold)
@@ -95,66 +89,8 @@ func TestSnapshotWarmStartByteIdentical(t *testing.T) {
 				if out != goldenOut {
 					t.Fatal("warm in-memory figures differ from cold golden")
 				}
-
-				// Serialize: first run with a snapshot path converges the
-				// reference and writes the file.
-				snapPath := filepath.Join(t.TempDir(), "campaign.snapshot.json")
-				saved := base
-				saved.Workers = 2
-				saved.SnapshotPath = snapPath
-				ds, out = renderCampaign(t, saved)
-				sameDataset(t, "warm save", ds, goldenDS)
-				if out != goldenOut {
-					t.Fatal("snapshot-saving run figures differ from cold golden")
-				}
-				if fi, err := os.Stat(snapPath); err != nil || fi.Size() == 0 {
-					t.Fatalf("snapshot file not written: %v", err)
-				}
-
-				// Load: later runs find the file and clone every replica
-				// from it — no convergence anywhere, still byte-identical.
-				// One worker on purpose: the snapshot path forces the warm
-				// path even at w=1.
-				for _, workers := range []int{1, 8} {
-					loaded := base
-					loaded.Workers = workers
-					loaded.SnapshotPath = snapPath
-					ds, out = renderCampaign(t, loaded)
-					sameDataset(t, "warm load", ds, goldenDS)
-					if out != goldenOut {
-						t.Fatalf("snapshot-loading run at %d workers: figures differ from cold golden", workers)
-					}
-				}
 			})
 		}
-	}
-}
-
-// TestCampaignSnapshotStatError pins which stat failure means "no
-// snapshot yet": a path whose parent is a regular file cannot be
-// examined at all (ENOTDIR), so the campaign must stop on that error
-// instead of converging as if the file were merely absent. The
-// scenario cannot build, so a run that went on to converge reports the
-// scenario's error instead.
-func TestCampaignSnapshotStatError(t *testing.T) {
-	parent := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(parent, []byte("x"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Seed: 1, Quick: true,
-		Scenario:     &scenario.Scenario{Links: []scenario.Link{{Name: "l", Type: "no-such-type"}}},
-		SnapshotPath: filepath.Join(parent, "campaign.snapshot.json"),
-	}
-	snap, err := campaignSnapshot(cfg, nil)
-	if snap != nil || !errors.Is(err, syscall.ENOTDIR) {
-		t.Fatalf("campaignSnapshot = (%v, %v), want the ENOTDIR stat error", snap, err)
-	}
-
-	// Plain absence still converges: here that is the build error.
-	cfg.SnapshotPath = filepath.Join(t.TempDir(), "absent.json")
-	if _, err := campaignSnapshot(cfg, nil); err == nil || !strings.Contains(err.Error(), "no-such-type") {
-		t.Fatalf("absent snapshot: err = %v, want the scenario build error", err)
 	}
 }
 

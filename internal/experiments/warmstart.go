@@ -1,11 +1,6 @@
 package experiments
 
 import (
-	"errors"
-	"fmt"
-	"io/fs"
-	"os"
-
 	"sciera/internal/addr"
 	"sciera/internal/core"
 	"sciera/internal/multiping"
@@ -38,35 +33,6 @@ func ConvergeReference(cfg Config, pairs []multiping.ProbePair) (*core.Snapshot,
 // instead of converging.
 func CloneReplica(cfg Config, snap *core.Snapshot) (*core.Network, []multiping.IncidentEvent, error) {
 	return campaignReplica(cfg, snap)
-}
-
-// campaignSnapshot resolves the snapshot a warm-started campaign clones
-// from: loaded from cfg.SnapshotPath when the file exists
-// (restart-and-resume — nothing converges at all), otherwise captured
-// from a freshly converged reference replica and, when a path is set,
-// persisted there for the next run. Only "no such file" takes the
-// converge-and-write branch: a snapshot that exists but cannot be
-// reached is an error, not a reason to reconverge silently.
-func campaignSnapshot(cfg Config, pairs []multiping.ProbePair) (*core.Snapshot, error) {
-	if cfg.SnapshotPath != "" {
-		_, err := os.Stat(cfg.SnapshotPath)
-		if err == nil {
-			return core.LoadSnapshotFile(cfg.SnapshotPath)
-		}
-		if !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("experiments: snapshot: %w", err)
-		}
-	}
-	snap, err := ConvergeReference(cfg, pairs)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.SnapshotPath != "" {
-		if err := snap.WriteFile(cfg.SnapshotPath); err != nil {
-			return nil, err
-		}
-	}
-	return snap, nil
 }
 
 // ProbePairs enumerates the campaign's canonical probe pairs for the

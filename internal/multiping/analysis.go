@@ -18,8 +18,11 @@ func (d *Dataset) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return d.Write(f)
+	if err := d.Write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Write streams the dataset as JSON.
