@@ -124,16 +124,16 @@ bench-smoke:
 # daemon), the burst fast-path decode against the full decoder, the
 # beacon store's admission rule against its insert, a control-plane
 # refresh from what the last one kept against a cold run after an
-# arbitrary sequence of link flaps, attachments and new peerings, the
-# router's
-# forwarding rules (decide) on arbitrary path bytes: no panic, one
-# header one verdict, no pass with a MAC or SegID bit flipped; and the
-# scenario loader (seeded in code from scenarios/sciera.json, a small
-# generated scenario and the validation table's rejected rows): no
-# panic, what loads dumps to a fixed point and its builders return. The
-# 30 KB seed would spend the default minute per minimization, hence the
-# bound.
-# A failure leaves its reproducer there; `go test` replays it.
+# arbitrary sequence of link flaps, attachments and new peerings (it
+# re-decides no more candidates, and memoized paths carried across it
+# equal a fresh combination), the router's forwarding rules (decide) on
+# arbitrary path bytes: no panic, one header one verdict, no pass with a
+# MAC or SegID bit flipped; and the scenario loader (seeded in code from
+# scenarios/sciera.json, a small generated scenario and the validation
+# table's rejected rows): no panic, what loads dumps to a fixed point
+# and its builders return. The 30 KB seed would spend the default minute
+# per minimization, hence the bound. A failure leaves its reproducer
+# there; `go test` replays it.
 fuzz-smoke:
 	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzServiceHandle$$' -fuzztime 3s
 	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzDecodeSegments$$' -fuzztime 3s
@@ -143,6 +143,7 @@ fuzz-smoke:
 	$(GO) test ./internal/router -run '^$$' -fuzz '^FuzzDecide$$' -fuzztime 3s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzLoadScenario$$' -fuzztime 3s -fuzzminimizetime 20x
 
+# The full pre-merge gate: every check above, the race pass first.
 verify: build race alloc-guard vet fmt-check doc-check scenario-check snapshot-check examples-smoke bench-smoke fuzz-smoke
 	@echo "verify: OK"
 

@@ -245,22 +245,23 @@ func TestCampaignProbeAllocs(t *testing.T) {
 
 // TestRefreshAllocs guards what a control-plane refresh allocates on the
 // benchmark's churn topology after one core circuit flapped (the arms of
-// BenchmarkRefresh). The flood decides about all ~23 k candidates again
-// every time; what the bounds guard is how much of what it admits it
-// builds. cold — nothing kept, every admitted beacon built — made
-// 66.4 k allocations when every refresh was one (44.8 k now), and the
-// bound holds it within 10 % of that. unsigned and signed start from
-// what the previous refresh kept and build only the beacons whose route
-// is new (23.5 k and 44.5 k measured): their bounds are the measurement
-// plus 10 %, and a change that loses the kept map, or stops consulting
-// it, lands at cold's figure or, signed, at signed-cold's — a signed
-// convergence, 790 k measured to within 20 on every run, bound likewise,
-// and at ≈0.8 s a run measured over fewer of them.
+// BenchmarkRefresh). cold — nothing kept, every candidate decided and
+// every admitted beacon built, each flood group recorded — made 66.4 k
+// allocations when every refresh was one (38.0 k now), and the bound
+// holds it within 10 % of that. unsigned and signed start from what the
+// previous refresh kept: they decide again only the groups whose inputs
+// moved and build only the beacons whose route is new (4.5 k and 25.5 k
+// measured; 23.5 k and 44.5 k when every group was decided again).
+// Their bounds are the measurement plus 10 %: a change that stops
+// replaying groups lands near the second pair, one that loses the kept
+// state at cold's figure or, signed, at signed-cold's — a signed
+// convergence, 783 k measured to within 200 on every run, bound as
+// before, and at ≈0.8 s a run measured over fewer of them.
 func TestRefreshAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race")
 	}
-	bounds := map[string]float64{"cold": 73_000, "unsigned": 26_700, "signed": 49_000, "signed-cold": 870_000}
+	bounds := map[string]float64{"cold": 73_000, "unsigned": 4_980, "signed": 28_090, "signed-cold": 870_000}
 	for _, arm := range refreshArms {
 		flap := flapRefresher(t, churnSpec, arm)
 		flap()

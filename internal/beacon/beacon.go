@@ -48,8 +48,10 @@ type Store struct {
 	mu       sync.RWMutex
 	limit    int
 	extraLen int
+	// byOrigin holds each origin's beacons, ranked. A list whose
+	// capacity is its length is copied by the next insert, never written
+	// in place: the runner shares such lists with what it records.
 	byOrigin map[addr.IA][]*Entry
-	seen     map[string]bool
 }
 
 // NewStore creates a beacon store keeping up to limit beacons per origin
@@ -63,7 +65,6 @@ func NewStore(limit int) *Store {
 		limit:    limit,
 		extraLen: DefaultMaxExtraLen,
 		byOrigin: make(map[addr.IA][]*Entry),
-		seen:     make(map[string]bool),
 	}
 }
 
@@ -96,11 +97,7 @@ func (s *Store) InsertEntry(e *Entry) bool {
 	for entries[keep-1].Seg.Len() > entries[0].Seg.Len()+s.extraLen {
 		keep--
 	}
-	for _, evicted := range entries[keep:] {
-		delete(s.seen, evicted.Route)
-	}
 	s.byOrigin[origin] = entries[:keep]
-	s.seen[e.Route] = true
 	return true
 }
 
@@ -143,17 +140,21 @@ func (s *Store) lengthAdmits(entries []*Entry, length int) bool {
 // Runner owns the stores of its run.
 func (s *Store) admitLocked(origin addr.IA, length int, route string) (at int, ok bool) {
 	entries := s.byOrigin[origin]
-	if !s.lengthAdmits(entries, length) || s.seen[route] {
+	if !s.lengthAdmits(entries, length) {
 		return 0, false
 	}
 	// The per-origin list is kept ranked, so the beacon is placed by
-	// binary search.
+	// binary search, which also finds its route if it is already stored
+	// (a route fixes its length).
 	at = sort.Search(len(entries), func(i int) bool {
 		if n := entries[i].Seg.Len(); n != length {
 			return n > length
 		}
 		return entries[i].Route >= route
 	})
+	if at < len(entries) && entries[at].Route == route {
+		return 0, false
+	}
 	return at, at < s.limit
 }
 

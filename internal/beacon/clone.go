@@ -28,7 +28,8 @@ func (reg *Registry) Clone() *Registry {
 	}
 	for k, e := range reg.memo {
 		if e.token == reg.Token(k[0]) {
-			c.memo[k] = memoEntry{token: c.Token(k[0]), paths: e.paths}
+			e.token = c.Token(k[0])
+			c.memo[k] = e
 		}
 	}
 	return c

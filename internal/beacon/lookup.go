@@ -3,6 +3,7 @@ package beacon
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"maps"
 	"slices"
 	"sort"
 
@@ -47,19 +48,26 @@ func (t Token) Gen() uint64 {
 	return max(h.Sum64(), 1)
 }
 
-// memoEntry is one memoized path combination, valid while its source's
-// token is unchanged.
+// memoEntry is one memoized path combination: the segments it was
+// combined from, and the token under which they were last selected.
 type memoEntry struct {
-	token Token
-	paths []*combinator.Path
+	token             Token
+	ups, cores, downs []*segment.Segment
+	paths             []*combinator.Path
 }
 
 // Paths resolves src to dst: Combine over the segments Lookup selects
-// (paths sorted by hops, then latency), memoized per pair against the
-// source's Token. The memo lives and dies with the registry, so a
-// control-plane refresh — which publishes a new registry — starts from
-// an empty one by construction. Callers share the returned slice and
-// must not mutate it (path policies copy before reordering).
+// (paths sorted by hops, then latency), memoized per pair. An entry is
+// served while the source's Token matches; on a mismatch Lookup runs
+// again, and when it selects the very segments (pointer for pointer)
+// the entry was combined from, the entry is re-stamped and served, since
+// Combine is a function of them; otherwise the pair is recombined, the
+// paths that come out the same taken from the entry (Recombine). A
+// refresh starts the registry it
+// publishes with the previous registry's entries (carryMemo), so a path
+// set outlives a link event that left its segments alone. Callers share
+// the returned slice and must not mutate it (path policies copy before
+// reordering).
 func (reg *Registry) Paths(src, dst addr.IA) []*combinator.Path {
 	token, key := reg.Token(src), [2]addr.IA{src, dst}
 	reg.memoMu.Lock()
@@ -72,14 +80,26 @@ func (reg *Registry) Paths(src, dst addr.IA) []*combinator.Path {
 	// leaves an entry that fails its next check, never a stale one that
 	// passes.
 	ups, cores, downs := reg.Lookup(src, dst)
-	paths := combinator.Combine(src, dst, ups, cores, downs)
+	if !ok || !slices.Equal(e.ups, ups) || !slices.Equal(e.cores, cores) || !slices.Equal(e.downs, downs) {
+		e = memoEntry{ups: ups, cores: cores, downs: downs, paths: combinator.Recombine(e.paths, src, dst, ups, cores, downs)}
+	}
+	e.token = token
 	reg.memoMu.Lock()
 	if reg.memo == nil {
 		reg.memo = make(map[[2]addr.IA]memoEntry)
 	}
-	reg.memo[key] = memoEntry{token: token, paths: paths}
+	reg.memo[key] = e
 	reg.memoMu.Unlock()
-	return paths
+	return e.paths
+}
+
+// carryMemo starts reg's memo with from's entries, under from's tokens:
+// each is served again once Lookup on reg selects what it was combined
+// from.
+func (reg *Registry) carryMemo(from *Registry) {
+	from.memoMu.Lock()
+	reg.memo = maps.Clone(from.memo)
+	from.memoMu.Unlock()
 }
 
 // Lookup selects the segments a path lookup from src to dst combines:

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -53,6 +54,10 @@ type RunnerMetrics struct {
 	// Built counts beacons and terminated segments constructed, Reused
 	// those taken as the previous run left them; a cold run reuses none.
 	Built, Reused telemetry.Counter
+	// Redecided counts candidates put to admission: on a cold run every
+	// flight (Originated + Propagated), on a refresh only those of groups
+	// it could not replay.
+	Redecided telemetry.Counter
 }
 
 // counters is the one declaration of the runner's counters: the metric
@@ -81,6 +86,8 @@ var counters = []struct {
 		func(m *RunnerMetrics) *telemetry.Counter { return &m.Built }},
 	{"sciera_beacon_reused_total", "beacons and terminated segments kept from the previous run",
 		func(m *RunnerMetrics) *telemetry.Counter { return &m.Reused }},
+	{"sciera_beacon_redecided_total", "beacon candidates put to admission rather than replayed from the previous run",
+		func(m *RunnerMetrics) *telemetry.Counter { return &m.Redecided }},
 }
 
 // Register adopts the cells into a registry.
@@ -244,7 +251,7 @@ type flight struct {
 	seg  *segment.Segment
 	from addr.IA
 	l    *topology.Link
-	to   addr.IA
+	to   *receiver
 	// length and route are the AS-hop length and route ID of the beacon
 	// the receiver would store. The route is known at origination,
 	// otherwise hashed once the receiver's store admits the length, and
@@ -293,12 +300,18 @@ type kept struct {
 	// are what the beacons were verified against; nil and zero if none.
 	trcs     map[addr.ISD]*cppki.TRC
 	verifyAt time.Time
-	// beacons holds by route ID every beacon the run stored; one that
-	// failed verification is never here.
-	// terms holds every segment the run registered, by the route ID of
-	// the stored beacon it terminates.
+	// beacons holds by route ID every beacon the run stored (one that
+	// failed verification is never here): the next run's origination
+	// looks its beacons up there. groups holds what the flood decided,
+	// by group, where the rest of the next flood looks (flood). terms
+	// holds every segment the run registered, by the route ID of the
+	// stored beacon it terminates.
 	beacons map[string]*segment.Segment
 	terms   map[string]term
+	groups  map[groupID]group
+	// best and propK are the bounds the run's stores and selection
+	// applied.
+	best, propK int
 }
 
 // term is a registered segment with the ID it is filed under.
@@ -307,17 +320,20 @@ type term struct {
 	seg *segment.Segment
 }
 
-// holds reports whether what k's run built is what r's would build for
-// the same routes: same timestamp and verification, and no AS of r's
-// view differing from k's in what a beacon's bytes carry. Link state is
-// not among that; an AS k never saw is on none of its routes.
+// holds reports whether what k's run built and decided is what r's
+// would for the same routes and candidates: same timestamp,
+// verification and bounds, and no AS of r's view differing from k's in
+// what a beacon's bytes carry or what the flood asks of it. Link state
+// is not among that; an AS k never saw is on none of its routes.
 func (k *kept) holds(r *Runner, trcs map[addr.ISD]*cppki.TRC, verifyAt time.Time) bool {
-	if k == nil || k.timestamp != r.Timestamp || !k.verifyAt.Equal(verifyAt) || !maps.Equal(k.trcs, trcs) {
+	if k == nil || k.timestamp != r.Timestamp || !k.verifyAt.Equal(verifyAt) || !maps.Equal(k.trcs, trcs) ||
+		k.best != r.BestPerOrigin || k.propK != r.propagateK() {
 		return false
 	}
 	for ia, as := range r.view {
 		if was, ok := k.view[ia]; ok && (was.key != as.key || was.signer != as.signer ||
-			was.mtu != as.mtu || !slices.Equal(was.peers, as.peers)) {
+			was.mtu != as.mtu || !slices.Equal(was.peers, as.peers) ||
+			was.core != as.core || was.commercial != as.commercial) {
 			return false
 		}
 	}
@@ -329,14 +345,16 @@ func (k *kept) holds(r *Runner, trcs map[addr.ISD]*cppki.TRC, verifyAt time.Time
 func (r *Runner) Run() (*Registry, error) { return r.RunFrom(nil) }
 
 // RunFrom is Run for a network whose last run left prev (nil for none).
-// The flood decides everything again — same flights, order, admissions
-// and counters as Run — but builds only the beacons and segments prev's
-// run did not: the rest are taken as that run left them, MACs,
-// signatures and verification verdict included. Each store of the
-// result is prev's own when the run registered the same segments there,
-// otherwise a clone of it synced by difference; prev is never modified.
-// When more than link state moved since prev's run (kept.holds), prev is
-// ignored and the run is Run.
+// The result — registries, flights, order, admissions and counters — is
+// Run's, but the flood decides again only the groups whose candidates
+// moved since prev's run and replays the rest (flood), and it builds
+// only the beacons and segments prev's run did not: the rest are taken
+// as that run left them, MACs, signatures and verification verdict
+// included. Each store of the result is prev's own when the run
+// registered the same segments there, otherwise synced from it by
+// difference, and its path memo starts with prev's entries (Paths);
+// prev is never modified. When more than link state moved since prev's
+// run (kept.holds), what it kept is ignored and the run is Run.
 func (r *Runner) RunFrom(prev *Registry) (*Registry, error) {
 	if r.Topo == nil || r.Keys == nil {
 		return nil, fmt.Errorf("beacon: Runner requires a Topo and Keys")
@@ -362,14 +380,20 @@ func (r *Runner) RunFrom(prev *Registry) (*Registry, error) {
 			trcs[isd], _ = r.TRCs.Get(isd)
 		}
 	}
+	reg := &Registry{}
+	if prev != nil {
+		reg.carryMemo(prev)
+	}
 	if prev == nil || !prev.kept.holds(r, trcs, verifyAt) {
 		prev = &Registry{kept: &kept{}}
 	}
 	r.prev = prev.kept
 	r.next = &kept{timestamp: r.Timestamp, trcs: trcs, verifyAt: verifyAt, view: r.view,
+		best: r.BestPerOrigin, propK: r.propagateK(),
 		beacons: make(map[string]*segment.Segment, len(r.prev.beacons)),
-		terms:   make(map[string]term, len(r.prev.terms))}
-	reg := &Registry{kept: r.next}
+		terms:   make(map[string]term, len(r.prev.terms)),
+		groups:  make(map[groupID]group, len(r.prev.groups))}
+	reg.kept = r.next
 	if err := r.runCore(reg, prev); err != nil {
 		return nil, err
 	}
@@ -441,6 +465,92 @@ func admits(store *Store, f *flight) bool {
 	return ok
 }
 
+// groupID names one group of a flood: the candidates of one origin that
+// reach one receiver in one round (also one best-K selection group).
+type groupID struct {
+	groupKey
+	round int
+}
+
+// group is what a run decided for one group. A decision reads the
+// candidates and the receiver's store list for their origin, nothing
+// else, so the next run, meeting the same candidates at the same list,
+// decides the same and replays this.
+type group struct {
+	// prev is the round of the (origin, receiver)'s previous group in the
+	// run that recorded this one, -1 if none: the list stands as it stood
+	// only if the groups before it do.
+	prev int
+	// in is the candidates in flight order, with what became of each;
+	// list, the store list for the origin after the round.
+	in                       []input
+	list                     []*Entry
+	filtered, pruned, failed uint64
+	// propagated and extFiltered count what extending the survivors sent
+	// and filtered: replayed, with each input's over, while the
+	// receiver's out links are those of the run that recorded them.
+	propagated, extFiltered uint64
+}
+
+// input is one candidate: the beacon the sender stores (the originated
+// one in round 0) and the ID of the link it crosses — a kept beacon is
+// the same *Segment in every run, so candidates compare by pointer —
+// then the entry the store admitted (Seg nil: refused, or failed
+// verification; Route the candidate's route, if hashed), whether best-K
+// kept it from going on and, for a survivor, the out links it went over
+// (bit k: the receiver's links[k]). The entries of a group are stored in
+// its inputs: one allocation per group decided.
+type input struct {
+	seg    *segment.Segment
+	link   int32
+	pruned bool
+	over   uint64
+	entry  Entry
+}
+
+func (in *input) is(f *flight) bool { return in.seg == f.seg && int(in.link) == f.l.ID }
+
+// stored returns the entry the store admitted, or nil.
+func (in *input) stored() *Entry {
+	if in.entry.Seg == nil {
+		return nil
+	}
+	return &in.entry
+}
+
+// receiver is one AS's side of a flood: its store, and where the flood
+// of the current origin stands there.
+type receiver struct {
+	ia    addr.IA
+	as    *asView
+	store *Store
+	// links and down are what out gives the AS, dests the receivers at
+	// the far end of links; moved, whether links or down differ from
+	// the previous run's (or links are more than an input's over holds).
+	links []*topology.Link
+	dests []*receiver
+	down  uint64
+	moved bool
+	// last is the round of the origin's last group here (-1: none),
+	// dirty whether the list differs from the previous run's after it;
+	// in lists the round's flights
+	// to here, g is their group, and replay says its survivors go over
+	// the links recorded.
+	last   int
+	dirty  bool
+	in     []int
+	g      group
+	replay bool
+}
+
+// send appends the flight of e over rc's k-th out link.
+func (rc *receiver) send(next []flight, e *Entry, k int) []flight {
+	l := rc.links[k]
+	other, _ := l.Other(rc.ia)
+	return append(next, flight{seg: e.Seg, from: rc.ia, inIf: e.RecvIf, l: l,
+		to: rc.dests[k], recvIf: other.IfID, length: e.Seg.Len() + 1})
+}
+
 // flood runs one beaconing process to its fixed point: every core AS
 // originates over the links out gives it, the core (or, for intra-ISD
 // beaconing, the non-core) ASes receive, and each round every receiver
@@ -451,135 +561,145 @@ func admits(store *Store, f *flight) bool {
 // stores hold at the end is terminated and returned — a registry is
 // loaded, not inserted into.
 //
-// A beacon is built when a store admits it and the previous run did not
-// keep it. A flight names the parent beacon and the link; the receiver
-// asks its store, in flight order, whether it would keep the candidate —
-// by length first, by the route (hashed then) if that does not settle it
-// — and only then is the extension made (cloned, MACed, peer entries,
-// signature) or found in r.prev. The counters and every registry are
-// those of a flood that builds each candidate at the sender (the
-// eagerRun oracle in the tests).
+// Nothing one origin's beacons meet depends on another origin's, so the
+// flood runs origin by origin. A round's flights are in the order of
+// their key, the link IDs along the route (origination and every
+// survivor send over their links in link-ID order, survivors in flight
+// order), and each (origin, receiver, round) group is replayed or
+// decided in that order (receive): a store admits by length, then by
+// route, and only then is the extension built or found in r.prev. The
+// counters and every registry are those of a flood that builds each
+// candidate at the sender (the eagerRun oracle in the tests).
 func (r *Runner) flood(core bool,
 	out func(*asView) (up []*topology.Link, down uint64),
 	refuse func(origin, next *asView) bool) ([]term, error) {
-	stores := make(map[addr.IA]*Store)
-	var origins []addr.IA
+	rx := make(map[addr.IA]*receiver)
+	var (
+		rcs     []*receiver
+		origins []addr.IA
+	)
 	for ia, as := range r.view {
 		if as.core == core {
-			stores[ia] = NewStore(r.BestPerOrigin)
+			rc := &receiver{ia: ia, as: as, store: NewStore(r.BestPerOrigin), moved: true}
+			rc.links, rc.down = out(as)
+			if was, ok := r.prev.view[ia]; ok && len(rc.links) <= 64 {
+				links, down := out(was)
+				rc.moved = down != rc.down || !slices.Equal(links, rc.links)
+			}
+			rx[ia] = rc
+			rcs = append(rcs, rc)
 		}
 		if as.core {
 			origins = append(origins, ia)
 		}
 	}
 	slices.Sort(origins)
+	for _, rc := range rcs {
+		rc.dests = make([]*receiver, len(rc.links))
+		for k, l := range rc.links {
+			other, _ := l.Other(rc.ia)
+			rc.dests[k] = rx[other.IA]
+		}
+	}
 
-	// Origination: one PCB per link direction, in AS then link order.
-	// flights and next swap every round and entries is reused: a round
-	// runs to ten thousand candidates, and allocating them anew was most
+	// flights and next swap every round and the rest is reused: a round
+	// runs to thousands of candidates, and allocating them anew was most
 	// of what a warm run allocated.
 	var (
 		flights, next []flight
-		entries       []*Entry
+		sent          []*input
+		touched       []*receiver
 	)
 	for _, origin := range origins {
-		links, down := out(r.view[origin])
+		for _, rc := range rcs {
+			rc.last, rc.dirty = -1, false
+		}
+		ov := r.view[origin]
+		links, down := out(ov)
 		r.Metrics.Filtered.Add(down)
+		flights = flights[:0]
 		for _, l := range links {
 			f, err := r.originate(origin, l)
 			if err != nil {
 				return nil, err
 			}
 			r.Metrics.Originated.Inc()
+			other, _ := l.Other(origin)
+			f.to = rx[other.IA]
 			flights = append(flights, f)
 		}
-	}
-
-	// A beacon never revisits an AS, so #ASes rounds drain every flight;
-	// the bound is what the loop is allowed, not what it needs.
-	for round := 0; round < len(r.view)+2 && len(flights) > 0; round++ {
-		// Receipt, in flight order: a candidate its store admits is
-		// resolved (build), verified if this run made it and verifies at
-		// all, then stored; acceptances are grouped by (receiver, origin)
-		// for best-K selection.
-		entries = append(entries[:0], make([]*Entry, len(flights))...)
-		groups := make(map[groupKey][]int)
-		for i := range flights {
-			f := &flights[i]
-			if !admits(stores[f.to], f) {
-				r.Metrics.Filtered.Inc()
-				continue
-			}
-			seg, fresh, err := r.build(f)
-			if err != nil {
-				return nil, err
-			}
-			if fresh && r.verifier != nil {
-				start := time.Now()
-				bad := r.verifier.VerifyLast(seg)
-				if r.Metrics.VerifyLatency != nil {
-					r.Metrics.VerifyLatency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+		// A beacon never revisits an AS, so #ASes rounds drain every
+		// flight; the bound is what the loop is allowed, not what it needs.
+		for round := 0; round < len(r.view)+2 && len(flights) > 0; round++ {
+			touched = touched[:0]
+			for i := range flights {
+				rc := flights[i].to
+				if len(rc.in) == 0 {
+					touched = append(touched, rc)
 				}
-				if bad != nil {
-					r.Metrics.VerifyFailed.Inc()
+				rc.in = append(rc.in, i)
+			}
+			sent = append(sent[:0], make([]*input, len(flights))...)
+			for _, rc := range touched {
+				if err := r.receive(groupID{groupKey{rc.ia, origin}, round}, rc, flights, sent); err != nil {
+					return nil, err
+				}
+			}
+			// Extension: the survivors go out over every other eligible
+			// link, in flight order.
+			next = next[:0]
+			for i, in := range sent {
+				if in == nil {
 					continue
 				}
-				r.Metrics.Verified.Inc()
-			}
-			r.next.beacons[f.route] = seg
-			entries[i] = &Entry{Seg: seg, RecvIf: f.recvIf, Route: f.route}
-			stores[f.to].InsertEntry(entries[i])
-			g := groupKey{f.to, seg.FirstIA()}
-			groups[g] = append(groups[g], i)
-		}
-		// Selection phase: bound what each AS floods onward per origin.
-		r.pruneGroups(entries, groups)
-		// Extension phase: the survivors go out over every other eligible
-		// link, in the original flight order.
-		fanout := 0
-		for i, e := range entries {
-			if e != nil {
-				links, _ := out(r.view[flights[i].to])
-				fanout += len(links)
-			}
-		}
-		next = slices.Grow(next[:0], fanout)
-		for i, f := range flights {
-			e := entries[i]
-			if e == nil {
-				continue
-			}
-			links, down := out(r.view[f.to])
-			r.Metrics.Filtered.Add(down)
-			for _, l := range links {
-				if l.ID == f.l.ID {
+				rc := flights[i].to
+				if rc.replay {
+					for over := in.over; over != 0; over &= over - 1 {
+						next = rc.send(next, &in.entry, bits.TrailingZeros64(over))
+					}
 					continue
 				}
-				other, _ := l.Other(f.to)
-				if e.Seg.ContainsIA(other.IA) || refuse(r.view[e.Seg.FirstIA()], r.view[other.IA]) {
-					r.Metrics.Filtered.Inc()
-					continue
+				in.over = 0
+				rc.g.extFiltered += rc.down
+				for k, l := range rc.links {
+					if l.ID == flights[i].l.ID {
+						continue
+					}
+					if d := rc.dests[k]; in.entry.Seg.ContainsIA(d.ia) || refuse(ov, d.as) {
+						rc.g.extFiltered++
+						continue
+					}
+					in.over |= 1 << k // past bit 63 unrecorded: such a receiver never replays
+					rc.g.propagated++
+					next = rc.send(next, &in.entry, k)
 				}
-				r.Metrics.Propagated.Inc()
-				next = append(next, flight{seg: e.Seg, from: f.to, inIf: e.RecvIf, l: l,
-					to: other.IA, recvIf: other.IfID, length: e.Seg.Len() + 1})
 			}
+			for _, rc := range touched {
+				r.Metrics.Filtered.Add(rc.g.extFiltered)
+				r.Metrics.Propagated.Add(rc.g.propagated)
+				r.next.groups[groupID{groupKey{rc.ia, origin}, round}] = rc.g
+				rc.in, rc.g, rc.replay = rc.in[:0], group{}, false
+			}
+			flights, next = next, flights
 		}
-		flights, next = next, flights
 	}
 
 	// Registration: terminate every stored beacon into a segment, unless
 	// the previous run did. Stored beacons were verified on receipt (when
 	// enabled); the terminating entry is the AS's own, so no re-verify.
-	var terms []term
-	for ia, store := range stores {
-		for _, es := range store.All() {
+	n := 0
+	for _, rc := range rcs {
+		n += rc.store.Len()
+	}
+	terms := make([]term, 0, n)
+	for _, rc := range rcs {
+		for _, es := range rc.store.byOrigin {
 			for _, e := range es {
 				t, ok := r.prev.terms[e.Route]
 				if ok {
 					r.Metrics.Reused.Inc()
 				} else {
-					seg, err := r.extend(e.Seg, ia, e.RecvIf, nil)
+					seg, err := r.extend(e.Seg, rc.ia, e.RecvIf, nil)
 					if err != nil {
 						return nil, err
 					}
@@ -592,6 +712,113 @@ func (r *Runner) flood(core bool,
 		}
 	}
 	return terms, nil
+}
+
+// receive decides one group and sets, per flight of it, the entry sent
+// on, or nil. A clean group — the previous run recorded the same
+// candidates at a list that stood as it stands now, because every
+// earlier group of the (origin, receiver) was clean or came out as
+// recorded — is replayed: the list, counter deltas and survivors are the
+// record's, and its beacons count as Reused. Any other group is decided
+// anew and recorded. A group that failed a verification is never clean:
+// such a beacon is built, and fails, every run.
+func (r *Runner) receive(id groupID, rc *receiver, flights []flight, sent []*input) error {
+	g, ok := r.prev.groups[id]
+	clean := !rc.dirty && ok && g.prev == rc.last && g.failed == 0 &&
+		slices.EqualFunc(g.in, rc.in, func(in input, i int) bool { return in.is(&flights[i]) })
+	if clean {
+		rc.store.byOrigin[id.origin] = g.list
+		reused := uint64(0)
+		for j := range g.in {
+			if e := g.in[j].stored(); e != nil {
+				r.next.beacons[e.Route] = e.Seg
+				reused++
+			}
+		}
+		if id.round > 0 { // an originated beacon was counted by originate
+			r.Metrics.Reused.Add(reused)
+		}
+		r.Metrics.Filtered.Add(g.filtered)
+		r.Metrics.Pruned.Add(g.pruned)
+		if rc.moved { // the survivors go over other links: record them anew
+			g.in = slices.Clone(g.in)
+		}
+	} else {
+		was := g
+		var err error
+		if g, err = r.decide(id.origin, rc, flights, was); err != nil {
+			return err
+		}
+		// A decision that leaves the list as the previous run left it
+		// here leaves the next group's list standing too.
+		rc.dirty = !ok || !slices.EqualFunc(g.list, was.list, func(a, b *Entry) bool { return *a == *b })
+	}
+	rc.g, rc.replay, rc.last = g, clean && !rc.moved, id.round
+	if !rc.replay {
+		rc.g.propagated, rc.g.extFiltered = 0, 0
+	}
+	for j, i := range rc.in {
+		if in := &g.in[j]; in.stored() != nil && !in.pruned {
+			sent[i] = in
+		}
+	}
+	return nil
+}
+
+// decide runs the group of rc's flights candidate by candidate, in flight
+// order, and records it. A candidate the previous run met in the group
+// (was, its record, if any) comes with its route, if hashed then, and
+// the beacon that run stored, if any.
+func (r *Runner) decide(origin addr.IA, rc *receiver, flights []flight, was group) (group, error) {
+	n := len(rc.in)
+	g := group{prev: rc.last, in: make([]input, n)}
+	r.Metrics.Redecided.Add(uint64(n))
+	admitted := 0
+	for j, i := range rc.in {
+		f := &flights[i]
+		var stored *Entry
+		if m := slices.IndexFunc(was.in, func(in input) bool { return in.is(f) }); m >= 0 {
+			f.route, stored = was.in[m].entry.Route, was.in[m].stored()
+		}
+		ok := admits(rc.store, f)
+		in := &g.in[j]
+		*in = input{seg: f.seg, link: int32(f.l.ID), entry: Entry{Route: f.route}}
+		if !ok {
+			g.filtered++
+			continue
+		}
+		seg, fresh, err := r.build(f, stored)
+		if err != nil {
+			return group{}, err
+		}
+		if fresh && r.verifier != nil {
+			start := time.Now()
+			bad := r.verifier.VerifyLast(seg)
+			if r.Metrics.VerifyLatency != nil {
+				r.Metrics.VerifyLatency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+			}
+			if bad != nil {
+				r.Metrics.VerifyFailed.Inc()
+				g.failed++
+				continue
+			}
+			r.Metrics.Verified.Inc()
+		}
+		r.next.beacons[f.route] = seg
+		in.entry = Entry{Seg: seg, RecvIf: f.recvIf, Route: f.route}
+		rc.store.InsertEntry(&in.entry)
+		admitted++
+	}
+	g.pruned = r.prune(g.in, admitted)
+	r.Metrics.Filtered.Add(g.filtered)
+	r.Metrics.Pruned.Add(g.pruned)
+	// The record shares the list with the store; capped at its length,
+	// it is copied by the next insert rather than written into.
+	if list := rc.store.byOrigin[origin]; list != nil {
+		g.list = slices.Clip(list)
+		rc.store.byOrigin[origin] = g.list
+	}
+	return g, nil
 }
 
 // originBeta0 derives a PCB's initial accumulator: the first two bytes
@@ -613,7 +840,7 @@ func (r *Runner) originate(origin addr.IA, l *topology.Link) (flight, error) {
 	local, _ := l.Local(origin)
 	remote, _ := l.Other(origin)
 	// The route of a one-entry beacon, before there is a beacon.
-	f := flight{l: l, to: remote.IA, recvIf: remote.IfID, length: 1,
+	f := flight{l: l, recvIf: remote.IfID, length: 1,
 		route: new(segment.Segment).ExtendedRouteID(origin, 0, local.IfID)}
 	if seg, ok := r.prev.beacons[f.route]; ok {
 		r.Metrics.Reused.Inc()
@@ -640,15 +867,16 @@ func (r *Runner) signLast(seg *segment.Segment, ia addr.IA) error {
 }
 
 // build turns an admitted flight into the beacon its receiver stores:
-// the one the previous run kept under that route, or a new extension
-// (fresh: no one has verified it).
-func (r *Runner) build(f *flight) (seg *segment.Segment, fresh bool, err error) {
-	if f.from == 0 {
+// the originated one, the one the previous run stored for the same
+// candidate (stored: its group's record has every beacon of the route
+// that run kept), or a new extension (fresh: no one has verified it).
+func (r *Runner) build(f *flight, stored *Entry) (seg *segment.Segment, fresh bool, err error) {
+	switch {
+	case f.from == 0:
 		return f.seg, f.fresh, nil
-	}
-	if seg, ok := r.prev.beacons[f.route]; ok {
+	case stored != nil:
 		r.Metrics.Reused.Inc()
-		return seg, false, nil
+		return stored.Seg, false, nil
 	}
 	seg, err = r.extend(f.seg, f.from, f.inIf, f.l)
 	return seg, true, err
@@ -711,33 +939,32 @@ func (r *Runner) propagateK() int {
 	}
 }
 
-// pruneGroups drops (sets to nil) the accepted beacons beyond the best-K
-// propagation bound, per (receiving AS, origin) group. Groups at or
-// under the bound are untouched, so on topologies that never exceed it
-// (the SCIERA reference graph) the propagation schedule is bit-identical
-// to unbounded flooding.
-func (r *Runner) pruneGroups(entries []*Entry, groups map[groupKey][]int) {
+// prune marks the candidates of one group whose admitted entries (n of
+// them) the best-K propagation bound keeps from going on, and returns
+// how many it marked. A group at or under the bound is untouched, so on
+// topologies that never exceed it (the SCIERA reference graph) the
+// propagation schedule is bit-identical to unbounded flooding.
+func (r *Runner) prune(in []input, n int) uint64 {
 	k := r.propagateK()
-	if k <= 0 {
-		return
+	if k <= 0 || n <= k {
+		return 0
 	}
-	for _, idxs := range groups {
-		if len(idxs) <= k {
-			continue
-		}
-		group := make([]*Entry, len(idxs))
-		for j, i := range idxs {
-			group[j] = entries[i]
-		}
-		keep := make(map[*Entry]bool, k)
-		for _, e := range SelectBestK(group, k) {
-			keep[e] = true
-		}
-		for _, i := range idxs {
-			if !keep[entries[i]] {
-				entries[i] = nil
-				r.Metrics.Pruned.Inc()
-			}
+	group := make([]*Entry, 0, n)
+	for j := range in {
+		if e := in[j].stored(); e != nil {
+			group = append(group, e)
 		}
 	}
+	keep := make(map[*Entry]bool, k)
+	for _, e := range SelectBestK(group, k) {
+		keep[e] = true
+	}
+	pruned := uint64(0)
+	for j := range in {
+		if e := in[j].stored(); e != nil && !keep[e] {
+			in[j].pruned = true
+			pruned++
+		}
+	}
+	return pruned
 }

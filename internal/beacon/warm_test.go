@@ -351,6 +351,22 @@ func TestWarmRefreshMatchesColdRun(t *testing.T) {
 	}
 }
 
+// TestRefreshPastMaskWidth floods a 66-AS core clique, where every
+// receiver has 65 core links — more than the mask recording where a
+// survivor went holds — cold and warm across a core flap, against the
+// cold run and the eager flood (refresh checks both).
+func TestRefreshPastMaskWidth(t *testing.T) {
+	c := newWarmChain(t, "gen:isds=1,ases=69,cores=66,seed=1", 1, false)
+	c.refresh("converge", false)
+	l := c.linksOf(topology.LinkCore)[0]
+	for _, up := range []bool{false, true} {
+		if err := c.topo.SetLinkUp(l.ID, up); err != nil {
+			t.Fatal(err)
+		}
+		c.refresh(fmt.Sprintf("link %d up=%v", l.ID, up), true)
+	}
+}
+
 // TestRunFromIgnoresStaleKept: a registry kept under one timestamp,
 // verification instant, trust store, signer set or key set is not a
 // source of beacons for a run under another — that run is cold, and
@@ -419,11 +435,51 @@ func TestRunFromIgnoresStaleKept(t *testing.T) {
 	}
 }
 
+// redecided holds the run that published c.reg, started from prev, to
+// the cold run on the same topology: it re-decides no more candidates,
+// and the cold run re-decides every one it put in flight. It returns
+// the run's counters.
+func (c *warmChain) redecided(when string, prev *Registry) *RunnerMetrics {
+	c.t.Helper()
+	warm, cold := c.runner(), c.runner()
+	if _, err := warm.RunFrom(prev); err != nil {
+		c.t.Fatal(err)
+	}
+	if _, err := cold.Run(); err != nil {
+		c.t.Fatal(err)
+	}
+	w, cm := warm.Metrics.Redecided.Load(), cold.Metrics
+	if all := cm.Originated.Load() + cm.Propagated.Load(); cm.Redecided.Load() != all {
+		c.t.Fatalf("%s: a cold run re-decided %d of %d candidates", when, cm.Redecided.Load(), all)
+	}
+	if w > cm.Redecided.Load() {
+		c.t.Fatalf("%s: re-decided %d candidates, a cold run %d", when, w, cm.Redecided.Load())
+	}
+	return warm.Metrics
+}
+
+// TestRedecidedCountsDecisions: a cold run puts every candidate to
+// admission (Redecided = Originated + Propagated); a refresh after one
+// core flap replays most of them, and runs the rest.
+func TestRedecidedCountsDecisions(t *testing.T) {
+	c := newWarmChain(t, "gen:isds=3,ases=200,cores=8,seed=1", 4, false)
+	c.refresh("converge", false)
+	what, _ := c.flap(topology.LinkCore, 5)
+	m := c.redecided(what, c.reg)
+	if r, all := m.Redecided.Load(), m.Originated.Load()+m.Propagated.Load(); r == 0 || r >= all {
+		t.Fatalf("%s: re-decided %d of %d candidates", what, r, all)
+	}
+}
+
 // FuzzRefreshAfterFlaps is TestWarmRefreshMatchesColdRun driven by
 // bytes: the first picks the store bound, each later one an event —
 // its top two bits the kind (core, parent, peer flap; attach or new
 // peering), the rest which link or AS — on a 14-AS two-ISD topology
-// with two peering links.
+// with two peering links. After every event the refresh also
+// re-decides no more candidates than the cold run, and Paths for four
+// fixed leaf pairs — memoized on every registry of the chain, so each
+// refresh starts from the last one's entries — equals a fresh
+// combination.
 func FuzzRefreshAfterFlaps(f *testing.F) {
 	f.Add([]byte{1, 0x00, 0x40, 0x80, 0xc0, 0xe0}) // one event of each kind; testdata/fuzz holds the rest
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -435,7 +491,16 @@ func FuzzRefreshAfterFlaps(f *testing.F) {
 		}
 		c := newWarmChain(t, "gen:isds=2,ases=14,cores=2,seed=1", 1+int(data[0]%4), false)
 		c.refresh("converge", false)
+		leaves := c.nonCore()
+		pairs := [][2]addr.IA{{leaves[0], leaves[1]}, {leaves[1], leaves[0]}, {leaves[2], leaves[7]}, {leaves[9], leaves[3]}}
+		paths := func(when string) {
+			for _, p := range pairs {
+				pathsAsFresh(t, when, c.reg, p[0], p[1])
+			}
+		}
+		paths("converge")
 		for i, b := range data[1:] {
+			prev := c.reg
 			var what string
 			var holds bool
 			switch pick := int(b & 0x3f); b >> 6 {
@@ -452,7 +517,10 @@ func FuzzRefreshAfterFlaps(f *testing.F) {
 					what, holds = c.peer(pick)
 				}
 			}
-			c.refresh(fmt.Sprintf("event %d (%#02x): %s", i, b, what), holds)
+			when := fmt.Sprintf("event %d (%#02x): %s", i, b, what)
+			c.refresh(when, holds)
+			c.redecided(when, prev)
+			paths(when)
 		}
 	})
 }

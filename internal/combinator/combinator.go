@@ -8,9 +8,12 @@
 package combinator
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"sciera/internal/addr"
@@ -91,6 +94,15 @@ type direction struct {
 	consDir bool
 }
 
+// entry returns the index of the AS entry at the given step of d's
+// traversal.
+func (d direction) entry(step int) int {
+	if d.consDir {
+		return step
+	}
+	return d.seg.Len() - 1 - step
+}
+
 // Combine enumerates the loop-free end-to-end paths from src to dst
 // using the supplied segments:
 //
@@ -101,22 +113,24 @@ type direction struct {
 // Any of the groups may be empty: core-to-core paths need only cores,
 // paths within one provider tree need only up+down, etc. The result is
 // deduplicated by fingerprint and sorted by (hops, latency, fingerprint).
+// Callers pass the segments a lookup selected (beacon.Registry.Lookup),
+// so a scan of cores per up/down pair is short.
 func Combine(src, dst addr.IA, ups, cores, downs []*segment.Segment) []*Path {
+	return Recombine(nil, src, dst, ups, cores, downs)
+}
+
+// Recombine is Combine for a pair whose previous path set was prev: a
+// path of prev that Combine would build again, field for field, is
+// returned as it is instead of built anew. After a link event most of a
+// pair's paths still run over the same segments, so recombining costs
+// what the event changed.
+func Recombine(prev []*Path, src, dst addr.IA, ups, cores, downs []*segment.Segment) []*Path {
 	if src == dst {
 		return nil
 	}
-	var out []*Path
-	seen := make(map[string]bool)
-	add := func(p *Path) {
-		if p != nil && !seen[p.Fingerprint] {
-			seen[p.Fingerprint] = true
-			out = append(out, p)
-		}
-	}
-
-	// Filter inputs to the relevant endpoints and index core segments
-	// by their endpoints (the combination loops below would otherwise
-	// scan every core segment per up/down pair).
+	// The candidates of a lookup fit on the stack.
+	var stack [64]candidate
+	cands := stack[:0]
 	var srcUps []*segment.Segment
 	for _, u := range ups {
 		if u.LastIA() == src {
@@ -129,32 +143,26 @@ func Combine(src, dst addr.IA, ups, cores, downs []*segment.Segment) []*Path {
 			dstDowns = append(dstDowns, d)
 		}
 	}
-	coresByFirst := make(map[addr.IA][]*segment.Segment)
-	coresByLast := make(map[addr.IA][]*segment.Segment)
-	for _, c := range cores {
-		coresByFirst[c.FirstIA()] = append(coresByFirst[c.FirstIA()], c)
-		coresByLast[c.LastIA()] = append(coresByLast[c.LastIA()], c)
-	}
 
 	// Case 1: single-segment paths.
 	for _, u := range srcUps {
 		if u.FirstIA() == dst { // dst is the core origin of src's up segment
-			add(build(src, dst, []direction{{u, false}}))
+			cands = add(cands, src, dst, direction{u, false})
 		}
 	}
 	for _, d := range dstDowns {
 		if d.FirstIA() == src { // src is the core origin of dst's down segment
-			add(build(src, dst, []direction{{d, true}}))
+			cands = add(cands, src, dst, direction{d, true})
 		}
 	}
-	for _, c := range coresByFirst[src] {
-		if c.LastIA() == dst {
-			add(build(src, dst, []direction{{c, true}}))
+	for _, k := range cores {
+		if k.FirstIA() == src && k.LastIA() == dst {
+			cands = add(cands, src, dst, direction{k, true})
 		}
 	}
-	for _, c := range coresByFirst[dst] {
-		if c.LastIA() == src {
-			add(build(src, dst, []direction{{c, false}}))
+	for _, k := range cores {
+		if k.FirstIA() == dst && k.LastIA() == src {
+			cands = add(cands, src, dst, direction{k, false})
 		}
 	}
 
@@ -162,35 +170,35 @@ func Combine(src, dst addr.IA, ups, cores, downs []*segment.Segment) []*Path {
 	for _, u := range srcUps {
 		for _, d := range dstDowns {
 			if u.FirstIA() == d.FirstIA() {
-				add(build(src, dst, []direction{{u, false}, {d, true}}))
+				cands = add(cands, src, dst, direction{u, false}, direction{d, true})
 			}
 		}
 	}
 
 	// Case 3: up + core (dst is core).
 	for _, u := range srcUps {
-		for _, c := range coresByFirst[u.FirstIA()] {
-			if c.LastIA() == dst {
-				add(build(src, dst, []direction{{u, false}, {c, true}}))
+		for _, k := range cores {
+			if k.FirstIA() == u.FirstIA() && k.LastIA() == dst {
+				cands = add(cands, src, dst, direction{u, false}, direction{k, true})
 			}
 		}
-		for _, c := range coresByLast[u.FirstIA()] {
-			if c.FirstIA() == dst {
-				add(build(src, dst, []direction{{u, false}, {c, false}}))
+		for _, k := range cores {
+			if k.LastIA() == u.FirstIA() && k.FirstIA() == dst {
+				cands = add(cands, src, dst, direction{u, false}, direction{k, false})
 			}
 		}
 	}
 
 	// Case 4: core + down (src is core).
 	for _, d := range dstDowns {
-		for _, c := range coresByFirst[src] {
-			if c.LastIA() == d.FirstIA() {
-				add(build(src, dst, []direction{{c, true}, {d, true}}))
+		for _, k := range cores {
+			if k.FirstIA() == src && k.LastIA() == d.FirstIA() {
+				cands = add(cands, src, dst, direction{k, true}, direction{d, true})
 			}
 		}
-		for _, c := range coresByLast[src] {
-			if c.FirstIA() == d.FirstIA() {
-				add(build(src, dst, []direction{{c, false}, {d, true}}))
+		for _, k := range cores {
+			if k.LastIA() == src && k.FirstIA() == d.FirstIA() {
+				cands = add(cands, src, dst, direction{k, false}, direction{d, true})
 			}
 		}
 	}
@@ -198,14 +206,14 @@ func Combine(src, dst addr.IA, ups, cores, downs []*segment.Segment) []*Path {
 	// Case 5: up + core + down.
 	for _, u := range srcUps {
 		for _, d := range dstDowns {
-			for _, c := range coresByFirst[u.FirstIA()] {
-				if c.LastIA() == d.FirstIA() {
-					add(build(src, dst, []direction{{u, false}, {c, true}, {d, true}}))
+			for _, k := range cores {
+				if k.FirstIA() == u.FirstIA() && k.LastIA() == d.FirstIA() {
+					cands = add(cands, src, dst, direction{u, false}, direction{k, true}, direction{d, true})
 				}
 			}
-			for _, c := range coresByLast[u.FirstIA()] {
-				if c.FirstIA() == d.FirstIA() {
-					add(build(src, dst, []direction{{u, false}, {c, false}, {d, true}}))
+			for _, k := range cores {
+				if k.LastIA() == u.FirstIA() && k.FirstIA() == d.FirstIA() {
+					cands = add(cands, src, dst, direction{u, false}, direction{k, false}, direction{d, true})
 				}
 			}
 		}
@@ -215,181 +223,264 @@ func Combine(src, dst addr.IA, ups, cores, downs []*segment.Segment) []*Path {
 	// source's up segments and the destination's down segments.
 	for _, u := range srcUps {
 		for _, d := range dstDowns {
-			for _, p := range shortcuts(src, dst, u, d) {
-				add(p)
-			}
+			cands = shortcuts(cands, src, dst, u, d)
 			for _, p := range peerPaths(src, dst, u, d) {
-				add(p)
+				cands = append(cands, candidate{peer: p})
 			}
 		}
 	}
+	return build(prev, src, dst, cands)
+}
 
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].NumHops() != out[j].NumHops() {
-			return out[i].NumHops() < out[j].NumHops()
+// candidate is a checked segment traversal with its hop count, or a
+// peering path built on its own (peer). fp delimits its fingerprint in
+// the bytes build renders them to.
+type candidate struct {
+	dirs    [3]direction
+	n, hops int32
+	fp      [2]int32
+	peer    *Path
+	dup     bool
+}
+
+// add appends dirs to cands when they form a loop-free traversal from
+// src to dst.
+func add(cands []candidate, src, dst addr.IA, dirs ...direction) []candidate {
+	hops, ok := check(src, dst, dirs)
+	if !ok {
+		return cands
+	}
+	cand := candidate{n: int32(len(dirs)), hops: int32(hops)}
+	copy(cand.dirs[:], dirs)
+	return append(cands, cand)
+}
+
+// build assembles one Combine call's candidates, keeps the first of each
+// fingerprint and sorts them. The fingerprint of every candidate comes
+// first, in scratch space, so a duplicate is dropped before anything of
+// it is allocated; a kept one is assembled in scratch too, and taken
+// from prev when a path there is the same in every field. A path built
+// anew takes four allocations — itself with its info fields, its hop
+// fields, interfaces and fingerprint — and shares none with another, so
+// a caller that holds on to one path holds only that.
+func build(prev []*Path, src, dst addr.IA, cands []candidate) []*Path {
+	var buf [8 << 10]byte
+	fps := buf[:0]
+	// Scratch to assemble one path in; a kept path's expiry carries a
+	// pointer out of it, which puts it on the heap, once per call.
+	sc := new(struct {
+		ifs   [128]PathInterface
+		hops  [64]spath.HopField
+		infos [3]spath.InfoField
+	})
+	for i := range cands {
+		cand := &cands[i]
+		cand.fp[0] = int32(len(fps))
+		if cand.peer != nil {
+			fps = append(fps, cand.peer.Fingerprint...)
+		} else {
+			fps = appendFingerprint(fps, appendInterfaces(sc.ifs[:0], cand.dirs[:cand.n]))
 		}
-		if out[i].LatencyMS != out[j].LatencyMS {
-			return out[i].LatencyMS < out[j].LatencyMS
+		cand.fp[1] = int32(len(fps))
+	}
+	fp := func(i int) []byte { return fps[cands[i].fp[0]:cands[i].fp[1]] }
+
+	// Of each fingerprint, the first candidate in enumeration order: a
+	// stable sort puts it first among its equals.
+	var stack [64]int
+	byFP := stack[:0]
+	for i := range cands {
+		byFP = append(byFP, i)
+	}
+	slices.SortStableFunc(byFP, func(i, j int) int { return bytes.Compare(fp(i), fp(j)) })
+	for k := 1; k < len(byFP); k++ {
+		cands[byFP[k]].dup = bytes.Equal(fp(byFP[k]), fp(byFP[k-1]))
+	}
+
+	out := make([]*Path, 0, len(cands))
+	for i := range cands {
+		cand := &cands[i]
+		switch {
+		case cand.dup:
+			continue
+		case cand.peer != nil:
+			out = append(out, cand.peer)
+			continue
 		}
-		return out[i].Fingerprint < out[j].Fingerprint
+		dirs, h := cand.dirs[:cand.n], int(cand.hops)
+		hops := sc.hops[:0]
+		if h > len(sc.hops) {
+			hops = make([]spath.HopField, 0, h)
+		}
+		q := fill(src, dst, dirs, sc.infos[:len(dirs):len(dirs)], hops[:h], appendInterfaces(sc.ifs[:0], dirs))
+		if j := slices.IndexFunc(prev, func(p *Path) bool { return p.Fingerprint == string(fp(i)) }); j >= 0 && same(&q, prev[j]) {
+			out = append(out, prev[j])
+			continue
+		}
+		p := &block{infos: sc.infos}
+		p.Path = Path{Src: src, Dst: dst, LatencyMS: q.LatencyMS, MTU: q.MTU, Expiry: q.Expiry,
+			Raw:        spath.Path{SegLens: q.Raw.SegLens, Infos: p.infos[:len(dirs):len(dirs)], Hops: slices.Clone(q.Raw.Hops)},
+			Interfaces: slices.Clone(q.Interfaces), Fingerprint: string(fp(i))}
+		out = append(out, &p.Path)
+	}
+	slices.SortFunc(out, func(a, b *Path) int {
+		if a.NumHops() != b.NumHops() {
+			return a.NumHops() - b.NumHops()
+		}
+		if a.LatencyMS != b.LatencyMS {
+			return cmp.Compare(a.LatencyMS, b.LatencyMS)
+		}
+		return strings.Compare(a.Fingerprint, b.Fingerprint)
 	})
 	return out
 }
 
-// build assembles the data-plane path and metadata for an ordered list
-// of segment traversals. It returns nil if the combination is not
-// loop-free or structurally invalid.
-func build(src, dst addr.IA, dirs []direction) *Path {
-	p := &Path{Src: src, Dst: dst, MTU: ^uint16(0)}
-	var raw spath.Path
-	segIdx := 0
-	visited := make(map[addr.IA]int) // AS -> count
+// block is a combined path allocated with its info fields, one per
+// segment.
+type block struct {
+	Path
+	infos [3]spath.InfoField
+}
 
-	minExpiry := time.Time{}
+// same reports whether q, as fill left it (fingerprint aside), is p in
+// every field.
+func same(q, p *Path) bool {
+	return q.Src == p.Src && q.Dst == p.Dst && q.LatencyMS == p.LatencyMS && q.MTU == p.MTU &&
+		q.Expiry == p.Expiry && q.Raw.CurrINF == p.Raw.CurrINF && q.Raw.CurrHF == p.Raw.CurrHF &&
+		q.Raw.SegLens == p.Raw.SegLens && slices.Equal(q.Raw.Infos, p.Raw.Infos) &&
+		slices.Equal(q.Raw.Hops, p.Raw.Hops) && slices.Equal(q.Interfaces, p.Interfaces)
+}
+
+// check reports whether dirs traverse from src to dst without a loop —
+// every AS at most twice, and only a joint, the first AS of a
+// non-initial segment's traversal, twice — in segments a path header
+// can carry, and returns their hop count. A path has a few dozen ASes
+// at most, so it counts in place.
+func check(src, dst addr.IA, dirs []direction) (hops int, ok bool) {
+	if len(dirs) > 3 {
+		return 0, false
+	}
+	// The ASes in traversal order; a joint appears once in each of the
+	// two segments it joins.
+	var stack [32]addr.IA
+	seq := stack[:0]
 	for _, d := range dirs {
-		seg := d.seg
-		if seg.Len() == 0 || segIdx >= 3 {
-			return nil
+		n := d.seg.Len()
+		if n == 0 || n > spath.MaxHopsPerSegment {
+			return 0, false
 		}
-		entries := seg.ASEntries
-		hops := seg.HopFields()
-		n := len(entries)
+		hops += n
+		for step := range n {
+			seq = append(seq, d.seg.ASEntries[d.entry(step)].IA)
+		}
+	}
+	if seq[0] != src || seq[len(seq)-1] != dst {
+		return 0, false
+	}
+	for i, ia := range seq {
+		visits := 1
+		for _, other := range seq[i+1:] {
+			if other == ia {
+				visits++
+			}
+		}
+		if visits == 1 || slices.Contains(seq[:i], ia) {
+			continue // once, or counted at its first visit
+		}
+		joint := false
+		for _, d := range dirs[1:] {
+			joint = joint || d.seg.ASEntries[d.entry(0)].IA == ia
+		}
+		if visits > 2 || !joint {
+			return 0, false
+		}
+	}
+	return hops, true
+}
 
-		info := spath.InfoField{
-			ConsDir:   d.consDir,
-			Timestamp: seg.Timestamp,
-		}
-		if d.consDir {
-			info.SegID = seg.Beta0
-		} else {
-			info.SegID = seg.BetaFinal()
-		}
-		raw.Infos = append(raw.Infos, info)
-		raw.SegLens[segIdx] = uint8(n)
-		segIdx++
-
-		// Traversal order of entries.
-		order := make([]int, n)
-		for i := range order {
+// appendInterfaces appends the inter-AS crossings of dirs to ifs, in
+// traversal order: (egress of one AS, ingress of the next) each.
+func appendInterfaces(ifs []PathInterface, dirs []direction) []PathInterface {
+	for _, d := range dirs {
+		for step := range d.seg.Len() - 1 {
+			e, next := &d.seg.ASEntries[d.entry(step)], &d.seg.ASEntries[d.entry(step+1)]
 			if d.consDir {
-				order[i] = i
-			} else {
-				order[i] = n - 1 - i
-			}
-		}
-		for _, i := range order {
-			raw.Hops = append(raw.Hops, hops[i])
-		}
-
-		// Metadata: walk entries in traversal order, recording inter-AS
-		// crossings and loop checks.
-		for step, i := range order {
-			e := entries[i]
-			visited[e.IA]++
-			// Joint ASes legitimately appear in two adjacent segments.
-			if visited[e.IA] > 2 {
-				return nil
-			}
-			if e.MTU != 0 && e.MTU < p.MTU {
-				p.MTU = e.MTU
-			}
-			// Record the link crossing leaving this AS (traversal order).
-			if step == n-1 {
-				continue // segment ends here; joint or destination
-			}
-			nextEntry := entries[order[step+1]]
-			if d.consDir {
-				// Crossing e -> nextEntry over e.Egress / next.Ingress.
-				p.Interfaces = append(p.Interfaces,
-					PathInterface{IA: e.IA, IfID: e.Egress},
-					PathInterface{IA: nextEntry.IA, IfID: nextEntry.Ingress},
-				)
-				p.LatencyMS += e.LinkLatencyMS
+				// Crossing e -> next over e.Egress / next.Ingress.
+				ifs = append(ifs, PathInterface{IA: e.IA, IfID: e.Egress}, PathInterface{IA: next.IA, IfID: next.Ingress})
 			} else {
 				// Reverse traversal: leave via our Ingress, arrive at
 				// next's Egress.
-				p.Interfaces = append(p.Interfaces,
-					PathInterface{IA: e.IA, IfID: e.Ingress},
-					PathInterface{IA: nextEntry.IA, IfID: nextEntry.Egress},
-				)
-				p.LatencyMS += nextEntry.LinkLatencyMS
+				ifs = append(ifs, PathInterface{IA: e.IA, IfID: e.Ingress}, PathInterface{IA: next.IA, IfID: next.Egress})
 			}
 		}
-		if exp := seg.Expiry(); minExpiry.IsZero() || exp.Before(minExpiry) {
-			minExpiry = exp
-		}
 	}
-
-	// Loop-freedom: every AS at most twice, and only joint ASes twice.
-	// Joints are the first AS of each non-initial segment's traversal.
-	joints := make(map[addr.IA]bool)
-	for k := 1; k < len(dirs); k++ {
-		d := dirs[k]
-		if d.consDir {
-			joints[d.seg.FirstIA()] = true
-		} else {
-			joints[d.seg.LastIA()] = true
-		}
-	}
-	for ia, cnt := range visited {
-		if cnt == 2 && !joints[ia] {
-			return nil
-		}
-	}
-
-	// Endpoint sanity.
-	ases := asSequence(dirs)
-	if len(ases) == 0 || ases[0] != src || ases[len(ases)-1] != dst {
-		return nil
-	}
-
-	p.Expiry = minExpiry
-	p.Raw = raw
-	if err := p.Raw.Validate(); err != nil {
-		return nil
-	}
-	p.Fingerprint = fingerprint(p.Interfaces)
-	return p
+	return ifs
 }
 
-// asSequence returns the AS traversal order with joints deduplicated.
-func asSequence(dirs []direction) []addr.IA {
-	var out []addr.IA
-	for _, d := range dirs {
-		n := d.seg.Len()
-		for i := 0; i < n; i++ {
-			idx := i
-			if !d.consDir {
-				idx = n - 1 - i
+// fill assembles the data-plane path and metadata of checked dirs, over
+// info and hop field slices of exactly their size and the interfaces
+// already written (none: a path within one AS).
+func fill(src, dst addr.IA, dirs []direction, infos []spath.InfoField, hops []spath.HopField, ifs []PathInterface) Path {
+	p := Path{Src: src, Dst: dst, MTU: ^uint16(0), Raw: spath.Path{Infos: infos, Hops: hops}}
+	if len(ifs) > 0 {
+		p.Interfaces = ifs
+	}
+	h := 0
+	for k, d := range dirs {
+		seg := d.seg
+		n := seg.Len()
+		infos[k] = spath.InfoField{ConsDir: d.consDir, Timestamp: seg.Timestamp}
+		if d.consDir {
+			infos[k].SegID = seg.Beta0
+		} else {
+			infos[k].SegID = seg.BetaFinal()
+		}
+		p.Raw.SegLens[k] = uint8(n)
+		for step := range n {
+			e := &seg.ASEntries[d.entry(step)]
+			hops[h] = seg.HopField(d.entry(step))
+			h++
+			if e.MTU != 0 && e.MTU < p.MTU {
+				p.MTU = e.MTU
 			}
-			ia := d.seg.ASEntries[idx].IA
-			if len(out) > 0 && out[len(out)-1] == ia {
-				continue
+			// The link leaving e, in traversal order: its latency is on
+			// the entry that egresses onto it in construction order.
+			switch {
+			case step == n-1: // segment ends here; joint or destination
+			case d.consDir:
+				p.LatencyMS += e.LinkLatencyMS
+			default:
+				p.LatencyMS += seg.ASEntries[d.entry(step+1)].LinkLatencyMS
 			}
-			out = append(out, ia)
+		}
+		if exp := seg.Expiry(); p.Expiry.IsZero() || exp.Before(p.Expiry) {
+			p.Expiry = exp
 		}
 	}
-	return out
+	return p
 }
 
 // fingerprint renders the interface sequence as the path's identity
 // string. The format is exactly the historical "<ia>#<ifid>>" chain —
 // it is a tiebreak in Combine's sort order, so the bytes must stay
-// stable — but built with a single allocation instead of fmt formatting
-// and string concatenation per interface: this runs for every candidate
-// path of every lookup in every campaign worker.
+// stable — but appended to a buffer instead of fmt formatting and
+// string concatenation per interface: Combine renders every fingerprint
+// of a call into one buffer and one string.
 func fingerprint(ifs []PathInterface) string {
+	return string(appendFingerprint(make([]byte, 0, 24*len(ifs)), ifs))
+}
+
+func appendFingerprint(b []byte, ifs []PathInterface) []byte {
 	if len(ifs) == 0 {
-		return "direct"
+		return append(b, "direct"...)
 	}
-	b := make([]byte, 0, 24*len(ifs))
 	for _, i := range ifs {
 		b = i.IA.AppendTo(b)
 		b = append(b, '#')
 		b = strconv.AppendUint(b, uint64(i.IfID), 10)
 		b = append(b, '>')
 	}
-	return string(b)
+	return b
 }
 
 // Reversed returns the same path usable from dst back to src (hop fields

@@ -12,18 +12,13 @@ import (
 // there instead of climbing to the core; when two ASes on the segments
 // share a peering link, the path crosses that link directly.
 
-// shortcuts enumerates crossover paths for one up/down segment pair.
-func shortcuts(src, dst addr.IA, u, d *segment.Segment) []*Path {
-	var out []*Path
-	// Index the down segment's ASes (excluding the core origin).
-	downIdx := make(map[addr.IA]int, d.Len())
-	for i := 1; i < d.Len(); i++ {
-		downIdx[d.ASEntries[i].IA] = i
-	}
+// shortcuts appends the crossover paths of one up/down segment pair to
+// cands.
+func shortcuts(cands []candidate, src, dst addr.IA, u, d *segment.Segment) []candidate {
 	for iu := 1; iu < u.Len(); iu++ {
 		x := u.ASEntries[iu].IA
-		id, ok := downIdx[x]
-		if !ok {
+		id := below(d, x)
+		if id < 0 {
 			continue
 		}
 		if x == src || x == dst {
@@ -37,11 +32,9 @@ func shortcuts(src, dst addr.IA, u, d *segment.Segment) []*Path {
 		if err != nil {
 			continue
 		}
-		if p := build(src, dst, []direction{{ut, false}, {dt, true}}); p != nil {
-			out = append(out, p)
-		}
+		cands = add(cands, src, dst, direction{ut, false}, direction{dt, true})
 	}
-	return out
+	return cands
 }
 
 // peerPaths enumerates peering-link crossings for one up/down segment
@@ -49,15 +42,11 @@ func shortcuts(src, dst addr.IA, u, d *segment.Segment) []*Path {
 // V on the down segment (both sides must advertise the link).
 func peerPaths(src, dst addr.IA, u, d *segment.Segment) []*Path {
 	var out []*Path
-	downIdx := make(map[addr.IA]int, d.Len())
-	for i := 1; i < d.Len(); i++ {
-		downIdx[d.ASEntries[i].IA] = i
-	}
 	for iu := 1; iu < u.Len(); iu++ {
 		eU := &u.ASEntries[iu]
 		for _, pe := range eU.Peers {
-			iv, ok := downIdx[pe.Peer]
-			if !ok {
+			iv := below(d, pe.Peer)
+			if iv < 0 {
 				continue
 			}
 			eV := &d.ASEntries[iv]
@@ -79,6 +68,17 @@ func peerPaths(src, dst addr.IA, u, d *segment.Segment) []*Path {
 		}
 	}
 	return out
+}
+
+// below returns the index of ia among the entries of d below its core
+// origin, or -1.
+func below(d *segment.Segment, ia addr.IA) int {
+	for i := d.Len() - 1; i >= 1; i-- {
+		if d.ASEntries[i].IA == ia {
+			return i
+		}
+	}
+	return -1
 }
 
 // buildPeer assembles a two-segment peer path: the up segment truncated
@@ -103,12 +103,8 @@ func buildPeer(src, dst addr.IA, u *segment.Segment, iu int, peU *segment.PeerEn
 	}
 
 	// Loop freedom: no AS may appear on both sides.
-	seen := make(map[addr.IA]bool, nU)
-	for _, e := range ut.ASEntries {
-		seen[e.IA] = true
-	}
 	for _, e := range dt.ASEntries {
-		if seen[e.IA] {
+		if ut.ContainsIA(e.IA) {
 			return nil
 		}
 	}
@@ -116,6 +112,8 @@ func buildPeer(src, dst addr.IA, u *segment.Segment, iu int, peU *segment.PeerEn
 	p := &Path{Src: src, Dst: dst, MTU: ^uint16(0)}
 	var raw spath.Path
 	raw.SegLens = [3]uint8{uint8(nU), uint8(nV), 0}
+	raw.Infos = make([]spath.InfoField, 0, 2)
+	raw.Hops = make([]spath.HopField, 0, nU+nV)
 
 	// Segment 1: up truncated, reversed, Peer-flagged. Initial SegID is
 	// the accumulator after U's own entry (the value the peer hop's MAC
@@ -136,9 +134,8 @@ func buildPeer(src, dst addr.IA, u *segment.Segment, iu int, peU *segment.PeerEn
 
 	// Hops of segment 1 in traversal order (src .. U), with U's hop
 	// replaced by the peer-crossing hop.
-	upHops := ut.HopFields()
 	for i := nU - 1; i >= 1; i-- {
-		raw.Hops = append(raw.Hops, upHops[i])
+		raw.Hops = append(raw.Hops, ut.HopField(i))
 	}
 	raw.Hops = append(raw.Hops, spath.HopField{
 		ExpTime:     peU.ExpTime,
@@ -147,7 +144,6 @@ func buildPeer(src, dst addr.IA, u *segment.Segment, iu int, peU *segment.PeerEn
 		MAC:         peU.MAC,
 	})
 	// Hops of segment 2 (V .. dst), V's hop replaced likewise.
-	downHops := dt.HopFields()
 	raw.Hops = append(raw.Hops, spath.HopField{
 		ExpTime:     peV.ExpTime,
 		ConsIngress: peV.LocalIf,
@@ -155,7 +151,7 @@ func buildPeer(src, dst addr.IA, u *segment.Segment, iu int, peU *segment.PeerEn
 		MAC:         peV.MAC,
 	})
 	for i := 1; i < nV; i++ {
-		raw.Hops = append(raw.Hops, downHops[i])
+		raw.Hops = append(raw.Hops, dt.HopField(i))
 	}
 	if err := raw.Validate(); err != nil {
 		return nil
@@ -163,6 +159,7 @@ func buildPeer(src, dst addr.IA, u *segment.Segment, iu int, peU *segment.PeerEn
 	p.Raw = raw
 
 	// Metadata: crossings up to U, the peer link, crossings from V.
+	p.Interfaces = make([]PathInterface, 0, 2*(nU+nV-1))
 	for i := nU - 1; i >= 1; i-- {
 		e := ut.ASEntries[i]
 		prev := ut.ASEntries[i-1]

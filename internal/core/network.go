@@ -345,9 +345,10 @@ func (n *Network) provisionPKI() error {
 // state. The live network does this periodically; the simulator calls
 // it after every topology event (link failure, maintenance), which
 // models the next beaconing interval converging. The run starts from
-// the published registry: it decides everything again and builds only
-// what that registry's run did not (beacon.Runner.RunFrom), and readers
-// of the old registry never see it change.
+// the published registry: it decides again only what the event changed
+// and builds only what that registry's run did not
+// (beacon.Runner.RunFrom), and readers of the old registry never see it
+// change.
 func (n *Network) RefreshControlPlane() error {
 	runner := &beacon.Runner{
 		Topo:          n.Topo,

@@ -56,6 +56,7 @@ func TelemetryReport(w io.Writer, snaps ...telemetry.Snapshot) {
 	row("beacon", "segments registered", total("sciera_beacon_registered_total"))
 	row("beacon", "built", total("sciera_beacon_built_total"))
 	row("beacon", "reused from the previous refresh", total("sciera_beacon_reused_total"))
+	row("beacon", "candidates re-decided", total("sciera_beacon_redecided_total"))
 	row("daemon", "path lookups", total("sciera_daemon_lookups_total"))
 	row("daemon", "cache hits", total("sciera_daemon_cache_hits_total"))
 	row("simnet", "delivered", total("sciera_simnet_delivered_total"))

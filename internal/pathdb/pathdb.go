@@ -18,6 +18,7 @@
 package pathdb
 
 import (
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -120,38 +121,71 @@ func (db *DB) CloneShared() *DB {
 
 // Synced returns a store holding exactly want (each segment under its
 // ID): db itself — same store, same Stamp — when that is what db holds,
-// otherwise a CloneShared of db with only the differing IDs removed and
-// inserted. db is left as it was either way, so a control-plane refresh
+// otherwise a store sharing db's containers but for the buckets the
+// difference touches, each rebuilt once (a bucket spans the store, so
+// filing the difference segment by segment moved it once per segment).
+// db is left as it was either way, so a control-plane refresh
 // republishes, token and all, the stores a link event did not change.
 func (db *DB) Synced(want map[string]*segment.Segment) *DB {
-	db.mu.RLock()
-	same := len(want) == len(db.segs)
-	if same {
-		for id := range want {
-			if _, ok := db.segs[id]; !ok {
-				same = false
-				break
-			}
-		}
-	}
-	db.mu.RUnlock()
-	if same {
-		return db
-	}
-	c := db.CloneShared()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Ranges over the map shared with db while removeLocked edits the
-	// owned copy, as DeleteExpired does.
-	for id, seg := range c.segs {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	// The difference: what goes and what comes, sorted by ID.
+	var diff []entry
+	for id, seg := range db.segs {
 		if _, ok := want[id]; !ok {
-			c.removeLocked(id, seg)
-			c.gen++
+			diff = append(diff, entry{id: id, seg: seg})
 		}
 	}
 	for id, seg := range want {
-		if seg != nil && seg.Len() > 0 {
-			c.insertLocked(entry{id: id, seg: seg})
+		if _, ok := db.segs[id]; !ok && seg != nil && seg.Len() > 0 {
+			diff = append(diff, entry{id: id, seg: seg})
+		}
+	}
+	if len(diff) == 0 {
+		return db
+	}
+	slices.SortFunc(diff, compareEntries)
+	db.cow = true // untouched buckets stay shared, as after CloneShared
+	c := &DB{id: nextDBID.Add(1), gen: db.gen + uint64(len(diff)),
+		segs: maps.Clone(db.segs), idx: maps.Clone(db.idx), weird: db.weird, cow: true}
+	touched := make(map[pairKey][]entry)
+	for _, e := range diff {
+		_, goes := db.segs[e.id]
+		if goes {
+			delete(c.segs, e.id)
+		} else {
+			c.segs[e.id] = e.seg
+		}
+		switch first, last := e.seg.FirstIA(), e.seg.LastIA(); {
+		case indexable(first, last):
+			for _, k := range keysOf(first, last) {
+				touched[k] = append(touched[k], e)
+			}
+		case goes:
+			c.weird--
+		default:
+			c.weird++
+		}
+	}
+	// A touched bucket merged with its share of the difference, in ID
+	// order: an ID in both goes, one in the difference alone comes.
+	for k, d := range touched {
+		old := c.idx[k]
+		es := make([]entry, 0, len(old)+len(d))
+		for len(old)+len(d) > 0 {
+			switch {
+			case len(d) == 0 || len(old) > 0 && old[0].id < d[0].id:
+				es, old = append(es, old[0]), old[1:]
+			case len(old) > 0 && old[0].id == d[0].id:
+				old, d = old[1:], d[1:]
+			default:
+				es, d = append(es, d[0]), d[1:]
+			}
+		}
+		if len(es) > 0 {
+			c.idx[k] = es
+		} else {
+			delete(c.idx, k)
 		}
 	}
 	return c
@@ -366,32 +400,26 @@ func (db *DB) DeleteExpired(t time.Time) int {
 		if !s.Expiry().Before(t) {
 			continue
 		}
-		db.removeLocked(id, s)
 		n++
+		db.ensureOwned()
+		delete(db.segs, id)
+		first, last := s.FirstIA(), s.LastIA()
+		if !indexable(first, last) {
+			db.weird--
+			continue
+		}
+		for _, k := range keysOf(first, last) {
+			if es := removeSorted(db.idx[k], id); len(es) > 0 {
+				db.idx[k] = es
+			} else {
+				delete(db.idx, k)
+			}
+		}
 	}
 	if n > 0 {
 		db.gen++
 	}
 	return n
-}
-
-// removeLocked unfiles a stored segment. Callers hold db.mu and advance
-// Gen.
-func (db *DB) removeLocked(id string, s *segment.Segment) {
-	db.ensureOwned()
-	delete(db.segs, id)
-	first, last := s.FirstIA(), s.LastIA()
-	if !indexable(first, last) {
-		db.weird--
-		return
-	}
-	for _, k := range keysOf(first, last) {
-		if es := removeSorted(db.idx[k], id); len(es) > 0 {
-			db.idx[k] = es
-		} else {
-			delete(db.idx, k)
-		}
-	}
 }
 
 // Clear removes everything (used when recomputing control-plane state

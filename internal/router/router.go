@@ -154,9 +154,12 @@ type Router struct {
 	ifaces map[uint16]*iface
 	closed bool // guarded by mu; Close is idempotent, post-close wiring fails
 
-	// procs pools packet processors: decode state, MAC instance and
-	// serialization scratch reused across packets (SNIPPETS exemplar).
-	procs sync.Pool
+	// procs holds the idle packet processors: decode state, MAC instance
+	// and serialization scratch reused across packets. A free list, not a
+	// sync.Pool: what forwarding allocates must not depend on which P a
+	// goroutine runs on, or on when the collector runs.
+	procMu sync.Mutex
+	procs  []*packetProcessor
 
 	metrics *Metrics
 	reg     *telemetry.Registry
@@ -197,12 +200,8 @@ func New(cfg Config) (*Router, error) {
 		trace:   cfg.Trace,
 		iaLabel: telemetry.L("ia", cfg.IA.String()),
 	}
-	r.procs.New = func() any {
-		mac, _ := scrypto.NewHopCMAC(cfg.Key) // key validated above
-		return &packetProcessor{mac: mac}
-	}
 	// The instance that validated the key serves the first packets.
-	r.procs.Put(&packetProcessor{mac: mac})
+	r.procs = append(r.procs, &packetProcessor{mac: mac})
 	if r.metrics == nil {
 		r.metrics = &Metrics{}
 	}
@@ -335,8 +334,8 @@ func (r *Router) linkUp(ifID uint16) bool {
 // the next packet leads a run of its own.
 func (r *Router) handleBatch(pkts [][]byte, inIf uint16, origin originKind) {
 	r.metrics.Received.Add(uint64(len(pkts)))
-	proc := r.procs.Get().(*packetProcessor)
-	defer r.procs.Put(proc)
+	proc := r.getProc()
+	defer r.putProc(proc)
 
 	for i := 0; i < len(pkts); {
 		raw := pkts[i]
@@ -517,6 +516,26 @@ func (p *packetProcessor) bind(conn simnet.Conn) {
 		p.flush()
 		p.conn = conn
 	}
+}
+
+// getProc takes an idle packet processor, or makes one.
+func (r *Router) getProc() *packetProcessor {
+	r.procMu.Lock()
+	defer r.procMu.Unlock()
+	if n := len(r.procs); n > 0 {
+		proc := r.procs[n-1]
+		r.procs = r.procs[:n-1]
+		return proc
+	}
+	mac, _ := scrypto.NewHopCMAC(r.cfg.Key) // key validated by New
+	return &packetProcessor{mac: mac}
+}
+
+// putProc returns a processor to the idle list.
+func (r *Router) putProc(proc *packetProcessor) {
+	r.procMu.Lock()
+	r.procs = append(r.procs, proc)
+	r.procMu.Unlock()
 }
 
 // enqueue appends a packet to the egress burst.

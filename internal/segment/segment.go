@@ -275,18 +275,10 @@ func hashID(b []byte) string {
 	return string(out[:])
 }
 
-// HopFields returns the hop fields in construction order.
-func (s *Segment) HopFields() []spath.HopField {
-	hops := make([]spath.HopField, len(s.ASEntries))
-	for i, e := range s.ASEntries {
-		hops[i] = spath.HopField{
-			ExpTime:     e.ExpTime,
-			ConsIngress: e.Ingress,
-			ConsEgress:  e.Egress,
-			MAC:         e.MAC,
-		}
-	}
-	return hops
+// HopField returns the hop field of the i-th AS entry.
+func (s *Segment) HopField(i int) spath.HopField {
+	e := &s.ASEntries[i]
+	return spath.HopField{ExpTime: e.ExpTime, ConsIngress: e.Ingress, ConsEgress: e.Egress, MAC: e.MAC}
 }
 
 // LatencyMS sums the inter-AS link latencies along the segment.

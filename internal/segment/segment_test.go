@@ -135,17 +135,16 @@ func TestBetaChain(t *testing.T) {
 
 func TestHopFields(t *testing.T) {
 	s := buildSeg(t)
-	hops := s.HopFields()
-	if len(hops) != 3 {
-		t.Fatalf("hops = %d", len(hops))
+	if s.Len() != 3 {
+		t.Fatalf("hops = %d", s.Len())
 	}
-	if hops[0].ConsIngress != 0 || hops[0].ConsEgress != 1 {
-		t.Errorf("origin hop = %+v", hops[0])
+	if h := s.HopField(0); h.ConsIngress != 0 || h.ConsEgress != 1 {
+		t.Errorf("origin hop = %+v", h)
 	}
-	if hops[2].ConsIngress != 4 || hops[2].ConsEgress != 0 {
-		t.Errorf("terminal hop = %+v", hops[2])
+	if h := s.HopField(2); h.ConsIngress != 4 || h.ConsEgress != 0 {
+		t.Errorf("terminal hop = %+v", h)
 	}
-	if hops[1].MAC != s.ASEntries[1].MAC {
+	if s.HopField(1).MAC != s.ASEntries[1].MAC {
 		t.Error("MAC not carried over")
 	}
 }

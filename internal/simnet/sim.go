@@ -59,11 +59,14 @@ type Sim struct {
 	inflight  telemetry.Gauge
 	// bcast is the reusable scratch for sorted broadcast fan-out.
 	bcast []netip.AddrPort
-	// evPool recycles packet-delivery events together with their copy
+	// free recycles packet-delivery events together with their copy
 	// buffers, keeping the steady-state forwarding path allocation-free.
-	// Timer events are never pooled: their cancel closures outlive the
-	// firing and would otherwise cancel a recycled event.
-	evPool sync.Pool
+	// A free list, not a sync.Pool: what a run allocates must not depend
+	// on which P the driving goroutine happens to run on, or on when the
+	// collector runs. Timer events are never recycled: their cancel
+	// closures outlive the firing and would otherwise cancel a recycled
+	// event.
+	free []*event
 	// batch* are the reusable scratch slices for delivery to batch-bound
 	// destinations (the events coalesced behind the popped one, and the
 	// handler's arguments); only the event-loop goroutine touches them,
@@ -91,11 +94,6 @@ func NewSim(start time.Time) *Sim {
 		handlers: make(map[netip.AddrPort]binding),
 		nextHost: 1,
 		nextPort: make(map[netip.Addr]uint16),
-		evPool: sync.Pool{New: func() any {
-			e := new(event)
-			e.pkts = e.one[:0]
-			return e
-		}},
 	}
 }
 
@@ -361,7 +359,12 @@ func (s *Sim) deliverLocked(from, to netip.AddrPort, pkts [][]byte) {
 		}
 		at := s.now.Add(delay)
 		if run == nil || !at.Equal(run.at) {
-			run = s.evPool.Get().(*event)
+			if n := len(s.free); n > 0 {
+				run, s.free = s.free[n-1], s.free[:n-1]
+			} else {
+				run = new(event)
+				run.pkts = run.one[:0]
+			}
 			run.at = at
 			run.seq = s.seq
 			s.seq++
@@ -494,11 +497,10 @@ func (s *Sim) deliverRun(e *event) {
 	}
 	// The handler has returned and must not have retained any buffer;
 	// recycle the events together with their buffers.
-	s.evPool.Put(e)
-	for i, ev := range more {
-		s.evPool.Put(ev)
-		more[i] = nil
-	}
+	s.mu.Lock()
+	s.free = append(append(s.free, e), more...)
+	s.mu.Unlock()
+	clear(more)
 	s.batchEvs = more[:0]
 }
 
