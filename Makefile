@@ -122,13 +122,16 @@ bench-smoke:
 # corpora under internal/*/testdata/fuzz: the control service's
 # untrusted-input boundary (request bytes in, response bytes at the
 # daemon), the burst fast-path decode against the full decoder, the
+# 64-bit checksum kernel and the in-place pseudo-header sum against the
+# 16-bit oracle, the router's path view against the decoded path, the
 # beacon store's admission rule against its insert, a control-plane
 # refresh from what the last one kept against a cold run after an
 # arbitrary sequence of link flaps, attachments and new peerings (it
 # re-decides no more candidates, and memoized paths carried across it
 # equal a fresh combination), the router's forwarding rules (decide) on
 # arbitrary path bytes: no panic, one header one verdict, no pass with a
-# MAC or SegID bit flipped; and the scenario loader (seeded in code from
+# MAC or SegID bit flipped, the decision and patched bytes of the
+# decoded-packet oracle; and the scenario loader (seeded in code from
 # scenarios/sciera.json, a small generated scenario and the validation
 # table's rejected rows): no panic, what loads dumps to a fixed point
 # and its builders return. The 30 KB seed would spend the default minute
@@ -138,6 +141,8 @@ fuzz-smoke:
 	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzServiceHandle$$' -fuzztime 3s
 	$(GO) test ./internal/control -run '^$$' -fuzz '^FuzzDecodeSegments$$' -fuzztime 3s
 	$(GO) test ./internal/slayers -run '^$$' -fuzz '^FuzzDecodeSameFlow$$' -fuzztime 3s
+	$(GO) test ./internal/slayers -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 3s
+	$(GO) test ./internal/spath -run '^$$' -fuzz '^FuzzPathView$$' -fuzztime 3s
 	$(GO) test ./internal/beacon -run '^$$' -fuzz '^FuzzStoreAdmit$$' -fuzztime 3s
 	$(GO) test ./internal/beacon -run '^$$' -fuzz '^FuzzRefreshAfterFlaps$$' -fuzztime 3s
 	$(GO) test ./internal/router -run '^$$' -fuzz '^FuzzDecide$$' -fuzztime 3s

@@ -38,20 +38,46 @@ type decision struct {
 	scmp slayers.SCMP
 }
 
-// decide runs the forwarding rules on a decoded packet: ingress check
-// on the first hop examined, hop-field MAC verification (peer-crossing
-// or normal), segment crossover, the traceroute-answer rule and the
-// last-hop rule. It reads and advances pkt's path state — the SegID
-// accumulators, and the hop pointers across a crossover — and touches
-// nothing else, so a packet's fate is a function of its header, the
-// interface it arrived on and the hop key behind mac. A Forwarded
-// verdict leaves the path on the hop that named the egress; the caller
-// resolves that interface and moves to the next hop (Router.route).
-func decide(pkt *slayers.Packet, mac *scrypto.CMAC, local addr.IA, inIf uint16, origin originKind) decision {
-	path := &pkt.Hdr.Path
+// packet is a reception as the router reads it: the wire bytes, a view
+// of their path and the decoded L4. The rest of the header is read from
+// raw where a rule needs it; no spath.Path is built.
+type packet struct {
+	raw  []byte
+	hl   int // common + path header length
+	path spath.View
+	l4   slayers.Packet // UDP, SCMP and Payload (DecodeSameFlow); no Hdr
+	self bool           // originated here: raw is scratch, not as received
+}
+
+// parse makes every check slayers.Packet.Decode makes — the common
+// header, the path and the L4 with its checksum — reading raw in place.
+func (p *packet) parse(raw []byte) error {
+	hl, err := slayers.HeaderLen(raw)
+	if err != nil {
+		return err
+	}
+	if err := p.path.Init(raw[slayers.CmnHdrLen:hl]); err != nil {
+		return err
+	}
+	p.raw, p.hl = raw, hl
+	return p.l4.DecodeSameFlow(raw, hl)
+}
+
+// decide runs the forwarding rules on a parsed packet: ingress check on
+// the first hop examined, hop-field MAC verification (peer-crossing or
+// normal), segment crossover, the traceroute-answer rule and the
+// last-hop rule. It reads the header bytes, the L4 and the path view,
+// and advances only the view — the SegID accumulators, and the hop
+// pointers across a crossover — so a packet's fate is a function of its
+// header, the interface it arrived on and the hop key behind mac. A
+// Forwarded verdict leaves the path on the hop that named the egress;
+// the caller resolves that interface and moves to the next hop
+// (Router.route).
+func decide(pkt *packet, mac *scrypto.CMAC, local addr.IA, inIf uint16, origin originKind) decision {
+	path := &pkt.path
 	// Empty path: AS-local delivery only.
 	if path.IsEmpty() {
-		if pkt.Hdr.DstIA == local && origin != originExternal {
+		if slayers.DstIA(pkt.raw) == local && origin != originExternal {
 			return decision{verdict: telemetry.VerdictDelivered}
 		}
 		return decision{verdict: telemetry.VerdictNoRoute}
@@ -59,15 +85,8 @@ func decide(pkt *slayers.Packet, mac *scrypto.CMAC, local addr.IA, inIf uint16, 
 
 	var d decision
 	for first := true; ; first = false {
-		info, err := path.CurrentInfo()
-		if err != nil {
-			return decision{verdict: telemetry.VerdictParseErr}
-		}
-		hop, err := path.CurrentHop()
-		if err != nil {
-			return decision{verdict: telemetry.VerdictParseErr}
-		}
-		d.hopIdx = uint8(path.CurrHF)
+		info, hop := path.Info(), path.Hop()
+		d.hopIdx = path.CurrHF()
 		d.alert = d.alert || hop.RouterAlert
 
 		// Ingress check on the first hop examined. Self-originated
@@ -75,7 +94,7 @@ func decide(pkt *slayers.Packet, mac *scrypto.CMAC, local addr.IA, inIf uint16, 
 		// their first hop legitimately carries the interface the
 		// original packet arrived on.
 		if first {
-			wantIn := spath.DataIngress(info, hop)
+			wantIn := spath.DataIngress(info, &hop)
 			if (origin == originExternal && wantIn != inIf) || (origin == originInternal && wantIn != 0) {
 				d.verdict = telemetry.VerdictIngressDrop
 				return d
@@ -90,32 +109,32 @@ func decide(pkt *slayers.Packet, mac *scrypto.CMAC, local addr.IA, inIf uint16, 
 				(!info.ConsDir && path.IsLastHopOfSegment()))
 		valid := false
 		if peerCross {
-			valid = spath.VerifyPeerHopWith(mac, info, hop)
+			valid = spath.VerifyPeerHopWith(mac, info, &hop)
 		} else {
-			valid = spath.VerifyHopWith(mac, info, hop)
+			valid = spath.VerifyHopWith(mac, info, &hop)
 		}
 		if !valid {
 			d.verdict = telemetry.VerdictMACFail
-			d.scmp = slayers.SCMP{Type: slayers.SCMPParameterProblem, Pointer: uint16(path.CurrHF)}
+			d.scmp = slayers.SCMP{Type: slayers.SCMPParameterProblem, Pointer: uint16(d.hopIdx)}
 			return d
 		}
 
 		// Traceroute: answer router-alert hops addressed to us.
-		if hop.RouterAlert && pkt.SCMP != nil && pkt.SCMP.Type == slayers.SCMPTracerouteRequest {
+		if scmp := pkt.l4.SCMP; hop.RouterAlert && scmp != nil && scmp.Type == slayers.SCMPTracerouteRequest {
 			d.answer = true
 			d.scmp = slayers.SCMP{
 				Type:       slayers.SCMPTracerouteReply,
-				Identifier: pkt.SCMP.Identifier,
-				SeqNo:      pkt.SCMP.SeqNo,
+				Identifier: scmp.Identifier,
+				SeqNo:      scmp.SeqNo,
 				IA:         local,
-				IfID:       uint64(spath.DataIngress(info, hop)),
+				IfID:       uint64(spath.DataIngress(info, &hop)),
 			}
 			return d
 		}
 
-		egress := spath.DataEgress(info, hop)
+		egress := spath.DataEgress(info, &hop)
 		if path.IsLastHop() {
-			if egress == 0 && pkt.Hdr.DstIA == local {
+			if egress == 0 && slayers.DstIA(pkt.raw) == local {
 				d.verdict = telemetry.VerdictDelivered
 				return d
 			}

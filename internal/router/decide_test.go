@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"testing"
 
 	"sciera/internal/addr"
@@ -66,8 +67,130 @@ func xoverPath(t *testing.T) spath.Path {
 	}
 }
 
+// decideDecoded is the forwarding rules as the router ran them on a
+// fully decoded packet, before it read packets in place; it stays as the
+// oracle decide is held to (TestDecideTable, FuzzDecide). It reads and
+// advances pkt's path state — the SegID accumulators, and the hop
+// pointers across a crossover — and touches nothing else.
+func decideDecoded(pkt *slayers.Packet, mac *scrypto.CMAC, local addr.IA, inIf uint16, origin originKind) decision {
+	path := &pkt.Hdr.Path
+	// Empty path: AS-local delivery only.
+	if path.IsEmpty() {
+		if pkt.Hdr.DstIA == local && origin != originExternal {
+			return decision{verdict: telemetry.VerdictDelivered}
+		}
+		return decision{verdict: telemetry.VerdictNoRoute}
+	}
+
+	var d decision
+	for first := true; ; first = false {
+		info, err := path.CurrentInfo()
+		if err != nil {
+			return decision{verdict: telemetry.VerdictParseErr}
+		}
+		hop, err := path.CurrentHop()
+		if err != nil {
+			return decision{verdict: telemetry.VerdictParseErr}
+		}
+		d.hopIdx = uint8(path.CurrHF)
+		d.alert = d.alert || hop.RouterAlert
+
+		// Ingress check on the first hop examined. Self-originated
+		// packets (SCMP replies on a mid-flight reversed path) skip it:
+		// their first hop legitimately carries the interface the
+		// original packet arrived on.
+		if first {
+			wantIn := spath.DataIngress(info, hop)
+			if (origin == originExternal && wantIn != inIf) || (origin == originInternal && wantIn != 0) {
+				d.verdict = telemetry.VerdictIngressDrop
+				return d
+			}
+		}
+
+		// MAC verification. Peer-crossing hops (the boundary hops of a
+		// Peer-flagged segment) verify against the accumulator as-is;
+		// normal hops run the fold/advance algebra.
+		peerCross := info.Peer &&
+			((info.ConsDir && path.IsFirstHopOfSegment()) ||
+				(!info.ConsDir && path.IsLastHopOfSegment()))
+		valid := false
+		if peerCross {
+			valid = spath.VerifyPeerHopWith(mac, info, hop)
+		} else {
+			valid = spath.VerifyHopWith(mac, info, hop)
+		}
+		if !valid {
+			d.verdict = telemetry.VerdictMACFail
+			d.scmp = slayers.SCMP{Type: slayers.SCMPParameterProblem, Pointer: uint16(path.CurrHF)}
+			return d
+		}
+
+		// Traceroute: answer router-alert hops addressed to us.
+		if hop.RouterAlert && pkt.SCMP != nil && pkt.SCMP.Type == slayers.SCMPTracerouteRequest {
+			d.answer = true
+			d.scmp = slayers.SCMP{
+				Type:       slayers.SCMPTracerouteReply,
+				Identifier: pkt.SCMP.Identifier,
+				SeqNo:      pkt.SCMP.SeqNo,
+				IA:         local,
+				IfID:       uint64(spath.DataIngress(info, hop)),
+			}
+			return d
+		}
+
+		egress := spath.DataEgress(info, hop)
+		if path.IsLastHop() {
+			if egress == 0 && pkt.Hdr.DstIA == local {
+				d.verdict = telemetry.VerdictDelivered
+				return d
+			}
+			d.verdict, d.egress = telemetry.VerdictNoRoute, egress
+			if egress == 0 {
+				d.scmp = slayers.SCMP{Type: slayers.SCMPDestinationUnreachable, Code: slayers.CodeNoRoute}
+			}
+			return d
+		}
+		if path.IsLastHopOfSegment() && !(peerCross && egress != 0) {
+			// Segment crossover (XOVER): the next segment's first hop
+			// belongs to this AS too. This covers core joints (egress
+			// 0) and non-core shortcuts, where the next hop decides the
+			// true egress. A peer-crossing hop with an egress instead
+			// forwards over the peering link: the far side of the link
+			// starts the next segment.
+			if err := path.IncHop(); err != nil {
+				return decision{verdict: telemetry.VerdictParseErr}
+			}
+			continue
+		}
+		// A non-terminal, non-boundary hop without an egress is
+		// malformed: NoRoute. Otherwise out of egress.
+		d.verdict, d.egress = telemetry.VerdictForwarded, egress
+		if egress == 0 {
+			d.verdict = telemetry.VerdictNoRoute
+		}
+		return d
+	}
+}
+
+// decideWire serializes pkt and decides it as the router does: parse,
+// then decide. A packet that does not parse is a ParseErr.
+func decideWire(t testing.TB, pkt *slayers.Packet, mac *scrypto.CMAC, local addr.IA, inIf uint16, origin originKind) (decision, *packet) {
+	t.Helper()
+	raw, err := pkt.Serialize(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &packet{}
+	if p.parse(raw) != nil {
+		return decision{verdict: telemetry.VerdictParseErr}, p
+	}
+	return decide(p, mac, local, inIf, origin), p
+}
+
 // TestDecideTable calls the forwarding rules directly — no router, no
-// simulator: one row per verdict and per rule that picks between two.
+// simulator: one row per verdict and per rule that picks between two,
+// each through decide on the wire bytes and through the decoded-packet
+// oracle.
 func TestDecideTable(t *testing.T) {
 	udp := &slayers.UDP{SrcPort: 1, DstPort: 2}
 	echo := &slayers.SCMP{Type: slayers.SCMPEchoRequest, Identifier: 5, SeqNo: 6}
@@ -170,8 +293,11 @@ func TestDecideTable(t *testing.T) {
 				UDP:  row.udp,
 				SCMP: row.scmp,
 			}
-			if got := decide(pkt, hopMAC(t, row.local), row.local, row.inIf, row.origin); got != row.want {
+			if got, _ := decideWire(t, pkt, hopMAC(t, row.local), row.local, row.inIf, row.origin); got != row.want {
 				t.Errorf("decide = %+v\n        want %+v", got, row.want)
+			}
+			if got := decideDecoded(pkt, hopMAC(t, row.local), row.local, row.inIf, row.origin); got != row.want {
+				t.Errorf("decideDecoded = %+v\n        want %+v", got, row.want)
 			}
 		})
 	}
@@ -188,12 +314,15 @@ func atPeerFarSide(t *testing.T) spath.Path {
 	return p
 }
 
-// FuzzDecide holds the forwarding rules to three properties on
+// FuzzDecide holds the forwarding rules to four properties on
 // arbitrary path bytes, deciding for A or B: decide never panics; two
 // packets with one header and different L4 get the same verdict, egress
-// and hop index unless a router-alert hop was examined; and once the
-// hop decide starts at verifies, flipping any bit of its MAC or of its
-// info field's SegID never yields Forwarded, Delivered or an answer.
+// and hop index unless a router-alert hop was examined; once the hop
+// decide starts at verifies, flipping any bit of its MAC or of its info
+// field's SegID never yields Forwarded, Delivered or an answer; and
+// decide, reading the path bytes as received through a view, reaches
+// the decoded-packet oracle's decision, and on Forwarded patches the
+// bytes the oracle's IncHop and patch write.
 func FuzzDecide(f *testing.F) {
 	macA, macB := hopMAC(f, asA), hopMAC(f, asB)
 	f.Fuzz(func(t *testing.T, raw []byte, atB, dstB bool, inIf uint16, origin uint8) {
@@ -211,7 +340,45 @@ func FuzzDecide(f *testing.F) {
 		org := originKind(origin % 3)
 		run := func(p *spath.Path, udp *slayers.UDP, scmp *slayers.SCMP) decision {
 			pkt := &slayers.Packet{Hdr: slayers.SCION{DstIA: dst, SrcIA: asX, Path: *p.Copy()}, UDP: udp, SCMP: scmp}
-			return decide(pkt, mac, local, inIf, org)
+			d, _ := decideWire(t, pkt, mac, local, inIf, org)
+			return d
+		}
+		for _, scmp := range []*slayers.SCMP{nil, {Type: slayers.SCMPTracerouteRequest, Identifier: 1}} {
+			oracle := &slayers.Packet{Hdr: slayers.SCION{DstIA: dst, SrcIA: asX, Path: *path.Copy()}, SCMP: scmp}
+			if scmp == nil {
+				oracle.UDP = &slayers.UDP{SrcPort: 1, DstPort: 2}
+			}
+			wire, err := oracle.Serialize(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(wire[slayers.CmnHdrLen:], raw) // the path bytes as received
+			var p packet
+			if err := p.parse(wire); err != nil {
+				t.Fatalf("parse of a path DecodeFromBytes accepts: %v", err)
+			}
+			want := bytes.Clone(wire)
+			got, exp := decide(&p, mac, local, inIf, org), decideDecoded(oracle, mac, local, inIf, org)
+			if got != exp {
+				t.Fatalf("decide = %+v, oracle %+v", got, exp)
+			}
+			if got.verdict != telemetry.VerdictForwarded || got.answer {
+				continue
+			}
+			if errV, errP := p.path.IncHop(), oracle.Hdr.Path.IncHop(); errV != nil || errP != nil {
+				t.Fatalf("IncHop after Forwarded: view %v, oracle %v", errV, errP)
+			}
+			// The oracle's patch: its meta word and info fields
+			// serialized over the bytes as received.
+			p.path.Patch()
+			full := make([]byte, oracle.Hdr.Path.Len())
+			if err := oracle.Hdr.Path.SerializeTo(full); err != nil {
+				t.Fatal(err)
+			}
+			copy(want[slayers.CmnHdrLen:], full[:spath.MetaLen+len(oracle.Hdr.Path.Infos)*spath.InfoLen])
+			if !bytes.Equal(wire, want) {
+				t.Fatalf("forwarded bytes %x\n        oracle's %x", wire, want)
+			}
 		}
 		d := run(&path, &slayers.UDP{SrcPort: 1, DstPort: 2}, nil)
 		tr := run(&path, nil, &slayers.SCMP{Type: slayers.SCMPTracerouteRequest, Identifier: 1})

@@ -10,20 +10,22 @@
 // discrete-event simulator and on real loopback UDP sockets.
 //
 // A packet's fate is a function of its header, the interface it arrived
-// on and the hop key: decide (decide.go) computes it from the decoded
-// packet alone — no router, lock, socket or counter. Everything the
-// router then does about a verdict lives in one shell here: route
-// resolves an egress against the interface table, leave is the single
-// exit (end-host port, wire image, account, enqueue, originate),
-// account is the only function that touches the counters and the trace
-// ring, and every packet — a lone one is a run of one — leaves through
-// the processor's egress burst and one flush.
+// on and the hop key: decide (decide.go) computes it from the packet
+// alone — no router, lock, socket or counter — reading the header bytes
+// in place and the path through a spath.View, which decodes only the
+// current info and hop field. Everything the router then does about a
+// verdict lives in one shell here: route resolves an egress against the
+// interface table, leave is the single exit (end-host port, wire image,
+// account, enqueue, originate), account is the only function that
+// touches the counters and the trace ring, and every packet — a lone
+// one is a run of one — leaves through the processor's egress burst and
+// one flush.
 //
-// The forwarding path is allocation-free in steady state: decode state,
-// the MAC instance and serialization scratch live in pooled packet
-// processors (one sync.Pool per router), and a forwarded packet is
-// never re-serialized — the path pointers and SegID accumulators are
-// patched directly into the received bytes (slayers.Packet.PatchPath),
+// The forwarding path is allocation-free in steady state: parse state,
+// the MAC instance and serialization scratch live in packet processors
+// on a free list per router, and a forwarded packet is never
+// re-serialized — the view patches the path pointers and SegID
+// accumulators directly into the received bytes (spath.View.Patch),
 // which the transport's buffer-ownership contract lets the handler
 // mutate and send onward.
 package router
@@ -154,7 +156,7 @@ type Router struct {
 	ifaces map[uint16]*iface
 	closed bool // guarded by mu; Close is idempotent, post-close wiring fails
 
-	// procs holds the idle packet processors: decode state, MAC instance
+	// procs holds the idle packet processors: parse state, MAC instance
 	// and serialization scratch reused across packets. A free list, not a
 	// sync.Pool: what forwarding allocates must not depend on which P a
 	// goroutine runs on, or on when the collector runs.
@@ -168,15 +170,16 @@ type Router struct {
 }
 
 // packetProcessor bundles everything the forwarding pipeline needs per
-// packet so that steady-state processing allocates nothing: the decoded
-// layer structs (whose path slices DecodeFromBytes reuses), one CMAC
-// instance keyed with the AS's hop key, a scratch buffer for
-// serializing router-originated packets, and the egress burst: what is
-// queued to leave on conn at the next flush.
+// packet so that steady-state processing allocates nothing: the parsed
+// packet (path view and L4 structs), one CMAC instance keyed with the
+// AS's hop key, scratch for originating SCMP messages (the full path
+// and its reversal, the serialized reply), and the egress burst: what
+// is queued to leave on conn at the next flush.
 type packetProcessor struct {
-	pkt slayers.Packet
-	mac *scrypto.CMAC
-	buf []byte
+	pkt      packet
+	mac      *scrypto.CMAC
+	fwd, rev spath.Path
+	buf      []byte
 
 	conn  simnet.Conn
 	wires [][]byte
@@ -325,59 +328,74 @@ func (r *Router) linkUp(ifID uint16) bool {
 //
 // The burst is cut into runs of packets that arrived with one header
 // image. The first packet of a run, its leader, is decided in full —
-// decode, decide, route, leave. A follower provably shares every
+// parse, decide, route, leave. A follower provably shares every
 // header-derived verdict (ingress check, MAC inputs, path transitions
 // and egress all follow from header bytes alone), so it needs only an
-// L4 decode and the leader's patched header copied over its own. A lone
-// packet is a run of one; every run leaves by one flush. A leader that
-// did not leave, or that examined a router-alert hop, shares nothing:
-// the next packet leads a run of its own.
+// L4 decode and the leader's patched header copied over its own, and
+// the followers that leave with the leader's verdict are accounted
+// together. A lone packet is a run of one; every run leaves by one
+// flush. A leader that did not leave, or that examined a router-alert
+// hop, shares nothing: the next packet leads a run of its own.
 func (r *Router) handleBatch(pkts [][]byte, inIf uint16, origin originKind) {
 	r.metrics.Received.Add(uint64(len(pkts)))
 	proc := r.getProc()
 	defer r.putProc(proc)
+	pkt := &proc.pkt
+	parseErr := decision{verdict: telemetry.VerdictParseErr}
 
 	for i := 0; i < len(pkts); {
 		raw := pkts[i]
 		i++
-		if err := proc.pkt.Decode(raw); err != nil {
-			r.account(&decision{verdict: telemetry.VerdictParseErr}, inIf, nil)
+		if err := pkt.parse(raw); err != nil {
+			r.account(&parseErr, inIf, nil, 1)
 			continue
 		}
 		// A packet is compared with its predecessor as received —
 		// before leave patches the leader's path state into raw, and
 		// before a follower takes the leader's header.
-		hl := slayers.CmnHdrLen + proc.pkt.Hdr.Path.Len()
+		hl := pkt.hl
 		more := i < len(pkts) && sameHeader(pkts[i], raw, hl)
-		d, out := r.route(&proc.pkt, decide(&proc.pkt, proc.mac, r.cfg.IA, inIf, origin))
-		if r.leave(proc, &proc.pkt, raw, inIf, d, out) && !d.alert {
+		d, out := r.route(pkt, decide(pkt, proc.mac, r.cfg.IA, inIf, origin))
+		if r.leave(proc, pkt, inIf, d, out) && !d.alert {
 			// Followers leave with the leader's path state, exactly as
-			// deciding each in full would have produced.
-			patched, conn := raw[:hl], proc.conn
+			// deciding each in full would have produced. n counts those
+			// not yet accounted; an exception accounts them first, so
+			// counters and trace see the order of the packets.
+			patched, conn, n := raw[:hl], proc.conn, 0
+			var host netip.Addr
+			if out == nil {
+				host = slayers.DstHost(raw)
+			}
 			for more {
 				b := pkts[i]
 				i++
 				more = i < len(pkts) && sameHeader(pkts[i], b, hl)
-				if err := proc.pkt.DecodeSameFlow(b, hl); err != nil {
-					r.account(&decision{verdict: telemetry.VerdictParseErr}, inIf, nil)
+				if err := pkt.l4.DecodeSameFlow(b, hl); err != nil {
+					r.account(&d, inIf, out, n)
+					r.account(&parseErr, inIf, nil, 1)
+					n = 0
 					continue
 				}
 				var to netip.AddrPort
 				if out != nil {
 					to = out.remote
-				} else if port, ok := r.localPort(&proc.pkt); ok {
-					to = netip.AddrPortFrom(proc.pkt.Hdr.DstHost, port)
+				} else if port, ok := r.localPort(&pkt.l4); ok {
+					to = netip.AddrPortFrom(host, port)
 				} else {
 					// No port for this L4: the leader's exit takes it
 					// from here (b is quoted as received — unpatched).
-					r.leave(proc, &proc.pkt, b, inIf, d, nil)
+					r.account(&d, inIf, out, n)
+					n = 0
+					pkt.raw = b
+					r.leave(proc, pkt, inIf, d, nil)
 					proc.bind(conn) // the error left on a socket of its own
 					continue
 				}
 				copy(b[:hl], patched)
-				r.account(&d, inIf, out)
+				n++
 				proc.enqueue(b, to)
 			}
+			r.account(&d, inIf, out, n)
 		}
 		proc.flush()
 	}
@@ -394,7 +412,7 @@ func sameHeader(a, b []byte, hl int) bool {
 // (each owing the source an SCMP error); otherwise the path moves to
 // the next hop and the egress interface is returned. Any other verdict
 // passes through.
-func (r *Router) route(pkt *slayers.Packet, d decision) (decision, *iface) {
+func (r *Router) route(pkt *packet, d decision) (decision, *iface) {
 	if d.verdict != telemetry.VerdictForwarded || d.answer {
 		return d, nil
 	}
@@ -411,19 +429,19 @@ func (r *Router) route(pkt *slayers.Packet, d decision) (decision, *iface) {
 		d.scmp = slayers.SCMP{Type: slayers.SCMPExternalInterfaceDown, IA: r.cfg.IA, IfID: uint64(d.egress)}
 		return d, out
 	}
-	if err := pkt.Hdr.Path.IncHop(); err != nil {
+	if err := pkt.path.IncHop(); err != nil {
 		return decision{verdict: telemetry.VerdictParseErr}, nil
 	}
 	return d, out
 }
 
 // leave is the single exit: it resolves the end-host port of a
-// Delivered packet, produces the wire image, accounts for the verdict,
-// queues the packet on the processor's egress burst and originates the
-// SCMP message the router owes, if any. raw is the buffer pkt was
-// decoded from (nil for router-originated packets). It reports whether
-// the packet left as decided.
-func (r *Router) leave(proc *packetProcessor, pkt *slayers.Packet, raw []byte, inIf uint16, d decision, out *iface) bool {
+// Delivered packet, produces the wire image — a forwarded or delivered
+// packet changed only its path state, which the view patches into the
+// bytes it arrived in — accounts for the verdict, queues the packet on
+// the processor's egress burst and originates the SCMP message the
+// router owes, if any. It reports whether the packet left as decided.
+func (r *Router) leave(proc *packetProcessor, pkt *packet, inIf uint16, d decision, out *iface) bool {
 	var conn simnet.Conn
 	var to netip.AddrPort
 	switch {
@@ -431,73 +449,72 @@ func (r *Router) leave(proc *packetProcessor, pkt *slayers.Packet, raw []byte, i
 	case d.verdict == telemetry.VerdictForwarded:
 		conn, to = out.conn, out.remote
 	case d.verdict == telemetry.VerdictDelivered:
-		if port, ok := r.localPort(pkt); ok {
-			conn, to = r.conn, netip.AddrPortFrom(pkt.Hdr.DstHost, port)
+		if port, ok := r.localPort(&pkt.l4); ok {
+			conn, to = r.conn, netip.AddrPortFrom(slayers.DstHost(pkt.raw), port)
 		} else {
 			d.verdict = telemetry.VerdictNoRoute
 			d.scmp = slayers.SCMP{Type: slayers.SCMPDestinationUnreachable, Code: slayers.CodePortUnreach}
 		}
 	}
-	var wire []byte
+	r.account(&d, inIf, out, 1)
 	if conn != nil {
-		var err error
-		if wire, err = r.wireImage(proc, pkt, raw); err != nil {
-			d, conn = decision{verdict: telemetry.VerdictParseErr}, nil
-		}
-	}
-	r.account(&d, inIf, out)
-	if conn != nil {
+		pkt.path.Patch()
 		proc.bind(conn)
-		proc.enqueue(wire, to)
+		proc.enqueue(pkt.raw, to)
 	}
 	if d.scmp.Type != 0 {
-		r.originate(proc, pkt, raw, d.scmp)
+		r.originate(proc, pkt, d.scmp)
 	}
 	return conn != nil
 }
 
 // account is the only place a verdict reaches the counters, the
-// per-interface cells and the trace ring. out is the egress interface
-// of a Forwarded or LinkDown verdict. Tracing costs the unsampled
-// majority one atomic add; a nil ring never samples.
-func (r *Router) account(d *decision, inIf uint16, out *iface) {
-	m := r.metrics
+// per-interface cells and the trace ring, for n packets that met it
+// (a run's followers are accounted together; n = 0 does nothing). out
+// is the egress interface of a Forwarded or LinkDown verdict. Tracing
+// costs the unsampled majority one atomic add; a nil ring never
+// samples.
+func (r *Router) account(d *decision, inIf uint16, out *iface, n int) {
+	if n == 0 {
+		return
+	}
+	m, un := r.metrics, uint64(n)
 	if d.answer {
 		// Not traced: the reply is, when it leaves.
-		m.Answered.Add(1)
+		m.Answered.Add(un)
 		return
 	}
 	switch d.verdict {
 	case telemetry.VerdictForwarded:
-		m.Forwarded.Add(1)
-		out.fwd.Inc()
+		m.Forwarded.Add(un)
+		out.fwd.Add(un)
 	case telemetry.VerdictDelivered:
-		m.Delivered.Add(1)
+		m.Delivered.Add(un)
 	case telemetry.VerdictMACFail:
-		m.MACFailures.Add(1)
+		m.MACFailures.Add(un)
 		r.mu.RLock()
 		if in, ok := r.ifaces[inIf]; ok {
-			in.macFail.Inc()
+			in.macFail.Add(un)
 		}
 		r.mu.RUnlock()
 	case telemetry.VerdictIngressDrop:
-		m.IngressDrops.Add(1)
+		m.IngressDrops.Add(un)
 	case telemetry.VerdictNoRoute:
-		m.NoRouteDrops.Add(1)
+		m.NoRouteDrops.Add(un)
 	case telemetry.VerdictLinkDown:
-		m.LinkDownDrops.Add(1)
-		out.drops.Inc()
+		m.LinkDownDrops.Add(un)
+		out.drops.Add(un)
 	case telemetry.VerdictParseErr:
-		m.ParseFailures.Add(1)
+		m.ParseFailures.Add(un)
 	}
-	if r.trace.Sample() {
+	if k := r.trace.SampleN(n); k > 0 {
 		// Queue delay is only measured for the sampled minority: the
 		// hook reads the transport's per-wire busy horizon.
 		var qd time.Duration
 		if d.verdict == telemetry.VerdictForwarded && r.cfg.QueueDelay != nil {
 			qd = r.cfg.QueueDelay(out.conn.LocalAddr(), out.remote)
 		}
-		r.trace.Record(telemetry.TraceEntry{
+		e := telemetry.TraceEntry{
 			TimeNS:  r.cfg.Net.Now().UnixNano(),
 			IA:      uint64(r.cfg.IA),
 			Ingress: inIf,
@@ -505,7 +522,10 @@ func (r *Router) account(d *decision, inIf uint16, out *iface) {
 			Hop:     d.hopIdx,
 			Verdict: d.verdict,
 			QueueNS: int64(qd),
-		})
+		}
+		for ; k > 0; k-- {
+			r.trace.Record(e)
+		}
 	}
 }
 
@@ -555,28 +575,6 @@ func (p *packetProcessor) flush() {
 	p.dests = p.dests[:0]
 }
 
-// wireImage produces the outgoing bytes for pkt. On the fast path (the
-// packet arrived on the wire) only the path pointers and SegID
-// accumulators changed, so the received buffer is patched in place —
-// zero copies, zero allocations. Router-originated packets (raw == nil)
-// are serialized into the processor's scratch buffer, which stays
-// untouched until the packet is flushed (originate flushes on both
-// sides of its reply).
-func (r *Router) wireImage(proc *packetProcessor, pkt *slayers.Packet, raw []byte) ([]byte, error) {
-	if raw != nil {
-		if err := pkt.PatchPath(raw); err != nil {
-			return nil, err
-		}
-		return raw, nil
-	}
-	out, err := pkt.Serialize(proc.buf[:0])
-	if err != nil {
-		return nil, err
-	}
-	proc.buf = out
-	return out, nil
-}
-
 // localPort determines the underlay port for local delivery: the
 // application's own UDP port in dispatcherless mode, or the shared
 // dispatcher port.
@@ -608,48 +606,60 @@ func (r *Router) localPort(pkt *slayers.Packet) (uint16, bool) {
 
 // originate sends the source of pkt the SCMP message the router owes
 // it — an error quoting pkt, or a traceroute reply — through the same
-// decide, route and leave as any packet. Errors are never sent in
-// response to SCMP errors (ICMP's classic amplification guard). What is
-// queued is flushed first, and the message right after, so it keeps the
-// place in the send order that deciding packet by packet gives it. msg
-// is taken by value and copied to the heap here, on the rare path, so
-// that no decision escapes on the common one.
-func (r *Router) originate(proc *packetProcessor, pkt *slayers.Packet, raw []byte, msg slayers.SCMP) {
-	if msg.Type.IsError() && pkt.SCMP != nil && pkt.SCMP.Type.IsError() {
+// parse, decide, route and leave as any packet: the reply is serialized
+// into the processor's scratch and read back from there. The reply's
+// path is the only full path the router builds: pkt's, decoded from
+// the view in the state decide left it in, reversed at the current hop.
+// Errors are never sent in response to SCMP errors (ICMP's classic
+// amplification guard). What is queued is flushed first, and the
+// message right after, so it keeps the place in the send order that
+// deciding packet by packet gives it. msg is taken by value and copied
+// to the heap here, on the rare path, so that no decision escapes on the
+// common one.
+func (r *Router) originate(proc *packetProcessor, pkt *packet, msg slayers.SCMP) {
+	if msg.Type.IsError() && pkt.l4.SCMP != nil && pkt.l4.SCMP.Type.IsError() {
 		return
 	}
-	rev, err := spath.ReverseFromCurrent(&pkt.Hdr.Path)
-	if err != nil {
+	pkt.path.Decode(&proc.fwd)
+	if err := spath.ReverseFromCurrentInto(&proc.rev, &proc.fwd); err != nil {
 		return
 	}
 	reply := &slayers.Packet{
 		Hdr: slayers.SCION{
-			DstIA:   pkt.Hdr.SrcIA,
+			DstIA:   slayers.SrcIA(pkt.raw),
 			SrcIA:   r.cfg.IA,
-			DstHost: pkt.Hdr.SrcHost,
+			DstHost: slayers.SrcHost(pkt.raw),
 			SrcHost: r.conn.LocalAddr().Addr(),
-			Path:    *rev,
+			Path:    proc.rev,
 		},
 		SCMP: &msg,
 	}
 	if msg.Type.IsError() {
-		// Quote the offending packet as received when its wire image is
-		// at hand; packets originated by this router are serialized
-		// first.
-		quote := raw
-		if quote == nil {
-			if quote, err = pkt.Serialize(nil); err != nil {
-				return
-			}
+		// Quote the offending packet as received. One this router
+		// originated is quoted with the path state it failed in, and
+		// copied out of the scratch the reply is about to take.
+		quote := pkt.raw
+		if pkt.self {
+			pkt.path.Patch()
+			quote = bytes.Clone(quote)
 		}
 		if len(quote) > scmpQuoteLen {
 			quote = quote[:scmpQuoteLen]
 		}
 		reply.Payload = quote
 	}
+	wire, err := reply.Serialize(proc.buf[:0])
+	if err != nil {
+		return
+	}
+	proc.buf = wire
+	rp := &packet{self: true}
+	if err := rp.parse(wire); err != nil {
+		return
+	}
 	proc.flush()
 	r.metrics.SCMPSent.Add(1)
-	d, out := r.route(reply, decide(reply, proc.mac, r.cfg.IA, 0, originSelf))
-	r.leave(proc, reply, nil, 0, d, out)
+	d, out := r.route(rp, decide(rp, proc.mac, r.cfg.IA, 0, originSelf))
+	r.leave(proc, rp, 0, d, out)
 	proc.flush()
 }

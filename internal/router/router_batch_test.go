@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"sciera/internal/addr"
 	"sciera/internal/simnet"
 	"sciera/internal/slayers"
+	"sciera/internal/telemetry"
 )
 
 // TestRouterLifecycle pins the close semantics: Close is idempotent
@@ -330,13 +332,35 @@ func TestAlertBurstAnswersEachProbe(t *testing.T) {
 // delivery — and returns a transcript of everything the far-side
 // application observed plus the routers' counters.
 func burstCampaign(t *testing.T, batched bool) string {
+	return tracedBurstCampaign(t, batched, 0, func(i int) int {
+		// Runs of two and three same-size packets; a different
+		// TotalLen breaks a run.
+		switch {
+		case i%5 == 4:
+			return 1200
+		case i%3 == 2:
+			return 200
+		}
+		return 64
+	})
+}
+
+// tracedBurstCampaign is burstCampaign with packet i carrying a
+// payload of size(i) bytes and each router tracing one in sampleEvery
+// packets into a ring of its own (none at 0); the transcript ends with
+// every entry recorded, A's then B's.
+func tracedBurstCampaign(t *testing.T, batched bool, sampleEvery int, size func(i int) int) string {
 	t.Helper()
+	var traceA, traceB *telemetry.TraceRing
+	if sampleEvery > 0 {
+		traceA, traceB = telemetry.NewTraceRing(64, sampleEvery), telemetry.NewTraceRing(64, sampleEvery)
+	}
 	sim := simnet.NewSim(time.Unix(0, 0))
-	ra, err := New(Config{IA: asA, Key: key(asA), Net: sim})
+	ra, err := New(Config{IA: asA, Key: key(asA), Net: sim, Trace: traceA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := New(Config{IA: asB, Key: key(asB), Net: sim})
+	rb, err := New(Config{IA: asB, Key: key(asB), Net: sim, Trace: traceB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,16 +406,7 @@ func burstCampaign(t *testing.T, batched bool) string {
 	pkts := make([][]byte, n)
 	dests := make([]netip.AddrPort, n)
 	for i := 0; i < n; i++ {
-		// Runs of two and three same-size packets; a different
-		// TotalLen breaks a run.
-		plen := 64
-		switch {
-		case i%5 == 4:
-			plen = 1200
-		case i%3 == 2:
-			plen = 200
-		}
-		raw := mk(i, plen)
+		raw := mk(i, size(i))
 		if i%7 == 0 {
 			raw[len(raw)-1] ^= 0x01 // corrupt the checksum
 		}
@@ -417,6 +432,13 @@ func burstCampaign(t *testing.T, batched bool) string {
 		ra.Metrics().Forwarded.Load(), ra.Metrics().ParseFailures.Load(), ra.Metrics().Received.Load())
 	fmt.Fprintf(&log, "B: del=%d parse=%d recv=%d\n",
 		rb.Metrics().Delivered.Load(), rb.Metrics().ParseFailures.Load(), rb.Metrics().Received.Load())
+	for _, ring := range []*telemetry.TraceRing{traceA, traceB} {
+		for _, e := range ring.Snapshot() {
+			// Not the time: sent one at a time, packets reach the
+			// routers later than the burst does.
+			fmt.Fprintf(&log, "trace %v in=%d out=%d hop=%d %v\n", addr.IA(e.IA), e.Ingress, e.Egress, e.Hop, e.Verdict)
+		}
+	}
 	return log.String()
 }
 
@@ -439,6 +461,25 @@ func TestMixedBurstMatchesSingles(t *testing.T) {
 	for i := range singles {
 		if burst[i] != singles[i] {
 			t.Fatalf("line %d diverged:\n singles: %.160s\n burst:   %.160s", i, singles[i], burst[i])
+		}
+	}
+}
+
+// TestMixedBurstTraceMatchesSingles holds per-run accounting to the
+// packet-by-packet sends: in runs of four same-size packets, where a
+// corrupted checksum lands behind followers of its own run, and with a
+// trace ring sampling every packet, and every fourth, the burst records
+// the same trace entries in the same order as one Send at a time, and
+// both routers stay conserved.
+func TestMixedBurstTraceMatchesSingles(t *testing.T) {
+	runsOfFour := func(i int) int { return []int{64, 200, 1200}[i/4%3] }
+	for _, every := range []int{1, 4} {
+		singles := tracedBurstCampaign(t, false, every, runsOfFour)
+		if n := strings.Count(singles, "\ntrace "); n == 0 {
+			t.Fatalf("every %d: nothing traced", every)
+		}
+		if burst := tracedBurstCampaign(t, true, every, runsOfFour); burst != singles {
+			t.Errorf("every %d: burst transcript differs from singles:\n%s\n---\n%s", every, burst, singles)
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
 
 	"sciera/internal/addr"
@@ -102,43 +103,56 @@ func (s *SCION) serializeTo(b []byte, totalLen int) error {
 	return s.Path.SerializeTo(b[CmnHdrLen:hl])
 }
 
-// decodeFrom parses the header and returns (headerLen, totalLen).
-func (s *SCION) decodeFrom(b []byte) (int, int, error) {
-	if len(b) < CmnHdrLen {
-		return 0, 0, ErrTruncated
-	}
-	if b[0] != Version {
-		return 0, 0, fmt.Errorf("%w: %d", ErrBadVersion, b[0])
+// decodeFrom parses the header and returns its length (common + path).
+func (s *SCION) decodeFrom(b []byte) (int, error) {
+	hdrLen, err := HeaderLen(b)
+	if err != nil {
+		return 0, err
 	}
 	s.TrafficClass = b[1]
 	s.NextHdr = b[2]
-	pathType := b[3]
+	s.DstIA, s.SrcIA = DstIA(b), SrcIA(b)
+	s.DstHost, s.SrcHost = DstHost(b), SrcHost(b)
+	if err := s.Path.DecodeFromBytes(b[CmnHdrLen:hdrLen]); err != nil {
+		return 0, err
+	}
+	return hdrLen, nil
+}
+
+// HeaderLen checks the common header of b — version, the length fields
+// against len(b) and the path type — and returns the length of the
+// common and path header. It is every check Decode makes before the
+// path and the L4; the router reads the rest of a packet in place.
+func HeaderLen(b []byte) (int, error) {
+	if len(b) < CmnHdrLen {
+		return 0, ErrTruncated
+	}
+	if b[0] != Version {
+		return 0, fmt.Errorf("%w: %d", ErrBadVersion, b[0])
+	}
 	totalLen := int(binary.BigEndian.Uint16(b[4:6]))
 	hdrLen := int(binary.BigEndian.Uint16(b[6:8]))
 	if hdrLen < CmnHdrLen || hdrLen > totalLen || totalLen != len(b) {
-		return 0, 0, fmt.Errorf("%w: hdr=%d total=%d buf=%d", ErrBadLength, hdrLen, totalLen, len(b))
+		return 0, fmt.Errorf("%w: hdr=%d total=%d buf=%d", ErrBadLength, hdrLen, totalLen, len(b))
 	}
-	s.DstIA = addr.GetIA(b[8:16])
-	s.SrcIA = addr.GetIA(b[16:24])
-	s.DstHost = fromAs16(b[24:40])
-	s.SrcHost = fromAs16(b[40:56])
-	switch pathType {
+	switch b[3] {
 	case PathTypeEmpty:
 		if hdrLen != CmnHdrLen {
-			return 0, 0, fmt.Errorf("%w: empty path with %d path bytes", ErrBadLength, hdrLen-CmnHdrLen)
-		}
-		if err := s.Path.DecodeFromBytes(nil); err != nil {
-			return 0, 0, err
+			return 0, fmt.Errorf("%w: empty path with %d path bytes", ErrBadLength, hdrLen-CmnHdrLen)
 		}
 	case PathTypeSCION:
-		if err := s.Path.DecodeFromBytes(b[CmnHdrLen:hdrLen]); err != nil {
-			return 0, 0, err
-		}
 	default:
-		return 0, 0, fmt.Errorf("%w: %d", ErrUnknownPath, pathType)
+		return 0, fmt.Errorf("%w: %d", ErrUnknownPath, b[3])
 	}
-	return hdrLen, totalLen, nil
+	return hdrLen, nil
 }
+
+// DstIA, SrcIA, DstHost and SrcHost read the address header of b, a
+// header image of at least CmnHdrLen bytes, in place.
+func DstIA(b []byte) addr.IA      { return addr.GetIA(b[8:16]) }
+func SrcIA(b []byte) addr.IA      { return addr.GetIA(b[16:24]) }
+func DstHost(b []byte) netip.Addr { return fromAs16(b[24:40]) }
+func SrcHost(b []byte) netip.Addr { return fromAs16(b[40:56]) }
 
 // as16 returns the 16-byte representation of an address (IPv4 becomes
 // IPv4-mapped IPv6). The zero Addr maps to all zeroes.
@@ -177,15 +191,6 @@ type Packet struct {
 	// scratch reuses the SCMP struct across decodes.
 	scmpScratch SCMP
 	udpScratch  UDP
-	// phScratch caches the checksum pseudo-header built by the last
-	// full Decode. DecodeSameFlow reuses it directly: its caller
-	// guarantees a byte-identical header image (addresses, proto) and
-	// total length, so the pseudo-header of every follower in a burst
-	// equals the leader's. Invalidated by DecodeTruncated, which leaves
-	// Hdr only partially populated.
-	phScratch [52]byte
-	phSum     uint64
-	phValid   bool
 }
 
 // totalLen computes the serialized packet length, validating the L4
@@ -250,136 +255,70 @@ func (p *Packet) SerializeTo(b []byte) (int, error) {
 		return 0, err
 	}
 	l4 := b[hl:]
+	csum := l4[2:4]
 	if p.UDP != nil {
 		binary.BigEndian.PutUint16(l4[0:2], p.UDP.SrcPort)
 		binary.BigEndian.PutUint16(l4[2:4], p.UDP.DstPort)
 		binary.BigEndian.PutUint16(l4[4:6], uint16(l4Len))
 		copy(l4[udpHdrLen:], p.Payload)
-		binary.BigEndian.PutUint16(l4[6:8], 0)
-		binary.BigEndian.PutUint16(l4[6:8], checksum(pseudoHeader(&p.Hdr, ProtoUDP, l4Len), l4))
+		csum = l4[6:8]
 	} else {
 		p.SCMP.serializeTo(l4)
 		copy(l4[p.SCMP.len():], p.Payload)
-		binary.BigEndian.PutUint16(l4[2:4], 0)
-		binary.BigEndian.PutUint16(l4[2:4], checksum(pseudoHeader(&p.Hdr, ProtoSCMP, l4Len), l4))
 	}
+	binary.BigEndian.PutUint16(csum, 0)
+	binary.BigEndian.PutUint16(csum, foldChecksum(sum64(l4, pseudoSum(b, p.Hdr.NextHdr, l4Len))))
 	return total, nil
-}
-
-// PatchPath writes the packet's current path pointers (and the info
-// fields' in-flight SegID accumulators) back into raw, the buffer the
-// packet was decoded from. It is the zero-copy alternative to a full
-// re-serialization when — as on the router's forwarding fast path —
-// nothing but the path state changed: addresses, hop fields, L4 and
-// payload bytes are reused verbatim, and the checksum (which does not
-// cover the path) stays valid.
-func (p *Packet) PatchPath(raw []byte) error {
-	if len(raw) < CmnHdrLen {
-		return ErrTruncated
-	}
-	hl := int(binary.BigEndian.Uint16(raw[6:8]))
-	if hl != p.Hdr.hdrLen() || hl > len(raw) {
-		return fmt.Errorf("%w: patch into buffer with different header shape", ErrBadLength)
-	}
-	return p.Hdr.Path.PatchTo(raw[CmnHdrLen:hl])
 }
 
 // Decode parses a full packet. The payload slice aliases b (NoCopy-style);
 // callers that retain the payload beyond the lifetime of b must copy it.
 func (p *Packet) Decode(b []byte) error {
-	p.phValid = false
-	hl, total, err := p.Hdr.decodeFrom(b)
+	hl, err := p.Hdr.decodeFrom(b)
 	if err != nil {
 		return err
 	}
-	l4 := b[hl:total]
-	p.UDP, p.SCMP = nil, nil
-	switch p.Hdr.NextHdr {
-	case ProtoUDP:
-		if len(l4) < udpHdrLen {
-			return ErrTruncated
-		}
-		p.phScratch = pseudoHeader(&p.Hdr, ProtoUDP, len(l4))
-		p.phSum, p.phValid = sum16(p.phScratch[:], 0), true
-		if got := foldChecksum(sum16(l4, p.phSum)); got != 0 {
-			return fmt.Errorf("slayers: UDP checksum mismatch (%#04x)", got)
-		}
-		p.udpScratch.SrcPort = binary.BigEndian.Uint16(l4[0:2])
-		p.udpScratch.DstPort = binary.BigEndian.Uint16(l4[2:4])
-		if int(binary.BigEndian.Uint16(l4[4:6])) != len(l4) {
-			return fmt.Errorf("%w: UDP length", ErrBadLength)
-		}
-		p.UDP = &p.udpScratch
-		p.Payload = l4[udpHdrLen:]
-	case ProtoSCMP:
-		p.phScratch = pseudoHeader(&p.Hdr, ProtoSCMP, len(l4))
-		p.phSum, p.phValid = sum16(p.phScratch[:], 0), true
-		if got := foldChecksum(sum16(l4, p.phSum)); got != 0 {
-			return fmt.Errorf("slayers: SCMP checksum mismatch (%#04x)", got)
-		}
-		n, err := p.scmpScratch.decodeFrom(l4)
-		if err != nil {
-			return err
-		}
-		p.SCMP = &p.scmpScratch
-		p.Payload = l4[n:]
-	default:
-		return fmt.Errorf("%w: %d", ErrUnknownProto, p.Hdr.NextHdr)
-	}
-	return nil
+	return p.DecodeSameFlow(b, hl)
 }
 
-// DecodeSameFlow decodes only the L4 section of b into p, reusing the
-// header state already in p from a previous full Decode of a packet
-// with a byte-identical header image. The caller guarantees (typically
-// with one bytes.Equal over the first hdrLen bytes, which covers
-// TotalLen) that b[:hdrLen] matches the reference packet's header as
-// received and that len(b) equals its total length; the addresses and
-// NextHdr in p.Hdr are then valid for b too and feed the checksum
-// pseudo-header, while the path state is not consulted at all (it may
-// have advanced past the reference decode).
+// DecodeSameFlow decodes the L4 section of b, the bytes after its
+// hdrLen-byte common and path header, into UDP, SCMP and Payload, and
+// verifies its checksum. It is the second half of Decode and reads
+// nothing from p.Hdr: the protocol and the pseudo-header come from b's
+// own header bytes, which the caller has checked — with HeaderLen, or
+// (the name's case) by comparing them with a packet Decode accepted:
+// one bytes.Equal over the first hdrLen bytes, which covers TotalLen,
+// admits a follower to its leader's run.
 func (p *Packet) DecodeSameFlow(b []byte, hdrLen int) error {
 	if hdrLen < CmnHdrLen || hdrLen > len(b) {
 		return ErrTruncated
 	}
 	l4 := b[hdrLen:]
 	p.UDP, p.SCMP = nil, nil
-	switch p.Hdr.NextHdr {
-	case ProtoUDP:
-		if len(l4) < udpHdrLen {
-			return ErrTruncated
-		}
-		if !p.phValid {
-			p.phScratch = pseudoHeader(&p.Hdr, ProtoUDP, len(l4))
-			p.phSum, p.phValid = sum16(p.phScratch[:], 0), true
-		}
-		if got := foldChecksum(sum16(l4, p.phSum)); got != 0 {
-			return fmt.Errorf("slayers: UDP checksum mismatch (%#04x)", got)
-		}
-		p.udpScratch.SrcPort = binary.BigEndian.Uint16(l4[0:2])
-		p.udpScratch.DstPort = binary.BigEndian.Uint16(l4[2:4])
-		if int(binary.BigEndian.Uint16(l4[4:6])) != len(l4) {
-			return fmt.Errorf("%w: UDP length", ErrBadLength)
-		}
-		p.UDP = &p.udpScratch
-		p.Payload = l4[udpHdrLen:]
-	case ProtoSCMP:
-		if !p.phValid {
-			p.phScratch = pseudoHeader(&p.Hdr, ProtoSCMP, len(l4))
-			p.phSum, p.phValid = sum16(p.phScratch[:], 0), true
-		}
-		if got := foldChecksum(sum16(l4, p.phSum)); got != 0 {
-			return fmt.Errorf("slayers: SCMP checksum mismatch (%#04x)", got)
-		}
+	proto := b[2]
+	switch {
+	case proto != ProtoUDP && proto != ProtoSCMP:
+		return fmt.Errorf("%w: %d", ErrUnknownProto, proto)
+	case proto == ProtoUDP && len(l4) < udpHdrLen:
+		return ErrTruncated
+	}
+	if got := foldChecksum(sum64(l4, pseudoSum(b, proto, len(l4)))); got != 0 {
+		return fmt.Errorf("slayers: L4 (protocol %d) checksum mismatch (%#04x)", proto, got)
+	}
+	if proto == ProtoSCMP {
 		n, err := p.scmpScratch.decodeFrom(l4)
 		if err != nil {
 			return err
 		}
-		p.SCMP = &p.scmpScratch
-		p.Payload = l4[n:]
-	default:
-		return fmt.Errorf("%w: %d", ErrUnknownProto, p.Hdr.NextHdr)
+		p.SCMP, p.Payload = &p.scmpScratch, l4[n:]
+		return nil
 	}
+	p.udpScratch.SrcPort = binary.BigEndian.Uint16(l4[0:2])
+	p.udpScratch.DstPort = binary.BigEndian.Uint16(l4[2:4])
+	if int(binary.BigEndian.Uint16(l4[4:6])) != len(l4) {
+		return fmt.Errorf("%w: UDP length", ErrBadLength)
+	}
+	p.UDP, p.Payload = &p.udpScratch, l4[udpHdrLen:]
 	return nil
 }
 
@@ -394,7 +333,6 @@ func (p *Packet) DecodeSameFlow(b []byte, hdrLen int) error {
 // the path) must be complete — a quote shorter than its own header
 // identifies nothing and is rejected.
 func (p *Packet) DecodeTruncated(b []byte) error {
-	p.phValid = false
 	if len(b) < CmnHdrLen {
 		return ErrTruncated
 	}
@@ -408,10 +346,8 @@ func (p *Packet) DecodeTruncated(b []byte) error {
 	if hdrLen < CmnHdrLen || hdrLen > len(b) {
 		return ErrTruncated
 	}
-	p.Hdr.DstIA = addr.GetIA(b[8:16])
-	p.Hdr.SrcIA = addr.GetIA(b[16:24])
-	p.Hdr.DstHost = fromAs16(b[24:40])
-	p.Hdr.SrcHost = fromAs16(b[40:56])
+	p.Hdr.DstIA, p.Hdr.SrcIA = DstIA(b), SrcIA(b)
+	p.Hdr.DstHost, p.Hdr.SrcHost = DstHost(b), SrcHost(b)
 	switch pathType {
 	case PathTypeEmpty:
 		if err := p.Hdr.Path.DecodeFromBytes(nil); err != nil {
@@ -474,28 +410,27 @@ func QuotedPort(quote []byte) (uint16, bool) {
 	return 0, false
 }
 
-// pseudoHeader builds the checksum pseudo-header binding L4 data to the
-// SCION addresses, preventing redirection of checksummed payloads.
-func pseudoHeader(h *SCION, proto uint8, l4Len int) [52]byte {
-	var ph [52]byte
-	addr.PutIA(ph[0:8], h.SrcIA)
-	addr.PutIA(ph[8:16], h.DstIA)
-	s16 := as16(h.SrcHost)
-	d16 := as16(h.DstHost)
-	copy(ph[16:32], s16[:])
-	copy(ph[32:48], d16[:])
-	binary.BigEndian.PutUint16(ph[48:50], uint16(l4Len))
-	ph[51] = proto
-	return ph
+// pseudoSum is the unfolded ones'-complement sum of the checksum
+// pseudo-header of b, whose L4 section is l4Len bytes of protocol
+// proto: the addresses — SrcIA, DstIA, SrcHost, DstHost — then the L4
+// length and the protocol, which binds the L4 to its addresses. The
+// address header holds the same 48 bytes in another order of 16-bit
+// words, and a ones'-complement sum does not depend on that order, so
+// it is summed in place: sum64's steps for exactly six words, unrolled
+// because every packet at every hop pays for it.
+func pseudoSum(b []byte, proto uint8, l4Len int) uint64 {
+	a := b[8:CmnHdrLen]
+	s, c := bits.Add64(uint64(uint16(l4Len))+uint64(proto), binary.BigEndian.Uint64(a[0:8]), 0)
+	s, c = bits.Add64(s, binary.BigEndian.Uint64(a[8:16]), c)
+	s, c = bits.Add64(s, binary.BigEndian.Uint64(a[16:24]), c)
+	s, c = bits.Add64(s, binary.BigEndian.Uint64(a[24:32]), c)
+	s, c = bits.Add64(s, binary.BigEndian.Uint64(a[32:40]), c)
+	s, c = bits.Add64(s, binary.BigEndian.Uint64(a[40:48]), c)
+	s, _ = bits.Add64(s, 0, c) // cannot carry: see sum64
+	return s
 }
 
-// checksum computes the Internet ones-complement checksum over the
-// pseudo-header and the L4 bytes.
-func checksum(ph [52]byte, l4 []byte) uint16 {
-	return foldChecksum(sum16(l4, sum16(ph[:], 0)))
-}
-
-// foldChecksum folds an unfolded sum16 accumulator down to the final
+// foldChecksum folds an unfolded sum64 accumulator down to the final
 // ones-complement checksum.
 func foldChecksum(sum uint64) uint16 {
 	for sum > 0xffff {
@@ -504,22 +439,33 @@ func foldChecksum(sum uint64) uint16 {
 	return ^uint16(sum)
 }
 
-// sum16 accumulates b as big-endian 16-bit words into sum (no folding),
-// eight bytes per step on the aligned middle. A uint64 accumulator
-// cannot overflow before folding: each step adds < 2^18, so well over
-// 2^45 bytes would be needed.
-func sum16(b []byte, sum uint64) uint64 {
+// sum64 adds b, read as big-endian 16-bit words, to the ones'-complement
+// accumulator sum, 64 bits at a time with end-around carry: 2^16 ≡ 1
+// modulo 0xffff, so a 64-bit word is worth its four 16-bit words, and
+// foldChecksum of the result is the Internet checksum. Four words per
+// step keep the carry chain in the flags register.
+func sum64(b []byte, sum uint64) uint64 {
+	var c uint64
+	for len(b) >= 32 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), c)
+		b = b[32:]
+	}
 	for len(b) >= 8 {
-		v := binary.BigEndian.Uint64(b)
-		sum += v>>48 + v>>32&0xffff + v>>16&0xffff + v&0xffff
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(b), c)
 		b = b[8:]
 	}
 	for len(b) >= 2 {
-		sum += uint64(binary.BigEndian.Uint16(b))
+		sum, c = bits.Add64(sum, uint64(binary.BigEndian.Uint16(b)), c)
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint64(b[0]) << 8
+		sum, c = bits.Add64(sum, uint64(b[0])<<8, c)
 	}
+	// The last carry goes back in. That cannot carry again: a step
+	// ends on 2^64-1 with a carry out only if it began there with one.
+	sum, _ = bits.Add64(sum, 0, c)
 	return sum
 }

@@ -219,28 +219,6 @@ func (p *Path) SerializeTo(b []byte) error {
 	return nil
 }
 
-// PatchTo re-encodes only the mutable-in-flight parts of the path —
-// the meta word (CurrINF/CurrHF) and the info fields (whose SegID
-// accumulators routers advance hop by hop) — into b, which must hold a
-// previously serialized copy of this same path. The hop fields, which
-// forwarding never mutates, are left untouched. This is the router's
-// in-place alternative to a full SerializeTo when advancing a packet.
-func (p *Path) PatchTo(b []byte) error {
-	if p.IsEmpty() {
-		return nil
-	}
-	if len(b) < p.Len() {
-		return ErrPathTooShort
-	}
-	binary.BigEndian.PutUint32(b[0:4], p.metaWord())
-	off := MetaLen
-	for _, inf := range p.Infos {
-		inf.serialize(b[off : off+InfoLen])
-		off += InfoLen
-	}
-	return nil
-}
-
 func (p *Path) metaWord() uint32 {
 	return uint32(p.CurrINF&0x3)<<30 |
 		uint32(p.CurrHF&0x3f)<<24 |
@@ -249,50 +227,16 @@ func (p *Path) metaWord() uint32 {
 		uint32(p.SegLens[2]&0x3f)
 }
 
-// DecodeFromBytes parses a path of exactly len(b) bytes. An empty buffer
-// decodes to the empty path. Previously allocated slices are reused.
+// DecodeFromBytes parses a path of exactly len(b) bytes under the rules
+// of View.Init. An empty buffer decodes to the empty path. Previously
+// allocated slices are reused.
 func (p *Path) DecodeFromBytes(b []byte) error {
-	if len(b) == 0 {
-		*p = Path{Infos: p.Infos[:0], Hops: p.Hops[:0]}
-		return nil
+	var v View
+	if err := v.Init(b); err != nil {
+		return err
 	}
-	if len(b) < MetaLen {
-		return ErrPathTooShort
-	}
-	meta := binary.BigEndian.Uint32(b[0:4])
-	p.CurrINF = uint8(meta >> 30 & 0x3)
-	p.CurrHF = uint8(meta >> 24 & 0x3f)
-	p.SegLens[0] = uint8(meta >> 12 & 0x3f)
-	p.SegLens[1] = uint8(meta >> 6 & 0x3f)
-	p.SegLens[2] = uint8(meta & 0x3f)
-
-	segs, hops := 0, 0
-	for _, l := range p.SegLens {
-		if l > 0 {
-			segs++
-			hops += int(l)
-		}
-	}
-	want := MetaLen + segs*InfoLen + hops*HopLen
-	if len(b) != want {
-		return fmt.Errorf("%w: have %d bytes, meta implies %d", ErrMalformedPath, len(b), want)
-	}
-	p.Infos = p.Infos[:0]
-	p.Hops = p.Hops[:0]
-	off := MetaLen
-	for i := 0; i < segs; i++ {
-		var inf InfoField
-		inf.decode(b[off : off+InfoLen])
-		p.Infos = append(p.Infos, inf)
-		off += InfoLen
-	}
-	for i := 0; i < hops; i++ {
-		var h HopField
-		h.decode(b[off : off+HopLen])
-		p.Hops = append(p.Hops, h)
-		off += HopLen
-	}
-	return p.Validate()
+	v.Decode(p)
+	return nil
 }
 
 // CurrentInfo returns a pointer to the active info field.

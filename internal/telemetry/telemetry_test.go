@@ -169,6 +169,32 @@ func TestTraceRingSampling(t *testing.T) {
 	}
 }
 
+// TestTraceRingSampleN holds SampleN(n) to n calls of Sample: over runs
+// of every length from any clock phase, the same count sampled and the
+// same clock after.
+func TestTraceRingSampleN(t *testing.T) {
+	for _, every := range []int{1, 2, 4, 8} {
+		runs, singles := NewTraceRing(1, every), NewTraceRing(1, every)
+		for n := 0; n < 20; n++ {
+			want := 0
+			for i := 0; i < n; i++ {
+				if singles.Sample() {
+					want++
+				}
+			}
+			if got := runs.SampleN(n); got != want {
+				t.Fatalf("every %d, run of %d: SampleN = %d, %d calls of Sample traced %d", every, n, got, n, want)
+			}
+		}
+		if a, _ := runs.Stats(); a != 190 {
+			t.Errorf("every %d: clock at %d after 190 packets", every, a)
+		}
+	}
+	if (*TraceRing)(nil).SampleN(5) != 0 {
+		t.Error("nil ring sampled")
+	}
+}
+
 func TestTraceRingNilSafe(t *testing.T) {
 	var ring *TraceRing
 	if ring.Sample() {

@@ -121,6 +121,17 @@ func (t *TraceRing) Sample() bool {
 	return (t.tick.Add(1)-1)&t.mask == 0
 }
 
+// SampleN advances the sampling clock by n packets at once and reports
+// how many of them Sample, called n times, would have traced — the
+// count of entries a run of n packets with one fate records.
+func (t *TraceRing) SampleN(n int) int {
+	if t == nil || n <= 0 {
+		return 0
+	}
+	end, every := t.tick.Add(uint64(n)), t.mask+1
+	return int((end+t.mask)/every - (end-uint64(n)+t.mask)/every)
+}
+
 // Record stores one entry, overwriting the oldest when full.
 // Allocation-free; no-op on a nil ring.
 func (t *TraceRing) Record(e TraceEntry) {
