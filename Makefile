@@ -126,9 +126,12 @@ bench-smoke:
 # 16-bit oracle, the router's path view against the decoded path, the
 # beacon store's admission rule against its insert, a control-plane
 # refresh from what the last one kept against a cold run after an
-# arbitrary sequence of link flaps, attachments and new peerings (it
-# re-decides no more candidates, and memoized paths carried across it
-# equal a fresh combination), the router's forwarding rules (decide) on
+# arbitrary sequence of link flaps, attachments, new peerings and a
+# timestamp that advances (it re-decides no more candidates, and
+# memoized paths carried across it equal a fresh combination), the
+# end-host bootstrap hint decoders (DHCP, VIVO, DHCPv6, router
+# advertisements) and the DNS codec: no panic, what decodes re-encodes
+# to bytes that decode again; the router's forwarding rules (decide) on
 # arbitrary path bytes: no panic, one header one verdict, no pass with a
 # MAC or SegID bit flipped, the decision and patched bytes of the
 # decoded-packet oracle; and the scenario loader (seeded in code from
@@ -146,6 +149,8 @@ fuzz-smoke:
 	$(GO) test ./internal/beacon -run '^$$' -fuzz '^FuzzStoreAdmit$$' -fuzztime 3s
 	$(GO) test ./internal/beacon -run '^$$' -fuzz '^FuzzRefreshAfterFlaps$$' -fuzztime 3s
 	$(GO) test ./internal/router -run '^$$' -fuzz '^FuzzDecide$$' -fuzztime 3s
+	$(GO) test ./internal/bootstrap -run '^$$' -fuzz '^FuzzBootstrapWire$$' -fuzztime 3s
+	$(GO) test ./internal/dns -run '^$$' -fuzz '^FuzzDNSDecode$$' -fuzztime 3s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzLoadScenario$$' -fuzztime 3s -fuzzminimizetime 20x
 
 # The full pre-merge gate: every check above, the race pass first.

@@ -63,9 +63,9 @@ type memoEntry struct {
 // the entry was combined from, the entry is re-stamped and served, since
 // Combine is a function of them; otherwise the pair is recombined, the
 // paths that come out the same taken from the entry (Recombine). A
-// refresh starts the registry it
-// publishes with the previous registry's entries (carryMemo), so a path
-// set outlives a link event that left its segments alone. Callers share
+// refresh starts the registry it publishes, and Clone the clone, with
+// the previous registry's entries (carryMemo), so a path set outlives a
+// link event that left its segments alone. Callers share
 // the returned slice and must not mutate it (path policies copy before
 // reordering).
 func (reg *Registry) Paths(src, dst addr.IA) []*combinator.Path {

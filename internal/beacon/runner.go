@@ -255,7 +255,7 @@ type flight struct {
 	// length and route are the AS-hop length and route ID of the beacon
 	// the receiver would store. The route is known at origination,
 	// otherwise hashed once the receiver's store admits the length, and
-	// carried into the stored Entry and the kept map.
+	// carried into the stored Entry.
 	length       int
 	route        string
 	inIf, recvIf uint16
@@ -288,27 +288,24 @@ type Registry struct {
 	kept *kept
 }
 
-// kept is what one run leaves for the next. A beacon is a function of
-// its route once the rest of what its bytes depend on is fixed: the
-// timestamp and each AS's hop key (beta0, every MAC), MTU, signer and
-// advertised peer entries. kept records those beside the beacons, so the
-// next run can tell whether link state is all that moved since.
+// kept is what one run leaves for the next, which reuses a part of it
+// only by the identity of what it was made from. A beacon is a function
+// of its timestamp and route once each AS's hop key (beta0, every MAC),
+// MTU, signer and advertised peer entries are fixed. kept records those
+// beside the beacons, so the next run can tell whether they stand.
 type kept struct {
-	timestamp uint32
-	view      map[addr.IA]*asView
+	view map[addr.IA]*asView
 	// trcs (each ISD's TRC; an update replaces the pointer) and verifyAt
 	// are what the beacons were verified against; nil and zero if none.
 	trcs     map[addr.ISD]*cppki.TRC
 	verifyAt time.Time
-	// beacons holds by route ID every beacon the run stored (one that
-	// failed verification is never here): the next run's origination
-	// looks its beacons up there. groups holds what the flood decided,
-	// by group, where the rest of the next flood looks (flood). terms
-	// holds every segment the run registered, by the route ID of the
+	// groups holds what the flood decided, by group: its round-0 records
+	// hold the originated beacons, where the next run's origination looks
+	// (originate), and the rest are where the rest of its flood looks
+	// (receive). terms holds every segment the run registered, by the
 	// stored beacon it terminates.
-	beacons map[string]*segment.Segment
-	terms   map[string]term
-	groups  map[groupID]group
+	terms  map[*segment.Segment]term
+	groups map[groupID]group
 	// best and propK are the bounds the run's stores and selection
 	// applied.
 	best, propK int
@@ -321,12 +318,14 @@ type term struct {
 }
 
 // holds reports whether what k's run built and decided is what r's
-// would for the same routes and candidates: same timestamp,
-// verification and bounds, and no AS of r's view differing from k's in
-// what a beacon's bytes carry or what the flood asks of it. Link state
-// is not among that; an AS k never saw is on none of its routes.
+// would for the same beacons and candidates: same verification and
+// bounds, and no AS of r's view differing from k's in what a beacon's
+// bytes carry or what the flood asks of it. Link state is not among
+// that; an AS k never saw is on none of its routes. Neither is the
+// timestamp: a beacon carries its own, and origination reuses only one
+// that carries the run's.
 func (k *kept) holds(r *Runner, trcs map[addr.ISD]*cppki.TRC, verifyAt time.Time) bool {
-	if k == nil || k.timestamp != r.Timestamp || !k.verifyAt.Equal(verifyAt) || !maps.Equal(k.trcs, trcs) ||
+	if k == nil || !k.verifyAt.Equal(verifyAt) || !maps.Equal(k.trcs, trcs) ||
 		k.best != r.BestPerOrigin || k.propK != r.propagateK() {
 		return false
 	}
@@ -353,8 +352,9 @@ func (r *Runner) Run() (*Registry, error) { return r.RunFrom(nil) }
 // included. Each store of the result is prev's own when the run
 // registered the same segments there, otherwise synced from it by
 // difference, and its path memo starts with prev's entries (Paths);
-// prev is never modified. When more than link state moved since prev's
-// run (kept.holds), what it kept is ignored and the run is Run.
+// prev is never modified. When more than link state and the timestamp
+// moved since prev's run (kept.holds), the run starts from empty stores
+// and nothing kept: that is Run.
 func (r *Runner) RunFrom(prev *Registry) (*Registry, error) {
 	if r.Topo == nil || r.Keys == nil {
 		return nil, fmt.Errorf("beacon: Runner requires a Topo and Keys")
@@ -385,14 +385,13 @@ func (r *Runner) RunFrom(prev *Registry) (*Registry, error) {
 		reg.carryMemo(prev)
 	}
 	if prev == nil || !prev.kept.holds(r, trcs, verifyAt) {
-		prev = &Registry{kept: &kept{}}
+		prev = &Registry{Core: pathdb.New(), Down: pathdb.New(), kept: &kept{}}
 	}
 	r.prev = prev.kept
-	r.next = &kept{timestamp: r.Timestamp, trcs: trcs, verifyAt: verifyAt, view: r.view,
+	r.next = &kept{trcs: trcs, verifyAt: verifyAt, view: r.view,
 		best: r.BestPerOrigin, propK: r.propagateK(),
-		beacons: make(map[string]*segment.Segment, len(r.prev.beacons)),
-		terms:   make(map[string]term, len(r.prev.terms)),
-		groups:  make(map[groupID]group, len(r.prev.groups))}
+		terms:  make(map[*segment.Segment]term, len(r.prev.terms)),
+		groups: make(map[groupID]group, len(r.prev.groups))}
 	reg.kept = r.next
 	if err := r.runCore(reg, prev); err != nil {
 		return nil, err
@@ -404,17 +403,8 @@ func (r *Runner) RunFrom(prev *Registry) (*Registry, error) {
 }
 
 // file returns the store holding exactly terms: prev itself or a clone
-// synced by difference (pathdb.Synced), bulk-loaded when there is none.
+// synced by difference (pathdb.Synced).
 func file(prev *pathdb.DB, terms []term) *pathdb.DB {
-	if prev == nil {
-		segs := make([]*segment.Segment, len(terms))
-		for i, t := range terms {
-			segs[i] = t.seg
-		}
-		db := pathdb.New()
-		db.InsertAll(segs)
-		return db
-	}
 	want := make(map[string]*segment.Segment, len(terms))
 	for _, t := range terms {
 		want[t.id] = t.seg
@@ -695,7 +685,7 @@ func (r *Runner) flood(core bool,
 	for _, rc := range rcs {
 		for _, es := range rc.store.byOrigin {
 			for _, e := range es {
-				t, ok := r.prev.terms[e.Route]
+				t, ok := r.prev.terms[e.Seg]
 				if ok {
 					r.Metrics.Reused.Inc()
 				} else {
@@ -705,7 +695,7 @@ func (r *Runner) flood(core bool,
 					}
 					t = term{id: seg.ID(), seg: seg}
 				}
-				r.next.terms[e.Route] = t
+				r.next.terms[e.Seg] = t
 				r.Metrics.Registered.Inc()
 				terms = append(terms, t)
 			}
@@ -728,15 +718,12 @@ func (r *Runner) receive(id groupID, rc *receiver, flights []flight, sent []*inp
 		slices.EqualFunc(g.in, rc.in, func(in input, i int) bool { return in.is(&flights[i]) })
 	if clean {
 		rc.store.byOrigin[id.origin] = g.list
-		reused := uint64(0)
-		for j := range g.in {
-			if e := g.in[j].stored(); e != nil {
-				r.next.beacons[e.Route] = e.Seg
-				reused++
-			}
-		}
 		if id.round > 0 { // an originated beacon was counted by originate
-			r.Metrics.Reused.Add(reused)
+			for j := range g.in {
+				if g.in[j].stored() != nil {
+					r.Metrics.Reused.Inc()
+				}
+			}
 		}
 		r.Metrics.Filtered.Add(g.filtered)
 		r.Metrics.Pruned.Add(g.pruned)
@@ -804,7 +791,6 @@ func (r *Runner) decide(origin addr.IA, rc *receiver, flights []flight, was grou
 			}
 			r.Metrics.Verified.Inc()
 		}
-		r.next.beacons[f.route] = seg
 		in.entry = Entry{Seg: seg, RecvIf: f.recvIf, Route: f.route}
 		rc.store.InsertEntry(&in.entry)
 		admitted++
@@ -834,19 +820,22 @@ func originBeta0(mac *scrypto.CMAC, ts uint32, egress uint16) uint16 {
 	return binary.BigEndian.Uint16(out[:2])
 }
 
-// originate resolves the PCB leaving origin over link l — kept by the
-// previous run, or created now — as the flight that carries it.
+// originate resolves the PCB leaving origin over link l as the flight
+// that carries it: the one the receiver stored from l in the previous
+// run's round 0, if it carries the run's timestamp, or one created now.
 func (r *Runner) originate(origin addr.IA, l *topology.Link) (flight, error) {
 	local, _ := l.Local(origin)
 	remote, _ := l.Other(origin)
-	// The route of a one-entry beacon, before there is a beacon.
-	f := flight{l: l, recvIf: remote.IfID, length: 1,
-		route: new(segment.Segment).ExtendedRouteID(origin, 0, local.IfID)}
-	if seg, ok := r.prev.beacons[f.route]; ok {
-		r.Metrics.Reused.Inc()
-		f.seg = seg
-		return f, nil
+	f := flight{l: l, recvIf: remote.IfID, length: 1}
+	for _, in := range r.prev.groups[groupID{groupKey{remote.IA, origin}, 0}].in {
+		if e := in.stored(); e != nil && int(in.link) == l.ID && e.Seg.Timestamp == r.Timestamp {
+			r.Metrics.Reused.Inc()
+			f.seg, f.route = e.Seg, e.Route
+			return f, nil
+		}
 	}
+	// The route of a one-entry beacon, before there is a beacon.
+	f.route = new(segment.Segment).ExtendedRouteID(origin, 0, local.IfID)
 	as := r.view[origin]
 	seg, err := segment.Originate(r.Timestamp, originBeta0(as.mac, r.Timestamp, local.IfID), origin,
 		local.IfID, remote.IA, l.LatencyMS, hopExpTime, as.mac)

@@ -3,6 +3,7 @@ package beacon
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -33,6 +34,8 @@ type warmChain struct {
 
 	reg   *Registry // what the last warm run published
 	grown int
+	// stamp is how far the chain's timestamp has advanced.
+	stamp uint32
 	// reused and verifiedWarm/verifiedCold accumulate over the chain.
 	reused, verifiedWarm, verifiedCold uint64
 }
@@ -43,6 +46,7 @@ func (c *warmChain) runner() *Runner {
 		r.Signers, r.TRCs, r.Chains, r.VerifyAt = c.signers, c.trcs, cppki.NewChainCache(), c.now
 		r.Timestamp = uint32(c.now.Unix())
 	}
+	r.Timestamp += c.stamp
 	return r
 }
 
@@ -339,10 +343,21 @@ func TestWarmRefreshMatchesColdRun(t *testing.T) {
 				if tc.pki && c.verifiedWarm >= c.verifiedCold {
 					t.Errorf("warm runs verified %d beacons, cold runs %d: want fewer", c.verifiedWarm, c.verifiedCold)
 				}
-				for route, seg := range c.reg.kept.beacons {
+				var kept []*segment.Segment
+				for _, g := range c.reg.kept.groups {
+					for j := range g.in {
+						if e := g.in[j].stored(); e != nil {
+							kept = append(kept, e.Seg)
+						}
+					}
+				}
+				for stored := range c.reg.kept.terms {
+					kept = append(kept, stored)
+				}
+				for _, seg := range kept {
 					for _, r := range tc.rogue {
 						if seg.ContainsIA(r) {
-							t.Errorf("kept beacon %s carries an entry of %v, whose signature cannot verify", route, r)
+							t.Errorf("kept beacon %s carries an entry of %v, whose signature cannot verify", seg.ID(), r)
 						}
 					}
 				}
@@ -471,10 +486,63 @@ func TestRedecidedCountsDecisions(t *testing.T) {
 	}
 }
 
+// TestReoriginationRedecidesOneOrigin: a run that finds no round-0
+// records of one origin in what the last run kept builds that origin's
+// beacons anew, which is what re-originating that origin alone looks
+// like to it; by pointer identity exactly the origin's groups are then
+// dirty. On the churn topology, for each of its 24 origins, the run
+// equals a cold run byte for byte, with the same flood counters and
+// warm Built + Reused = cold Built, and re-decides at least one and at
+// most the origin's share of the cold run's candidates.
+func TestReoriginationRedecidesOneOrigin(t *testing.T) {
+	c := newWarmChain(t, "gen:isds=3,ases=200,cores=8,seed=1", 4, false)
+	c.refresh("converge", false)
+	cold := c.runner()
+	want, err := cold.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	share := make(map[addr.IA]uint64)
+	for id, g := range want.kept.groups {
+		share[id.origin] += uint64(len(g.in))
+	}
+	if len(share) != 24 {
+		t.Fatalf("%d origins, want 24", len(share))
+	}
+	for origin, most := range share {
+		k := *c.reg.kept
+		k.groups = maps.Clone(k.groups)
+		for id := range k.groups {
+			if id.origin == origin && id.round == 0 {
+				delete(k.groups, id)
+			}
+		}
+		warm := c.runner()
+		got, err := warm.RunFrom(&Registry{Core: c.reg.Core, Down: c.reg.Down, kept: &k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		when := fmt.Sprintf("%v re-originated", origin)
+		sameRegistry(t, when, got, want)
+		wm, cm := warm.Metrics, cold.Metrics
+		if g, w := floodCounters(wm), floodCounters(cm); g != w {
+			t.Fatalf("%s: counters %v, cold run %v", when, g, w)
+		}
+		if g, w := wm.Built.Load()+wm.Reused.Load(), cm.Built.Load(); g != w {
+			t.Fatalf("%s: built %d + reused %d, cold built %d", when, wm.Built.Load(), wm.Reused.Load(), w)
+		}
+		if r := wm.Redecided.Load(); r == 0 || r > most {
+			t.Fatalf("%s: re-decided %d candidates, its share of a cold run %d of %d", when, r, most, cm.Redecided.Load())
+		}
+	}
+}
+
 // FuzzRefreshAfterFlaps is TestWarmRefreshMatchesColdRun driven by
-// bytes: the first picks the store bound, each later one an event —
-// its top two bits the kind (core, parent, peer flap; attach or new
-// peering), the rest which link or AS — on a 14-AS two-ISD topology
+// bytes: the first picks the store bound (its low two bits) and after
+// which event the chain's timestamp advances, so that every origin
+// re-originates (its top four: 1-based, 0 for never), each later one an
+// event — its top two bits the kind (core, parent, peer flap; attach or
+// new peering), the rest which link or AS — on a 14-AS two-ISD topology
 // with two peering links. After every event the refresh also
 // re-decides no more candidates than the cold run, and Paths for four
 // fixed leaf pairs — memoized on every registry of the chain, so each
@@ -521,6 +589,13 @@ func FuzzRefreshAfterFlaps(f *testing.F) {
 			c.refresh(when, holds)
 			c.redecided(when, prev)
 			paths(when)
+			if i+1 == int(data[0]>>4) {
+				prev, when = c.reg, fmt.Sprintf("after event %d: re-stamp", i)
+				c.stamp++
+				c.refresh(when, false)
+				c.redecided(when, prev)
+				paths(when)
+			}
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -440,4 +441,40 @@ func TestFetchRejectsRogueServers(t *testing.T) {
 	if _, _, err := fetchSync(t, sim, srv); err == nil {
 		t.Error("garbage TRC accepted")
 	}
+}
+
+// FuzzBootstrapWire feeds the same bytes to every hint decoder a client
+// runs on what the LAN sends it: DHCP, VIVO, DHCPv6 and router
+// advertisements. None may panic; a message that decodes re-encodes to
+// bytes that decode to the same message, and a VIVO payload's server
+// address round-trips exactly.
+func FuzzBootstrapWire(f *testing.F) {
+	hint := netip.MustParseAddrPort("10.1.2.3:8041")
+	f.Add((&DHCPMessage{Op: dhcpOffer, XID: 7, Options: map[uint8][]byte{OptVIVO: EncodeVIVO(hint)}}).Encode())
+	f.Add(EncodeVIVO(netip.MustParseAddrPort("[fd00::53%eth0]:8041")))
+	f.Add((&DHCPv6Message{Type: dhcp6Advertise, XID: 5, Options: map[uint16][]byte{Opt6VSIO: EncodeVIVO(hint)}}).Encode())
+	f.Add((&RouterAdvertisement{DNSServers: []netip.AddrPort{hint}, SearchDomain: "example.edu"}).Encode())
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if m, err := DecodeDHCP(b); err == nil {
+			if again, err := DecodeDHCP(m.Encode()); err != nil || !reflect.DeepEqual(again, m) {
+				t.Fatalf("DHCP %+v re-decodes as %+v (%v)", m, again, err)
+			}
+		}
+		if ap, err := DecodeVIVO(b); err == nil {
+			if again, err := DecodeVIVO(EncodeVIVO(ap)); err != nil || again != ap {
+				t.Fatalf("VIVO %v re-decodes as %v (%v)", ap, again, err)
+			}
+		}
+		if m, err := DecodeDHCPv6(b); err == nil {
+			if again, err := DecodeDHCPv6(m.Encode()); err != nil || !reflect.DeepEqual(again, m) {
+				t.Fatalf("DHCPv6 %+v re-decodes as %+v (%v)", m, again, err)
+			}
+		}
+		if ra, err := DecodeRA(b); err == nil {
+			if again, err := DecodeRA(ra.Encode()); err != nil || !reflect.DeepEqual(again, ra) {
+				t.Fatalf("RA %+v re-decodes as %+v (%v)", ra, again, err)
+			}
+		}
+	})
 }

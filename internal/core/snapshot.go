@@ -2,7 +2,7 @@ package core
 
 // Converged-state snapshots: after one reference replica converges, its
 // entire control-plane state — segment registries (with the path
-// combinations they have memoized and the beacons their run kept), trust
+// combinations they have memoized and what their run kept), trust
 // material and beacon counters — is captured into an immutable Snapshot.
 // Worker replicas are then constructed by copy-on-write cloning
 // (NewShell + InstallSnapshot) instead of converging (NewShell +
@@ -16,13 +16,15 @@ package core
 // store (ID-sorted), so every lookup answers identically; (2) a beacon
 // is a function of its route, the timestamp and the hop keys — nothing
 // is drawn — so a refresh builds the registry a cold run over the same
-// topology would, whether it starts from the kept beacons (in-memory
-// snapshots share them) or from none (on-disk ones); (3) hop keys are
-// re-derived from (seed, IA) and trust material is shared (or, for
-// on-disk snapshots, re-provisioned from crypto/rand, which never feeds
-// figure output); and (4) both kinds of replica are the same shell with
-// the same links spliced in, so they hold the same simulated addresses
-// and ports: converging and installing perform no transport operation.
+// topology would, whether it starts from what the reference's run kept
+// (in-memory snapshots share it), reusing only what it names by
+// identity, or from empty stores (on-disk ones), which is a cold run;
+// (3) hop keys are re-derived from (seed, IA) and trust material is
+// shared (or, for on-disk snapshots, re-provisioned from crypto/rand,
+// which never feeds figure output); and (4) both kinds of replica are
+// the same shell with the same links spliced in, so they hold the same
+// simulated addresses and ports: converging and installing perform no
+// transport operation.
 
 import (
 	"encoding/json"
@@ -49,7 +51,7 @@ const SnapshotVersion = 3
 // material by reference (all immutable or concurrency-safe); the
 // serializable form (WriteFile/LoadSnapshotFile) carries segments and
 // counters but omits trust material (private keys never leave the
-// process), the derivable combination memo and the kept beacons, so the
+// process), the derivable combination memo and what the run kept, so the
 // first refresh after a load from disk builds everything.
 type Snapshot struct {
 	// Seed, WithPKI, ASes and Links fingerprint the configuration the

@@ -11,6 +11,7 @@
 package lightningfilter
 
 import (
+	"crypto/subtle"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -248,13 +249,14 @@ func (f *Filter) check(pkt *slayers.Packet) Verdict {
 	}
 
 	// Re-derive the sender key with two CMACs and verify — the DRKey
-	// property enabling stateless line-rate authentication.
+	// property enabling stateless line-rate authentication — comparing in
+	// constant time, as scrypto.CMAC.Verify does.
 	key, err := f.senderKey(src, now)
 	if err != nil {
 		return DropUnauthenticated
 	}
 	want, err := scrypto.PacketMAC(key, src, h.TSNanos, pkt.Payload[AuthHeaderLen:])
-	if err != nil || want != h.MAC {
+	if err != nil || subtle.ConstantTimeCompare(want[:], h.MAC[:]) != 1 {
 		return DropUnauthenticated
 	}
 

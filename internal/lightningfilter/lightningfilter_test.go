@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sciera/internal/addr"
+	"sciera/internal/scrypto"
 	"sciera/internal/slayers"
 )
 
@@ -94,6 +95,19 @@ func TestTamperingDropped(t *testing.T) {
 	pkt3.Payload = []byte{1}
 	if v := f.Check(pkt3); v != DropUnauthenticated {
 		t.Errorf("unauthenticated verdict = %v", v)
+	}
+}
+
+// TestMACByteFlipDropped: a packet whose MAC differs from the derived
+// one in any single byte is unauthenticated.
+func TestMACByteFlipDropped(t *testing.T) {
+	f := newFilter(t, 0, nil)
+	for i := 0; i < scrypto.HopMACLen; i++ {
+		pkt := sealedPacket(t, srcIA, fixedNow(), []byte("science data"))
+		pkt.Payload[8+i] ^= 0x80
+		if v := f.Check(pkt); v != DropUnauthenticated {
+			t.Errorf("MAC byte %d flipped: verdict = %v", i, v)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package pathdb
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -227,75 +226,6 @@ func benchGet(b *testing.B, get func(*DB, addr.IA, addr.IA) int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		get(db, first, 0)
-	}
-}
-
-// TestInsertAllMatchesInserts: a bulk load leaves the store exactly as
-// one Insert per segment does — every query shape on both endpoints,
-// with in-batch and against-store duplicates, wildcard-endpoint
-// segments, and Gen/Stamp moved by the number of new segments. A
-// CloneShared sibling taken before the load must not see it.
-func TestInsertAllMatchesInserts(t *testing.T) {
-	key, _ := scrypto.NewHopCMAC(scrypto.DeriveHopKey([]byte("k"), 0))
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var base, batch []*segment.Segment
-		for i := 0; i < 40; i++ {
-			base = append(base, randSeg(t, rng))
-		}
-		for i := 0; i < 150; i++ {
-			batch = append(batch, randSeg(t, rng))
-		}
-		weird, err := segment.Originate(uint32(100+seed), 1, addr.MustIA(64, 0), 1, addr.MustIA(64, 9), 5, 63, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Duplicates inside the batch and of stored segments, an
-		// unindexable segment, and the entries Insert refuses.
-		batch = append(batch, batch[3], base[5], weird, nil, &segment.Segment{}, weird)
-
-		one, bulk := New(), New()
-		for _, s := range base {
-			one.Insert(s)
-			bulk.Insert(s)
-		}
-		sibling := bulk.CloneShared()
-		before := ids(sibling.All())
-		gen0, stamp0 := bulk.Gen(), bulk.Stamp()
-
-		added := 0
-		for _, s := range batch {
-			if one.Insert(s) {
-				added++
-			}
-		}
-		if got := bulk.InsertAll(batch); got != added {
-			t.Fatalf("seed %d: InsertAll added %d, inserts added %d", seed, got, added)
-		}
-		if bulk.Gen() != gen0+uint64(added) || bulk.Gen() != one.Gen() {
-			t.Errorf("seed %d: Gen %d after %d new segments from %d (inserts: %d)", seed, bulk.Gen(), added, gen0, one.Gen())
-		}
-		if bulk.Stamp() == stamp0 {
-			t.Errorf("seed %d: Stamp unchanged by a bulk load", seed)
-		}
-		if bulk.Len() != one.Len() {
-			t.Fatalf("seed %d: %d segments, inserts %d", seed, bulk.Len(), one.Len())
-		}
-		for _, pick := range append(batch[:20:20], weird) {
-			for _, first := range queryShapes(pick.FirstIA()) {
-				for _, last := range queryShapes(pick.LastIA()) {
-					if got, want := bulk.Get(first, last), one.Get(first, last); !sameSegs(got, want) {
-						t.Fatalf("seed %d: Get(%v,%v) = %v after bulk load, %v after inserts", seed, first, last, ids(got), ids(want))
-					}
-				}
-			}
-		}
-		if after := ids(sibling.All()); !slices.Equal(before, after) {
-			t.Errorf("seed %d: bulk load wrote through to a CloneShared sibling: %d -> %d segments", seed, len(before), len(after))
-		}
-		if n := bulk.InsertAll(batch); n != 0 || bulk.Gen() != one.Gen() {
-			t.Errorf("seed %d: reloading the batch added %d, Gen %d (want 0, %d)", seed, n, bulk.Gen(), one.Gen())
-		}
 	}
 }
 

@@ -225,8 +225,8 @@ func keysOf(first, last addr.IA) [3]pairKey {
 }
 
 // insertSorted files e into es keeping segment-ID order. An entry
-// that sorts last is appended outright: a load in ID order (InsertAll)
-// never searches and never moves anything.
+// that sorts last is appended outright: a load in ID order never
+// searches and never moves anything.
 func insertSorted(es []entry, e entry) []entry {
 	if n := len(es); n == 0 || es[n-1].id < e.id {
 		return append(es, e)
@@ -256,33 +256,6 @@ func (db *DB) Insert(seg *segment.Segment) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.insertLocked(entry{id: seg.ID(), seg: seg})
-}
-
-// InsertAll registers a batch of segments and returns how many were new
-// — the store ends up exactly as after one Insert per segment, Gen
-// included. The batch is filed in segment-ID order, so each segment
-// lands at the end of every bucket the batch has filled so far: loading
-// an empty store, as a beaconing run does, moves nothing, where inserts
-// in arrival order shift half a hash-ordered bucket three times each.
-func (db *DB) InsertAll(segs []*segment.Segment) int {
-	es := make([]entry, 0, len(segs))
-	for _, seg := range segs {
-		if seg != nil && seg.Len() > 0 {
-			es = append(es, entry{id: seg.ID(), seg: seg})
-		}
-	}
-	// Stable: of two segments with one ID the earlier is kept, as Insert
-	// would have it.
-	slices.SortStableFunc(es, compareEntries)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	n := 0
-	for _, e := range es {
-		if db.insertLocked(e) {
-			n++
-		}
-	}
-	return n
 }
 
 // insertLocked files a new entry and advances Gen; a duplicate ID is

@@ -11,7 +11,7 @@ import (
 )
 
 // TestSyncMatchesRebuild: a store synced to a wanted segment set answers
-// every query shape exactly as a New() store bulk-loaded with that set —
+// every query shape exactly as a New() store that set was inserted into —
 // same segments, same Get order — whatever the overlap between what it
 // held and what is wanted (all, some, none, nothing wanted, nothing
 // held, an unindexable segment on either side). The store it was synced
@@ -69,7 +69,9 @@ func TestSyncMatchesRebuild(t *testing.T) {
 	}
 	rebuilt := func(segs []*segment.Segment) *DB {
 		db := New()
-		db.InsertAll(segs)
+		for _, s := range segs {
+			db.Insert(s)
+		}
 		return db
 	}
 
