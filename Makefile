@@ -149,6 +149,7 @@ fuzz-smoke:
 	$(GO) test ./internal/beacon -run '^$$' -fuzz '^FuzzStoreAdmit$$' -fuzztime 3s
 	$(GO) test ./internal/beacon -run '^$$' -fuzz '^FuzzRefreshAfterFlaps$$' -fuzztime 3s
 	$(GO) test ./internal/router -run '^$$' -fuzz '^FuzzDecide$$' -fuzztime 3s
+	$(GO) test ./internal/simnet -run '^$$' -fuzz '^FuzzSchedulerEquivalence$$' -fuzztime 3s
 	$(GO) test ./internal/bootstrap -run '^$$' -fuzz '^FuzzBootstrapWire$$' -fuzztime 3s
 	$(GO) test ./internal/dns -run '^$$' -fuzz '^FuzzDNSDecode$$' -fuzztime 3s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzLoadScenario$$' -fuzztime 3s -fuzzminimizetime 20x

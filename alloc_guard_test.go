@@ -13,7 +13,7 @@ import (
 // TestRouterForwardingZeroAlloc guards the PR 1 invariant under PR 3's
 // instrumentation: the forwarding fast path must not allocate in steady
 // state even with the telemetry registry, per-interface counters, trace
-// ring and queue-delay hook all enabled (the default configuration).
+// ring and queue-delay histogram all enabled (the default configuration).
 func TestRouterForwardingZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race")

@@ -30,7 +30,7 @@ func newFixture(t *testing.T, cfg LANConfig) *fixture {
 	t.Helper()
 	sim := simnet.NewSim(time.Unix(1_700_000_000, 0))
 	// LAN exchanges take 0.4ms one way; like a campus network.
-	sim.Latency = func(_, _ netip.AddrPort, _ int, _ time.Time) (time.Duration, bool) {
+	sim.Latency = func(_, _ netip.AddrPort, _ int) (time.Duration, bool) {
 		return 400 * time.Microsecond, true
 	}
 

@@ -60,32 +60,17 @@ func (n *Network) AttachAS(info topology.ASInfo, uplinks []UplinkSpec) error {
 // Section 5.4) and wires both routers. The caller decides when to
 // refresh the control plane.
 func (n *Network) AddRuntimeLink(a, b addr.IA, typ topology.LinkType, latencyMS float64, name string) (*topology.Link, error) {
-	ra, ok := n.routers[a]
-	if !ok {
-		return nil, fmt.Errorf("core: %v not in network", a)
-	}
-	rb, ok := n.routers[b]
-	if !ok {
-		return nil, fmt.Errorf("core: %v not in network", b)
+	for _, ia := range []addr.IA{a, b} {
+		if _, ok := n.routers[ia]; !ok {
+			return nil, fmt.Errorf("core: %v not in network", ia)
+		}
 	}
 	l, err := n.Topo.AddLink(topology.LinkEnd{IA: a}, topology.LinkEnd{IA: b}, typ, latencyMS, name)
 	if err != nil {
 		return nil, err
 	}
-	aAddr, err := ra.AddInterface(l.A.IfID)
-	if err != nil {
+	if err := n.wire(l, make([]circuit, 2)); err != nil {
 		return nil, err
 	}
-	bAddr, err := rb.AddInterface(l.B.IfID)
-	if err != nil {
-		return nil, err
-	}
-	if err := ra.ConnectInterface(l.A.IfID, bAddr); err != nil {
-		return nil, err
-	}
-	if err := rb.ConnectInterface(l.B.IfID, aAddr); err != nil {
-		return nil, err
-	}
-	n.addWire(aAddr, bAddr, l)
 	return l, nil
 }

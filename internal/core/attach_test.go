@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"sciera/internal/combinator"
 	"sciera/internal/scrypto"
 	"sciera/internal/simnet"
+	"sciera/internal/slayers"
 	"sciera/internal/spath"
 	"sciera/internal/topology"
 )
@@ -138,6 +140,65 @@ func TestAddRuntimeLinkCreatesPaths(t *testing.T) {
 	sendOver(t, sim, src, dst, best, "via the fresh circuit")
 	if len(dst.recv) != 1 {
 		t.Fatalf("delivery over runtime link failed (%d packets)", len(dst.recv))
+	}
+}
+
+// TestRuntimeLinkCircuit holds a circuit made by AddRuntimeLink to the
+// rules of a built one: an echo across it takes exactly the RTT its
+// LatencyMS and the intra-AS delays predict, and once the link is down
+// the same probe meets SCMP ExternalInterfaceDown at the router whose
+// egress it is.
+func TestRuntimeLinkCircuit(t *testing.T) {
+	sim := simnet.NewSim(time.Unix(0, 0))
+	n := buildNet(t, sim)
+	defer n.Close()
+	l, err := n.AddRuntimeLink(c1, c3, topology.LinkCore, 12, "runtime")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.RefreshControlPlane(); err != nil {
+		t.Fatal(err)
+	}
+	var path *combinator.Path
+	for _, p := range n.Paths(lA, lC) {
+		if p.LatencyMS == 5+12+5 {
+			path = p
+		}
+	}
+	if path == nil {
+		t.Fatal("no lA->lC path over the runtime circuit")
+	}
+	resp, err := n.AttachResponder(lC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Close()
+	pinger, err := n.NewPinger(lA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pinger.Close()
+
+	rtt, err := pinger.PingSync(lC, resp.Addr().Addr(), path, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each way: host to router and router to host inside an AS (the
+	// default 100µs each), plus the three circuits' propagation.
+	if want := 2 * (2*100*time.Microsecond + 22*time.Millisecond); rtt != want {
+		t.Errorf("RTT over the runtime circuit = %v, want %v", rtt, want)
+	}
+
+	if err := n.Topo.SetLinkUp(l.ID, false); err != nil {
+		t.Fatal(err)
+	}
+	_, err = pinger.PingSync(lC, resp.Addr().Addr(), path, time.Second)
+	if err == nil || !strings.Contains(err.Error(), slayers.SCMPExternalInterfaceDown.String()) {
+		t.Fatalf("probe over the downed runtime circuit: %v, want SCMP %v", err, slayers.SCMPExternalInterfaceDown)
+	}
+	r, _ := n.Router(c1)
+	if got := r.Metrics().LinkDownDrops.Load(); got != 1 {
+		t.Errorf("%v link-down drops = %d, want 1", c1, got)
 	}
 }
 

@@ -66,10 +66,10 @@ type Options struct {
 	// meaningful on the discrete-event transport.
 	IntraASDelay time.Duration
 	// NoTelemetry builds the network without the shared metric registry,
-	// packet-trace ring and queue-delay hook. Subsystem counters still
-	// run (they are plain atomics either way); what this disables is
-	// exposition, trace sampling and the per-wire queue probing — the
-	// uninstrumented arm of the overhead ablation.
+	// packet-trace ring and queue-delay histogram. Subsystem counters
+	// still run (they are plain atomics either way); what this disables
+	// is exposition, trace sampling and the circuits' queue observations
+	// — the uninstrumented arm of the overhead ablation.
 	NoTelemetry bool
 }
 
@@ -81,14 +81,6 @@ type Network struct {
 
 	mu       sync.RWMutex
 	registry *beacon.Registry
-	// wires maps directed (from, to) underlay circuit endpoints to
-	// their topology link, for the simulator's latency model. The map
-	// itself is immutable once published: addWire copies-on-write under
-	// wiresMu (build time and topology growth only), so the latency
-	// model — the hottest per-packet path in the simulator — reads it
-	// through the atomic pointer without taking a lock.
-	wiresMu  sync.Mutex
-	wires    atomic.Pointer[map[wireKey]*topology.Link]
 	routers  map[addr.IA]*router.Router
 	services map[addr.IA]*control.Service
 	keys     map[addr.IA]scrypto.HopKey
@@ -108,12 +100,6 @@ type Network struct {
 	beaconMetrics  *beacon.RunnerMetrics
 	controlMetrics control.Metrics
 	queueHist      *telemetry.Histogram
-	// busyUntil tracks each directed wire's transmit-queue horizon. It
-	// is written by the simulator's latency model (inside the sim lock)
-	// and read by the routers' QueueDelay hook (outside it); busyMu is
-	// always the innermost lock, so there is no ordering cycle.
-	busyMu    sync.Mutex
-	busyUntil map[wireKey]time.Time
 }
 
 // NewShell brings up everything of a network but its control-plane
@@ -373,127 +359,111 @@ func (n *Network) RefreshControlPlane() error {
 	return nil
 }
 
-// wireKey identifies a directed circuit by its underlay endpoints.
-type wireKey struct{ from, to netip.AddrPort }
-
-// addWire records a circuit's endpoints in the latency table by
-// publishing a fresh copy of the (otherwise immutable) wire map.
-func (n *Network) addWire(a, b netip.AddrPort, l *topology.Link) {
-	n.wiresMu.Lock()
-	defer n.wiresMu.Unlock()
-	old := n.wires.Load()
-	next := make(map[wireKey]*topology.Link, len(*old)+2)
-	for k, v := range *old {
-		next[k] = v
-	}
-	next[wireKey{a, b}] = l
-	next[wireKey{b, a}] = l
-	n.wires.Store(&next)
+// circuit is one direction of a link as the data plane sees it: the
+// sending router's interface holds it (router.Circuit: is the link up,
+// how long is its transmit queue) and, on the simulator, the sending
+// socket is bound to it (simnet.Wire: what delays a datagram). It is
+// resolved once, when the link is wired, so no packet looks it up.
+type circuit struct {
+	link *topology.Link
+	prop time.Duration // propagation delay, from link.LatencyMS
+	// busy is the transmit-queue horizon in Unix nanoseconds (0 until
+	// the first capped send): written by Delay inside the simulator's
+	// lock, read by Backlog outside it.
+	busy atomic.Int64
+	hist *telemetry.Histogram // queueing-delay observations; nil without telemetry
 }
 
-// lookupWire resolves a directed circuit. Lock-free: the published map
-// is never mutated, only replaced wholesale by addWire.
-func (n *Network) lookupWire(k wireKey) (*topology.Link, bool) {
-	l, ok := (*n.wires.Load())[k]
-	return l, ok
+// Up implements router.Circuit.
+func (c *circuit) Up() bool { return c.link.Up() }
+
+// Backlog implements router.Circuit: the transmit-queue delay a packet
+// enqueued at now would wait.
+func (c *circuit) Backlog(now int64) time.Duration {
+	return time.Duration(max(c.busy.Load()-now, 0))
+}
+
+// Delay implements simnet.Wire: a down link loses the datagram, an
+// uncapped one delays it by its propagation delay, and a capped one
+// adds serialization time and head-of-line queueing behind what the
+// circuit is still sending.
+func (c *circuit) Delay(size int, now int64) (time.Duration, bool) {
+	l := c.link
+	if !l.Up() {
+		return 0, false
+	}
+	if l.BandwidthMbps <= 0 {
+		return c.prop, true
+	}
+	tx := time.Duration(float64(size*8) / (l.BandwidthMbps * 1e6) * float64(time.Second))
+	start := max(now, c.busy.Load())
+	c.busy.Store(start + int64(tx))
+	queued := time.Duration(start - now)
+	if c.hist != nil {
+		// Observing is three atomic ops — it cannot perturb the event
+		// order or consume randomness, so the reference run stays
+		// byte-identical.
+		c.hist.Observe(float64(queued) / float64(time.Millisecond))
+	}
+	return queued + tx + c.prop, true
+}
+
+// wire connects both ends of a link — one underlay socket per
+// interface, as in production border routers — and resolves its two
+// directions into c[0] (A to B) and c[1] (B to A). Built and runtime
+// links both come through here.
+func (n *Network) wire(l *topology.Link, c []circuit) error {
+	ends := [2]topology.LinkEnd{l.A, l.B}
+	var addrs [2]netip.AddrPort
+	for i, end := range ends {
+		a, err := n.routers[end.IA].AddInterface(end.IfID)
+		if err != nil {
+			return err
+		}
+		addrs[i] = a
+		c[i].link, c[i].hist = l, n.queueHist
+		c[i].prop = time.Duration(l.LatencyMS * float64(time.Millisecond))
+	}
+	sim, _ := n.Transport.(*simnet.Sim)
+	for i, end := range ends {
+		peer := addrs[1-i]
+		if err := n.routers[end.IA].ConnectInterface(end.IfID, peer, &c[i]); err != nil {
+			return err
+		}
+		if sim != nil {
+			if err := sim.BindWire(addrs[i], peer, &c[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // buildDataPlane instantiates a border router per AS and wires the
-// inter-AS links.
+// inter-AS links, their circuits in one allocation. On the simulator,
+// every send no circuit decides — between hosts, services and the
+// router of one AS — takes the intra-AS delay.
 func (n *Network) buildDataPlane() error {
-	n.busyUntil = make(map[wireKey]time.Time)
 	for _, as := range n.Topo.ASes() {
-		ia := as.IA
-		r, err := router.New(n.routerConfig(ia))
+		r, err := router.New(n.routerConfig(as.IA))
 		if err != nil {
 			return err
 		}
-		n.routers[ia] = r
+		n.routers[as.IA] = r
 	}
-	// Wire both ends of every link: one underlay socket per interface,
-	// as in production border routers. The wire map is built once and
-	// published wholesale — addWire's copy-on-write republish is per
-	// runtime link, and paying it per built link would make replica
-	// construction quadratic in the link count.
 	links := n.Topo.Links()
-	wires := make(map[wireKey]*topology.Link, 2*len(links))
-	for _, l := range links {
-		ra := n.routers[l.A.IA]
-		rb := n.routers[l.B.IA]
-		addrA, err := ra.AddInterface(l.A.IfID)
-		if err != nil {
+	circuits := make([]circuit, 2*len(links))
+	for i, l := range links {
+		if err := n.wire(l, circuits[2*i:]); err != nil {
 			return err
 		}
-		addrB, err := rb.AddInterface(l.B.IfID)
-		if err != nil {
-			return err
-		}
-		if err := ra.ConnectInterface(l.A.IfID, addrB); err != nil {
-			return err
-		}
-		if err := rb.ConnectInterface(l.B.IfID, addrA); err != nil {
-			return err
-		}
-		wires[wireKey{addrA, addrB}] = l
-		wires[wireKey{addrB, addrA}] = l
 	}
-	n.wires.Store(&wires)
-	// On the simulator, impose per-link propagation delays, per-link
-	// serialization/queueing when a bandwidth cap is set, and drop
-	// traffic crossing downed circuits mid-flight.
 	if sim, ok := n.Transport.(*simnet.Sim); ok {
 		intra := n.Opts.IntraASDelay
 		if intra == 0 {
 			intra = 100 * time.Microsecond
 		}
-		// One-entry memo for the key→(link, prop) resolution: a burst
-		// resolves the same directed wire for every packet, and the sim
-		// invokes Latency strictly under its event-loop lock, so plain
-		// closure-local state is race-free. Link state (up/down, busy)
-		// is still consulted per packet — only the resolution, which
-		// changes solely through addWire's copy-on-write publish, is
-		// memoized (keyed on the map snapshot to self-invalidate).
-		var (
-			memoMap  *map[wireKey]*topology.Link
-			memoKey  wireKey
-			memoLink *topology.Link
-			memoProp time.Duration
-		)
-		sim.Latency = func(from, to netip.AddrPort, size int, now time.Time) (time.Duration, bool) {
-			k := wireKey{from, to}
-			m := n.wires.Load()
-			if m != memoMap || k != memoKey {
-				memoMap, memoKey = m, k
-				memoLink = (*m)[k]
-				if memoLink != nil {
-					memoProp = time.Duration(memoLink.LatencyMS * float64(time.Millisecond))
-				}
-			}
-			if l := memoLink; l != nil {
-				if !l.Up() {
-					return 0, false
-				}
-				prop := memoProp
-				if l.BandwidthMbps <= 0 {
-					return prop, true
-				}
-				// Serialization time plus head-of-line queueing.
-				txTime := time.Duration(float64(size*8) / (l.BandwidthMbps * 1e6) * float64(time.Second))
-				n.busyMu.Lock()
-				start := now
-				if b, ok := n.busyUntil[k]; ok && b.After(start) {
-					start = b
-				}
-				n.busyUntil[k] = start.Add(txTime)
-				n.busyMu.Unlock()
-				if n.queueHist != nil {
-					// Observing is three atomic ops — it cannot perturb
-					// the event order or consume randomness, so the
-					// reference run stays byte-identical.
-					n.queueHist.Observe(float64(start.Sub(now)) / float64(time.Millisecond))
-				}
-				return start.Sub(now) + txTime + prop, true
-			}
+		sim.Latency = func(netip.AddrPort, netip.AddrPort, int) (time.Duration, bool) {
 			return intra, true
 		}
 	}
@@ -501,36 +471,16 @@ func (n *Network) buildDataPlane() error {
 }
 
 // routerConfig assembles an AS's router configuration, including the
-// telemetry wiring (shared registry, trace ring, queue-delay hook).
+// telemetry wiring (shared registry, trace ring).
 func (n *Network) routerConfig(ia addr.IA) router.Config {
 	return router.Config{
 		IA:            ia,
 		Key:           n.keys[ia],
 		Net:           n.Transport,
 		UseDispatcher: n.Opts.UseDispatcher,
-		LinkUp: func(ifID uint16) bool {
-			l, ok := n.Topo.LinkAt(topology.LinkEnd{IA: ia, IfID: ifID})
-			return ok && n.Topo.LinkUp(l.ID)
-		},
-		Telemetry:  n.telem,
-		Trace:      n.trace,
-		QueueDelay: n.queueDelay,
+		Telemetry:     n.telem,
+		Trace:         n.trace,
 	}
-}
-
-// queueDelay reports a directed wire's current transmit-queue backlog.
-// It is the routers' QueueDelay hook, called outside the simulator lock
-// for sampled packets only; the transport clock is read before busyMu so
-// no lock is ever held while acquiring another.
-func (n *Network) queueDelay(from, to netip.AddrPort) time.Duration {
-	now := n.Transport.Now()
-	n.busyMu.Lock()
-	b, ok := n.busyUntil[wireKey{from, to}]
-	n.busyMu.Unlock()
-	if !ok || !b.After(now) {
-		return 0
-	}
-	return b.Sub(now)
 }
 
 // Router returns the border router of an AS.

@@ -54,7 +54,18 @@ func buildNet(t testing.TB, sim *simnet.Sim) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { checkConserved(t, n) })
 	return n
+}
+
+// checkConserved holds every router of n to its conservation identity.
+func checkConserved(t testing.TB, n *Network) {
+	t.Helper()
+	for ia, r := range n.routers {
+		if err := r.Metrics().Conserved(); err != nil {
+			t.Errorf("router %v: %v", ia, err)
+		}
+	}
 }
 
 // host attaches a raw underlay conn inside an AS.
@@ -422,6 +433,7 @@ func TestBuildOnUDPNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
+	t.Cleanup(func() { checkConserved(t, n) })
 
 	recvd := make(chan []byte, 1)
 	hostConn, err := udp.Listen(netip.AddrPort{}, func(pkt []byte, from netip.AddrPort) {

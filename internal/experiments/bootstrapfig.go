@@ -75,7 +75,7 @@ func oneBootstrap(seed int64, osp OSProfile, mech bootstrap.Mechanism) (*Bootstr
 	// jitter; config retrieval (to the bootstrap server, which lives
 	// deeper in the network) pays the extra HTTP-stack cost.
 	serverHosts := make(map[netip.Addr]bool)
-	sim.Latency = func(from, to netip.AddrPort, _ int, _ time.Time) (time.Duration, bool) {
+	sim.Latency = func(from, to netip.AddrPort, _ int) (time.Duration, bool) {
 		ms := osp.BaseMS/2 + rng.ExpFloat64()*osp.JitterMS/2
 		if serverHosts[to.Addr()] || serverHosts[from.Addr()] {
 			ms += osp.FetchExtraMS / 2

@@ -212,8 +212,8 @@ func TestTransferIsDeterministic(t *testing.T) {
 			n, sim := dmz(t)
 			if lossy {
 				orig, rng := sim.Latency, rand.New(rand.NewSource(13))
-				sim.Latency = func(from, to netip.AddrPort, size int, now time.Time) (time.Duration, bool) {
-					d, ok := orig(from, to, size, now)
+				sim.Latency = func(from, to netip.AddrPort, size int) (time.Duration, bool) {
+					d, ok := orig(from, to, size)
 					return d, ok && rng.Float64() >= 0.05
 				}
 			}

@@ -11,8 +11,10 @@ import (
 	"sciera/internal/pan"
 )
 
-// TestLossRecovery injects 5% packet loss on every simulated wire and
-// verifies the selective-repeat machinery restores the data intact.
+// TestLossRecovery injects 5% packet loss on every send the network's
+// latency model decides — the AS-internal legs; inter-AS circuits
+// delay by their own wire — and verifies the selective-repeat
+// machinery restores the data intact.
 func TestLossRecovery(t *testing.T) {
 	n, sim := dmz(t)
 	defer n.Close()
@@ -20,8 +22,8 @@ func TestLossRecovery(t *testing.T) {
 	// Wrap the network's latency model with seeded random loss.
 	orig := sim.Latency
 	rng := rand.New(rand.NewSource(13))
-	sim.Latency = func(from, to netip.AddrPort, size int, now time.Time) (time.Duration, bool) {
-		d, ok := orig(from, to, size, now)
+	sim.Latency = func(from, to netip.AddrPort, size int) (time.Duration, bool) {
+		d, ok := orig(from, to, size)
 		if ok && rng.Float64() < 0.05 {
 			return 0, false
 		}

@@ -50,6 +50,14 @@ func newCampaign(t testing.TB, cfg multiping.Config) (*core.Network, *multiping.
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		for _, as := range topo.ASes() {
+			r, _ := n.Router(as.IA)
+			if err := r.Metrics().Conserved(); err != nil {
+				t.Errorf("router %v: %v", as.IA, err)
+			}
+		}
+	})
 	ipTopo, err := s.BuildIPPlane()
 	if err != nil {
 		t.Fatal(err)

@@ -15,11 +15,12 @@
 // in place and the path through a spath.View, which decodes only the
 // current info and hop field. Everything the router then does about a
 // verdict lives in one shell here: route resolves an egress against the
-// interface table, leave is the single exit (end-host port, wire image,
-// account, enqueue, originate), account is the only function that
-// touches the counters and the trace ring, and every packet — a lone
-// one is a run of one — leaves through the processor's egress burst and
-// one flush.
+// interface table and asks its circuit — held by the interface since
+// wire-up — whether it is up, leave is the single exit (end-host port,
+// wire image, account, enqueue, originate), account is the only
+// function that touches the counters and the trace ring, and every
+// packet — a lone one is a run of one — leaves through the processor's
+// egress burst and one flush.
 //
 // The forwarding path is allocation-free in steady state: parse state,
 // the MAC instance and serialization scratch live in packet processors
@@ -85,6 +86,21 @@ type Metrics struct {
 	SCMPSent      telemetry.Counter
 }
 
+// Conserved checks the identity above, which holds whenever no packet
+// is inside the router: every packet it took in or originated ended in
+// exactly one outcome counter.
+func (m *Metrics) Conserved() error {
+	in := m.Received.Load() + m.SCMPSent.Load()
+	out := m.Forwarded.Load() + m.Delivered.Load() + m.Answered.Load() +
+		m.MACFailures.Load() + m.IngressDrops.Load() + m.NoRouteDrops.Load() +
+		m.LinkDownDrops.Load() + m.ParseFailures.Load()
+	if in != out {
+		return fmt.Errorf("%d packets in (received %d + originated %d), %d accounted for",
+			in, m.Received.Load(), m.SCMPSent.Load(), out)
+	}
+	return nil
+}
+
 // register adopts the metric cells into a registry under the router
 // metric names, labeled with the owning AS.
 func (m *Metrics) register(reg *telemetry.Registry, l telemetry.Label) {
@@ -110,9 +126,6 @@ type Config struct {
 	// UseDispatcher delivers AS-local traffic to the shared dispatcher
 	// port instead of the application's own UDP port.
 	UseDispatcher bool
-	// LinkUp reports interface state; nil means always up. The
-	// simulator flips this to model L2 circuit failures.
-	LinkUp func(ifID uint16) bool
 	// Metrics receives counters; nil allocates private ones.
 	Metrics *Metrics
 	// Telemetry receives the router's metric series (the Metrics cells
@@ -123,20 +136,27 @@ type Config struct {
 	// Trace receives sampled per-packet observations; nil disables
 	// tracing (a nil ring never samples).
 	Trace *telemetry.TraceRing
-	// QueueDelay reports the egress transmit-queue delay for a circuit
-	// (from the local endpoint to the neighbor's), when the transport
-	// models one. Consulted only for sampled (traced) packets; nil
-	// reports no queueing.
-	QueueDelay func(from, to netip.AddrPort) time.Duration
+}
+
+// Circuit is the L2 circuit behind an external interface, as whoever
+// wired the interface models it (ConnectInterface).
+type Circuit interface {
+	// Up reports whether the circuit carries traffic.
+	Up() bool
+	// Backlog is the transmit-queue delay a packet enqueued at now
+	// (Unix nanoseconds) would wait; read for sampled packets only.
+	Backlog(now int64) time.Duration
 }
 
 // iface is one external interface: a dedicated underlay socket (as in
 // production border routers, one socket per L2 circuit), the remote
-// end's address, and the interface's metric cells — resolved once in
-// AddInterface so the forwarding path touches bare atomics only.
+// end's address, its circuit (nil: always up, no queue) and the
+// interface's metric cells — resolved once at wire-up so the forwarding
+// path touches bare atomics only.
 type iface struct {
 	conn    simnet.Conn
 	remote  netip.AddrPort
+	circuit Circuit
 	fwd     *telemetry.Counter // packets sent out this interface
 	drops   *telemetry.Counter // drops attributed to this egress
 	macFail *telemetry.Counter // MAC failures of packets arriving here
@@ -271,8 +291,9 @@ func (r *Router) AddInterface(ifID uint16) (netip.AddrPort, error) {
 }
 
 // ConnectInterface sets the neighbor's circuit endpoint for a local
-// interface previously created with AddInterface.
-func (r *Router) ConnectInterface(ifID uint16, remote netip.AddrPort) error {
+// interface previously created with AddInterface, and the circuit that
+// carries it (nil: always up).
+func (r *Router) ConnectInterface(ifID uint16, remote netip.AddrPort, c Circuit) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -282,7 +303,7 @@ func (r *Router) ConnectInterface(ifID uint16, remote netip.AddrPort) error {
 	if !ok {
 		return fmt.Errorf("router %v: unknown interface %d", r.cfg.IA, ifID)
 	}
-	it.remote = remote
+	it.remote, it.circuit = remote, c
 	return nil
 }
 
@@ -313,13 +334,6 @@ func (r *Router) Close() error {
 		delete(r.ifaces, id)
 	}
 	return r.conn.Close()
-}
-
-func (r *Router) linkUp(ifID uint16) bool {
-	if r.cfg.LinkUp == nil {
-		return true
-	}
-	return r.cfg.LinkUp(ifID)
 }
 
 // handleBatch processes one delivered burst. Every buffer is owned by
@@ -424,7 +438,7 @@ func (r *Router) route(pkt *packet, d decision) (decision, *iface) {
 		d.scmp = slayers.SCMP{Type: slayers.SCMPDestinationUnreachable, Code: slayers.CodeNoRoute}
 		return d, nil
 	}
-	if !r.linkUp(d.egress) {
+	if out.circuit != nil && !out.circuit.Up() {
 		d.verdict = telemetry.VerdictLinkDown
 		d.scmp = slayers.SCMP{Type: slayers.SCMPExternalInterfaceDown, IA: r.cfg.IA, IfID: uint64(d.egress)}
 		return d, out
@@ -509,13 +523,14 @@ func (r *Router) account(d *decision, inIf uint16, out *iface, n int) {
 	}
 	if k := r.trace.SampleN(n); k > 0 {
 		// Queue delay is only measured for the sampled minority: the
-		// hook reads the transport's per-wire busy horizon.
+		// egress circuit's transmit-queue backlog.
+		now := r.cfg.Net.Now().UnixNano()
 		var qd time.Duration
-		if d.verdict == telemetry.VerdictForwarded && r.cfg.QueueDelay != nil {
-			qd = r.cfg.QueueDelay(out.conn.LocalAddr(), out.remote)
+		if d.verdict == telemetry.VerdictForwarded && out.circuit != nil {
+			qd = out.circuit.Backlog(now)
 		}
 		e := telemetry.TraceEntry{
-			TimeNS:  r.cfg.Net.Now().UnixNano(),
+			TimeNS:  now,
 			IA:      uint64(r.cfg.IA),
 			Ingress: inIf,
 			Egress:  d.egress,

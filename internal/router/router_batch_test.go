@@ -39,7 +39,7 @@ func TestRouterLifecycle(t *testing.T) {
 	if _, err := r.AddInterface(2); !errors.Is(err, ErrClosed) {
 		t.Errorf("AddInterface after Close = %v, want ErrClosed", err)
 	}
-	if err := r.ConnectInterface(1, netip.MustParseAddrPort("10.0.0.1:1")); !errors.Is(err, ErrClosed) {
+	if err := r.ConnectInterface(1, netip.MustParseAddrPort("10.0.0.1:1"), nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("ConnectInterface after Close = %v, want ErrClosed", err)
 	}
 }
@@ -369,8 +369,8 @@ func tracedBurstCampaign(t *testing.T, batched bool, sampleEvery int, size func(
 	t.Cleanup(func() { checkConserved(t, ra); checkConserved(t, rb) })
 	aAddr, _ := ra.AddInterface(1)
 	bAddr, _ := rb.AddInterface(1)
-	_ = ra.ConnectInterface(1, bAddr)
-	_ = rb.ConnectInterface(1, aAddr)
+	_ = ra.ConnectInterface(1, bAddr, nil)
+	_ = rb.ConnectInterface(1, aAddr, nil)
 
 	var log strings.Builder
 	host := sim.AllocAddr()

@@ -38,10 +38,10 @@ func twoAS(t *testing.T, sim *simnet.Sim, useDispatcher bool) (*Router, *Router)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ra.ConnectInterface(1, bAddr); err != nil {
+	if err := ra.ConnectInterface(1, bAddr, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rb.ConnectInterface(1, aAddr); err != nil {
+	if err := rb.ConnectInterface(1, aAddr, nil); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { checkConserved(t, ra); checkConserved(t, rb) })
@@ -52,16 +52,16 @@ func twoAS(t *testing.T, sim *simnet.Sim, useDispatcher bool) (*Router, *Router)
 // packet it took in or originated ended in exactly one outcome counter.
 func checkConserved(t *testing.T, r *Router) {
 	t.Helper()
-	m := r.Metrics()
-	in := m.Received.Load() + m.SCMPSent.Load()
-	out := m.Forwarded.Load() + m.Delivered.Load() + m.Answered.Load() +
-		m.MACFailures.Load() + m.IngressDrops.Load() + m.NoRouteDrops.Load() +
-		m.LinkDownDrops.Load() + m.ParseFailures.Load()
-	if in != out {
-		t.Errorf("router %v: %d packets in (received %d + originated %d), %d accounted for",
-			r.IA(), in, m.Received.Load(), m.SCMPSent.Load(), out)
+	if err := r.Metrics().Conserved(); err != nil {
+		t.Errorf("router %v: %v", r.IA(), err)
 	}
 }
+
+// stubCircuit is a circuit whose state a test sets.
+type stubCircuit struct{ down bool }
+
+func (c *stubCircuit) Up() bool                    { return !c.down }
+func (c *stubCircuit) Backlog(int64) time.Duration { return 0 }
 
 // corePath builds a one-segment core path A -> B with valid MACs.
 func corePath(t *testing.T) spath.Path {
@@ -355,19 +355,16 @@ func TestIngressCheckDropsSpoofed(t *testing.T) {
 
 func TestLinkDownCallback(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
-	down := false
-	ra, err := New(Config{
-		IA: asA, Key: key(asA), Net: sim,
-		LinkUp: func(ifID uint16) bool { return !down },
-	})
+	ra, err := New(Config{IA: asA, Key: key(asA), Net: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rb, _ := New(Config{IA: asB, Key: key(asB), Net: sim})
 	aAddr, _ := ra.AddInterface(1)
 	bAddr, _ := rb.AddInterface(1)
-	_ = ra.ConnectInterface(1, bAddr)
-	_ = rb.ConnectInterface(1, aAddr)
+	circuit := &stubCircuit{}
+	_ = ra.ConnectInterface(1, bAddr, circuit)
+	_ = rb.ConnectInterface(1, aAddr, nil)
 	defer ra.Close()
 	defer rb.Close()
 
@@ -391,7 +388,7 @@ func TestLinkDownCallback(t *testing.T) {
 	if len(dst.pkts) != 1 {
 		t.Fatal("baseline delivery failed")
 	}
-	down = true
+	circuit.down = true
 	send()
 	if len(dst.pkts) != 1 {
 		t.Fatal("packet crossed downed link")
@@ -456,7 +453,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.ConnectInterface(5, netip.MustParseAddrPort("10.0.0.1:1")); err == nil {
+	if err := r.ConnectInterface(5, netip.MustParseAddrPort("10.0.0.1:1"), nil); err == nil {
 		t.Error("connecting unknown interface accepted")
 	}
 	if _, ok := r.InterfaceAddr(5); ok {

@@ -67,7 +67,7 @@ func (r *fakeRouter) handle(raw []byte, from netip.AddrPort) {
 func testbed(t *testing.T) (*simnet.Sim, *fakeRouter, *Pinger, *Responder) {
 	t.Helper()
 	sim := simnet.NewSim(time.Unix(0, 0))
-	sim.Latency = func(_, _ netip.AddrPort, _ int, _ time.Time) (time.Duration, bool) {
+	sim.Latency = func(_, _ netip.AddrPort, _ int) (time.Duration, bool) {
 		return time.Millisecond, true
 	}
 	rtr := &fakeRouter{t: t, hosts: map[netip.Addr]netip.AddrPort{}, mode: func(*slayers.Packet) routerAction { return forward }}

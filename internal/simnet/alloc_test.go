@@ -12,7 +12,7 @@ import (
 // benchmark so they exercise the identical path.
 func deliveryHarness(tb testing.TB, size int) func() {
 	s := NewSim(time.Unix(0, 0))
-	s.Latency = func(netip.AddrPort, netip.AddrPort, int, time.Time) (time.Duration, bool) {
+	s.Latency = func(netip.AddrPort, netip.AddrPort, int) (time.Duration, bool) {
 		return time.Millisecond, true
 	}
 	recv, err := s.Listen(netip.AddrPort{}, func([]byte, netip.AddrPort) {})

@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"container/heap"
+
+	"sciera/internal/telemetry"
 )
 
 // scheduler is the pending-event priority queue behind a Sim. Delivery
@@ -58,8 +60,10 @@ type calendarScheduler struct {
 	wcount  int   // events resident in the wheel
 
 	// overflow holds events at least one full rotation ahead of the
-	// cursor, as a standard binary heap.
-	overflow eventQueue
+	// cursor, as a standard binary heap; overflowed counts the pushes
+	// that landed there (Sim.RegisterTelemetry exposes it).
+	overflow   eventQueue
+	overflowed telemetry.Counter
 }
 
 const (
@@ -90,6 +94,9 @@ func (c *calendarScheduler) Len() int { return c.wcount + len(c.overflow) }
 
 func (c *calendarScheduler) Push(e *event) {
 	c.insert(e)
+	if e.slot < 0 {
+		c.overflowed.Inc()
+	}
 	if c.wcount > 2*len(c.buckets) {
 		c.resize(2 * len(c.buckets))
 	}
@@ -98,7 +105,7 @@ func (c *calendarScheduler) Push(e *event) {
 // insert places e into the wheel or the overflow heap without
 // triggering a resize.
 func (c *calendarScheduler) insert(e *event) {
-	b := c.bseq(e.at.UnixNano())
+	b := c.bseq(e.at)
 	if b < c.curB {
 		// At or before the cursor (zero-delay send, already-due
 		// timer): clamp into the cursor's bucket; the sorted insert
@@ -119,7 +126,7 @@ func (c *calendarScheduler) insert(e *event) {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		o := bucket[mid]
-		if o.at.Before(e.at) || (o.at.Equal(e.at) && o.seq < e.seq) {
+		if o.before(e) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -139,7 +146,7 @@ func (c *calendarScheduler) insert(e *event) {
 // covers into the wheel.
 func (c *calendarScheduler) migrate() {
 	horizon := c.curB + int64(len(c.buckets))
-	for len(c.overflow) > 0 && c.bseq(c.overflow[0].at.UnixNano()) < horizon {
+	for len(c.overflow) > 0 && c.bseq(c.overflow[0].at) < horizon {
 		c.insert(heap.Pop(&c.overflow).(*event))
 	}
 }
@@ -172,7 +179,7 @@ func (c *calendarScheduler) Pop() *event {
 		// are far out. Serve straight from the heap and jump the
 		// cursor to the popped event's epoch.
 		e := heap.Pop(&c.overflow).(*event)
-		c.curB = c.bseq(e.at.UnixNano())
+		c.curB = c.bseq(e.at)
 		c.migrate()
 		return e
 	}
@@ -232,16 +239,10 @@ func (c *calendarScheduler) resize(n int) {
 	first := true
 	for _, bucket := range c.buckets {
 		for _, e := range bucket {
-			nanos := e.at.UnixNano()
 			if first {
-				lo, hi, first = nanos, nanos, false
+				lo, hi, first = e.at, e.at, false
 			} else {
-				if nanos < lo {
-					lo = nanos
-				}
-				if nanos > hi {
-					hi = nanos
-				}
+				lo, hi = min(lo, e.at), max(hi, e.at)
 			}
 			events = append(events, e)
 		}

@@ -45,6 +45,93 @@ func (h *heapScheduler) Remove(e *event) bool {
 
 func (h *heapScheduler) Len() int { return len(h.q) }
 
+// newTestEvent is the one way a test builds an event: keyed by its
+// virtual time in Unix nanoseconds and its sequence number, the two
+// fields the delivery order reads.
+func newTestEvent(at int64, seq uint64) *event { return &event{at: at, seq: seq} }
+
+// twinSchedulers drives the calendar queue and the heap oracle through
+// the same operations and fails at the first disagreement. Both
+// schedulers keep position fields on the event, so each gets its own
+// copy of every logical event.
+type twinSchedulers struct {
+	tb      testing.TB
+	hp, cal scheduler
+	seq     uint64
+	pending []twinEvent
+	where   map[*event]int // heap twin -> its index in pending
+	now     int64          // the latest time popped so far
+	popped  int
+}
+
+type twinEvent struct{ h, c *event }
+
+func newTwinSchedulers(tb testing.TB) *twinSchedulers {
+	return &twinSchedulers{tb: tb, hp: &heapScheduler{}, cal: newCalendarScheduler(), where: map[*event]int{}}
+}
+
+func (w *twinSchedulers) push(at int64) {
+	eh, ec := newTestEvent(at, w.seq), newTestEvent(at, w.seq)
+	w.seq++
+	w.hp.Push(eh)
+	w.cal.Push(ec)
+	w.where[eh] = len(w.pending)
+	w.pending = append(w.pending, twinEvent{eh, ec})
+	w.checkLen()
+}
+
+// remove cancels the i-th pending event in both schedulers.
+func (w *twinSchedulers) remove(i int) {
+	tw := w.pending[i]
+	if gh, gc := w.hp.Remove(tw.h), w.cal.Remove(tw.c); gh != gc {
+		w.tb.Fatalf("Remove disagreement heap=%v calendar=%v", gh, gc)
+	}
+	w.forget(i)
+	w.checkLen()
+}
+
+// pop pops both schedulers and reports whether they were non-empty.
+func (w *twinSchedulers) pop() bool {
+	eh, ec := w.hp.Pop(), w.cal.Pop()
+	if (eh == nil) != (ec == nil) {
+		w.tb.Fatalf("pop emptiness disagreement heap=%v calendar=%v", eh, ec)
+	}
+	if eh == nil {
+		return false
+	}
+	if eh.at != ec.at || eh.seq != ec.seq {
+		w.tb.Fatalf("pop %d: order diverged: heap=(%d,%d) calendar=(%d,%d)",
+			w.popped, eh.at, eh.seq, ec.at, ec.seq)
+	}
+	w.now = max(w.now, eh.at)
+	w.popped++
+	w.forget(w.where[eh])
+	w.checkLen()
+	return true
+}
+
+// drain pops until both are empty: the tails must match too.
+func (w *twinSchedulers) drain() {
+	for w.pop() {
+	}
+}
+
+func (w *twinSchedulers) forget(i int) {
+	delete(w.where, w.pending[i].h)
+	last := len(w.pending) - 1
+	if i != last {
+		w.pending[i] = w.pending[last]
+		w.where[w.pending[i].h] = i
+	}
+	w.pending = w.pending[:last]
+}
+
+func (w *twinSchedulers) checkLen() {
+	if w.hp.Len() != w.cal.Len() {
+		w.tb.Fatalf("Len disagreement heap=%d calendar=%d", w.hp.Len(), w.cal.Len())
+	}
+}
+
 // TestSchedulerEquivalence property-checks the calendar queue against
 // the binary heap at the scheduler level: the same randomized (seeded)
 // sequence of pushes, cancels and pops — duplicate timestamps,
@@ -56,105 +143,92 @@ func TestSchedulerEquivalence(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			var hp, cal scheduler = &heapScheduler{}, newCalendarScheduler()
-
-			base := time.Unix(0, 0)
-			var seq uint64
-			// pending holds twin events currently in both queues; the
-			// two schedulers maintain position fields on the event, so
-			// each gets its own copy of every logical event.
-			type twin struct{ h, c *event }
-			var pending []twin
-
-			now := base
-			push := func(at time.Time) {
-				eh := &event{at: at, seq: seq}
-				ec := &event{at: at, seq: seq}
-				seq++
-				hp.Push(eh)
-				cal.Push(ec)
-				pending = append(pending, twin{eh, ec})
-			}
-			randomAt := func() time.Time {
+			w := newTwinSchedulers(t)
+			randomAt := func() int64 {
 				switch rng.Intn(10) {
 				case 0: // at or before the cursor (zero-delay send)
-					return now
+					return w.now
 				case 1: // far future: exercises the overflow heap
-					return now.Add(time.Duration(1+rng.Int63n(1e12)) * time.Nanosecond)
+					return w.now + 1 + rng.Int63n(1e12)
 				case 2: // duplicate an existing pending timestamp
-					if len(pending) > 0 {
-						return pending[rng.Intn(len(pending))].h.at
+					if len(w.pending) > 0 {
+						return w.pending[rng.Intn(len(w.pending))].h.at
 					}
 					fallthrough
 				default: // near future
-					return now.Add(time.Duration(rng.Int63n(5e6)) * time.Nanosecond)
+					return w.now + rng.Int63n(5e6)
 				}
 			}
-
-			var popped int
 			for op := 0; op < 60000; op++ {
 				switch r := rng.Intn(100); {
-				case r < 55: // push
-					push(randomAt())
-				case r < 60 && len(pending) > 0: // cancel a random pending event
-					i := rng.Intn(len(pending))
-					tw := pending[i]
-					gh := hp.Remove(tw.h)
-					gc := cal.Remove(tw.c)
-					if gh != gc {
-						t.Fatalf("op %d: Remove disagreement heap=%v calendar=%v", op, gh, gc)
-					}
-					pending[i] = pending[len(pending)-1]
-					pending = pending[:len(pending)-1]
-				default: // pop
-					eh := hp.Pop()
-					ec := cal.Pop()
-					if (eh == nil) != (ec == nil) {
-						t.Fatalf("op %d: pop emptiness disagreement heap=%v calendar=%v", op, eh, ec)
-					}
-					if eh == nil {
-						continue
-					}
-					if !eh.at.Equal(ec.at) || eh.seq != ec.seq {
-						t.Fatalf("op %d: pop order diverged: heap=(%v,%d) calendar=(%v,%d)",
-							op, eh.at, eh.seq, ec.at, ec.seq)
-					}
-					if eh.at.After(now) {
-						now = eh.at
-					}
-					popped++
-					for i, tw := range pending {
-						if tw.h == eh {
-							pending[i] = pending[len(pending)-1]
-							pending = pending[:len(pending)-1]
-							break
-						}
-					}
-				}
-				if hp.Len() != cal.Len() {
-					t.Fatalf("op %d: Len disagreement heap=%d calendar=%d", op, hp.Len(), cal.Len())
+				case r < 55:
+					w.push(randomAt())
+				case r < 60 && len(w.pending) > 0:
+					w.remove(rng.Intn(len(w.pending)))
+				default:
+					w.pop()
 				}
 			}
-			// Drain completely: the tails must match too.
-			for {
-				eh, ec := hp.Pop(), cal.Pop()
-				if (eh == nil) != (ec == nil) {
-					t.Fatalf("drain: emptiness disagreement")
-				}
-				if eh == nil {
-					break
-				}
-				if !eh.at.Equal(ec.at) || eh.seq != ec.seq {
-					t.Fatalf("drain: order diverged: heap=(%v,%d) calendar=(%v,%d)",
-						eh.at, eh.seq, ec.at, ec.seq)
-				}
-				popped++
-			}
-			if popped == 0 {
+			w.drain()
+			if w.popped == 0 {
 				t.Fatal("degenerate run: nothing popped")
 			}
 		})
 	}
+}
+
+// FuzzSchedulerEquivalence runs arbitrary push, pop and cancel
+// sequences through the calendar queue and the heap and requires the
+// same pops in the same order. Each op is a byte, some followed by an
+// argument: equal-time ties (at the latest pop, or at a pending
+// event's time), near-future times, raw 64-bit times scaled into
+// ±2^60 ns (negative and far-future ones), and bursts long enough to
+// grow and shrink the wheel.
+func FuzzSchedulerEquivalence(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 1, 0, 4, 4})
+	f.Add([]byte{6, 200, 3, 7, 100, 5, 9, 4, 4, 7, 255, 4})
+	f.Add([]byte{3, 0x80, 0, 0, 0, 0, 0, 0, 1, 3, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 4, 2, 1, 0, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := newTwinSchedulers(t)
+		arg := func(n int) uint64 { // the next n bytes, big-endian
+			var v uint64
+			for ; n > 0 && len(data) > 0; n-- {
+				v, data = v<<8|uint64(data[0]), data[1:]
+			}
+			return v
+		}
+		for len(data) > 0 {
+			op := data[0] % 8
+			data = data[1:]
+			switch op {
+			case 0: // tie with the latest pop
+				w.push(w.now)
+			case 1: // tie with a pending event
+				if i := int(arg(1)); len(w.pending) > 0 {
+					w.push(w.pending[i%len(w.pending)].h.at)
+				}
+			case 2: // near future, up to ~65 ms out
+				w.push(w.now + int64(arg(2))*1000)
+			case 3: // anywhere in ±2^60 ns
+				w.push(int64(arg(8)) >> 3)
+			case 4:
+				w.pop()
+			case 5: // cancel
+				if i := int(arg(1)); len(w.pending) > 0 {
+					w.remove(i % len(w.pending))
+				}
+			case 6: // burst: 4n events, evenly spaced
+				n, step := 4*int(arg(1)), int64(arg(1))*10_000
+				for j := 0; j < n; j++ {
+					w.push(w.now + int64(j)*step)
+				}
+			case 7: // 4n pops
+				for n := 4 * int(arg(1)); n > 0 && w.pop(); n-- {
+				}
+			}
+		}
+		w.drain()
+	})
 }
 
 // simTranscript runs a small but adversarial network workload — mixed
@@ -167,7 +241,7 @@ func simTranscript(t *testing.T, events scheduler) []string {
 	s.events = events
 	// Deterministic pseudo-latency: spreads deliveries over microseconds
 	// to days, with duplicates (same delay for every 5th size).
-	s.Latency = func(from, to netip.AddrPort, size int, now time.Time) (time.Duration, bool) {
+	s.Latency = func(from, to netip.AddrPort, size int) (time.Duration, bool) {
 		if size%13 == 0 {
 			return 0, false // loss
 		}
@@ -258,9 +332,9 @@ func TestCalendarSchedulerZeroAlloc(t *testing.T) {
 	c := newCalendarScheduler()
 	const population = 8192
 	events := make([]*event, population)
-	base := time.Unix(0, 0)
+	const period = population * 31 * int64(time.Microsecond)
 	for i := range events {
-		events[i] = &event{at: base.Add(time.Duration(i*31) * time.Microsecond), seq: uint64(i)}
+		events[i] = newTestEvent(int64(i*31)*int64(time.Microsecond), uint64(i))
 		c.Push(events[i])
 	}
 	seq := uint64(population)
@@ -268,14 +342,14 @@ func TestCalendarSchedulerZeroAlloc(t *testing.T) {
 	// and the resize geometry reach steady state.
 	for i := 0; i < 4*population; i++ {
 		e := c.Pop()
-		e.at = e.at.Add(population * 31 * time.Microsecond)
+		e.at += period
 		e.seq = seq
 		seq++
 		c.Push(e)
 	}
 	step := func() {
 		e := c.Pop()
-		e.at = e.at.Add(population * 31 * time.Microsecond)
+		e.at += period
 		e.seq = seq
 		seq++
 		c.Push(e)
@@ -300,19 +374,18 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 		for _, population := range []int{1024, 65536, 1048576} {
 			b.Run(fmt.Sprintf("%v/pending=%d", kind.name, population), func(b *testing.B) {
 				s := kind.new()
-				base := time.Unix(0, 0)
 				rng := rand.New(rand.NewSource(1))
 				var seq uint64
 				for i := 0; i < population; i++ {
-					s.Push(&event{at: base.Add(time.Duration(rng.Int63n(1e9))), seq: seq})
+					s.Push(newTestEvent(rng.Int63n(1e9), seq))
 					seq++
 				}
-				span := time.Duration(1e9)
+				const span = int64(1e9)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					e := s.Pop()
-					e.at = e.at.Add(span)
+					e.at += span
 					e.seq = seq
 					seq++
 					s.Push(e)

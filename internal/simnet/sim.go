@@ -14,8 +14,16 @@ import (
 // LatencyFunc decides delivery for a datagram: the one-way delay and
 // whether to deliver at all (false models loss or a severed link).
 // It runs inside the simulator's lock; implementations must not call
-// back into the Sim (the current virtual time is passed in).
-type LatencyFunc func(from, to netip.AddrPort, size int, now time.Time) (time.Duration, bool)
+// back into the Sim.
+type LatencyFunc func(from, to netip.AddrPort, size int) (time.Duration, bool)
+
+// Wire is the delay model of one direction of a point-to-point circuit,
+// bound to the sending conn with BindWire: Delay decides a datagram of
+// size bytes sent at now (Unix nanoseconds) as a LatencyFunc would,
+// inside the simulator's lock under the same rules.
+type Wire interface {
+	Delay(size int, now int64) (time.Duration, bool)
+}
 
 // Sim is a single-threaded discrete-event network. All handlers and
 // timers run inside Run/RunFor/Wait on the caller's goroutine (one
@@ -34,8 +42,8 @@ type LatencyFunc func(from, to netip.AddrPort, size int, now time.Time) (time.Du
 // returns, so a handler must copy anything it retains. Sim implements
 // Network.
 type Sim struct {
-	// Latency decides per-datagram delay and delivery; nil delivers
-	// everything instantly.
+	// Latency decides per-datagram delay and delivery for every send
+	// that no wire decides (see BindWire); nil delivers instantly.
 	Latency LatencyFunc
 
 	mu sync.Mutex
@@ -47,11 +55,14 @@ type Sim struct {
 	// events executed over the simulation's lifetime.
 	peakPending int
 	processed   uint64
-	now         time.Time
-	seq         uint64
-	handlers    map[netip.AddrPort]binding
-	nextHost    uint32
-	nextPort    map[netip.Addr]uint16
+	// now is the virtual clock in Unix nanoseconds, the scheduler's
+	// ordering key; Now() presents it as start's location and clock.
+	start    time.Time
+	now      int64
+	seq      uint64
+	handlers map[netip.AddrPort]*simConn
+	nextHost uint32
+	nextPort map[netip.Addr]uint16
 	// delivered/dropped/inflight are telemetry cells (atomic, so they
 	// are also readable outside s.mu); RegisterTelemetry exposes them.
 	delivered telemetry.Counter
@@ -80,18 +91,13 @@ type Sim struct {
 	inEvent bool
 }
 
-// binding is one attached listener: exactly one of h/bh is set.
-type binding struct {
-	h  Handler
-	bh BatchHandler
-}
-
 // NewSim creates a simulator starting at the given time.
 func NewSim(start time.Time) *Sim {
 	return &Sim{
-		now:      start,
+		start:    start,
+		now:      start.UnixNano(),
 		events:   newCalendarScheduler(),
-		handlers: make(map[netip.AddrPort]binding),
+		handlers: make(map[netip.AddrPort]*simConn),
 		nextHost: 1,
 		nextPort: make(map[netip.Addr]uint16),
 	}
@@ -102,7 +108,7 @@ func NewSim(start time.Time) *Sim {
 // time — one queue entry, one pop and one handler resolution however
 // long the run. A lone datagram is a run of one.
 type event struct {
-	at  time.Time
+	at  int64 // Unix nanoseconds
 	seq uint64
 	fn  func()
 	// pkts holds the simulator-owned copies of the run's datagrams;
@@ -134,15 +140,15 @@ func (e *event) appendPkt(pkt []byte) {
 	e.pkts[i] = append(e.pkts[i][:0], pkt...)
 }
 
+// before is the delivery order: (at, seq), lexicographically.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
-	}
-	return q[i].seq < q[j].seq
-}
+func (q eventQueue) Len() int            { return len(q) }
+func (q eventQueue) Less(i, j int) bool  { return q[i].before(q[j]) }
 func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i]; q[i].idx, q[j].idx = i, j }
 func (q *eventQueue) Push(x interface{}) { e := x.(*event); e.idx = len(*q); *q = append(*q, e) }
 func (q *eventQueue) Pop() interface{} {
@@ -188,17 +194,17 @@ func (s *Sim) allocAddrLocked() netip.Addr {
 
 // Listen implements Network.
 func (s *Sim) Listen(preferred netip.AddrPort, h Handler) (Conn, error) {
-	return s.listen(preferred, binding{h: h})
+	return s.listen(preferred, h, nil)
 }
 
 // ListenBatch implements Network. Deliveries to a batch-bound address
 // that are consecutive in (timestamp, seq) order are coalesced into one
 // handler call (see deliverRun).
 func (s *Sim) ListenBatch(preferred netip.AddrPort, h BatchHandler) (Conn, error) {
-	return s.listen(preferred, binding{bh: h})
+	return s.listen(preferred, nil, h)
 }
 
-func (s *Sim) listen(preferred netip.AddrPort, b binding) (Conn, error) {
+func (s *Sim) listen(preferred netip.AddrPort, h Handler, bh BatchHandler) (Conn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	a := preferred
@@ -217,8 +223,23 @@ func (s *Sim) listen(preferred netip.AddrPort, b binding) (Conn, error) {
 	if _, used := s.handlers[a]; used {
 		return nil, fmt.Errorf("%w: %v", ErrAddrInUse, a)
 	}
-	s.handlers[a] = b
-	return &simConn{sim: s, addr: a}, nil
+	c := &simConn{sim: s, addr: a, h: h, bh: bh}
+	s.handlers[a] = c
+	return c, nil
+}
+
+// BindWire binds the conn listening at from to its peer: from then on,
+// datagrams it sends to peer are delayed by w, and Latency decides only
+// its other sends. A circuit is resolved once, here, never per packet.
+func (s *Sim) BindWire(from, peer netip.AddrPort, w Wire) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, ok := s.handlers[from]
+	if !ok {
+		return fmt.Errorf("simnet: BindWire: nothing listens at %v", from)
+	}
+	c.peer, c.wire = peer, w
+	return nil
 }
 
 // allocPortLocked scans the ephemeral range (30001-65535) for a free
@@ -247,7 +268,7 @@ func (s *Sim) allocPortLocked(addr netip.Addr) (uint16, error) {
 func (s *Sim) Now() time.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.now
+	return s.start.Add(time.Duration(s.now - s.start.UnixNano()))
 }
 
 // AfterFunc implements Network. Cancelling removes the timer from the
@@ -258,7 +279,7 @@ func (s *Sim) Now() time.Time {
 func (s *Sim) AfterFunc(d time.Duration, f func()) func() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.scheduleLocked(s.now.Add(d), f)
+	e := s.scheduleLocked(s.now+int64(d), f)
 	return func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -270,7 +291,7 @@ func (s *Sim) AfterFunc(d time.Duration, f func()) func() {
 	}
 }
 
-func (s *Sim) scheduleLocked(at time.Time, f func()) *event {
+func (s *Sim) scheduleLocked(at int64, f func()) *event {
 	e := &event{at: at, seq: s.seq, fn: f}
 	s.seq++
 	s.pushLocked(e)
@@ -286,9 +307,15 @@ func (s *Sim) pushLocked(e *event) {
 	}
 }
 
+// simConn is one attached listener: exactly one of h/bh is set, except
+// for a send-only conn. peer and wire are set by BindWire.
 type simConn struct {
 	sim  *Sim
 	addr netip.AddrPort
+	h    Handler
+	bh   BatchHandler
+	peer netip.AddrPort
+	wire Wire
 	// closed is guarded by sim.mu — the same lock under which sends are
 	// scheduled — so a Send racing Close either schedules entirely
 	// before the close or deterministically returns ErrClosed after it;
@@ -323,13 +350,13 @@ func (c *simConn) SendBatch(pkts [][]byte, dests []netip.AddrPort) error {
 		n := 1
 		if to.Addr() == BroadcastAddr {
 			for _, l := range s.listenersLocked(c.addr, to.Port()) {
-				s.deliverLocked(c.addr, l, pkts[i:i+1])
+				s.deliverLocked(c, l, pkts[i:i+1])
 			}
 		} else {
 			for i+n < len(pkts) && dests[i+n] == to {
 				n++
 			}
-			s.deliverLocked(c.addr, to, pkts[i:i+n])
+			s.deliverLocked(c, to, pkts[i:i+n])
 		}
 		i += n
 	}
@@ -338,27 +365,35 @@ func (c *simConn) SendBatch(pkts [][]byte, dests []netip.AddrPort) error {
 
 // deliverLocked schedules datagrams from one sender to one destination,
 // copying each into a pooled buffer (the sender keeps ownership of its
-// own). Consecutive datagrams with one delivery time go into one
-// delivery event; a run ends exactly where scheduling each datagram on
-// its own would have produced a different delivery time (a busy capped
-// wire spaces packets out), so execution order — and therefore every
-// downstream observation — is that of one event per datagram. A lost
-// datagram is silent, and the run continues either side of it. This is
-// the only place a datagram is scheduled; the caller holds s.mu.
-func (s *Sim) deliverLocked(from, to netip.AddrPort, pkts [][]byte) {
+// own). One rule decides the delay: the sender's wire when to is its
+// bound peer, Latency otherwise. Consecutive datagrams with one
+// delivery time go into one delivery event; a run ends exactly where
+// scheduling each datagram on its own would have produced a different
+// delivery time (a busy capped wire spaces packets out), so execution
+// order — and therefore every downstream observation — is that of one
+// event per datagram. A lost datagram is silent, and the run continues
+// either side of it. This is the only place a datagram is scheduled;
+// the caller holds s.mu.
+func (s *Sim) deliverLocked(from *simConn, to netip.AddrPort, pkts [][]byte) {
+	var wire Wire
+	if to == from.peer {
+		wire = from.wire
+	}
 	var run *event
 	for _, pkt := range pkts {
 		delay := time.Duration(0)
 		deliver := true
-		if s.Latency != nil {
-			delay, deliver = s.Latency(from, to, len(pkt), s.now)
+		if wire != nil {
+			delay, deliver = wire.Delay(len(pkt), s.now)
+		} else if s.Latency != nil {
+			delay, deliver = s.Latency(from.addr, to, len(pkt))
 		}
 		if !deliver {
 			s.dropped.Inc()
 			continue
 		}
-		at := s.now.Add(delay)
-		if run == nil || !at.Equal(run.at) {
+		at := s.now + int64(delay)
+		if run == nil || at != run.at {
 			if n := len(s.free); n > 0 {
 				run, s.free = s.free[n-1], s.free[:n-1]
 			} else {
@@ -369,7 +404,7 @@ func (s *Sim) deliverLocked(from, to netip.AddrPort, pkts [][]byte) {
 			run.seq = s.seq
 			s.seq++
 			run.pkts = run.pkts[:0]
-			run.from, run.to = from, to
+			run.from, run.to = from.addr, to
 			s.pushLocked(run)
 		}
 		run.appendPkt(pkt)
@@ -456,13 +491,17 @@ func (s *Sim) Step() bool {
 // Stats() conserves them. Called with s.mu held; unlocks before the
 // handler.
 func (s *Sim) deliverRun(e *event) {
-	b := s.handlers[e.to]
+	var h Handler
+	var bh BatchHandler
+	if c := s.handlers[e.to]; c != nil {
+		h, bh = c.h, c.bh
+	}
 	n := len(e.pkts)
 	more := s.batchEvs[:0]
-	if b.bh != nil {
+	if bh != nil {
 		for {
 			top := s.events.Peek()
-			if top == nil || top.fn != nil || top.to != e.to || !top.at.Equal(e.at) {
+			if top == nil || top.fn != nil || top.to != e.to || top.at != e.at {
 				break
 			}
 			more = append(more, s.events.Pop())
@@ -470,14 +509,14 @@ func (s *Sim) deliverRun(e *event) {
 		}
 	}
 	s.inflight.Add(-int64(n))
-	if b.bh == nil && b.h == nil {
+	if bh == nil && h == nil {
 		s.dropped.Add(uint64(n))
 	} else {
 		s.delivered.Add(uint64(n))
 	}
 	s.mu.Unlock()
 	switch {
-	case b.bh != nil:
+	case bh != nil:
 		pkts, froms := append(s.batchPkts[:0], e.pkts...), s.batchFrom[:0]
 		for range e.pkts {
 			froms = append(froms, e.from)
@@ -488,11 +527,11 @@ func (s *Sim) deliverRun(e *event) {
 				froms = append(froms, ev.from)
 			}
 		}
-		b.bh(pkts, froms)
+		bh(pkts, froms)
 		s.batchPkts, s.batchFrom = pkts[:0], froms[:0]
-	case b.h != nil:
+	case h != nil:
 		for _, pkt := range e.pkts {
-			b.h(pkt, e.from)
+			h(pkt, e.from)
 		}
 	}
 	// The handler has returned and must not have retained any buffer;
@@ -514,12 +553,11 @@ func (s *Sim) Run() {
 // RunUntil executes events with timestamps <= deadline and advances the
 // clock to the deadline.
 func (s *Sim) RunUntil(deadline time.Time) {
+	dl := deadline.UnixNano()
 	for {
 		s.mu.Lock()
-		if top := s.events.Peek(); top == nil || top.at.After(deadline) {
-			if s.now.Before(deadline) {
-				s.now = deadline
-			}
+		if top := s.events.Peek(); top == nil || top.at > dl {
+			s.now = max(s.now, dl)
 			s.mu.Unlock()
 			return
 		}
@@ -599,4 +637,7 @@ func (s *Sim) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.RegisterCounter("sciera_simnet_delivered_total", "datagrams delivered to a handler", &s.delivered)
 	reg.RegisterCounter("sciera_simnet_dropped_total", "datagrams lost to latency suppression or closed conns", &s.dropped)
 	reg.RegisterGauge("sciera_simnet_inflight", "datagrams scheduled but not yet delivered", &s.inflight)
+	if c, ok := s.events.(*calendarScheduler); ok {
+		reg.RegisterCounter("sciera_simnet_overflow_total", "events pushed beyond the calendar's horizon, into its overflow heap", &c.overflowed)
+	}
 }

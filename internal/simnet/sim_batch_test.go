@@ -130,7 +130,7 @@ func batchParityCampaign(t *testing.T, batched bool) string {
 	t.Helper()
 	s := NewSim(time.Unix(0, 0))
 	jitter := 0
-	s.Latency = func(from, to netip.AddrPort, size int, _ time.Time) (time.Duration, bool) {
+	s.Latency = func(from, to netip.AddrPort, size int) (time.Duration, bool) {
 		jitter = (jitter*31 + size) % 3
 		return time.Duration(jitter) * time.Millisecond, true
 	}
@@ -266,7 +266,7 @@ func TestCancelledTimersRemovedFromHeap(t *testing.T) {
 // the coalesced delivery.
 func batchDeliveryHarness(tb testing.TB, size, batchSize int) func() {
 	s := NewSim(time.Unix(0, 0))
-	s.Latency = func(netip.AddrPort, netip.AddrPort, int, time.Time) (time.Duration, bool) {
+	s.Latency = func(netip.AddrPort, netip.AddrPort, int) (time.Duration, bool) {
 		return time.Millisecond, true
 	}
 	var got int

@@ -19,7 +19,7 @@ func broadcastCampaign(t *testing.T, seed int64) string {
 	t.Helper()
 	s := NewSim(time.Unix(0, 0))
 	rng := rand.New(rand.NewSource(seed))
-	s.Latency = func(from, to netip.AddrPort, size int, _ time.Time) (time.Duration, bool) {
+	s.Latency = func(from, to netip.AddrPort, size int) (time.Duration, bool) {
 		// Deterministic pseudo-random per-packet jitter: the delay stream
 		// depends only on the seed and the (sorted) scheduling order.
 		return time.Duration(rng.Intn(20)) * time.Millisecond, true
@@ -130,7 +130,7 @@ func TestEphemeralPortExhaustion(t *testing.T) {
 // so Stats() conserves datagrams (delivered + dropped == sent).
 func TestCloseBeforeDeliveryCountsDropped(t *testing.T) {
 	s := NewSim(time.Unix(0, 0))
-	s.Latency = func(_, _ netip.AddrPort, _ int, _ time.Time) (time.Duration, bool) {
+	s.Latency = func(_, _ netip.AddrPort, _ int) (time.Duration, bool) {
 		return 10 * time.Millisecond, true
 	}
 	var got int

@@ -12,6 +12,13 @@
 // daemons, bootstrappers, applications) is written against the Network
 // interface and runs unmodified on either transport.
 //
+// # Delay
+//
+// A send's delay is decided by one rule: a conn bound to its peer with
+// Sim.BindWire — a point-to-point circuit, resolved once when it is
+// wired — is delayed by its Wire when it sends to that peer; every
+// other send is delayed by Sim.Latency.
+//
 // # Buffer ownership
 //
 // Both transports enforce the same zero-copy-friendly contract:
@@ -35,7 +42,8 @@
 // Sim is fully deterministic: given the same construction parameters
 // and the same sequence of calls, two simulations execute the same
 // events at the same virtual times in the same order. Delivery order is
-// decided by (timestamp, sequence number) alone, and sequence numbers
+// decided by (timestamp, sequence number) alone — the timestamp an
+// int64 of Unix nanoseconds, compared as an integer — and sequence numbers
 // are assigned in a run-independent way — in particular, broadcast
 // fan-out sorts its destination set before scheduling rather than
 // iterating a Go map.

@@ -10,7 +10,7 @@ import (
 func TestSimDeliveryOrderAndClock(t *testing.T) {
 	start := time.Unix(0, 0)
 	s := NewSim(start)
-	s.Latency = func(from, to netip.AddrPort, size int, _ time.Time) (time.Duration, bool) {
+	s.Latency = func(from, to netip.AddrPort, size int) (time.Duration, bool) {
 		return 10 * time.Millisecond, true
 	}
 
@@ -50,7 +50,7 @@ func TestSimDeliveryOrderAndClock(t *testing.T) {
 
 func TestSimLoss(t *testing.T) {
 	s := NewSim(time.Unix(0, 0))
-	s.Latency = func(from, to netip.AddrPort, size int, _ time.Time) (time.Duration, bool) {
+	s.Latency = func(from, to netip.AddrPort, size int) (time.Duration, bool) {
 		return 0, false // drop everything
 	}
 	var n int
@@ -99,7 +99,7 @@ func TestSimRunUntilStopsAtDeadline(t *testing.T) {
 func TestSimNestedSends(t *testing.T) {
 	// A handler that replies: request/response over the simulator.
 	s := NewSim(time.Unix(0, 0))
-	s.Latency = func(_, _ netip.AddrPort, _ int, _ time.Time) (time.Duration, bool) {
+	s.Latency = func(_, _ netip.AddrPort, _ int) (time.Duration, bool) {
 		return 25 * time.Millisecond, true
 	}
 	var serverConn, clientConn Conn
@@ -233,5 +233,55 @@ func TestUDPNetPreferredPort(t *testing.T) {
 	got := c.LocalAddr()
 	if got.Port() == 0 || !got.Addr().IsLoopback() {
 		t.Errorf("local addr = %v", got)
+	}
+}
+
+// fixedWire delays by a constant and counts what it decided.
+type fixedWire struct {
+	d     time.Duration
+	calls int
+}
+
+func (w *fixedWire) Delay(int, int64) (time.Duration, bool) { w.calls++; return w.d, true }
+
+// TestBindWireDecidesPeerSends: a bound conn's sends to its peer take
+// the wire's delay, and every other send — to another destination, or
+// from the peer back — takes Latency. Now keeps the start's location.
+func TestBindWireDecidesPeerSends(t *testing.T) {
+	start := time.Date(2024, 1, 25, 12, 0, 0, 0, time.FixedZone("X", 3600))
+	s := NewSim(start)
+	s.Latency = func(netip.AddrPort, netip.AddrPort, int) (time.Duration, bool) {
+		return time.Millisecond, true
+	}
+	at := map[string]time.Time{}
+	mk := func(name string) Conn {
+		c, err := s.Listen(netip.AddrPort{}, func(pkt []byte, _ netip.AddrPort) { at[name+string(pkt)] = s.Now() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	a, b, c := mk("a"), mk("b"), mk("c")
+	w := &fixedWire{d: 7 * time.Millisecond}
+	if err := s.BindWire(a.LocalAddr(), b.LocalAddr(), w); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BindWire(netip.MustParseAddrPort("10.9.9.9:1"), b.LocalAddr(), w); err == nil {
+		t.Error("BindWire on an address nothing listens at succeeded")
+	}
+	_ = a.SendBatch([][]byte{{1}, {2}}, []netip.AddrPort{b.LocalAddr(), b.LocalAddr()})
+	_ = a.Send([]byte{3}, c.LocalAddr())
+	_ = b.Send([]byte{4}, a.LocalAddr())
+	s.Run()
+	for key, want := range map[string]time.Duration{
+		"b\x01": 7 * time.Millisecond, "b\x02": 7 * time.Millisecond,
+		"c\x03": time.Millisecond, "a\x04": time.Millisecond,
+	} {
+		if got := at[key]; got != start.Add(want) {
+			t.Errorf("%q delivered at %v, want %v", key, got, start.Add(want))
+		}
+	}
+	if w.calls != 2 {
+		t.Errorf("wire decided %d datagrams, want 2", w.calls)
 	}
 }

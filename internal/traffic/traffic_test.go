@@ -175,8 +175,8 @@ func TestEngineIncompleteFlowsOnLoss(t *testing.T) {
 	n, sim := testNet(t)
 	inner := sim.Latency
 	drop := 0
-	sim.Latency = func(from, to netip.AddrPort, size int, now time.Time) (time.Duration, bool) {
-		d, ok := inner(from, to, size, now)
+	sim.Latency = func(from, to netip.AddrPort, size int) (time.Duration, bool) {
+		d, ok := inner(from, to, size)
 		if ok && size > 100 {
 			drop++
 			if drop%7 == 0 {
