@@ -134,7 +134,9 @@ bench-smoke:
 # to bytes that decode again; the router's forwarding rules (decide) on
 # arbitrary path bytes: no panic, one header one verdict, no pass with a
 # MAC or SegID bit flipped, the decision and patched bytes of the
-# decoded-packet oracle; and the scenario loader (seeded in code from
+# decoded-packet oracle; the call correlator (simnet.Calls) against a
+# map oracle: every call resolves exactly once, no live id is handed
+# out twice; and the scenario loader (seeded in code from
 # scenarios/sciera.json, a small generated scenario and the validation
 # table's rejected rows): no panic, what loads dumps to a fixed point
 # and its builders return. The 30 KB seed would spend the default minute
@@ -150,6 +152,7 @@ fuzz-smoke:
 	$(GO) test ./internal/beacon -run '^$$' -fuzz '^FuzzRefreshAfterFlaps$$' -fuzztime 3s
 	$(GO) test ./internal/router -run '^$$' -fuzz '^FuzzDecide$$' -fuzztime 3s
 	$(GO) test ./internal/simnet -run '^$$' -fuzz '^FuzzSchedulerEquivalence$$' -fuzztime 3s
+	$(GO) test ./internal/simnet -run '^$$' -fuzz '^FuzzCalls$$' -fuzztime 3s
 	$(GO) test ./internal/bootstrap -run '^$$' -fuzz '^FuzzBootstrapWire$$' -fuzztime 3s
 	$(GO) test ./internal/dns -run '^$$' -fuzz '^FuzzDNSDecode$$' -fuzztime 3s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzLoadScenario$$' -fuzztime 3s -fuzzminimizetime 20x

@@ -686,7 +686,6 @@ func BenchmarkMultipingRound(b *testing.B) {
 			Interval: time.Minute,
 			Duration: time.Minute,
 			IPRTT:    ipRTT,
-			Seed:     int64(i),
 		})
 		if err != nil {
 			b.Fatal(err)

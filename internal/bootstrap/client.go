@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"sciera/internal/cppki"
@@ -93,12 +92,18 @@ type Client struct {
 	// (out-of-band trust). Default false.
 	AllowUnsigned bool
 
-	net  simnet.Network
-	conn simnet.Conn
+	net   simnet.Network
+	conn  simnet.Conn
+	calls *simnet.Calls[request]
+}
 
-	mu      sync.Mutex
-	nextXID uint32
-	waiters map[uint32]func([]byte)
+// request is one outstanding exchange: its id is the request's
+// DHCP/DHCPv6 XID or DNS ID, and match accepts the datagram that
+// answers it.
+type request struct {
+	target netip.AddrPort
+	match  func(pkt []byte, id uint16) bool
+	cb     func([]byte, error)
 }
 
 // NewClient attaches a client at the given local address (zero for
@@ -108,7 +113,10 @@ func NewClient(net simnet.Network, local netip.AddrPort, env Env) (*Client, erro
 		Env:     env,
 		Timeout: time.Second,
 		net:     net,
-		waiters: make(map[uint32]func([]byte)),
+		// 16 bits: a DNS ID is the narrowest id field a request carries.
+		calls: simnet.NewCalls(net, 16, func(_ uint64, x request) {
+			x.cb(nil, fmt.Errorf("bootstrap: exchange with %v timed out", x.target))
+		}),
 	}
 	conn, err := net.Listen(local, c.handle)
 	if err != nil {
@@ -121,55 +129,34 @@ func NewClient(net simnet.Network, local netip.AddrPort, env Env) (*Client, erro
 // Close releases the client socket.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// handle dispatches every inbound datagram to all registered waiters;
-// each waiter decides whether the datagram answers its exchange.
+// handle hands an inbound datagram to the oldest exchange it answers.
 func (c *Client) handle(pkt []byte, _ netip.AddrPort) {
-	c.mu.Lock()
-	ws := make([]func([]byte), 0, len(c.waiters))
-	for _, w := range c.waiters {
-		ws = append(ws, w)
-	}
-	c.mu.Unlock()
-	for _, w := range ws {
-		w(pkt)
+	if x, ok := c.calls.TakeFirst(func(id uint64, x request) bool { return x.match(pkt, uint16(id)) }); ok {
+		x.cb(pkt, nil)
 	}
 }
 
-// exchange sends req to target and calls cb with the first datagram
-// accepted by match, or an error on timeout. cb fires exactly once.
-func (c *Client) exchange(req []byte, target netip.AddrPort, match func([]byte) bool, cb func([]byte, error)) {
-	c.mu.Lock()
-	c.nextXID++
-	id := c.nextXID
-	var once sync.Once
-	var cancel func() // set and read under c.mu
-	fire := func(pkt []byte, err error) {
-		once.Do(func() {
-			c.mu.Lock()
-			delete(c.waiters, id)
-			disarm := cancel
-			c.mu.Unlock()
-			if disarm != nil {
-				disarm()
-			}
-			cb(pkt, err)
-		})
-	}
-	c.waiters[id] = func(pkt []byte) {
-		if match(pkt) {
-			fire(pkt, nil)
-		}
-	}
+// exchange sends target the request build makes for the call's id and
+// calls cb exactly once: with the first datagram match accepts, or
+// with an error.
+func (c *Client) exchange(target netip.AddrPort, build func(id uint16) ([]byte, error), match func(pkt []byte, id uint16) bool, cb func([]byte, error)) {
 	timeout := c.Timeout
 	if timeout == 0 {
 		timeout = time.Second
 	}
-	cancel = c.net.AfterFunc(timeout, func() {
-		fire(nil, fmt.Errorf("bootstrap: exchange with %v timed out", target))
-	})
-	c.mu.Unlock()
-	if err := c.conn.Send(req, target); err != nil {
-		fire(nil, err)
+	id, err := c.calls.Start(request{target: target, match: match, cb: cb}, timeout)
+	if err != nil {
+		cb(nil, err)
+		return
+	}
+	req, err := build(uint16(id))
+	if err == nil {
+		err = c.conn.Send(req, target)
+	}
+	if err != nil {
+		if x, ok := c.calls.Take(id); ok {
+			x.cb(nil, err)
+		}
 	}
 }
 
@@ -201,11 +188,11 @@ func (c *Client) Discover(m Mechanism, cb func(netip.AddrPort, error)) {
 }
 
 func (c *Client) discoverDHCP(m Mechanism, cb func(netip.AddrPort, error)) {
-	xid := c.newXID()
-	req := &DHCPMessage{Op: dhcpDiscover, XID: xid, Options: map[uint8][]byte{}}
-	c.exchange(req.Encode(), broadcast(PortDHCP), func(pkt []byte) bool {
+	c.exchange(broadcast(PortDHCP), func(id uint16) ([]byte, error) {
+		return (&DHCPMessage{Op: dhcpDiscover, XID: uint32(id), Options: map[uint8][]byte{}}).Encode(), nil
+	}, func(pkt []byte, id uint16) bool {
 		o, err := DecodeDHCP(pkt)
-		return err == nil && o.Op == dhcpOffer && o.XID == xid
+		return err == nil && o.Op == dhcpOffer && o.XID == uint32(id)
 	}, func(pkt []byte, err error) {
 		if err != nil {
 			cb(netip.AddrPort{}, err)
@@ -230,11 +217,11 @@ func (c *Client) discoverDHCP(m Mechanism, cb func(netip.AddrPort, error)) {
 }
 
 func (c *Client) discoverDHCPv6(cb func(netip.AddrPort, error)) {
-	xid := c.newXID()
-	req := &DHCPv6Message{Type: dhcp6Solicit, XID: xid, Options: map[uint16][]byte{}}
-	c.exchange(req.Encode(), broadcast(PortDHCPv6), func(pkt []byte) bool {
+	c.exchange(broadcast(PortDHCPv6), func(id uint16) ([]byte, error) {
+		return (&DHCPv6Message{Type: dhcp6Solicit, XID: uint32(id), Options: map[uint16][]byte{}}).Encode(), nil
+	}, func(pkt []byte, id uint16) bool {
 		a, err := DecodeDHCPv6(pkt)
-		return err == nil && a.Type == dhcp6Advertise && a.XID == xid
+		return err == nil && a.Type == dhcp6Advertise && a.XID == uint32(id)
 	}, func(pkt []byte, err error) {
 		if err != nil {
 			cb(netip.AddrPort{}, err)
@@ -251,7 +238,7 @@ func (c *Client) discoverDHCPv6(cb func(netip.AddrPort, error)) {
 }
 
 func (c *Client) discoverNDP(cb func(netip.AddrPort, error)) {
-	c.exchange(EncodeRS(), broadcast(PortNDP), func(pkt []byte) bool {
+	c.exchange(broadcast(PortNDP), func(uint16) ([]byte, error) { return EncodeRS(), nil }, func(pkt []byte, _ uint16) bool {
 		_, err := DecodeRA(pkt)
 		return err == nil
 	}, func(pkt []byte, err error) {
@@ -289,14 +276,9 @@ func (c *Client) discoverDNS(resolver netip.AddrPort, domain string, qtype uint1
 // answer set (following SRV targets and NAPTR replacements to their A
 // records inside the same response).
 func (c *Client) dnsQuery(resolver netip.AddrPort, name string, qtype uint16, cb func(netip.AddrPort, error)) {
-	id := uint16(c.newXID())
-	q := &dns.Message{ID: id, Questions: []dns.Question{{Name: name, Type: qtype, Class: dns.ClassIN}}}
-	raw, err := q.Encode()
-	if err != nil {
-		cb(netip.AddrPort{}, err)
-		return
-	}
-	c.exchange(raw, resolver, func(pkt []byte) bool {
+	c.exchange(resolver, func(id uint16) ([]byte, error) {
+		return (&dns.Message{ID: id, Questions: []dns.Question{{Name: name, Type: qtype, Class: dns.ClassIN}}}).Encode()
+	}, func(pkt []byte, id uint16) bool {
 		m, err := dns.Decode(pkt)
 		return err == nil && m.Response && m.ID == id
 	}, func(pkt []byte, err error) {
@@ -408,7 +390,7 @@ func (c *Client) Fetch(server netip.AddrPort, cb func(*TopologyFile, *cppki.TRC,
 // get performs one datagram GET.
 func (c *Client) get(server netip.AddrPort, path string, cb func([]byte, error)) {
 	req := []byte("GET " + path)
-	c.exchange(req, server, func(pkt []byte) bool {
+	c.exchange(server, func(uint16) ([]byte, error) { return req, nil }, func(pkt []byte, _ uint16) bool {
 		// Status-prefixed responses to our paths; correlate loosely by
 		// the known prefix (single outstanding GET per path).
 		s := string(pkt)
@@ -465,11 +447,4 @@ func (c *Client) Bootstrap(mechs []Mechanism, cb func(*Result, error)) {
 		})
 	}
 	try(0, ErrNoHint)
-}
-
-func (c *Client) newXID() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.nextXID++
-	return c.nextXID
 }

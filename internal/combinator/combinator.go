@@ -88,6 +88,46 @@ func Disjointness(p, q *Path) float64 {
 	return float64(distinct) / float64(total)
 }
 
+// DiverseSubset picks up to n mutually diverse paths greedily: the first
+// path, then each time the path whose least Disjointness from those
+// already chosen is largest (the earliest wins a tie). A fingerprint is
+// chosen at most once.
+func DiverseSubset(paths []*Path, n int) []*Path {
+	if len(paths) == 0 {
+		return nil
+	}
+	chosen := []*Path{paths[0]}
+	for len(chosen) < n {
+		bestIdx, bestScore := -1, -1.0
+		for i, p := range paths {
+			used := false
+			for _, c := range chosen {
+				if c.Fingerprint == p.Fingerprint {
+					used = true
+					break
+				}
+			}
+			if used {
+				continue
+			}
+			minDis := 2.0
+			for _, c := range chosen {
+				if d := Disjointness(p, c); d < minDis {
+					minDis = d
+				}
+			}
+			if minDis > bestScore {
+				bestScore, bestIdx = minDis, i
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		chosen = append(chosen, paths[bestIdx])
+	}
+	return chosen
+}
+
 // direction describes how a segment is traversed in a combined path.
 type direction struct {
 	seg     *segment.Segment

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sync"
 	"time"
 
 	"sciera/internal/addr"
@@ -229,8 +228,8 @@ func (s *Service) servePaths(req *Request, resp *Response) {
 	s.Metrics.Downs.Add(uint64(len(downs)))
 }
 
-// Client queries a control service, correlating responses by request
-// ID; a caller that must block waits on the transport (simnet.Await).
+// Client queries a control service; a caller that must block waits on
+// the transport (simnet.Await).
 type Client struct {
 	Net simnet.Network
 	// Server is the control service's underlay address.
@@ -238,20 +237,16 @@ type Client struct {
 	// Timeout bounds each request (default 2s).
 	Timeout time.Duration
 
-	mu      sync.Mutex
-	conn    simnet.Conn
-	nextID  uint64
-	pending map[uint64]func(*Response, error)
+	conn  simnet.Conn
+	calls *simnet.Calls[func(*Response, error)]
 }
 
 // NewClient creates a client bound to a fresh underlay port.
 func NewClient(net simnet.Network, server netip.AddrPort, local netip.AddrPort) (*Client, error) {
-	c := &Client{
-		Net:     net,
-		Server:  server,
-		Timeout: 2 * time.Second,
-		pending: make(map[uint64]func(*Response, error)),
-	}
+	c := &Client{Net: net, Server: server, Timeout: 2 * time.Second}
+	c.calls = simnet.NewCalls(net, 64, func(id uint64, cb func(*Response, error)) {
+		cb(nil, fmt.Errorf("control: request %d to %v timed out", id, c.Server))
+	})
 	conn, err := net.Listen(local, c.handle)
 	if err != nil {
 		return nil, err
@@ -268,57 +263,34 @@ func (c *Client) handle(raw []byte, _ netip.AddrPort) {
 	if err := json.Unmarshal(raw, &resp); err != nil {
 		return
 	}
-	if fire := c.take(resp.ID); fire != nil {
-		fire(&resp, nil)
+	if cb, ok := c.calls.Take(resp.ID); ok {
+		cb(&resp, nil)
 	}
 }
 
-// Do sends a request and invokes cb exactly once with the response or a
-// timeout error. The timeout is armed, on the transport clock, before
-// the request can be answered: whoever removes the request from pending
-// — reply, timeout or send error — owns the one callback.
+// Do sends a request and invokes cb exactly once with the response or
+// an error. The request ID is the call's id (simnet.Calls): whoever
+// takes the call — reply, timeout or send error — owns the callback.
 func (c *Client) Do(req *Request, cb func(*Response, error)) {
-	c.mu.Lock()
-	c.nextID++
-	req.ID = c.nextID
-	id := req.ID
-	c.mu.Unlock()
-	out, err := json.Marshal(req)
-	if err != nil {
-		cb(nil, err)
-		return
-	}
 	timeout := c.Timeout
 	if timeout == 0 {
 		timeout = 2 * time.Second
 	}
-	var cancel func()
-	c.mu.Lock()
-	c.pending[id] = func(r *Response, err error) {
-		cancel()
-		cb(r, err)
+	id, err := c.calls.Start(cb, timeout)
+	if err != nil {
+		cb(nil, err)
+		return
 	}
-	cancel = c.Net.AfterFunc(timeout, func() {
-		if fire := c.take(id); fire != nil {
-			fire(nil, fmt.Errorf("control: request %d to %v timed out", id, c.Server))
-		}
-	})
-	c.mu.Unlock()
-	if err := c.conn.Send(out, c.Server); err != nil {
-		if fire := c.take(id); fire != nil {
-			fire(nil, err)
+	req.ID = id
+	out, err := json.Marshal(req)
+	if err == nil {
+		err = c.conn.Send(out, c.Server)
+	}
+	if err != nil {
+		if cb, ok := c.calls.Take(id); ok {
+			cb(nil, err)
 		}
 	}
-}
-
-// take removes and returns a pending request's callback (nil once
-// another outcome took it).
-func (c *Client) take(id uint64) func(*Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fire := c.pending[id]
-	delete(c.pending, id)
-	return fire
 }
 
 // DecodeSegments parses the raw segments of a response group.

@@ -188,7 +188,6 @@ func RunCampaign(cfg Config) (*multiping.Dataset, *core.Network, error) {
 		Duration:   duration,
 		IPRTT:      s.IPBaseline(ipTopo).RTTms,
 		StallModel: true,
-		Seed:       cfg.Seed,
 	}
 	return runShardedCampaign(cfg, campaignCfg)
 }

@@ -300,7 +300,7 @@ func Figure10b(w io.Writer, s *scenario.Scenario, n *core.Network) {
 			if src == dst {
 				continue
 			}
-			paths := diverseSample(n.Paths(src, dst), 16)
+			paths := combinator.DiverseSubset(n.Paths(src, dst), 16)
 			for i := 0; i < len(paths); i++ {
 				for j := i + 1; j < len(paths); j++ {
 					d := combinator.Disjointness(paths[i], paths[j])
@@ -318,43 +318,6 @@ func Figure10b(w io.Writer, s *scenario.Scenario, n *core.Network) {
 		100*float64(fully)/float64(total))
 	fmt.Fprintf(w, "combinations with disjointness >= 0.7: %.0f%% (paper: ~80%%)\n",
 		100*(1-c.FractionBelow(0.7)))
-}
-
-// diverseSample greedily picks up to n mutually diverse paths.
-func diverseSample(paths []*combinator.Path, n int) []*combinator.Path {
-	if len(paths) <= n {
-		return paths
-	}
-	chosen := []*combinator.Path{paths[0]}
-	for len(chosen) < n {
-		bestIdx, bestScore := -1, -1.0
-		for i, p := range paths {
-			used := false
-			for _, c := range chosen {
-				if c.Fingerprint == p.Fingerprint {
-					used = true
-					break
-				}
-			}
-			if used {
-				continue
-			}
-			minDis := 2.0
-			for _, c := range chosen {
-				if d := combinator.Disjointness(p, c); d < minDis {
-					minDis = d
-				}
-			}
-			if minDis > bestScore {
-				bestScore, bestIdx = minDis, i
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		chosen = append(chosen, paths[bestIdx])
-	}
-	return chosen
 }
 
 // SurveyTable prints the Section 5.6 aggregation.

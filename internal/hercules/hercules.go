@@ -107,45 +107,6 @@ func (o *Options) defaults() {
 	}
 }
 
-// selectPaths picks up to n mutually disjoint paths, greedily maximizing
-// disjointness from the already chosen set.
-func selectPaths(paths []*combinator.Path, n int) []*combinator.Path {
-	if len(paths) == 0 {
-		return nil
-	}
-	ordered := pan.Fastest{}.Order(paths)
-	chosen := []*combinator.Path{ordered[0]}
-	for len(chosen) < n {
-		bestIdx, bestScore := -1, -1.0
-		for i, p := range ordered {
-			used := false
-			for _, c := range chosen {
-				if c.Fingerprint == p.Fingerprint {
-					used = true
-					break
-				}
-			}
-			if used {
-				continue
-			}
-			minDis := 2.0
-			for _, c := range chosen {
-				if d := combinator.Disjointness(p, c); d < minDis {
-					minDis = d
-				}
-			}
-			if minDis > bestScore {
-				bestScore, bestIdx = minDis, i
-			}
-		}
-		if bestIdx < 0 {
-			break
-		}
-		chosen = append(chosen, ordered[bestIdx])
-	}
-	return chosen
-}
-
 // Send transfers data to a hercules receiver, striping chunks across
 // disjoint paths. It waits on the transport for acknowledgements, and
 // every timeout is on the transport clock: on the simulator a transfer is
@@ -162,7 +123,7 @@ func Send(host *pan.Host, dst addr.UDPAddr, transferID uint32, data []byte, opts
 	if err != nil {
 		return nil, err
 	}
-	paths := selectPaths(allPaths, opts.MaxPaths)
+	paths := combinator.DiverseSubset(pan.Fastest{}.Order(allPaths), opts.MaxPaths)
 	if len(paths) == 0 && dst.IA != conn.LocalAddr().IA {
 		return nil, fmt.Errorf("hercules: no paths to %v", dst.IA)
 	}

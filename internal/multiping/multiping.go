@@ -138,10 +138,6 @@ type Config struct {
 	// Stall windows are a stable pseudo-random function of
 	// (source, hour) so the excluded intervals are reproducible.
 	StallModel bool
-	// Seed is carried for provenance (stored with the dataset
-	// metadata); the measurements themselves are topology-determined —
-	// see the campaign-determinism test in internal/experiments.
-	Seed int64
 }
 
 // pingTimeout bounds each probe.

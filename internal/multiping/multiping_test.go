@@ -25,7 +25,6 @@ func smallCampaign(t testing.TB, hours int, stall bool, incidents []multiping.In
 		Duration:   time.Duration(hours) * time.Hour,
 		Incidents:  incidents,
 		StallModel: stall,
-		Seed:       1,
 	})
 	defer camp.Close()
 	ds, err := camp.Run()

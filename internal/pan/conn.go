@@ -10,6 +10,7 @@ import (
 	"sciera/internal/addr"
 	"sciera/internal/combinator"
 	"sciera/internal/dispatcher"
+	"sciera/internal/scmp"
 	"sciera/internal/simnet"
 	"sciera/internal/slayers"
 	"sciera/internal/spath"
@@ -186,30 +187,12 @@ func (c *Conn) handleUDP(pkt *slayers.Packet) {
 }
 
 func (c *Conn) handleSCMP(pkt *slayers.Packet) {
-	scmp := pkt.SCMP
-	switch scmp.Type {
+	m := pkt.SCMP
+	switch m.Type {
 	case slayers.SCMPEchoRequest:
 		// The end-host stack answers echos addressed to it.
-		rev, err := spath.ReverseFromCurrent(&pkt.Hdr.Path)
-		if err != nil {
-			return
-		}
-		reply := &slayers.Packet{
-			Hdr: slayers.SCION{
-				DstIA:   pkt.Hdr.SrcIA,
-				SrcIA:   c.local.IA,
-				DstHost: pkt.Hdr.SrcHost,
-				SrcHost: c.local.Host.Addr(),
-				Path:    *rev,
-			},
-			SCMP: &slayers.SCMP{
-				Type:       slayers.SCMPEchoReply,
-				Identifier: scmp.Identifier,
-				SeqNo:      scmp.SeqNo,
-			},
-			Payload: append([]byte(nil), pkt.Payload...),
-		}
-		raw, err := reply.Serialize(nil)
+		var reply slayers.Packet
+		raw, err := scmp.EchoReply(nil, &reply, pkt, c.local.IA, c.local.Host.Addr())
 		if err != nil {
 			return
 		}
@@ -222,15 +205,15 @@ func (c *Conn) handleSCMP(pkt *slayers.Packet) {
 		cb := c.OnSCMPError
 		c.mu.Unlock()
 		if cb != nil {
-			cb(scmp)
+			cb(m)
 		}
 	default:
-		if scmp.Type.IsError() {
+		if m.Type.IsError() {
 			c.mu.Lock()
 			cb := c.OnSCMPError
 			c.mu.Unlock()
 			if cb != nil {
-				cb(scmp)
+				cb(m)
 			}
 		}
 	}

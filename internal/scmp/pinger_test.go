@@ -131,7 +131,7 @@ func TestStampedEchoMatchesSerialize(t *testing.T) {
 		}
 		var want []byte
 		for _, seq := range rng.Perm(1 << 16) {
-			stampSeq(e.raw, e.l4Off, uint16(seq))
+			e.stamp(uint16(seq))
 			fresh.SCMP.SeqNo = uint16(seq)
 			if want, err = fresh.Serialize(want[:0]); err != nil {
 				t.Fatal(err)
@@ -188,8 +188,8 @@ func TestPingReplyLossAndSCMPError(t *testing.T) {
 	if rejected.calls != 1 || rejected.err == nil || errors.Is(rejected.err, ErrTimeout) {
 		t.Errorf("rejected probe: %+v, want one SCMP error", rejected)
 	}
-	if lost.calls != 0 || p.outstanding != 1 {
-		t.Errorf("lost probe resolved early: %+v, %d outstanding", lost, p.outstanding)
+	if lost.calls != 0 || p.calls.Len() != 1 {
+		t.Errorf("lost probe resolved early: %+v, %d outstanding", lost, p.calls.Len())
 	}
 	sim.RunFor(5 * time.Second)
 	if lost.calls != 1 || !errors.Is(lost.err, ErrTimeout) {
@@ -198,13 +198,13 @@ func TestPingReplyLossAndSCMPError(t *testing.T) {
 	if ok.calls != 1 || rejected.calls != 1 {
 		t.Errorf("a resolved probe's timeout still fired: %+v %+v", ok, rejected)
 	}
-	if p.outstanding != 0 || resp.Answered() != 1 {
-		t.Errorf("%d outstanding, %d answered", p.outstanding, resp.Answered())
+	if p.calls.Len() != 0 || resp.Answered() != 1 {
+		t.Errorf("%d outstanding, %d answered", p.calls.Len(), resp.Answered())
 	}
 }
 
 // TestPingSendErrorFreesSlot: a probe that cannot be sent fails through
-// its callback, once, and leaves neither a ring slot nor a timer behind.
+// its callback, once, and leaves neither a call nor a timer behind.
 func TestPingSendErrorFreesSlot(t *testing.T) {
 	sim, _, p, resp := testbed(t)
 	if err := p.Close(); err != nil {
@@ -215,13 +215,8 @@ func TestPingSendErrorFreesSlot(t *testing.T) {
 	if res.calls != 1 || !errors.Is(res.err, simnet.ErrClosed) {
 		t.Fatalf("ping on a closed conn: %+v, want one ErrClosed", res)
 	}
-	if p.outstanding != 0 {
-		t.Errorf("%d probes outstanding after a failed send", p.outstanding)
-	}
-	for i := range p.ring {
-		if p.ring[i].live {
-			t.Errorf("ring slot %d still live", i)
-		}
+	if n := p.calls.Len(); n != 0 {
+		t.Errorf("%d probes outstanding after a failed send", n)
 	}
 	if n := sim.PendingEvents(); n != 0 {
 		t.Errorf("%d events pending: the timeout stayed armed", n)
@@ -245,8 +240,8 @@ func TestTracerouteSendErrorExactlyOnce(t *testing.T) {
 	if calls != 1 || !errors.Is(gotErr, simnet.ErrClosed) {
 		t.Errorf("traceroute on a closed conn: %d callbacks, err %v; want one ErrClosed", calls, gotErr)
 	}
-	if len(p.tracePending) != 0 {
-		t.Errorf("%d traceroute probes still registered", len(p.tracePending))
+	if n := p.calls.Len(); n != 0 {
+		t.Errorf("%d traceroute probes still outstanding", n)
 	}
 }
 
@@ -268,20 +263,35 @@ func TestTracerouteUnansweredHops(t *testing.T) {
 	if calls != 1 || len(hops) != 2 || hops[0].IA != 0 || hops[1].IA != 0 {
 		t.Errorf("%d callbacks, hops %+v; want one callback with two unanswered hops", calls, hops)
 	}
-	if len(p.tracePending) != 0 {
-		t.Errorf("%d traceroute probes still registered", len(p.tracePending))
+	if n := p.calls.Len(); n != 0 {
+		t.Errorf("%d traceroute probes still outstanding", n)
+	}
+}
+
+// burn answers n probes to move the sequence number on, in bursts
+// small enough to leave the ring at its first 16 slots.
+func burn(t *testing.T, sim *simnet.Sim, p *Pinger, resp *Responder, n int) {
+	t.Helper()
+	var res result
+	for left := n; left > 0; left -= 15 {
+		for i := 0; i < min(left, 15); i++ {
+			p.Ping(testIA, resp.Addr().Addr(), nil, time.Second, res.cb)
+		}
+		sim.RunFor(10 * time.Millisecond)
+	}
+	if res.calls != n || res.err != nil || p.calls.Len() != 0 {
+		t.Fatalf("burn: %d of %d answered, last error %v, %d outstanding", res.calls, n, res.err, p.calls.Len())
 	}
 }
 
 // TestPingSequenceWrap drives the sequence number past 65,535 while
-// older probes are still outstanding: the stragglers keep their slots
-// (new probes skip the sequence numbers that would land on them), every
-// callback runs exactly once, and the ring stays the size of what is
-// outstanding.
+// older probes are still outstanding: every probe across the wrap is
+// answered, the stragglers keep their sequence numbers and time out,
+// and every callback runs exactly once.
 func TestPingSequenceWrap(t *testing.T) {
 	sim, rtr, p, resp := testbed(t)
-	p.nextSeq = 65530
-	const stragglers = 4 // seq 65531..65534, ring slots 11..14
+	burn(t, sim, p, resp, 65530)
+	const stragglers = 4 // seq 65531..65534
 	rtr.mode = func(pkt *slayers.Packet) routerAction {
 		if pkt.SCMP.Type == slayers.SCMPEchoRequest && pkt.SCMP.SeqNo > 65530 && pkt.SCMP.SeqNo < 65535 {
 			return drop
@@ -292,9 +302,9 @@ func TestPingSequenceWrap(t *testing.T) {
 	for i := range late {
 		p.Ping(testIA, resp.Addr().Addr(), nil, time.Minute, late[i].cb)
 	}
-	// One ring's worth of answered probes, one at a time: 65535, 0, 1, …
-	// wraps the sequence number and comes back round to the stragglers.
-	answered := make([]result, minRing+4)
+	// Answered probes one at a time: 65535, 0, 1, … wraps the sequence
+	// number and comes back round to the stragglers' ring slots.
+	answered := make([]result, 20)
 	for i := range answered {
 		p.Ping(testIA, resp.Addr().Addr(), nil, time.Second, answered[i].cb)
 		sim.RunFor(10 * time.Millisecond)
@@ -302,11 +312,8 @@ func TestPingSequenceWrap(t *testing.T) {
 			t.Fatalf("probe %d across the wrap: %+v", i, answered[i])
 		}
 	}
-	if p.nextSeq >= 65530 || p.nextSeq < minRing {
-		t.Errorf("nextSeq = %d: did not wrap", p.nextSeq)
-	}
-	if len(p.ring) != minRing || p.outstanding != stragglers {
-		t.Errorf("ring of %d with %d outstanding, want %d and %d", len(p.ring), p.outstanding, minRing, stragglers)
+	if n := p.calls.Len(); n != stragglers {
+		t.Errorf("%d outstanding, want the %d stragglers", n, stragglers)
 	}
 	for i := range late {
 		if late[i].calls != 0 {
@@ -324,22 +331,22 @@ func TestPingSequenceWrap(t *testing.T) {
 			t.Errorf("probe %d: %d callbacks", i, answered[i].calls)
 		}
 	}
-	if p.outstanding != 0 {
-		t.Errorf("%d outstanding at the end", p.outstanding)
+	if n := p.calls.Len(); n != 0 {
+		t.Errorf("%d outstanding at the end", n)
 	}
 }
 
-// TestPingRingGrows: more probes in flight than slots doubles the ring,
-// rehashing the live probes, and nothing is lost or answered twice.
+// TestPingRingGrows: more probes in flight than the ring's first 16
+// slots are all outstanding at once, and nothing is lost or answered
+// twice.
 func TestPingRingGrows(t *testing.T) {
 	sim, _, p, resp := testbed(t)
-	p.nextSeq = 65500 // the burst straddles the wrap
-	burst := make([]result, 3*minRing)
+	burst := make([]result, 48)
 	for i := range burst {
 		p.Ping(testIA, resp.Addr().Addr(), nil, time.Second, burst[i].cb)
 	}
-	if len(p.ring) != 4*minRing || p.outstanding != len(burst) {
-		t.Errorf("ring of %d with %d outstanding, want %d and %d", len(p.ring), p.outstanding, 4*minRing, len(burst))
+	if n := p.calls.Len(); n != len(burst) {
+		t.Errorf("%d outstanding, want %d", n, len(burst))
 	}
 	sim.RunFor(5 * time.Second)
 	for i := range burst {
@@ -347,7 +354,7 @@ func TestPingRingGrows(t *testing.T) {
 			t.Errorf("probe %d: %+v", i, burst[i])
 		}
 	}
-	if p.outstanding != 0 || resp.Answered() != uint64(len(burst)) {
-		t.Errorf("%d outstanding, %d answered", p.outstanding, resp.Answered())
+	if p.calls.Len() != 0 || resp.Answered() != uint64(len(burst)) {
+		t.Errorf("%d outstanding, %d answered", p.calls.Len(), resp.Answered())
 	}
 }

@@ -27,30 +27,25 @@ var ErrTimeout = errors.New("scmp: echo timed out")
 //
 // A probe allocates its timeout and nothing else: the echo for a
 // (destination, path) is serialised once and re-stamped per probe, the
-// outstanding probes live in a ring indexed by sequence number, and
-// replies decode into scratch the pinger owns.
+// outstanding probes — pings and traceroute hops alike — are calls of
+// one simnet.Calls keyed by sequence number, and replies decode into
+// scratch the pinger owns.
 type Pinger struct {
 	LocalIA addr.IA
 	// RouterAddr is the local border router's underlay address.
 	RouterAddr netip.AddrPort
 
-	net  simnet.Network
-	conn simnet.Conn
+	net   simnet.Network
+	conn  simnet.Conn
+	calls *simnet.Calls[probe]
 
-	mu      sync.Mutex
-	nextSeq uint16
+	mu sync.Mutex
 	// echoes holds one serialised echo request per (destination, path
 	// fingerprint); Ping stamps the sequence number into it under mu
 	// and the transport copies it on send. Bounded by the paths the
 	// topology offers: a refreshed path replaces the entry of the path
 	// it supersedes.
 	echoes map[echoKey]*echo
-	// ring holds the outstanding echo probes, indexed by sequence
-	// number modulo its power-of-two length. It doubles when every
-	// slot is taken, so it is sized by what is outstanding at once.
-	ring         []probe
-	outstanding  int
-	tracePending map[uint16]func(addr.IA, uint64)
 
 	// dec and quoted are handle's decode scratch (the transport runs a
 	// conn's handler on one goroutine at a time).
@@ -73,29 +68,41 @@ type echo struct {
 	l4Off int
 }
 
-// probe is one ring slot.
-type probe struct {
-	live   bool
-	seq    uint16
-	sentAt time.Time
-	cb     func(time.Duration, error)
-	cancel func() // disarms the timeout
+// stamp writes seq into the echo. The identifier and the sequence
+// number are one 32-bit word of the SCMP header, after its checksum.
+func (e *echo) stamp(seq uint16) {
+	id := binary.BigEndian.Uint16(e.raw[e.l4Off+4:])
+	slayers.PatchUint32(e.raw, e.l4Off+2, e.l4Off+4, uint32(id)<<16|uint32(seq))
 }
 
-const (
-	minRing = 16
-	maxRing = 1 << 16 // the sequence number space
-)
+// probe is one outstanding exchange: a ping reports to echo, a
+// traceroute hop to hop.
+type probe struct {
+	sentAt time.Time
+	echo   func(time.Duration, error)
+	hop    func(Hop)
+}
+
+// resolve ends the probe: a ping gets the RTT or the error, a
+// traceroute hop records h, zero when the hop failed or timed out.
+func (pr probe) resolve(h Hop, err error) {
+	if pr.hop != nil {
+		pr.hop(h)
+		return
+	}
+	pr.echo(h.RTT, err)
+}
 
 // NewPinger binds a pinger inside the local AS.
 func NewPinger(net simnet.Network, localIA addr.IA, routerAddr netip.AddrPort, local netip.AddrPort) (*Pinger, error) {
 	p := &Pinger{
-		LocalIA:      localIA,
-		RouterAddr:   routerAddr,
-		net:          net,
-		echoes:       make(map[echoKey]*echo),
-		ring:         make([]probe, minRing),
-		tracePending: make(map[uint16]func(addr.IA, uint64)),
+		LocalIA:    localIA,
+		RouterAddr: routerAddr,
+		net:        net,
+		calls: simnet.NewCalls(net, 16, func(_ uint64, pr probe) {
+			pr.resolve(Hop{}, ErrTimeout)
+		}),
+		echoes: make(map[echoKey]*echo),
 	}
 	conn, err := net.Listen(local, p.handle)
 	if err != nil {
@@ -120,17 +127,9 @@ func (p *Pinger) handle(raw []byte, _ netip.AddrPort) {
 		return
 	}
 	switch pkt.SCMP.Type {
-	case slayers.SCMPTracerouteReply:
-		p.mu.Lock()
-		cb := p.tracePending[pkt.SCMP.SeqNo]
-		delete(p.tracePending, pkt.SCMP.SeqNo)
-		p.mu.Unlock()
-		if cb != nil {
-			cb(pkt.SCMP.IA, pkt.SCMP.IfID)
-		}
-	case slayers.SCMPEchoReply:
-		if pr, ok := p.take(pkt.SCMP.SeqNo); ok {
-			pr.cb(p.net.Now().Sub(pr.sentAt), nil)
+	case slayers.SCMPEchoReply, slayers.SCMPTracerouteReply:
+		if pr, ok := p.calls.Take(uint64(pkt.SCMP.SeqNo)); ok {
+			pr.resolve(Hop{IA: pkt.SCMP.IA, IfID: pkt.SCMP.IfID, RTT: p.net.Now().Sub(pr.sentAt)}, nil)
 		}
 	default:
 		if !pkt.SCMP.Type.IsError() {
@@ -142,52 +141,8 @@ func (p *Pinger) handle(raw []byte, _ netip.AddrPort) {
 		if err := p.quoted.DecodeTruncated(pkt.Payload); err != nil || p.quoted.SCMP == nil {
 			return
 		}
-		if pr, ok := p.take(p.quoted.SCMP.SeqNo); ok {
-			pr.cb(0, fmt.Errorf("scmp: %v from %v", pkt.SCMP.Type, pkt.Hdr.SrcIA))
-		}
-	}
-}
-
-// take frees seq's ring slot and disarms its timeout, returning the
-// probe that held it. Whoever takes the slot owns the probe's one
-// callback; ok is false when seq is not outstanding.
-func (p *Pinger) take(seq uint16) (pr probe, ok bool) {
-	p.mu.Lock()
-	slot := &p.ring[int(seq)&(len(p.ring)-1)]
-	if slot.live && slot.seq == seq {
-		pr, ok = *slot, true
-		*slot = probe{}
-		p.outstanding--
-	}
-	p.mu.Unlock()
-	if ok && pr.cancel != nil {
-		pr.cancel()
-	}
-	return pr, ok
-}
-
-// allocLocked claims the ring slot of the next free sequence number; it
-// fails when all 65,536 are outstanding.
-func (p *Pinger) allocLocked() (*probe, error) {
-	if p.outstanding == len(p.ring) {
-		if len(p.ring) == maxRing {
-			return nil, errors.New("scmp: every sequence number is outstanding")
-		}
-		old := p.ring
-		p.ring = make([]probe, 2*len(old))
-		for _, pr := range old {
-			p.ring[int(pr.seq)&(len(p.ring)-1)] = pr
-		}
-	}
-	// A slot still held by an older probe (a straggler a whole ring
-	// behind) is skipped: its sequence number's turn passes.
-	for {
-		p.nextSeq++
-		slot := &p.ring[int(p.nextSeq)&(len(p.ring)-1)]
-		if !slot.live {
-			slot.live, slot.seq = true, p.nextSeq
-			p.outstanding++
-			return slot, nil
+		if pr, ok := p.calls.Take(uint64(p.quoted.SCMP.SeqNo)); ok {
+			pr.resolve(Hop{}, fmt.Errorf("scmp: %v from %v", pkt.SCMP.Type, pkt.Hdr.SrcIA))
 		}
 	}
 }
@@ -230,21 +185,6 @@ func (p *Pinger) echoLocked(dst addr.IA, dstHost netip.Addr, path *combinator.Pa
 	return e, nil
 }
 
-// stampSeq writes the echo's sequence number and repairs the SCMP
-// checksum incrementally (RFC 1624 eqn. 3: HC' = ~(~HC + ~m + m')), as
-// traffic.patchSeq does for flows. Both fields sit at even offsets of
-// an even-length header, so the patch covers exactly one checksum word.
-func stampSeq(raw []byte, l4Off int, seq uint16) {
-	csumOff, seqOff := l4Off+2, l4Off+6
-	old := binary.BigEndian.Uint16(raw[seqOff:])
-	binary.BigEndian.PutUint16(raw[seqOff:], seq)
-	sum := uint32(^binary.BigEndian.Uint16(raw[csumOff:])) + uint32(^old) + uint32(seq)
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	binary.BigEndian.PutUint16(raw[csumOff:], ^uint16(sum))
-}
-
 // Ping sends one echo over the given path and calls cb exactly once
 // with the measured RTT or an error. A nil path pings within the AS.
 // The path must not be modified after it was first passed to Ping.
@@ -254,30 +194,23 @@ func (p *Pinger) Ping(dst addr.IA, dstHost netip.Addr, path *combinator.Path, ti
 	}
 	p.mu.Lock()
 	e, err := p.echoLocked(dst, dstHost, path)
-	var slot *probe
+	var seq uint64
 	if err == nil {
-		slot, err = p.allocLocked()
+		seq, err = p.calls.Start(probe{sentAt: p.net.Now(), echo: cb}, timeout)
 	}
 	if err != nil {
 		p.mu.Unlock()
 		cb(0, err)
 		return
 	}
-	seq := slot.seq
-	slot.cb, slot.sentAt = cb, p.net.Now()
-	slot.cancel = p.net.AfterFunc(timeout, func() {
-		if pr, ok := p.take(seq); ok {
-			pr.cb(0, ErrTimeout)
-		}
-	})
-	stampSeq(e.raw, e.l4Off, seq)
+	e.stamp(uint16(seq))
 	// Sent under mu: e.raw is shared by every probe of this path until
 	// the transport has copied it.
 	err = p.conn.Send(e.raw, p.RouterAddr)
 	p.mu.Unlock()
 	if err != nil {
-		if pr, ok := p.take(seq); ok {
-			pr.cb(0, err)
+		if pr, ok := p.calls.Take(seq); ok {
+			pr.resolve(Hop{}, err)
 		}
 	}
 }
@@ -304,26 +237,31 @@ type Hop struct {
 // router-alerted request per hop (the `scion traceroute` mechanism:
 // border routers answer requests whose current hop carries the router
 // alert flag). The callback runs exactly once and receives the hops in
-// order; failed probes appear with a zero IA.
+// order; a hop that timed out or drew an SCMP error appears with a zero
+// IA and RTT.
 func (p *Pinger) Traceroute(dst addr.IA, path *combinator.Path, timeout time.Duration, cb func([]Hop, error)) {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
 	nHops := len(path.Raw.Hops)
 	hops := make([]Hop, 0, nHops)
-	var probe func(i int)
-	probe = func(i int) {
+	var send func(i int)
+	next := func(h Hop) {
+		hops = append(hops, h)
+		send(len(hops))
+	}
+	send = func(i int) {
 		if i >= nHops {
 			cb(hops, nil)
 			return
 		}
+		seq, err := p.calls.Start(probe{sentAt: p.net.Now(), hop: next}, timeout)
+		if err != nil {
+			cb(hops, err)
+			return
+		}
 		raw := *path.Raw.Copy()
 		raw.Hops[i].RouterAlert = true
-
-		p.mu.Lock()
-		p.nextSeq++
-		seq := p.nextSeq
-		p.mu.Unlock()
 		pkt := &slayers.Packet{
 			Hdr: slayers.SCION{
 				DstIA:   dst,
@@ -335,51 +273,20 @@ func (p *Pinger) Traceroute(dst addr.IA, path *combinator.Path, timeout time.Dur
 			SCMP: &slayers.SCMP{
 				Type:       slayers.SCMPTracerouteRequest,
 				Identifier: p.conn.LocalAddr().Port(),
-				SeqNo:      seq,
+				SeqNo:      uint16(seq),
 			},
 		}
 		out, err := pkt.Serialize(nil)
+		if err == nil {
+			err = p.conn.Send(out, p.RouterAddr)
+		}
 		if err != nil {
-			cb(hops, err)
-			return
-		}
-
-		// Reply, timeout and send error race for the probe; the first
-		// to get here unregisters it, the rest find once spent. cancel
-		// is set and read under p.mu.
-		var once sync.Once
-		var cancel func()
-		sentAt := p.net.Now()
-		finish := func(hop Hop, err error) {
-			once.Do(func() {
-				p.mu.Lock()
-				delete(p.tracePending, seq)
-				disarm := cancel
-				p.mu.Unlock()
-				if disarm != nil {
-					disarm()
-				}
-				if err != nil {
-					cb(hops, err)
-					return
-				}
-				hops = append(hops, hop)
-				probe(i + 1)
-			})
-		}
-		p.mu.Lock()
-		p.tracePending[seq] = func(ia addr.IA, ifID uint64) {
-			finish(Hop{IA: ia, IfID: ifID, RTT: p.net.Now().Sub(sentAt)}, nil)
-		}
-		cancel = p.net.AfterFunc(timeout, func() {
-			finish(Hop{}, nil) // unanswered hop
-		})
-		p.mu.Unlock()
-		if err := p.conn.Send(out, p.RouterAddr); err != nil {
-			finish(Hop{}, err)
+			if _, ok := p.calls.Take(seq); ok {
+				cb(hops, err)
+			}
 		}
 	}
-	probe(0)
+	send(0)
 }
 
 // Responder answers SCMP echo requests — the piece deployed in every
@@ -398,7 +305,6 @@ type Responder struct {
 	// decoded request, the reply and its serialised form.
 	dec   slayers.Packet
 	reply slayers.Packet
-	scmp  slayers.SCMP
 	out   []byte
 }
 
@@ -434,20 +340,7 @@ func (r *Responder) handle(raw []byte, _ netip.AddrPort) {
 	if pkt.SCMP == nil || pkt.SCMP.Type != slayers.SCMPEchoRequest {
 		return
 	}
-	h := &r.reply.Hdr
-	if err := spath.ReverseFromCurrentInto(&h.Path, &pkt.Hdr.Path); err != nil {
-		return
-	}
-	h.DstIA, h.DstHost = pkt.Hdr.SrcIA, pkt.Hdr.SrcHost
-	h.SrcIA, h.SrcHost = r.LocalIA, r.conn.LocalAddr().Addr()
-	r.scmp = slayers.SCMP{
-		Type:       slayers.SCMPEchoReply,
-		Identifier: pkt.SCMP.Identifier,
-		SeqNo:      pkt.SCMP.SeqNo,
-	}
-	r.reply.SCMP = &r.scmp
-	r.reply.Payload = pkt.Payload // aliases raw: serialised before we return
-	out, err := r.reply.Serialize(r.out[:0])
+	out, err := EchoReply(r.out, &r.reply, pkt, r.LocalIA, r.conn.LocalAddr().Addr())
 	if err != nil {
 		return
 	}
@@ -456,4 +349,27 @@ func (r *Responder) handle(raw []byte, _ netip.AddrPort) {
 	r.answered++
 	r.mu.Unlock()
 	_ = r.conn.Send(out, r.RouterAddr) // an echo reply lost here is a lost probe at the pinger
+}
+
+// EchoReply serialises into out[:0] the answer to the echo request req
+// from (ia, host): req's path reversed from its current hop, the
+// endpoints swapped, and req's identifier, sequence number and payload.
+// reply is the caller's scratch, reused from call to call.
+func EchoReply(out []byte, reply, req *slayers.Packet, ia addr.IA, host netip.Addr) ([]byte, error) {
+	h := &reply.Hdr
+	if err := spath.ReverseFromCurrentInto(&h.Path, &req.Hdr.Path); err != nil {
+		return out, err
+	}
+	h.DstIA, h.DstHost = req.Hdr.SrcIA, req.Hdr.SrcHost
+	h.SrcIA, h.SrcHost = ia, host
+	if reply.SCMP == nil {
+		reply.SCMP = new(slayers.SCMP)
+	}
+	*reply.SCMP = slayers.SCMP{
+		Type:       slayers.SCMPEchoReply,
+		Identifier: req.SCMP.Identifier,
+		SeqNo:      req.SCMP.SeqNo,
+	}
+	reply.Payload = req.Payload // aliases the request: serialised before we return
+	return reply.Serialize(out[:0])
 }

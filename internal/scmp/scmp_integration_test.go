@@ -1,6 +1,7 @@
 package scmp_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -86,6 +87,22 @@ func TestPingRTTMatchesPathLatency(t *testing.T) {
 	}
 }
 
+// cutCoreLink sets the core link down without refreshing the control
+// plane: paths across it go stale, and c1 answers what it cannot
+// forward with ExternalInterfaceDown.
+func cutCoreLink(t *testing.T, n *core.Network) {
+	t.Helper()
+	for _, l := range n.Topo.Links() {
+		if l.Type == topology.LinkCore {
+			if err := n.Topo.SetLinkUp(l.ID, false); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatal("no core link")
+}
+
 func TestPingTimeoutOnDeadLink(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
 	n := buildNet(t, sim)
@@ -96,17 +113,7 @@ func TestPingTimeoutOnDeadLink(t *testing.T) {
 	defer pinger.Close()
 
 	paths := n.Paths(lA, lB)
-	// Cut the core link without refreshing the control plane: the
-	// stale path triggers an SCMP error which fails the probe fast.
-	coreLink := -1
-	for _, l := range n.Topo.Links() {
-		if l.Type == topology.LinkCore {
-			coreLink = l.ID
-		}
-	}
-	if err := n.Topo.SetLinkUp(coreLink, false); err != nil {
-		t.Fatal(err)
-	}
+	cutCoreLink(t, n)
 	var perr error
 	fired := false
 	pinger.Ping(lB, resp.Addr().Addr(), paths[0], 2*time.Second, func(d time.Duration, err error) {
@@ -116,14 +123,64 @@ func TestPingTimeoutOnDeadLink(t *testing.T) {
 	if !fired {
 		t.Fatal("callback did not fire")
 	}
-	if perr == nil {
-		t.Fatal("ping over dead link succeeded")
+	// The failure comes from the SCMP error, not the timeout: the
+	// error arrives within the path's one-way latency.
+	if perr == nil || errors.Is(perr, scmp.ErrTimeout) {
+		t.Fatalf("ping over a dead link: err %v, want an SCMP error", perr)
 	}
-	// The failure should come from the SCMP error, not the timeout —
-	// i.e. well before the 2s deadline (the error arrives within the
-	// path's one-way latency).
-	if perr == scmp.ErrTimeout {
-		t.Log("note: failed via timeout rather than SCMP error")
+}
+
+// TestTracerouteOnDeadLink: past the cut every hop's request draws an
+// SCMP error quoting it, which resolves the hop at once, so the walk
+// ends within 100 ms of virtual time instead of waiting out a 2 s
+// timeout per hop. Those hops read zero IA and zero RTT.
+func TestTracerouteOnDeadLink(t *testing.T) {
+	sim := simnet.NewSim(time.Unix(0, 0))
+	n := buildNet(t, sim)
+	defer n.Close()
+	pinger, err := n.NewPinger(lA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pinger.Close()
+
+	p := n.Paths(lA, lB)[0] // lA -> c1 -> c2 -> lB
+	cutCoreLink(t, n)
+	start := sim.Now()
+	calls := 0
+	var took time.Duration
+	var hops []scmp.Hop
+	var terr error
+	pinger.Traceroute(lB, p, 2*time.Second, func(h []scmp.Hop, err error) {
+		calls++
+		took, hops, terr = sim.Now().Sub(start), h, err
+	})
+	sim.RunFor(30 * time.Second)
+	if calls != 1 || terr != nil {
+		t.Fatalf("%d callbacks, err %v; want one without error", calls, terr)
+	}
+	if took > 100*time.Millisecond {
+		t.Errorf("traceroute took %v of virtual time, want ≤ 100ms", took)
+	}
+	if len(hops) != len(p.Raw.Hops) {
+		t.Fatalf("hops = %d, want %d", len(hops), len(p.Raw.Hops))
+	}
+	if hops[0].IA != lA {
+		t.Errorf("first hop from %v, want lA", hops[0].IA)
+	}
+	if last := hops[len(hops)-1]; last != (scmp.Hop{}) {
+		t.Errorf("hop past the cut: %+v, want zero IA and RTT", last)
+	}
+	cut := false
+	for i, h := range hops {
+		switch {
+		case h.IA == 0 && h.RTT != 0:
+			t.Errorf("hop %d unanswered with RTT %v", i, h.RTT)
+		case h.IA == 0:
+			cut = true
+		case cut:
+			t.Errorf("hop %d answered from %v past the cut", i, h.IA)
+		}
 	}
 }
 

@@ -235,3 +235,128 @@ func (b *Inbox[T]) Get(timeout time.Duration) (T, error) {
 		}
 	}
 }
+
+// errCallsFull reports a Start while every id is outstanding.
+var errCallsFull = errors.New("simnet: every call id is outstanding")
+
+// Calls correlates request/response exchanges by id on the transport
+// clock. Start claims an id and arms the call's timeout; whoever takes
+// the call first — a reply, an error naming it, a send error or the
+// timeout — owns it, so each call resolves exactly once with no
+// sync.Once. Outstanding calls sit in a ring indexed by id modulo its
+// power-of-two length, which starts at 16 and doubles when full: it is
+// sized by what is outstanding at once. Safe for concurrent use.
+type Calls[T any] struct {
+	net Network
+	// mask is the id space, the caller's wire-field width: ids wrap at
+	// mask+1.
+	mask uint64
+	// expire hands a call its timeout took to the hook NewCalls bound.
+	expire func(id uint64)
+
+	mu   sync.Mutex
+	next uint64
+	ring []call[T]
+	live int
+}
+
+// call is one ring slot.
+type call[T any] struct {
+	live   bool
+	id     uint64
+	v      T
+	cancel func() // disarms the timeout
+}
+
+// NewCalls creates a correlator whose ids are bits wide (1 to 64);
+// expired receives each call its timeout took.
+func NewCalls[T any](n Network, bits int, expired func(id uint64, v T)) *Calls[T] {
+	mask := ^uint64(0) >> (64 - bits)
+	c := &Calls[T]{net: n, mask: mask, ring: make([]call[T], min(15, mask)+1)}
+	c.expire = func(id uint64) {
+		if v, ok := c.Take(id); ok {
+			expired(id, v)
+		}
+	}
+	return c
+}
+
+// timer binds id to expire outside a generic function, so the closure
+// each call allocates carries no type dictionary.
+func timer(expire func(uint64), id uint64) func() { return func() { expire(id) } }
+
+// Start claims the next free id for v and arms its timeout. An id
+// still held by an older call (a straggler a whole ring behind) is
+// skipped: its turn passes. Start fails when every id is outstanding.
+func (c *Calls[T]) Start(v T, timeout time.Duration) (uint64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.live == len(c.ring) {
+		if uint64(len(c.ring))-1 == c.mask {
+			return 0, errCallsFull
+		}
+		old := c.ring
+		c.ring = make([]call[T], 2*len(old))
+		for _, cl := range old {
+			c.ring[cl.id&uint64(len(c.ring)-1)] = cl
+		}
+	}
+	for {
+		c.next = (c.next + 1) & c.mask
+		slot := &c.ring[c.next&uint64(len(c.ring)-1)]
+		if !slot.live {
+			id := c.next
+			*slot = call[T]{live: true, id: id, v: v}
+			c.live++
+			slot.cancel = c.net.AfterFunc(timeout, timer(c.expire, id))
+			return id, nil
+		}
+	}
+}
+
+// Take removes call id and disarms its timeout, handing the call to
+// the caller; ok is false when id is not outstanding (another outcome
+// took it first).
+func (c *Calls[T]) Take(id uint64) (v T, ok bool) {
+	c.mu.Lock()
+	slot := &c.ring[id&uint64(len(c.ring)-1)]
+	if !slot.live || slot.id != id {
+		c.mu.Unlock()
+		return v, false
+	}
+	cl := *slot
+	*slot = call[T]{}
+	c.live--
+	c.mu.Unlock()
+	cl.cancel()
+	return cl.v, true
+}
+
+// TakeFirst takes, for a reply that carries no id, the oldest
+// outstanding call that match accepts: the first live slot round the
+// ring from the last id handed out. match runs without the lock held.
+func (c *Calls[T]) TakeFirst(match func(id uint64, v T) bool) (v T, ok bool) {
+	c.mu.Lock()
+	live := make([]call[T], 0, c.live)
+	for i := range c.ring {
+		if cl := c.ring[(c.next+1+uint64(i))&uint64(len(c.ring)-1)]; cl.live {
+			live = append(live, cl)
+		}
+	}
+	c.mu.Unlock()
+	for _, cl := range live {
+		if match(cl.id, cl.v) {
+			if v, ok := c.Take(cl.id); ok {
+				return v, true
+			}
+		}
+	}
+	return v, false
+}
+
+// Len returns the number of outstanding calls.
+func (c *Calls[T]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.live
+}

@@ -439,6 +439,21 @@ func foldChecksum(sum uint64) uint16 {
 	return ^uint16(sum)
 }
 
+// PatchUint32 writes v big-endian at b[off:] and repairs the Internet
+// checksum at b[csumOff:] incrementally (RFC 1624 eqn. 3: HC' = ~(~HC +
+// ~m + m')), so a serialised packet is re-stamped instead of serialised
+// again. The field must sit at an even offset from the start of the
+// checksummed bytes: it is exactly two checksum words.
+func PatchUint32(b []byte, csumOff, off int, v uint32) {
+	old := binary.BigEndian.Uint32(b[off:])
+	binary.BigEndian.PutUint32(b[off:], v)
+	hc := binary.BigEndian.Uint16(b[csumOff:])
+	sum := uint64(^hc) +
+		uint64(^uint16(old>>16)) + uint64(uint16(v>>16)) +
+		uint64(^uint16(old)) + uint64(uint16(v))
+	binary.BigEndian.PutUint16(b[csumOff:], foldChecksum(sum))
+}
+
 // sum64 adds b, read as big-endian 16-bit words, to the ones'-complement
 // accumulator sum, 64 bits at a time with end-around carry: 2^16 ≡ 1
 // modulo 0xffff, so a 64-bit word is worth its four 16-bit words, and

@@ -461,8 +461,8 @@ func (e *Engine) emit(f *flow) {
 	for i := 0; i < n; i++ {
 		buf := append(e.scratch[i][:0], f.raw...)
 		e.scratch[i] = buf
-		if f.stampSeq {
-			patchSeq(buf, f.l4Off, uint32(f.sent+i))
+		if f.stampSeq { // UDP checksum at +6, payload after the 8-byte header
+			slayers.PatchUint32(buf, f.l4Off+6, f.l4Off+8+payloadSeqOff, uint32(f.sent+i))
 		}
 		e.pkts[i] = buf
 		e.dests[i] = f.ingress
@@ -477,25 +477,6 @@ func (e *Engine) emit(f *flow) {
 	}
 	e.activeFlows.Dec()
 	e.freeFlows = append(e.freeFlows, f)
-}
-
-// patchSeq stamps the packet's seq field and incrementally repairs the
-// UDP checksum (RFC 1624 eqn. 3: HC' = ~(~HC + ~m + m')), avoiding a
-// re-serialization per packet. l4Off is even and the seq field sits at
-// an even L4 offset, so the patch covers exactly two checksum words.
-func patchSeq(raw []byte, l4Off int, seq uint32) {
-	seqOff := l4Off + 8 + payloadSeqOff // UDP header, then flow header
-	csumOff := l4Off + 6
-	old := binary.BigEndian.Uint32(raw[seqOff:])
-	binary.BigEndian.PutUint32(raw[seqOff:], seq)
-	hc := binary.BigEndian.Uint16(raw[csumOff:])
-	sum := uint64(^hc) +
-		uint64(^uint16(old>>16)) + uint64(uint16(seq>>16)) +
-		uint64(^uint16(old)) + uint64(uint16(seq))
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	binary.BigEndian.PutUint16(raw[csumOff:], ^uint16(sum))
 }
 
 // handleSinkPacket accounts one delivered packet and detects flow

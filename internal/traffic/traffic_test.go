@@ -77,7 +77,7 @@ func TestPatchSeqMatchesReserialize(t *testing.T) {
 			t.Fatal(err)
 		}
 		l4Off := int(binary.BigEndian.Uint16(patched[6:8]))
-		patchSeq(patched, l4Off, seq1)
+		slayers.PatchUint32(patched, l4Off+6, l4Off+8+payloadSeqOff, seq1)
 
 		binary.BigEndian.PutUint32(pl[payloadSeqOff:], seq1)
 		direct, err := tmpl.pkt.Serialize(nil)
