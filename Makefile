@@ -63,17 +63,17 @@ doc-check:
 	echo "doc-check: OK"
 
 # Scenario hygiene (docs/scenarios.md): every committed scenario file
-# must load and validate; scenarios/sciera.json must equal the builtin's
-# canonical dump (go test ./internal/sciera holds the same pin); both
-# builtins dump through the CLI; and a 1-day quick campaign must run end
-# to end on a freshly generated multi-ISD topology.
+# must load, validate and be in canonical form — its -scenario-dump
+# equals the file byte for byte (scenarios/sciera.json is the builtin
+# itself: go test ./scenarios holds the same pin); the loadbench builtin
+# dumps through the CLI; and a 1-day quick campaign must run end to end
+# on a freshly generated multi-ISD topology.
 scenario-check:
 	@for f in scenarios/*.json; do \
-		$(GO) run ./cmd/experiments -scenario-dump -scenario "$$f" > /dev/null || exit 1; \
-		echo "scenario-check: $$f loads and validates"; \
+		$(GO) run ./cmd/experiments -scenario-dump -scenario "$$f" | diff -u "$$f" - \
+			|| { echo "scenario-check: $$f is not in canonical form (rewrite it with -scenario-dump)"; exit 1; }; \
+		echo "scenario-check: $$f loads, validates and is canonical"; \
 	done
-	@$(GO) run ./cmd/experiments -scenario-dump -scenario sciera | diff -u scenarios/sciera.json - \
-		|| { echo "scenario-check: scenarios/sciera.json is out of sync with the builtin (regenerate with -scenario-dump)"; exit 1; }
 	@$(GO) run ./cmd/experiments -scenario-dump -scenario loadbench > /dev/null
 	@$(GO) run ./cmd/experiments -quick -run fig5 -scenario gen:isds=3,ases=100,seed=1 > /dev/null
 	@echo "scenario-check: OK"

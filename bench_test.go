@@ -29,7 +29,6 @@ import (
 	"sciera/internal/multiping"
 	"sciera/internal/pan"
 	"sciera/internal/scenario"
-	_ "sciera/internal/sciera" // registers the builtin "sciera" scenario
 	"sciera/internal/simnet"
 	"sciera/internal/slayers"
 	"sciera/internal/topology"

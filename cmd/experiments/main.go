@@ -37,7 +37,6 @@ import (
 
 	"sciera/internal/experiments"
 	"sciera/internal/scenario"
-	_ "sciera/internal/sciera" // registers the builtin "sciera" scenario
 	"sciera/internal/telemetry"
 )
 

@@ -22,7 +22,6 @@ import (
 
 	"sciera/internal/experiments"
 	"sciera/internal/scenario"
-	_ "sciera/internal/sciera" // registers the builtin "sciera" scenario
 )
 
 func main() {

@@ -20,7 +20,6 @@ import (
 	"sciera/internal/cppki"
 	"sciera/internal/orchestrator"
 	"sciera/internal/scenario"
-	_ "sciera/internal/sciera" // registers the builtin "sciera" scenario
 	"sciera/internal/simnet"
 )
 

@@ -28,7 +28,6 @@ import (
 	"sciera/internal/dispatcher"
 	"sciera/internal/pan"
 	"sciera/internal/scenario"
-	_ "sciera/internal/sciera" // registers the builtin "sciera" scenario
 	"sciera/internal/scmp"
 	"sciera/internal/simnet"
 )

@@ -12,7 +12,6 @@ import (
 	"sciera/internal/cppki"
 	"sciera/internal/pathdb"
 	"sciera/internal/scenario"
-	_ "sciera/internal/sciera" // registers the "sciera" builtin scenario
 	"sciera/internal/scrypto"
 	"sciera/internal/segment"
 	"sciera/internal/telemetry"

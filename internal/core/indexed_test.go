@@ -10,7 +10,6 @@ import (
 	"sciera/internal/core"
 	"sciera/internal/multiping"
 	"sciera/internal/scenario"
-	_ "sciera/internal/sciera" // registers the builtin "sciera" scenario
 	"sciera/internal/simnet"
 	"sciera/internal/topology"
 )

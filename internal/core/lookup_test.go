@@ -14,7 +14,6 @@ import (
 	"sciera/internal/combinator"
 	"sciera/internal/control"
 	"sciera/internal/scenario"
-	_ "sciera/internal/sciera" // registers the builtin "sciera" scenario
 	"sciera/internal/segment"
 	"sciera/internal/simnet"
 	"sciera/internal/telemetry"

@@ -29,10 +29,12 @@ type Dispatcher struct {
 	mu    sync.RWMutex
 	table map[uint16]netip.AddrPort // SCION L4 port -> application socket
 
-	// procs pools decode state so the demux path allocates nothing in
-	// steady state (the same treatment as the border router's
-	// packet-processor pool).
-	procs sync.Pool
+	// procs holds the idle demux states, so the demux path allocates
+	// nothing in steady state. A free list, not a sync.Pool, as in the
+	// router: what delivery allocates must not depend on which P a
+	// goroutine runs on, or on when the collector runs.
+	procMu sync.Mutex
+	procs  []*demuxProc
 
 	// Forwarded and Dropped count demux outcomes.
 	Forwarded telemetry.Counter
@@ -55,7 +57,7 @@ type Dispatcher struct {
 	PerPacketWork int
 }
 
-// demuxProc is the pooled per-batch demux state: one decode scratch
+// demuxProc is the reused per-batch demux state: one decode scratch
 // shared by a same-flow burst, the accumulated outgoing wires for the
 // single end-of-batch flush, and a one-entry table-lookup cache (bursts
 // overwhelmingly target one application, so most followers resolve
@@ -74,7 +76,6 @@ type demuxProc struct {
 // Start binds the dispatcher on the host address's well-known port.
 func Start(net simnet.Network, host netip.Addr) (*Dispatcher, error) {
 	d := &Dispatcher{table: make(map[uint16]netip.AddrPort), net: net}
-	d.procs.New = func() any { return new(demuxProc) }
 	conn, err := net.ListenBatch(netip.AddrPortFrom(host, router.DispatcherPort), d.handleBatch)
 	if err != nil {
 		return nil, fmt.Errorf("dispatcher: %w", err)
@@ -142,7 +143,7 @@ func (d *Dispatcher) Unregister(port uint16) {
 // Per-packet counters and traces are accounted identically to the old
 // one-at-a-time path.
 func (d *Dispatcher) handleBatch(pkts [][]byte, from []netip.AddrPort) {
-	proc := d.procs.Get().(*demuxProc)
+	proc := d.getProc()
 	i := 0
 	for i < len(pkts) {
 		raw := pkts[i]
@@ -172,7 +173,26 @@ func (d *Dispatcher) handleBatch(pkts [][]byte, from []netip.AddrPort) {
 	}
 	proc.wires = proc.wires[:0]
 	proc.dests = proc.dests[:0]
-	d.procs.Put(proc)
+	d.putProc(proc)
+}
+
+// getProc takes an idle demux state, or makes one.
+func (d *Dispatcher) getProc() *demuxProc {
+	d.procMu.Lock()
+	defer d.procMu.Unlock()
+	if n := len(d.procs); n > 0 {
+		proc := d.procs[n-1]
+		d.procs = d.procs[:n-1]
+		return proc
+	}
+	return new(demuxProc)
+}
+
+// putProc returns a demux state to the idle list.
+func (d *Dispatcher) putProc(proc *demuxProc) {
+	d.procMu.Lock()
+	d.procs = append(d.procs, proc)
+	d.procMu.Unlock()
 }
 
 func (d *Dispatcher) dropUndecodable() {

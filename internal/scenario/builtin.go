@@ -2,48 +2,30 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"strings"
 
 	"sciera/internal/addr"
+	"sciera/scenarios"
 )
 
-// The builtin registry follows the database/sql driver pattern:
-// packages that own a reference deployment (internal/sciera) register a
-// constructor from init(), and consumers blank-import them. The
-// registry hands out a fresh scenario per call — scenarios are mutable
-// documents and callers must not share one.
-
-var (
-	builtinMu  sync.Mutex
-	builtins   = map[string]func() *Scenario{}
-	builtinOrd []string
-)
-
-// Register installs a named builtin scenario constructor. The
-// constructor returns an unnormalized scenario; the registry finishes
-// it (normalize + validate) on every lookup. Register panics on a
-// duplicate name — that is a programming error, not an input error.
-func Register(name string, build func() *Scenario) {
-	builtinMu.Lock()
-	defer builtinMu.Unlock()
-	if _, dup := builtins[name]; dup {
-		panic(fmt.Sprintf("scenario: builtin %q registered twice", name))
-	}
-	builtins[name] = build
-	builtinOrd = append(builtinOrd, name)
-}
-
-// Builtin returns a freshly built, validated builtin scenario.
+// Builtin returns a fresh, validated copy of one of the two builtins.
+// "sciera" is scenarios/sciera.json decoded by Load like any user file;
+// "loadbench" is written here in Go, since decoding it would cost more
+// than the load-flows workload's whole setup. Scenarios are mutable
+// documents, so every lookup builds a new one and callers never share.
 func Builtin(name string) (*Scenario, bool) {
-	builtinMu.Lock()
-	build, ok := builtins[name]
-	builtinMu.Unlock()
-	if !ok {
+	var s *Scenario
+	var err error
+	switch name {
+	case "sciera":
+		s, err = Load(strings.NewReader(scenarios.Sciera))
+	case "loadbench":
+		s = loadbenchScenario()
+		err = Finish(s)
+	default:
 		return nil, false
 	}
-	s := build()
-	if err := Finish(s); err != nil {
+	if err != nil {
 		panic(fmt.Sprintf("scenario: builtin %q failed validation: %v", name, err))
 	}
 	return s, true
@@ -58,18 +40,8 @@ func MustBuiltin(name string) *Scenario {
 	return s
 }
 
-// BuiltinNames lists the registered builtin names, sorted.
-func BuiltinNames() []string {
-	builtinMu.Lock()
-	defer builtinMu.Unlock()
-	names := append([]string(nil), builtinOrd...)
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	Register("loadbench", loadbenchScenario)
-}
+// BuiltinNames lists the builtin names, sorted.
+func BuiltinNames() []string { return []string{"loadbench", "sciera"} }
 
 // loadbenchScenario is the two-AS core pair the bench/ load-flows
 // workload runs on: a single 1 ms circuit carrying the million-endpoint

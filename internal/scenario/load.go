@@ -61,7 +61,7 @@ func (s *Scenario) Canonical() ([]byte, error) {
 }
 
 // Resolve turns a -scenario argument into a loaded, validated scenario.
-// Three forms, tried in order: a registered builtin name ("sciera"), a
+// Three forms, tried in order: a builtin name ("sciera", "loadbench"), a
 // generator spec ("gen:ases=210,isds=3,seed=1"), or a path to a
 // scenario JSON file.
 func Resolve(arg string) (*Scenario, error) {

@@ -5,12 +5,12 @@
 // explicit or geodesically derived latencies), the measurement vantage
 // set, the incident schedule, the commercial-Internet baseline plane,
 // and the traffic-engine parameters. Scenarios come from three sources,
-// all funneled through the same strict loader: built-in registrations
-// (the SCIERA reference deployment is data in internal/sciera, written
-// in this package's types, and registers itself), scenario JSON files
-// on disk, and the seeded deterministic generator for synthetic
-// multi-ISD topologies of hundreds of ASes (generate.go). Every
-// consumer — the experiment suite, the cmd/ binaries, the bench/
+// all funneled through the same strict loader: two builtins (the SCIERA
+// reference deployment is the committed scenarios/sciera.json, decoded
+// by Load like any other file; loadbench is written in builtin.go),
+// scenario JSON files on disk, and the seeded deterministic generator
+// for synthetic multi-ISD topologies of hundreds of ASes (generate.go).
+// Every consumer — the experiment suite, the cmd/ binaries, the bench/
 // workloads — comes through Resolve / MustBuiltin and builds with the
 // scenario's own Build, BuildIPPlane and IPBaseline (there is no other
 // builder), so each runs unchanged on any validated scenario, which is

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -162,23 +163,32 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestBuiltinRegistry(t *testing.T) {
 	names := BuiltinNames()
-	found := false
-	for _, n := range names {
-		if n == "loadbench" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("loadbench builtin not registered: %v", names)
+	if len(names) != 2 || names[0] != "loadbench" || names[1] != "sciera" {
+		t.Fatalf("builtins = %v, want [loadbench sciera]", names)
 	}
 	s := MustBuiltin("loadbench")
 	if s.Traffic == nil || s.Traffic.EndpointsPerSource != 1<<20 {
 		t.Fatalf("loadbench traffic defaults wrong: %+v", s.Traffic)
 	}
-	// The registry hands out fresh copies: mutating one must not leak.
-	s.Name = "mutated"
-	if MustBuiltin("loadbench").Name != "loadbench" {
-		t.Fatal("builtin scenario shared between lookups")
+	// Every lookup hands out a fresh document, down to nested fields:
+	// bench sets Campaign on the one it resolves, so a cache must not
+	// share a document between calls.
+	for _, name := range names {
+		s := MustBuiltin(name)
+		want, err := s.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Name = "mutated"
+		s.Campaign.IntervalMinutes *= 3
+		s.Links[0].LatencyMS += 7
+		got, err := MustBuiltin(name).Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("builtin %q shared between lookups", name)
+		}
 	}
 }
 

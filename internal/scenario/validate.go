@@ -225,6 +225,12 @@ func (s *Scenario) Validate() error {
 			t.PayloadBytes <= 0 || t.PacketIntervalMS <= 0 || t.HorizonMS <= 0 {
 			return fmt.Errorf("scenario %q: traffic parameters must be positive", s.Name)
 		}
+		if t.Burst < 0 {
+			return fmt.Errorf("scenario %q: negative traffic burst %d", s.Name, t.Burst)
+		}
+		if t.IntraASDelayUS < 0 {
+			return fmt.Errorf("scenario %q: negative traffic intra_as_delay_us %g", s.Name, t.IntraASDelayUS)
+		}
 	}
 	return nil
 }

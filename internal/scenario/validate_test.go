@@ -15,6 +15,16 @@ func planeOf(s *Scenario) *IPPlane {
 	return s.IPPlane
 }
 
+// trafficOf gives the tiny scenario a one-pair traffic section to mutate.
+func trafficOf(s *Scenario) *Traffic {
+	s.Traffic = &Traffic{
+		Pairs:              []TrafficPair{{Src: s.ASes[0].IA, Dst: s.ASes[3].IA}},
+		EndpointsPerSource: 16, ArrivalRatePerPair: 10, FlowPackets: 4,
+		PayloadBytes: 200, PacketIntervalMS: 100, Burst: 4, HorizonMS: 100,
+	}
+	return s.Traffic
+}
+
 // hostileKnobs is one mutation of the tiny scenario per rule Validate
 // holds numeric knobs to. Before the rules existed each of these loaded:
 // a negative interval ran the campaign at multiping's one-minute
@@ -32,6 +42,8 @@ var hostileKnobs = []struct {
 	{"negative access detour", "access_detour", func(s *Scenario) { planeOf(s).AccessDetour = -1.03 }},
 	{"negative access extra", "access_extra_ms", func(s *Scenario) { planeOf(s).AccessExtraMS = -0.3 }},
 	{"negative per-hop cost", "per_hop_ms", func(s *Scenario) { planeOf(s).PerHopMS = -0.15 }},
+	{"negative traffic burst", "burst", func(s *Scenario) { trafficOf(s).Burst = -3 }},
+	{"negative intra-AS delay", "intra_as_delay_us", func(s *Scenario) { trafficOf(s).IntraASDelayUS = -5 }},
 	{"latitude off the globe", "latitude", func(s *Scenario) { s.ASes[2].Lat = 90.5 }},
 	{"longitude off the globe", "longitude", func(s *Scenario) { s.ASes[3].Lon = -180.5 }},
 	{"hub latitude off the globe", "latitude", func(s *Scenario) { planeOf(s).Hubs[0].Lat = -91 }},
@@ -54,11 +66,13 @@ func TestValidateRejectsHostileKnobs(t *testing.T) {
 	for _, row := range hostileKnobs {
 		t.Run(row.name, func(t *testing.T) { mutate(t, row.want, row.mutate) })
 	}
-	// The unmutated plane is fine: the rows above fail on their knob.
+	// The unmutated plane and traffic are fine: the rows above fail on
+	// their knob.
 	s := tiny()
 	planeOf(s)
+	trafficOf(s)
 	if err := Finish(s); err != nil {
-		t.Fatalf("tiny scenario with an IP plane invalid: %v", err)
+		t.Fatalf("tiny scenario with an IP plane and traffic invalid: %v", err)
 	}
 }
 

@@ -121,17 +121,6 @@ var (
 // IsEmpty reports whether this is the empty (AS-local) path.
 func (p *Path) IsEmpty() bool { return len(p.Hops) == 0 }
 
-// NumSegments returns the number of non-empty segments.
-func (p *Path) NumSegments() int {
-	n := 0
-	for _, l := range p.SegLens {
-		if l > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Len returns the serialized length in bytes.
 func (p *Path) Len() int {
 	if p.IsEmpty() {

@@ -185,11 +185,3 @@ func (t *TraceRing) Snapshot() []TraceEntry {
 	out = append(out, t.entries[:start]...)
 	return out
 }
-
-// SampleEvery reports the effective sampling period.
-func (t *TraceRing) SampleEvery() int {
-	if t == nil {
-		return 0
-	}
-	return int(t.mask + 1)
-}

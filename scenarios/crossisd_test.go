@@ -1,4 +1,4 @@
-package sciera
+package scenarios_test
 
 import (
 	"testing"

@@ -1,4 +1,4 @@
-package sciera
+package scenarios_test
 
 import (
 	"math"
@@ -11,10 +11,42 @@ import (
 	"sciera/internal/scenario"
 	"sciera/internal/simnet"
 	"sciera/internal/topology"
+	"sciera/scenarios"
 )
 
 // deployment is the builtin as every consumer reaches it.
 func deployment() *scenario.Scenario { return scenario.MustBuiltin("sciera") }
+
+func ia(s string) addr.IA { return addr.MustParseIA(s) }
+
+// TestBuiltinIsTheFile holds the one copy of the deployment: the
+// builtin every consumer resolves dumps to sciera.json byte for byte,
+// so the file is in canonical form and AS order, vantage order (the
+// dataset's Seq numbering), latencies and the IP plane all come from
+// it. After an intended change to the deployment, expect
+// docs/reference-run.txt and bench/expected to move with it.
+func TestBuiltinIsTheFile(t *testing.T) {
+	s, err := scenario.Resolve("sciera")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != scenarios.Sciera {
+		t.Fatalf("builtin %q does not dump to sciera.json (%d vs %d bytes)", "sciera", len(got), len(scenarios.Sciera))
+	}
+}
+
+// TestScenarioRoundTrip pins that the builtin survives serialization:
+// file-based workflows (scenario-dump, committed scenario files) see
+// the identical deployment.
+func TestScenarioRoundTrip(t *testing.T) {
+	if err := scenario.RoundTrip(deployment()); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestSitesConsistent(t *testing.T) {
 	d := deployment()
@@ -29,12 +61,12 @@ func TestSitesConsistent(t *testing.T) {
 			t.Errorf("site %v incomplete: %+v", s.IA, s)
 		}
 		switch s.Region {
-		case eu, na, asia, sa, af:
+		case "EU", "NA", "ASIA", "SA", "AF":
 		default:
 			t.Errorf("site %s has unknown region %q", s.Name, s.Region)
 		}
 		switch s.Kind {
-		case coreBackbone, nrenAttach, leafVLAN, leafNewVLAN:
+		case "core-backbone", "nren-attach", "leaf-vlan", "leaf-new-vlan":
 		default:
 			t.Errorf("site %s has unknown deployment kind %q", s.Name, s.Kind)
 		}
@@ -47,16 +79,16 @@ func TestSitesConsistent(t *testing.T) {
 		t.Errorf("cores = %d, want 9", cores)
 	}
 	// All measurement vantage ASes are sites.
-	for _, ia := range VantageASes() {
-		if !seen[ia] {
-			t.Errorf("vantage %v not a site", ia)
+	for _, v := range d.Vantage {
+		if !seen[v] {
+			t.Errorf("vantage %v not a site", v)
 		}
 	}
-	if len(VantageASes()) != 11 {
-		t.Errorf("vantage count = %d, want 11 (Section 5.4)", len(VantageASes()))
+	if len(d.Vantage) != 11 {
+		t.Errorf("vantage count = %d, want 11 (Section 5.4)", len(d.Vantage))
 	}
-	if len(Figure8ASes()) != 9 {
-		t.Errorf("figure 8 ASes = %d, want 9", len(Figure8ASes()))
+	if len(d.Heatmap) != 9 {
+		t.Errorf("figure 8 ASes = %d, want 9", len(d.Heatmap))
 	}
 	if _, ok := d.ASByIA(ia("71-20965")); !ok {
 		t.Error("GEANT missing")
@@ -112,7 +144,8 @@ func TestBuildTopology(t *testing.T) {
 }
 
 func TestDeploymentPathDiversity(t *testing.T) {
-	topo, err := deployment().Build()
+	d := deployment()
+	topo, err := d.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +157,7 @@ func TestDeploymentPathDiversity(t *testing.T) {
 	defer n.Close()
 
 	// Every Figure 8 pair has at least 2 paths (the figure's minimum).
-	fig8 := Figure8ASes()
+	fig8 := d.Heatmap
 	minPaths, maxPaths := 1<<30, 0
 	for _, src := range fig8 {
 		for _, dst := range fig8 {
@@ -144,8 +177,8 @@ func TestDeploymentPathDiversity(t *testing.T) {
 		}
 	}
 	// All vantage pairs are at least connected.
-	for _, src := range VantageASes() {
-		for _, dst := range VantageASes() {
+	for _, src := range d.Vantage {
+		for _, dst := range d.Vantage {
 			if src != dst && len(n.Paths(src, dst)) == 0 {
 				t.Errorf("%v -> %v unreachable", src, dst)
 			}
@@ -184,7 +217,7 @@ func TestIPPlane(t *testing.T) {
 	}
 	base := d.IPBaseline(ipTopo)
 	// Every site pair is reachable with a plausible RTT.
-	sites := VantageASes()
+	sites := d.Vantage
 	for _, a := range sites {
 		for _, b := range sites {
 			if a == b {
@@ -225,7 +258,7 @@ func TestIPBaselineMatchesFreshRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := d.IPBaseline(ipTopo)
-	sites := VantageASes()
+	sites := d.Vantage
 	check := func(when string) {
 		t.Helper()
 		var wg sync.WaitGroup
