@@ -3,6 +3,8 @@ package simnet
 import (
 	"errors"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -173,10 +175,13 @@ func TestCallsTakeFirst(t *testing.T) {
 }
 
 // FuzzCalls drives start, reply, stray reply, send-error, expiry,
-// id-less reply and wrap sequences through a Calls with a 1- to 8-bit
-// id space, against a map oracle: every call resolves exactly once, no
-// live id is handed out twice, and Start fails only when the space is
-// full.
+// id-less reply, wrap and stale-deadline sequences through a Calls with
+// a 1- to 8-bit id space and timeouts of 1 ms to 1 s, against a map
+// oracle: every call resolves exactly once, no live id is handed out
+// twice, and Start fails only when the space is full. Expiries fire in
+// (deadline, start) order, a call that was taken never expires, and a
+// deadline left over from before an id wrap never expires the call that
+// now holds the id.
 func FuzzCalls(f *testing.F) {
 	f.Add([]byte{3, 0, 5, 0, 9, 1, 0, 4, 20, 3, 2, 7})
 	f.Add([]byte{0, 0, 1, 0, 1, 0, 1, 4, 255})
@@ -200,7 +205,12 @@ func FuzzCalls(f *testing.F) {
 		live := map[uint64]uint64{} // id -> value
 		deadline := map[uint64]time.Time{}
 		resolved := map[uint64]int{} // value -> resolutions
+		taken := map[uint64]bool{}   // value -> taken by other than expiry
 		var last, tokens uint64
+		// lastExpiry is the (deadline, start) of the last expiry.
+		var lastDeadline time.Time
+		var lastStart uint64
+		expiredAny := false
 		var c *Calls[uint64]
 		resolve := func(how string, id, v uint64, ok bool) {
 			want, isLive := live[id]
@@ -211,14 +221,23 @@ func FuzzCalls(f *testing.F) {
 				delete(live, id)
 				delete(deadline, id)
 				resolved[v]++
+				taken[v] = how != "expire"
 			}
 		}
+		// v, the oracle's token, is the call's start number.
 		c = NewCalls(s, bits, func(id, v uint64) {
-			if !deadline[id].After(s.Now()) {
-				resolve("expire", id, v, true)
-				return
+			switch holder, isLive := live[id]; {
+			case taken[v]:
+				t.Fatalf("call %d (id %d) expired after it was taken", v, id)
+			case !isLive || holder != v:
+				t.Fatalf("the deadline of call %d expired id %d, held by call %d (live %v)", v, id, holder, isLive)
+			case deadline[id].After(s.Now()):
+				t.Fatalf("call %d expired before its deadline", id)
+			case expiredAny && (deadline[id].Before(lastDeadline) || deadline[id].Equal(lastDeadline) && v < lastStart):
+				t.Fatalf("call %d (deadline %v) expired after call %d (deadline %v)", v, deadline[id], lastStart, lastDeadline)
 			}
-			t.Fatalf("call %d expired before its deadline", id)
+			expiredAny, lastDeadline, lastStart = true, deadline[id], v
+			resolve("expire", id, v, true)
 		})
 		start := func(timeout time.Duration) (uint64, bool) {
 			id, err := c.Start(tokens, timeout)
@@ -239,7 +258,7 @@ func FuzzCalls(f *testing.F) {
 			return id, true
 		}
 		for len(data) > 0 {
-			op := data[0] % 7
+			op := data[0] % 8
 			data = data[1:]
 			switch op {
 			case 0: // start, timing out 1–256 ms from now
@@ -291,6 +310,22 @@ func FuzzCalls(f *testing.F) {
 						resolve("Take", id, v, ok)
 					}
 				}
+			case 7: // stale deadline: a 1 ms call is taken, its id comes round again on a 1 s call, and 2 ms pass
+				old, ok := start(time.Millisecond)
+				if !ok {
+					break
+				}
+				v, ok := c.Take(old)
+				resolve("Take", old, v, ok)
+				for i := 0; i <= space; i++ {
+					id, ok := start(time.Second)
+					if !ok || id == old {
+						break
+					}
+					v, ok := c.Take(id)
+					resolve("Take", id, v, ok)
+				}
+				s.RunFor(2 * time.Millisecond)
 			}
 			if c.Len() != len(live) {
 				t.Fatalf("Len = %d, oracle %d", c.Len(), len(live))
@@ -315,4 +350,51 @@ func sortedKeys(m map[uint64]uint64) []uint64 {
 	}
 	slices.Sort(keys)
 	return keys
+}
+
+// TestCallsConcurrent: goroutines start and take calls while another
+// drives the simulator through their deadlines; every call resolves
+// once, by its Take or by its deadline. Meant for -race.
+func TestCallsConcurrent(t *testing.T) {
+	s := NewSim(time.Unix(0, 0))
+	var expired atomic.Int64
+	c := NewCalls(s, 16, func(uint64, int) { expired.Add(1) })
+	const workers, each = 4, 200
+	var taken atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				id, err := c.Start(i, time.Duration(1+i%3)*time.Millisecond)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 0 {
+					if _, ok := c.Take(id); ok {
+						taken.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			s.RunFor(time.Millisecond)
+		}
+	}
+	s.RunFor(time.Second)
+	if got := taken.Load() + expired.Load(); got != workers*each {
+		t.Errorf("%d taken + %d expired, want %d calls", taken.Load(), expired.Load(), workers*each)
+	}
+	if c.Len() != 0 || s.PendingEvents() != 0 {
+		t.Errorf("%d outstanding, %d events pending", c.Len(), s.PendingEvents())
+	}
 }

@@ -20,7 +20,10 @@ type LatencyFunc func(from, to netip.AddrPort, size int) (time.Duration, bool)
 // Wire is the delay model of one direction of a point-to-point circuit,
 // bound to the sending conn with BindWire: Delay decides a datagram of
 // size bytes sent at now (Unix nanoseconds) as a LatencyFunc would,
-// inside the simulator's lock under the same rules.
+// inside the simulator's lock under the same rules. The runs a conn
+// sends to its bound peer queue on the wire's line, and only the oldest
+// is in the scheduler; a run whose delay would deliver it before the
+// line's newest is scheduled on its own, so a Wire need not be FIFO.
 type Wire interface {
 	Delay(size int, now int64) (time.Duration, bool)
 }
@@ -47,12 +50,14 @@ type Sim struct {
 	Latency LatencyFunc
 
 	mu sync.Mutex
-	// events is the pending-event queue: the calendar queue, behind
-	// the scheduler interface so the tests can substitute the heap.
+	// events is the scheduler: the calendar queue, behind the scheduler
+	// interface so the tests can substitute the heap. It holds every
+	// lone event and the head of every line (see line).
 	events scheduler
-	// peakPending is the high-water mark of pending events, the load
-	// metric the calendar queue exists to keep cheap; processed counts
-	// events executed over the simulation's lifetime.
+	// pending counts the work scheduled and not yet run or removed,
+	// line entries included, and peakPending is its high-water mark;
+	// processed counts events executed over the simulation's lifetime.
+	pending     int
 	peakPending int
 	processed   uint64
 	// now is the virtual clock in Unix nanoseconds, the scheduler's
@@ -74,9 +79,9 @@ type Sim struct {
 	// buffers, keeping the steady-state forwarding path allocation-free.
 	// A free list, not a sync.Pool: what a run allocates must not depend
 	// on which P the driving goroutine happens to run on, or on when the
-	// collector runs. Timer events are never recycled: their cancel
+	// collector runs. AfterFunc events are never recycled: their cancel
 	// closures outlive the firing and would otherwise cancel a recycled
-	// event.
+	// event. A Line's timers need none: they live in the Line's ring.
 	free []*event
 	// batch* are the reusable scratch slices for delivery to batch-bound
 	// destinations (the events coalesced behind the popped one, and the
@@ -124,8 +129,13 @@ type event struct {
 	// binary heap. Each scheduler maintains its own field.
 	idx  int
 	slot int64
-	// cancelled timers stay in the queue but do nothing.
-	cancelled bool
+	// line is the line the event heads or waits on, nil for a lone
+	// event; next is the run behind it on its wire's line.
+	line line
+	next *event
+	// cancelled marks an AfterFunc timer cancelled (it has left the
+	// scheduler); stale marks a Line's event keyed at a removed timer.
+	cancelled, stale bool
 }
 
 // appendPkt adds a copy of pkt to a delivery event, reusing the
@@ -279,7 +289,10 @@ func (s *Sim) Now() time.Time {
 func (s *Sim) AfterFunc(d time.Duration, f func()) func() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.scheduleLocked(s.now+int64(d), f)
+	e := &event{at: s.now + int64(d), seq: s.seq, fn: f}
+	s.seq++
+	s.events.Push(e)
+	s.countLocked()
 	return func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -287,28 +300,55 @@ func (s *Sim) AfterFunc(d time.Duration, f func()) func() {
 			return
 		}
 		e.cancelled = true
-		s.events.Remove(e)
+		if s.events.Remove(e) {
+			s.pending--
+		}
 	}
 }
 
-func (s *Sim) scheduleLocked(at int64, f func()) *event {
-	e := &event{at: at, seq: s.seq, fn: f}
-	s.seq++
-	s.pushLocked(e)
-	return e
+// countLocked counts one more pending event and maintains the
+// high-water mark; the caller holds s.mu.
+func (s *Sim) countLocked() {
+	s.pending++
+	s.peakPending = max(s.peakPending, s.pending)
 }
 
-// pushLocked enqueues a pending event and maintains the high-water
-// mark; the caller holds s.mu.
-func (s *Sim) pushLocked(e *event) {
-	s.events.Push(e)
-	if n := s.events.Len(); n > s.peakPending {
-		s.peakPending = n
+// topLocked returns the scheduler's head, having re-keyed every stale
+// Line event in the way (a removed timer is invisible: it neither ends
+// a batch nor stops RunUntil); the caller holds s.mu.
+func (s *Sim) topLocked() *event {
+	for {
+		e := s.events.Peek()
+		if e == nil || !e.stale {
+			return e
+		}
+		s.events.Pop()
+		e.line.pop(s, e)
+	}
+}
+
+// popLocked removes and returns the next event to run, nil when none is
+// left. A line's head hands over to the line, which pushes its next
+// entry at once; the caller holds s.mu.
+func (s *Sim) popLocked() *event {
+	for {
+		e := s.events.Pop()
+		if e == nil {
+			return nil
+		}
+		if e.line != nil {
+			if e = e.line.pop(s, e); e == nil {
+				continue
+			}
+		}
+		s.pending--
+		return e
 	}
 }
 
 // simConn is one attached listener: exactly one of h/bh is set, except
-// for a send-only conn. peer and wire are set by BindWire.
+// for a send-only conn. peer and wire are set by BindWire; line queues
+// the conn's runs to its peer.
 type simConn struct {
 	sim  *Sim
 	addr netip.AddrPort
@@ -316,6 +356,7 @@ type simConn struct {
 	bh   BatchHandler
 	peer netip.AddrPort
 	wire Wire
+	line wireLine
 	// closed is guarded by sim.mu — the same lock under which sends are
 	// scheduled — so a Send racing Close either schedules entirely
 	// before the close or deterministically returns ErrClosed after it;
@@ -372,12 +413,14 @@ func (c *simConn) SendBatch(pkts [][]byte, dests []netip.AddrPort) error {
 // delivery time (a busy capped wire spaces packets out), so execution
 // order — and therefore every downstream observation — is that of one
 // event per datagram. A lost datagram is silent, and the run continues
-// either side of it. This is the only place a datagram is scheduled;
-// the caller holds s.mu.
+// either side of it. A run to the bound peer joins the wire's line.
+// This is the only place a datagram is scheduled; the caller holds
+// s.mu.
 func (s *Sim) deliverLocked(from *simConn, to netip.AddrPort, pkts [][]byte) {
 	var wire Wire
+	var wl *wireLine
 	if to == from.peer {
-		wire = from.wire
+		wire, wl = from.wire, &from.line
 	}
 	var run *event
 	for _, pkt := range pkts {
@@ -405,7 +448,10 @@ func (s *Sim) deliverLocked(from *simConn, to netip.AddrPort, pkts [][]byte) {
 			s.seq++
 			run.pkts = run.pkts[:0]
 			run.from, run.to = from.addr, to
-			s.pushLocked(run)
+			if wl == nil || !wl.add(s, run) {
+				s.events.Push(run)
+			}
+			s.countLocked()
 		}
 		run.appendPkt(pkt)
 		s.inflight.Inc()
@@ -451,30 +497,24 @@ func (c *simConn) Close() error {
 
 // Step executes the next pending event, returning false when idle.
 func (s *Sim) Step() bool {
-	for {
-		s.mu.Lock()
-		e := s.events.Pop()
-		if e == nil {
-			s.mu.Unlock()
-			return false
-		}
-		if e.cancelled {
-			s.mu.Unlock()
-			continue
-		}
-		s.now = e.at
-		s.processed++
-		s.inEvent = true
-		if e.fn != nil {
-			fn := e.fn
-			s.mu.Unlock()
-			fn()
-		} else {
-			s.deliverRun(e)
-		}
-		s.inEvent = false
-		return true
+	s.mu.Lock()
+	e := s.popLocked()
+	if e == nil {
+		s.mu.Unlock()
+		return false
 	}
+	s.now = e.at
+	s.processed++
+	s.inEvent = true
+	if e.fn != nil {
+		fn := e.fn
+		s.mu.Unlock()
+		fn()
+	} else {
+		s.deliverRun(e)
+	}
+	s.inEvent = false
+	return true
 }
 
 // deliverRun hands the popped delivery event e to whatever is bound at
@@ -500,11 +540,11 @@ func (s *Sim) deliverRun(e *event) {
 	more := s.batchEvs[:0]
 	if bh != nil {
 		for {
-			top := s.events.Peek()
+			top := s.topLocked()
 			if top == nil || top.fn != nil || top.to != e.to || top.at != e.at {
 				break
 			}
-			more = append(more, s.events.Pop())
+			more = append(more, s.popLocked())
 			n += len(top.pkts)
 		}
 	}
@@ -556,7 +596,7 @@ func (s *Sim) RunUntil(deadline time.Time) {
 	dl := deadline.UnixNano()
 	for {
 		s.mu.Lock()
-		if top := s.events.Peek(); top == nil || top.at > dl {
+		if top := s.topLocked(); top == nil || top.at > dl {
 			s.now = max(s.now, dl)
 			s.mu.Unlock()
 			return
@@ -605,16 +645,17 @@ func (s *Sim) Stats() (delivered, dropped uint64) {
 func (s *Sim) InFlight() int64 { return s.inflight.Load() }
 
 // PendingEvents reports the number of events (deliveries and timers)
-// currently queued in the scheduler.
+// scheduled and not yet run, cancelled or removed, whether the
+// scheduler holds them or a line does.
 func (s *Sim) PendingEvents() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.events.Len()
+	return s.pending
 }
 
 // PeakPending reports the high-water mark of pending events over the
-// simulation's lifetime — the population the scheduler had to keep
-// ordered, and the scale knob the calendar queue is measured against.
+// simulation's lifetime: the work in flight at once, of which the
+// scheduler holds one event per lone event and per non-empty line.
 func (s *Sim) PeakPending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

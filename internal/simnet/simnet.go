@@ -240,54 +240,57 @@ func (b *Inbox[T]) Get(timeout time.Duration) (T, error) {
 var errCallsFull = errors.New("simnet: every call id is outstanding")
 
 // Calls correlates request/response exchanges by id on the transport
-// clock. Start claims an id and arms the call's timeout; whoever takes
+// clock. Start claims an id and arms the call's deadline; whoever takes
 // the call first — a reply, an error naming it, a send error or the
-// timeout — owns it, so each call resolves exactly once with no
+// deadline — owns it, so each call resolves exactly once with no
 // sync.Once. Outstanding calls sit in a ring indexed by id modulo its
 // power-of-two length, which starts at 16 and doubles when full: it is
-// sized by what is outstanding at once. Safe for concurrent use.
+// sized by what is outstanding at once. Deadlines wait on one Line per
+// timeout in use, so on a Sim a steady stream of calls allocates
+// nothing for its timeouts and a call taken before its deadline leaves
+// no trace in the simulation. Safe for concurrent use.
 type Calls[T any] struct {
 	net Network
 	// mask is the id space, the caller's wire-field width: ids wrap at
 	// mask+1.
 	mask uint64
-	// expire hands a call its timeout took to the hook NewCalls bound.
-	expire func(id uint64)
+	// expired receives each call its deadline took.
+	expired func(id uint64, v T)
 
 	mu   sync.Mutex
 	next uint64
 	ring []call[T]
 	live int
+	// starts counts the calls started, numbering each call's deadline.
+	starts uint64
+	lines  []*Line[deadline]
 }
 
-// call is one ring slot.
+// call is one ring slot. start is the number its deadline carries, so
+// a deadline that outlived its call never takes one that reuses the id.
 type call[T any] struct {
 	live   bool
 	id     uint64
+	start  uint64
 	v      T
-	cancel func() // disarms the timeout
+	line   *Line[deadline]
+	ticket Ticket
 }
+
+// deadline is what a call's timeout carries on its line.
+type deadline struct{ id, start uint64 }
 
 // NewCalls creates a correlator whose ids are bits wide (1 to 64);
-// expired receives each call its timeout took.
+// expired receives each call its deadline took.
 func NewCalls[T any](n Network, bits int, expired func(id uint64, v T)) *Calls[T] {
 	mask := ^uint64(0) >> (64 - bits)
-	c := &Calls[T]{net: n, mask: mask, ring: make([]call[T], min(15, mask)+1)}
-	c.expire = func(id uint64) {
-		if v, ok := c.Take(id); ok {
-			expired(id, v)
-		}
-	}
-	return c
+	return &Calls[T]{net: n, mask: mask, expired: expired, ring: make([]call[T], min(15, mask)+1)}
 }
 
-// timer binds id to expire outside a generic function, so the closure
-// each call allocates carries no type dictionary.
-func timer(expire func(uint64), id uint64) func() { return func() { expire(id) } }
-
-// Start claims the next free id for v and arms its timeout. An id
-// still held by an older call (a straggler a whole ring behind) is
-// skipped: its turn passes. Start fails when every id is outstanding.
+// Start claims the next free id for v and arms its deadline, timeout
+// from now. An id still held by an older call (a straggler a whole ring
+// behind) is skipped: its turn passes. Start fails when every id is
+// outstanding.
 func (c *Calls[T]) Start(v T, timeout time.Duration) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -305,16 +308,35 @@ func (c *Calls[T]) Start(v T, timeout time.Duration) (uint64, error) {
 		c.next = (c.next + 1) & c.mask
 		slot := &c.ring[c.next&uint64(len(c.ring)-1)]
 		if !slot.live {
-			id := c.next
-			*slot = call[T]{live: true, id: id, v: v}
+			c.starts++
+			l := c.lineFor(timeout)
+			*slot = call[T]{live: true, id: c.next, start: c.starts, v: v, line: l}
 			c.live++
-			slot.cancel = c.net.AfterFunc(timeout, timer(c.expire, id))
-			return id, nil
+			slot.ticket = l.Push(deadline{c.next, c.starts})
+			return c.next, nil
 		}
 	}
 }
 
-// Take removes call id and disarms its timeout, handing the call to
+// lineFor returns the line of deadlines timeout after their start: the
+// one already in use, else an idle one retargeted, else a new one.
+func (c *Calls[T]) lineFor(timeout time.Duration) *Line[deadline] {
+	for _, l := range c.lines {
+		if l.d == timeout {
+			return l
+		}
+	}
+	for _, l := range c.lines {
+		if l.retarget(timeout) {
+			return l
+		}
+	}
+	l := NewLine(c.net, timeout, c.expire)
+	c.lines = append(c.lines, l)
+	return l
+}
+
+// Take removes call id and disarms its deadline, handing the call to
 // the caller; ok is false when id is not outstanding (another outcome
 // took it first).
 func (c *Calls[T]) Take(id uint64) (v T, ok bool) {
@@ -328,8 +350,24 @@ func (c *Calls[T]) Take(id uint64) (v T, ok bool) {
 	*slot = call[T]{}
 	c.live--
 	c.mu.Unlock()
-	cl.cancel()
+	cl.line.Remove(cl.ticket)
 	return cl.v, true
+}
+
+// expire is the deadline lines' callback: it takes the call the
+// deadline was armed for, if nothing took it first.
+func (c *Calls[T]) expire(d deadline) {
+	c.mu.Lock()
+	slot := &c.ring[d.id&uint64(len(c.ring)-1)]
+	if !slot.live || slot.start != d.start {
+		c.mu.Unlock()
+		return
+	}
+	v := slot.v
+	*slot = call[T]{}
+	c.live--
+	c.mu.Unlock()
+	c.expired(d.id, v)
 }
 
 // TakeFirst takes, for a reply that carries no id, the oldest

@@ -73,6 +73,7 @@ func TestPerPathSaturation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		traffic.CheckConserved(t, n, sim, e)
 		defer e.Close()
 		e.Start(500 * time.Millisecond)
 		sim.Run()
@@ -108,6 +109,7 @@ func TestSCMPBackpressureOnLinkDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	traffic.CheckConserved(t, n, sim, e)
 	defer e.Close()
 	e.Start(300 * time.Millisecond)
 	sim.AfterFunc(150*time.Millisecond, func() {
@@ -185,6 +187,7 @@ func TestFilterRateLimitUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	traffic.CheckConserved(t, n, sim, e)
 	defer e.Close()
 	e.Start(time.Second)
 	sim.Run()
@@ -255,6 +258,7 @@ func TestEngineDeterministicUnderFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		traffic.CheckConserved(t, n, sim, e)
 		defer e.Close()
 		e.Start(400 * time.Millisecond)
 		sim.Run()

@@ -12,10 +12,10 @@
 // struggling — the defining property of real user populations, and the
 // one that exposes congestion collapse.
 //
-// Every flow keeps exactly one pending event in the simulator (its next
-// pacing wakeup), so 100k concurrent flows mean a pending-event
-// population of that order — the regime simnet's calendar-queue
-// scheduler exists for.
+// Every active flow keeps one pacing timer, its next burst, on the
+// engine's pacing line (a simnet.Line with the constant PacketInterval):
+// 100k concurrent flows are 100k pending timers, but one scheduler
+// event, and a burst allocates nothing.
 //
 // Determinism: all randomness comes from per-pair seeded PRNGs consumed
 // inside simulator callbacks, so two runs with the same Config produce
@@ -191,6 +191,10 @@ type Engine struct {
 	fct              *telemetry.Histogram
 	peakActive       int
 
+	// pace holds each active flow's next burst, PacketInterval after
+	// its last.
+	pace *simnet.Line[*flow]
+
 	// Reusable emission scratch: per-burst packet slots and the flow
 	// freelist keep the steady-state emission path allocation-light.
 	pkts      [][]byte
@@ -265,6 +269,7 @@ func New(n *core.Network, cfg Config) (*Engine, error) {
 		fct: telemetry.NewHistogram(
 			1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000),
 	}
+	e.pace = simnet.NewLine(e.net, cfg.PacketInterval, e.emit)
 	e.scratch = make([][]byte, cfg.Burst)
 	for i := range e.scratch {
 		e.scratch[i] = make([]byte, 0, 512)
@@ -472,7 +477,7 @@ func (e *Engine) emit(f *flow) {
 	}
 	f.sent += n
 	if f.sent < f.total {
-		e.net.AfterFunc(e.cfg.PacketInterval, func() { e.emit(f) })
+		e.pace.Push(f)
 		return
 	}
 	e.activeFlows.Dec()

@@ -41,13 +41,35 @@ func testNet(t testing.TB) (*core.Network, *simnet.Sim) {
 	return n, sim
 }
 
+// CheckConserved holds, when the test ends, every router of n to its
+// conservation identity (router.Metrics.Conserved) and sim to its own:
+// every datagram e or a router handed the simulator was delivered,
+// dropped or is still in flight. The load tests call it too.
+func CheckConserved(t testing.TB, n *core.Network, sim *simnet.Sim, e *Engine) {
+	t.Cleanup(func() {
+		sent := e.packetsSent.Load()
+		for _, as := range n.Topo.ASes() {
+			r, _ := n.Router(as.IA)
+			m := r.Metrics()
+			if err := m.Conserved(); err != nil {
+				t.Errorf("router %v: %v", as.IA, err)
+			}
+			sent += m.Forwarded.Load() + m.Delivered.Load()
+		}
+		delivered, dropped := sim.Stats()
+		if in := uint64(sim.InFlight()); delivered+dropped+in != sent {
+			t.Errorf("simulator: %d datagrams sent, %d delivered + %d dropped + %d in flight", sent, delivered, dropped, in)
+		}
+	})
+}
+
 // TestPatchSeqMatchesReserialize proves the incremental-checksum seq
 // stamp is exactly equivalent to re-serializing the packet with the new
 // seq value: byte-identical output, and the router's checksum
 // verification accepts it. This is what lets a flow serialize once and
 // emit thousands of packets.
 func TestPatchSeqMatchesReserialize(t *testing.T) {
-	n, _ := testNet(t)
+	n, sim := testNet(t)
 	e, err := New(n, Config{
 		Pairs:       []Pair{{Src: iaA, Dst: iaZ}},
 		ArrivalRate: 1,
@@ -56,6 +78,7 @@ func TestPatchSeqMatchesReserialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	CheckConserved(t, n, sim, e)
 	defer e.Close()
 
 	tmpl := &e.pairs[0].templates[0]
@@ -110,6 +133,7 @@ func runEngine(t testing.TB, seed int64) (Stats, string, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	CheckConserved(t, n, sim, e)
 	defer e.Close()
 	e.Start(500 * time.Millisecond)
 	sim.Run()
@@ -195,6 +219,7 @@ func TestEngineIncompleteFlowsOnLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	CheckConserved(t, n, sim, e)
 	defer e.Close()
 	e.Start(200 * time.Millisecond)
 	sim.Run()
@@ -207,5 +232,49 @@ func TestEngineIncompleteFlowsOnLoss(t *testing.T) {
 	}
 	if e.IncompleteFlows() == 0 {
 		t.Fatal("no incomplete flows recorded despite loss")
+	}
+}
+
+// fixedSize removes size randomness where a test needs a predictable
+// flow.
+type fixedSize int
+
+func (f fixedSize) Sample(*rand.Rand) int { return int(f) }
+
+// TestEnginePacingZeroAlloc guards a running engine's steady state: one
+// flow, long enough never to finish, bursting every PacketInterval
+// through both routers to the sink. A burst — its timer on the pacing
+// line, the SendBatch, forwarding and the sink's accounting — allocates
+// nothing. Run by make alloc-guard.
+func TestEnginePacingZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; run without -race")
+	}
+	n, sim := testNet(t)
+	e, err := New(n, Config{
+		Pairs:          []Pair{{Src: iaA, Dst: iaZ}},
+		ArrivalRate:    1,
+		FlowSizes:      fixedSize(1 << 30),
+		PacketInterval: time.Millisecond,
+		Seed:           3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	CheckConserved(t, n, sim, e)
+	defer e.Close()
+	e.startFlow(e.pairs[0])
+	for i := 0; i < 64; i++ {
+		sim.RunFor(time.Millisecond)
+	}
+	sent := e.packetsSent.Load()
+	if allocs := testing.AllocsPerRun(256, func() { sim.RunFor(time.Millisecond) }); allocs != 0 {
+		t.Errorf("pacing burst: %.2f allocs per burst, want 0", allocs)
+	}
+	if got := e.packetsSent.Load() - sent; got != 257*4 {
+		t.Errorf("%d packets sent while measuring, want 257 bursts of 4", got)
+	}
+	if st := e.Stats(); st.PacketsDelivered+8 < st.PacketsSent {
+		t.Errorf("%d of %d packets delivered", st.PacketsDelivered, st.PacketsSent)
 	}
 }
