@@ -38,7 +38,7 @@ fmt-check:
 # warm chain-cache verify path, the daemon's NotModified re-confirm,
 # memoized path lookups on a registry (two stamp reads and a map probe),
 # its clone and a snapshot-cloned replica, the campaign's probe path (a bound per probe, not zero:
-# TestCampaignProbeAllocs), a traffic engine's pacing burst and a control-plane refresh after a core
+# TestCampaignProbeAllocs), a traffic engine's pacing burst and a flow's whole life, and a control-plane refresh after a core
 # flap on the churn topology (a bound per refresh and arm — warm
 # unsigned, warm signed, cold, and signed-cold, a signed convergence:
 # TestRefreshAllocs).
@@ -154,6 +154,7 @@ fuzz-smoke:
 	$(GO) test ./internal/simnet -run '^$$' -fuzz '^FuzzSchedulerEquivalence$$' -fuzztime 3s
 	$(GO) test ./internal/simnet -run '^$$' -fuzz '^FuzzCalls$$' -fuzztime 3s
 	$(GO) test ./internal/simnet -run '^$$' -fuzz '^FuzzLineDelivery$$' -fuzztime 3s
+	$(GO) test ./internal/traffic -run '^$$' -fuzz '^FuzzSinkAccounting$$' -fuzztime 3s
 	$(GO) test ./internal/bootstrap -run '^$$' -fuzz '^FuzzBootstrapWire$$' -fuzztime 3s
 	$(GO) test ./internal/dns -run '^$$' -fuzz '^FuzzDNSDecode$$' -fuzztime 3s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzLoadScenario$$' -fuzztime 3s -fuzzminimizetime 20x

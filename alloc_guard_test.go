@@ -223,14 +223,15 @@ func TestRouterForwardingBatchZeroAlloc(t *testing.T) {
 // no incident, no full probe — covers the IP baseline, the pinger, the
 // routers, the responder and the record slots. A probe allocates
 // nothing, its timeout included (a deadline on the pinger's line). What
-// is left is per round, 0.08 per probe measured: delivery buffers and
-// calendar buckets still growing into the campaign's packet sizes, and
-// the round's finalise timer. The bound is that plus 0.02.
+// is left is per round, 0.03 per probe measured (0.08 before regrown
+// delivery buffers came from an arena and calendar buckets kept their
+// arrays): recycled delivery events meeting longer runs than they held
+// before, and the round's finalise timer. The bound is that plus 0.02.
 func TestCampaignProbeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race")
 	}
-	const maxPerProbe = 0.1
+	const maxPerProbe = 0.05
 	camp, probes := steadyCampaign(t)
 	perRound := testing.AllocsPerRun(20, func() {
 		if _, err := camp.Run(); err != nil {

@@ -57,9 +57,10 @@ func (w *wireLine) pop(s *Sim, e *event) *event {
 	return e
 }
 
-// Line is a FIFO of timers with one delay: Push(v) arms f(v) to run d
-// after the push, and the timers fire in push order unless Remove
-// disarms one first. On a Sim the line holds one scheduler event, keyed
+// Line is a FIFO of timers: Push(v) arms f(v) to run d after the push,
+// PushAfter a delay of its own that may not precede the line's newest
+// timer, and the timers fire in push order unless Remove disarms one
+// first. On a Sim the line holds one scheduler event, keyed
 // by its oldest live timer, and keeps its timers in a ring, so a steady
 // stream of pushes allocates nothing and Remove marks a timer dead in
 // O(1) without touching the scheduler; a dead timer is skipped when the
@@ -82,6 +83,9 @@ type Line[T any] struct {
 	ev, run event
 	armed   bool
 	due     T
+	// last is when the newest timer pushed on the Sim is due; a push
+	// may not precede it while the ring holds a timer.
+	last int64
 	// ring holds the timers pushed and not yet passed, dead ones
 	// included: positions front to back-1 (counted over all pushes) at
 	// ring[pos&(len-1)].
@@ -115,9 +119,21 @@ func NewLine[T any](n Network, d time.Duration, f func(T)) *Line[T] {
 }
 
 // Push arms a timer that runs f(v) d from now.
-func (l *Line[T]) Push(v T) Ticket {
+func (l *Line[T]) Push(v T) Ticket { return l.PushAfter(l.d, v) }
+
+// PushAfter arms a timer that runs f(v) d from now. On a Sim it panics
+// when that is before the line's newest pending timer: the line would no
+// longer be FIFO.
+func (l *Line[T]) PushAfter(d time.Duration, v T) Ticket {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	var at int64
+	if s := l.sim; s != nil {
+		if at = s.now + int64(d); at < l.last && l.front != l.back {
+			panic("simnet: Line.PushAfter before the line's newest timer")
+		}
+		l.last = at
+	}
 	if l.back-l.front == uint64(len(l.ring)) {
 		ring := make([]lineTimer[T], 2*len(l.ring))
 		for p := l.front; p < l.back; p++ {
@@ -129,7 +145,7 @@ func (l *Line[T]) Push(v T) Ticket {
 	l.back++
 	t := l.timer(pos)
 	if s := l.sim; s != nil {
-		*t = lineTimer[T]{at: s.now + int64(l.d), seq: s.seq, v: v, live: true}
+		*t = lineTimer[T]{at: at, seq: s.seq, v: v, live: true}
 		s.seq++
 		s.countLocked()
 		if !l.armed {
@@ -140,7 +156,7 @@ func (l *Line[T]) Push(v T) Ticket {
 	*t = lineTimer[T]{seq: l.seq, v: v, live: true}
 	l.seq++
 	tk := Ticket{pos, t.seq}
-	t.stop = l.net.AfterFunc(l.d, func() { l.expire(tk) })
+	t.stop = l.net.AfterFunc(d, func() { l.expire(tk) })
 	return tk
 }
 

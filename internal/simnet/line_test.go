@@ -266,6 +266,35 @@ func TestLineRemoveAndRekey(t *testing.T) {
 	}
 }
 
+// TestLinePushAfter: timers pushed with delays of their own fire in push
+// order at their own times; a push that would precede the line's newest
+// pending timer panics, and once the line has drained any delay goes.
+func TestLinePushAfter(t *testing.T) {
+	s := NewSim(time.Unix(0, 0))
+	var fired []string
+	l := NewLine(s, 0, func(v int) { fired = append(fired, fmt.Sprintf("%d@%v", v, s.Now().Sub(time.Unix(0, 0)))) })
+	l.PushAfter(3*time.Millisecond, 0)
+	l.PushAfter(3*time.Millisecond, 1)
+	l.PushAfter(5*time.Millisecond, 2)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a push before the line's newest timer did not panic")
+			}
+		}()
+		l.PushAfter(4*time.Millisecond, 3)
+	}()
+	s.Run()
+	l.PushAfter(time.Millisecond, 4)
+	s.Run()
+	if want := []string{"0@3ms", "1@3ms", "2@5ms", "4@6ms"}; !slices.Equal(fired, want) {
+		t.Errorf("fired %v, want %v", fired, want)
+	}
+	if s.PendingEvents() != 0 || s.ProcessedEvents() != 4 {
+		t.Errorf("%d pending, %d processed; want 0 and 4", s.PendingEvents(), s.ProcessedEvents())
+	}
+}
+
 // TestLineOnUDPNet: off the simulator each timer is an AfterFunc, and
 // Remove still disarms it.
 func TestLineOnUDPNet(t *testing.T) {

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"container/heap"
+	"math/bits"
 
 	"sciera/internal/telemetry"
 )
@@ -64,6 +65,16 @@ type calendarScheduler struct {
 	// that landed there (Sim.RegisterTelemetry exposes it).
 	overflow   eventQueue
 	overflowed telemetry.Counter
+
+	// spare holds the bucket arrays no bucket uses, by size: spare[k]
+	// those of capacity 1<<k. A full bucket takes the next size from it
+	// and leaves its own, an emptied one leaves an array larger than 8,
+	// and a resize leaves them all: the wheel keeps the arrays its
+	// buckets grew, but about as many of each size as are in use at
+	// once, not the largest each slot ever saw. moving is resize's
+	// scratch.
+	spare  [][][]*event
+	moving []*event
 }
 
 const (
@@ -133,13 +144,58 @@ func (c *calendarScheduler) insert(e *event) {
 		}
 	}
 	i := lo
-	bucket = append(bucket, nil)
+	if len(bucket) == cap(bucket) {
+		bucket = c.grow(bucket)
+	}
+	bucket = bucket[:len(bucket)+1]
 	copy(bucket[i+1:], bucket[i:])
 	bucket[i] = e
 	c.buckets[slot] = bucket
 	e.slot = slot
 	e.idx = -1
 	c.wcount++
+}
+
+// grow returns bucket's events in an array of twice its capacity, at
+// least 1, and leaves bucket's own array spare.
+func (c *calendarScheduler) grow(bucket []*event) []*event {
+	n := max(1, 2*cap(bucket))
+	k := bits.Len(uint(n)) - 1
+	var b []*event
+	if k < len(c.spare) && len(c.spare[k]) > 0 {
+		last := len(c.spare[k]) - 1
+		b, c.spare[k] = c.spare[k][last], c.spare[k][:last]
+	} else {
+		b = make([]*event, 0, n)
+	}
+	b = append(b, bucket...)
+	c.release(bucket)
+	return b
+}
+
+// shrunk drops bucket's last element, which the caller has cleared. An
+// emptied array larger than 8 becomes spare: a slot keeps a small one
+// for the few events it holds, a large one serves whichever bucket
+// fills next.
+func (c *calendarScheduler) shrunk(bucket []*event) []*event {
+	if bucket = bucket[:len(bucket)-1]; len(bucket) == 0 && cap(bucket) > 8 {
+		c.release(bucket)
+		return nil
+	}
+	return bucket
+}
+
+// release clears an array no bucket uses any more and keeps it spare.
+func (c *calendarScheduler) release(bucket []*event) {
+	if cap(bucket) == 0 {
+		return
+	}
+	clear(bucket)
+	k := bits.Len(uint(cap(bucket))) - 1
+	for len(c.spare) <= k {
+		c.spare = append(c.spare, nil)
+	}
+	c.spare[k] = append(c.spare[k], bucket[:0])
 }
 
 // migrate moves overflow events that the cursor's current horizon now
@@ -187,7 +243,7 @@ func (c *calendarScheduler) Pop() *event {
 	e := bucket[0]
 	copy(bucket, bucket[1:])
 	bucket[len(bucket)-1] = nil
-	c.buckets[slot] = bucket[:len(bucket)-1]
+	c.buckets[slot] = c.shrunk(bucket)
 	c.wcount--
 	e.slot = -1
 	if n := len(c.buckets); c.wcount < n/8 && n > calendarMinBuckets {
@@ -213,7 +269,7 @@ func (c *calendarScheduler) Remove(e *event) bool {
 			if o == e {
 				copy(bucket[i:], bucket[i+1:])
 				bucket[len(bucket)-1] = nil
-				c.buckets[e.slot] = bucket[:len(bucket)-1]
+				c.buckets[e.slot] = c.shrunk(bucket)
 				e.slot = -1
 				c.wcount--
 				return true
@@ -232,9 +288,11 @@ func (c *calendarScheduler) Remove(e *event) bool {
 // width from the resident events' spread so average occupancy returns
 // to O(1). All events (wheel and overflow) are re-inserted under the
 // new geometry. Deterministic: geometry is a pure function of the
-// pending set.
+// pending set. The bucket arrays become spare and the re-inserted events
+// take them again, so a wheel that grows and shrinks stops allocating
+// once its buckets have grown.
 func (c *calendarScheduler) resize(n int) {
-	events := make([]*event, 0, c.wcount+len(c.overflow))
+	events := c.moving[:0]
 	var lo, hi int64
 	first := true
 	for _, bucket := range c.buckets {
@@ -262,11 +320,21 @@ func (c *calendarScheduler) resize(n int) {
 			c.width = 1
 		}
 	}
-	c.buckets = make([][]*event, n)
+	for i, bucket := range c.buckets {
+		c.release(bucket)
+		c.buckets[i] = nil
+	}
+	if n <= cap(c.buckets) {
+		c.buckets = c.buckets[:n]
+	} else {
+		c.buckets = make([][]*event, n)
+	}
 	c.mask = int64(n) - 1
 	c.wcount = 0
 	c.curB = c.bseq(cursorNanos)
 	for _, e := range events {
 		c.insert(e)
 	}
+	clear(events)
+	c.moving = events[:0]
 }

@@ -357,6 +357,57 @@ func TestCalendarSchedulerZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(4096, step); allocs != 0 {
 		t.Errorf("calendar queue pop+push: %.2f allocs/op, want 0", allocs)
 	}
+
+	// A grow and shrink cycle: 8192 events join a steady 256 over one
+	// period, the wheel grows to hold them, and shrinks once they have
+	// run. A resize hands every bucket's array back to the wheel's pool,
+	// so after warm-up the whole cycle allocates nothing either.
+	c = newCalendarScheduler()
+	const steady, burst = 256, 8192
+	const span = steady * int64(time.Millisecond)
+	seq = 0
+	for i := 0; i < steady; i++ {
+		c.Push(newTestEvent(int64(i)*int64(time.Millisecond), seq))
+		seq++
+	}
+	extra := map[*event]bool{}
+	extras := make([]*event, burst)
+	for i := range extras {
+		extras[i] = &event{}
+		extra[extras[i]] = true
+	}
+	var now int64
+	var lo, hi int
+	cycle := func() {
+		lo, hi = len(c.buckets), len(c.buckets)
+		for i, x := range extras {
+			x.at, x.seq = now+int64(i)*span/burst, seq
+			seq++
+			c.Push(x)
+			hi = max(hi, len(c.buckets))
+		}
+		for left := burst; left > 0; {
+			e := c.Pop()
+			now = e.at
+			lo = min(lo, len(c.buckets))
+			if extra[e] {
+				left--
+				continue
+			}
+			e.at, e.seq = e.at+span, seq
+			seq++
+			c.Push(e)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(8, cycle); allocs != 0 {
+		t.Errorf("calendar queue grow and shrink cycle: %.2f allocs/op, want 0", allocs)
+	}
+	if hi < 4*lo {
+		t.Errorf("the cycle moved the wheel between %d and %d buckets, want a grow and a shrink", lo, hi)
+	}
 }
 
 // BenchmarkSchedulerChurn measures the hold-model cost (pop one, push

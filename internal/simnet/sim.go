@@ -94,6 +94,11 @@ type Sim struct {
 	// driving the simulator writes it, so Wait can refuse to block
 	// inside an event.
 	inEvent bool
+	// arena is what is left of the chunk regrown copy buffers are cut
+	// from: a buffer lives as long as its event, which is never freed,
+	// so recycled events whose buffers regrow for larger datagrams cost
+	// one allocation per chunk, not one each.
+	arena []byte
 }
 
 // NewSim creates a simulator starting at the given time.
@@ -139,15 +144,36 @@ type event struct {
 }
 
 // appendPkt adds a copy of pkt to a delivery event, reusing the
-// per-slot buffers a recycled event retains beyond len(pkts).
+// per-slot buffers a recycled event retains beyond len(pkts). A run
+// that outgrows its slots gets twice as many, at least 4: most outgrow
+// the one an event starts with by a burst.
 func (e *event) appendPkt(pkt []byte) {
 	if len(e.pkts) < cap(e.pkts) {
 		e.pkts = e.pkts[:len(e.pkts)+1]
 	} else {
-		e.pkts = append(e.pkts, nil)
+		e.pkts = append(append(make([][]byte, 0, max(4, 2*cap(e.pkts))), e.pkts...), nil)
 	}
 	i := len(e.pkts) - 1
 	e.pkts[i] = append(e.pkts[i][:0], pkt...)
+}
+
+// arenaChunk is how many bytes of regrown delivery buffers one
+// allocation holds.
+const arenaChunk = 4 << 10
+
+// carve returns an empty buffer of capacity n: cut from the arena, which
+// starts a fresh chunk when what is left does not fit, or allocated on
+// its own above a quarter chunk. The caller holds s.mu.
+func (s *Sim) carve(n int) []byte {
+	if n > arenaChunk/4 {
+		return make([]byte, 0, n)
+	}
+	if n > len(s.arena) {
+		s.arena = make([]byte, arenaChunk)
+	}
+	b := s.arena[:0:n]
+	s.arena = s.arena[n:]
+	return b
 }
 
 // before is the delivery order: (at, seq), lexicographically.
@@ -452,6 +478,14 @@ func (s *Sim) deliverLocked(from *simConn, to netip.AddrPort, pkts [][]byte) {
 				s.events.Push(run)
 			}
 			s.countLocked()
+		}
+		if i := len(run.pkts); i < cap(run.pkts) {
+			// The buffer a recycled event keeps in this slot, if pkt
+			// outgrows it, is replaced from the arena: twice its size,
+			// at least pkt's.
+			if b := run.pkts[:i+1][i]; cap(b) > 0 && cap(b) < len(pkt) {
+				run.pkts[:i+1][i] = s.carve(max(len(pkt), 2*cap(b)))
+			}
 		}
 		run.appendPkt(pkt)
 		s.inflight.Inc()

@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"math/rand"
+	"time"
 )
 
 // SizeDist draws flow sizes in packets. Implementations must be pure
@@ -40,14 +41,7 @@ func (p Pareto) Sample(rng *rand.Rand) int {
 	}
 	// Inverse-CDF: X = lo * U^(-1/alpha), U in (0, 1].
 	u := 1 - rng.Float64() // (0, 1]
-	n := int(float64(lo) * math.Pow(u, -1/alpha))
-	if n < lo {
-		n = lo
-	}
-	if n > hi {
-		n = hi
-	}
-	return n
+	return min(max(int(float64(lo)*math.Pow(u, -1/alpha)), lo), hi)
 }
 
 // Lognormal flow sizes: exp(N(Mu, Sigma)). A lighter tail than Pareto;
@@ -71,19 +65,12 @@ func (l Lognormal) Sample(rng *rand.Rand) int {
 	if hi < 1 {
 		hi = 16384
 	}
-	n := int(math.Exp(mu + sigma*rng.NormFloat64()))
-	if n < 1 {
-		n = 1
-	}
-	if n > hi {
-		n = hi
-	}
-	return n
+	return min(max(int(math.Exp(mu+sigma*rng.NormFloat64())), 1), hi)
 }
 
-// expInterval draws a Poisson-process inter-arrival gap in seconds for
-// the given rate (events/sec).
-func expInterval(rng *rand.Rand, rate float64) float64 {
+// expInterval draws a Poisson-process inter-arrival gap for the given
+// rate (events/sec).
+func expInterval(rng *rand.Rand, rate float64) time.Duration {
 	u := 1 - rng.Float64() // (0, 1]: never log(0)
-	return -math.Log(u) / rate
+	return time.Duration(-math.Log(u) / rate * float64(time.Second))
 }

@@ -12,10 +12,12 @@
 // struggling — the defining property of real user populations, and the
 // one that exposes congestion collapse.
 //
-// Every active flow keeps one pacing timer, its next burst, on the
-// engine's pacing line (a simnet.Line with the constant PacketInterval):
-// 100k concurrent flows are 100k pending timers, but one scheduler
-// event, and a burst allocates nothing.
+// A flow is its header words: New serializes each (pair, path) packet
+// once, and a running flow holds only the 40 bytes its packets add (see
+// flow). Each active flow's next burst waits on the engine's pacing
+// line, each pair's next arrival on a line of its own (simnet.Line):
+// 100k concurrent flows are a few scheduler events, and neither an
+// arrival nor a burst allocates.
 //
 // Determinism: all randomness comes from per-pair seeded PRNGs consumed
 // inside simulator callbacks, so two runs with the same Config produce
@@ -41,9 +43,9 @@ import (
 const SinkPort = 41000
 
 // Payload layout: every engine packet starts with this header, padded
-// to Config.PayloadBytes. The seq field is patched per packet with an
-// RFC 1624 incremental checksum update, so a flow serializes its packet
-// exactly once.
+// to Config.PayloadBytes. A burst copies its (pair, path) template,
+// stores the flow's words and checksum, and patches the seq field with
+// an RFC 1624 incremental checksum update: no flow serializes a packet.
 const (
 	payloadMagicOff    = 0  // u32 "TRF1"
 	payloadFlowOff     = 4  // u32 flow ID (engine-global)
@@ -95,12 +97,12 @@ type Config struct {
 	// and path choice).
 	Seed int64
 
-	// Wrap, when set, transforms each flow's payload once at flow start
-	// — the hook for shim headers such as LightningFilter's packet
-	// authenticator (seal the flow header, let the filter verify it at
-	// the sink). Wrapped flows carry identical bytes on every packet:
-	// the per-packet seq stamp is skipped, since any wrapper MAC would
-	// cover it.
+	// Wrap, when set, transforms a flow's payload, at being the flow's
+	// arrival — the hook for shim headers such as LightningFilter's
+	// packet authenticator (seal the flow header, let the filter verify
+	// it at the sink). It runs per burst and must be pure. Wrapped flows
+	// carry identical bytes on every packet: the per-packet seq stamp is
+	// skipped, since any wrapper MAC would cover it.
 	Wrap func(src addr.IA, at time.Time, inner []byte) []byte
 	// Unwrap recovers the flow header from a wrapped payload at the
 	// sink (inverse of Wrap); returning false discards the packet as
@@ -195,12 +197,12 @@ type Engine struct {
 	// its last.
 	pace *simnet.Line[*flow]
 
-	// Reusable emission scratch: per-burst packet slots and the flow
-	// freelist keep the steady-state emission path allocation-light.
+	// Reusable emission scratch: per-burst packet buffers. Flows come
+	// from the free list, else from slab, a chunk of 512.
 	pkts      [][]byte
 	dests     []netip.AddrPort
-	scratch   [][]byte
 	freeFlows []*flow
+	slab      []flow
 	nextFlow  uint32
 }
 
@@ -219,37 +221,42 @@ type srcState struct {
 // sinkState is one destination AS absorbing load and accounting flow
 // completions.
 type sinkState struct {
-	ia   addr.IA
 	conn simnet.Conn
 	at   netip.AddrPort
 	dec  slayers.Packet
-	// remaining maps in-progress flow IDs to packets still expected;
-	// a flow completes when it reaches zero. Flows losing packets stay
-	// resident — they are the incomplete-flow measurement.
-	remaining map[uint32]int32
+	// remaining holds, by flow ID, the packets a flow still owes, 0
+	// for none; stray those of IDs beyond it (see count). Flows losing
+	// packets stay resident: the incomplete-flow measurement.
+	remaining []int32
+	stray     map[uint32]*int32
+	resident  int
 }
 
 type pairState struct {
-	src       *srcState
-	sink      *sinkState
 	rng       *rand.Rand
 	templates []flowTemplate
 	nextPath  int
+	// arrivals holds the pair's next flow arrival (Start makes it).
+	arrivals *simnet.Line[*pairState]
 }
 
+// flowTemplate is one (pair, path) packet, serialized in raw with the
+// flow's words zeroed; pkt serializes a Wrap'd burst.
 type flowTemplate struct {
-	pkt     slayers.Packet
-	payload []byte
+	raw   []byte
+	l4Off int
+	src   *srcState
+	pkt   slayers.Packet
 }
 
+// flow is a running flow: the words its packets add to its template,
+// csum the UDP checksum with them stored and seq 0.
 type flow struct {
-	raw         []byte
-	l4Off       int
-	sent, total int
-	stampSeq    bool
-	src         *srcState
-	conn        simnet.Conn
-	ingress     netip.AddrPort
+	tmpl                *flowTemplate
+	id, endpoint, total uint32
+	sent                uint32 // packets emitted
+	arrival             int64
+	csum                uint16
 }
 
 // New builds an engine over an assembled network: per-source injection
@@ -270,41 +277,35 @@ func New(n *core.Network, cfg Config) (*Engine, error) {
 			1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000),
 	}
 	e.pace = simnet.NewLine(e.net, cfg.PacketInterval, e.emit)
-	e.scratch = make([][]byte, cfg.Burst)
-	for i := range e.scratch {
-		e.scratch[i] = make([]byte, 0, 512)
-	}
 	for i, p := range cfg.Pairs {
-		src, err := e.srcFor(n, p.Src)
-		if err != nil {
+		if err := e.addPair(n, i, p); err != nil {
 			e.Close()
 			return nil, err
 		}
-		sink, err := e.sinkFor(n, p.Dst)
-		if err != nil {
-			e.Close()
-			return nil, err
-		}
-		paths := n.Paths(p.Src, p.Dst)
-		if len(paths) == 0 {
-			e.Close()
-			return nil, fmt.Errorf("traffic: no paths %v -> %v", p.Src, p.Dst)
-		}
-		k := cfg.PathsPerPair
-		if k > len(paths) {
-			k = len(paths)
-		}
-		ps := &pairState{
-			src:  src,
-			sink: sink,
-			rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(i+1)*0x9e3779b97f4a7c15))),
-		}
-		for _, path := range paths[:k] {
-			ps.templates = append(ps.templates, e.template(p, src, sink, path))
-		}
-		e.pairs = append(e.pairs, ps)
 	}
 	return e, nil
+}
+
+// addPair adds pair i: its source, sink and first PathsPerPair paths.
+func (e *Engine) addPair(n *core.Network, i int, p Pair) error {
+	src, err := e.srcFor(n, p.Src)
+	if err != nil {
+		return err
+	}
+	sink, err := e.sinkFor(n, p.Dst)
+	if err != nil {
+		return err
+	}
+	paths := n.Paths(p.Src, p.Dst)
+	if len(paths) == 0 {
+		return fmt.Errorf("traffic: no paths %v -> %v", p.Src, p.Dst)
+	}
+	ps := &pairState{rng: rand.New(rand.NewSource(e.cfg.Seed ^ int64(uint64(i+1)*0x9e3779b97f4a7c15)))}
+	for _, path := range paths[:min(e.cfg.PathsPerPair, len(paths))] {
+		ps.templates = append(ps.templates, e.template(p, src, sink, path))
+	}
+	e.pairs = append(e.pairs, ps)
+	return nil
 }
 
 func (e *Engine) srcFor(n *core.Network, ia addr.IA) (*srcState, error) {
@@ -315,11 +316,7 @@ func (e *Engine) srcFor(n *core.Network, ia addr.IA) (*srcState, error) {
 	if !ok {
 		return nil, fmt.Errorf("traffic: no router for source %v", ia)
 	}
-	s := &srcState{
-		ia:      ia,
-		ingress: rtr.LocalAddr(),
-		touched: make([]uint64, (e.cfg.Endpoints+63)/64),
-	}
+	s := &srcState{ia: ia, ingress: rtr.LocalAddr(), touched: make([]uint64, (e.cfg.Endpoints+63)/64)}
 	conn, err := e.net.Listen(n.HostAddr(), func(pkt []byte, from netip.AddrPort) {
 		e.handleBackpressure(s, pkt)
 	})
@@ -335,9 +332,8 @@ func (e *Engine) sinkFor(n *core.Network, ia addr.IA) (*sinkState, error) {
 	if k, ok := e.sinks[ia]; ok {
 		return k, nil
 	}
-	k := &sinkState{ia: ia, remaining: make(map[uint32]int32)}
-	host := n.HostAddr()
-	at := netip.AddrPortFrom(host.Addr(), SinkPort)
+	k := &sinkState{stray: make(map[uint32]*int32)}
+	at := netip.AddrPortFrom(n.HostAddr().Addr(), SinkPort)
 	conn, err := e.net.ListenBatch(at, func(pkts [][]byte, from []netip.AddrPort) {
 		for _, pkt := range pkts {
 			e.handleSinkPacket(k, pkt)
@@ -346,33 +342,37 @@ func (e *Engine) sinkFor(n *core.Network, ia addr.IA) (*sinkState, error) {
 	if err != nil {
 		return nil, err
 	}
-	k.conn = conn
-	k.at = conn.LocalAddr()
+	k.conn, k.at = conn, conn.LocalAddr()
 	e.sinks[ia] = k
 	return k, nil
 }
 
-// template prepares the reusable serialization state for one
-// (pair, path) combination. The SCION source stays the injection
-// conn's real address and port so SCMP errors route back to the
-// backpressure listener; endpoint identity rides in the payload.
+// template serializes the packet of one (pair, path) combination with
+// the flow's words zeroed. The SCION source stays the injection conn's
+// real address and port so SCMP errors route back to the backpressure
+// listener; endpoint identity rides in the payload.
 func (e *Engine) template(p Pair, src *srcState, sink *sinkState, path *combinator.Path) flowTemplate {
-	return flowTemplate{
-		pkt: slayers.Packet{
-			Hdr: slayers.SCION{
-				DstIA:   p.Dst,
-				SrcIA:   p.Src,
-				DstHost: sink.at.Addr(),
-				SrcHost: src.conn.LocalAddr().Addr(),
-				Path:    *path.Raw.Copy(),
-			},
-			UDP: &slayers.UDP{
-				SrcPort: src.conn.LocalAddr().Port(),
-				DstPort: SinkPort,
-			},
-		},
-		payload: make([]byte, e.cfg.PayloadBytes),
+	from := src.conn.LocalAddr()
+	payload := make([]byte, e.cfg.PayloadBytes)
+	copy(payload[payloadMagicOff:], payloadMagic[:])
+	t := flowTemplate{src: src, pkt: slayers.Packet{
+		Hdr:     slayers.SCION{DstIA: p.Dst, SrcIA: p.Src, DstHost: sink.at.Addr(), SrcHost: from.Addr(), Path: *path.Raw.Copy()},
+		UDP:     &slayers.UDP{SrcPort: from.Port(), DstPort: SinkPort},
+		Payload: payload,
+	}}
+	t.raw = serialize(&t.pkt)
+	t.l4Off = int(binary.BigEndian.Uint16(t.raw[6:8]))
+	return t
+}
+
+// serialize serializes a packet built from discovered paths, where
+// failure is a programming error, not a runtime condition.
+func serialize(pkt *slayers.Packet) []byte {
+	raw, err := pkt.Serialize(nil)
+	if err != nil {
+		panic(fmt.Sprintf("traffic: serialize: %v", err))
 	}
+	return raw
 }
 
 // Start schedules the open-loop arrival processes: flows arrive on
@@ -381,68 +381,40 @@ func (e *Engine) template(p Pair, src *srcState, sink *sinkState, path *combinat
 func (e *Engine) Start(d time.Duration) {
 	e.stop = e.net.Now().Add(d)
 	for _, p := range e.pairs {
-		e.scheduleArrival(p)
+		p.arrivals = simnet.NewLine(e.net, 0, e.arrive)
+		p.arrivals.PushAfter(expInterval(p.rng, e.cfg.ArrivalRate), p)
 	}
 }
 
-func (e *Engine) scheduleArrival(p *pairState) {
-	gap := time.Duration(expInterval(p.rng, e.cfg.ArrivalRate) * float64(time.Second))
-	e.net.AfterFunc(gap, func() {
-		if e.net.Now().After(e.stop) {
-			return
-		}
-		e.startFlow(p)
-		e.scheduleArrival(p)
-	})
+// arrive starts a flow on p and schedules p's next arrival, until stop.
+func (e *Engine) arrive(p *pairState) {
+	if e.net.Now().After(e.stop) {
+		return
+	}
+	e.startFlow(p)
+	p.arrivals.PushAfter(expInterval(p.rng, e.cfg.ArrivalRate), p)
 }
 
-// startFlow draws a flow (endpoint, size, path), serializes its packet
-// once, and emits the first burst immediately.
+// startFlow draws a flow (endpoint, size, path) and emits its first
+// burst immediately.
 func (e *Engine) startFlow(p *pairState) {
 	endpoint := uint32(p.rng.Intn(e.cfg.Endpoints))
-	total := e.cfg.FlowSizes.Sample(p.rng)
+	total := uint32(max(e.cfg.FlowSizes.Sample(p.rng), 0))
 	tmpl := &p.templates[p.nextPath%len(p.templates)]
 	p.nextPath++
 
-	if w, b := endpoint/64, uint64(1)<<(endpoint%64); p.src.touched[w]&b == 0 {
-		p.src.touched[w] |= b
-		p.src.ntouch++
-	}
-
-	id := e.nextFlow
-	e.nextFlow++
-	pl := tmpl.payload
-	copy(pl[payloadMagicOff:], payloadMagic[:])
-	binary.BigEndian.PutUint32(pl[payloadFlowOff:], id)
-	binary.BigEndian.PutUint32(pl[payloadEndpointOff:], endpoint)
-	binary.BigEndian.PutUint32(pl[payloadTotalOff:], uint32(total))
-	binary.BigEndian.PutUint32(pl[payloadSeqOff:], 0)
-	binary.BigEndian.PutUint64(pl[payloadArrivalOff:], uint64(e.net.Now().UnixNano()))
-	if e.cfg.Wrap != nil {
-		tmpl.pkt.Payload = e.cfg.Wrap(p.src.ia, e.net.Now(), pl)
-	} else {
-		tmpl.pkt.Payload = pl
+	if w, b, src := endpoint/64, uint64(1)<<(endpoint%64), tmpl.src; src.touched[w]&b == 0 {
+		src.touched[w] |= b
+		src.ntouch++
 	}
 
 	f := e.allocFlow()
-	raw, err := tmpl.pkt.Serialize(f.raw[:0])
-	if err != nil {
-		// Template packets are built from discovered paths; failure is
-		// a programming error, not a runtime condition.
-		panic(fmt.Sprintf("traffic: serialize: %v", err))
-	}
-	f.raw = raw
-	f.l4Off = int(binary.BigEndian.Uint16(raw[6:8]))
-	f.sent, f.total = 0, total
-	f.stampSeq = e.cfg.Wrap == nil
-	f.src = p.src
-	f.conn = p.src.conn
-	f.ingress = p.src.ingress
+	*f = flow{tmpl: tmpl, id: e.nextFlow, endpoint: endpoint, total: total, arrival: e.net.Now().UnixNano()}
+	e.nextFlow++
+	f.setChecksum()
 
 	e.flowsStarted.Inc()
-	if n := int(e.activeFlows.Add(1)); n > e.peakActive {
-		e.peakActive = n
-	}
+	e.peakActive = max(e.peakActive, int(e.activeFlows.Add(1)))
 	e.emit(f)
 }
 
@@ -452,27 +424,59 @@ func (e *Engine) allocFlow() *flow {
 		e.freeFlows = e.freeFlows[:n-1]
 		return f
 	}
-	return &flow{raw: make([]byte, 0, 512)}
+	if len(e.slab) == cap(e.slab) {
+		e.slab = make([]flow, 0, 512)
+	}
+	e.slab = e.slab[:len(e.slab)+1]
+	return &e.slab[len(e.slab)-1]
+}
+
+// setChecksum computes the UDP checksum of the flow's packet at seq 0:
+// the template's, with the flow's words patched in over its zeros.
+func (f *flow) setChecksum() {
+	var w [2 + 20]byte
+	copy(w[:2], f.tmpl.raw[f.tmpl.l4Off+6:])
+	for i, v := range [...]uint32{f.id, f.endpoint, f.total, uint32(f.arrival >> 32), uint32(f.arrival)} {
+		slayers.PatchUint32(w[:], 0, 2+4*i, v)
+	}
+	f.csum = binary.BigEndian.Uint16(w[:])
+}
+
+// appendPacket appends the flow's packet seq to b: the template with
+// the flow's words and checksum stored, then seq patched in.
+func (f *flow) appendPacket(b []byte, seq uint32) []byte {
+	t := f.tmpl
+	b = append(b, t.raw...)
+	pl := b[t.l4Off+8:] // UDP checksum at +6, payload after the 8-byte header
+	binary.BigEndian.PutUint32(pl[payloadFlowOff:], f.id)
+	binary.BigEndian.PutUint32(pl[payloadEndpointOff:], f.endpoint)
+	binary.BigEndian.PutUint32(pl[payloadTotalOff:], f.total)
+	binary.BigEndian.PutUint64(pl[payloadArrivalOff:], uint64(f.arrival))
+	binary.BigEndian.PutUint16(b[t.l4Off+6:], f.csum)
+	slayers.PatchUint32(b, t.l4Off+6, t.l4Off+8+payloadSeqOff, seq)
+	return b
 }
 
 // emit sends one pacing burst of a flow and reschedules (or retires)
 // it. Each burst goes out as a single SendBatch: one scheduler event
 // through the simulator, one batched handler call in the router.
 func (e *Engine) emit(f *flow) {
-	n := f.total - f.sent
-	if n > e.cfg.Burst {
-		n = e.cfg.Burst
-	}
-	for i := 0; i < n; i++ {
-		buf := append(e.scratch[i][:0], f.raw...)
-		e.scratch[i] = buf
-		if f.stampSeq { // UDP checksum at +6, payload after the 8-byte header
-			slayers.PatchUint32(buf, f.l4Off+6, f.l4Off+8+payloadSeqOff, uint32(f.sent+i))
+	n := min(f.total-f.sent, uint32(e.cfg.Burst))
+	t := f.tmpl
+	for i := range n {
+		buf := e.pkts[i][:0]
+		switch {
+		case e.cfg.Wrap == nil:
+			buf = f.appendPacket(buf, f.sent+i)
+		case i == 0: // the seq-0 payload, wrapped, is every packet's
+			t.pkt.Payload = e.cfg.Wrap(t.src.ia, time.Unix(0, f.arrival), f.appendPacket(buf, 0)[t.l4Off+8:])
+			buf = serialize(&t.pkt)
+		default:
+			buf = append(buf, e.pkts[0]...)
 		}
-		e.pkts[i] = buf
-		e.dests[i] = f.ingress
+		e.pkts[i], e.dests[i] = buf, t.src.ingress
 	}
-	if err := f.conn.SendBatch(e.pkts[:n], e.dests[:n]); err == nil {
+	if err := t.src.conn.SendBatch(e.pkts[:n], e.dests[:n]); err == nil {
 		e.packetsSent.Add(uint64(n))
 	}
 	f.sent += n
@@ -494,49 +498,62 @@ func (e *Engine) handleSinkPacket(k *sinkState, raw []byte) {
 	if err := k.dec.Decode(raw); err != nil || k.dec.UDP == nil {
 		return
 	}
-	pl := k.dec.Payload
+	pl, ok := k.dec.Payload, true
 	if e.cfg.Unwrap != nil {
-		inner, ok := e.cfg.Unwrap(pl)
-		if !ok {
-			return
-		}
-		pl = inner
+		pl, ok = e.cfg.Unwrap(pl)
 	}
-	if len(pl) < payloadHdrLen || [4]byte(pl[payloadMagicOff:payloadMagicOff+4]) != payloadMagic {
+	if !ok || len(pl) < payloadHdrLen || [4]byte(pl[payloadMagicOff:payloadMagicOff+4]) != payloadMagic {
 		return
 	}
 	e.packetsDelivered.Inc()
 	e.bytesDelivered.Add(uint64(len(raw)))
 	id := binary.BigEndian.Uint32(pl[payloadFlowOff:])
-	rem, ok := k.remaining[id]
-	if !ok {
+	c := k.count(id, e.nextFlow)
+	rem := *c
+	if rem == 0 {
 		rem = int32(binary.BigEndian.Uint32(pl[payloadTotalOff:]))
+		k.resident++
 	}
-	rem--
-	if rem > 0 {
-		k.remaining[id] = rem
+	if *c = max(rem-1, 0); *c > 0 {
 		return
 	}
-	delete(k.remaining, id)
+	k.resident--
+	delete(k.stray, id)
 	e.flowsCompleted.Inc()
 	arrival := int64(binary.BigEndian.Uint64(pl[payloadArrivalOff:]))
-	fctMS := float64(e.net.Now().UnixNano()-arrival) / 1e6
-	e.fct.Observe(fctMS)
+	e.fct.Observe(float64(e.net.Now().UnixNano()-arrival) / 1e6)
+}
+
+// count returns flow id's count. An ID not issued yet (forged) counts in
+// stray until a flow beyond remaining extends it to the IDs issued.
+func (k *sinkState) count(id, issued uint32) *int32 {
+	if int64(id) >= int64(len(k.remaining)) {
+		if id >= issued {
+			if k.stray[id] == nil {
+				k.stray[id] = new(int32)
+			}
+			return k.stray[id]
+		}
+		k.remaining = append(k.remaining, make([]int32, int(issued)-len(k.remaining))...)
+		for sid, c := range k.stray {
+			if sid < issued {
+				k.remaining[sid] = *c
+				delete(k.stray, sid)
+			}
+		}
+	}
+	return &k.remaining[id]
 }
 
 // handleBackpressure classifies packets the network sends back at a
 // source conn — SCMP errors are the network's congestion/failure
 // signal to an open-loop sender.
 func (e *Engine) handleBackpressure(s *srcState, raw []byte) {
-	if err := s.dec.Decode(raw); err != nil || s.dec.SCMP == nil {
-		return
-	}
-	if !s.dec.SCMP.Type.IsError() {
+	if err := s.dec.Decode(raw); err != nil || s.dec.SCMP == nil || !s.dec.SCMP.Type.IsError() {
 		return
 	}
 	e.scmpBackpressure.Inc()
-	switch s.dec.SCMP.Type {
-	case slayers.SCMPExternalInterfaceDown, slayers.SCMPInternalConnectivityDown:
+	if t := s.dec.SCMP.Type; t == slayers.SCMPExternalInterfaceDown || t == slayers.SCMPInternalConnectivityDown {
 		e.scmpLinkDown.Inc()
 	}
 }
@@ -571,7 +588,7 @@ func (e *Engine) FCT() telemetry.HistogramSnapshot { return e.fct.Snapshot() }
 func (e *Engine) IncompleteFlows() int {
 	n := 0
 	for _, k := range e.sinks {
-		n += len(k.remaining)
+		n += k.resident
 	}
 	return n
 }
@@ -594,13 +611,9 @@ func (e *Engine) RegisterTelemetry(reg *telemetry.Registry) {
 // Close detaches all conns.
 func (e *Engine) Close() {
 	for _, s := range e.srcs {
-		if s.conn != nil {
-			_ = s.conn.Close()
-		}
+		_ = s.conn.Close()
 	}
 	for _, k := range e.sinks {
-		if k.conn != nil {
-			_ = k.conn.Close()
-		}
+		_ = k.conn.Close()
 	}
 }
