@@ -842,6 +842,7 @@ func (r *Runner) originate(origin addr.IA, l *topology.Link) (flight, error) {
 	if err != nil {
 		return f, err
 	}
+	seg.ASEntries[0].MTU = as.mtu
 	r.Metrics.Built.Inc()
 	f.seg, f.fresh = seg, true
 	return f, r.signLast(seg, origin)

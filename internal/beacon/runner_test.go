@@ -269,6 +269,9 @@ func (r *eager) originate(origin addr.IA, l *topology.Link) (*segment.Segment, e
 	if err != nil {
 		return nil, err
 	}
+	if info, ok := r.Topo.AS(origin); ok {
+		seg.ASEntries[0].MTU = info.MTU
+	}
 	return seg, r.sign(seg, origin)
 }
 

@@ -128,19 +128,37 @@ func DiverseSubset(paths []*Path, n int) []*Path {
 	return chosen
 }
 
-// direction describes how a segment is traversed in a combined path.
+// direction describes how a segment is traversed in a combined path:
+// its entries from index from on, in construction order or against it.
+// A shortcut or peering crossing starts below the segment's origin; a
+// peering direction also crosses the peer-th link (counted from one)
+// that its entry at from advertises, instead of taking that entry's
+// regular hop.
 type direction struct {
 	seg     *segment.Segment
+	from    int32
+	peer    uint16
 	consDir bool
 }
+
+// len returns the number of AS entries d traverses.
+func (d direction) len() int { return d.seg.Len() - int(d.from) }
 
 // entry returns the index of the AS entry at the given step of d's
 // traversal.
 func (d direction) entry(step int) int {
 	if d.consDir {
-		return step
+		return int(d.from) + step
 	}
 	return d.seg.Len() - 1 - step
+}
+
+// peerEntry returns the peering link d crosses, or nil.
+func (d direction) peerEntry() *segment.PeerEntry {
+	if d.peer == 0 {
+		return nil
+	}
+	return &d.seg.ASEntries[d.from].Peers[d.peer-1]
 }
 
 // Combine enumerates the loop-free end-to-end paths from src to dst
@@ -187,22 +205,22 @@ func Recombine(prev []*Path, src, dst addr.IA, ups, cores, downs []*segment.Segm
 	// Case 1: single-segment paths.
 	for _, u := range srcUps {
 		if u.FirstIA() == dst { // dst is the core origin of src's up segment
-			cands = add(cands, src, dst, direction{u, false})
+			cands = add(cands, src, dst, direction{seg: u})
 		}
 	}
 	for _, d := range dstDowns {
 		if d.FirstIA() == src { // src is the core origin of dst's down segment
-			cands = add(cands, src, dst, direction{d, true})
+			cands = add(cands, src, dst, direction{seg: d, consDir: true})
 		}
 	}
 	for _, k := range cores {
 		if k.FirstIA() == src && k.LastIA() == dst {
-			cands = add(cands, src, dst, direction{k, true})
+			cands = add(cands, src, dst, direction{seg: k, consDir: true})
 		}
 	}
 	for _, k := range cores {
 		if k.FirstIA() == dst && k.LastIA() == src {
-			cands = add(cands, src, dst, direction{k, false})
+			cands = add(cands, src, dst, direction{seg: k})
 		}
 	}
 
@@ -210,7 +228,7 @@ func Recombine(prev []*Path, src, dst addr.IA, ups, cores, downs []*segment.Segm
 	for _, u := range srcUps {
 		for _, d := range dstDowns {
 			if u.FirstIA() == d.FirstIA() {
-				cands = add(cands, src, dst, direction{u, false}, direction{d, true})
+				cands = add(cands, src, dst, direction{seg: u}, direction{seg: d, consDir: true})
 			}
 		}
 	}
@@ -219,12 +237,12 @@ func Recombine(prev []*Path, src, dst addr.IA, ups, cores, downs []*segment.Segm
 	for _, u := range srcUps {
 		for _, k := range cores {
 			if k.FirstIA() == u.FirstIA() && k.LastIA() == dst {
-				cands = add(cands, src, dst, direction{u, false}, direction{k, true})
+				cands = add(cands, src, dst, direction{seg: u}, direction{seg: k, consDir: true})
 			}
 		}
 		for _, k := range cores {
 			if k.LastIA() == u.FirstIA() && k.FirstIA() == dst {
-				cands = add(cands, src, dst, direction{u, false}, direction{k, false})
+				cands = add(cands, src, dst, direction{seg: u}, direction{seg: k})
 			}
 		}
 	}
@@ -233,12 +251,12 @@ func Recombine(prev []*Path, src, dst addr.IA, ups, cores, downs []*segment.Segm
 	for _, d := range dstDowns {
 		for _, k := range cores {
 			if k.FirstIA() == src && k.LastIA() == d.FirstIA() {
-				cands = add(cands, src, dst, direction{k, true}, direction{d, true})
+				cands = add(cands, src, dst, direction{seg: k, consDir: true}, direction{seg: d, consDir: true})
 			}
 		}
 		for _, k := range cores {
 			if k.LastIA() == src && k.FirstIA() == d.FirstIA() {
-				cands = add(cands, src, dst, direction{k, false}, direction{d, true})
+				cands = add(cands, src, dst, direction{seg: k}, direction{seg: d, consDir: true})
 			}
 		}
 	}
@@ -248,12 +266,12 @@ func Recombine(prev []*Path, src, dst addr.IA, ups, cores, downs []*segment.Segm
 		for _, d := range dstDowns {
 			for _, k := range cores {
 				if k.FirstIA() == u.FirstIA() && k.LastIA() == d.FirstIA() {
-					cands = add(cands, src, dst, direction{u, false}, direction{k, true}, direction{d, true})
+					cands = add(cands, src, dst, direction{seg: u}, direction{seg: k, consDir: true}, direction{seg: d, consDir: true})
 				}
 			}
 			for _, k := range cores {
 				if k.LastIA() == u.FirstIA() && k.FirstIA() == d.FirstIA() {
-					cands = add(cands, src, dst, direction{u, false}, direction{k, false}, direction{d, true})
+					cands = add(cands, src, dst, direction{seg: u}, direction{seg: k}, direction{seg: d, consDir: true})
 				}
 			}
 		}
@@ -264,22 +282,18 @@ func Recombine(prev []*Path, src, dst addr.IA, ups, cores, downs []*segment.Segm
 	for _, u := range srcUps {
 		for _, d := range dstDowns {
 			cands = shortcuts(cands, src, dst, u, d)
-			for _, p := range peerPaths(src, dst, u, d) {
-				cands = append(cands, candidate{peer: p})
-			}
+			cands = peerings(cands, src, dst, u, d)
 		}
 	}
 	return build(prev, src, dst, cands)
 }
 
-// candidate is a checked segment traversal with its hop count, or a
-// peering path built on its own (peer). fp delimits its fingerprint in
-// the bytes build renders them to.
+// candidate is a checked segment traversal with its hop count. fp
+// delimits its fingerprint in the bytes build renders them to.
 type candidate struct {
 	dirs    [3]direction
 	n, hops int32
 	fp      [2]int32
-	peer    *Path
 	dup     bool
 }
 
@@ -316,11 +330,7 @@ func build(prev []*Path, src, dst addr.IA, cands []candidate) []*Path {
 	for i := range cands {
 		cand := &cands[i]
 		cand.fp[0] = int32(len(fps))
-		if cand.peer != nil {
-			fps = append(fps, cand.peer.Fingerprint...)
-		} else {
-			fps = appendFingerprint(fps, appendInterfaces(sc.ifs[:0], cand.dirs[:cand.n]))
-		}
+		fps = appendFingerprint(fps, appendInterfaces(sc.ifs[:0], cand.dirs[:cand.n]))
 		cand.fp[1] = int32(len(fps))
 	}
 	fp := func(i int) []byte { return fps[cands[i].fp[0]:cands[i].fp[1]] }
@@ -340,11 +350,7 @@ func build(prev []*Path, src, dst addr.IA, cands []candidate) []*Path {
 	out := make([]*Path, 0, len(cands))
 	for i := range cands {
 		cand := &cands[i]
-		switch {
-		case cand.dup:
-			continue
-		case cand.peer != nil:
-			out = append(out, cand.peer)
+		if cand.dup {
 			continue
 		}
 		dirs, h := cand.dirs[:cand.n], int(cand.hops)
@@ -393,9 +399,10 @@ func same(q, p *Path) bool {
 
 // check reports whether dirs traverse from src to dst without a loop —
 // every AS at most twice, and only a joint, the first AS of a
-// non-initial segment's traversal, twice — in segments a path header
-// can carry, and returns their hop count. A path has a few dozen ASes
-// at most, so it counts in place.
+// non-initial segment's traversal, twice (the far side of a peering
+// crossing is no joint) — in segments a path header can carry, and
+// returns their hop count. A path has a few dozen ASes at most, so it
+// counts in place.
 func check(src, dst addr.IA, dirs []direction) (hops int, ok bool) {
 	if len(dirs) > 3 {
 		return 0, false
@@ -405,8 +412,8 @@ func check(src, dst addr.IA, dirs []direction) (hops int, ok bool) {
 	var stack [32]addr.IA
 	seq := stack[:0]
 	for _, d := range dirs {
-		n := d.seg.Len()
-		if n == 0 || n > spath.MaxHopsPerSegment {
+		n := d.len()
+		if n <= 0 || n > spath.MaxHopsPerSegment {
 			return 0, false
 		}
 		hops += n
@@ -429,7 +436,7 @@ func check(src, dst addr.IA, dirs []direction) (hops int, ok bool) {
 		}
 		joint := false
 		for _, d := range dirs[1:] {
-			joint = joint || d.seg.ASEntries[d.entry(0)].IA == ia
+			joint = joint || d.peer == 0 && d.seg.ASEntries[d.entry(0)].IA == ia
 		}
 		if visits > 2 || !joint {
 			return 0, false
@@ -439,10 +446,12 @@ func check(src, dst addr.IA, dirs []direction) (hops int, ok bool) {
 }
 
 // appendInterfaces appends the inter-AS crossings of dirs to ifs, in
-// traversal order: (egress of one AS, ingress of the next) each.
+// traversal order: (egress of one AS, ingress of the next) each. A
+// peering crossing is the last crossing of the direction that leaves
+// over it.
 func appendInterfaces(ifs []PathInterface, dirs []direction) []PathInterface {
 	for _, d := range dirs {
-		for step := range d.seg.Len() - 1 {
+		for step := range d.len() - 1 {
 			e, next := &d.seg.ASEntries[d.entry(step)], &d.seg.ASEntries[d.entry(step+1)]
 			if d.consDir {
 				// Crossing e -> next over e.Egress / next.Ingress.
@@ -453,13 +462,22 @@ func appendInterfaces(ifs []PathInterface, dirs []direction) []PathInterface {
 				ifs = append(ifs, PathInterface{IA: e.IA, IfID: e.Ingress}, PathInterface{IA: next.IA, IfID: next.Egress})
 			}
 		}
+		if pe := d.peerEntry(); pe != nil && !d.consDir {
+			ifs = append(ifs, PathInterface{IA: d.seg.ASEntries[d.from].IA, IfID: pe.LocalIf}, PathInterface{IA: pe.Peer, IfID: pe.PeerIf})
+		}
 	}
 	return ifs
 }
 
 // fill assembles the data-plane path and metadata of checked dirs, over
 // info and hop field slices of exactly their size and the interfaces
-// already written (none: a path within one AS).
+// already written (none: a path within one AS). A direction's SegID is
+// the accumulator where its traversal starts: before entry from in
+// construction direction, or after it past a peering crossing (the
+// peer hop replaces that entry's own, and its MAC is outside the
+// chain), and at the segment's end against it. A path's MTU is the
+// least over the ASes it traverses, and its expiry the earliest over
+// their entries.
 func fill(src, dst addr.IA, dirs []direction, infos []spath.InfoField, hops []spath.HopField, ifs []PathInterface) Path {
 	p := Path{Src: src, Dst: dst, MTU: ^uint16(0), Raw: spath.Path{Infos: infos, Hops: hops}}
 	if len(ifs) > 0 {
@@ -467,18 +485,26 @@ func fill(src, dst addr.IA, dirs []direction, infos []spath.InfoField, hops []sp
 	}
 	h := 0
 	for k, d := range dirs {
-		seg := d.seg
-		n := seg.Len()
-		infos[k] = spath.InfoField{ConsDir: d.consDir, Timestamp: seg.Timestamp}
-		if d.consDir {
-			infos[k].SegID = seg.Beta0
-		} else {
+		seg, pe := d.seg, d.peerEntry()
+		n := d.len()
+		infos[k] = spath.InfoField{ConsDir: d.consDir, Peer: pe != nil, Timestamp: seg.Timestamp}
+		switch {
+		case !d.consDir:
 			infos[k].SegID = seg.BetaFinal()
+		case pe != nil:
+			infos[k].SegID = seg.BetaAt(int(d.from) + 1)
+		default:
+			infos[k].SegID = seg.BetaAt(int(d.from))
 		}
 		p.Raw.SegLens[k] = uint8(n)
 		for step := range n {
-			e := &seg.ASEntries[d.entry(step)]
-			hops[h] = seg.HopField(d.entry(step))
+			i := d.entry(step)
+			e := &seg.ASEntries[i]
+			if pe != nil && i == int(d.from) {
+				hops[h] = spath.HopField{ExpTime: pe.ExpTime, ConsIngress: pe.LocalIf, ConsEgress: e.Egress, MAC: pe.MAC}
+			} else {
+				hops[h] = seg.HopField(i)
+			}
 			h++
 			if e.MTU != 0 && e.MTU < p.MTU {
 				p.MTU = e.MTU
@@ -486,14 +512,15 @@ func fill(src, dst addr.IA, dirs []direction, infos []spath.InfoField, hops []sp
 			// The link leaving e, in traversal order: its latency is on
 			// the entry that egresses onto it in construction order.
 			switch {
-			case step == n-1: // segment ends here; joint or destination
-			case d.consDir:
+			case step < n-1 && d.consDir:
 				p.LatencyMS += e.LinkLatencyMS
-			default:
+			case step < n-1:
 				p.LatencyMS += seg.ASEntries[d.entry(step+1)].LinkLatencyMS
+			case pe != nil && !d.consDir: // the peering link
+				p.LatencyMS += pe.LinkLatencyMS
 			}
 		}
-		if exp := seg.Expiry(); p.Expiry.IsZero() || exp.Before(p.Expiry) {
+		if exp := seg.ExpiryFrom(int(d.from)); p.Expiry.IsZero() || exp.Before(p.Expiry) {
 			p.Expiry = exp
 		}
 	}

@@ -25,6 +25,9 @@ func keyOf(ia addr.IA) scrypto.HopKey {
 	return scrypto.DeriveHopKey([]byte(ia.String()), 0)
 }
 
+// mtuOf sets testNet's MTUs where they differ from the default, 1472.
+var mtuOf = map[addr.IA]uint16{lB: 1400}
+
 // testNet builds the beacon registry for a small two-tier topology with
 // parallel core links (multipath) and a peer link.
 func testNet(t testing.TB) (*topology.Topology, *beacon.Registry) {
@@ -36,7 +39,7 @@ func testNet(t testing.TB) (*topology.Topology, *beacon.Registry) {
 		}
 	}
 	for _, ia := range []addr.IA{lA, lB, lC} {
-		if err := topo.AddAS(topology.ASInfo{IA: ia}); err != nil {
+		if err := topo.AddAS(topology.ASInfo{IA: ia, MTU: mtuOf[ia]}); err != nil {
 			t.Fatal(err)
 		}
 	}

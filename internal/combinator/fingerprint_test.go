@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"sciera/internal/addr"
 )
@@ -29,5 +30,14 @@ func TestFingerprintFormat(t *testing.T) {
 		if got := fingerprint(ifs); got != want {
 			t.Fatalf("fingerprint(%v) = %q, want %q", ifs, got, want)
 		}
+	}
+}
+
+// TestCandidateSize: Recombine holds its candidates in a stack array of
+// 64 and build renders each one; a direction is two words, so a
+// candidate stays at 72 bytes.
+func TestCandidateSize(t *testing.T) {
+	if got := unsafe.Sizeof(candidate{}); got > 72 {
+		t.Errorf("candidate is %d bytes, want at most 72", got)
 	}
 }

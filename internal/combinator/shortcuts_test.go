@@ -29,6 +29,9 @@ func TestPeerPath(t *testing.T) {
 	if peer.LatencyMS != 3 {
 		t.Errorf("peer path latency = %v, want 3 (the peer link)", peer.LatencyMS)
 	}
+	if peer.MTU != 1400 {
+		t.Errorf("peer path MTU = %d, want 1400 (the least of lA's 1472 and lB's 1400)", peer.MTU)
+	}
 	if got := peer.ASes(); len(got) != 2 || got[0] != lA || got[1] != lB {
 		t.Errorf("peer path ASes = %v, want [lA lB]", got)
 	}
@@ -258,6 +261,31 @@ func TestPeerPathMetadata(t *testing.T) {
 		return
 	}
 	t.Fatal("no peer path")
+}
+
+// TestRecombineKeepsEveryPath: recombining over unchanged segments
+// returns the previous set's paths themselves, shortcuts and peering
+// crossings included.
+func TestRecombineKeepsEveryPath(t *testing.T) {
+	_, reg := testNet(t)
+	_, scReg, _, x, y := shortcutNet(t)
+	cases := []struct {
+		reg      *beacon.Registry
+		src, dst addr.IA
+	}{{reg, lA, lB}, {reg, lB, lA}, {reg, lA, lC}, {scReg, x, y}}
+	for _, c := range cases {
+		ups, cores, downs := c.reg.Ups(c.src), c.reg.Core.All(), c.reg.Down.Get(0, c.dst)
+		prev := Combine(c.src, c.dst, ups, cores, downs)
+		again := Recombine(prev, c.src, c.dst, ups, cores, downs)
+		if len(again) != len(prev) {
+			t.Fatalf("%v->%v: %d paths recombined, %d before", c.src, c.dst, len(again), len(prev))
+		}
+		for i := range prev {
+			if again[i] != prev[i] {
+				t.Errorf("%v->%v: path %s built anew (Peer %v)", c.src, c.dst, prev[i].Fingerprint, prev[i].Raw.Infos[0].Peer)
+			}
+		}
+	}
 }
 
 // BenchmarkCombinePeer measures combination when the result includes a

@@ -273,7 +273,7 @@ func TestNewDaemonFromCore(t *testing.T) {
 // test harness uses to validate the whole control plane output.
 func TestOmniscientVerifier(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
-	n, err := Build(buildPeerTopo(t), sim, Options{Seed: 1})
+	n, err := Build(newPeerTopo(t), sim, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

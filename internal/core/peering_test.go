@@ -19,11 +19,11 @@ var (
 	lY = addr.MustParseIA("71-22")
 )
 
-// buildPeerTopo extends the standard test net with a peering link
+// newPeerTopo extends the standard test net with a peering link
 // between lA (under c1) and lB (under c3), and a three-tier branch
 // c1 -> mM -> {lX, lY} whose leaves only reach each other via a
 // shortcut crossover at mM.
-func buildPeerTopo(t testing.TB) *topology.Topology {
+func newPeerTopo(t testing.TB) *topology.Topology {
 	t.Helper()
 	topo := buildTopo(t)
 	for _, ia := range []addr.IA{lB, mM, lX, lY} {
@@ -74,7 +74,7 @@ func sendOver(t *testing.T, sim *simnet.Sim, src, dst *host, p *combinator.Path,
 // of climbing to the core.
 func TestPeerPathDelivery(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
-	n, err := Build(buildPeerTopo(t), sim, Options{Seed: 1})
+	n, err := Build(newPeerTopo(t), sim, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPeerPathDelivery(t *testing.T) {
 // the reply must verify hop-by-hop back to the sender.
 func TestPeerPathReplyInFlight(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
-	n, err := Build(buildPeerTopo(t), sim, Options{Seed: 1})
+	n, err := Build(newPeerTopo(t), sim, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestPeerPathReplyInFlight(t *testing.T) {
 // hop fields and switch segments without bouncing via the core.
 func TestShortcutPathDelivery(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
-	n, err := Build(buildPeerTopo(t), sim, Options{Seed: 1})
+	n, err := Build(newPeerTopo(t), sim, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestShortcutPathDelivery(t *testing.T) {
 // sends the reply back through the crossover.
 func TestShortcutReplyInFlight(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
-	n, err := Build(buildPeerTopo(t), sim, Options{Seed: 1})
+	n, err := Build(newPeerTopo(t), sim, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestShortcutReplyInFlight(t *testing.T) {
 // Peer-flagged path.
 func TestPeerEchoOverNetwork(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
-	n, err := Build(buildPeerTopo(t), sim, Options{Seed: 1})
+	n, err := Build(newPeerTopo(t), sim, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

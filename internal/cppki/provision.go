@@ -11,12 +11,16 @@ import (
 type ProvisionOptions struct {
 	// NotBefore starts every validity period; required, and read from
 	// the clock of the network being provisioned.
-	NotBefore    time.Time
-	TRCValidity  time.Duration // default 2 years
-	RootValidity time.Duration // default 5 years
-	CAValidity   time.Duration // default 1 year
-	Quorum       int           // default: majority of roots
+	NotBefore time.Time
 }
+
+// Validity periods of a provisioned ISD's base TRC, roots and CAs. The
+// base TRC's voting quorum is a majority of its roots.
+const (
+	trcValidity  = 2 * 365 * 24 * time.Hour
+	rootValidity = 5 * 365 * 24 * time.Hour
+	caValidity   = 365 * 24 * time.Hour
+)
 
 // ProvisionedISD is everything needed to stand up a new ISD: root keys,
 // a quorum-signed base TRC, and issuing credentials per authoritative
@@ -45,18 +49,7 @@ func ProvisionISD(isd addr.ISD, core, authoritative []addr.IA, opts ProvisionOpt
 	if opts.NotBefore.IsZero() {
 		return nil, fmt.Errorf("cppki: ProvisionOptions.NotBefore required (the provisioning network's clock)")
 	}
-	if opts.TRCValidity == 0 {
-		opts.TRCValidity = 2 * 365 * 24 * time.Hour
-	}
-	if opts.RootValidity == 0 {
-		opts.RootValidity = 5 * 365 * 24 * time.Hour
-	}
-	if opts.CAValidity == 0 {
-		opts.CAValidity = 365 * 24 * time.Hour
-	}
-	if opts.Quorum == 0 {
-		opts.Quorum = len(authoritative)/2 + 1
-	}
+	quorum := len(authoritative)/2 + 1
 
 	out := &ProvisionedISD{CACerts: make(map[addr.IA]CAMaterial)}
 	trc := &TRC{
@@ -64,10 +57,10 @@ func ProvisionISD(isd addr.ISD, core, authoritative []addr.IA, opts ProvisionOpt
 		Base:          1,
 		Serial:        1,
 		NotBefore:     opts.NotBefore,
-		NotAfter:      opts.NotBefore.Add(opts.TRCValidity),
+		NotAfter:      opts.NotBefore.Add(trcValidity),
 		CoreASes:      core,
 		Authoritative: authoritative,
-		VotingQuorum:  opts.Quorum,
+		VotingQuorum:  quorum,
 	}
 
 	type rootMat struct {
@@ -80,7 +73,7 @@ func ProvisionISD(isd addr.ISD, core, authoritative []addr.IA, opts ProvisionOpt
 		if err != nil {
 			return nil, err
 		}
-		cert, err := NewRootCert(ia, key, opts.NotBefore, opts.RootValidity)
+		cert, err := NewRootCert(ia, key, opts.NotBefore, rootValidity)
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +82,7 @@ func ProvisionISD(isd addr.ISD, core, authoritative []addr.IA, opts ProvisionOpt
 		out.RootKeys = append(out.RootKeys, key)
 	}
 	// Self-sign the base TRC with a quorum of roots.
-	for i := 0; i < opts.Quorum; i++ {
+	for i := 0; i < quorum; i++ {
 		if err := trc.Sign(i, roots[i].key); err != nil {
 			return nil, err
 		}
@@ -106,7 +99,7 @@ func ProvisionISD(isd addr.ISD, core, authoritative []addr.IA, opts ProvisionOpt
 		if err != nil {
 			return nil, err
 		}
-		caCert, err := NewCACert(ia, caKey, trcRoots[i], roots[i].key, opts.NotBefore, opts.CAValidity)
+		caCert, err := NewCACert(ia, caKey, trcRoots[i], roots[i].key, opts.NotBefore, caValidity)
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,8 @@ type Config struct {
 	// deterministically-seeded network replica; partial datasets merge
 	// in canonical order, so the result — and every figure derived from
 	// it — is byte-identical for any worker count (see DESIGN.md,
-	// "parallel campaign execution"). 0 or 1 runs single-worker.
+	// "parallel campaign execution"). 0 or 1 runs single-worker, and so
+	// does a scenario that caps a link's bandwidth.
 	Workers int
 	// WithPKI runs the campaigns with the signed control plane: every
 	// beacon entry is signed and verified on receipt (core.Options
@@ -160,6 +161,7 @@ func applyCampaignCalendar(cfg Config, n *core.Network) ([]multiping.IncidentEve
 		if err != nil {
 			return nil, err
 		}
+		l.SetBandwidth(nl.BandwidthMbps)
 		_ = n.Topo.SetLinkUp(l.ID, false)
 		events = append(events, multiping.IncidentEvent{
 			At: nl.Activate(), LinkID: l.ID, Up: true, Name: nl.Name,

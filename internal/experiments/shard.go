@@ -7,19 +7,21 @@ import (
 
 	"sciera/internal/core"
 	"sciera/internal/multiping"
+	"sciera/internal/scenario"
 	"sciera/internal/telemetry"
 )
 
 // The sharded campaign engine: the measurement campaign is
 // embarrassingly partitionable because (a) every vantage pair's probes
-// are causally independent — the SCIERA topology sets no bandwidth
-// caps, so probes never queue behind each other and a pair's RTTs do
-// not depend on what other pairs send — and (b) the control-plane
-// evolution is a pure function of (seed, incident calendar), which
-// every worker replays identically on its private network replica.
-// Shard partials carry canonical sequence numbers, so Dataset.Merge
-// reassembles the exact single-worker record order and the final
-// figures are byte-identical for any worker count.
+// are causally independent — on uncapped links probes never queue
+// behind each other, so a pair's RTTs do not depend on what other pairs
+// send — and (b) the control-plane evolution is a pure function of
+// (seed, incident calendar), which every worker replays identically on
+// its private network replica. Shard partials carry canonical sequence
+// numbers, so Dataset.Merge reassembles the exact single-worker record
+// order and the final figures are byte-identical for any worker count.
+// A scenario that caps any link or new link breaks (a): its campaign
+// runs as one shard whatever the worker count.
 
 // planShards stripes the canonical pair enumeration round-robin across
 // workers. Striping (rather than contiguous blocks) balances load: the
@@ -38,6 +40,23 @@ func planShards(pairs []multiping.ProbePair, workers int) [][]multiping.ProbePai
 		shards[i%workers] = append(shards[i%workers], p)
 	}
 	return shards
+}
+
+// capped reports whether s caps the bandwidth of any link or new link:
+// a probe there queues behind what other pairs send, so pairs are no
+// longer independent.
+func capped(s *scenario.Scenario) bool {
+	for _, l := range s.Links {
+		if l.BandwidthMbps > 0 {
+			return true
+		}
+	}
+	for _, nl := range s.NewLinks {
+		if nl.BandwidthMbps > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // shardResult is one worker's output: its partial dataset and its
@@ -65,7 +84,11 @@ func runShardedCampaign(cfg Config, campaignCfg multiping.Config) (*multiping.Da
 	if len(pairs) == 0 {
 		return nil, nil, fmt.Errorf("experiments: campaign has no probe pairs")
 	}
-	shards := planShards(pairs, cfg.Workers)
+	workers := cfg.Workers
+	if capped(cfg.scn()) {
+		workers = 1
+	}
+	shards := planShards(pairs, workers)
 
 	var snap *core.Snapshot
 	if len(shards) > 1 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sciera/internal/multiping"
+	"sciera/internal/scenario"
 )
 
 func TestPlanShards(t *testing.T) {
@@ -113,6 +114,53 @@ func TestShardedCampaignByteIdentical(t *testing.T) {
 		if out != goldenOut {
 			t.Errorf("workers=%d: figure output differs from 1-worker golden", workers)
 		}
+	}
+}
+
+// TestCappedCampaignRunsAsOneShard: on capped links a probe queues
+// behind what other pairs send, so sharding would change the records
+// (seed 7, quick, every link at 10 Mbps: workers 1 and 2 differed). A
+// capped campaign runs as one shard and gives the same dataset at any
+// worker count, and a new link carries its cap too.
+func TestCappedCampaignRunsAsOneShard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two quick campaigns")
+	}
+	s := scenario.MustBuiltin("sciera")
+	for i := range s.Links {
+		s.Links[i].BandwidthMbps = 10
+	}
+	for i := range s.NewLinks {
+		s.NewLinks[i].BandwidthMbps = 10
+	}
+	if len(s.NewLinks) == 0 {
+		t.Fatal("sciera has no new links to cap")
+	}
+	run := func(workers int) *multiping.Dataset {
+		c := cfg
+		c.Scenario, c.Workers = s, workers
+		ds, n, err := RunCampaign(c)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		defer n.Close()
+		for _, nl := range s.NewLinks {
+			id, ok := n.Topo.LinkIDByName(nl.Name)
+			if !ok || n.Topo.Links()[id].BandwidthMbps != 10 {
+				t.Errorf("new link %q is not capped at 10 Mbps", nl.Name)
+			}
+		}
+		return ds
+	}
+	var one, two bytes.Buffer
+	if err := run(1).Write(&one); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(2).Write(&two); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(one.Bytes(), two.Bytes()) {
+		t.Error("capped campaign: workers 1 and 2 give different datasets")
 	}
 }
 

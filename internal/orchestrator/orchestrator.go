@@ -75,8 +75,11 @@ type Orchestrator struct {
 	renewers  map[addr.IA]*ca.Renewer
 	alerts    []Alert
 	downSince map[addr.IA]time.Time
-	monStop   []func()
-	events    []string
+	// timers holds the cancel of each loop's one pending tick; stopped
+	// keeps a running tick from arming another after Stop.
+	timers  []func()
+	stopped bool
+	events  []string
 }
 
 // New creates an orchestrator for a running network.
@@ -121,24 +124,35 @@ func (o *Orchestrator) ManageRenewal(ia addr.IA, issuer *ca.CA, every time.Durat
 	o.renewers[ia] = r
 	o.mu.Unlock()
 
-	var tick func()
-	tick = func() {
+	o.loop(every, func() {
 		renewed, err := r.Tick()
 		if err != nil {
 			o.log("renewal %v FAILED: %v", ia, err)
 		} else if renewed {
 			o.log("renewal %v: certificate reissued (total %d)", ia, r.Renewals())
 		}
-		cancel := o.Net.Transport.AfterFunc(every, tick)
-		o.mu.Lock()
-		o.monStop = append(o.monStop, cancel)
-		o.mu.Unlock()
-	}
-	cancel := o.Net.Transport.AfterFunc(every, tick)
-	o.mu.Lock()
-	o.monStop = append(o.monStop, cancel)
-	o.mu.Unlock()
+	})
 	return r, nil
+}
+
+// loop runs tick every d until Stop, with one timer pending at a time.
+func (o *Orchestrator) loop(d time.Duration, tick func()) {
+	o.mu.Lock()
+	slot := len(o.timers)
+	o.timers = append(o.timers, nil)
+	o.mu.Unlock()
+	var arm func()
+	arm = func() {
+		cancel := o.Net.Transport.AfterFunc(d, func() { tick(); arm() })
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		if o.stopped {
+			cancel()
+			return
+		}
+		o.timers[slot] = cancel
+	}
+	arm()
 }
 
 // StartMonitoring begins continuous connectivity monitoring from the
@@ -167,8 +181,7 @@ func (o *Orchestrator) StartMonitoring(vantage addr.IA, every time.Duration) err
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
 
-	var cycle func()
-	cycle = func() {
+	cycle := func() {
 		for _, dst := range targets {
 			dst := dst
 			paths := o.Net.Paths(vantage, dst)
@@ -180,12 +193,9 @@ func (o *Orchestrator) StartMonitoring(vantage addr.IA, every time.Duration) err
 				o.observe(dst, err == nil)
 			})
 		}
-		cancel := o.Net.Transport.AfterFunc(every, cycle)
-		o.mu.Lock()
-		o.monStop = append(o.monStop, cancel)
-		o.mu.Unlock()
 	}
 	cycle()
+	o.loop(every, cycle)
 	return nil
 }
 
@@ -236,14 +246,18 @@ func (o *Orchestrator) Down() []addr.IA {
 	return out
 }
 
-// Stop cancels monitoring and renewal timers.
+// Stop cancels the monitoring and renewal loops for good: their
+// pending ticks are cancelled, a tick already running arms no other,
+// and a loop started later never ticks.
 func (o *Orchestrator) Stop() {
 	o.mu.Lock()
-	stops := o.monStop
-	o.monStop = nil
+	stops := o.timers
+	o.stopped = true
 	o.mu.Unlock()
 	for _, s := range stops {
-		s()
+		if s != nil {
+			s()
+		}
 	}
 }
 

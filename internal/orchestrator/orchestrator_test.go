@@ -3,6 +3,7 @@ package orchestrator_test
 import (
 	"crypto/x509"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -205,4 +206,73 @@ func TestRenewalLoopAndDashboard(t *testing.T) {
 		}
 	}
 	o.Stop()
+}
+
+// TestLoopsHoldOneTimer runs a monitoring loop for 720 one-minute
+// cycles beside an hourly renewal loop: the orchestrator holds one
+// timer per loop throughout, and after Stop nothing of it is pending
+// and no tick fires.
+func TestLoopsHoldOneTimer(t *testing.T) {
+	sim := simnet.NewSim(time.Unix(1_700_000_000, 0))
+	n := buildNet(t, sim)
+	defer n.Close()
+	o := orchestrator.New(n)
+	p, err := cppki.ProvisionISD(71, []addr.IA{c1}, []addr.IA{c1},
+		cppki.ProvisionOptions{NotBefore: sim.Now().Add(-time.Hour)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	caCert, err := x509.ParseCertificate(p.CACerts[c1].Cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issuer := ca.New(c1, caCert, p.CACerts[c1].Key, 48*time.Hour, sim.Now)
+	if _, err := o.ManageRenewal(lA, issuer, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.StartMonitoring(c1, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunFor(12 * time.Hour)
+	if got := orchestrator.Timers(o); got != 2 {
+		t.Errorf("after 720 cycles the orchestrator holds %d timers, want 2 (one per loop)", got)
+	}
+	o.Stop()
+	sim.RunFor(time.Minute) // the last cycle's pings answer or time out
+	if got := sim.PendingEvents(); got != 0 {
+		t.Fatalf("%d events pending after Stop", got)
+	}
+	before := sim.ProcessedEvents()
+	sim.RunFor(12 * time.Hour)
+	if got := sim.ProcessedEvents(); got != before {
+		t.Errorf("%d events ran in the 12 h after Stop", got-before)
+	}
+}
+
+// TestLoopStopOnRealClock stops a loop whose ticks run on timer
+// goroutines while it ticks every millisecond: it holds one timer, and
+// after Stop at most the tick already running completes.
+func TestLoopStopOnRealClock(t *testing.T) {
+	o := orchestrator.New(&core.Network{Transport: simnet.NewUDPNet()})
+	var n atomic.Int64
+	ticked := make(chan struct{}, 1)
+	orchestrator.Loop(o, time.Millisecond, func() {
+		n.Add(1)
+		select {
+		case ticked <- struct{}{}:
+		default:
+		}
+	})
+	for range 20 {
+		<-ticked
+	}
+	if got := orchestrator.Timers(o); got != 1 {
+		t.Errorf("one loop holds %d timers", got)
+	}
+	o.Stop()
+	stopped := n.Load()
+	time.Sleep(20 * time.Millisecond) // twenty periods: a live loop would tick
+	if got := n.Load(); got > stopped+1 {
+		t.Errorf("%d ticks after Stop", got-stopped)
+	}
 }

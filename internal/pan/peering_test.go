@@ -12,9 +12,9 @@ import (
 	"sciera/internal/topology"
 )
 
-// buildPeerNet builds the integration topology plus a direct peering
+// newPeerNet builds the integration topology plus a direct peering
 // link between the two leaves: 3ms vs 30ms via the cores.
-func buildPeerNet(t testing.TB, sim *simnet.Sim) *core.Network {
+func newPeerNet(t testing.TB, sim *simnet.Sim) *core.Network {
 	t.Helper()
 	topo := topology.New()
 	for _, ia := range []addr.IA{c1, c2} {
@@ -49,7 +49,7 @@ func buildPeerNet(t testing.TB, sim *simnet.Sim) *core.Network {
 // server sends by reversing the Peer-flagged path in flight.
 func TestPeeringPreferredByPolicies(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
-	n := buildPeerNet(t, sim)
+	n := newPeerNet(t, sim)
 	defer n.Close()
 
 	hA := hostIn(t, n, lA)
@@ -110,7 +110,7 @@ func TestPeeringPreferredByPolicies(t *testing.T) {
 // traffic fails over to the up-core-down route.
 func TestPeerLinkFailover(t *testing.T) {
 	sim := simnet.NewSim(time.Unix(0, 0))
-	n := buildPeerNet(t, sim)
+	n := newPeerNet(t, sim)
 	defer n.Close()
 
 	hA := hostIn(t, n, lA)

@@ -149,12 +149,8 @@ func (s *Segment) Extend(e ASEntry, mac *scrypto.CMAC) error {
 }
 
 func (s *Segment) append(e ASEntry, mac *scrypto.CMAC) error {
-	beta, err := s.betaAt(len(s.ASEntries))
-	if err != nil {
-		return err
-	}
 	e.MAC = scrypto.HopMAC(mac, scrypto.HopMACInput{
-		Beta:        beta,
+		Beta:        s.BetaFinal(),
 		Timestamp:   s.Timestamp,
 		ExpTime:     e.ExpTime,
 		ConsIngress: e.Ingress,
@@ -165,25 +161,21 @@ func (s *Segment) append(e ASEntry, mac *scrypto.CMAC) error {
 	return nil
 }
 
-// betaAt returns the accumulator value before entry i.
-func (s *Segment) betaAt(i int) (uint16, error) {
-	if i > len(s.ASEntries) {
-		return 0, fmt.Errorf("%w: beta index %d of %d", ErrBadEntry, i, len(s.ASEntries))
-	}
+// BetaAt returns the accumulator value before entry i, 0 <= i <= Len():
+// the SegID of a traversal in construction direction that starts at
+// entry i.
+func (s *Segment) BetaAt(i int) uint16 {
 	beta := s.Beta0
-	for j := 0; j < i; j++ {
+	for j := range s.ASEntries[:i] {
 		beta = scrypto.UpdateBeta(beta, s.ASEntries[j].MAC)
 	}
-	return beta, nil
+	return beta
 }
 
 // BetaFinal returns the accumulator after the last entry — the value a
 // sender places in the info field when traversing against construction
 // direction.
-func (s *Segment) BetaFinal() uint16 {
-	beta, _ := s.betaAt(len(s.ASEntries))
-	return beta
-}
+func (s *Segment) BetaFinal() uint16 { return s.BetaAt(len(s.ASEntries)) }
 
 // Len returns the number of AS entries.
 func (s *Segment) Len() int { return len(s.ASEntries) }
@@ -212,16 +204,6 @@ func (s *Segment) ContainsIA(ia addr.IA) bool {
 		}
 	}
 	return false
-}
-
-// EntryFor returns the entry for ia, or nil.
-func (s *Segment) EntryFor(ia addr.IA) *ASEntry {
-	for i := range s.ASEntries {
-		if s.ASEntries[i].IA == ia {
-			return &s.ASEntries[i]
-		}
-	}
-	return nil
 }
 
 // ID returns a stable identifier derived from the interface sequence and
@@ -281,21 +263,16 @@ func (s *Segment) HopField(i int) spath.HopField {
 	return spath.HopField{ExpTime: e.ExpTime, ConsIngress: e.Ingress, ConsEgress: e.Egress, MAC: e.MAC}
 }
 
-// LatencyMS sums the inter-AS link latencies along the segment.
-func (s *Segment) LatencyMS() float64 {
-	var sum float64
-	for _, e := range s.ASEntries {
-		sum += e.LinkLatencyMS
-	}
-	return sum
-}
-
 // Expiry returns the absolute expiry time: the minimum hop expiry
 // relative to the segment timestamp. ExpTime units are ~5.7 minutes
 // (337.5 s), matching SCION's encoding of a 24h maximum.
-func (s *Segment) Expiry() time.Time {
+func (s *Segment) Expiry() time.Time { return s.ExpiryFrom(0) }
+
+// ExpiryFrom is Expiry over the entries from index i on: the expiry of
+// a traversal that starts at entry i.
+func (s *Segment) ExpiryFrom(i int) time.Time {
 	minExp := ^uint8(0)
-	for _, e := range s.ASEntries {
+	for _, e := range s.ASEntries[i:] {
 		if e.ExpTime < minExp {
 			minExp = e.ExpTime
 		}
@@ -330,32 +307,6 @@ func (s *Segment) VerifyMACs(keyFor func(addr.IA) (scrypto.HopKey, bool)) error 
 		beta = scrypto.UpdateBeta(beta, e.MAC)
 	}
 	return nil
-}
-
-// TruncateFrom returns a copy of the segment keeping only the entries
-// from index i on, with the accumulator re-based so every remaining hop
-// MAC stays valid. Shortcut and peer paths are built from truncated
-// segments (the part above the crossover AS is unused).
-func (s *Segment) TruncateFrom(i int) (*Segment, error) {
-	if i < 0 || i >= len(s.ASEntries) {
-		return nil, fmt.Errorf("%w: truncate index %d of %d", ErrBadEntry, i, len(s.ASEntries))
-	}
-	beta, err := s.betaAt(i)
-	if err != nil {
-		return nil, err
-	}
-	t := &Segment{Timestamp: s.Timestamp, Beta0: beta}
-	t.ASEntries = append(t.ASEntries, s.ASEntries[i:]...)
-	return t, nil
-}
-
-// BetaAfterFirst returns the accumulator after the first entry — the
-// initial SegID of a construction-direction peer segment.
-func (s *Segment) BetaAfterFirst() uint16 {
-	if len(s.ASEntries) == 0 {
-		return s.Beta0
-	}
-	return scrypto.UpdateBeta(s.Beta0, s.ASEntries[0].MAC)
 }
 
 // CloneForExtend returns a copy prepared for appending entries: the

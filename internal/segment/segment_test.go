@@ -57,11 +57,8 @@ func TestBuildAndInspect(t *testing.T) {
 	if !s.ContainsIA(midIA) || s.ContainsIA(addr.MustParseIA("64-1")) {
 		t.Error("ContainsIA wrong")
 	}
-	if e := s.EntryFor(midIA); e == nil || e.Egress != 3 {
-		t.Errorf("EntryFor(mid) = %+v", e)
-	}
-	if got := s.LatencyMS(); got != 30 {
-		t.Errorf("latency = %v", got)
+	if e := s.ASEntries[1]; e.IA != midIA || e.Egress != 3 || e.LinkLatencyMS+s.ASEntries[0].LinkLatencyMS != 30 {
+		t.Errorf("mid entry = %+v", e)
 	}
 	if s.ID() == "" || s.String() == "" {
 		t.Error("ID/String empty")
@@ -122,9 +119,8 @@ func TestBetaChain(t *testing.T) {
 	s := buildSeg(t)
 	beta := s.Beta0
 	for i := range s.ASEntries {
-		got, err := s.betaAt(i)
-		if err != nil || got != beta {
-			t.Fatalf("betaAt(%d) = %v, %v; want %v", i, got, err, beta)
+		if got := s.BetaAt(i); got != beta {
+			t.Fatalf("BetaAt(%d) = %#x; want %#x", i, got, beta)
 		}
 		beta = scrypto.UpdateBeta(beta, s.ASEntries[i].MAC)
 	}
@@ -326,5 +322,51 @@ func BenchmarkExtend(b *testing.B) {
 		if err := s.Extend(ASEntry{IA: midIA, Next: leafIA, Ingress: 2, Egress: 3, ExpTime: 63}, key); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRouteIDStableAcrossRebeacon: RouteID depends only on the
+// AS/interface route; re-originating the same route with a different
+// timestamp and accumulator must keep it, while ID changes.
+func TestRouteIDStableAcrossRebeacon(t *testing.T) {
+	build := func(ts uint32, beta uint16) *Segment {
+		s, err := Originate(ts, beta, coreIA, 1, midIA, 20, 63, macOf(coreIA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Extend(ASEntry{IA: midIA, Ingress: 2, ExpTime: 63}, macOf(midIA)); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a := build(1000, 0x42)
+	b := build(2000, 0x9abc)
+	if a.RouteID() != b.RouteID() {
+		t.Error("RouteID changed across re-beaconing of the same route")
+	}
+	if a.ID() == b.ID() {
+		t.Error("ID identical despite different timestamp/accumulator")
+	}
+	// A different interface means a different route.
+	c, err := Originate(1000, 0x42, coreIA, 7, midIA, 20, 63, macOf(coreIA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Extend(ASEntry{IA: midIA, Ingress: 2, ExpTime: 63}, macOf(midIA)); err != nil {
+		t.Fatal(err)
+	}
+	if a.RouteID() == c.RouteID() {
+		t.Error("RouteID identical for different egress interface")
+	}
+}
+
+// TestEmptySegmentAccessors covers the zero-value short-circuits.
+func TestEmptySegmentAccessors(t *testing.T) {
+	var s Segment
+	if s.FirstIA() != 0 || s.LastIA() != 0 {
+		t.Error("empty segment endpoints nonzero")
+	}
+	if s.BetaFinal() != s.Beta0 || s.Len() != 0 {
+		t.Error("empty segment accumulator or length changed")
 	}
 }
